@@ -95,10 +95,10 @@ class _Environment:
                       file=sys.stderr)
             dom = cat.object_index(rec.source)
             cod = cat.object_index(rec.target)
-            key = (dom, cod, rec.graph)
-            if key not in cat._by_graph:
+            f = cat.morphism_by_graph(dom, cod, rec.graph)
+            if f is None:
                 raise DomainError(f"map {name!r} is not a morphism of the fibration")
-            return cat._by_graph[key]
+            return f
         return fib.category.morphism_index(name)
 
 

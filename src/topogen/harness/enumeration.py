@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from ..errors import PreconditionError, ResourceCapError
+from ..errors import DomainError, PreconditionError, ResourceCapError
 from ..lattice import FiniteLattice, mask_iter
 from ..site import SubobjectFibration
 from ..structures import (
@@ -38,10 +38,22 @@ class EnumerationSpec:
     max_candidates: Optional[int] = None
 
     def budget(self) -> int:
+        """The candidate budget: ``max_candidates``, else the environment
+        variable, else the default; a positive integer or ``DomainError``."""
         if self.max_candidates is not None:
-            return self.max_candidates
-        env = os.environ.get(ENV_MAX_CANDIDATES)
-        return int(env) if env else DEFAULT_MAX_CANDIDATES
+            value, source = self.max_candidates, "max_candidates"
+        else:
+            env = os.environ.get(ENV_MAX_CANDIDATES)
+            if not env:
+                return DEFAULT_MAX_CANDIDATES
+            source = ENV_MAX_CANDIDATES
+            try:
+                value = int(env)
+            except ValueError:
+                raise DomainError(f"{source}={env!r} is not an integer") from None
+        if value < 1:
+            raise DomainError(f"{source}={value} must be at least 1")
+        return value
 
 
 # ---------------------------------------------------------------------------

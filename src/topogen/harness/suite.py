@@ -237,7 +237,7 @@ def check_pullback_transfer_suite(scale: str) -> Report:
                 if not bcp.bcp_equality:
                     continue
                 for kind in ("closure", "interior"):
-                    r = check_pullback_transfer(sq, orders[kind], caches[kind])
+                    r = check_pullback_transfer(sq, orders[kind], caches[kind], bcp)
                     violations.extend(r.violations)
         if n_skip:
             skipped.append(f"{name}: {n_skip} squares beyond point budget")

@@ -313,8 +313,8 @@ class _FinGrpBackend:
                 m_graph = table
                 inv = {v: i for i, v in enumerate(table)}
                 e_graph = tuple(inv[v] for v in graph)
-                e = cat._by_graph.get((x, mid, e_graph))
-                mm = cat._by_graph.get((mid, y, m_graph))
+                e = cat.morphism_by_graph(x, mid, e_graph)
+                mm = cat.morphism_by_graph(mid, y, m_graph)
                 if e is not None and mm is not None:
                     return e, mm
         raise CapabilityError("no catalog group is isomorphic to the image subgroup")

@@ -171,7 +171,7 @@ def topgrp_fibration(max_order: int = 4) -> FiberedFunctor:
     for f in range(category.n_morphisms):
         bx = base_index[tgs[mor_dom[f]].group.name]
         by = base_index[tgs[mor_cod[f]].group.name]
-        bf = base.category._by_graph[(bx, by, graphs[f])]
+        bf = base.category.morphism_by_graph(bx, by, graphs[f])
         mor_map.append(bf)
         img.append(base.img[bf])
         pre.append(base.pre[bf])

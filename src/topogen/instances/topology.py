@@ -65,6 +65,28 @@ class FinTopSpace:
         return FinTopSpace(len(points), tuple(sorted(opens)))
 
 
+def minimal_neighbourhoods(space: FinTopSpace) -> tuple[int, ...]:
+    """Per point, the meet of the opens that contain it."""
+    out = []
+    for x in range(space.n):
+        nbhd = space.full
+        for o in space.opens:
+            if o >> x & 1:
+                nbhd &= o
+        out.append(nbhd)
+    return tuple(out)
+
+
+def space_of_neighbourhoods(nbhds: tuple[int, ...]) -> FinTopSpace:
+    """The space whose opens are the sets containing the given minimal
+    neighbourhood of each of their points."""
+    opens = tuple(
+        mask for mask in range(1 << len(nbhds))
+        if all(nbhds[x] & ~mask == 0 for x in mask_iter(mask))
+    )
+    return FinTopSpace(len(nbhds), opens)
+
+
 def discrete(n: int) -> FinTopSpace:
     return FinTopSpace(n, tuple(range(1 << n)))
 
@@ -179,6 +201,10 @@ class _FinTopBackend:
         self.spaces = spaces
         self.max_points = max_points
         self.by_shape = {(s.n, s.opens): i for i, s in enumerate(spaces)}
+        self.nbhds = tuple(minimal_neighbourhoods(s) for s in spaces)
+        # pullback corner object per tuple of minimal-neighbourhood masks; a
+        # corner topology is built and validated only on its first miss
+        self.corners: dict[tuple[int, ...], int] = {}
 
     def _object_of(self, space: FinTopSpace) -> int:
         try:
@@ -189,12 +215,10 @@ class _FinTopBackend:
             ) from None
 
     def _morphism_of(self, fib, dom: int, cod: int, graph: tuple[int, ...]) -> int:
-        cat = fib.category
-        key = (dom, cod, graph)
-        try:
-            return cat._by_graph[key]
-        except KeyError:
-            raise CapabilityError("required continuous map is not in this fibration") from None
+        f = fib.category.morphism_by_graph(dom, cod, graph)
+        if f is None:
+            raise CapabilityError("required continuous map is not in this fibration")
+        return f
 
     def factorize(self, fib, f: int):
         cat = fib.category
@@ -214,33 +238,31 @@ class _FinTopBackend:
 
     def pullback(self, fib, f: int, p: int) -> PullbackSquare:
         cat = fib.category
-        xf, y = cat.mor_dom[f], cat.mor_cod[f]
-        yp = cat.mor_dom[p]
+        xf, yp = cat.mor_dom[f], cat.mor_dom[p]
         gf, gp = cat.graphs[f], cat.graphs[p]
-        sx, syp = self.spaces[xf], self.spaces[yp]
+        nx, nyp = self.nbhds[xf], self.nbhds[yp]
         carrier = [
-            (a, b) for a in range(sx.n) for b in range(syp.n) if gf[a] == gp[b]
+            (a, b) for a in range(len(gf)) for b in range(len(gp)) if gf[a] == gp[b]
         ]
         if len(carrier) > self.max_points:
             raise CapabilityError(
                 f"pullback carrier has {len(carrier)} points, beyond this fibration's scale"
             )
-        # subspace of the product topology: unions of open boxes meet the carrier
-        boxes = set()
-        for u in sx.opens:
-            for v in syp.opens:
-                boxes.add(sum(
-                    1 << i for i, (a, b) in enumerate(carrier)
-                    if u >> a & 1 and v >> b & 1
-                ))
-        opens = set(boxes)
-        frontier = set(boxes)
-        while frontier:
-            new = {a | b for a in frontier for b in boxes} - opens
-            opens |= new
-            frontier = new
-        space = FinTopSpace(len(carrier), tuple(sorted(opens)))
-        corner = self._object_of(space)
+        # subspace of the product topology: (a, b) has the minimal
+        # neighbourhood (U_a x V_b) restricted to the carrier
+        key = []
+        for a, b in carrier:
+            u, v = nx[a], nyp[b]
+            nbhd = 0
+            for i, (c, d) in enumerate(carrier):
+                if u >> c & 1 and v >> d & 1:
+                    nbhd |= 1 << i
+            key.append(nbhd)
+        key = tuple(key)
+        corner = self.corners.get(key)
+        if corner is None:
+            corner = self._object_of(space_of_neighbourhoods(key))
+            self.corners[key] = corner
         p_prime = self._morphism_of(
             fib, corner, xf, tuple(a for a, _ in carrier)
         )

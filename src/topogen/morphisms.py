@@ -9,6 +9,7 @@ definition needs the right adjoint of preimage are tri-state: ``None`` means
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .errors import CapabilityError, InternalConsistencyError, PreconditionError
@@ -23,7 +24,7 @@ from .structures import (
     is_interpolative,
     predicates,
 )
-from .site import PullbackSquare, SubobjectFibration, check_bcp
+from .site import BcpResult, PullbackSquare, SubobjectFibration, check_bcp
 
 
 @dataclass(frozen=True)
@@ -214,10 +215,7 @@ def check_strict_transfer(f: int, t: TopogenousOrder) -> Report:
 
 
 _CLASSES = ("strict", "final", "costrict", "initial")
-
-
-def _flag(cls: MorphismClassification, kind: str) -> Optional[bool]:
-    return getattr(cls, kind)
+_flags = attrgetter(*_CLASSES)  # a classification's flags, in _CLASSES order
 
 
 def check_class_calculus(fib: SubobjectFibration, t: TopogenousOrder) -> Report:
@@ -236,8 +234,7 @@ def check_class_calculus(fib: SubobjectFibration, t: TopogenousOrder) -> Report:
     for f in isos:
         cls = cache[f]
         checked += 1
-        for kind in _CLASSES:
-            flag = _flag(cls, kind)
+        for kind, flag in zip(_CLASSES, _flags(cls)):
             if flag is False:
                 violations.append(
                     Violation(f"iso-{kind}", where=cat.mor_names[f])
@@ -249,8 +246,7 @@ def check_class_calculus(fib: SubobjectFibration, t: TopogenousOrder) -> Report:
         cf, cg, ch = cache[f], cache[g], cache[h]
         pair = (cat.mor_names[g], cat.mor_names[f])
         checked += 1
-        for kind in _CLASSES:
-            a, b, c = _flag(cf, kind), _flag(cg, kind), _flag(ch, kind)
+        for kind, a, b, c in zip(_CLASSES, _flags(cf), _flags(cg), _flags(ch)):
             # composition closure
             if a is True and b is True and c is False:
                 violations.append(Violation(f"compose-{kind}", witness=pair))
@@ -300,41 +296,42 @@ def check_class_calculus(fib: SubobjectFibration, t: TopogenousOrder) -> Report:
 # pullback transfer
 
 
-def check_pullback_transfer(sq: PullbackSquare, t: TopogenousOrder, cache=None) -> Report:
+def check_pullback_transfer(
+    sq: PullbackSquare, t: TopogenousOrder, cache=None, bcp: Optional[BcpResult] = None
+) -> Report:
     """Ascent along an initial p' and descent along a final p, per class.
 
     ``cache`` may map morphism ids to precomputed classifications, for
-    harness-scale sweeps over many squares.
+    harness-scale sweeps over many squares.  ``bcp`` may be the square's
+    already computed ``check_bcp(sq)``, so a sweep that checks several
+    orders on one square runs the Beck-Chevalley check once; when omitted
+    it is computed here.  Either way a square without the Beck-Chevalley
+    equality raises ``PreconditionError``.
     """
-    bcp = check_bcp(sq)
+    if bcp is None:
+        bcp = check_bcp(sq)
     if not bcp.bcp_equality:
         raise PreconditionError("square does not satisfy the Beck-Chevalley equality")
     fib = sq.fib
     cat = fib.category
-    if cache is None:
-        cache = {}
-    cls = {
-        m: cache[m] if m in cache else classify(m, t)
-        for m in (sq.f_prime, sq.p, sq.p_prime, sq.f)
-    }
+    cache = cache or {}
+    c_f_prime, c_p, c_p_prime, c_f = (
+        cache.get(m) or classify(m, t) for m in (sq.f_prime, sq.p, sq.p_prime, sq.f)
+    )
     violations = []
     checked = 0
     where = (
         f"square[{cat.mor_names[sq.f_prime]},{cat.mor_names[sq.p]},"
         f"{cat.mor_names[sq.p_prime]},{cat.mor_names[sq.f]}]"
     )
-    if cls[sq.p_prime].initial is True:
-        for kind in _CLASSES:
-            checked += 1
-            a = _flag(cls[sq.f], kind)
-            b = _flag(cls[sq.f_prime], kind)
+    if c_p_prime.initial is True:
+        checked += len(_CLASSES)
+        for kind, a, b in zip(_CLASSES, _flags(c_f), _flags(c_f_prime)):
             if a is True and b is False:
                 violations.append(Violation(f"ascent-{kind}", where=where))
-    if cls[sq.p].final:
-        for kind in _CLASSES:
-            checked += 1
-            a = _flag(cls[sq.f_prime], kind)
-            b = _flag(cls[sq.f], kind)
+    if c_p.final:
+        checked += len(_CLASSES)
+        for kind, a, b in zip(_CLASSES, _flags(c_f_prime), _flags(c_f)):
             if a is True and b is False:
                 violations.append(Violation(f"descent-{kind}", where=where))
     return Report(f"pullback-transfer {where}", checked, tuple(violations))
@@ -400,15 +397,15 @@ def crosscheck_operator_classes(f: int, t: TopogenousOrder) -> Report:
     checked = 0
     if preds.meet_preserving:
         oper = closure_classes(f, closure_from_topogenous(t))
-        for kind in _CLASSES:
+        for kind, flag in zip(_CLASSES, _flags(cls)):
             checked += 1
-            if _flag(cls, kind) != oper[kind]:
+            if flag != oper[kind]:
                 violations.append(Violation(f"closure-class-{kind}", where=name))
     if preds.join_preserving:
         oper = interior_classes(f, interior_from_topogenous(t))
-        for kind in _CLASSES:
+        for kind, flag in zip(_CLASSES, _flags(cls)):
             checked += 1
-            if _flag(cls, kind) != oper[kind]:
+            if flag != oper[kind]:
                 violations.append(Violation(f"interior-class-{kind}", where=name))
     if not (preds.meet_preserving or preds.join_preserving):
         raise PreconditionError("order preserves neither meets nor joins")

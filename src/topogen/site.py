@@ -48,11 +48,10 @@ class FiniteCategory:
         self.identities = tuple(identities)
         self.graphs = tuple(graphs) if graphs is not None else None
         self._compose_table = dict(compose_table) if compose_table is not None else None
-        if self.graphs is not None:
-            self._by_graph = {
-                (self.mor_dom[i], self.mor_cod[i], self.graphs[i]): i
-                for i in range(len(self.graphs))
-            }
+        self._by_graph = {
+            (self.mor_dom[i], self.mor_cod[i], graph): i
+            for i, graph in enumerate(self.graphs or ())
+        }
         self._name_index = {name: i for i, name in enumerate(self.mor_names)}
         self.morphisms_from = tuple(
             tuple(i for i in range(self.n_morphisms) if self.mor_dom[i] == x)
@@ -87,7 +86,7 @@ class FiniteCategory:
                 raise InternalConsistencyError(
                     f"composition table is missing {self.mor_names[g]} o {self.mor_names[f]}"
                 ) from None
-        composed = tuple(self.graphs[g][v] for v in self.graphs[f])
+        composed = tuple(map(self.graphs[g].__getitem__, self.graphs[f]))
         key = (self.mor_dom[f], self.mor_cod[g], composed)
         try:
             return self._by_graph[key]
@@ -95,6 +94,10 @@ class FiniteCategory:
             raise InternalConsistencyError(
                 f"category is not closed under composition at {self.mor_names[g]} o {self.mor_names[f]}"
             ) from None
+
+    def morphism_by_graph(self, dom: int, cod: int, graph: tuple[int, ...]) -> Optional[int]:
+        """The morphism dom -> cod with this function graph, or None."""
+        return self._by_graph.get((dom, cod, graph))
 
     def morphism_index(self, name: str) -> int:
         try:
@@ -287,16 +290,14 @@ def validate_fibration(fib: SubobjectFibration, functoriality: bool = True) -> R
         if fib.img[i] != ident or fib.pre[i] != ident:
             violations.append(Violation("identity-adjoints", where=cat.object_names[x]))
     if functoriality:
+        img, pre, names = fib.img, fib.pre, cat.mor_names
         for g, f in cat.composable_pairs():
             checked += 1
             h = cat.compose(g, f)
-            name = f"{cat.mor_names[g]} o {cat.mor_names[f]}"
-            img_f, img_g, img_h = fib.img[f], fib.img[g], fib.img[h]
-            pre_f, pre_g, pre_h = fib.pre[f], fib.pre[g], fib.pre[h]
-            if any(img_h[m] != img_g[img_f[m]] for m in range(len(img_h))):
-                violations.append(Violation("image-functorial", where=name))
-            if any(pre_h[n] != pre_f[pre_g[n]] for n in range(len(pre_h))):
-                violations.append(Violation("preimage-functorial", where=name))
+            if tuple(map(img[g].__getitem__, img[f])) != img[h]:
+                violations.append(Violation("image-functorial", where=f"{names[g]} o {names[f]}"))
+            if tuple(map(pre[f].__getitem__, pre[g])) != pre[h]:
+                violations.append(Violation("preimage-functorial", where=f"{names[g]} o {names[f]}"))
     return Report(f"fibration {fib.name}", checked, tuple(violations))
 
 

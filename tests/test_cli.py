@@ -139,6 +139,17 @@ def test_enumeration_cap_exit_code(capsys, monkeypatch):
     assert "resource cap" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bad_candidate_budget_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", value)
+    code, out, err = run(capsys, "enumerate", "--builtin", "fintop2",
+                         "--kind", "closure")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: TOPOGEN_MAX_CANDIDATES=")
+    assert "resource cap" not in err
+
+
 def test_lift_command(capsys):
     code, out, _ = run(capsys, "lift", "--fibration", "topgrp_le4",
                        "--order", "grp_normal")

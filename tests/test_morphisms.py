@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from topogen.errors import CapabilityError, PreconditionError
@@ -13,7 +15,7 @@ from topogen.morphisms import (
     strict_subobjects,
     weakly_final_formulas,
 )
-from topogen.site import PullbackSquare, pullback
+from topogen.site import BcpResult, PullbackSquare, check_bcp, pullback
 from topogen.structures import TopogenousOrder, closure_from_topogenous, validate_structure
 from topogen.instances.topology import closure_order, interior_order, map_predicates
 from topogen.instances.registry import builtin_order
@@ -159,6 +161,48 @@ def test_pullback_transfer_requires_bcp(fintop2):
     sq = PullbackSquare(fintop2, f_prime=empty_to_pt, p=ident, p_prime=empty_to_pt, f=ident)
     with pytest.raises(PreconditionError):
         check_pullback_transfer(sq, closure_order(fintop2))
+
+
+def test_pullback_transfer_rejects_a_given_failed_bcp(fintop2):
+    cat = fintop2.category
+    # the given result is used as is, even on a square that has the equality
+    i = cat.morphism_index("id_sierpinski")
+    sq = PullbackSquare(fintop2, f_prime=i, p=i, p_prime=i, f=i)
+    with pytest.raises(PreconditionError):
+        check_pullback_transfer(
+            sq, closure_order(fintop2), bcp=BcpResult(True, False, ("{}", "equality"))
+        )
+    ident = cat.morphism_index("id_pt")
+    empty_to_pt = cat.morphism_index("empty>pt:-")
+    sq = PullbackSquare(fintop2, f_prime=empty_to_pt, p=ident, p_prime=empty_to_pt, f=ident)
+    with pytest.raises(PreconditionError):
+        check_pullback_transfer(sq, closure_order(fintop2), bcp=check_bcp(sq))
+
+
+def test_pullback_transfer_with_given_bcp_matches_own(fintop2):
+    cat = fintop2.category
+    squares = []
+    for p in sorted(fintop2.eclass | fintop2.mclass):
+        for f in cat.morphisms_to[cat.mor_cod[p]]:
+            try:
+                squares.append(pullback(fintop2, f, p))
+            except CapabilityError:
+                continue
+    violated = 0
+    for t in (closure_order(fintop2), interior_order(fintop2)):
+        cache = {f: classify(f, t) for f in range(cat.n_morphisms)}
+        for sq in squares:
+            # f' forced into no class, so that ascent can fail
+            forged = dict(cache)
+            forged[sq.f_prime] = replace(
+                cache[sq.f_prime], strict=False, final=False, costrict=False, initial=False
+            )
+            for c in (cache, forged):
+                own = check_pullback_transfer(sq, t, c)
+                given = check_pullback_transfer(sq, t, c, bcp=check_bcp(sq))
+                assert given == own
+                violated += not own.ok
+    assert violated > 0
 
 
 def test_operator_crosschecks_on_fintop2(fintop2):

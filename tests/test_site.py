@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from topogen.errors import CapabilityError, DomainError
@@ -97,6 +99,56 @@ def test_fstar_tables_match_generic_right_adjoint(fintop2):
         assert adj is not None and adj.table == fintop2.fstar[f]
 
 
+def _with_tables(fib, img=None, pre=None):
+    return SubobjectFibration(
+        category=fib.category,
+        sub=fib.sub,
+        img=img if img is not None else fib.img,
+        pre=pre if pre is not None else fib.pre,
+        eclass=fib.eclass,
+        mclass=fib.mclass,
+        fstar=fib.fstar,
+        name="broken",
+    )
+
+
+@pytest.mark.parametrize("table, law", [("img", "image-functorial"), ("pre", "preimage-functorial")])
+def test_corrupt_composite_table_breaks_functoriality(fintop2, table, law):
+    cat = fintop2.category
+    g, f = next(
+        (g, f) for g, f in cat.composable_pairs()
+        if cat.graphs[f] and cat.compose(g, f) not in (g, f)
+        and not any(cat.is_identity(m) for m in (g, f, cat.compose(g, f)))
+    )
+    h = cat.compose(g, f)
+    tables = list(getattr(fintop2, table))
+    broken = list(tables[h])
+    assert broken[-1] != 0  # the whole (nonempty) space goes to a nonempty set
+    broken[-1] = 0
+    tables[h] = tuple(broken)
+    report = validate_fibration(_with_tables(fintop2, **{table: tables}))
+    hits = [v.where for v in report.violations if v.law.endswith("-functorial")]
+    assert f"{cat.mor_names[g]} o {cat.mor_names[f]}" in hits
+    assert all(v.law == law for v in report.violations if v.law.endswith("-functorial"))
+    # every reported pair has the corrupted morphism as a factor or composite
+    for where in hits:
+        left, right = map(cat.morphism_index, where.split(" o "))
+        assert h in (left, right, cat.compose(left, right))
+
+
+def test_morphism_by_graph(fintop2, grp_small):
+    cat = fintop2.category
+    for f in range(cat.n_morphisms):
+        assert cat.morphism_by_graph(cat.mor_dom[f], cat.mor_cod[f], cat.graphs[f]) == f
+    pt = cat.object_index("pt")
+    assert cat.morphism_by_graph(pt, pt, (1,)) is None
+    assert one_object_category().morphism_by_graph(0, 0, (0,)) is None
+    s3 = grp_small.category.object_index("s3")
+    assert grp_small.category.morphism_by_graph(s3, s3, tuple(range(6))) == (
+        grp_small.category.identities[s3]
+    )
+
+
 # ---------------------------------------------------------------------------
 # factorization
 
@@ -177,6 +229,67 @@ def test_pullback_needs_a_cospan(fintop2):
     cat = fintop2.category
     with pytest.raises(DomainError):
         pullback(fintop2, cat.morphism_index("id_pt"), cat.morphism_index("id_empty"))
+
+
+def _box_union_corner(fib, f, p):
+    """Reference pullback corner of the cospan f, p of a space fibration: the
+    carrier, and the (n, opens) of the subspace of the product topology,
+    built as the unions of open boxes folded to a fixpoint."""
+    cat = fib.category
+    gf, gp = cat.graphs[f], cat.graphs[p]
+    sx, syp = fib.spaces[cat.mor_dom[f]], fib.spaces[cat.mor_dom[p]]
+    carrier = [(a, b) for a in range(sx.n) for b in range(syp.n) if gf[a] == gp[b]]
+    boxes = {
+        sum(1 << i for i, (a, b) in enumerate(carrier) if u >> a & 1 and v >> b & 1)
+        for u in sx.opens
+        for v in syp.opens
+    }
+    opens = set(boxes)
+    frontier = set(boxes)
+    while frontier:
+        frontier = {a | b for a in frontier for b in boxes} - opens
+        opens |= frontier
+    return carrier, (len(carrier), tuple(sorted(opens)))
+
+
+def _assert_corners_match_box_unions(fib, cospans):
+    cat = fib.category
+    max_points = max(s.n for s in fib.spaces)
+    built = 0
+    for f, p in cospans:
+        carrier, shape = _box_union_corner(fib, f, p)
+        if len(carrier) > max_points:
+            with pytest.raises(CapabilityError):
+                pullback(fib, f, p)
+            continue
+        sq = pullback(fib, f, p)
+        corner = fib.spaces[cat.mor_dom[sq.f_prime]]
+        assert (corner.n, corner.opens) == shape
+        assert cat.graphs[sq.p_prime] == tuple(a for a, _ in carrier)
+        assert cat.graphs[sq.f_prime] == tuple(b for _, b in carrier)
+        built += 1
+    # one memo entry per corner topology at most
+    assert len(fib.backend.corners) <= cat.n_objects
+    return built
+
+
+def test_pullback_corners_match_box_unions_on_fintop2(fintop2):
+    cat = fintop2.category
+    cospans = [
+        (f, p) for p in range(cat.n_morphisms) for f in cat.morphisms_to[cat.mor_cod[p]]
+    ]
+    # both branches: corners built, and carriers beyond two points refused
+    assert 0 < _assert_corners_match_box_unions(fintop2, cospans) < len(cospans)
+
+
+def test_pullback_corners_match_box_unions_on_fintop3_slice(fintop3):
+    cat = fintop3.category
+    swept = (
+        (f, p) for p in sorted(fintop3.eclass | fintop3.mclass)
+        for f in cat.morphisms_to[cat.mor_cod[p]]
+    )
+    built = _assert_corners_match_box_unions(fintop3, itertools.islice(swept, 0, None, 13))
+    assert built > 50_000
 
 
 def test_bcp_on_identity_square(fintop2):
