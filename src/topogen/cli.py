@@ -90,7 +90,7 @@ class _Environment:
         rec = self._find(fileformat.MapRecord, name)
         if rec is not None:
             cat = fib.category
-            if name in cat._name_index:
+            if name in cat.mor_names:
                 print(f"warning: file map {name!r} overrides a fibration morphism",
                       file=sys.stderr)
             dom = cat.object_index(rec.source)

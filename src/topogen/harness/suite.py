@@ -32,19 +32,20 @@ from ..constructions import (
     validate_fibered_functor,
     validate_pointed,
 )
-from ..errors import CapabilityError, ResourceCapError
+from ..errors import CapabilityError, ResourceCapError, TopogenError
 from ..lattice import right_adjoint_of
 from ..morphisms import (
     check_class_calculus,
-    check_pullback_transfer,
     check_strict_transfer,
+    class_flags,
     classify,
     continuity_equivalents,
     crosscheck_operator_classes,
+    transfer_laws,
     weakly_final_formulas,
 )
 from ..reporting import Report, Violation, merge
-from ..site import check_bcp, pullback, validate_category, validate_fibration
+from ..site import check_bcp, intern, pullback, validate_category, validate_fibration
 from ..structures import (
     closure_from_topogenous,
     interior_from_topogenous,
@@ -206,42 +207,67 @@ def check_class_calculus_suite(scale: str) -> Report:
     return merge("class-calculus", reports)
 
 
+def sweep_pullback_transfer(fib, classifications) -> Report:
+    """Beck-Chevalley and pullback transfer over every pullback along E or M.
+
+    ``classifications`` maps each order kind to the classifications of all
+    morphisms.  A square's ``check_bcp`` result is a pure function of four
+    tables and two lattices, and its transfer laws of four classifications'
+    flags, so both are memoised for this call on interned ids of those
+    inputs.  Lattices are keyed by identity: objects of one size share one.
+    """
+    cat = fib.category
+    names = cat.mor_names
+    img_id, _ = intern(fib.img)
+    pre_id, _ = intern(fib.pre)
+    sub_id, _ = intern(map(id, fib.sub))
+    bcps = {}
+    transfers = [
+        (cls, intern(map(class_flags, cls))[0], {}) for cls in classifications.values()
+    ]
+    violations = []
+    checked = n_skip = 0
+    for p in sorted(fib.eclass | fib.mclass):
+        for f in cat.morphisms_to[cat.mor_cod[p]]:
+            try:
+                sq = pullback(fib, f, p)
+            except CapabilityError:
+                n_skip += 1
+                continue
+            checked += 1
+            f_prime, p_prime = sq.f_prime, sq.p_prime
+            key = (
+                img_id[p_prime], pre_id[f_prime], img_id[p], pre_id[f],
+                sub_id[cat.mor_cod[f_prime]], sub_id[cat.mor_cod[p_prime]],
+            )
+            bcp = bcps.get(key)
+            if bcp is None:
+                bcp = bcps[key] = check_bcp(sq)
+            if not bcp.lemma_inequality_holds:
+                violations.append(Violation(
+                    "image-preimage-inequality", where=f"{fib.name}:{names[f]}"))
+                continue
+            if not bcp.bcp_equality:
+                continue
+            for cls, flag_id, memo in transfers:
+                key = (flag_id[f_prime], flag_id[p], flag_id[p_prime], flag_id[f])
+                laws = memo.get(key)
+                if laws is None:
+                    laws = memo[key] = transfer_laws(cls[f_prime], cls[p], cls[p_prime], cls[f])
+                if laws:
+                    where = sq.name
+                    violations.extend(Violation(law, where=where) for law in laws)
+    skipped = (f"{fib.name}: {n_skip} squares beyond point budget",) if n_skip else ()
+    return Report(f"pullback-transfer {fib.name}", checked, tuple(violations), skipped)
+
+
 def check_pullback_transfer_suite(scale: str) -> Report:
     fib_names = ("fintop2",) if scale == "small" else ("fintop2", "fintop3")
-    violations = []
-    checked = 0
-    skipped = []
-    for name in fib_names:
-        fib = _fib(name)
-        caches = {
-            kind: dict(enumerate(_classifications(name, kind)))
-            for kind in ("closure", "interior")
-        }
-        orders = {kind: _order(name, kind) for kind in ("closure", "interior")}
-        cat = fib.category
-        n_skip = 0
-        for p in sorted(fib.eclass | fib.mclass):
-            y = cat.mor_cod[p]
-            for f in cat.morphisms_to[y]:
-                try:
-                    sq = pullback(fib, f, p)
-                except CapabilityError:
-                    n_skip += 1
-                    continue
-                checked += 1
-                bcp = check_bcp(sq)
-                if not bcp.lemma_inequality_holds:
-                    violations.append(Violation(
-                        "image-preimage-inequality", where=f"{name}:{cat.mor_names[f]}"))
-                    continue
-                if not bcp.bcp_equality:
-                    continue
-                for kind in ("closure", "interior"):
-                    r = check_pullback_transfer(sq, orders[kind], caches[kind], bcp)
-                    violations.extend(r.violations)
-        if n_skip:
-            skipped.append(f"{name}: {n_skip} squares beyond point budget")
-    return Report("pullback-transfer", checked, tuple(violations), tuple(skipped))
+    return merge("pullback-transfer", [
+        sweep_pullback_transfer(
+            _fib(name), {kind: _classifications(name, kind) for kind in ("closure", "interior")})
+        for name in fib_names
+    ])
 
 
 def check_operator_crosschecks(scale: str) -> Report:
@@ -654,7 +680,8 @@ def run_suite(scale: str = "small", targets=None) -> SuiteReport:
     """Run every targeted check at the given scale.
 
     Unknown targets become report entries, never crashes; resource caps are
-    reported as notes on the affected check.
+    reported as notes on the affected check, and any other package error as
+    a failure of that check carrying the error's text.
     """
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}")
@@ -678,6 +705,11 @@ def run_suite(scale: str = "small", targets=None) -> SuiteReport:
         except ResourceCapError as exc:
             entries.append(CheckEntry(
                 check_id, 0, (), (f"resource cap: {exc}",),
+                time.perf_counter() - started,
+            ))
+        except TopogenError as exc:
+            entries.append(CheckEntry(
+                check_id, 0, (f"{type(exc).__name__}: {exc}",), (),
                 time.perf_counter() - started,
             ))
     entries.sort(key=lambda e: selected.index(e.check_id))

@@ -215,7 +215,7 @@ def check_strict_transfer(f: int, t: TopogenousOrder) -> Report:
 
 
 _CLASSES = ("strict", "final", "costrict", "initial")
-_flags = attrgetter(*_CLASSES)  # a classification's flags, in _CLASSES order
+class_flags = attrgetter(*_CLASSES)  # a classification's flags, in _CLASSES order
 
 
 def check_class_calculus(fib: SubobjectFibration, t: TopogenousOrder) -> Report:
@@ -234,7 +234,7 @@ def check_class_calculus(fib: SubobjectFibration, t: TopogenousOrder) -> Report:
     for f in isos:
         cls = cache[f]
         checked += 1
-        for kind, flag in zip(_CLASSES, _flags(cls)):
+        for kind, flag in zip(_CLASSES, class_flags(cls)):
             if flag is False:
                 violations.append(
                     Violation(f"iso-{kind}", where=cat.mor_names[f])
@@ -246,7 +246,7 @@ def check_class_calculus(fib: SubobjectFibration, t: TopogenousOrder) -> Report:
         cf, cg, ch = cache[f], cache[g], cache[h]
         pair = (cat.mor_names[g], cat.mor_names[f])
         checked += 1
-        for kind, a, b, c in zip(_CLASSES, _flags(cf), _flags(cg), _flags(ch)):
+        for kind, a, b, c in zip(_CLASSES, class_flags(cf), class_flags(cg), class_flags(ch)):
             # composition closure
             if a is True and b is True and c is False:
                 violations.append(Violation(f"compose-{kind}", witness=pair))
@@ -296,45 +296,59 @@ def check_class_calculus(fib: SubobjectFibration, t: TopogenousOrder) -> Report:
 # pullback transfer
 
 
+def transfer_laws(
+    c_f_prime: MorphismClassification,
+    c_p: MorphismClassification,
+    c_p_prime: MorphismClassification,
+    c_f: MorphismClassification,
+) -> tuple[str, ...]:
+    """The transfer laws a Beck-Chevalley square p∘f' = f∘p' violates.
+
+    Ascent along an initial p': each class of f holds for f'.  Descent
+    along a final p: each class of f' holds for f.  The verdict reads only
+    the four classifications' flags, so sweeps may memoise it on them.
+    """
+    laws = []
+    if c_p_prime.initial is True:
+        laws.extend(
+            f"ascent-{kind}"
+            for kind, a, b in zip(_CLASSES, class_flags(c_f), class_flags(c_f_prime))
+            if a is True and b is False
+        )
+    if c_p.final:
+        laws.extend(
+            f"descent-{kind}"
+            for kind, a, b in zip(_CLASSES, class_flags(c_f_prime), class_flags(c_f))
+            if a is True and b is False
+        )
+    return tuple(laws)
+
+
 def check_pullback_transfer(
     sq: PullbackSquare, t: TopogenousOrder, cache=None, bcp: Optional[BcpResult] = None
 ) -> Report:
     """Ascent along an initial p' and descent along a final p, per class.
 
-    ``cache`` may map morphism ids to precomputed classifications, for
-    harness-scale sweeps over many squares.  ``bcp`` may be the square's
-    already computed ``check_bcp(sq)``, so a sweep that checks several
-    orders on one square runs the Beck-Chevalley check once; when omitted
-    it is computed here.  Either way a square without the Beck-Chevalley
-    equality raises ``PreconditionError``.
+    The violations are those of :func:`transfer_laws` on the four
+    classifications.  ``cache`` may map morphism ids to precomputed
+    classifications.  ``bcp`` may be the square's already computed
+    ``check_bcp(sq)``; when omitted it is computed here.  Either way a
+    square without the Beck-Chevalley equality raises ``PreconditionError``.
     """
     if bcp is None:
         bcp = check_bcp(sq)
     if not bcp.bcp_equality:
         raise PreconditionError("square does not satisfy the Beck-Chevalley equality")
-    fib = sq.fib
-    cat = fib.category
     cache = cache or {}
     c_f_prime, c_p, c_p_prime, c_f = (
         cache.get(m) or classify(m, t) for m in (sq.f_prime, sq.p, sq.p_prime, sq.f)
     )
-    violations = []
-    checked = 0
-    where = (
-        f"square[{cat.mor_names[sq.f_prime]},{cat.mor_names[sq.p]},"
-        f"{cat.mor_names[sq.p_prime]},{cat.mor_names[sq.f]}]"
+    checked = len(_CLASSES) * ((c_p_prime.initial is True) + bool(c_p.final))
+    where = sq.name
+    violations = tuple(
+        Violation(law, where=where) for law in transfer_laws(c_f_prime, c_p, c_p_prime, c_f)
     )
-    if c_p_prime.initial is True:
-        checked += len(_CLASSES)
-        for kind, a, b in zip(_CLASSES, _flags(c_f), _flags(c_f_prime)):
-            if a is True and b is False:
-                violations.append(Violation(f"ascent-{kind}", where=where))
-    if c_p.final:
-        checked += len(_CLASSES)
-        for kind, a, b in zip(_CLASSES, _flags(c_f_prime), _flags(c_f)):
-            if a is True and b is False:
-                violations.append(Violation(f"descent-{kind}", where=where))
-    return Report(f"pullback-transfer {where}", checked, tuple(violations))
+    return Report(f"pullback-transfer {where}", checked, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +411,13 @@ def crosscheck_operator_classes(f: int, t: TopogenousOrder) -> Report:
     checked = 0
     if preds.meet_preserving:
         oper = closure_classes(f, closure_from_topogenous(t))
-        for kind, flag in zip(_CLASSES, _flags(cls)):
+        for kind, flag in zip(_CLASSES, class_flags(cls)):
             checked += 1
             if flag != oper[kind]:
                 violations.append(Violation(f"closure-class-{kind}", where=name))
     if preds.join_preserving:
         oper = interior_classes(f, interior_from_topogenous(t))
-        for kind, flag in zip(_CLASSES, _flags(cls)):
+        for kind, flag in zip(_CLASSES, class_flags(cls)):
             checked += 1
             if flag != oper[kind]:
                 violations.append(Violation(f"interior-class-{kind}", where=name))

@@ -195,3 +195,15 @@ def test_file_order_overrides_builtin_with_warning(capsys, tmp_path):
                          "--fibration", "spaces:two", str(doc))
     assert code == 0
     assert "overrides the built-in" in err
+    # a file map named like a fibration morphism warns too; a fresh name does not
+    doc.write_text(
+        "space two: points=2; opens={},{0},{0,1}\n"
+        "map id_two: from=two; to=two; graph=0,1\n"
+        "map loop: from=two; to=two; graph=0,0\n"
+    )
+    for name, warned in (("id_two", True), ("loop", False)):
+        code, out, err = run(capsys, "classify", "--order", "closure", "--map", name,
+                             "--fibration", "spaces:two", str(doc))
+        assert code == 0
+        assert ("warning: file map 'id_two' overrides a fibration morphism" in err) == warned
+        assert "strict=" in out

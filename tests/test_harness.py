@@ -2,7 +2,12 @@ import itertools
 
 import pytest
 
-from topogen.errors import FormatError, PreconditionError, ResourceCapError
+from topogen.errors import (
+    FormatError,
+    InternalConsistencyError,
+    PreconditionError,
+    ResourceCapError,
+)
 from topogen.lattice import FiniteLattice
 from topogen.site import FiniteCategory, SubobjectFibration
 from topogen.structures import TopogenousOrder, validate_structure
@@ -291,6 +296,25 @@ def test_suite_reports_match_goldens():
     data = Path(__file__).parent / "data"
     assert report.render_text() == (data / "golden_suite_small.txt").read_text()
     assert report.render_json() == (data / "golden_suite_small.json").read_text()
+
+
+def test_suite_reports_a_raising_check_as_failure(monkeypatch, capsys):
+    from topogen.cli import main
+    from topogen.harness import suite
+
+    def broken(scale):
+        raise InternalConsistencyError("continuity renderings disagree on f")
+
+    monkeypatch.setitem(suite.CHECKS, "class-calculus", broken)
+    report = run_suite("small")
+    assert [e.check_id for e in report.entries] == list(suite.CHECKS)
+    failed = {e.check_id: e.failures for e in report.entries if e.failures}
+    assert failed == {
+        "class-calculus": ("InternalConsistencyError: continuity renderings disagree on f",)
+    }
+    assert "  failure InternalConsistencyError: continuity renderings" in report.render_text()
+    assert main(["suite", "--targets", "class-calculus,format-roundtrip"]) == 1
+    assert "check format-roundtrip instances=" in capsys.readouterr().out
 
 
 def test_suite_unknown_target():

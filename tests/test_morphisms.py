@@ -13,6 +13,7 @@ from topogen.morphisms import (
     crosscheck_operator_classes,
     interior_classes,
     strict_subobjects,
+    transfer_laws,
     weakly_final_formulas,
 )
 from topogen.site import BcpResult, PullbackSquare, check_bcp, pullback
@@ -203,6 +204,75 @@ def test_pullback_transfer_with_given_bcp_matches_own(fintop2):
                 assert given == own
                 violated += not own.ok
     assert violated > 0
+
+
+def _per_square_sweep(fib, classifications, orders):
+    """The sweep without memos: check_bcp and check_pullback_transfer per square."""
+    from topogen.reporting import Violation
+
+    cat = fib.category
+    violations = []
+    checked = skipped = 0
+    for p in sorted(fib.eclass | fib.mclass):
+        for f in cat.morphisms_to[cat.mor_cod[p]]:
+            try:
+                sq = pullback(fib, f, p)
+            except CapabilityError:
+                skipped += 1
+                continue
+            checked += 1
+            bcp = check_bcp(sq)
+            if not bcp.lemma_inequality_holds:
+                violations.append(Violation(
+                    "image-preimage-inequality", where=f"{fib.name}:{cat.mor_names[f]}"))
+                continue
+            if not bcp.bcp_equality:
+                continue
+            for kind, cls in classifications.items():
+                r = check_pullback_transfer(sq, orders[kind], dict(enumerate(cls)))
+                laws = transfer_laws(cls[sq.f_prime], cls[sq.p], cls[sq.p_prime], cls[f])
+                assert laws == tuple(v.law for v in r.violations)
+                violations.extend(r.violations)
+    return checked, tuple(violations), (f"{fib.name}: {skipped} squares beyond point budget",)
+
+
+def test_memoised_sweep_matches_per_square_checks(fintop2):
+    from topogen.harness.suite import sweep_pullback_transfer
+    from topogen.site import SubobjectFibration
+
+    cat = fintop2.category
+    orders = {"closure": closure_order(fintop2), "interior": interior_order(fintop2)}
+    real = {
+        kind: tuple(classify(f, t) for f in range(cat.n_morphisms)) for kind, t in orders.items()
+    }
+    # every fifth morphism forced into no class, so that ascent and descent fail
+    forged = {
+        kind: tuple(
+            replace(c, strict=False, final=False, costrict=False, initial=False)
+            if c.morphism % 5 == 2 else c
+            for c in cls
+        )
+        for kind, cls in real.items()
+    }
+    # one preimage entry moved, so that some squares lose the Beck-Chevalley
+    # inequality and some only the equality
+    point = cat.morphism_index("pt>discrete2:0")
+    pre = list(fintop2.pre)
+    pre[point] = (0, 0, 0, 1)
+    broken = SubobjectFibration(
+        cat, fintop2.sub, fintop2.img, pre, fintop2.eclass, fintop2.mclass,
+        fstar=fintop2.fstar, backend=fintop2.backend, name="broken",
+    )
+    for fib, classifications, found in (
+        (fintop2, real, set()),
+        (fintop2, forged, {"ascent", "descent"}),
+        (broken, forged, {"ascent", "descent", "image"}),
+    ):
+        checked, violations, skipped = _per_square_sweep(fib, classifications, orders)
+        swept = sweep_pullback_transfer(fib, classifications)
+        assert (swept.checked, swept.violations, swept.skipped) == (checked, violations, skipped)
+        assert checked > 400
+        assert {v.law.split("-")[0] for v in violations} == found
 
 
 def test_operator_crosschecks_on_fintop2(fintop2):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from topogen.errors import CapabilityError, DomainError
+from topogen.errors import CapabilityError, DomainError, InternalConsistencyError
 from topogen.lattice import FiniteLattice
 from topogen.site import (
     FiniteCategory,
@@ -14,6 +14,7 @@ from topogen.site import (
     validate_category,
     validate_fibration,
 )
+from topogen.reporting import Violation
 
 
 def one_object_category():
@@ -134,6 +135,115 @@ def test_corrupt_composite_table_breaks_functoriality(fintop2, table, law):
     for where in hits:
         left, right = map(cat.morphism_index, where.split(" o "))
         assert h in (left, right, cat.compose(left, right))
+
+
+def _reference_functoriality(fib):
+    """The per-pair scan: compose every composable pair and compare tables."""
+    cat = fib.category
+    img, pre, names = fib.img, fib.pre, cat.mor_names
+    checked = 0
+    violations = []
+    for g, f in cat.composable_pairs():
+        checked += 1
+        h = cat.compose(g, f)
+        if tuple(map(img[g].__getitem__, img[f])) != img[h]:
+            violations.append(Violation("image-functorial", where=f"{names[g]} o {names[f]}"))
+        if tuple(map(pre[f].__getitem__, pre[g])) != pre[h]:
+            violations.append(Violation("preimage-functorial", where=f"{names[g]} o {names[f]}"))
+    return checked, violations
+
+
+def _assert_functoriality_matches_reference(fib):
+    full = validate_fibration(fib)
+    checked = full.checked - validate_fibration(fib, functoriality=False).checked
+    got = [v for v in full.violations if v.law.endswith("-functorial")]
+    assert (checked, got) == _reference_functoriality(fib)
+    return got
+
+
+def _corrupt(fib, table, m, i, value):
+    tables = list(getattr(fib, table))
+    row = list(tables[m])
+    assert row[i] != value
+    row[i] = value
+    tables[m] = tuple(row)
+    return _with_tables(fib, **{table: tables})
+
+
+def test_functoriality_scan_matches_per_pair_reference(fintop2, grp_small):
+    from test_harness import loop_fibration
+
+    for fib in (fintop2, grp_small):
+        assert _assert_functoriality_matches_reference(fib) == []
+    # a compose_table category; the images of its constant loops are not functorial
+    loop = loop_fibration(FiniteLattice.powerset(1), extra_pre_tables=((0, 0), (1, 1)))
+    assert _assert_functoriality_matches_reference(loop)
+
+
+def test_functoriality_scan_matches_reference_on_corrupted_tables(fintop2):
+    cat = fintop2.category
+    plain = [
+        m for m in range(cat.n_morphisms)
+        if not cat.is_identity(m) and len(fintop2.img[m]) == 4 == len(fintop2.pre[m])
+    ]
+    # two morphisms out of one object with one graph share a bucket until
+    # one of their image tables changes
+    twin = next(
+        g for g in plain for h in cat.morphisms_from[cat.mor_dom[g]]
+        if h != g and cat.graphs[h] == cat.graphs[g] and fintop2.img[h] == fintop2.img[g]
+    )
+    composite = plain[len(plain) // 2]
+    factor = plain[-1]
+    both = _corrupt(_corrupt(fintop2, "img", composite, 3, 0), "pre", composite, 3, 0)
+    for fib, m in (
+        (_corrupt(fintop2, "img", composite, 3, 0), composite),
+        (_corrupt(fintop2, "pre", factor, 3, 0), factor),
+        (_corrupt(fintop2, "img", twin, 3, 0), twin),
+        (both, composite),  # one pair breaks both laws, image first
+    ):
+        got = _assert_functoriality_matches_reference(fib)
+        assert any(cat.mor_names[m] in v.where for v in got)
+    assert len({v.law for v in got}) == 2
+
+
+@pytest.mark.parametrize("kind", ["graphs", "table"])
+def test_functoriality_scan_reports_a_missing_composite_like_compose(kind):
+    from test_harness import loop_fibration
+    from topogen.instances.topology import fintop_fibration
+    from topogen.instances.registry import builtin_space
+
+    if kind == "graphs":
+        # the constant endomap 0 of Sierpinski space factors only through the point
+        fib = fintop_fibration([builtin_space("pt"), builtin_space("sierpinski")])
+        cat = fib.category
+        drop = cat.morphism_index("sierpinski>sierpinski:00")
+        keep = [m for m in range(cat.n_morphisms) if m != drop]
+        new = {m: i for i, m in enumerate(keep)}
+        cut = FiniteCategory(
+            cat.object_names,
+            [cat.mor_dom[m] for m in keep],
+            [cat.mor_cod[m] for m in keep],
+            [cat.mor_names[m] for m in keep],
+            [new[i] for i in cat.identities],
+            graphs=[cat.graphs[m] for m in keep],
+        )
+        fib = SubobjectFibration(
+            cut, fib.sub, [fib.img[m] for m in keep], [fib.pre[m] for m in keep],
+            eclass=frozenset(new[m] for m in fib.eclass if m != drop),
+            mclass=frozenset(new[m] for m in fib.mclass if m != drop),
+            fstar=[fib.fstar[m] for m in keep], name="cut",
+        )
+    else:
+        fib = loop_fibration(FiniteLattice.powerset(1), extra_pre_tables=((0, 0),))
+        del fib.category._compose_table[(1, 1)]
+    with pytest.raises(InternalConsistencyError) as want:
+        _reference_functoriality(fib)
+    with pytest.raises(InternalConsistencyError) as got:
+        validate_fibration(fib)
+    assert str(got.value) == str(want.value)
+    assert ("not closed under composition" if kind == "graphs" else "table is missing") in str(
+        got.value
+    )
 
 
 def test_morphism_by_graph(fintop2, grp_small):
