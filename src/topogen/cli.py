@@ -37,8 +37,6 @@ from .structures import (
     interior_from_topogenous,
     nbhd_from_topogenous,
     predicates,
-    topogenous_from_closure,
-    topogenous_from_interior,
     validate_structure,
 )
 
@@ -101,6 +99,20 @@ class _Environment:
             return f
         return fib.category.morphism_index(name)
 
+    def endofunctor(self, kind: str, name: str, fib):
+        """The ``kind`` ("pointed" or "copointed") endofunctor ``name``."""
+        rec = self._find(fileformat.EndofunctorRecord, name)
+        if rec is None:
+            if kind == "pointed":
+                return registry.builtin_pointed(name, fib)
+            return registry.builtin_copointed(name, fib)
+        if rec.kind != kind:
+            raise DomainError(f"endofunctor {name!r} is {rec.kind}, not {kind}")
+        if name in (registry.POINTED if kind == "pointed" else registry.COPOINTED):
+            print(f"warning: file endofunctor {name!r} overrides the built-in",
+                  file=sys.stderr)
+        return fileformat.resolve_endofunctor(rec, fib)
+
 
 def _emit(text: str, output):
     if output:
@@ -158,39 +170,26 @@ def _cmd_validate(args) -> int:
 
 
 _CONVERTERS = {
-    ("topogenous", "closure"): lambda t: closure_from_topogenous(t),
-    ("topogenous", "interior"): lambda t: interior_from_topogenous(t),
-    ("topogenous", "neighbourhood"): lambda t: nbhd_from_topogenous(t),
-    ("closure", "topogenous"): lambda c: topogenous_from_closure(c),
-    ("interior", "topogenous"): lambda i: topogenous_from_interior(i),
+    "closure": closure_from_topogenous,
+    "interior": interior_from_topogenous,
+    "neighbourhood": nbhd_from_topogenous,
 }
 
 
 def _cmd_convert(args) -> int:
     env = _Environment(args.files)
     fib = env.fibration(args.fibration)
-    key = (args.source_kind, args.target_kind)
-    if key not in _CONVERTERS:
-        print(f"error: cannot convert {args.source_kind} to {args.target_kind}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.source_kind != "topogenous":
-        print("error: conversions here start from a topogenous order record",
-              file=sys.stderr)
-        return EXIT_USAGE
     order = env.order(args.order, fib)
     rep = validate_structure(order)
     if not rep.ok:
         print(rep.render(), file=sys.stderr)
         return EXIT_FAILURE
-    result = _CONVERTERS[key](order)
+    result = _CONVERTERS[args.target_kind](order)
     if args.target_kind == "neighbourhood":
         record = fileformat.order_record_of(f"{args.order}_as_nbhd", result)
-        record = fileformat.OrderRecord(record.name, record.fibration, "explicit", record.rel)
-        _emit(fileformat.serialize_record(record) + "\n", args.output)
     else:
         record = fileformat.operator_record_of(f"{args.order}_{args.target_kind}", result, args.target_kind)
-        _emit(fileformat.serialize_record(record) + "\n", args.output)
+    _emit(fileformat.serialize_record(record) + "\n", args.output)
     return EXIT_OK
 
 
@@ -273,15 +272,14 @@ def _cmd_induce(args) -> int:
     fib = env.fibration(args.fibration)
     order = env.order(args.order, fib)
     if args.pointed:
-        endo = registry.builtin_pointed(args.pointed, fib)
+        endo = env.endofunctor("pointed", args.pointed, fib)
         rep = validate_pointed(endo)
         induced = induce_pointed(endo, order)
-        name = f"{args.order}_via_{args.pointed}"
     else:
-        endo = registry.builtin_copointed(args.copointed, fib)
+        endo = env.endofunctor("copointed", args.copointed, fib)
         rep = validate_copointed(endo)
         induced = induce_copointed(endo, order)
-        name = f"{args.order}_via_{args.copointed}"
+    name = f"{args.order}_via_{args.pointed or args.copointed}"
     if not rep.ok:
         print(rep.render(), file=sys.stderr)
         return EXIT_FAILURE
@@ -300,18 +298,12 @@ def _cmd_enumerate(args) -> int:
     count = 0
     lines = []
     for structure in enumerate_structures(spec):
+        name = f"{args.kind}_{count:04d}"
         if args.kind in ("topogenous", "neighbourhood"):
-            rel_holder = structure if args.kind == "topogenous" else None
-            if rel_holder is None:
-                from .structures import topogenous_from_nbhd
-
-                rel_holder = topogenous_from_nbhd(structure)
-            record = fileformat.order_record_of(f"{args.kind}_{count:04d}", rel_holder)
-            lines.append(fileformat.serialize_record(record))
+            record = fileformat.order_record_of(name, structure)
         else:
-            record = fileformat.operator_record_of(
-                f"{args.kind}_{count:04d}", structure, args.kind)
-            lines.append(fileformat.serialize_record(record))
+            record = fileformat.operator_record_of(name, structure, args.kind)
+        lines.append(fileformat.serialize_record(record))
         count += 1
     summary = f"# {count} {args.kind} structures on {args.builtin}"
     body = summary + "\n" if args.count_only else "\n".join([*lines, summary]) + "\n"
@@ -346,10 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("convert", help="convert between structure kinds")
-    p.add_argument("--from", dest="source_kind", required=True,
-                   choices=("topogenous", "closure", "interior"))
-    p.add_argument("--to", dest="target_kind", required=True,
-                   choices=("topogenous", "closure", "interior", "neighbourhood"))
+    p.add_argument("--from", dest="source_kind", required=True, choices=("topogenous",))
+    p.add_argument("--to", dest="target_kind", required=True, choices=tuple(_CONVERTERS))
     p.add_argument("--order", required=True)
     p.add_argument("--fibration", default="fintop2")
     p.add_argument("-o", "--output")

@@ -457,11 +457,9 @@ def check_extremality(candidate, spec: FamilySpec) -> Report:
 
     if spec.extreme not in ("least", "largest"):
         raise PreconditionError(f"unknown extremality {spec.extreme!r}")
-    enum_spec = EnumerationSpec(fibration=spec.fibration, kind=spec.kind)
-    if spec.max_candidates is not None:
-        enum_spec = EnumerationSpec(
-            fibration=spec.fibration, kind=spec.kind, max_candidates=spec.max_candidates
-        )
+    enum_spec = EnumerationSpec(
+        fibration=spec.fibration, kind=spec.kind, max_candidates=spec.max_candidates
+    )
     if spec.kind == "topogenous":
         below = lambda a, b: a.issubset(b)
     else:

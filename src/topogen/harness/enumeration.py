@@ -88,8 +88,10 @@ def relation_candidates(lat: FiniteLattice) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def closure_candidates(lat: FiniteLattice) -> list[tuple[int, ...]]:
-    """All extensive monotone self-maps."""
+def operator_candidates(lat: FiniteLattice, kind: str) -> list[tuple[int, ...]]:
+    """All monotone self-maps that are extensive (``kind="closure"``) or
+    contractive (``kind="interior"``)."""
+    allowed = lat.up if kind == "closure" else lat.down
     order = sorted(range(lat.size), key=lambda e: bin(lat.down[e]).count("1"))
     out = []
     table = [0] * lat.size
@@ -99,44 +101,13 @@ def closure_candidates(lat: FiniteLattice) -> list[tuple[int, ...]]:
             out.append(tuple(table))
             return
         e = order[pos]
-        for v in range(lat.size):
-            if not lat.leq(e, v):
-                continue
-            if any(
-                lat.leq(smaller, e) and not lat.leq(table[smaller], v)
-                for smaller in order[:pos]
-            ):
-                continue
+        bound = allowed[e]
+        for smaller in order[:pos]:
+            if lat.leq(smaller, e):
+                bound &= lat.up[table[smaller]]
+        for v in mask_iter(bound):
             table[e] = v
             place(pos + 1)
-        table[e] = 0
-
-    place(0)
-    return sorted(out)
-
-
-def interior_candidates(lat: FiniteLattice) -> list[tuple[int, ...]]:
-    """All contractive monotone self-maps."""
-    order = sorted(range(lat.size), key=lambda e: bin(lat.down[e]).count("1"))
-    out = []
-    table = [0] * lat.size
-
-    def place(pos):
-        if pos == len(order):
-            out.append(tuple(table))
-            return
-        e = order[pos]
-        for v in range(lat.size):
-            if not lat.leq(v, e):
-                continue
-            if any(
-                lat.leq(smaller, e) and not lat.leq(table[smaller], v)
-                for smaller in order[:pos]
-            ):
-                continue
-            table[e] = v
-            place(pos + 1)
-        table[e] = 0
 
     place(0)
     return sorted(out)
@@ -185,13 +156,6 @@ _EDGE_CHECK = {
     "interior": _interior_edge_ok,
 }
 
-_LOCAL_GEN = {
-    "topogenous": relation_candidates,
-    "neighbourhood": relation_candidates,
-    "closure": closure_candidates,
-    "interior": interior_candidates,
-}
-
 _WRAP = {
     "topogenous": TopogenousOrder,
     "neighbourhood": NeighbourhoodOperator,
@@ -216,14 +180,17 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
                 f"lattice of size {lat.size} exceeds enumeration cap {spec.max_lattice}"
             )
     edge_ok = _EDGE_CHECK[spec.kind]
-    gen = _LOCAL_GEN[spec.kind]
 
     local: list[list[tuple[int, ...]]] = []
     candidate_sets = {}
     for x, lat in enumerate(fib.sub):
         key = id(lat)
         if key not in candidate_sets:
-            candidate_sets[key] = gen(lat)
+            candidate_sets[key] = (
+                operator_candidates(lat, spec.kind)
+                if spec.kind in ("closure", "interior")
+                else relation_candidates(lat)
+            )
         rows = candidate_sets[key]
         endos = [f for f in cat.morphisms_from[x] if cat.mor_cod[f] == x]
         kept = [r for r in rows if all(edge_ok(fib, f, r, r) for f in endos)]

@@ -394,13 +394,14 @@ def serialize_document(doc: Document) -> str:
 
 
 def order_record_of(name: str, t) -> OrderRecord:
-    """Serialize a topogenous order as an explicit record (over its fibration's name)."""
+    """Serialize a topogenous order, or the relation table of a neighbourhood
+    operator, as an explicit record (over its fibration's name)."""
     fib = t.fib
     rel = []
     for x, lat in enumerate(fib.sub):
         pairs = []
         for m in range(lat.size):
-            row = t.rel[x][m]
+            row = t.table[x][m]
             n = 0
             while row:
                 if row & 1:

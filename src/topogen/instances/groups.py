@@ -7,10 +7,10 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..errors import CapabilityError, PreconditionError, ResourceCapError
+from ..errors import CapabilityError, PreconditionError
 from ..lattice import FiniteLattice, mask_iter
 from ..reporting import Report, Violation
-from ..site import FiniteCategory, SubobjectFibration
+from ..site import SubobjectFibration, concrete_category
 
 
 @dataclass(frozen=True)
@@ -284,13 +284,6 @@ def homs(g: FinGroup, h: FinGroup) -> tuple[tuple[int, ...], ...]:
 # fibration
 
 
-def _hom_name(dom: str, cod: str, graph: tuple[int, ...], is_id: bool) -> str:
-    if is_id:
-        return f"id_{dom}"
-    digits = "".join(map(str, graph)) or "-"
-    return f"{dom}>{cod}:{digits}"
-
-
 class _FinGrpBackend:
     def __init__(self, groups: tuple[FinGroup, ...]):
         self.groups = groups
@@ -327,28 +320,11 @@ def fingrp_fibration(groups, name: str = "fingrp", max_morphisms: int = 100_000)
     names = [g.name for g in groups]
     if len(set(names)) != len(names):
         raise PreconditionError("duplicate groups in fibration")
-    mor_dom, mor_cod, graphs, mor_names = [], [], [], []
-    identities = [-1] * len(groups)
-    for xi, gx in enumerate(groups):
-        for yi, gy in enumerate(groups):
-            for graph in homs(gx, gy):
-                if len(mor_dom) >= max_morphisms:
-                    raise ResourceCapError(f"more than {max_morphisms} homomorphisms")
-                is_id = xi == yi and graph == tuple(range(gx.order))
-                if is_id:
-                    identities[xi] = len(mor_dom)
-                mor_dom.append(xi)
-                mor_cod.append(yi)
-                graphs.append(graph)
-                mor_names.append(_hom_name(names[xi], names[yi], graph, is_id))
-    category = FiniteCategory(
-        object_names=names,
-        mor_dom=mor_dom,
-        mor_cod=mor_cod,
-        mor_names=mor_names,
-        identities=identities,
-        graphs=graphs,
+    category = concrete_category(
+        names, [g.order for g in groups], lambda x, y: homs(groups[x], groups[y]),
+        max_morphisms, "homomorphisms",
     )
+    mor_dom, mor_cod, graphs = category.mor_dom, category.mor_cod, category.graphs
     sub = [subgroup_lattice(g) for g in groups]
     subs_masks = [subgroups_of(g) for g in groups]
     sub_index = [{m: i for i, m in enumerate(masks)} for masks in subs_masks]
@@ -381,7 +357,7 @@ def fingrp_fibration(groups, name: str = "fingrp", max_morphisms: int = 100_000)
         f for f in range(category.n_morphisms)
         if len(set(graphs[f])) == groups[mor_dom[f]].order
     )
-    fib = SubobjectFibration(
+    return SubobjectFibration(
         category=category,
         sub=sub,
         img=img,
@@ -392,21 +368,22 @@ def fingrp_fibration(groups, name: str = "fingrp", max_morphisms: int = 100_000)
         backend=_FinGrpBackend(groups),
         name=name,
     )
-    fib.groups = groups
-    fib.subgroup_masks = tuple(tuple(m) for m in subs_masks)
-    return fib
+
+
+def groups_of(fib: SubobjectFibration) -> tuple[FinGroup, ...]:
+    """The group of each object of a finite-group fibration."""
+    if not isinstance(fib.backend, _FinGrpBackend):
+        raise PreconditionError("not a finite-group fibration")
+    return fib.backend.groups
 
 
 def normal_interval_order(fib: SubobjectFibration):
     """A related to B iff some normal subgroup sits between them."""
     from ..structures import TopogenousOrder
 
-    groups = getattr(fib, "groups", None)
-    if groups is None:
-        raise PreconditionError("not a finite-group fibration")
     rel = []
-    for x, g in enumerate(groups):
-        subs = fib.subgroup_masks[x]
+    for g in groups_of(fib):
+        subs = subgroups_of(g)
         normals = [m for m in subs if is_normal(g, m)]
         rows = []
         for a in subs:
@@ -421,7 +398,7 @@ def normal_interval_order(fib: SubobjectFibration):
 
 def preserves_normal_subgroups(fib: SubobjectFibration, f: int) -> bool:
     """Set-level check: images of normal subgroups are normal."""
-    groups = fib.groups
+    groups = groups_of(fib)
     cat = fib.category
     graph = cat.graphs[f]
     gx, gy = groups[cat.mor_dom[f]], groups[cat.mor_cod[f]]

@@ -90,16 +90,20 @@ def builtin_order(kind: str, fib) -> TopogenousOrder:
     raise PreconditionError(f"unknown order kind {kind!r} (one of {ORDER_KINDS})")
 
 
+POINTED = {"t0": t0_reflection}
+COPOINTED = {"discrete": discrete_coreflection}
+
+
 def builtin_pointed(name: str, fib):
-    if name == "t0":
-        return t0_reflection(fib)
-    raise DomainError(f"unknown built-in pointed endofunctor {name!r}")
+    if name not in POINTED:
+        raise DomainError(f"unknown built-in pointed endofunctor {name!r}")
+    return POINTED[name](fib)
 
 
 def builtin_copointed(name: str, fib):
-    if name == "discrete":
-        return discrete_coreflection(fib)
-    raise DomainError(f"unknown built-in copointed endofunctor {name!r}")
+    if name not in COPOINTED:
+        raise DomainError(f"unknown built-in copointed endofunctor {name!r}")
+    return COPOINTED[name](fib)
 
 
 FIBRATION_NAMES = (

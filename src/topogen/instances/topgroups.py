@@ -14,7 +14,7 @@ from ..constructions import FiberedFunctor
 from ..errors import PreconditionError
 from ..lattice import mask_iter
 from ..reporting import Report, Violation
-from ..site import FiniteCategory, SubobjectFibration
+from ..site import SubobjectFibration, concrete_category
 from .groups import (
     FinGroup,
     catalog,
@@ -24,7 +24,7 @@ from .groups import (
     subgroup_lattice,
     subgroups_of,
 )
-from .topology import FinTopSpace
+from .topology import FinTopSpace, is_continuous, minimal_neighbourhoods
 
 
 @dataclass(frozen=True)
@@ -38,14 +38,6 @@ class FinTopGroup:
             raise PreconditionError("topology carrier differs from group carrier")
 
 
-def min_open(space: FinTopSpace, point: int) -> int:
-    out = space.full
-    for o in space.opens:
-        if o >> point & 1:
-            out &= o
-    return out
-
-
 def validate_topgroup(tg: FinTopGroup) -> Report:
     """Multiplication and inversion must be continuous.
 
@@ -53,21 +45,22 @@ def validate_topgroup(tg: FinTopGroup) -> Report:
     into the minimal open around x*y, and minimal opens invert into minimal
     opens.
     """
-    g, top = tg.group, tg.topology
+    g = tg.group
+    nbhd = minimal_neighbourhoods(tg.topology)
     violations = []
     checked = 0
     for x in range(g.order):
-        ux = min_open(top, x)
+        ux = nbhd[x]
         checked += 1
         inv_image = 0
         for a in mask_iter(ux):
             inv_image |= 1 << g.inv(a)
-        if inv_image & ~min_open(top, g.inv(x)):
+        if inv_image & ~nbhd[g.inv(x)]:
             violations.append(Violation("inversion-continuity", witness=(g.elems[x],)))
         for y in range(g.order):
             checked += 1
-            uy = min_open(top, y)
-            target = min_open(top, g.mul[x][y])
+            uy = nbhd[y]
+            target = nbhd[g.mul[x][y]]
             for a in mask_iter(ux):
                 row = g.mul[a]
                 prod = 0
@@ -112,18 +105,14 @@ def topgroups_of(groups) -> tuple[FinTopGroup, ...]:
 
 
 def open_subgroup_mask(tg: FinTopGroup) -> int:
-    return min_open(tg.topology, tg.group.identity)
+    return minimal_neighbourhoods(tg.topology)[tg.group.identity]
 
 
-def _continuous_hom(dom: FinTopGroup, cod: FinTopGroup, graph: tuple[int, ...]) -> bool:
-    for o in cod.topology.opens:
-        pre = 0
-        for x, gx in enumerate(graph):
-            if o >> gx & 1:
-                pre |= 1 << x
-        if not dom.topology.is_open(pre):
-            return False
-    return True
+class _TopGrpBackend:
+    """The topological group of each object; no factorization or pullbacks."""
+
+    def __init__(self, topgroups: tuple[FinTopGroup, ...]):
+        self.topgroups = topgroups
 
 
 @lru_cache(maxsize=None)
@@ -139,32 +128,17 @@ def topgrp_fibration(max_order: int = 4) -> FiberedFunctor:
     tgs = topgroups_of(base_groups)
     base_index = {g.name: i for i, g in enumerate(base_groups)}
 
-    names = [tg.name for tg in tgs]
-    mor_dom, mor_cod, graphs, mor_names = [], [], [], []
-    identities = [-1] * len(tgs)
-    for xi, tx in enumerate(tgs):
-        for yi, ty in enumerate(tgs):
-            for graph in homs(tx.group, ty.group):
-                if not _continuous_hom(tx, ty, graph):
-                    continue
-                is_id = xi == yi and graph == tuple(range(tx.group.order))
-                if is_id:
-                    identities[xi] = len(mor_dom)
-                mor_dom.append(xi)
-                mor_cod.append(yi)
-                graphs.append(graph)
-                mor_names.append(
-                    f"id_{names[xi]}" if is_id
-                    else f"{names[xi]}>{names[yi]}:" + ("".join(map(str, graph)) or "-")
-                )
-    category = FiniteCategory(
-        object_names=names,
-        mor_dom=mor_dom,
-        mor_cod=mor_cod,
-        mor_names=mor_names,
-        identities=identities,
-        graphs=graphs,
+    def continuous_homs(x, y):
+        dom, cod = tgs[x].topology, tgs[y].topology
+        return (
+            graph for graph in homs(tgs[x].group, tgs[y].group)
+            if is_continuous(graph, dom, cod)
+        )
+
+    category = concrete_category(
+        [tg.name for tg in tgs], [tg.group.order for tg in tgs], continuous_homs
     )
+    mor_dom, mor_cod, graphs = category.mor_dom, category.mor_cod, category.graphs
     sub = [subgroup_lattice(tg.group) for tg in tgs]
     mor_map = []
     img, pre = [], []
@@ -180,14 +154,12 @@ def topgrp_fibration(max_order: int = 4) -> FiberedFunctor:
         if len(set(graphs[f])) == tgs[mor_cod[f]].group.order
     )
     # initial monos: injective and the domain's open subgroup is the pulled-back one
+    open_sub = [open_subgroup_mask(tg) for tg in tgs]
     mclass = frozenset(
         f for f in range(category.n_morphisms)
         if len(set(graphs[f])) == tgs[mor_dom[f]].group.order
-        and open_subgroup_mask(tgs[mor_dom[f]])
-        == sum(
-            1 << x for x, gx in enumerate(graphs[f])
-            if open_subgroup_mask(tgs[mor_cod[f]]) >> gx & 1
-        )
+        and open_sub[mor_dom[f]]
+        == sum(1 << x for x, gx in enumerate(graphs[f]) if open_sub[mor_cod[f]] >> gx & 1)
     )
     total = SubobjectFibration(
         category=category,
@@ -197,10 +169,9 @@ def topgrp_fibration(max_order: int = 4) -> FiberedFunctor:
         eclass=eclass,
         mclass=mclass,
         e_pullback_stable=True,
+        backend=_TopGrpBackend(tgs),
         name=f"topgrp_le{max_order}",
     )
-    total.topgroups = tgs
-    total.subgroup_masks = tuple(subgroups_of(tg.group) for tg in tgs)
     obj_map = tuple(base_index[tg.group.name] for tg in tgs)
     gamma = tuple(tuple(range(lat.size)) for lat in sub)
     return FiberedFunctor(

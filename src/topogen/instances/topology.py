@@ -11,10 +11,10 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..errors import CapabilityError, DomainError, PreconditionError, ResourceCapError
+from ..errors import CapabilityError, DomainError, PreconditionError
 from ..lattice import FiniteLattice, mask_iter
 from ..constructions import CopointedEndofunctor, PointedEndofunctor
-from ..site import FiniteCategory, PullbackSquare, SubobjectFibration
+from ..site import PullbackSquare, SubobjectFibration, concrete_category
 
 
 @dataclass(frozen=True)
@@ -187,13 +187,6 @@ def preimage_mask(f: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def morphism_name(dom_name: str, cod_name: str, graph: tuple[int, ...], is_id: bool) -> str:
-    if is_id:
-        return f"id_{dom_name}"
-    digits = "".join(map(str, graph)) or "-"
-    return f"{dom_name}>{cod_name}:{digits}"
-
-
 class _FinTopBackend:
     """Factorization and pullback construction for space fibrations."""
 
@@ -289,33 +282,18 @@ def fintop_fibration(
         raise PreconditionError("duplicate spaces in fibration")
     max_points = max((s.n for s in spaces), default=0)
 
-    mor_dom, mor_cod, graphs, mor_names = [], [], [], []
-    identities = [-1] * len(spaces)
-    for xi, xs in enumerate(spaces):
-        for yi, ys in enumerate(spaces):
-            for graph in itertools.product(range(ys.n), repeat=xs.n):
-                if not is_continuous(graph, xs, ys):
-                    continue
-                if len(mor_dom) >= max_morphisms:
-                    raise ResourceCapError(
-                        f"more than {max_morphisms} continuous maps", len(mor_dom)
-                    )
-                is_id = xi == yi and graph == tuple(range(xs.n))
-                if is_id:
-                    identities[xi] = len(mor_dom)
-                mor_dom.append(xi)
-                mor_cod.append(yi)
-                graphs.append(graph)
-                mor_names.append(morphism_name(names[xi], names[yi], graph, is_id))
+    def continuous_maps(x, y):
+        dom, cod = spaces[x], spaces[y]
+        return (
+            graph for graph in itertools.product(range(cod.n), repeat=dom.n)
+            if is_continuous(graph, dom, cod)
+        )
 
-    category = FiniteCategory(
-        object_names=names,
-        mor_dom=mor_dom,
-        mor_cod=mor_cod,
-        mor_names=mor_names,
-        identities=identities,
-        graphs=graphs,
+    category = concrete_category(
+        names, [s.n for s in spaces], continuous_maps, max_morphisms, "continuous maps"
     )
+    mor_dom, mor_cod, graphs = category.mor_dom, category.mor_cod, category.graphs
+
     lattices = {}
     sub = []
     for s in spaces:
@@ -350,7 +328,7 @@ def fintop_fibration(
         == {preimage_mask(graphs[m], o) for o in spaces[mor_cod[m]].opens}
     )
 
-    fib = SubobjectFibration(
+    return SubobjectFibration(
         category=category,
         sub=sub,
         img=img,
@@ -362,8 +340,6 @@ def fintop_fibration(
         backend=_FinTopBackend(spaces, max_points),
         name=name,
     )
-    fib.spaces = spaces
-    return fib
 
 
 @lru_cache(maxsize=None)
@@ -380,10 +356,10 @@ def fintop_upto(n: int) -> SubobjectFibration:
 
 
 def spaces_of(fib: SubobjectFibration) -> tuple[FinTopSpace, ...]:
-    spaces = getattr(fib, "spaces", None)
-    if spaces is None:
+    """The space of each object of a finite-space fibration."""
+    if not isinstance(fib.backend, _FinTopBackend):
         raise DomainError("not a finite-space fibration")
-    return spaces
+    return fib.backend.spaces
 
 
 def closure_order(fib: SubobjectFibration):

@@ -24,7 +24,7 @@ from .structures import (
     is_interpolative,
     predicates,
 )
-from .site import BcpResult, PullbackSquare, SubobjectFibration, check_bcp
+from .site import PullbackSquare, SubobjectFibration, check_bcp
 
 
 @dataclass(frozen=True)
@@ -324,20 +324,15 @@ def transfer_laws(
     return tuple(laws)
 
 
-def check_pullback_transfer(
-    sq: PullbackSquare, t: TopogenousOrder, cache=None, bcp: Optional[BcpResult] = None
-) -> Report:
+def check_pullback_transfer(sq: PullbackSquare, t: TopogenousOrder, cache=None) -> Report:
     """Ascent along an initial p' and descent along a final p, per class.
 
     The violations are those of :func:`transfer_laws` on the four
     classifications.  ``cache`` may map morphism ids to precomputed
-    classifications.  ``bcp`` may be the square's already computed
-    ``check_bcp(sq)``; when omitted it is computed here.  Either way a
-    square without the Beck-Chevalley equality raises ``PreconditionError``.
+    classifications.  A square without the Beck-Chevalley equality raises
+    ``PreconditionError``.
     """
-    if bcp is None:
-        bcp = check_bcp(sq)
-    if not bcp.bcp_equality:
+    if not check_bcp(sq).bcp_equality:
         raise PreconditionError("square does not satisfy the Beck-Chevalley equality")
     cache = cache or {}
     c_f_prime, c_p, c_p_prime, c_f = (

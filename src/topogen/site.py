@@ -9,16 +9,10 @@ two morphism classes of a proper factorization system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import CapabilityError, DomainError, InternalConsistencyError
-from .lattice import (
-    AdjointPair,
-    FiniteLattice,
-    MonotoneMap,
-    mask_iter,
-    right_adjoint_of,
-)
+from .errors import CapabilityError, DomainError, InternalConsistencyError, ResourceCapError
+from .lattice import FiniteLattice, MonotoneMap, mask_iter, right_adjoint_of
 from .reporting import Report, Violation
 
 
@@ -133,6 +127,40 @@ class FiniteCategory:
                 yield g, f
 
 
+def concrete_category(
+    names: Sequence[str],
+    sizes: Sequence[int],
+    homs: Callable[[int, int], Iterable[tuple[int, ...]]],
+    max_morphisms: Optional[int] = None,
+    what: str = "maps",
+) -> FiniteCategory:
+    """The category on the named objects whose morphisms x -> y are the
+    function graphs ``homs(x, y)`` yields, in (x, y) order.
+
+    The identity of x is the graph ``(0, ..., sizes[x] - 1)``, named
+    ``id_<x>``; any other morphism is named ``<x>><y>:<graph digits>``
+    (``-`` for the empty graph).  More than ``max_morphisms`` morphisms
+    raise ``ResourceCapError`` ("more than <max_morphisms> <what>").
+    """
+    mor_dom, mor_cod, graphs, mor_names = [], [], [], []
+    identities = [-1] * len(names)
+    for x, dom in enumerate(names):
+        ident = tuple(range(sizes[x]))
+        for y, cod in enumerate(names):
+            for graph in homs(x, y):
+                if max_morphisms is not None and len(graphs) >= max_morphisms:
+                    raise ResourceCapError(f"more than {max_morphisms} {what}", len(graphs))
+                if x == y and graph == ident:
+                    identities[x] = len(graphs)
+                    mor_names.append(f"id_{dom}")
+                else:
+                    mor_names.append(f"{dom}>{cod}:" + ("".join(map(str, graph)) or "-"))
+                mor_dom.append(x)
+                mor_cod.append(y)
+                graphs.append(graph)
+    return FiniteCategory(names, mor_dom, mor_cod, mor_names, identities, graphs=graphs)
+
+
 def validate_category(cat: FiniteCategory, associativity: bool = True) -> Report:
     violations = []
     checked = 0
@@ -213,19 +241,8 @@ class SubobjectFibration:
     def sub_cod(self, f: int) -> FiniteLattice:
         return self.sub[self.cod(f)]
 
-    def img_map(self, f: int) -> MonotoneMap:
-        return MonotoneMap(self.sub_dom(f), self.sub_cod(f), self.img[f])
-
     def pre_map(self, f: int) -> MonotoneMap:
         return MonotoneMap(self.sub_cod(f), self.sub_dom(f), self.pre[f])
-
-    def adjoint_pair(self, f: int) -> AdjointPair:
-        return AdjointPair(self.img_map(f), self.pre_map(f))
-
-    def fstar_map(self, f: int) -> Optional[MonotoneMap]:
-        if self.fstar[f] is None:
-            return None
-        return MonotoneMap(self.sub_dom(f), self.sub_cod(f), self.fstar[f])
 
     def preimage_join_commuting(self) -> bool:
         """True iff every morphism's preimage preserves all joins."""
@@ -414,7 +431,7 @@ def check_bcp(sq: PullbackSquare) -> BcpResult:
 
 def factorize(fib: SubobjectFibration, f: int) -> tuple[int, int]:
     """(e, m) with f = m∘e, e in E, m in M, through the image object."""
-    if fib.backend is None or not hasattr(fib.backend, "factorize"):
+    if not hasattr(fib.backend, "factorize"):
         raise CapabilityError(f"fibration {fib.name} does not support factorization")
     e, m = fib.backend.factorize(fib, f)
     if fib.category.compose(m, e) != f:
@@ -424,7 +441,7 @@ def factorize(fib: SubobjectFibration, f: int) -> tuple[int, int]:
 
 def pullback(fib: SubobjectFibration, f: int, p: int) -> PullbackSquare:
     """The canonical pullback square of the cospan f: X->Y, p: Y'->Y."""
-    if fib.backend is None or not hasattr(fib.backend, "pullback"):
+    if not hasattr(fib.backend, "pullback"):
         raise CapabilityError(f"fibration {fib.name} does not support pullbacks")
     if fib.cod(f) != fib.cod(p):
         raise DomainError("pullback needs a cospan: cod f == cod p")

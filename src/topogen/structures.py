@@ -23,22 +23,36 @@ PREDICATE_LATTICE_CAP = 16
 
 
 @dataclass(frozen=True, eq=False)
-class TopogenousOrder:
+class _Structure:
+    """One table per object over a fibration.
+
+    Two structures are equal when they are of one kind, over the same
+    fibration object, with equal tables.
+    """
+
     fib: SubobjectFibration
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        return getattr(self, self._table_field)
+
+    def _key(self):
+        return (type(self), id(self.fib), self.table)
+
+    def __eq__(self, other):
+        return isinstance(other, _Structure) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class TopogenousOrder(_Structure):
     rel: tuple[tuple[int, ...], ...]
+    _table_field = "rel"
 
     def holds(self, x: int, m: int, n: int) -> bool:
         return bool(self.rel[x][m] >> n & 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TopogenousOrder)
-            and self.fib is other.fib
-            and self.rel == other.rel
-        )
-
-    def __hash__(self):
-        return hash((id(self.fib), self.rel))
 
     def issubset(self, other: "TopogenousOrder") -> bool:
         return all(
@@ -47,65 +61,33 @@ class TopogenousOrder:
 
 
 @dataclass(frozen=True, eq=False)
-class ClosureOperator:
-    fib: SubobjectFibration
+class _Operator(_Structure):
+    """A self-map of each subobject lattice."""
+
+    def pointwise_leq(self, other: "_Operator") -> bool:
+        return all(
+            lat.leq(a, b)
+            for lat, ra, rb in zip(self.fib.sub, self.table, other.table)
+            for a, b in zip(ra, rb)
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ClosureOperator(_Operator):
     cmap: tuple[tuple[int, ...], ...]   # cmap[x][m] = c_X(m)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ClosureOperator)
-            and self.fib is other.fib
-            and self.cmap == other.cmap
-        )
-
-    def __hash__(self):
-        return hash((id(self.fib), self.cmap))
-
-    def pointwise_leq(self, other: "ClosureOperator") -> bool:
-        return all(
-            self.fib.sub[x].leq(self.cmap[x][m], other.cmap[x][m])
-            for x in range(len(self.cmap))
-            for m in range(len(self.cmap[x]))
-        )
+    _table_field = "cmap"
 
 
 @dataclass(frozen=True, eq=False)
-class InteriorOperator:
-    fib: SubobjectFibration
+class InteriorOperator(_Operator):
     imap: tuple[tuple[int, ...], ...]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, InteriorOperator)
-            and self.fib is other.fib
-            and self.imap == other.imap
-        )
-
-    def __hash__(self):
-        return hash((id(self.fib), self.imap))
-
-    def pointwise_leq(self, other: "InteriorOperator") -> bool:
-        return all(
-            self.fib.sub[x].leq(self.imap[x][m], other.imap[x][m])
-            for x in range(len(self.imap))
-            for m in range(len(self.imap[x]))
-        )
+    _table_field = "imap"
 
 
 @dataclass(frozen=True, eq=False)
-class NeighbourhoodOperator:
-    fib: SubobjectFibration
+class NeighbourhoodOperator(_Structure):
     nu: tuple[tuple[int, ...], ...]     # nu[x][m] = mask of neighbourhoods of m
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NeighbourhoodOperator)
-            and self.fib is other.fib
-            and self.nu == other.nu
-        )
-
-    def __hash__(self):
-        return hash((id(self.fib), self.nu))
+    _table_field = "nu"
 
     def pointwise_leq(self, other: "NeighbourhoodOperator") -> bool:
         """Pointwise set inclusion of neighbourhood collections."""
@@ -118,7 +100,12 @@ class NeighbourhoodOperator:
 # validation
 
 
-def _validate_relation_axioms(fib, rel, t1_name, t2_name, t3_name) -> Report:
+def _local_relation_violations(fib, rel, above, antitone, up_closed):
+    """The object-local axioms of a relation table ``rel[x][m]``: each row
+    lies above its element, is antitone in the element and up-closed.
+
+    Returns the number of checks and the violations, under the given names.
+    """
     violations = []
     checked = 0
     for x, lat in enumerate(fib.sub):
@@ -129,9 +116,8 @@ def _validate_relation_axioms(fib, rel, t1_name, t2_name, t3_name) -> Report:
             if rows[m] & ~lat.up[m]:
                 n = next(mask_iter(rows[m] & ~lat.up[m]))
                 violations.append(
-                    Violation(t1_name, where=where, witness=(lat.labels[m], lat.labels[n]))
+                    Violation(above, where=where, witness=(lat.labels[m], lat.labels[n]))
                 )
-        # antitone in the first argument and up-closed in the second
         for m in range(lat.size):
             for mp in mask_iter(lat.up[m]):
                 checked += 1
@@ -139,7 +125,7 @@ def _validate_relation_axioms(fib, rel, t1_name, t2_name, t3_name) -> Report:
                     q = next(mask_iter(rows[mp] & ~rows[m]))
                     violations.append(
                         Violation(
-                            t2_name,
+                            antitone,
                             where=where,
                             witness=(lat.labels[m], lat.labels[mp], lat.labels[q]),
                         )
@@ -150,16 +136,24 @@ def _validate_relation_axioms(fib, rel, t1_name, t2_name, t3_name) -> Report:
                     q = next(mask_iter(lat.up[n] & ~rows[m]))
                     violations.append(
                         Violation(
-                            t2_name,
+                            up_closed,
                             where=where,
                             witness=(lat.labels[m], lat.labels[n], lat.labels[q]),
                         )
                     )
+    return checked, violations
+
+
+def validate_topogenous(t: TopogenousOrder) -> Report:
+    fib = t.fib
+    checked, violations = _local_relation_violations(
+        fib, t.rel, "below-order", "order-compatibility", "order-compatibility"
+    )
     cat = fib.category
     for f in range(cat.n_morphisms):
         x, y = fib.dom(f), fib.cod(f)
         pre = fib.pre[f]
-        rows_y, rows_x = rel[y], rel[x]
+        rows_y, rows_x = t.rel[y], t.rel[x]
         ly = fib.sub[y]
         for m in range(ly.size):
             for n in mask_iter(rows_y[m]):
@@ -167,19 +161,12 @@ def _validate_relation_axioms(fib, rel, t1_name, t2_name, t3_name) -> Report:
                 if not rows_x[pre[m]] >> pre[n] & 1:
                     violations.append(
                         Violation(
-                            t3_name,
+                            "preimage-stability",
                             where=cat.mor_names[f],
                             witness=(ly.labels[m], ly.labels[n]),
                         )
                     )
-    return Report("relation-axioms", checked, tuple(violations))
-
-
-def validate_topogenous(t: TopogenousOrder) -> Report:
-    r = _validate_relation_axioms(
-        t.fib, t.rel, "below-order", "order-compatibility", "preimage-stability"
-    )
-    return Report("topogenous-order", r.checked, r.violations)
+    return Report("topogenous-order", checked, tuple(violations))
 
 
 def validate_closure(c: ClosureOperator) -> Report:
@@ -245,34 +232,10 @@ def validate_interior(i: InteriorOperator) -> Report:
 
 
 def validate_neighbourhood(nu: NeighbourhoodOperator) -> Report:
-    violations = []
-    checked = 0
     fib = nu.fib
-    for x, lat in enumerate(fib.sub):
-        where = fib.category.object_names[x]
-        rows = nu.nu[x]
-        for m in range(lat.size):
-            checked += 1
-            if rows[m] & ~lat.up[m]:
-                n = next(mask_iter(rows[m] & ~lat.up[m]))
-                violations.append(
-                    Violation("neighbourhood-above", where=where, witness=(lat.labels[m], lat.labels[n]))
-                )
-            for mp in mask_iter(lat.up[m]):
-                checked += 1
-                if rows[mp] & ~rows[m]:
-                    violations.append(
-                        Violation("antitone", where=where, witness=(lat.labels[m], lat.labels[mp]))
-                    )
-            for p in mask_iter(rows[m]):
-                checked += 1
-                if lat.up[p] & ~rows[m]:
-                    q = next(mask_iter(lat.up[p] & ~rows[m]))
-                    violations.append(
-                        Violation(
-                            "up-closed", where=where, witness=(lat.labels[m], lat.labels[p], lat.labels[q])
-                        )
-                    )
+    checked, violations = _local_relation_violations(
+        fib, nu.nu, "neighbourhood-above", "antitone", "up-closed"
+    )
     cat = fib.category
     for f in range(cat.n_morphisms):
         x, y = fib.dom(f), fib.cod(f)
@@ -453,15 +416,9 @@ def topogenous_from_interior(i: InteriorOperator) -> TopogenousOrder:
 
 
 def is_idempotent(op) -> bool:
-    if isinstance(op, ClosureOperator):
-        return all(
-            row[row[m]] == row[m] for row in op.cmap for m in range(len(row))
-        )
-    if isinstance(op, InteriorOperator):
-        return all(
-            row[row[m]] == row[m] for row in op.imap for m in range(len(row))
-        )
-    raise PreconditionError("idempotence is defined for closure/interior operators")
+    if not isinstance(op, _Operator):
+        raise PreconditionError("idempotence is defined for closure/interior operators")
+    return all(row[row[m]] == row[m] for row in op.table for m in range(len(row)))
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +428,6 @@ def is_idempotent(op) -> bool:
 def discrete_order(fib: SubobjectFibration) -> TopogenousOrder:
     """The largest topogenous order: m ⊏ n iff m <= n."""
     return TopogenousOrder(fib, tuple(tuple(lat.up) for lat in fib.sub))
-
-
-def order_from_closure_tables(fib, tables) -> TopogenousOrder:
-    return topogenous_from_closure(ClosureOperator(fib, tables))
 
 
 def induced_relation_of_closure(t: TopogenousOrder) -> tuple[tuple[int, ...], ...]:

@@ -76,8 +76,8 @@ def test_criterion_6_induced_structures():
     def body(failures):
         _collect(failures, S.check_pointed_induced_order("small"))
         _collect(failures, S.check_copointed_induced_order("small"))
-        _collect(failures, S.check_induced_closure("small"))
-        _collect(failures, S.check_induced_interior("small"))
+        _collect(failures, S.check_induced_operator("closure", "small"))
+        _collect(failures, S.check_induced_operator("interior", "small"))
 
     _run(6, "induced-structures", body, target=300)
 

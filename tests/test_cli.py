@@ -164,6 +164,50 @@ def test_induce_command(capsys):
     assert out.startswith("order closure_via_t0:")
 
 
+def test_induce_reads_an_endofunctor_record(capsys, tmp_path):
+    from topogen.harness import fileformat
+    from topogen.instances.registry import builtin_fibration, builtin_pointed
+
+    record = fileformat.endofunctor_record_of(
+        "t0", builtin_pointed("t0", builtin_fibration("t0_small")))
+    doc = tmp_path / "endo.topo"
+    doc.write_text(fileformat.serialize_record(record) + "\n")
+    argv = ("induce", "--pointed", "t0", "--order", "closure", "--fibration", "t0_small")
+    code, builtin_out, _ = run(capsys, *argv)
+    assert code == 0
+    code, file_out, err = run(capsys, *argv, str(doc))
+    assert code == 0
+    assert file_out == builtin_out
+    assert "warning: file endofunctor 't0' overrides the built-in" in err
+    # a record of the other kind is a usage error
+    code, out, err = run(capsys, "induce", "--copointed", "t0", "--order", "closure",
+                         "--fibration", "t0_small", str(doc))
+    assert code == 2
+    assert out == ""
+    assert "endofunctor 't0' is pointed, not copointed" in err
+
+
+def test_convert_starts_only_from_topogenous_orders(capsys):
+    for source in ("closure", "interior"):
+        with pytest.raises(SystemExit) as exc:
+            main(["convert", "--from", source, "--to", "closure", "--order", "closure"])
+        assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_convert_to_neighbourhood_writes_the_order_record(capsys):
+    from topogen.harness import fileformat
+    from topogen.instances.registry import builtin_fibration, builtin_order
+
+    code, out, _ = run(capsys, "convert", "--from", "topogenous", "--to", "neighbourhood",
+                       "--order", "closure", "--fibration", "t0_small")
+    assert code == 0
+    # neighbourhoods of m are the n with m related to n: the order's own table
+    order = builtin_order("closure", builtin_fibration("t0_small"))
+    record = fileformat.order_record_of("closure_as_nbhd", order)
+    assert out == fileformat.serialize_record(record) + "\n"
+
+
 def test_suite_targets_and_output(capsys, tmp_path):
     out_file = tmp_path / "report.txt"
     json_file = tmp_path / "report.json"

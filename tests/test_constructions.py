@@ -38,7 +38,7 @@ from topogen.instances.registry import (
     builtin_order,
     builtin_pointed,
 )
-from topogen.instances.topology import closure_order, interior_order
+from topogen.instances.topology import closure_order, interior_order, spaces_of
 
 
 def identity_pointed(fib):
@@ -88,7 +88,7 @@ def test_topgrp_functor_validates():
     assert validate_fibered_functor(fd).ok
     from topogen.instances.topgroups import validate_topgroup
 
-    for tg in fd.total.topgroups:
+    for tg in fd.total.backend.topgroups:
         assert validate_topgroup(tg).ok
 
 
@@ -99,11 +99,11 @@ def test_topgrp_lift_is_topogenous_and_characterized():
     assert validate_structure(lifted).ok
     assert is_interpolative(lifted)
     # related upstairs means a normal subgroup of the underlying group between them
-    from topogen.instances.groups import is_normal
+    from topogen.instances.groups import is_normal, subgroups_of
 
     for x in range(fd.total.category.n_objects):
-        tg = fd.total.topgroups[x]
-        subs = fd.total.subgroup_masks[x]
+        tg = fd.total.backend.topgroups[x]
+        subs = subgroups_of(tg.group)
         normals = [m for m in subs if is_normal(tg.group, m)]
         for a_i, a in enumerate(subs):
             for b_i, b in enumerate(subs):
@@ -278,7 +278,7 @@ def test_reflection_order_on_three_point_example(fintop3):
     c = induced_closure(p, t)
     assert c.cmap[x][0b001] == 0b111
     # the quotient itself is a two-point space with one open point
-    quotient = fintop3.spaces[p.obj_map[x]]
+    quotient = spaces_of(fintop3)[p.obj_map[x]]
     assert quotient.n == 2 and len(quotient.opens) == 3
 
 

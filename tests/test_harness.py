@@ -14,13 +14,13 @@ from topogen.structures import TopogenousOrder, validate_structure
 from topogen.harness import fileformat
 from topogen.harness.enumeration import (
     EnumerationSpec,
-    closure_candidates,
     count_structures,
     enumerate_structures,
-    interior_candidates,
+    operator_candidates,
     relation_candidates,
 )
 from topogen.harness.suite import run_suite
+from topogen.instances.groups import groups_of
 
 
 def loop_fibration(lat, extra_pre_tables=()):
@@ -127,7 +127,7 @@ def test_local_candidate_generators_agree_with_brute_force():
             for m in range(lat.size) for k in range(lat.size) if lat.leq(m, k)
         )
     ]
-    assert sorted(closure_candidates(lat)) == sorted(brute_cl)
+    assert sorted(operator_candidates(lat, "closure")) == sorted(brute_cl)
     brute_in = [
         table for table in itertools.product(range(lat.size), repeat=lat.size)
         if all(lat.leq(table[m], m) for m in range(lat.size))
@@ -136,7 +136,7 @@ def test_local_candidate_generators_agree_with_brute_force():
             for m in range(lat.size) for k in range(lat.size) if lat.leq(m, k)
         )
     ]
-    assert sorted(interior_candidates(lat)) == sorted(brute_in)
+    assert sorted(operator_candidates(lat, "interior")) == sorted(brute_in)
 
 
 def test_enumeration_is_deterministic(disc2_loop):
@@ -238,7 +238,7 @@ def test_explicit_order_record_roundtrip(fintop2):
 
 
 def test_group_record_roundtrip(grp_small):
-    for g in grp_small.groups:
+    for g in groups_of(grp_small):
         record = fileformat.GroupRecord(g.name, g)
         text = fileformat.serialize_record(record) + "\n"
         doc = fileformat.parse_document(text)
@@ -315,6 +315,44 @@ def test_suite_reports_a_raising_check_as_failure(monkeypatch, capsys):
     assert "  failure InternalConsistencyError: continuity renderings" in report.render_text()
     assert main(["suite", "--targets", "class-calculus,format-roundtrip"]) == 1
     assert "check format-roundtrip instances=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, index, value, first", [
+    # the preimage of the point moves from {0,1} to {0}: still monotone
+    ("discrete2>pt:00", 1, 0b01, "adjunction; at discrete2>pt:00; witness {1}, {0}"),
+    # the preimage of the whole space moves to {}: no longer monotone
+    ("discrete2>discrete2:10", 3, 0b00,
+     "preimage-monotone; at discrete2>discrete2:10; witness {0}, {0,1}"),
+])
+def test_suite_reports_a_moved_preimage_entry_with_the_morphism(
+    monkeypatch, capsys, fintop2, name, index, value, first
+):
+    from topogen.cli import main
+    from topogen.harness import suite
+
+    f = fintop2.category.morphism_index(name)
+    pre = list(fintop2.pre)
+    moved = list(pre[f])
+    assert moved[index] != value
+    moved[index] = value
+    pre[f] = tuple(moved)
+    broken = SubobjectFibration(
+        category=fintop2.category, sub=fintop2.sub, img=fintop2.img, pre=pre,
+        eclass=fintop2.eclass, mclass=fintop2.mclass, fstar=fintop2.fstar,
+        backend=fintop2.backend, name="fintop2",
+    )
+    builtin = suite._fib
+    monkeypatch.setattr(suite, "_fib", lambda n: broken if n == "fintop2" else builtin(n))
+    report = run_suite("small", ["instance-validity"])
+    (entry,) = report.entries
+    assert entry.failures[0] == first
+    assert f"fstar-differs-from-right-adjoint; at {name}" in entry.failures
+    assert any(
+        x.startswith("preimage-functorial; at ") and name in x for x in entry.failures
+    )
+    assert f"  failure {first}\n" in report.render_text()
+    assert main(["suite", "--targets", "instance-validity"]) == 1
+    assert "status=fail" in capsys.readouterr().out
 
 
 def test_suite_unknown_target():

@@ -5,6 +5,7 @@ import pytest
 from topogen.instances.groups import (
     catalog,
     cyclic,
+    groups_of,
     homs,
     is_normal,
     normal_subgroups,
@@ -22,6 +23,7 @@ from topogen.instances.topology import (
     enumerate_topologies_via_preorders,
     indiscrete,
     map_predicates,
+    spaces_of,
     t0_quotient_classes,
 )
 from topogen.instances.registry import (
@@ -45,7 +47,7 @@ def test_topology_counts_match_both_enumerators():
 
 def test_continuous_map_count_against_brute_force(fintop2):
     # independent continuity test over plain frozensets, no masks
-    spaces = fintop2.spaces
+    spaces = spaces_of(fintop2)
 
     def opens_as_sets(s):
         return [frozenset(p for p in range(s.n) if o >> p & 1) for o in s.opens]
@@ -70,6 +72,20 @@ def test_one_point_space_category_is_a_single_identity():
     fib = fintop_fibration([discrete(1)], name="pt_only")
     assert fib.category.n_morphisms == 1
     assert fib.category.mor_names == ("id_pt",)
+
+
+def test_morphism_caps_name_what_they_count():
+    from topogen.errors import ResourceCapError
+    from topogen.instances.groups import fingrp_fibration
+    from topogen.instances.topology import fintop_fibration
+
+    # discrete2 has four continuous self-maps, z2 two endomorphisms
+    assert fintop_fibration([discrete(2)], max_morphisms=4).category.n_morphisms == 4
+    with pytest.raises(ResourceCapError, match="^more than 3 continuous maps$"):
+        fintop_fibration([discrete(2)], max_morphisms=3)
+    assert fingrp_fibration([cyclic(2)], max_morphisms=2).category.n_morphisms == 2
+    with pytest.raises(ResourceCapError, match="^more than 1 homomorphisms$"):
+        fingrp_fibration([cyclic(2)], max_morphisms=1)
 
 
 def test_space_validation_rejects_non_topologies():
@@ -167,8 +183,8 @@ def test_sign_map_exists_and_preserves_normals(grp_small):
 def test_normal_interval_order_on_s3(grp_small):
     t = builtin_order("grp_normal", grp_small)
     x = grp_small.category.object_index("s3")
-    subs = grp_small.subgroup_masks[x]
-    s3 = grp_small.groups[x]
+    s3 = groups_of(grp_small)[x]
+    subs = subgroups_of(s3)
     swap_group = next(
         i for i, m in enumerate(subs)
         if bin(m).count("1") == 2 and m >> s3.elems.index("(01)") & 1
@@ -200,7 +216,7 @@ def test_map_predicates_open_point_embedding(fintop2):
 
 
 def test_initial_topology_matches_open_set_characterization(fintop2):
-    spaces = fintop2.spaces
+    spaces = spaces_of(fintop2)
     cat = fintop2.category
     for f in range(cat.n_morphisms):
         dom, cod = spaces[cat.mor_dom[f]], spaces[cat.mor_cod[f]]
@@ -214,7 +230,7 @@ def test_initial_topology_matches_open_set_characterization(fintop2):
 
 def test_hereditary_quotient_matches_closed_image_characterization(fintop2):
     # surjective, and images of closures of preimages are closed
-    spaces = fintop2.spaces
+    spaces = spaces_of(fintop2)
     cat = fintop2.category
 
     def image(graph, mask):

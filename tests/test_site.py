@@ -14,6 +14,7 @@ from topogen.site import (
     validate_category,
     validate_fibration,
 )
+from topogen.instances.topology import spaces_of
 from topogen.reporting import Violation
 
 
@@ -347,7 +348,8 @@ def _box_union_corner(fib, f, p):
     built as the unions of open boxes folded to a fixpoint."""
     cat = fib.category
     gf, gp = cat.graphs[f], cat.graphs[p]
-    sx, syp = fib.spaces[cat.mor_dom[f]], fib.spaces[cat.mor_dom[p]]
+    spaces = spaces_of(fib)
+    sx, syp = spaces[cat.mor_dom[f]], spaces[cat.mor_dom[p]]
     carrier = [(a, b) for a in range(sx.n) for b in range(syp.n) if gf[a] == gp[b]]
     boxes = {
         sum(1 << i for i, (a, b) in enumerate(carrier) if u >> a & 1 and v >> b & 1)
@@ -364,7 +366,8 @@ def _box_union_corner(fib, f, p):
 
 def _assert_corners_match_box_unions(fib, cospans):
     cat = fib.category
-    max_points = max(s.n for s in fib.spaces)
+    spaces = spaces_of(fib)
+    max_points = max(s.n for s in spaces)
     built = 0
     for f, p in cospans:
         carrier, shape = _box_union_corner(fib, f, p)
@@ -373,7 +376,7 @@ def _assert_corners_match_box_unions(fib, cospans):
                 pullback(fib, f, p)
             continue
         sq = pullback(fib, f, p)
-        corner = fib.spaces[cat.mor_dom[sq.f_prime]]
+        corner = spaces[cat.mor_dom[sq.f_prime]]
         assert (corner.n, corner.opens) == shape
         assert cat.graphs[sq.p_prime] == tuple(a for a, _ in carrier)
         assert cat.graphs[sq.f_prime] == tuple(b for _, b in carrier)

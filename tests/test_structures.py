@@ -3,8 +3,10 @@ from hypothesis import given, strategies as st
 
 from topogen.errors import PreconditionError
 from topogen.lattice import FiniteLattice
+from topogen.reporting import Violation
 from topogen.structures import (
     ClosureOperator,
+    InteriorOperator,
     TopogenousOrder,
     closure_from_topogenous,
     discrete_order,
@@ -19,7 +21,7 @@ from topogen.structures import (
     topogenous_from_nbhd,
     validate_structure,
 )
-from topogen.instances.topology import closure_order, interior_order
+from topogen.instances.topology import closure_order, interior_order, spaces_of
 
 
 def closure_by_scan(space, mask):
@@ -49,7 +51,7 @@ def test_bottom_only_relation_is_topogenous(fintop2):
 def test_closure_order_matches_set_level_closures(fintop2):
     t = closure_order(fintop2)
     assert validate_structure(t).ok
-    spaces = fintop2.spaces
+    spaces = spaces_of(fintop2)
     for x, s in enumerate(spaces):
         for a in range(1 << s.n):
             for b in range(1 << s.n):
@@ -92,7 +94,7 @@ def test_closure_conversion_matches_topological_closure(fintop2):
     t = closure_order(fintop2)
     c = closure_from_topogenous(t)
     assert validate_structure(c).ok
-    for x, s in enumerate(fintop2.spaces):
+    for x, s in enumerate(spaces_of(fintop2)):
         for a in range(1 << s.n):
             assert c.cmap[x][a] == closure_by_scan(s, a)
 
@@ -101,7 +103,7 @@ def test_interior_conversion_matches_topological_interior(fintop2):
     t = interior_order(fintop2)
     i = interior_from_topogenous(t)
     assert validate_structure(i).ok
-    for x, s in enumerate(fintop2.spaces):
+    for x, s in enumerate(spaces_of(fintop2)):
         for a in range(1 << s.n):
             assert i.imap[x][a] == s.interior(a)
 
@@ -129,6 +131,21 @@ def trivial_fibration(lat):
     cat = FiniteCategory(("x",), (0,), (0,), ("id_x",), (0,), compose_table={(0, 0): 0})
     ident = tuple(range(lat.size))
     return SubobjectFibration(cat, (lat,), (ident,), (ident,), frozenset({0}), frozenset({0}))
+
+
+def test_structures_are_equal_by_kind_fibration_and_table():
+    lat = FiniteLattice.powerset(2)
+    fib, other_fib = trivial_fibration(lat), trivial_fibration(lat)
+    table = (tuple(range(4)),)
+    c = ClosureOperator(fib, table)
+    assert c == ClosureOperator(fib, tuple(map(tuple, table)))
+    assert hash(c) == hash(ClosureOperator(fib, table))
+    assert len({c, ClosureOperator(fib, table)}) == 1
+    # another kind with the same table, or an equal fibration object, differs
+    assert c != InteriorOperator(fib, table)
+    assert c != ClosureOperator(other_fib, table)
+    assert c != ClosureOperator(fib, (tuple(m | 1 for m in range(4)),))
+    assert c != table
 
 
 def test_idempotence_examples():
@@ -234,3 +251,28 @@ def test_neighbourhood_axioms_vs_topogenous_axioms(disc2_loop):
         for nu in enumerate_structures(EnumerationSpec(disc2_loop, "neighbourhood"))
     }
     assert torders == nbhds
+
+
+def test_corrupted_closure_order_row_is_reported_with_witness(fintop2):
+    t = closure_order(fintop2)
+    x = fintop2.category.object_index("sierpinski")
+    lat = fintop2.sub[x]
+    top, bottom = lat.index_of("{0,1}"), lat.index_of("{}")
+    rel = [list(rows) for rows in t.rel]
+    rel[x][top] |= 1 << bottom  # the whole space related to the empty set
+    broken = TopogenousOrder(fintop2, tuple(map(tuple, rel)))
+    report = validate_structure(broken)
+    assert not report.ok
+    assert Violation("below-order", where="sierpinski", witness=("{0,1}", "{}")) in report.violations
+    # the row is no longer antitone below the top either
+    assert any(
+        v.law == "order-compatibility" and v.where == "sierpinski" and v.witness[2] == "{}"
+        for v in report.violations
+    )
+    # the same table as a neighbourhood operator, under the neighbourhood names
+    report = validate_structure(nbhd_from_topogenous(broken))
+    assert Violation(
+        "neighbourhood-above", where="sierpinski", witness=("{0,1}", "{}")
+    ) in report.violations
+    assert any(v.law == "antitone" and v.where == "sierpinski" for v in report.violations)
+    assert not any(v.law == "order-compatibility" for v in report.violations)
