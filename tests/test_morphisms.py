@@ -164,6 +164,21 @@ def test_pullback_transfer_requires_bcp(fintop2):
         check_pullback_transfer(sq, closure_order(fintop2))
 
 
+def test_pullback_transfer_rejects_a_given_failed_bcp(fintop2, monkeypatch):
+    import topogen.morphisms as morphisms
+    from topogen.site import BcpResult
+
+    # a failed verdict is used as is, even on a square that has the equality
+    i = fintop2.category.morphism_index("id_sierpinski")
+    sq = PullbackSquare(fintop2, f_prime=i, p=i, p_prime=i, f=i)
+    assert check_bcp(sq).bcp_equality
+    monkeypatch.setattr(
+        morphisms, "check_bcp", lambda sq: BcpResult(True, False, ("{}", "equality"))
+    )
+    with pytest.raises(PreconditionError):
+        check_pullback_transfer(sq, closure_order(fintop2))
+
+
 def test_pullback_transfer_fails_ascent_on_forged_classes(fintop2):
     cat = fintop2.category
     squares = []
