@@ -460,10 +460,6 @@ def check_extremality(candidate, spec: FamilySpec) -> Report:
     enum_spec = EnumerationSpec(
         fibration=spec.fibration, kind=spec.kind, max_candidates=spec.max_candidates
     )
-    if spec.kind == "topogenous":
-        below = lambda a, b: a.issubset(b)
-    else:
-        below = lambda a, b: a.pointwise_leq(b)
     violations = []
     family_size = 0
     seen_candidate = False
@@ -474,8 +470,8 @@ def check_extremality(candidate, spec: FamilySpec) -> Report:
         if member == candidate:
             seen_candidate = True
             continue
-        ok = below(candidate, member) if spec.extreme == "least" else below(member, candidate)
-        if not ok:
+        lower, upper = (candidate, member) if spec.extreme == "least" else (member, candidate)
+        if not lower.pointwise_leq(upper):
             violations.append(
                 Violation(f"not-{spec.extreme}", where=spec.description, witness=(repr(member)[:80],))
             )

@@ -100,8 +100,13 @@ SIERPINSKI = FinTopSpace(2, (0, 2, 3))      # open point 1
 SIERPINSKI_OP = FinTopSpace(2, (0, 1, 3))   # open point 0
 
 
+@lru_cache(maxsize=None)
 def enumerate_topologies(n: int) -> tuple[FinTopSpace, ...]:
-    """All labelled topologies on n points, by filtering open-set families."""
+    """All labelled topologies on n points, by filtering open-set families.
+
+    Cached: the sorted tuple is the ranking that ``space_name`` and the
+    ``t3_..`` built-in names index, and the filter is exponential in 2^n.
+    """
     full = (1 << n) - 1
     others = [m for m in range(1, full)] if n else []
     spaces = []

@@ -47,17 +47,23 @@ class _Structure:
 
 
 @dataclass(frozen=True, eq=False)
-class TopogenousOrder(_Structure):
+class _Relation(_Structure):
+    """A relation of each subobject lattice: row m is a mask of elements."""
+
+    def pointwise_leq(self, other: "_Relation") -> bool:
+        """Pointwise inclusion of the rows."""
+        return all(
+            a & ~b == 0 for ra, rb in zip(self.table, other.table) for a, b in zip(ra, rb)
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class TopogenousOrder(_Relation):
     rel: tuple[tuple[int, ...], ...]
     _table_field = "rel"
 
     def holds(self, x: int, m: int, n: int) -> bool:
         return bool(self.rel[x][m] >> n & 1)
-
-    def issubset(self, other: "TopogenousOrder") -> bool:
-        return all(
-            a & ~b == 0 for ra, rb in zip(self.rel, other.rel) for a, b in zip(ra, rb)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,15 +91,9 @@ class InteriorOperator(_Operator):
 
 
 @dataclass(frozen=True, eq=False)
-class NeighbourhoodOperator(_Structure):
+class NeighbourhoodOperator(_Relation):
     nu: tuple[tuple[int, ...], ...]     # nu[x][m] = mask of neighbourhoods of m
     _table_field = "nu"
-
-    def pointwise_leq(self, other: "NeighbourhoodOperator") -> bool:
-        """Pointwise set inclusion of neighbourhood collections."""
-        return all(
-            a & ~b == 0 for ra, rb in zip(self.nu, other.nu) for a, b in zip(ra, rb)
-        )
 
 
 # ---------------------------------------------------------------------------

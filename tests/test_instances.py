@@ -309,6 +309,18 @@ def test_builtin_space_names():
     assert builtin_space("t3_28") == indiscrete(3)
 
 
+def test_space_names_are_ranks_of_an_independent_enumeration(fintop3):
+    from topogen.instances.topology import fintop_fibration
+
+    for name, space in zip(fintop3.category.object_names, spaces_of(fintop3)):
+        if space.n == 3:
+            assert builtin_space(name) == space
+    ranked = enumerate_topologies_via_preorders(4)
+    picks = (0, 17, 200, len(ranked) - 1)
+    fib = fintop_fibration([ranked[i] for i in picks])
+    assert fib.category.object_names == tuple(f"t4_{i:02d}" for i in picks)
+
+
 def test_topgroups_over_z2():
     from topogen.instances.topgroups import topgroups_of
 

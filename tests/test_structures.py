@@ -201,7 +201,7 @@ def test_conversions_are_order_compatible(disc2_loop):
     orders = _all_orders(disc2_loop)
     for t1 in orders:
         for t2 in orders:
-            if not t1.issubset(t2):
+            if not t1.pointwise_leq(t2):
                 continue
             assert nbhd_from_topogenous(t1).pointwise_leq(nbhd_from_topogenous(t2))
             p1, p2 = predicates(t1), predicates(t2)
