@@ -20,7 +20,7 @@ from .errors import (
     TopogenError,
 )
 from .harness import fileformat
-from .harness.enumeration import EnumerationSpec, enumerate_structures
+from .harness.enumeration import KINDS, EnumerationSpec, enumerate_structures
 from .harness.suite import CHECKS, SCALES, run_suite
 from .instances import registry
 from .instances.topology import fintop_fibration, is_continuous, map_predicates
@@ -230,7 +230,7 @@ def _cmd_strict_subs(args) -> int:
 def _cmd_predicates(args) -> int:
     env = _Environment(args.files)
     fib = env.fibration(args.fibration)
-    if args.map:
+    if args.map is not None:
         f = env.morphism(args.map, fib)
         mp = map_predicates(fib, f)
         _emit(
@@ -363,8 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_strict_subs)
 
     p = sub.add_parser("predicates", help="predicates of a map or an order")
-    p.add_argument("--map")
-    p.add_argument("--order")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--map")
+    group.add_argument("--order")
     p.add_argument("--fibration", default="fintop2")
     p.add_argument("-o", "--output")
     p.add_argument("files", nargs="*")
@@ -388,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate structures on a built-in fibration")
     p.add_argument("--builtin", required=True)
-    p.add_argument("--kind", required=True,
-                   choices=("topogenous", "closure", "interior", "neighbourhood"))
+    p.add_argument("--kind", required=True, choices=tuple(KINDS))
     p.add_argument("--filter", choices=("meet", "join", "interpolative"))
     p.add_argument("--count-only", action="store_true")
     p.add_argument("-o", "--output")

@@ -14,6 +14,7 @@ from .site import SubobjectFibration
 from .structures import (
     ClosureOperator,
     InteriorOperator,
+    NeighbourhoodOperator,
     TopogenousOrder,
     closure_from_topogenous,
     interior_from_topogenous,
@@ -197,20 +198,17 @@ def validate_copointed(q: CopointedEndofunctor) -> Report:
 
 def continuity_between(f: int, t_dom: TopogenousOrder, t_cod: TopogenousOrder):
     """True iff f(m) related-under-t_cod to n implies m related-under-t_dom
-    to f^{-1}(n); returns (bool, witness)."""
+    to f^{-1}(n), the neighbourhood law on the two orders' rows; returns
+    (bool, witness)."""
     fib = t_dom.fib
     if t_cod.fib is not fib:
         raise PreconditionError("both orders must live on the same fibration")
-    x, y = fib.dom(f), fib.cod(f)
-    img, pre = fib.img[f], fib.pre[f]
-    lx, ly = fib.sub[x], fib.sub[y]
-    for m in range(lx.size):
-        cod_row = t_cod.rel[y][img[m]]
-        dom_row = t_dom.rel[x][m]
-        for n in mask_iter(cod_row):
-            if not dom_row >> pre[n] & 1:
-                return False, (lx.labels[m], ly.labels[n])
-    return True, None
+    witnesses = NeighbourhoodOperator.law(fib, f, t_dom.rel[fib.dom(f)], t_cod.rel[fib.cod(f)])
+    witness = next(witnesses, None)
+    if witness is None:
+        return True, None
+    m, n = witness
+    return False, (fib.sub_dom(f).labels[m], fib.sub_cod(f).labels[n])
 
 
 # ---------------------------------------------------------------------------
@@ -349,85 +347,29 @@ def induced_interior(data, t: TopogenousOrder) -> InteriorOperator:
 # continuity constraints for the extremality families
 
 
-def pointed_order_constraint(p: PointedEndofunctor, t: TopogenousOrder) -> Callable:
-    def ok(candidate: TopogenousOrder) -> bool:
+def unit_constraint(p: PointedEndofunctor, base) -> Callable:
+    """Each unit component x -> Fx obeys the law of ``base``'s kind from the
+    candidate's table at x to ``base``'s table at Fx."""
+    fib, law = p.fib, base.law
+
+    def ok(candidate) -> bool:
         return all(
-            continuity_between(p.unit[x], candidate, t)[0]
-            for x in range(p.fib.category.n_objects)
+            next(law(fib, u, candidate.table[x], base.table[fx]), None) is None
+            for x, (u, fx) in enumerate(zip(p.unit, p.obj_map))
         )
     return ok
 
 
-def copointed_order_constraint(q: CopointedEndofunctor, t: TopogenousOrder) -> Callable:
-    def ok(candidate: TopogenousOrder) -> bool:
+def counit_constraint(q: CopointedEndofunctor, base) -> Callable:
+    """Each counit component Gx -> x obeys the law of ``base``'s kind from
+    ``base``'s table at Gx to the candidate's table at x."""
+    fib, law = q.fib, base.law
+
+    def ok(candidate) -> bool:
         return all(
-            continuity_between(q.counit[x], t, candidate)[0]
-            for x in range(q.fib.category.n_objects)
+            next(law(fib, e, base.table[gx], candidate.table[x]), None) is None
+            for x, (e, gx) in enumerate(zip(q.counit, q.obj_map))
         )
-    return ok
-
-
-def pointed_closure_constraint(p: PointedEndofunctor, base: ClosureOperator) -> Callable:
-    fib = p.fib
-
-    def ok(candidate: ClosureOperator) -> bool:
-        for x in range(fib.category.n_objects):
-            u = p.unit[x]
-            img_u = fib.img[u]
-            fx = p.obj_map[x]
-            ly = fib.sub[fx]
-            for m in range(fib.sub[x].size):
-                if not ly.leq(img_u[candidate.cmap[x][m]], base.cmap[fx][img_u[m]]):
-                    return False
-        return True
-    return ok
-
-
-def copointed_closure_constraint(q: CopointedEndofunctor, base: ClosureOperator) -> Callable:
-    fib = q.fib
-
-    def ok(candidate: ClosureOperator) -> bool:
-        for x in range(fib.category.n_objects):
-            e = q.counit[x]
-            img_e = fib.img[e]
-            gx = q.obj_map[x]
-            lx = fib.sub[x]
-            for u in range(fib.sub[gx].size):
-                if not lx.leq(img_e[base.cmap[gx][u]], candidate.cmap[x][img_e[u]]):
-                    return False
-        return True
-    return ok
-
-
-def pointed_interior_constraint(p: PointedEndofunctor, base: InteriorOperator) -> Callable:
-    fib = p.fib
-
-    def ok(candidate: InteriorOperator) -> bool:
-        for x in range(fib.category.n_objects):
-            u = p.unit[x]
-            pre_u = fib.pre[u]
-            fx = p.obj_map[x]
-            lx = fib.sub[x]
-            for n in range(fib.sub[fx].size):
-                if not lx.leq(pre_u[base.imap[fx][n]], candidate.imap[x][pre_u[n]]):
-                    return False
-        return True
-    return ok
-
-
-def copointed_interior_constraint(q: CopointedEndofunctor, base: InteriorOperator) -> Callable:
-    fib = q.fib
-
-    def ok(candidate: InteriorOperator) -> bool:
-        for x in range(fib.category.n_objects):
-            e = q.counit[x]
-            pre_e = fib.pre[e]
-            gx = q.obj_map[x]
-            lgx = fib.sub[gx]
-            for n in range(fib.sub[x].size):
-                if not lgx.leq(pre_e[candidate.imap[x][n]], base.imap[gx][pre_e[n]]):
-                    return False
-        return True
     return ok
 
 

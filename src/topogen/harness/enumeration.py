@@ -1,8 +1,9 @@
 """Exhaustive enumeration of structures on small fibrations.
 
 Per-object candidates are generated respecting the local axioms (and the
-object's own endomorphisms), then a backtracking product applies the
-cross-object continuity axiom incrementally.  Output order is deterministic.
+object's own endomorphisms), then a backtracking product applies the kind's
+cross-object law (held by its class in ``structures``) incrementally.  Output
+order is deterministic.
 """
 
 from __future__ import annotations
@@ -26,7 +27,11 @@ from ..structures import (
 DEFAULT_MAX_CANDIDATES = 1 << 24
 ENV_MAX_CANDIDATES = "TOPOGEN_MAX_CANDIDATES"
 
-KINDS = ("topogenous", "closure", "interior", "neighbourhood")
+# each enumerable kind and its structure class, which holds the kind's law
+KINDS = {
+    cls.kind: cls
+    for cls in (TopogenousOrder, ClosureOperator, InteriorOperator, NeighbourhoodOperator)
+}
 
 
 @dataclass(frozen=True)
@@ -114,64 +119,31 @@ def operator_candidates(lat: FiniteLattice, kind: str) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# cross-object constraints
+# the product
 
 
-def _topogenous_edge_ok(fib, f, rel_dom, rel_cod) -> bool:
-    pre = fib.pre[f]
-    for m in range(len(rel_cod)):
-        row = rel_dom[pre[m]]
-        for n in mask_iter(rel_cod[m]):
-            if not row >> pre[n] & 1:
-                return False
-    return True
-
-
-def _neighbourhood_edge_ok(fib, f, nu_dom, nu_cod) -> bool:
-    img, pre = fib.img[f], fib.pre[f]
-    for m in range(len(nu_dom)):
-        row = nu_dom[m]
-        for n in mask_iter(nu_cod[img[m]]):
-            if not row >> pre[n] & 1:
-                return False
-    return True
-
-
-def _closure_edge_ok(fib, f, c_dom, c_cod) -> bool:
-    img = fib.img[f]
-    ly = fib.sub_cod(f)
-    return all(ly.leq(img[c_dom[m]], c_cod[img[m]]) for m in range(len(c_dom)))
-
-
-def _interior_edge_ok(fib, f, i_dom, i_cod) -> bool:
-    pre = fib.pre[f]
-    lx = fib.sub_dom(f)
-    return all(lx.leq(pre[i_cod[n]], i_dom[pre[n]]) for n in range(len(i_cod)))
-
-
-_EDGE_CHECK = {
-    "topogenous": _topogenous_edge_ok,
-    "neighbourhood": _neighbourhood_edge_ok,
-    "closure": _closure_edge_ok,
-    "interior": _interior_edge_ok,
-}
-
-_WRAP = {
-    "topogenous": TopogenousOrder,
-    "neighbourhood": NeighbourhoodOperator,
-    "closure": ClosureOperator,
-    "interior": InteriorOperator,
+_FILTERS = {
+    "meet": lambda t: predicates(t).meet_preserving,
+    "join": lambda t: predicates(t).join_preserving,
+    "interpolative": is_interpolative,
 }
 
 
 def enumerate_structures(spec: EnumerationSpec) -> Iterator:
     """Yield every structure of the requested kind exactly once.
 
-    Raises a resource error before generation if the pruned candidate space
-    exceeds the budget.
+    Raises a usage error for a property filter that does not apply, and a
+    resource error if the pruned candidate space exceeds the budget, both
+    before generation.
     """
     if spec.kind not in KINDS:
         raise PreconditionError(f"unknown enumeration kind {spec.kind!r}")
+    if spec.prop_filter is not None:
+        if spec.kind != "topogenous":
+            raise DomainError("property filters apply to topogenous enumeration")
+        if spec.prop_filter not in _FILTERS:
+            raise DomainError(f"unknown property filter {spec.prop_filter!r}")
+    keep = _FILTERS.get(spec.prop_filter)
     fib = spec.fibration
     cat = fib.category
     for lat in fib.sub:
@@ -179,7 +151,8 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
             raise ResourceCapError(
                 f"lattice of size {lat.size} exceeds enumeration cap {spec.max_lattice}"
             )
-    edge_ok = _EDGE_CHECK[spec.kind]
+    structure_class = KINDS[spec.kind]
+    law = structure_class.law
 
     local: list[list[tuple[int, ...]]] = []
     candidate_sets = {}
@@ -193,7 +166,7 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
             )
         rows = candidate_sets[key]
         endos = [f for f in cat.morphisms_from[x] if cat.mor_cod[f] == x]
-        kept = [r for r in rows if all(edge_ok(fib, f, r, r) for f in endos)]
+        kept = [r for r in rows if all(next(law(fib, f, r, r), None) is None for f in endos)]
         local.append(kept)
 
     budget = spec.budget()
@@ -216,36 +189,20 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
         for x in range(n_objects)
     ]
     assignment: list[Optional[tuple[int, ...]]] = [None] * n_objects
-    wrap = _WRAP[spec.kind]
-
-    def filtered(structure):
-        if spec.prop_filter is None:
-            return True
-        if spec.kind != "topogenous":
-            raise PreconditionError("property filters apply to topogenous enumeration")
-        if spec.prop_filter == "meet":
-            return predicates(structure).meet_preserving
-        if spec.prop_filter == "join":
-            return predicates(structure).join_preserving
-        if spec.prop_filter == "interpolative":
-            return is_interpolative(structure)
-        raise PreconditionError(f"unknown property filter {spec.prop_filter!r}")
 
     def place(x) -> Iterator:
         if x == n_objects:
-            structure = wrap(fib, tuple(assignment))
-            if filtered(structure):
+            structure = structure_class(fib, tuple(assignment))
+            if keep is None or keep(structure):
                 yield structure
             return
         for rows in local[x]:
             assignment[x] = rows
-            ok = True
             for f in cross[x]:
                 dx, cx = cat.mor_dom[f], cat.mor_cod[f]
-                if not edge_ok(fib, f, assignment[dx], assignment[cx]):
-                    ok = False
+                if next(law(fib, f, assignment[dx], assignment[cx]), None) is not None:
                     break
-            if ok:
+            else:
                 yield from place(x + 1)
         assignment[x] = None
 

@@ -17,17 +17,13 @@ from ..constructions import (
     FamilySpec,
     check_extremality,
     continuity_between,
-    copointed_closure_constraint,
-    copointed_interior_constraint,
-    copointed_order_constraint,
+    counit_constraint,
     induce_copointed,
     induce_pointed,
     induced_closure,
     induced_interior,
     lift_topogenous,
-    pointed_closure_constraint,
-    pointed_interior_constraint,
-    pointed_order_constraint,
+    unit_constraint,
     validate_copointed,
     validate_fibered_functor,
     validate_pointed,
@@ -388,7 +384,7 @@ def check_pointed_induced_order(scale: str) -> Report:
         if is_interpolative(t) and not is_interpolative(ind):
             violations.append(Violation("interpolation-inheritance", where=kind))
         r = check_extremality(ind, FamilySpec(
-            fib, "topogenous", pointed_order_constraint(p, t), "least",
+            fib, "topogenous", unit_constraint(p, t), "least",
             f"pointed-order-{kind}"))
         checked += r.checked
         violations.extend(r.violations)
@@ -435,7 +431,7 @@ def check_copointed_induced_order(scale: str) -> Report:
         ):
             violations.append(Violation("counit-not-continuous", where=kind))
         r = check_extremality(ind, FamilySpec(
-            fib, "topogenous", copointed_order_constraint(q, t), "largest",
+            fib, "topogenous", counit_constraint(q, t), "largest",
             f"copointed-order-{kind}"))
         checked += r.checked
         violations.extend(r.violations)
@@ -452,23 +448,21 @@ def check_copointed_induced_order(scale: str) -> Report:
     return Report("copointed-induced-order", checked, tuple(violations))
 
 
-# (side, instance, its built-in endofunctor, the order it induces)
+# (side, instance, its built-in endofunctor, the order it induces, and the
+# continuity constraint of its unit or counit)
 _ENDOFUNCTORS = (
-    ("pointed", "t0_small", registry.POINTED["t0"], induce_pointed),
-    ("copointed", "coreflect_small", registry.COPOINTED["discrete"], induce_copointed),
+    ("pointed", "t0_small", registry.POINTED["t0"], induce_pointed, unit_constraint),
+    ("copointed", "coreflect_small", registry.COPOINTED["discrete"], induce_copointed,
+     counit_constraint),
 )
 
 # per operator kind: the induced operator, the conversion from orders, and
-# per side the continuity constraint and the extreme the operator must be
+# per side the extreme the operator must be
 _INDUCED_OPERATORS = {
-    "closure": (induced_closure, closure_from_topogenous, {
-        "pointed": (pointed_closure_constraint, "largest"),
-        "copointed": (copointed_closure_constraint, "least"),
-    }),
-    "interior": (induced_interior, interior_from_topogenous, {
-        "pointed": (pointed_interior_constraint, "least"),
-        "copointed": (copointed_interior_constraint, "largest"),
-    }),
+    "closure": (induced_closure, closure_from_topogenous,
+                {"pointed": "largest", "copointed": "least"}),
+    "interior": (induced_interior, interior_from_topogenous,
+                 {"pointed": "least", "copointed": "largest"}),
 }
 
 
@@ -480,7 +474,7 @@ def check_induced_operator(kind: str, scale: str) -> Report:
     induced, convert, extremes = _INDUCED_OPERATORS[kind]
     violations = []
     checked = 0
-    for side, fib_name, endofunctor, induce in _ENDOFUNCTORS:
+    for side, fib_name, endofunctor, induce, constraint in _ENDOFUNCTORS:
         fib = _fib(fib_name)
         endo = endofunctor(fib)
         t = _order(fib_name, kind)
@@ -497,16 +491,15 @@ def check_induced_operator(kind: str, scale: str) -> Report:
             and not is_idempotent(op)
         ):
             violations.append(Violation(f"pointed-{kind}-idempotence"))
-        constraint, extreme = extremes[side]
         r = check_extremality(op, FamilySpec(
-            fib, kind, constraint(endo, convert(t)), extreme, f"{side}-{kind}"))
+            fib, kind, constraint(endo, convert(t)), extremes[side], f"{side}-{kind}"))
         checked += r.checked
         violations.extend(r.violations)
 
     # agreement also on the larger reflection instance
     fib2 = _fib("fintop2")
     t2 = _order("fintop2", kind)
-    for side, _, endofunctor, induce in _ENDOFUNCTORS:
+    for side, _, endofunctor, induce, _ in _ENDOFUNCTORS:
         endo = endofunctor(fib2)
         if induced(endo, t2) != convert(induce(endo, t2)):
             violations.append(Violation(f"{side}-{kind}-vs-conversion", where="fintop2"))

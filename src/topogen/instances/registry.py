@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..errors import DomainError, PreconditionError
+from ..errors import DomainError
 from ..structures import TopogenousOrder, discrete_order
 from . import groups, topgroups
 from .topology import (
@@ -87,7 +87,7 @@ def builtin_order(kind: str, fib) -> TopogenousOrder:
         return groups.normal_interval_order(fib)
     if kind == "leq":
         return discrete_order(fib)
-    raise PreconditionError(f"unknown order kind {kind!r} (one of {ORDER_KINDS})")
+    raise DomainError(f"unknown order kind {kind!r} (one of {ORDER_KINDS})")
 
 
 POINTED = {"t0": t0_reflection}

@@ -39,18 +39,6 @@ class MorphismClassification:
     fstar_available: bool
 
 
-def _is_continuous(t: TopogenousOrder, f: int) -> bool:
-    fib = t.fib
-    pre = fib.pre[f]
-    rely, relx = t.rel[fib.cod(f)], t.rel[fib.dom(f)]
-    for m in range(len(rely)):
-        row = relx[pre[m]]
-        for n in mask_iter(rely[m]):
-            if not row >> pre[n] & 1:
-                return False
-    return True
-
-
 def _is_strict(t: TopogenousOrder, f: int) -> bool:
     fib = t.fib
     img, pre = fib.img[f], fib.pre[f]
@@ -122,7 +110,7 @@ def classify(f: int, t: TopogenousOrder) -> MorphismClassification:
     has_fstar = fib.fstar[f] is not None
     return MorphismClassification(
         morphism=f,
-        continuous=_is_continuous(t, f),
+        continuous=t.law_holds(f),
         strict=_is_strict(t, f),
         final=_is_final(t, f),
         costrict=_is_costrict(t, f) if has_fstar else None,
@@ -152,7 +140,7 @@ def continuity_equivalents(f: int, t: TopogenousOrder) -> tuple[bool, bool, bool
         )
     img, pre = fib.img[f], fib.pre[f]
     relx, rely = t.rel[fib.dom(f)], t.rel[fib.cod(f)]
-    form1 = _is_continuous(t, f)
+    form1 = t.law_holds(f)
     form2 = all(
         not (rely[m] >> fstar[n] & 1) or relx[pre[m]] >> n & 1
         for m in range(len(rely))
@@ -331,6 +319,12 @@ def check_pullback_transfer(sq: PullbackSquare, t: TopogenousOrder, cache=None) 
     classifications.  ``cache`` may map morphism ids to precomputed
     classifications.  A square without the Beck-Chevalley equality raises
     ``PreconditionError``.
+
+    The sweep calls :func:`transfer_laws` directly; this per-square form
+    stays public because the benchmark's tracer (``benchmark/tracing.py``,
+    ``TARGETS``) names it and ``tests/test_tooling.py``'s
+    ``test_every_traced_function_resolves`` requires every traced name to
+    resolve.
     """
     if not check_bcp(sq).bcp_equality:
         raise PreconditionError("square does not satisfy the Beck-Chevalley equality")

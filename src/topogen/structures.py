@@ -24,7 +24,16 @@ PREDICATE_LATTICE_CAP = 16
 
 @dataclass(frozen=True, eq=False)
 class _Structure:
-    """One table per object over a fibration.
+    """One table per object over a fibration, with its kind's axioms.
+
+    Each kind states its cross-object law once, as the generator
+    ``law(fib, f, dom_row, cod_row)``: it yields each witness, as lattice
+    indices, at which the law fails along f between the table ``dom_row`` of
+    f's domain and the table ``cod_row`` of its codomain.  The validator names
+    the witnesses; the enumerator and the extremality constraints only ask
+    whether there is one.  ``law_checks`` is the number of checks the law
+    makes, in closed form, and ``witness_sides`` says which end of f (0
+    domain, 1 codomain) each witness index lies in.
 
     Two structures are equal when they are of one kind, over the same
     fibration object, with equal tables.
@@ -35,6 +44,12 @@ class _Structure:
     @property
     def table(self) -> tuple[tuple[int, ...], ...]:
         return getattr(self, self._table_field)
+
+    def law_holds(self, f: int) -> bool:
+        """Whether the kind's law holds along f between this structure's tables."""
+        fib = self.fib
+        rows = self.table
+        return next(self.law(fib, f, rows[fib.dom(f)], rows[fib.cod(f)]), None) is None
 
     def _key(self):
         return (type(self), id(self.fib), self.table)
@@ -56,14 +71,108 @@ class _Relation(_Structure):
             a & ~b == 0 for ra, rb in zip(self.table, other.table) for a, b in zip(ra, rb)
         )
 
+    def _local_violations(self):
+        """Each row lies above its element, is antitone in the element and
+        up-closed; the number of checks and the violations, under the kind's
+        three ``local_laws`` names."""
+        above, antitone, up_closed = self.local_laws
+        violations = []
+        checked = 0
+        for x, lat in enumerate(self.fib.sub):
+            where = self.fib.category.object_names[x]
+            rows = self.table[x]
+            for m in range(lat.size):
+                checked += 1
+                if rows[m] & ~lat.up[m]:
+                    n = next(mask_iter(rows[m] & ~lat.up[m]))
+                    violations.append(
+                        Violation(above, where=where, witness=(lat.labels[m], lat.labels[n]))
+                    )
+            for m in range(lat.size):
+                for mp in mask_iter(lat.up[m]):
+                    checked += 1
+                    if rows[mp] & ~rows[m]:
+                        q = next(mask_iter(rows[mp] & ~rows[m]))
+                        violations.append(
+                            Violation(
+                                antitone,
+                                where=where,
+                                witness=(lat.labels[m], lat.labels[mp], lat.labels[q]),
+                            )
+                        )
+                for n in mask_iter(rows[m]):
+                    checked += 1
+                    if lat.up[n] & ~rows[m]:
+                        q = next(mask_iter(lat.up[n] & ~rows[m]))
+                        violations.append(
+                            Violation(
+                                up_closed,
+                                where=where,
+                                witness=(lat.labels[m], lat.labels[n], lat.labels[q]),
+                            )
+                        )
+        return checked, violations
+
 
 @dataclass(frozen=True, eq=False)
 class TopogenousOrder(_Relation):
     rel: tuple[tuple[int, ...], ...]
     _table_field = "rel"
+    kind = "topogenous"
+    report_name = "topogenous-order"
+    local_laws = ("below-order", "order-compatibility", "order-compatibility")
+    law_name = "preimage-stability"
+    witness_sides = (1, 1)
+
+    @staticmethod
+    def law(fib, f, dom_row, cod_row):
+        """Preimage stability: m ⊏ n downstairs gives f^{-1}(m) ⊏ f^{-1}(n);
+        yields (m, n)."""
+        pre = fib.pre[f]
+        for m, related in enumerate(cod_row):
+            row = dom_row[pre[m]]
+            while related:  # the set bits n of related, lowest first
+                low = related & -related
+                n = low.bit_length() - 1
+                if not row >> pre[n] & 1:
+                    yield m, n
+                related ^= low
+
+    @staticmethod
+    def law_checks(fib, f, dom_row, cod_row) -> int:
+        return sum(row.bit_count() for row in cod_row)
 
     def holds(self, x: int, m: int, n: int) -> bool:
         return bool(self.rel[x][m] >> n & 1)
+
+
+@dataclass(frozen=True, eq=False)
+class NeighbourhoodOperator(_Relation):
+    nu: tuple[tuple[int, ...], ...]     # nu[x][m] = mask of neighbourhoods of m
+    _table_field = "nu"
+    kind = "neighbourhood"
+    report_name = "neighbourhood-operator"
+    local_laws = ("neighbourhood-above", "antitone", "up-closed")
+    law_name = "continuity"
+    witness_sides = (0, 1)
+
+    @staticmethod
+    def law(fib, f, dom_row, cod_row):
+        """Continuity: n a neighbourhood of f(m) gives f^{-1}(n) a
+        neighbourhood of m; yields (m, n)."""
+        img, pre = fib.img[f], fib.pre[f]
+        for m, row in enumerate(dom_row):
+            related = cod_row[img[m]]
+            while related:  # the set bits n of related, lowest first
+                low = related & -related
+                n = low.bit_length() - 1
+                if not row >> pre[n] & 1:
+                    yield m, n
+                related ^= low
+
+    @staticmethod
+    def law_checks(fib, f, dom_row, cod_row) -> int:
+        return sum(cod_row[i].bit_count() for i in fib.img[f])
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,192 +186,101 @@ class _Operator(_Structure):
             for a, b in zip(ra, rb)
         )
 
+    def _local_violations(self):
+        """Each map is extensive (closure) or contractive (interior), and
+        monotone; the number of checks and the violations, under the kind's
+        two ``local_laws`` names."""
+        bounded, monotone = self.local_laws
+        violations = []
+        checked = 0
+        for x, lat in enumerate(self.fib.sub):
+            where = self.fib.category.object_names[x]
+            allowed = lat.up if self.kind == "closure" else lat.down
+            op = self.table[x]
+            for m in range(lat.size):
+                checked += 1
+                if not allowed[m] >> op[m] & 1:
+                    violations.append(Violation(bounded, where=where, witness=(lat.labels[m],)))
+                for n in mask_iter(lat.up[m]):
+                    checked += 1
+                    if not lat.leq(op[m], op[n]):
+                        violations.append(
+                            Violation(monotone, where=where, witness=(lat.labels[m], lat.labels[n]))
+                        )
+        return checked, violations
+
 
 @dataclass(frozen=True, eq=False)
 class ClosureOperator(_Operator):
     cmap: tuple[tuple[int, ...], ...]   # cmap[x][m] = c_X(m)
     _table_field = "cmap"
+    kind = "closure"
+    report_name = "closure-operator"
+    local_laws = ("extensive", "monotone")
+    law_name = "image-continuity"
+    witness_sides = (0,)
+
+    @staticmethod
+    def law(fib, f, dom_row, cod_row):
+        """Image continuity: f(c(m)) <= c(f(m)); yields (m,)."""
+        img, up = fib.img[f], fib.sub_cod(f).up
+        for m, cm in enumerate(dom_row):
+            if not up[img[cm]] >> cod_row[img[m]] & 1:
+                yield (m,)
+
+    @staticmethod
+    def law_checks(fib, f, dom_row, cod_row) -> int:
+        return len(dom_row)
 
 
 @dataclass(frozen=True, eq=False)
 class InteriorOperator(_Operator):
     imap: tuple[tuple[int, ...], ...]
     _table_field = "imap"
+    kind = "interior"
+    report_name = "interior-operator"
+    local_laws = ("contractive", "monotone")
+    law_name = "preimage-continuity"
+    witness_sides = (1,)
 
+    @staticmethod
+    def law(fib, f, dom_row, cod_row):
+        """Preimage continuity: f^{-1}(i(n)) <= i(f^{-1}(n)); yields (n,)."""
+        pre, up = fib.pre[f], fib.sub_dom(f).up
+        for n, i_n in enumerate(cod_row):
+            if not up[pre[i_n]] >> dom_row[pre[n]] & 1:
+                yield (n,)
 
-@dataclass(frozen=True, eq=False)
-class NeighbourhoodOperator(_Relation):
-    nu: tuple[tuple[int, ...], ...]     # nu[x][m] = mask of neighbourhoods of m
-    _table_field = "nu"
+    @staticmethod
+    def law_checks(fib, f, dom_row, cod_row) -> int:
+        return len(cod_row)
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
-def _local_relation_violations(fib, rel, above, antitone, up_closed):
-    """The object-local axioms of a relation table ``rel[x][m]``: each row
-    lies above its element, is antitone in the element and up-closed.
-
-    Returns the number of checks and the violations, under the given names.
-    """
-    violations = []
-    checked = 0
-    for x, lat in enumerate(fib.sub):
-        where = fib.category.object_names[x]
-        rows = rel[x]
-        for m in range(lat.size):
-            checked += 1
-            if rows[m] & ~lat.up[m]:
-                n = next(mask_iter(rows[m] & ~lat.up[m]))
-                violations.append(
-                    Violation(above, where=where, witness=(lat.labels[m], lat.labels[n]))
-                )
-        for m in range(lat.size):
-            for mp in mask_iter(lat.up[m]):
-                checked += 1
-                if rows[mp] & ~rows[m]:
-                    q = next(mask_iter(rows[mp] & ~rows[m]))
-                    violations.append(
-                        Violation(
-                            antitone,
-                            where=where,
-                            witness=(lat.labels[m], lat.labels[mp], lat.labels[q]),
-                        )
-                    )
-            for n in mask_iter(rows[m]):
-                checked += 1
-                if lat.up[n] & ~rows[m]:
-                    q = next(mask_iter(lat.up[n] & ~rows[m]))
-                    violations.append(
-                        Violation(
-                            up_closed,
-                            where=where,
-                            witness=(lat.labels[m], lat.labels[n], lat.labels[q]),
-                        )
-                    )
-    return checked, violations
-
-
-def validate_topogenous(t: TopogenousOrder) -> Report:
-    fib = t.fib
-    checked, violations = _local_relation_violations(
-        fib, t.rel, "below-order", "order-compatibility", "order-compatibility"
-    )
-    cat = fib.category
-    for f in range(cat.n_morphisms):
-        x, y = fib.dom(f), fib.cod(f)
-        pre = fib.pre[f]
-        rows_y, rows_x = t.rel[y], t.rel[x]
-        ly = fib.sub[y]
-        for m in range(ly.size):
-            for n in mask_iter(rows_y[m]):
-                checked += 1
-                if not rows_x[pre[m]] >> pre[n] & 1:
-                    violations.append(
-                        Violation(
-                            "preimage-stability",
-                            where=cat.mor_names[f],
-                            witness=(ly.labels[m], ly.labels[n]),
-                        )
-                    )
-    return Report("topogenous-order", checked, tuple(violations))
-
-
-def validate_closure(c: ClosureOperator) -> Report:
-    violations = []
-    checked = 0
-    fib = c.fib
-    for x, lat in enumerate(fib.sub):
-        where = fib.category.object_names[x]
-        cm = c.cmap[x]
-        for m in range(lat.size):
-            checked += 1
-            if not lat.leq(m, cm[m]):
-                violations.append(Violation("extensive", where=where, witness=(lat.labels[m],)))
-            for n in mask_iter(lat.up[m]):
-                checked += 1
-                if not lat.leq(cm[m], cm[n]):
-                    violations.append(
-                        Violation("monotone", where=where, witness=(lat.labels[m], lat.labels[n]))
-                    )
-    cat = fib.category
-    for f in range(cat.n_morphisms):
-        x, y = fib.dom(f), fib.cod(f)
-        img = fib.img[f]
-        lx, ly = fib.sub[x], fib.sub[y]
-        for m in range(lx.size):
-            checked += 1
-            if not ly.leq(img[c.cmap[x][m]], c.cmap[y][img[m]]):
-                violations.append(
-                    Violation("image-continuity", where=cat.mor_names[f], witness=(lx.labels[m],))
-                )
-    return Report("closure-operator", checked, tuple(violations))
-
-
-def validate_interior(i: InteriorOperator) -> Report:
-    violations = []
-    checked = 0
-    fib = i.fib
-    for x, lat in enumerate(fib.sub):
-        where = fib.category.object_names[x]
-        im = i.imap[x]
-        for m in range(lat.size):
-            checked += 1
-            if not lat.leq(im[m], m):
-                violations.append(Violation("contractive", where=where, witness=(lat.labels[m],)))
-            for n in mask_iter(lat.up[m]):
-                checked += 1
-                if not lat.leq(im[m], im[n]):
-                    violations.append(
-                        Violation("monotone", where=where, witness=(lat.labels[m], lat.labels[n]))
-                    )
-    cat = fib.category
-    for f in range(cat.n_morphisms):
-        x, y = fib.dom(f), fib.cod(f)
-        pre = fib.pre[f]
-        lx, ly = fib.sub[x], fib.sub[y]
-        for n in range(ly.size):
-            checked += 1
-            if not lx.leq(pre[i.imap[y][n]], i.imap[x][pre[n]]):
-                violations.append(
-                    Violation("preimage-continuity", where=cat.mor_names[f], witness=(ly.labels[n],))
-                )
-    return Report("interior-operator", checked, tuple(violations))
-
-
-def validate_neighbourhood(nu: NeighbourhoodOperator) -> Report:
-    fib = nu.fib
-    checked, violations = _local_relation_violations(
-        fib, nu.nu, "neighbourhood-above", "antitone", "up-closed"
-    )
-    cat = fib.category
-    for f in range(cat.n_morphisms):
-        x, y = fib.dom(f), fib.cod(f)
-        img, pre = fib.img[f], fib.pre[f]
-        lx, ly = fib.sub[x], fib.sub[y]
-        for m in range(lx.size):
-            for n in mask_iter(nu.nu[y][img[m]]):
-                checked += 1
-                if not nu.nu[x][m] >> pre[n] & 1:
-                    violations.append(
-                        Violation(
-                            "continuity", where=cat.mor_names[f], witness=(lx.labels[m], ly.labels[n])
-                        )
-                    )
-    return Report("neighbourhood-operator", checked, tuple(violations))
-
-
 def validate_structure(s) -> Report:
-    if isinstance(s, TopogenousOrder):
-        return validate_topogenous(s)
-    if isinstance(s, ClosureOperator):
-        return validate_closure(s)
-    if isinstance(s, InteriorOperator):
-        return validate_interior(s)
-    if isinstance(s, NeighbourhoodOperator):
-        return validate_neighbourhood(s)
-    raise PreconditionError(f"not a known structure: {type(s).__name__}")
+    """The kind's local axioms on every object, then its law along every
+    morphism."""
+    if not isinstance(s, _Structure):
+        raise PreconditionError(f"not a known structure: {type(s).__name__}")
+    fib, table = s.fib, s.table
+    cat = fib.category
+    checked, violations = s._local_violations()
+    for f in range(cat.n_morphisms):
+        dom_row, cod_row = table[fib.dom(f)], table[fib.cod(f)]
+        labels = (fib.sub_dom(f).labels, fib.sub_cod(f).labels)
+        checked += s.law_checks(fib, f, dom_row, cod_row)
+        violations.extend(
+            Violation(
+                s.law_name,
+                where=cat.mor_names[f],
+                witness=tuple(labels[side][i] for side, i in zip(s.witness_sides, witness)),
+            )
+            for witness in s.law(fib, f, dom_row, cod_row)
+        )
+    return Report(s.report_name, checked, tuple(violations))
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,41 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("predicates", "--order", "nosuch"),
+    ("classify", "--order", "nosuch", "--map", "id_pt"),
+    ("strict-subs", "--order", "nosuch", "--object", "pt"),
+    ("convert", "--from", "topogenous", "--to", "closure", "--order", "nosuch"),
+    ("induce", "--pointed", "t0", "--order", "nosuch", "--fibration", "t0_small"),
+    ("lift", "--order", "nosuch"),
+])
+def test_unknown_order_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown order kind 'nosuch'")
+
+
+@pytest.mark.parametrize("argv", [
+    ("predicates",),
+    ("predicates", "--map", "discrete2>pt:00", "--order", "closure"),
+])
+def test_predicates_takes_exactly_one_of_map_and_order(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("kind", ["closure", "interior", "neighbourhood"])
+def test_property_filter_on_another_kind_is_a_usage_error(capsys, kind):
+    code, out, err = run(capsys, "enumerate", "--builtin", "fintop2",
+                         "--kind", kind, "--filter", "meet")
+    assert code == 2
+    assert out == ""
+    assert err == "error: property filters apply to topogenous enumeration\n"
+
+
 def test_enumerate_count(capsys):
     code, out, _ = run(capsys, "enumerate", "--builtin", "disc2_loop",
                        "--kind", "topogenous", "--count-only")

@@ -7,17 +7,13 @@ from topogen.constructions import (
     PointedEndofunctor,
     check_extremality,
     continuity_between,
-    copointed_closure_constraint,
-    copointed_interior_constraint,
-    copointed_order_constraint,
+    counit_constraint,
     induce_copointed,
     induce_pointed,
     induced_closure,
     induced_interior,
     lift_topogenous,
-    pointed_closure_constraint,
-    pointed_interior_constraint,
-    pointed_order_constraint,
+    unit_constraint,
     validate_copointed,
     validate_fibered_functor,
     validate_pointed,
@@ -330,7 +326,7 @@ def test_extremality_family_of_one():
     ind = induce_pointed(p, t)
     assert ind == t
     report = check_extremality(ind, FamilySpec(
-        fib, "topogenous", pointed_order_constraint(p, t), "least", "identity-setting"))
+        fib, "topogenous", unit_constraint(p, t), "least", "identity-setting"))
     assert report.ok
     assert report.checked == 1
 
@@ -342,7 +338,7 @@ def test_pointed_least_order_by_enumeration():
         t = builtin_order(kind, fib)
         ind = induce_pointed(p, t)
         report = check_extremality(ind, FamilySpec(
-            fib, "topogenous", pointed_order_constraint(p, t), "least", kind))
+            fib, "topogenous", unit_constraint(p, t), "least", kind))
         assert report.ok, report.render()
         assert report.checked >= 1
 
@@ -354,7 +350,7 @@ def test_copointed_largest_order_by_enumeration():
         t = builtin_order(kind, fib)
         ind = induce_copointed(q, t)
         report = check_extremality(ind, FamilySpec(
-            fib, "topogenous", copointed_order_constraint(q, t), "largest", kind))
+            fib, "topogenous", counit_constraint(q, t), "largest", kind))
         assert report.ok, report.render()
 
 
@@ -364,7 +360,7 @@ def test_closure_extremality_by_enumeration():
     t = builtin_order("closure", fib)
     c = induced_closure(p, t)
     report = check_extremality(c, FamilySpec(
-        fib, "closure", pointed_closure_constraint(p, closure_from_topogenous(t)),
+        fib, "closure", unit_constraint(p, closure_from_topogenous(t)),
         "largest", "pointed"))
     assert report.ok, report.render()
 
@@ -373,7 +369,7 @@ def test_closure_extremality_by_enumeration():
     tc = builtin_order("closure", fibc)
     cc = induced_closure(q, tc)
     report = check_extremality(cc, FamilySpec(
-        fibc, "closure", copointed_closure_constraint(q, closure_from_topogenous(tc)),
+        fibc, "closure", counit_constraint(q, closure_from_topogenous(tc)),
         "least", "copointed"))
     assert report.ok, report.render()
 
@@ -384,7 +380,7 @@ def test_interior_extremality_by_enumeration():
     t = builtin_order("interior", fib)
     i = induced_interior(p, t)
     report = check_extremality(i, FamilySpec(
-        fib, "interior", pointed_interior_constraint(p, interior_from_topogenous(t)),
+        fib, "interior", unit_constraint(p, interior_from_topogenous(t)),
         "least", "pointed"))
     assert report.ok, report.render()
 
@@ -393,7 +389,7 @@ def test_interior_extremality_by_enumeration():
     tc = builtin_order("interior", fibc)
     ic = induced_interior(q, tc)
     report = check_extremality(ic, FamilySpec(
-        fibc, "interior", copointed_interior_constraint(q, interior_from_topogenous(tc)),
+        fibc, "interior", counit_constraint(q, interior_from_topogenous(tc)),
         "largest", "copointed"))
     assert report.ok, report.render()
 
@@ -405,7 +401,7 @@ def test_extremality_detects_non_extremal_candidates():
     smaller = induce_copointed(q, t)
     # feed something that is in the family but not largest: the base order
     report = check_extremality(t, FamilySpec(
-        fib, "topogenous", copointed_order_constraint(q, t), "largest", "bogus"))
+        fib, "topogenous", counit_constraint(q, t), "largest", "bogus"))
     assert (t == smaller) or not report.ok
 
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from topogen.errors import (
+    DomainError,
     FormatError,
     InternalConsistencyError,
     PreconditionError,
@@ -186,6 +187,22 @@ def test_lattice_size_cap():
 def test_unknown_kind_rejected(disc2_loop):
     with pytest.raises(PreconditionError):
         next(iter(enumerate_structures(EnumerationSpec(disc2_loop, "nonsense"))))
+
+
+@pytest.mark.parametrize("kind,prop", [
+    ("closure", "meet"), ("interior", "join"), ("neighbourhood", "interpolative"),
+    ("topogenous", "nonsense"),
+])
+def test_bad_property_filter_rejected_before_generation(fintop2, monkeypatch, kind, prop):
+    import topogen.harness.enumeration as enumeration
+
+    def no_generation(*args):
+        raise AssertionError("candidates generated")
+
+    monkeypatch.setattr(enumeration, "relation_candidates", no_generation)
+    monkeypatch.setattr(enumeration, "operator_candidates", no_generation)
+    with pytest.raises(DomainError):
+        next(iter(enumerate_structures(EnumerationSpec(fintop2, kind, prop_filter=prop))))
 
 
 # ---------------------------------------------------------------------------
