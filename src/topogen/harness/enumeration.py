@@ -21,7 +21,8 @@ from ..structures import (
     NeighbourhoodOperator,
     TopogenousOrder,
     is_interpolative,
-    predicates,
+    is_join_preserving,
+    is_meet_preserving,
 )
 
 DEFAULT_MAX_CANDIDATES = 1 << 24
@@ -123,8 +124,8 @@ def operator_candidates(lat: FiniteLattice, kind: str) -> list[tuple[int, ...]]:
 
 
 _FILTERS = {
-    "meet": lambda t: predicates(t).meet_preserving,
-    "join": lambda t: predicates(t).join_preserving,
+    "meet": is_meet_preserving,
+    "join": is_join_preserving,
     "interpolative": is_interpolative,
 }
 

@@ -30,6 +30,7 @@ from typing import Optional, Union
 
 from ..errors import FormatError
 from ..instances.groups import FinGroup
+from ..instances.registry import ORDER_KINDS
 from ..instances.topology import FinTopSpace
 
 
@@ -265,12 +266,17 @@ def _parse_map(name, fields, line) -> MapRecord:
 
 
 def _parse_order(name, fields, line) -> OrderRecord:
-    if fields.get("kind") == "explicit":
+    kind = fields.get("kind")
+    if kind == "explicit":
         _require(fields, ("fibration", "kind", "rel"), line)
         rel = _parse_blocks(fields["rel"], line, 0, _parse_pair)
         return OrderRecord(name, fields["fibration"], "explicit", rel)
     _require(fields, ("fibration", "kind"), line)
-    return OrderRecord(name, fields["fibration"], fields["kind"])
+    if kind not in ORDER_KINDS:
+        raise FormatError(
+            f"order kind must be {'|'.join(ORDER_KINDS)}|explicit, got {kind!r}", line
+        )
+    return OrderRecord(name, fields["fibration"], kind)
 
 
 def _parse_operator(name, fields, line) -> OperatorRecord:

@@ -54,8 +54,9 @@ from ..structures import (
     interior_from_topogenous,
     is_idempotent,
     is_interpolative,
+    is_join_preserving,
+    is_meet_preserving,
     nbhd_from_topogenous,
-    predicates,
     topogenous_from_closure,
     topogenous_from_interior,
     topogenous_from_nbhd,
@@ -144,8 +145,8 @@ def check_conversion_bijections(scale: str) -> Report:
                     violations.append(Violation("enumerated-structure-invalid", where=name))
         if len({t.rel for t in torders}) != len(torders):
             violations.append(Violation("duplicate-structures", where=name))
-        meet = [t for t in torders if predicates(t).meet_preserving]
-        join = [t for t in torders if predicates(t).join_preserving]
+        meet = [t for t in torders if is_meet_preserving(t)]
+        join = [t for t in torders if is_join_preserving(t)]
         if len(torders) != len(nbhds):
             violations.append(Violation(
                 "count-orders-vs-neighbourhoods", where=name,

@@ -367,6 +367,7 @@ def fingrp_fibration(groups, name: str = "fingrp", max_morphisms: int = 100_000)
         e_pullback_stable=True,
         backend=_FinGrpBackend(groups),
         name=name,
+        subsets=subs_masks,
     )
 
 

@@ -171,6 +171,7 @@ def topgrp_fibration(max_order: int = 4) -> FiberedFunctor:
         e_pullback_stable=True,
         backend=_TopGrpBackend(tgs),
         name=f"topgrp_le{max_order}",
+        subsets=[subgroups_of(tg.group) for tg in tgs],
     )
     obj_map = tuple(base_index[tg.group.name] for tg in tgs)
     gamma = tuple(tuple(range(lat.size)) for lat in sub)

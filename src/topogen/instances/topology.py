@@ -344,6 +344,7 @@ def fintop_fibration(
         fstar=fstar,
         backend=_FinTopBackend(spaces, max_points),
         name=name,
+        subsets=[tuple(range(1 << s.n)) for s in spaces],
     )
 
 

@@ -344,11 +344,21 @@ def is_interpolative(t: TopogenousOrder) -> bool:
     return True
 
 
+def is_meet_preserving(t: TopogenousOrder) -> bool:
+    """Each set {n : m ⊏ n} is closed under all meets, the empty one included."""
+    return _meet_preservation_witness(t) is None
+
+
+def is_join_preserving(t: TopogenousOrder) -> bool:
+    """Each set {m : m ⊏ n} is closed under all joins, the empty one included."""
+    return _join_preservation_witness(t) is None
+
+
 def predicates(t: TopogenousOrder) -> OrderPredicates:
     """Meet/join preservation (all families, including the empty one) and interpolation."""
     return OrderPredicates(
-        meet_preserving=_meet_preservation_witness(t) is None,
-        join_preserving=_join_preservation_witness(t) is None,
+        meet_preserving=is_meet_preserving(t),
+        join_preserving=is_join_preserving(t),
         interpolative=is_interpolative(t),
     )
 

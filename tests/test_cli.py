@@ -123,6 +123,20 @@ def test_unknown_order_is_a_usage_error(capsys, argv):
     assert err.startswith("error: unknown order kind 'nosuch'")
 
 
+def test_unknown_order_kind_in_a_file_is_a_parse_error(capsys, tmp_path):
+    doc = tmp_path / "in.topo"
+    doc.write_text(
+        "space two: points=2; opens={},{0},{0,1}\n"
+        "order e: fibration=spaces:two; kind=nosuch\n"
+        "order inc: fibration=spaces:two; kind=leq\n"
+    )
+    code, out, err = run(capsys, "validate", str(doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: order kind must be ")
+    assert err.rstrip().endswith("got 'nosuch' (line 2)")
+
+
 @pytest.mark.parametrize("argv", [
     ("predicates",),
     ("predicates", "--map", "discrete2>pt:00", "--order", "closure"),

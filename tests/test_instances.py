@@ -347,3 +347,24 @@ def test_sierpinski_interior_order_rows(fintop2):
     # subsets relate to the open point iff they sit inside it
     related_to_open_point = [m for m in range(4) if t.holds(x, m, 0b10)]
     assert related_to_open_point == [0b00, 0b10]
+
+
+def test_every_concrete_builder_sets_subsets(tmp_path):
+    from topogen.cli import _Environment
+    from topogen.instances.groups import fingrp_fibration, small_catalog
+    from topogen.instances.topgroups import topgrp_fibration
+    from topogen.instances.topology import fintop_fibration
+
+    doc = tmp_path / "in.topo"
+    doc.write_text(
+        "space two: points=2; opens={},{0},{0,1}\n"
+        "space one: points=1; opens={},{0}\n"
+    )
+    for fib in (
+        fintop_fibration([SIERPINSKI, discrete(2)]),
+        _Environment([doc]).fibration("spaces:two,one"),
+        fingrp_fibration(small_catalog()),
+        topgrp_fibration(4).total,
+    ):
+        assert fib.subsets is not None, fib.name
+        assert [len(masks) for masks in fib.subsets] == [lat.size for lat in fib.sub]

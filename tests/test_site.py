@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from topogen import site
 from topogen.errors import CapabilityError, DomainError, InternalConsistencyError
 from topogen.lattice import FiniteLattice
 from topogen.site import (
@@ -111,6 +112,7 @@ def _with_tables(fib, img=None, pre=None):
         mclass=fib.mclass,
         fstar=fib.fstar,
         name="broken",
+        subsets=fib.subsets,
     )
 
 
@@ -181,6 +183,50 @@ def test_functoriality_scan_matches_per_pair_reference(fintop2, grp_small):
     assert _assert_functoriality_matches_reference(loop)
 
 
+def _scan_must_not_run(fib):
+    raise AssertionError(f"the per-pair functoriality scan ran on {fib.name}")
+
+
+@pytest.mark.parametrize(
+    "name", ["fintop2", "grp_small", "t0_small", "coreflect_small", "topgrp_le4"]
+)
+def test_intact_fibrations_are_certified_without_the_scan(monkeypatch, name):
+    from topogen.instances.registry import builtin_fibration
+
+    fib = builtin_fibration(name)
+    assert site._functoriality_violations(fib) == []
+    monkeypatch.setattr(site, "_functoriality_violations", _scan_must_not_run)
+    assert _assert_functoriality_matches_reference(fib) == []
+
+
+def test_functorial_tables_off_the_set_level_ones_go_through_the_scan(monkeypatch, fintop2):
+    # relabel discrete2's subobjects by the lattice automorphism swapping {0}
+    # and {1}: every table is conjugated, so no pair law breaks, yet the
+    # tables at discrete2 are no longer the set-level image and preimage
+    cat = fintop2.category
+    swap = [tuple(range(lat.size)) for lat in fintop2.sub]
+    swap[cat.object_index("discrete2")] = (0, 2, 1, 3)
+    dom, cod = cat.mor_dom, cat.mor_cod
+    img = [
+        tuple(swap[cod[f]][t[swap[dom[f]][i]]] for i in range(len(t)))
+        for f, t in enumerate(fintop2.img)
+    ]
+    pre = [
+        tuple(swap[dom[f]][t[swap[cod[f]][j]]] for j in range(len(t)))
+        for f, t in enumerate(fintop2.pre)
+    ]
+    assert img != list(fintop2.img) and pre != list(fintop2.pre)
+    relabelled = _with_tables(fintop2, img=img, pre=pre)
+    scan = site._functoriality_violations
+    scanned = []
+    monkeypatch.setattr(
+        site, "_functoriality_violations", lambda fib: scanned.append(fib.name) or scan(fib)
+    )
+    assert _assert_functoriality_matches_reference(relabelled) == []
+    assert scanned == ["broken"]
+    assert validate_fibration(relabelled).ok
+
+
 def test_functoriality_scan_matches_reference_on_corrupted_tables(fintop2):
     cat = fintop2.category
     plain = [
@@ -207,14 +253,16 @@ def test_functoriality_scan_matches_reference_on_corrupted_tables(fintop2):
     assert len({v.law for v in got}) == 2
 
 
-@pytest.mark.parametrize("kind", ["graphs", "table"])
+@pytest.mark.parametrize("kind", ["graphs", "graphs+subsets", "table"])
 def test_functoriality_scan_reports_a_missing_composite_like_compose(kind):
     from test_harness import loop_fibration
     from topogen.instances.topology import fintop_fibration
     from topogen.instances.registry import builtin_space
 
-    if kind == "graphs":
-        # the constant endomap 0 of Sierpinski space factors only through the point
+    if kind.startswith("graphs"):
+        # the constant endomap 0 of Sierpinski space factors only through the
+        # point; the point's own constant map has the same graph, so the
+        # composite check must compare codomains, not graphs alone
         fib = fintop_fibration([builtin_space("pt"), builtin_space("sierpinski")])
         cat = fib.category
         drop = cat.morphism_index("sierpinski>sierpinski:00")
@@ -233,6 +281,7 @@ def test_functoriality_scan_reports_a_missing_composite_like_compose(kind):
             eclass=frozenset(new[m] for m in fib.eclass if m != drop),
             mclass=frozenset(new[m] for m in fib.mclass if m != drop),
             fstar=[fib.fstar[m] for m in keep], name="cut",
+            subsets=fib.subsets if kind == "graphs+subsets" else None,
         )
     else:
         fib = loop_fibration(FiniteLattice.powerset(1), extra_pre_tables=((0, 0),))
@@ -242,7 +291,7 @@ def test_functoriality_scan_reports_a_missing_composite_like_compose(kind):
     with pytest.raises(InternalConsistencyError) as got:
         validate_fibration(fib)
     assert str(got.value) == str(want.value)
-    assert ("not closed under composition" if kind == "graphs" else "table is missing") in str(
+    assert ("table is missing" if kind == "table" else "not closed under composition") in str(
         got.value
     )
 
@@ -469,8 +518,10 @@ def test_lemma_inequality_on_all_commuting_squares(fintop2):
     assert checked > 1000
 
 
-def test_functoriality_exhaustive_at_scale(fintop3):
+def test_functoriality_exhaustive_at_scale(monkeypatch, fintop3):
     from topogen.instances.registry import builtin_fibration
 
+    # both are certified per morphism: the per-pair scan never runs
+    monkeypatch.setattr(site, "_functoriality_violations", _scan_must_not_run)
     assert validate_fibration(fintop3, functoriality=True).ok
     assert validate_fibration(builtin_fibration("grp_le8"), functoriality=True).ok
