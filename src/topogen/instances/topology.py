@@ -24,6 +24,8 @@ class FinTopSpace:
 
     def __post_init__(self):
         full = (1 << self.n) - 1
+        if any(o & ~full for o in self.opens):
+            raise PreconditionError(f"an open set names a point >= {self.n}")
         if 0 not in self.opens or full not in self.opens:
             raise PreconditionError("opens must contain the empty set and the whole space")
         if tuple(sorted(set(self.opens))) != self.opens:

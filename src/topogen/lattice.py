@@ -10,7 +10,6 @@ these masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Optional
 
 from .errors import DomainError, PreconditionError
@@ -136,12 +135,6 @@ class FiniteLattice:
             self.require(e)
             out = self.join_table[out][e]
         return out
-
-    def meet_mask(self, mask: int) -> int:
-        return reduce(self.meet, mask_iter(mask), self.top)
-
-    def join_mask(self, mask: int) -> int:
-        return reduce(self.join, mask_iter(mask), self.bottom)
 
     def index_of(self, label: str) -> int:
         try:

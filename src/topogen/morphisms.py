@@ -22,7 +22,8 @@ from .structures import (
     closure_from_topogenous,
     interior_from_topogenous,
     is_interpolative,
-    predicates,
+    is_join_preserving,
+    is_meet_preserving,
 )
 from .site import PullbackSquare, SubobjectFibration, check_bcp
 
@@ -393,24 +394,24 @@ def crosscheck_operator_classes(f: int, t: TopogenousOrder) -> Report:
     fib = t.fib
     if not fib.preimage_join_commuting():
         raise PreconditionError("preimages do not commute with joins in this fibration")
-    preds = predicates(t)
+    meets, joins = is_meet_preserving(t), is_join_preserving(t)
     name = fib.category.mor_names[f]
     cls = classify(f, t)
     violations = []
     checked = 0
-    if preds.meet_preserving:
+    if meets:
         oper = closure_classes(f, closure_from_topogenous(t))
         for kind, flag in zip(_CLASSES, class_flags(cls)):
             checked += 1
             if flag != oper[kind]:
                 violations.append(Violation(f"closure-class-{kind}", where=name))
-    if preds.join_preserving:
+    if joins:
         oper = interior_classes(f, interior_from_topogenous(t))
         for kind, flag in zip(_CLASSES, class_flags(cls)):
             checked += 1
             if flag != oper[kind]:
                 violations.append(Violation(f"interior-class-{kind}", where=name))
-    if not (preds.meet_preserving or preds.join_preserving):
+    if not (meets or joins):
         raise PreconditionError("order preserves neither meets nor joins")
     return Report(f"operator-crosscheck {name}", checked, tuple(violations))
 
@@ -432,12 +433,11 @@ def weakly_final_formulas(f: int, t: TopogenousOrder) -> Report:
     x, y = fib.dom(f), fib.cod(f)
     img, pre, fstar = fib.img[f], fib.pre[f], fib.fstar[f]
     ly = fib.sub[y]
-    preds = predicates(t)
     wf = _is_weakly_final(t, f)
     violations = []
     checked = 0
     ran_any = False
-    if preds.meet_preserving:
+    if is_meet_preserving(t):
         ran_any = True
         c = closure_from_topogenous(t)
         formula = all(
@@ -446,7 +446,7 @@ def weakly_final_formulas(f: int, t: TopogenousOrder) -> Report:
         checked += ly.size
         if formula != wf:
             violations.append(Violation("closure-formula-vs-weak-finality", where=name))
-    if preds.join_preserving and fstar is not None:
+    if fstar is not None and is_join_preserving(t):
         ran_any = True
         i = interior_from_topogenous(t)
         formula = all(

@@ -11,16 +11,12 @@ accident we rely on silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import PreconditionError
 from .lattice import mask_iter
 from .reporting import Report, Violation
 from .site import SubobjectFibration
-
-# Exhaustive family quantification in the meet/join-preservation predicates
-# scans all 2^|sub X| subsets; capped here.
-PREDICATE_LATTICE_CAP = 16
-
 
 @dataclass(frozen=True, eq=False)
 class _Structure:
@@ -294,64 +290,78 @@ class OrderPredicates:
     interpolative: bool
 
 
-def _meet_preservation_witness(t: TopogenousOrder):
-    """None, or (object, m, family-mask) with every member related but not the meet."""
-    for x, lat in enumerate(t.fib.sub):
-        if lat.size > PREDICATE_LATTICE_CAP:
-            raise PreconditionError(
-                f"predicate scan capped at lattice size {PREDICATE_LATTICE_CAP}"
-            )
-        for m in range(lat.size):
-            related = t.rel[x][m]
-            for family in range(1 << lat.size):
-                if family & ~related:
-                    continue
-                if not related >> lat.meet_mask(family) & 1:
-                    return (x, m, family)
-    return None
+def _unclosed_family(table, unit: int, s: int):
+    """None when the set ``s`` (a mask) holds the fold under ``table`` of each
+    of its families, else the least such family, in mask order, whose fold
+    lies outside ``s``; ``s`` need not be up-closed.
+
+    Mask order compares the highest member first, so the family is built from
+    the top down, each next member the least h that some family of members
+    up to h completes (it lies below the last).  ``reachable``, the folds of
+    those families, grows one member h at a time (the old folds, and each
+    combined with h) and stays inside a closed ``s``: O(|s|^2) to decide,
+    O(|s|^2 |L|) for the witness on a lattice L, not O(2^|s|).
+    """
+    family, fold = 0, unit
+    while s >> fold & 1:
+        reachable = {unit}
+        for h in mask_iter(s):
+            reachable |= {table[g][h] for g in reachable}
+            if not all(s >> table[g][fold] & 1 for g in reachable):
+                break
+        else:
+            return None
+        family |= 1 << h
+        fold = table[fold][h]
+    return family
 
 
-def _join_preservation_witness(t: TopogenousOrder):
-    for x, lat in enumerate(t.fib.sub):
-        if lat.size > PREDICATE_LATTICE_CAP:
-            raise PreconditionError(
-                f"predicate scan capped at lattice size {PREDICATE_LATTICE_CAP}"
-            )
-        for n in range(lat.size):
-            related = 0
-            for m in range(lat.size):
-                if t.rel[x][m] >> n & 1:
-                    related |= 1 << m
-            for family in range(1 << lat.size):
-                if family & ~related:
-                    continue
-                if not t.rel[x][lat.join_mask(family)] >> n & 1:
-                    return (x, n, family)
-    return None
+def _transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The transpose of one object's relation: from the rows {n : m ⊏ n}, the
+    columns {m : m ⊏ n}, and back."""
+    cols = [0] * len(rows)
+    for m, row in enumerate(rows):
+        for n in mask_iter(row):
+            cols[n] |= 1 << m
+    return tuple(cols)
+
+
+def _sets_to_close(t: TopogenousOrder, joins: bool):
+    """Per object: its lattice, the operation and unit to close under, and the
+    sets to close: the rows {n : m ⊏ n} under meets, or the columns under joins."""
+    for lat, rows in zip(t.fib.sub, t.rel):
+        if joins:
+            yield lat, lat.join_table, lat.bottom, _transpose(rows)
+        else:
+            yield lat, lat.meet_table, lat.top, rows
+
+
+def _preserves(t: TopogenousOrder, joins: bool) -> bool:
+    return all(
+        _unclosed_family(table, unit, s) is None
+        for _, table, unit, sets in _sets_to_close(t, joins)
+        for s in sets
+    )
 
 
 def is_interpolative(t: TopogenousOrder) -> bool:
-    for x, lat in enumerate(t.fib.sub):
-        # row_to[n] = mask of p with p ⊏ n
-        row_to = [0] * lat.size
-        for p in range(lat.size):
-            for n in mask_iter(t.rel[x][p]):
-                row_to[n] |= 1 << p
-        for m in range(lat.size):
-            for n in mask_iter(t.rel[x][m]):
-                if not t.rel[x][m] & row_to[n]:
+    for rows in t.rel:
+        cols = _transpose(rows)
+        for row in rows:
+            for n in mask_iter(row):
+                if not row & cols[n]:
                     return False
     return True
 
 
 def is_meet_preserving(t: TopogenousOrder) -> bool:
     """Each set {n : m ⊏ n} is closed under all meets, the empty one included."""
-    return _meet_preservation_witness(t) is None
+    return _preserves(t, joins=False)
 
 
 def is_join_preserving(t: TopogenousOrder) -> bool:
     """Each set {m : m ⊏ n} is closed under all joins, the empty one included."""
-    return _join_preservation_witness(t) is None
+    return _preserves(t, joins=True)
 
 
 def predicates(t: TopogenousOrder) -> OrderPredicates:
@@ -377,25 +387,33 @@ def topogenous_from_nbhd(nu: NeighbourhoodOperator) -> TopogenousOrder:
     return TopogenousOrder(nu.fib, nu.nu)
 
 
+def _folds(t: TopogenousOrder, joins: bool) -> tuple[tuple[int, ...], ...]:
+    """Per object, the meet of each row (or the join of each column) of t.
+
+    Raises when a row (column) is not closed under meets (joins), with the
+    object, its element and the least failing family as witness."""
+    out = []
+    for x, (lat, table, unit, sets) in enumerate(_sets_to_close(t, joins)):
+        folds = []
+        for m, s in enumerate(sets):
+            family = _unclosed_family(table, unit, s)
+            if family is not None:
+                raise PreconditionError(
+                    f"order is not {'join' if joins else 'meet'}-preserving",
+                    witness=(
+                        t.fib.category.object_names[x],
+                        lat.labels[m],
+                        tuple(lat.labels[i] for i in mask_iter(family)),
+                    ),
+                )
+            folds.append(reduce(lambda acc, i: table[acc][i], mask_iter(s), unit))
+        out.append(tuple(folds))
+    return tuple(out)
+
+
 def closure_from_topogenous(t: TopogenousOrder) -> ClosureOperator:
     """c(m) = meet of everything above m in the order; needs meet-preservation."""
-    witness = _meet_preservation_witness(t)
-    if witness is not None:
-        x, m, family = witness
-        lat = t.fib.sub[x]
-        raise PreconditionError(
-            "order is not meet-preserving",
-            witness=(
-                t.fib.category.object_names[x],
-                lat.labels[m],
-                tuple(lat.labels[i] for i in mask_iter(family)),
-            ),
-        )
-    cmap = tuple(
-        tuple(lat.meet_mask(t.rel[x][m]) for m in range(lat.size))
-        for x, lat in enumerate(t.fib.sub)
-    )
-    return ClosureOperator(t.fib, cmap)
+    return ClosureOperator(t.fib, _folds(t, joins=False))
 
 
 def topogenous_from_closure(c: ClosureOperator) -> TopogenousOrder:
@@ -409,38 +427,16 @@ def topogenous_from_closure(c: ClosureOperator) -> TopogenousOrder:
 
 def interior_from_topogenous(t: TopogenousOrder) -> InteriorOperator:
     """i(n) = join of everything below n in the order; needs join-preservation."""
-    witness = _join_preservation_witness(t)
-    if witness is not None:
-        x, n, family = witness
-        lat = t.fib.sub[x]
-        raise PreconditionError(
-            "order is not join-preserving",
-            witness=(
-                t.fib.category.object_names[x],
-                lat.labels[n],
-                tuple(lat.labels[i] for i in mask_iter(family)),
-            ),
-        )
-    imap = []
-    for x, lat in enumerate(t.fib.sub):
-        row_to = [0] * lat.size
-        for p in range(lat.size):
-            for n in mask_iter(t.rel[x][p]):
-                row_to[n] |= 1 << p
-        imap.append(tuple(lat.join_mask(row_to[n]) for n in range(lat.size)))
-    return InteriorOperator(t.fib, tuple(imap))
+    return InteriorOperator(t.fib, _folds(t, joins=True))
 
 
 def topogenous_from_interior(i: InteriorOperator) -> TopogenousOrder:
     """m ⊏ n iff m <= i(n)."""
-    rel = []
-    for x, lat in enumerate(i.fib.sub):
-        rows = [0] * lat.size
-        for n in range(lat.size):
-            for m in mask_iter(lat.down[i.imap[x][n]]):
-                rows[m] |= 1 << n
-        rel.append(tuple(rows))
-    return TopogenousOrder(i.fib, tuple(rel))
+    rel = tuple(
+        _transpose(tuple(lat.down[i.imap[x][n]] for n in range(lat.size)))
+        for x, lat in enumerate(i.fib.sub)
+    )
+    return TopogenousOrder(i.fib, rel)
 
 
 def is_idempotent(op) -> bool:
@@ -461,14 +457,16 @@ def discrete_order(fib: SubobjectFibration) -> TopogenousOrder:
 def induced_relation_of_closure(t: TopogenousOrder) -> tuple[tuple[int, ...], ...]:
     """The relation {(m, n) : meet(related set of m) <= n}, rowwise.
 
-    Always contains the original relation; equals it exactly when the order
-    is meet-preserving (rows with an empty related set stay empty).
+    Always contains the original relation.  When every row is inhabited, it
+    equals the original exactly when the order is meet-preserving.  An empty
+    row stays empty, so it matches, yet it lacks the top and is never
+    meet-preserving.
     """
     out = []
     for x, lat in enumerate(t.fib.sub):
         rows = []
         for m in range(lat.size):
             related = t.rel[x][m]
-            rows.append(lat.up[lat.meet_mask(related)] if related else 0)
+            rows.append(lat.up[lat.meet_all(mask_iter(related))] if related else 0)
         out.append(tuple(rows))
     return tuple(out)

@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 from topogen.cli import main
+from topogen.instances.topology import FinTopSpace
 
 
 def run(capsys, *argv):
@@ -62,6 +65,71 @@ def test_convert_non_meet_preserving_fails_with_witness(capsys, tmp_path):
     assert code == 1
     assert "not meet-preserving" in err
     assert "witness" in err
+
+
+# a topogenous order on the three-point chain space {},{0},{0,1},{0,1,2}
+# whose least failing families are pairs, under meets and under joins
+PINCHED = (
+    "space chain: points=3; opens={},{0},{0,1},{0,1,2}\n"
+    "order pinched: fibration=spaces:chain; kind=explicit; rel=chain["
+    "({},{}),({},{0}),({},{1}),({},{0,1}),({},{2}),({},{0,2}),({},{1,2}),({},{0,1,2}),"
+    "({0},{0}),({0},{0,1}),({0},{0,2}),({0},{0,1,2}),({1},{0,1}),({1},{1,2}),({1},{0,1,2}),"
+    "({0,1},{0,1}),({0,1},{0,1,2}),({2},{2}),({2},{0,2}),({2},{1,2}),({2},{0,1,2}),"
+    "({0,2},{0,1,2}),({1,2},{1,2}),({1,2},{0,1,2}),({0,1,2},{0,1,2})]\n"
+)
+
+
+@pytest.mark.parametrize("target, failure, witness", [
+    ("closure", "order is not meet-preserving", "('chain', '{1}', ('{0,1}', '{1,2}'))"),
+    ("interior", "order is not join-preserving", "('chain', '{0,2}', ('{0}', '{2}'))"),
+])
+def test_convert_names_the_least_failing_pair(capsys, tmp_path, target, failure, witness):
+    doc = tmp_path / "in.topo"
+    doc.write_text(PINCHED)
+    code, out, err = run(capsys, "convert", "--from", "topogenous", "--to", target,
+                         "--order", "pinched", "--fibration", "spaces:chain", str(doc))
+    assert (code, out) == (1, "")
+    assert err == f"failure: {failure}\nwitness: {witness}\n"
+
+
+FIVE = FinTopSpace(5, (0b0, 0b1, 0b10, 0b11, 0b111, 0b1011, 0b1111, 0b11111))
+FIVE_DOC = "space five: points=5; opens={},{0},{1},{0,1},{0,1,2},{0,1,3},{0,1,2,3},{0,1,2,3,4}\n"
+
+
+@pytest.mark.parametrize("order, holds", [("closure", "meet_preserving"),
+                                          ("interior", "join_preserving")])
+def test_predicates_of_an_order_on_a_five_point_space(capsys, tmp_path, order, holds):
+    # 32-element subobject lattices
+    doc = tmp_path / "five.topo"
+    doc.write_text(FIVE_DOC)
+    code, out, _ = run(capsys, "predicates", "--order", order,
+                       "--fibration", "spaces:five", str(doc))
+    assert code == 0
+    assert f"  {holds}=true" in out.splitlines()
+
+
+def test_convert_to_closure_on_a_five_point_space(capsys, tmp_path):
+    doc = tmp_path / "five.topo"
+    doc.write_text(FIVE_DOC)
+    code, out, _ = run(capsys, "convert", "--from", "topogenous", "--to", "closure",
+                       "--order", "closure", "--fibration", "spaces:five", str(doc))
+    assert code == 0
+
+    def label(mask):
+        return "{" + ",".join(str(p) for p in range(5) if mask >> p & 1) + "}"
+
+    table = dict(re.findall(r"(\{[0-9,]*\})=>(\{[0-9,]*\})", out))
+    assert table == {label(m): label(FIVE.closure(m)) for m in range(32)}
+
+
+def test_open_set_naming_a_point_outside_the_space_is_a_parse_error(capsys, tmp_path):
+    doc = tmp_path / "in.topo"
+    doc.write_text("# two points\nspace s: points=2; opens={},{0,1},{5},{0,1,5}\n")
+    for argv in (("validate",), ("convert", "--from", "topogenous", "--to", "closure",
+                                 "--order", "closure", "--fibration", "spaces:s")):
+        code, out, err = run(capsys, *argv, str(doc))
+        assert (code, out) == (2, "")
+        assert err == "parse error: invalid topology: an open set names a point >= 2 (line 2)\n"
 
 
 def test_validate_mixed_file(capsys, tmp_path):

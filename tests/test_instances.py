@@ -93,6 +93,8 @@ def test_space_validation_rejects_non_topologies():
 
     with pytest.raises(PreconditionError):
         FinTopSpace(2, (0, 1, 2))  # missing the union {0,1}
+    with pytest.raises(PreconditionError, match="names a point >= 2"):
+        FinTopSpace(2, (0, 0b11, 0b100000, 0b100011))  # {5} on two points
 
 
 def test_group_catalog_is_verified_and_distinct():

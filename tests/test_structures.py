@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from topogen.errors import PreconditionError
-from topogen.lattice import FiniteLattice
+from topogen.instances.registry import builtin_fibration
+from topogen.lattice import FiniteLattice, mask_iter
 from topogen.reporting import Violation
 from topogen.structures import (
     ClosureOperator,
@@ -14,6 +17,8 @@ from topogen.structures import (
     interior_from_topogenous,
     is_idempotent,
     is_interpolative,
+    is_join_preserving,
+    is_meet_preserving,
     nbhd_from_topogenous,
     predicates,
     topogenous_from_closure,
@@ -276,3 +281,119 @@ def test_corrupted_closure_order_row_is_reported_with_witness(fintop2):
     ) in report.violations
     assert any(v.law == "antitone" and v.where == "sierpinski" for v in report.violations)
     assert not any(v.law == "order-compatibility" for v in report.violations)
+
+
+# ---------------------------------------------------------------------------
+# meet/join preservation against the exhaustive family scan
+
+
+def _meet_witness_by_scan(t):
+    """Reference: (object, m, family) for the first family, in mask order, of
+    elements related to m whose meet is not; None when there is none."""
+    for x, lat in enumerate(t.fib.sub):
+        for m in range(lat.size):
+            related = t.rel[x][m]
+            for family in range(1 << lat.size):
+                if family & ~related == 0 and not related >> lat.meet_all(mask_iter(family)) & 1:
+                    return x, m, family
+    return None
+
+
+def _join_witness_by_scan(t):
+    """Reference: (object, n, family) for the first family, in mask order, of
+    elements related to n whose join is not; None when there is none."""
+    for x, lat in enumerate(t.fib.sub):
+        for n in range(lat.size):
+            related = sum(1 << m for m in range(lat.size) if t.rel[x][m] >> n & 1)
+            for family in range(1 << lat.size):
+                if family & ~related == 0 and not t.rel[x][lat.join_all(mask_iter(family))] >> n & 1:
+                    return x, n, family
+    return None
+
+
+def _assert_preservation_matches_scan(t):
+    """The decisions and the conversions' witnesses equal the reference's;
+    returns the sizes of the witness families."""
+    sizes = []
+    for decide, convert, scan in (
+        (is_meet_preserving, closure_from_topogenous, _meet_witness_by_scan),
+        (is_join_preserving, interior_from_topogenous, _join_witness_by_scan),
+    ):
+        found = scan(t)
+        assert decide(t) == (found is None)
+        if found is None:
+            convert(t)
+            continue
+        x, m, family = found
+        lat = t.fib.sub[x]
+        with pytest.raises(PreconditionError) as excinfo:
+            convert(t)
+        assert excinfo.value.witness == (
+            t.fib.category.object_names[x],
+            lat.labels[m],
+            tuple(lat.labels[i] for i in mask_iter(family)),
+        )
+        sizes.append(family.bit_count())
+    return sizes
+
+
+@pytest.mark.parametrize("name", ["disc2_loop", "fintop2", "t0_small", "coreflect_small"])
+def test_preservation_matches_scan_on_enumerated_orders(name):
+    for t in _all_orders(builtin_fibration(name)):
+        _assert_preservation_matches_scan(t)
+
+
+def test_preservation_matches_scan_on_unvalidated_tables(fintop2):
+    # random rows, each with the top taken out (the empty family fails) or put
+    # in (the row need not be up-closed, and a family of two members fails)
+    rng = random.Random(0)
+    sizes = set()
+    for _ in range(300):
+        rel = tuple(
+            tuple(
+                rng.getrandbits(lat.size) & ~(1 << lat.top) | rng.getrandbits(1) << lat.top
+                for _ in range(lat.size)
+            )
+            for lat in fintop2.sub
+        )
+        sizes.update(_assert_preservation_matches_scan(TopogenousOrder(fintop2, rel)))
+    assert sizes == {0, 2}
+
+
+def _powerset_numbered(points: int, number) -> FiniteLattice:
+    """The powerset of ``points`` points, element i being the subset number(i)."""
+    size = 1 << points
+    subsets = [number(i) for i in range(size)]
+    return FiniteLattice.from_order(
+        [str(a) for a in subsets],
+        [sum(1 << j for j in range(size) if a & ~subsets[j] == 0) for a in subsets],
+    )
+
+
+@pytest.mark.parametrize("number", [lambda i: i, lambda i: 7 - i], ids=["masks", "complements"])
+def test_preservation_matches_scan_on_every_set(number):
+    # each set of an 8-element lattice as every row, then as every column;
+    # under the two numberings the least failing family has three members
+    # for one set, under joins and under meets respectively
+    lat = _powerset_numbered(3, number)
+    fib = trivial_fibration(lat)
+    sizes = []
+    for s in range(1 << lat.size):
+        sizes += _assert_preservation_matches_scan(TopogenousOrder(fib, ((s,) * lat.size,)))
+        columns = tuple(lat.full_mask if s >> m & 1 else 0 for m in range(lat.size))
+        sizes += _assert_preservation_matches_scan(TopogenousOrder(fib, (columns,)))
+    assert set(sizes) == {0, 2, 3}
+
+
+def test_least_failing_family_is_found_without_walking_the_families():
+    # on the 64-element powerset of six points, the odd elements (the subsets
+    # holding point 0) with {1,...,5}: every family of odd elements below
+    # {1,...,5} passes, so 2^31 families precede the least failing one
+    lat = FiniteLattice.powerset(6)
+    s = sum(1 << m for m in range(1, lat.size, 2)) | 1 << 0b111110
+    t = TopogenousOrder(trivial_fibration(lat), (tuple(s & up for up in lat.up),))
+    assert validate_structure(t).ok
+    assert not is_meet_preserving(t)
+    with pytest.raises(PreconditionError) as excinfo:
+        closure_from_topogenous(t)
+    assert excinfo.value.witness == ("x", "{}", ("{0}", "{1,2,3,4,5}"))
