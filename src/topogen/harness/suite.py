@@ -312,21 +312,16 @@ def check_pullback_transfer_suite(scale: str) -> Report:
 
 
 def check_operator_crosschecks(scale: str) -> Report:
-    reports = []
-    for fib_name, kind in _fintop2_orders():
-        t = _order(fib_name, kind)
-        for f in range(t.fib.category.n_morphisms):
-            reports.append(crosscheck_operator_classes(f, t))
-    return merge("operator-crosschecks", reports)
+    return merge("operator-crosschecks", [
+        crosscheck_operator_classes(_order(fib_name, kind)) for fib_name, kind in _fintop2_orders()
+    ])
 
 
 def check_weak_finality(scale: str) -> Report:
-    reports = []
-    for fib_name, kind in (*_fintop2_orders(), ("grp_small", "grp_normal")):
-        t = _order(fib_name, kind)
-        for f in range(t.fib.category.n_morphisms):
-            reports.append(weakly_final_formulas(f, t))
-    return merge("weak-finality-formulas", reports)
+    return merge("weak-finality-formulas", [
+        weakly_final_formulas(_order(fib_name, kind))
+        for fib_name, kind in (*_fintop2_orders(), ("grp_small", "grp_normal"))
+    ])
 
 
 def check_fibration_lift(scale: str) -> Report:

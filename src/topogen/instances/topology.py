@@ -161,7 +161,8 @@ def space_name(space: FinTopSpace) -> str:
         return "pt"
     if space.n == 2:
         return _TWO_POINT_NAMES[space.opens]
-    ranked = enumerate_topologies(space.n)
+    # ranks stop at 4 points: enumerate_topologies(5) would walk 2^30 families
+    ranked = enumerate_topologies(space.n) if space.n <= 4 else ()
     try:
         return f"t{space.n}_{ranked.index(space):02d}"
     except ValueError:

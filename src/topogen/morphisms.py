@@ -384,8 +384,9 @@ def interior_classes(f: int, i: InteriorOperator) -> dict[str, Optional[bool]]:
     return out
 
 
-def crosscheck_operator_classes(f: int, t: TopogenousOrder) -> Report:
-    """Order-relative classes against the associated operator's classes.
+def crosscheck_operator_classes(t: TopogenousOrder) -> Report:
+    """Order-relative classes of every morphism against the associated
+    operators' classes, each operator converted once.
 
     Needs preimages to commute with joins fibration-wide (so the operator
     formulations are faithful), plus the relevant preservation property of
@@ -394,70 +395,65 @@ def crosscheck_operator_classes(f: int, t: TopogenousOrder) -> Report:
     fib = t.fib
     if not fib.preimage_join_commuting():
         raise PreconditionError("preimages do not commute with joins in this fibration")
-    meets, joins = is_meet_preserving(t), is_join_preserving(t)
-    name = fib.category.mor_names[f]
-    cls = classify(f, t)
+    operators = []
+    if is_meet_preserving(t):
+        operators.append(("closure", closure_classes, closure_from_topogenous(t)))
+    if is_join_preserving(t):
+        operators.append(("interior", interior_classes, interior_from_topogenous(t)))
+    if not operators:
+        raise PreconditionError("order preserves neither meets nor joins")
     violations = []
     checked = 0
-    if meets:
-        oper = closure_classes(f, closure_from_topogenous(t))
-        for kind, flag in zip(_CLASSES, class_flags(cls)):
-            checked += 1
-            if flag != oper[kind]:
-                violations.append(Violation(f"closure-class-{kind}", where=name))
-    if joins:
-        oper = interior_classes(f, interior_from_topogenous(t))
-        for kind, flag in zip(_CLASSES, class_flags(cls)):
-            checked += 1
-            if flag != oper[kind]:
-                violations.append(Violation(f"interior-class-{kind}", where=name))
-    if not (meets or joins):
-        raise PreconditionError("order preserves neither meets nor joins")
-    return Report(f"operator-crosscheck {name}", checked, tuple(violations))
+    for f, name in enumerate(fib.category.mor_names):
+        flags = class_flags(classify(f, t))
+        for op_kind, classes_of, op in operators:
+            oper = classes_of(f, op)
+            for kind, flag in zip(_CLASSES, flags):
+                checked += 1
+                if flag != oper[kind]:
+                    violations.append(Violation(f"{op_kind}-class-{kind}", where=name))
+    return Report(f"operator-crosscheck {fib.name}", checked, tuple(violations))
 
 
 # ---------------------------------------------------------------------------
 # weak finality formulas
 
 
-def weakly_final_formulas(f: int, t: TopogenousOrder) -> Report:
-    """Weak finality against its two operator formulas.
+def weakly_final_formulas(t: TopogenousOrder) -> Report:
+    """Weak finality of every morphism against its two operator formulas,
+    each operator converted once.
 
     Meet-preserving order: weakly final iff c(m) = m v f(c(f^{-1}(m))) for
     all m downstairs.  Join-preserving order (and f_* available): weakly
     final iff i(m) = m ^ f_*(i(f^{-1}(m))).
     """
     fib = t.fib
-    cat = fib.category
-    name = cat.mor_names[f]
-    x, y = fib.dom(f), fib.cod(f)
-    img, pre, fstar = fib.img[f], fib.pre[f], fib.fstar[f]
-    ly = fib.sub[y]
-    wf = _is_weakly_final(t, f)
+    c = closure_from_topogenous(t) if is_meet_preserving(t) else None
+    i = interior_from_topogenous(t) if is_join_preserving(t) else None
     violations = []
     checked = 0
-    ran_any = False
-    if is_meet_preserving(t):
-        ran_any = True
-        c = closure_from_topogenous(t)
-        formula = all(
-            c.cmap[y][m] == ly.join(m, img[c.cmap[x][pre[m]]]) for m in range(ly.size)
-        )
-        checked += ly.size
-        if formula != wf:
-            violations.append(Violation("closure-formula-vs-weak-finality", where=name))
-    if fstar is not None and is_join_preserving(t):
-        ran_any = True
-        i = interior_from_topogenous(t)
-        formula = all(
-            i.imap[y][m] == ly.meet(m, fstar[i.imap[x][pre[m]]]) for m in range(ly.size)
-        )
-        checked += ly.size
-        if formula != wf:
-            violations.append(Violation("interior-formula-vs-weak-finality", where=name))
-    if not ran_any:
-        raise PreconditionError(
-            "weak-finality formulas need a meet-preserving order, or a "
-            "join-preserving order with the right adjoint of preimage"
-        )
-    return Report(f"weak-finality {name}", checked, tuple(violations))
+    for f, name in enumerate(fib.category.mor_names):
+        x, y = fib.dom(f), fib.cod(f)
+        img, pre, fstar = fib.img[f], fib.pre[f], fib.fstar[f]
+        if c is None and (i is None or fstar is None):
+            raise PreconditionError(
+                "weak-finality formulas need a meet-preserving order, or a "
+                "join-preserving order with the right adjoint of preimage"
+            )
+        ly = fib.sub[y]
+        wf = _is_weakly_final(t, f)
+        if c is not None:
+            formula = all(
+                c.cmap[y][m] == ly.join(m, img[c.cmap[x][pre[m]]]) for m in range(ly.size)
+            )
+            checked += ly.size
+            if formula != wf:
+                violations.append(Violation("closure-formula-vs-weak-finality", where=name))
+        if i is not None and fstar is not None:
+            formula = all(
+                i.imap[y][m] == ly.meet(m, fstar[i.imap[x][pre[m]]]) for m in range(ly.size)
+            )
+            checked += ly.size
+            if formula != wf:
+                violations.append(Violation("interior-formula-vs-weak-finality", where=name))
+    return Report(f"weak-finality {fib.name}", checked, tuple(violations))

@@ -19,10 +19,10 @@ from .reporting import Report, Violation
 class FiniteCategory:
     """A finite category with explicitly tabulated morphisms.
 
-    Composition comes either from an explicit partial table keyed by
-    (g, f) |-> g∘f, or from per-morphism function graphs (concrete
-    categories of structured finite sets), which is the same table stored
-    compactly.
+    Each morphism carries its function graph, and g∘f is the morphism with
+    graph ``graph g ∘ graph f`` from dom f to cod g.  Any finite category is
+    concrete this way: send f to post-composition on the morphisms into its
+    domain (its left Cayley representation).
     """
 
     def __init__(
@@ -32,19 +32,16 @@ class FiniteCategory:
         mor_cod: Sequence[int],
         mor_names: Sequence[str],
         identities: Sequence[int],
-        compose_table: Optional[dict[tuple[int, int], int]] = None,
-        graphs: Optional[Sequence[tuple[int, ...]]] = None,
+        graphs: Sequence[tuple[int, ...]],
     ):
         self.object_names = tuple(object_names)
         self.mor_dom = tuple(mor_dom)
         self.mor_cod = tuple(mor_cod)
         self.mor_names = tuple(mor_names)
         self.identities = tuple(identities)
-        self.graphs = tuple(graphs) if graphs is not None else None
-        self._compose_table = dict(compose_table) if compose_table is not None else None
+        self.graphs = tuple(graphs)
         self._by_graph = {
-            (self.mor_dom[i], self.mor_cod[i], graph): i
-            for i, graph in enumerate(self.graphs or ())
+            (self.mor_dom[i], self.mor_cod[i], graph): i for i, graph in enumerate(self.graphs)
         }
         self._name_index = {name: i for i, name in enumerate(self.mor_names)}
         self.morphisms_from = tuple(
@@ -73,13 +70,6 @@ class FiniteCategory:
             raise DomainError(
                 f"morphisms {self.mor_names[g]} and {self.mor_names[f]} are not composable"
             )
-        if self._compose_table is not None:
-            try:
-                return self._compose_table[(g, f)]
-            except KeyError:
-                raise InternalConsistencyError(
-                    f"composition table is missing {self.mor_names[g]} o {self.mor_names[f]}"
-                ) from None
         composed = tuple(map(self.graphs[g].__getitem__, self.graphs[f]))
         key = (self.mor_dom[f], self.mor_cod[g], composed)
         try:
@@ -161,7 +151,7 @@ def concrete_category(
     return FiniteCategory(names, mor_dom, mor_cod, mor_names, identities, graphs=graphs)
 
 
-def validate_category(cat: FiniteCategory, associativity: bool = True) -> Report:
+def validate_category(cat: FiniteCategory) -> Report:
     violations = []
     checked = 0
     for x in range(cat.n_objects):
@@ -180,17 +170,16 @@ def validate_category(cat: FiniteCategory, associativity: bool = True) -> Report
             violations.append(Violation("identity-neutral-left", witness=(cat.mor_names[f],)))
         if cat.is_identity(f) and h != g:
             violations.append(Violation("identity-neutral-right", witness=(cat.mor_names[g],)))
-    if associativity:
-        for g, f in cat.composable_pairs():
-            for h in cat.morphisms_from[cat.mor_cod[g]]:
-                checked += 1
-                if cat.compose(cat.compose(h, g), f) != cat.compose(h, cat.compose(g, f)):
-                    violations.append(
-                        Violation(
-                            "associativity",
-                            witness=(cat.mor_names[h], cat.mor_names[g], cat.mor_names[f]),
-                        )
+    for g, f in cat.composable_pairs():
+        for h in cat.morphisms_from[cat.mor_cod[g]]:
+            checked += 1
+            if cat.compose(cat.compose(h, g), f) != cat.compose(h, cat.compose(g, f)):
+                violations.append(
+                    Violation(
+                        "associativity",
+                        witness=(cat.mor_names[h], cat.mor_names[g], cat.mor_names[f]),
                     )
+                )
     return Report("category", checked, tuple(violations))
 
 
@@ -275,10 +264,10 @@ def validate_fibration(fib: SubobjectFibration, functoriality: bool = True) -> R
     read through ``fib.subsets``, and every composite g∘f exists as the
     morphism with graph ``graph g ∘ graph f``, both laws hold for every pair,
     because direct images and preimages of subsets compose along composed
-    functions.  The per-pair scan runs instead when there is no set-level
-    presentation (``subsets`` is None), when the category composes by table,
-    or when a table or a composite fails the certificate; only the scan
-    reports violations.  ``checked`` counts the composable pairs either way.
+    functions.  The per-pair loop runs instead when there is no set-level
+    presentation (``subsets`` is None) or when a table or a composite fails
+    the certificate; only the loop reports violations.  ``checked`` counts
+    the composable pairs either way.
     """
     cat = fib.category
     violations = []
@@ -345,10 +334,10 @@ def validate_fibration(fib: SubobjectFibration, functoriality: bool = True) -> R
 def _functoriality_certified(fib: SubobjectFibration) -> bool:
     """True when every image/preimage table is the set-level one along its
     graph and each composite's graph belongs to a morphism with the right
-    codomain; False sends the caller to the per-pair scan."""
+    codomain; False sends the caller to the per-pair loop."""
     cat = fib.category
     subsets, graphs, dom, cod = fib.subsets, cat.graphs, cat.mor_dom, cat.mor_cod
-    if subsets is None or graphs is None or cat._compose_table is not None:
+    if subsets is None:
         return False
     index = [{mask: i for i, mask in enumerate(masks)} for masks in subsets]
     for f, graph in enumerate(graphs):
@@ -395,50 +384,19 @@ def _functoriality_certified(fib: SubobjectFibration) -> bool:
 
 
 def _functoriality_violations(fib: SubobjectFibration) -> list[Violation]:
-    """Image and preimage functoriality over every composable pair.
-
-    Morphisms out of an object that share their graph and both tables have
-    the same composite tables with any f, so each such bucket is composed
-    once per f; each member's composite h is then compared by table id.
-    """
+    """Image and preimage functoriality over every composable pair, in
+    ``composable_pairs`` order, image before preimage; a missing composite
+    raises from ``compose``."""
     cat = fib.category
-    img, pre, graphs = fib.img, fib.pre, cat.graphs
-    # the private dict, not morphism_by_graph: one lookup per composable
-    # pair (4.4 M at medium scale), where a method call each would cost time
-    by_graph, cod = cat._by_graph, cat.mor_cod
-    img_id, img_index = intern(img)
-    pre_id, pre_index = intern(pre)
-    by_table = cat._compose_table is not None
-    found = []  # (f, g, law) for each violated law
-    for y in range(cat.n_objects):
-        buckets: dict = {}
-        for g in cat.morphisms_from[y]:
-            key = g if by_table else (graphs[g], img_id[g], pre_id[g])
-            buckets.setdefault(key, []).append(g)
-        for f in cat.morphisms_to[y]:
-            x, img_f, pre_f = cat.mor_dom[f], img[f], pre[f]
-            for members in buckets.values():
-                g0 = members[0]
-                img_h = img_index.get(tuple(map(img[g0].__getitem__, img_f)), -1)
-                pre_h = pre_index.get(tuple(map(pre_f.__getitem__, pre[g0])), -1)
-                if not by_table:
-                    graph = tuple(map(graphs[g0].__getitem__, graphs[f]))
-                for g in members:
-                    if by_table:
-                        h = cat.compose(g, f)
-                    else:
-                        h = by_graph.get((x, cod[g], graph))
-                        if h is None:
-                            cat.compose(g, f)  # raises, naming the missing composite
-                    if img_id[h] != img_h:
-                        found.append((f, g, 0))
-                    if pre_id[h] != pre_h:
-                        found.append((f, g, 1))
-    # composable_pairs order: f, then g, then image before preimage
-    found.sort()
-    names = cat.mor_names
-    laws = ("image-functorial", "preimage-functorial")
-    return [Violation(laws[law], where=f"{names[g]} o {names[f]}") for f, g, law in found]
+    img, pre, names = fib.img, fib.pre, cat.mor_names
+    found = []
+    for g, f in cat.composable_pairs():
+        h = cat.compose(g, f)
+        if tuple(map(img[g].__getitem__, img[f])) != img[h]:
+            found.append(Violation("image-functorial", where=f"{names[g]} o {names[f]}"))
+        if tuple(map(pre[f].__getitem__, pre[g])) != pre[h]:
+            found.append(Violation("preimage-functorial", where=f"{names[g]} o {names[f]}"))
+    return found
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,8 @@ def loop_fibration(lat, extra_pre_tables=()):
         tuple(0 for _ in range(n_mor)),
         tuple(f"m{i}" for i in range(n_mor)),
         (0,),
-        compose_table=compose,
+        # m's graph is left multiplication by m, so graphs compose as the table
+        graphs=[tuple(compose[(m, k)] for k in range(n_mor)) for m in range(n_mor)],
     )
     return SubobjectFibration(
         cat, (lat,), imgs, [tuple(p) for p in pres],
@@ -313,6 +314,14 @@ def test_suite_reports_match_goldens():
     data = Path(__file__).parent / "data"
     assert report.render_text() == (data / "golden_suite_small.txt").read_text()
     assert report.render_json() == (data / "golden_suite_small.json").read_text()
+
+
+def test_suite_medium_report_matches_the_benchmark_reference():
+    from pathlib import Path
+
+    reference = Path(__file__).resolve().parent.parent / "benchmark" / "reference"
+    want = (reference / "suite_medium.json").read_text(encoding="utf-8")
+    assert run_suite("medium").render_json() == want
 
 
 def test_suite_reports_a_raising_check_as_failure(monkeypatch, capsys):

@@ -323,6 +323,21 @@ def test_space_names_are_ranks_of_an_independent_enumeration(fintop3):
     assert fib.category.object_names == tuple(f"t4_{i:02d}" for i in picks)
 
 
+def test_five_point_spaces_are_named_by_their_opens(monkeypatch):
+    from topogen.instances import topology
+
+    ranked = topology.enumerate_topologies
+
+    def ranks_up_to_four_points(n):
+        if n >= 5:
+            raise AssertionError(f"enumerate_topologies({n}) walks 2^{2 ** n - 2} open families")
+        return ranked(n)
+
+    monkeypatch.setattr(topology, "enumerate_topologies", ranks_up_to_four_points)
+    fib = topology.fintop_fibration([FinTopSpace(5, (0, 1, 2, 3, 7, 11, 15, 31))])
+    assert fib.category.object_names == ("s5_0.1.2.3.7.11.15.31",)
+
+
 def test_topgroups_over_z2():
     from topogen.instances.topgroups import topgroups_of
 

@@ -141,7 +141,7 @@ def test_class_calculus_vacuous_on_one_object_category():
     from topogen.site import FiniteCategory, SubobjectFibration
     from topogen.structures import discrete_order
 
-    cat = FiniteCategory(("x",), (0,), (0,), ("id_x",), (0,), compose_table={(0, 0): 0})
+    cat = FiniteCategory(("x",), (0,), (0,), ("id_x",), (0,), graphs=((0,),))
     lat = FiniteLattice.powerset(1)
     ident = tuple(range(lat.size))
     fib = SubobjectFibration(cat, (lat,), (ident,), (ident,), frozenset({0}), frozenset({0}))
@@ -273,15 +273,14 @@ def test_memoised_sweep_matches_per_square_checks(fintop2):
 
 def test_operator_crosschecks_on_fintop2(fintop2):
     for t in (closure_order(fintop2), interior_order(fintop2)):
-        for f in range(fintop2.category.n_morphisms):
-            assert crosscheck_operator_classes(f, t).ok
+        assert crosscheck_operator_classes(t).ok
 
 
 def test_operator_crosschecks_gated_on_join_commuting_preimages(grp_small):
     t = builtin_order("grp_normal", grp_small)
     assert not grp_small.preimage_join_commuting()
     with pytest.raises(PreconditionError):
-        crosscheck_operator_classes(0, t)
+        crosscheck_operator_classes(t)
 
 
 def test_closure_classes_of_identity(fintop2):
@@ -300,11 +299,8 @@ def test_open_map_is_interior_strict(fintop2):
 
 def test_weak_finality_formulas_hold_everywhere(fintop2, grp_small):
     for t in (closure_order(fintop2), interior_order(fintop2)):
-        for f in range(fintop2.category.n_morphisms):
-            assert weakly_final_formulas(f, t).ok
-    t = builtin_order("grp_normal", grp_small)
-    for f in range(grp_small.category.n_morphisms):
-        assert weakly_final_formulas(f, t).ok
+        assert weakly_final_formulas(t).ok
+    assert weakly_final_formulas(builtin_order("grp_normal", grp_small)).ok
 
 
 def test_weak_finality_examples(fintop2):

@@ -15,6 +15,7 @@ from topogen.site import (
     validate_category,
     validate_fibration,
 )
+from topogen.instances.registry import FIBRATION_NAMES
 from topogen.instances.topology import spaces_of
 from topogen.reporting import Violation
 
@@ -26,7 +27,7 @@ def one_object_category():
         mor_cod=(0,),
         mor_names=("id_x",),
         identities=(0,),
-        compose_table={(0, 0): 0},
+        graphs=((0,),),
     )
 
 
@@ -178,7 +179,7 @@ def test_functoriality_scan_matches_per_pair_reference(fintop2, grp_small):
 
     for fib in (fintop2, grp_small):
         assert _assert_functoriality_matches_reference(fib) == []
-    # a compose_table category; the images of its constant loops are not functorial
+    # a Cayley-graph category; the images of its constant loops are not functorial
     loop = loop_fibration(FiniteLattice.powerset(1), extra_pre_tables=((0, 0), (1, 1)))
     assert _assert_functoriality_matches_reference(loop)
 
@@ -187,9 +188,8 @@ def _scan_must_not_run(fib):
     raise AssertionError(f"the per-pair functoriality scan ran on {fib.name}")
 
 
-@pytest.mark.parametrize(
-    "name", ["fintop2", "grp_small", "t0_small", "coreflect_small", "topgrp_le4"]
-)
+# every built-in fibration but the two in test_functoriality_exhaustive_at_scale
+@pytest.mark.parametrize("name", [n for n in FIBRATION_NAMES if n not in ("fintop3", "grp_le8")])
 def test_intact_fibrations_are_certified_without_the_scan(monkeypatch, name):
     from topogen.instances.registry import builtin_fibration
 
@@ -233,8 +233,7 @@ def test_functoriality_scan_matches_reference_on_corrupted_tables(fintop2):
         m for m in range(cat.n_morphisms)
         if not cat.is_identity(m) and len(fintop2.img[m]) == 4 == len(fintop2.pre[m])
     ]
-    # two morphisms out of one object with one graph share a bucket until
-    # one of their image tables changes
+    # a morphism with a twin out of its object: same graph, same image table
     twin = next(
         g for g in plain for h in cat.morphisms_from[cat.mor_dom[g]]
         if h != g and cat.graphs[h] == cat.graphs[g] and fintop2.img[h] == fintop2.img[g]
@@ -253,47 +252,40 @@ def test_functoriality_scan_matches_reference_on_corrupted_tables(fintop2):
     assert len({v.law for v in got}) == 2
 
 
-@pytest.mark.parametrize("kind", ["graphs", "graphs+subsets", "table"])
+@pytest.mark.parametrize("kind", ["graphs", "graphs+subsets"])
 def test_functoriality_scan_reports_a_missing_composite_like_compose(kind):
-    from test_harness import loop_fibration
     from topogen.instances.topology import fintop_fibration
     from topogen.instances.registry import builtin_space
 
-    if kind.startswith("graphs"):
-        # the constant endomap 0 of Sierpinski space factors only through the
-        # point; the point's own constant map has the same graph, so the
-        # composite check must compare codomains, not graphs alone
-        fib = fintop_fibration([builtin_space("pt"), builtin_space("sierpinski")])
-        cat = fib.category
-        drop = cat.morphism_index("sierpinski>sierpinski:00")
-        keep = [m for m in range(cat.n_morphisms) if m != drop]
-        new = {m: i for i, m in enumerate(keep)}
-        cut = FiniteCategory(
-            cat.object_names,
-            [cat.mor_dom[m] for m in keep],
-            [cat.mor_cod[m] for m in keep],
-            [cat.mor_names[m] for m in keep],
-            [new[i] for i in cat.identities],
-            graphs=[cat.graphs[m] for m in keep],
-        )
-        fib = SubobjectFibration(
-            cut, fib.sub, [fib.img[m] for m in keep], [fib.pre[m] for m in keep],
-            eclass=frozenset(new[m] for m in fib.eclass if m != drop),
-            mclass=frozenset(new[m] for m in fib.mclass if m != drop),
-            fstar=[fib.fstar[m] for m in keep], name="cut",
-            subsets=fib.subsets if kind == "graphs+subsets" else None,
-        )
-    else:
-        fib = loop_fibration(FiniteLattice.powerset(1), extra_pre_tables=((0, 0),))
-        del fib.category._compose_table[(1, 1)]
+    # the constant endomap 0 of Sierpinski space factors only through the
+    # point; the point's own constant map has the same graph, so the
+    # composite check must compare codomains, not graphs alone
+    fib = fintop_fibration([builtin_space("pt"), builtin_space("sierpinski")])
+    cat = fib.category
+    drop = cat.morphism_index("sierpinski>sierpinski:00")
+    keep = [m for m in range(cat.n_morphisms) if m != drop]
+    new = {m: i for i, m in enumerate(keep)}
+    cut = FiniteCategory(
+        cat.object_names,
+        [cat.mor_dom[m] for m in keep],
+        [cat.mor_cod[m] for m in keep],
+        [cat.mor_names[m] for m in keep],
+        [new[i] for i in cat.identities],
+        graphs=[cat.graphs[m] for m in keep],
+    )
+    fib = SubobjectFibration(
+        cut, fib.sub, [fib.img[m] for m in keep], [fib.pre[m] for m in keep],
+        eclass=frozenset(new[m] for m in fib.eclass if m != drop),
+        mclass=frozenset(new[m] for m in fib.mclass if m != drop),
+        fstar=[fib.fstar[m] for m in keep], name="cut",
+        subsets=fib.subsets if kind == "graphs+subsets" else None,
+    )
     with pytest.raises(InternalConsistencyError) as want:
         _reference_functoriality(fib)
     with pytest.raises(InternalConsistencyError) as got:
         validate_fibration(fib)
     assert str(got.value) == str(want.value)
-    assert ("table is missing" if kind == "table" else "not closed under composition") in str(
-        got.value
-    )
+    assert "not closed under composition" in str(got.value)
 
 
 def test_morphism_by_graph(fintop2, grp_small):
@@ -302,7 +294,6 @@ def test_morphism_by_graph(fintop2, grp_small):
         assert cat.morphism_by_graph(cat.mor_dom[f], cat.mor_cod[f], cat.graphs[f]) == f
     pt = cat.object_index("pt")
     assert cat.morphism_by_graph(pt, pt, (1,)) is None
-    assert one_object_category().morphism_by_graph(0, 0, (0,)) is None
     s3 = grp_small.category.object_index("s3")
     assert grp_small.category.morphism_by_graph(s3, s3, tuple(range(6))) == (
         grp_small.category.identities[s3]

@@ -133,7 +133,7 @@ def test_non_join_preserving_conversion_fails(fintop2):
 def trivial_fibration(lat):
     from topogen.site import FiniteCategory, SubobjectFibration
 
-    cat = FiniteCategory(("x",), (0,), (0,), ("id_x",), (0,), compose_table={(0, 0): 0})
+    cat = FiniteCategory(("x",), (0,), (0,), ("id_x",), (0,), graphs=((0,),))
     ident = tuple(range(lat.size))
     return SubobjectFibration(cat, (lat,), (ident,), (ident,), frozenset({0}), frozenset({0}))
 
