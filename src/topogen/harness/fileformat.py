@@ -18,7 +18,7 @@ Record kinds and their canonical fields:
 
 ``<set>`` is ``{p,q}`` over point indices, ``<pair>`` is ``(<label>,<label>)``
 over subobject labels, ``<fib>`` is a built-in fibration name or
-``spaces(<space>,...)`` over spaces defined in the same document.  The
+``spaces:<space>,...`` over spaces defined in the same document.  The
 serializer emits exactly this canonical form; parse and serialize are
 mutually inverse.
 """
@@ -281,16 +281,19 @@ def _parse_order(name, fields, line) -> OrderRecord:
 
 def _parse_operator(name, fields, line) -> OperatorRecord:
     _require(fields, ("fibration", "kind", "table"), line)
+    kind = fields["kind"]
+    if kind not in ("closure", "interior"):
+        raise FormatError(f"operator kind must be closure|interior, got {kind!r}", line)
     table = _parse_blocks(fields["table"], line, 0, _parse_arrow)
-    return OperatorRecord(name, fields["fibration"], fields["kind"], table)
+    return OperatorRecord(name, fields["fibration"], kind, table)
 
 
 def _parse_endofunctor(name, fields, line) -> EndofunctorRecord:
     kind = fields.get("kind")
+    if kind is not None and kind not in ("pointed", "copointed"):
+        raise FormatError(f"endofunctor kind must be pointed|copointed, got {kind!r}", line)
     comp_key = "unit" if kind == "pointed" else "counit"
     _require(fields, ("fibration", "kind", "obj", "mor", comp_key), line)
-    if kind not in ("pointed", "copointed"):
-        raise FormatError(f"endofunctor kind must be pointed|copointed, got {kind!r}", line)
 
     def arrows(key):
         return tuple(

@@ -1,9 +1,20 @@
 """Morphism classes relative to a topogenous order, and their calculus.
 
-The four classes (strict, final, co-strict, initial) plus weak finality are
-decided by exhaustive quantification over subobject pairs.  Classes whose
-definition needs the right adjoint of preimage are tri-state: ``None`` means
-"not applicable" because that adjoint does not exist for the morphism.
+The four classes of f: X -> Y are one biconditional, "bit of rel_Y iff
+bit of rel_X", over a grid of rows m and columns n, each ranging over sub X
+or sub Y:
+
+    class      rows  columns
+    strict     X     Y
+    final      Y     Y
+    co-strict  Y     X
+    initial    X     X
+
+Continuity renderings (2) and (3) are the (Y, X) and (X, X) grids read as an
+implication.  Weak finality is decided separately, over m <= n in sub Y.
+Columns over X need the right adjoint f_* of preimage, so co-strictness and
+initiality are tri-state: ``None`` means "not applicable" because that
+adjoint does not exist for the morphism.
 """
 
 from __future__ import annotations
@@ -40,53 +51,35 @@ class MorphismClassification:
     fstar_available: bool
 
 
-def _is_strict(t: TopogenousOrder, f: int) -> bool:
+_CLASSES = ("strict", "final", "costrict", "initial")
+# (rows, columns) of each class's grid, in _CLASSES order; see _grid_holds
+_GRIDS = (("X", "Y"), ("Y", "Y"), ("Y", "X"), ("X", "X"))
+class_flags = attrgetter(*_CLASSES)  # a classification's flags, in _CLASSES order
+
+
+def _grid_holds(t: TopogenousOrder, f: int, rows: str, cols: str, implication=False) -> bool:
+    """Whether each bit (m, n) of the codomain relation equals the matching
+    bit of the domain relation (with ``implication``: implies it).
+
+    Rows over X compare rel_Y[f(m)] with rel_X[m]; rows over Y compare
+    rel_Y[m] with rel_X[f^{-1}(m)].  Columns over Y compare bit n with bit
+    f^{-1}(n); columns over X compare bit f_*(n) with bit n.
+    """
     fib = t.fib
     img, pre = fib.img[f], fib.pre[f]
     relx, rely = t.rel[fib.dom(f)], t.rel[fib.cod(f)]
-    for m in range(len(relx)):
-        row_y = rely[img[m]]
-        row_x = relx[m]
-        for p in range(len(rely)):
-            if (row_y >> p & 1) != (row_x >> pre[p] & 1):
-                return False
-    return True
-
-
-def _is_final(t: TopogenousOrder, f: int) -> bool:
-    fib = t.fib
-    pre = fib.pre[f]
-    relx, rely = t.rel[fib.dom(f)], t.rel[fib.cod(f)]
-    for m in range(len(rely)):
-        row_x = relx[pre[m]]
-        for n in range(len(rely)):
-            if (rely[m] >> n & 1) != (row_x >> pre[n] & 1):
-                return False
-    return True
-
-
-def _is_costrict(t: TopogenousOrder, f: int) -> bool:
-    fib = t.fib
-    pre, fstar = fib.pre[f], fib.fstar[f]
-    relx, rely = t.rel[fib.dom(f)], t.rel[fib.cod(f)]
-    for m in range(len(rely)):
-        row_y = rely[m]
-        row_x = relx[pre[m]]
-        for n in range(len(relx)):
-            if (row_y >> fstar[n] & 1) != (row_x >> n & 1):
-                return False
-    return True
-
-
-def _is_initial(t: TopogenousOrder, f: int) -> bool:
-    fib = t.fib
-    img, fstar = fib.img[f], fib.fstar[f]
-    relx, rely = t.rel[fib.dom(f)], t.rel[fib.cod(f)]
-    for m in range(len(relx)):
-        row_y = rely[img[m]]
-        row_x = relx[m]
-        for n in range(len(relx)):
-            if (row_y >> fstar[n] & 1) != (row_x >> n & 1):
+    if rows == "X":
+        row_pairs = zip(map(rely.__getitem__, img), relx)
+    else:
+        row_pairs = zip(rely, map(relx.__getitem__, pre))
+    if cols == "X":
+        col_pairs = tuple(zip(fib.fstar[f], range(len(relx))))
+    else:
+        col_pairs = tuple(enumerate(pre))
+    for row_y, row_x in row_pairs:
+        for n_y, n_x in col_pairs:
+            bit_y = row_y >> n_y & 1
+            if bit_y != (row_x >> n_x & 1) and (bit_y or not implication):
                 return False
     return True
 
@@ -107,15 +100,16 @@ def _is_weakly_final(t: TopogenousOrder, f: int) -> bool:
 
 
 def classify(f: int, t: TopogenousOrder) -> MorphismClassification:
-    fib = t.fib
-    has_fstar = fib.fstar[f] is not None
+    has_fstar = t.fib.fstar[f] is not None
+    # a grid with columns over X needs f_*
+    flags = {
+        kind: _grid_holds(t, f, rows, cols) if has_fstar or cols == "Y" else None
+        for kind, (rows, cols) in zip(_CLASSES, _GRIDS)
+    }
     return MorphismClassification(
         morphism=f,
         continuous=t.law_holds(f),
-        strict=_is_strict(t, f),
-        final=_is_final(t, f),
-        costrict=_is_costrict(t, f) if has_fstar else None,
-        initial=_is_initial(t, f) if has_fstar else None,
+        **flags,
         weakly_final=_is_weakly_final(t, f),
         fstar_available=has_fstar,
     )
@@ -134,24 +128,13 @@ def continuity_equivalents(f: int, t: TopogenousOrder) -> tuple[bool, bool, bool
     (3) f(m) ⊏ f_*(n) implies m ⊏ n, for m, n in sub X.
     """
     fib = t.fib
-    fstar = fib.fstar[f]
-    if fstar is None:
+    if fib.fstar[f] is None:
         raise CapabilityError(
             f"{fib.category.mor_names[f]}: preimage has no right adjoint"
         )
-    img, pre = fib.img[f], fib.pre[f]
-    relx, rely = t.rel[fib.dom(f)], t.rel[fib.cod(f)]
     form1 = t.law_holds(f)
-    form2 = all(
-        not (rely[m] >> fstar[n] & 1) or relx[pre[m]] >> n & 1
-        for m in range(len(rely))
-        for n in range(len(relx))
-    )
-    form3 = all(
-        not (rely[img[m]] >> fstar[n] & 1) or relx[m] >> n & 1
-        for m in range(len(relx))
-        for n in range(len(relx))
-    )
+    form2 = _grid_holds(t, f, "Y", "X", implication=True)
+    form3 = _grid_holds(t, f, "X", "X", implication=True)
     if not (form1 == form2 == form3):
         raise InternalConsistencyError(
             f"continuity renderings disagree on {fib.category.mor_names[f]}: "
@@ -201,10 +184,6 @@ def check_strict_transfer(f: int, t: TopogenousOrder) -> Report:
 
 # ---------------------------------------------------------------------------
 # class calculus: composition, cancellation, containments, sections
-
-
-_CLASSES = ("strict", "final", "costrict", "initial")
-class_flags = attrgetter(*_CLASSES)  # a classification's flags, in _CLASSES order
 
 
 def check_class_calculus(fib: SubobjectFibration, t: TopogenousOrder) -> Report:

@@ -205,6 +205,44 @@ def test_unknown_order_kind_in_a_file_is_a_parse_error(capsys, tmp_path):
     assert err.rstrip().endswith("got 'nosuch' (line 2)")
 
 
+def test_unknown_operator_kind_in_a_file_is_a_parse_error(capsys, tmp_path):
+    doc = tmp_path / "in.topo"
+    doc.write_text("operator c: fibration=fintop2; kind=bogus; table=pt[{}=>{}]\n")
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out) == (2, "")
+    assert err == "parse error: operator kind must be closure|interior, got 'bogus' (line 1)\n"
+
+
+def test_unknown_endofunctor_kind_is_reported_before_its_fields(capsys, tmp_path):
+    doc = tmp_path / "in.topo"
+    doc.write_text(
+        "endofunctor e: fibration=t0_small; kind=bogus; obj=pt=>pt; mor=id_pt=>id_pt; "
+        "unit=pt=>id_pt\n"
+    )
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out) == (2, "")
+    assert err == (
+        "parse error: endofunctor kind must be pointed|copointed, got 'bogus' (line 1)\n"
+    )
+
+
+@pytest.mark.parametrize("target", ["closure", "interior", "neighbourhood"])
+def test_converted_record_validates_in_its_document(capsys, tmp_path, target):
+    # convert writes the file form of a `spaces:` fibration; validate must read it back
+    doc = tmp_path / "in.topo"
+    doc.write_text(
+        "space a: points=2; opens={},{0},{0,1}\n"
+        "space b: points=1; opens={},{0}\n"
+    )
+    code, record, _ = run(capsys, "convert", "--from", "topogenous", "--to", target,
+                          "--order", "closure", "--fibration", "spaces:a,b", str(doc))
+    assert code == 0 and "fibration=spaces:a,b;" in record
+    doc.write_text(doc.read_text() + record)
+    code, out, _ = run(capsys, "validate", str(doc))
+    assert code == 0
+    assert out.count("ok ") == 3
+
+
 @pytest.mark.parametrize("argv", [
     ("predicates",),
     ("predicates", "--map", "discrete2>pt:00", "--order", "closure"),

@@ -1,12 +1,14 @@
+import random
 from dataclasses import replace
 
 import pytest
 
-from topogen.errors import CapabilityError, PreconditionError
+from topogen.errors import CapabilityError, InternalConsistencyError, PreconditionError
 from topogen.morphisms import (
     check_class_calculus,
     check_pullback_transfer,
     check_strict_transfer,
+    class_flags,
     classify,
     closure_classes,
     continuity_equivalents,
@@ -19,7 +21,7 @@ from topogen.morphisms import (
 from topogen.site import PullbackSquare, check_bcp, pullback
 from topogen.structures import TopogenousOrder, closure_from_topogenous, validate_structure
 from topogen.instances.topology import closure_order, interior_order, map_predicates
-from topogen.instances.registry import builtin_order
+from topogen.instances.registry import builtin_fibration, builtin_order
 
 
 def test_identity_is_in_every_class(fintop2):
@@ -61,6 +63,115 @@ def _brute_force_renderings(t, f):
         for m in range(nx) for n in range(nx)
     )
     return form1, form2, form3
+
+
+# Oracle for the grid in ``morphisms._grid_holds``: one hand-written double
+# loop per class, sharing no code with it.
+
+
+def _is_strict(t: TopogenousOrder, f: int) -> bool:
+    fib = t.fib
+    img, pre = fib.img[f], fib.pre[f]
+    relx, rely = t.rel[fib.dom(f)], t.rel[fib.cod(f)]
+    for m in range(len(relx)):
+        row_y = rely[img[m]]
+        row_x = relx[m]
+        for p in range(len(rely)):
+            if (row_y >> p & 1) != (row_x >> pre[p] & 1):
+                return False
+    return True
+
+
+def _is_final(t: TopogenousOrder, f: int) -> bool:
+    fib = t.fib
+    pre = fib.pre[f]
+    relx, rely = t.rel[fib.dom(f)], t.rel[fib.cod(f)]
+    for m in range(len(rely)):
+        row_x = relx[pre[m]]
+        for n in range(len(rely)):
+            if (rely[m] >> n & 1) != (row_x >> pre[n] & 1):
+                return False
+    return True
+
+
+def _is_costrict(t: TopogenousOrder, f: int) -> bool:
+    fib = t.fib
+    pre, fstar = fib.pre[f], fib.fstar[f]
+    relx, rely = t.rel[fib.dom(f)], t.rel[fib.cod(f)]
+    for m in range(len(rely)):
+        row_y = rely[m]
+        row_x = relx[pre[m]]
+        for n in range(len(relx)):
+            if (row_y >> fstar[n] & 1) != (row_x >> n & 1):
+                return False
+    return True
+
+
+def _is_initial(t: TopogenousOrder, f: int) -> bool:
+    fib = t.fib
+    img, fstar = fib.img[f], fib.fstar[f]
+    relx, rely = t.rel[fib.dom(f)], t.rel[fib.cod(f)]
+    for m in range(len(relx)):
+        row_y = rely[img[m]]
+        row_x = relx[m]
+        for n in range(len(relx)):
+            if (row_y >> fstar[n] & 1) != (row_x >> n & 1):
+                return False
+    return True
+
+
+def _oracle_flags(t, f):
+    if t.fib.fstar[f] is None:
+        return _is_strict(t, f), _is_final(t, f), None, None
+    return _is_strict(t, f), _is_final(t, f), _is_costrict(t, f), _is_initial(t, f)
+
+
+@pytest.mark.parametrize("fib_name, kinds", [
+    ("fintop2", ("closure", "interior", "leq")),
+    ("fintop3", ("closure", "interior")),
+    ("grp_small", ("grp_normal",)),
+    ("grp_le8", ("grp_normal",)),
+])
+def test_classify_matches_the_per_class_deciders(fib_name, kinds):
+    fib = builtin_fibration(fib_name)
+    for kind in kinds:
+        t = builtin_order(kind, fib)
+        for f in range(fib.category.n_morphisms):
+            assert class_flags(classify(f, t)) == _oracle_flags(t, f), (kind, f)
+
+
+def _perturbed_orders(fib, n, seed):
+    """``n`` relations made by flipping one to three random bits of a valid
+    order: mostly not topogenous orders, yet close enough that every class
+    holds on some morphism."""
+    rng = random.Random(seed)
+    bases = [builtin_order(kind, fib).rel for kind in ("closure", "interior", "leq")]
+    for _ in range(n):
+        rel = [list(rows) for rows in rng.choice(bases)]
+        for _ in range(rng.randint(1, 3)):
+            x = rng.randrange(len(rel))
+            size = len(rel[x])
+            rel[x][rng.randrange(size)] ^= 1 << rng.randrange(size)
+        yield TopogenousOrder(fib, tuple(map(tuple, rel)))
+
+
+def test_grid_matches_the_deciders_and_renderings_off_valid_orders(fintop2):
+    seen = set()
+    invalid = 0
+    for t in _perturbed_orders(fintop2, 300, seed=20):
+        invalid += not validate_structure(t).ok
+        for f in range(fintop2.category.n_morphisms):
+            flags = class_flags(classify(f, t))
+            assert flags == _oracle_flags(t, f), f
+            seen.update(enumerate(flags))
+            expected = _brute_force_renderings(t, f)
+            try:
+                assert continuity_equivalents(f, t) == expected
+            except InternalConsistencyError as exc:
+                assert str(expected) in str(exc)
+    assert invalid > 250
+    # every class is seen both holding and failing
+    assert seen >= {(k, b) for k in range(4) for b in (True, False)}
 
 
 def test_corrupted_relation_fails_all_renderings(disc2_loop):

@@ -2,9 +2,15 @@
 
 import ast
 import importlib
+import re
+import shlex
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
+from topogen import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "benchmark" / "tracing.py"
+README = ROOT / "README.md"
 
 
 def _tracing_targets():
@@ -26,3 +32,25 @@ def test_every_traced_function_resolves():
         if not callable(getattr(importlib.import_module(f"topogen.{module}"), name, None))
     ]
     assert missing == []
+
+
+def _readme_cli_commands():
+    """Argument lists of the ``topogen`` lines in README's CLI code block."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines() if line.startswith("topogen ")
+    ]
+
+
+def test_readme_cli_examples_exit_zero(capsys):
+    # the examples that read or write no file and are not the suite
+    runnable = [
+        argv for argv in _readme_cli_commands()
+        if argv[0] != "suite" and not any(re.search(r"\.[a-z]+$", arg) for arg in argv)
+    ]
+    assert len(runnable) >= 9
+    for argv in runnable:
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().out, argv
