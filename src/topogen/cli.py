@@ -126,6 +126,12 @@ def _emit(text: str, output):
 # commands
 
 
+_RESOLVERS = {
+    fileformat.OrderRecord: fileformat.resolve_order,
+    fileformat.OperatorRecord: fileformat.resolve_operator,
+}
+
+
 def _cmd_validate(args) -> int:
     env = _Environment(args.files)
     failures = 0
@@ -156,10 +162,9 @@ def _cmd_validate(args) -> int:
                 )
                 failures += not ok
                 print(("ok " if ok else "FAIL ") + label + ("" if ok else ": not continuous"))
-            elif isinstance(rec, fileformat.OrderRecord):
+            elif type(rec) in _RESOLVERS:
                 fib = env.fibration(rec.fibration)
-                order = fileformat.resolve_order(rec, fib)
-                rep = validate_structure(order)
+                rep = validate_structure(_RESOLVERS[type(rec)](rec, fib))
                 failures += not rep.ok
                 print(("ok " if rep.ok else "FAIL ") + label)
                 if not rep.ok:

@@ -208,7 +208,3 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
         assignment[x] = None
 
     yield from place(0)
-
-
-def count_structures(spec: EnumerationSpec) -> int:
-    return sum(1 for _ in enumerate_structures(spec))

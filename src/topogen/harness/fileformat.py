@@ -489,3 +489,29 @@ def operator_record_of(name: str, op, kind: str) -> OperatorRecord:
         )
         blocks.append((fib.category.object_names[x], entries))
     return OperatorRecord(name, fib.name, kind, tuple(blocks))
+
+
+def resolve_operator(record: OperatorRecord, fib):
+    """Turn an operator record into a ClosureOperator or InteriorOperator
+    over the given fibration.
+
+    Each block maps every subobject of its object once.  A block may be left
+    out only for an object with one subobject, whose one self-map is forced.
+    """
+    from ..structures import ClosureOperator, InteriorOperator
+
+    rows = [[0] if lat.size == 1 else [None] * lat.size for lat in fib.sub]
+    for obj_name, entries in record.table:
+        x = fib.category.object_index(obj_name)
+        lat = fib.sub[x]
+        if len(entries) != lat.size:
+            raise FormatError(
+                f"operator {record.name!r} has {len(entries)} entries for {obj_name!r}, "
+                f"expected {lat.size}"
+            )
+        for a, b in entries:
+            rows[x][lat.index_of(a)] = lat.index_of(b)
+    if any(v is None for row in rows for v in row):
+        raise FormatError(f"operator {record.name!r} leaves entries unassigned")
+    cls = ClosureOperator if record.kind == "closure" else InteriorOperator
+    return cls(fib, tuple(map(tuple, rows)))

@@ -212,13 +212,14 @@ def check_class_calculus_suite(scale: str) -> Report:
     return merge("class-calculus", reports)
 
 
-def swept_squares(fib, ps):
-    """Each cospan (f, p) with p in ``ps`` and its pullback square, or None
-    for a square beyond the point budget, in sweep order.
+def swept_legs(fib, ps):
+    """Each cospan (f, p) with p in ``ps`` and the legs (f', p') of its
+    pullback, or None beyond the point budget, in sweep order.
 
     Legs are shared between the cospans of one shape within one block of
-    consecutive ``p`` with the same domain (see ``sweep_pullback_transfer``);
-    every square is still built as a ``PullbackSquare``.
+    consecutive ``p`` with the same domain, and dropped when the domain
+    changes: one memo over the whole medium sweep raises its peak RSS from
+    31 MB to 49 MB.
     """
     cat = fib.category
     shape_id, _ = intern(zip(cat.mor_dom, cat.graphs))
@@ -229,16 +230,13 @@ def swept_squares(fib, ps):
         legs_of = memo.setdefault(shape_id[p], {})
         for f in cat.morphisms_to[cat.mor_cod[p]]:
             shape = shape_id[f]
-            if shape in legs_of:
-                legs = legs_of[shape]
-                sq = None if legs is None else PullbackSquare(fib, legs[0], p, legs[1], f)
-            else:
+            if shape not in legs_of:
                 try:
                     sq = pullback(fib, f, p)
                     legs_of[shape] = (sq.f_prime, sq.p_prime)
                 except CapabilityError:
-                    sq = legs_of[shape] = None
-            yield f, p, sq
+                    legs_of[shape] = None
+            yield f, p, legs_of[shape]
 
 
 def sweep_pullback_transfer(fib, classifications) -> Report:
@@ -252,13 +250,14 @@ def sweep_pullback_transfer(fib, classifications) -> Report:
 
     The pullback of f: X->Y along p: Y'->Y is the fibre product of the
     graphs with the subspace topology of X x Y', so its legs f', p' depend
-    on the shape (dom p, graph p, dom f, graph f) alone, never on Y: the
-    medium sweep has 726,193 cospans but 208,252 shapes.  ``swept_squares``
-    builds each shape once (or records it as beyond the point budget) and
-    the square of any other cospan of that shape from the shared legs.  Its
-    memo holds one block of ``p`` with the same domain, the blocks being
-    contiguous in index order, and is dropped when the domain changes: one
-    memo over the whole medium sweep raises its peak RSS from 31 MB to 49 MB.
+    on the shape (dom p, graph p, dom f, graph f) alone, never on Y.  So
+    does the check of alignment and commutation: both composites X'->Y
+    have the graphs graph p o graph f' and graph f o graph p', and
+    ``validate_fibration`` certifies that they exist.  The square that
+    ``pullback`` builds per shape thus proves every cospan of that shape:
+    the medium sweep checks 672,582 squares from 171,129 built shapes, and
+    builds a ``PullbackSquare`` only for ``check_bcp`` on a memo miss and
+    to name a violation.
     """
     cat = fib.category
     names = cat.mor_names
@@ -271,19 +270,19 @@ def sweep_pullback_transfer(fib, classifications) -> Report:
     ]
     violations = []
     checked = n_skip = 0
-    for f, p, sq in swept_squares(fib, sorted(fib.eclass | fib.mclass)):
-        if sq is None:
+    for f, p, legs in swept_legs(fib, sorted(fib.eclass | fib.mclass)):
+        if legs is None:
             n_skip += 1
             continue
         checked += 1
-        f_prime, p_prime = sq.f_prime, sq.p_prime
+        f_prime, p_prime = legs
         key = (
             img_id[p_prime], pre_id[f_prime], img_id[p], pre_id[f],
             sub_id[cat.mor_cod[f_prime]], sub_id[cat.mor_cod[p_prime]],
         )
         bcp = bcps.get(key)
         if bcp is None:
-            bcp = bcps[key] = check_bcp(sq)
+            bcp = bcps[key] = check_bcp(PullbackSquare(fib, f_prime, p, p_prime, f))
         if not bcp.lemma_inequality_holds:
             violations.append(Violation(
                 "image-preimage-inequality", where=f"{fib.name}:{names[f]}"))
@@ -296,7 +295,7 @@ def sweep_pullback_transfer(fib, classifications) -> Report:
             if laws is None:
                 laws = memo[key] = transfer_laws(cls[f_prime], cls[p], cls[p_prime], cls[f])
             if laws:
-                where = sq.name
+                where = PullbackSquare(fib, f_prime, p, p_prime, f).name
                 violations.extend(Violation(law, where=where) for law in laws)
     skipped = (f"{fib.name}: {n_skip} squares beyond point budget",) if n_skip else ()
     return Report(f"pullback-transfer {fib.name}", checked, tuple(violations), skipped)

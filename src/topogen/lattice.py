@@ -109,10 +109,6 @@ class FiniteLattice:
     def size(self) -> int:
         return len(self.labels)
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.labels)) - 1
-
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
 
@@ -236,26 +232,6 @@ class MonotoneMap:
     @staticmethod
     def identity(lat: FiniteLattice) -> "MonotoneMap":
         return MonotoneMap(lat, lat, tuple(range(lat.size)))
-
-    def preserves_all_joins(self) -> bool:
-        src, tgt = self.source, self.target
-        if self.table[src.bottom] != tgt.bottom:
-            return False
-        for i in range(src.size):
-            for j in range(src.size):
-                if self.table[src.join(i, j)] != tgt.join(self.table[i], self.table[j]):
-                    return False
-        return True
-
-    def preserves_all_meets(self) -> bool:
-        src, tgt = self.source, self.target
-        if self.table[src.top] != tgt.top:
-            return False
-        for i in range(src.size):
-            for j in range(src.size):
-                if self.table[src.meet(i, j)] != tgt.meet(self.table[i], self.table[j]):
-                    return False
-        return True
 
 
 @dataclass(frozen=True)

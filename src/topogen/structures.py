@@ -452,21 +452,3 @@ def is_idempotent(op) -> bool:
 def discrete_order(fib: SubobjectFibration) -> TopogenousOrder:
     """The largest topogenous order: m ⊏ n iff m <= n."""
     return TopogenousOrder(fib, tuple(tuple(lat.up) for lat in fib.sub))
-
-
-def induced_relation_of_closure(t: TopogenousOrder) -> tuple[tuple[int, ...], ...]:
-    """The relation {(m, n) : meet(related set of m) <= n}, rowwise.
-
-    Always contains the original relation.  When every row is inhabited, it
-    equals the original exactly when the order is meet-preserving.  An empty
-    row stays empty, so it matches, yet it lacks the top and is never
-    meet-preserving.
-    """
-    out = []
-    for x, lat in enumerate(t.fib.sub):
-        rows = []
-        for m in range(lat.size):
-            related = t.rel[x][m]
-            rows.append(lat.up[lat.meet_all(mask_iter(related))] if related else 0)
-        out.append(tuple(rows))
-    return tuple(out)

@@ -241,6 +241,30 @@ def test_converted_record_validates_in_its_document(capsys, tmp_path, target):
     code, out, _ = run(capsys, "validate", str(doc))
     assert code == 0
     assert out.count("ok ") == 3
+    # operator records are checked against their kind's axioms, not only parsed
+    assert "syntax only" not in out
+
+
+def test_validate_checks_operator_axioms(capsys, tmp_path):
+    doc = tmp_path / "in.topo"
+    doc.write_text("operator c: fibration=fintop1; kind=closure; table=pt[{}=>{0},{0}=>{}]\n")
+    code, out, _ = run(capsys, "validate", str(doc))
+    assert code == 1
+    assert out.startswith(f"FAIL {doc}:operator c\n")
+    assert "violation: extensive; at pt; witness {0}" in out
+
+
+@pytest.mark.parametrize("fib,table,error", [
+    ("fintop1", "pt[{}=>{0}]", "operator 'c' has 1 entries for 'pt', expected 2"),
+    ("fintop1", "pt[{}=>{},{0}=>{0},{}=>{}]", "operator 'c' has 3 entries for 'pt', expected 2"),
+    ("fintop1", "pt[{}=>{},{}=>{0}]", "operator 'c' leaves entries unassigned"),
+    ("fintop2", "empty[{}=>{}]", "operator 'c' leaves entries unassigned"),
+])
+def test_operator_table_of_the_wrong_size_is_a_parse_error(capsys, tmp_path, fib, table, error):
+    doc = tmp_path / "in.topo"
+    doc.write_text(f"operator c: fibration={fib}; kind=interior; table={table}\n")
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out, err) == (2, "", f"parse error: {error}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -199,7 +199,7 @@ def test_reflection_collapses_indiscrete_pairs():
     # any nonempty proper subset relates only to the whole space
     assert ind.rel[x][0b01] == 1 << 0b11
     assert ind.rel[x][0b10] == 1 << 0b11
-    assert ind.rel[x][lat.bottom] == lat.full_mask
+    assert ind.rel[x][lat.bottom] == (1 << lat.size) - 1
 
 
 def test_discretization_order_is_inclusion():

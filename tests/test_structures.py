@@ -13,7 +13,6 @@ from topogen.structures import (
     TopogenousOrder,
     closure_from_topogenous,
     discrete_order,
-    induced_relation_of_closure,
     interior_from_topogenous,
     is_idempotent,
     is_interpolative,
@@ -47,7 +46,7 @@ def test_bottom_only_relation_is_topogenous(fintop2):
     rel = []
     for lat in fintop2.sub:
         rows = [0] * lat.size
-        rows[lat.bottom] = lat.full_mask
+        rows[lat.bottom] = (1 << lat.size) - 1
         rel.append(tuple(rows))
     t = TopogenousOrder(fintop2, tuple(rel))
     assert validate_structure(t).ok
@@ -216,6 +215,24 @@ def test_conversions_are_order_compatible(disc2_loop):
                 assert interior_from_topogenous(t1).pointwise_leq(interior_from_topogenous(t2))
 
 
+def induced_relation_of_closure(t: TopogenousOrder) -> tuple[tuple[int, ...], ...]:
+    """The relation {(m, n) : meet(related set of m) <= n}, rowwise.
+
+    Always contains the original relation.  When every row is inhabited, it
+    equals the original exactly when the order is meet-preserving.  An empty
+    row stays empty, so it matches, yet it lacks the top and is never
+    meet-preserving.
+    """
+    out = []
+    for x, lat in enumerate(t.fib.sub):
+        rows = []
+        for m in range(lat.size):
+            related = t.rel[x][m]
+            rows.append(lat.up[lat.meet_all(mask_iter(related))] if related else 0)
+        out.append(tuple(rows))
+    return tuple(out)
+
+
 def test_closure_induced_relation_contains_order(disc2_loop):
     # rows with a meet witness induce a relation containing the original;
     # with all rows inhabited, equality characterizes meet-preservation
@@ -380,7 +397,7 @@ def test_preservation_matches_scan_on_every_set(number):
     sizes = []
     for s in range(1 << lat.size):
         sizes += _assert_preservation_matches_scan(TopogenousOrder(fib, ((s,) * lat.size,)))
-        columns = tuple(lat.full_mask if s >> m & 1 else 0 for m in range(lat.size))
+        columns = tuple((1 << lat.size) - 1 if s >> m & 1 else 0 for m in range(lat.size))
         sizes += _assert_preservation_matches_scan(TopogenousOrder(fib, (columns,)))
     assert set(sizes) == {0, 2, 3}
 

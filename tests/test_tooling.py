@@ -6,9 +6,11 @@ import re
 import shlex
 from pathlib import Path
 
+import topogen
 from topogen import cli
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "topogen"
 TRACING = ROOT / "benchmark" / "tracing.py"
 README = ROOT / "README.md"
 
@@ -54,3 +56,46 @@ def test_readme_cli_examples_exit_zero(capsys):
     for argv in runnable:
         assert cli.main(argv) == 0, argv
         assert capsys.readouterr().out, argv
+
+
+def _unreferenced_src_functions():
+    """``(module, qualname)`` of each top-level function and method under
+    ``src/topogen`` whose name no ``src/`` module uses as a name or an
+    attribute; dunder methods are called implicitly and left out."""
+    defined, used = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((module, node.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined.extend(
+                    (module, f"{node.name}.{item.name}", item.name)
+                    for item in node.body if isinstance(item, ast.FunctionDef)
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [
+        (module, qualname) for module, qualname, name in defined
+        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    ]
+
+
+def test_every_src_function_has_a_src_caller():
+    # code only the tests call belongs in the tests; the exceptions are the
+    # benchmark's traced functions, the package's public names (and their
+    # classes' methods) and endofunctor_record_of, the inverse of
+    # resolve_endofunctor
+    allowed = {f"{module}.{name}" for module, name in _tracing_targets()}
+    allowed.add("harness.fileformat.endofunctor_record_of")
+    unreferenced = _unreferenced_src_functions()
+    assert ("harness.fileformat", "endofunctor_record_of") in unreferenced
+    stray = [
+        f"{module}.{qualname}" for module, qualname in unreferenced
+        if f"{module}.{qualname}" not in allowed and qualname.split(".")[0] not in topogen.__all__
+    ]
+    assert stray == []
