@@ -26,6 +26,8 @@ from .instances import registry
 from .instances.topology import fintop_fibration, is_continuous, map_predicates
 from .morphisms import classify, strict_subobjects
 from .constructions import (
+    CopointedEndofunctor,
+    PointedEndofunctor,
     induce_copointed,
     induce_pointed,
     lift_topogenous,
@@ -129,7 +131,9 @@ def _emit(text: str, output):
 _RESOLVERS = {
     fileformat.OrderRecord: fileformat.resolve_order,
     fileformat.OperatorRecord: fileformat.resolve_operator,
+    fileformat.EndofunctorRecord: fileformat.resolve_endofunctor,
 }
+_VALIDATORS = {PointedEndofunctor: validate_pointed, CopointedEndofunctor: validate_copointed}
 
 
 def _cmd_validate(args) -> int:
@@ -162,15 +166,13 @@ def _cmd_validate(args) -> int:
                 )
                 failures += not ok
                 print(("ok " if ok else "FAIL ") + label + ("" if ok else ": not continuous"))
-            elif type(rec) in _RESOLVERS:
-                fib = env.fibration(rec.fibration)
-                rep = validate_structure(_RESOLVERS[type(rec)](rec, fib))
+            else:
+                resolved = _RESOLVERS[type(rec)](rec, env.fibration(rec.fibration))
+                rep = _VALIDATORS.get(type(resolved), validate_structure)(resolved)
                 failures += not rep.ok
                 print(("ok " if rep.ok else "FAIL ") + label)
                 if not rep.ok:
                     print(rep.render())
-            else:
-                print(f"ok {label} (syntax only)")
     return EXIT_FAILURE if failures else EXIT_OK
 
 
@@ -276,18 +278,14 @@ def _cmd_induce(args) -> int:
     env = _Environment(args.files)
     fib = env.fibration(args.fibration)
     order = env.order(args.order, fib)
-    if args.pointed:
-        endo = env.endofunctor("pointed", args.pointed, fib)
-        rep = validate_pointed(endo)
-        induced = induce_pointed(endo, order)
-    else:
-        endo = env.endofunctor("copointed", args.copointed, fib)
-        rep = validate_copointed(endo)
-        induced = induce_copointed(endo, order)
-    name = f"{args.order}_via_{args.pointed or args.copointed}"
+    endo_name = args.pointed or args.copointed
+    endo = env.endofunctor("pointed" if args.pointed else "copointed", endo_name, fib)
+    rep = _VALIDATORS[type(endo)](endo)
     if not rep.ok:
         print(rep.render(), file=sys.stderr)
         return EXIT_FAILURE
+    induced = (induce_pointed if args.pointed else induce_copointed)(endo, order)
+    name = f"{args.order}_via_{endo_name}"
     vrep = validate_structure(induced)
     record = fileformat.order_record_of(name, induced)
     _emit(fileformat.serialize_record(record) + "\n", args.output)

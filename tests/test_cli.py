@@ -254,6 +254,64 @@ def test_validate_checks_operator_axioms(capsys, tmp_path):
     assert "violation: extensive; at pt; witness {0}" in out
 
 
+def _t0_record_line():
+    from topogen.harness import fileformat
+    from topogen.instances.registry import builtin_fibration, builtin_pointed
+
+    record = fileformat.endofunctor_record_of(
+        "t0", builtin_pointed("t0", builtin_fibration("t0_small")))
+    line = fileformat.serialize_record(record)
+    assert "obj=pt=>pt,indiscrete2=>pt;" in line and "unit=pt=>id_pt," in line
+    return line
+
+
+def test_validate_checks_endofunctor_laws(capsys, tmp_path):
+    from topogen.harness import fileformat
+    from topogen.instances.registry import builtin_copointed, builtin_fibration
+
+    doc = tmp_path / "endo.topo"
+    copointed = fileformat.endofunctor_record_of(
+        "d", builtin_copointed("discrete", builtin_fibration("coreflect_small")))
+    doc.write_text(_t0_record_line() + "\n" + fileformat.serialize_record(copointed) + "\n")
+    code, out, _ = run(capsys, "validate", str(doc))
+    assert (code, out) == (0, f"ok {doc}:endofunctor t0\nok {doc}:endofunctor d\n")
+    # both objects sent to indiscrete2: identities, morphisms and the unit are mistyped
+    doc.write_text(_t0_record_line().replace(
+        "obj=pt=>pt,indiscrete2=>pt;", "obj=pt=>indiscrete2,indiscrete2=>indiscrete2;") + "\n")
+    code, out, _ = run(capsys, "validate", str(doc))
+    assert code == 1
+    assert out.startswith(f"FAIL {doc}:endofunctor t0\n")
+    laws = set(re.findall(r"violation: ([\w-]+);", out))
+    assert laws == {"endofunctor-identity", "endofunctor-typing", "unit-typing"}
+    # a unit component that does not compose is a naturality failure, not a usage error
+    doc.write_text(_t0_record_line().replace("unit=pt=>id_pt,", "unit=pt=>pt>indiscrete2:0,") + "\n")
+    code, out, _ = run(capsys, "validate", str(doc))
+    assert code == 1
+    assert "violation: unit-typing; at pt" in out and "violation: unit-naturality" in out
+
+
+def test_induce_refuses_an_invalid_endofunctor_before_inducing(capsys, tmp_path):
+    doc = tmp_path / "endo.topo"
+    doc.write_text(_t0_record_line().replace(
+        "obj=pt=>pt,indiscrete2=>pt;", "obj=pt=>indiscrete2,indiscrete2=>indiscrete2;") + "\n")
+    code, out, err = run(capsys, "induce", "--pointed", "t0", "--order", "closure",
+                         "--fibration", "t0_small", str(doc))
+    assert (code, out) == (1, "")
+    assert "violation: endofunctor-identity; at pt" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("old,new", [
+    ("obj=pt=>pt,indiscrete2=>pt;", "obj=pt=>pt;"),
+    ("mor=id_pt=>id_pt,", "mor="),
+    ("unit=pt=>id_pt,", "unit="),
+])
+def test_endofunctor_record_with_unmapped_entries_is_a_parse_error(capsys, tmp_path, old, new):
+    doc = tmp_path / "endo.topo"
+    doc.write_text(_t0_record_line().replace(old, new) + "\n")
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out, err) == (2, "", "parse error: endofunctor 't0' leaves entries unassigned\n")
+
+
 @pytest.mark.parametrize("fib,table,error", [
     ("fintop1", "pt[{}=>{0}]", "operator 'c' has 1 entries for 'pt', expected 2"),
     ("fintop1", "pt[{}=>{},{0}=>{0},{}=>{}]", "operator 'c' has 3 entries for 'pt', expected 2"),

@@ -452,14 +452,19 @@ def _sweep_order(fib):
     return sorted(fib.eclass | fib.mclass)
 
 
-def test_sweep_builds_each_pullback_shape_once(fintop2, monkeypatch):
+def _fibre_relation(cat, f, p):
+    """{(a, b) : f(a) = p(b)}, the carrier of the pullback of f along p."""
+    gf, gp = cat.graphs[f], cat.graphs[p]
+    return frozenset((a, b) for a, x in enumerate(gf) for b, y in enumerate(gp) if x == y)
+
+
+def test_sweep_builds_each_pullback_relation_once(fintop2, monkeypatch):
     import topogen.harness.suite as suite
 
     cat = fintop2.category
-    shapes = {
-        (cat.mor_dom[p], cat.graphs[p], cat.mor_dom[f], cat.graphs[f])
-        for p in _sweep_order(fintop2) for f in cat.morphisms_to[cat.mor_cod[p]]
-    }
+    cospans = [(f, p) for p in _sweep_order(fintop2) for f in cat.morphisms_to[cat.mor_cod[p]]]
+    shapes = {(cat.mor_dom[p], cat.graphs[p], cat.mor_dom[f], cat.graphs[f]) for f, p in cospans}
+    relations = {(cat.mor_dom[p], cat.mor_dom[f], _fibre_relation(cat, f, p)) for f, p in cospans}
     counts = {"pullback": 0, "built": 0, "bcp": 0, "square": 0}
     traced_pullback, traced_bcp = suite.pullback, suite.check_bcp
     checked_square = PullbackSquare.__post_init__
@@ -487,8 +492,8 @@ def test_sweep_builds_each_pullback_shape_once(fintop2, monkeypatch):
     }
     report = suite.sweep_pullback_transfer(fintop2, classifications)
     assert report.ok
-    assert counts["pullback"] == len(shapes) == 233
-    # one square per built shape and one per Beck-Chevalley memo miss, none per cospan
+    assert counts["pullback"] == len(relations) == 121 and len(shapes) == 233
+    # one square per built pullback and one per Beck-Chevalley memo miss, none per cospan
     assert counts["square"] == counts["built"] + counts["bcp"] < report.checked == 505
 
 
@@ -498,10 +503,11 @@ def test_memoised_legs_match_fresh_pullbacks(fintop2, fintop3):
     for fib, ps in ((fintop2, _sweep_order(fintop2)), (fintop3, _sweep_order(fintop3)[::13])):
         cat = fib.category
         cospans = skipped = 0
-        shapes = set()
+        shapes, relations = set(), set()
         for f, p, legs in swept_legs(fib, ps):
             cospans += 1
             shapes.add((cat.mor_dom[p], cat.graphs[p], cat.mor_dom[f], cat.graphs[f]))
+            relations.add((cat.mor_dom[p], cat.mor_dom[f], _fibre_relation(cat, f, p)))
             try:
                 fresh = pullback(fib, f, p)
             except CapabilityError:
@@ -511,5 +517,6 @@ def test_memoised_legs_match_fresh_pullbacks(fintop2, fintop3):
             assert legs == (fresh.f_prime, fresh.p_prime)
             # the per-cospan alignment and commutation check the sweep leaves out
             PullbackSquare(fib, legs[0], p, legs[1], f)
-        # some cospans share a shape, so some legs are shared
-        assert skipped > 0 and len(shapes) < cospans
+        # some cospans share a shape, and some shapes a relation, so legs are
+        # shared across shapes too
+        assert skipped > 0 and len(relations) < len(shapes) < cospans

@@ -382,48 +382,63 @@ def test_pullback_needs_a_cospan(fintop2):
         pullback(fintop2, cat.morphism_index("id_pt"), cat.morphism_index("id_empty"))
 
 
-def _box_union_corner(fib, f, p):
-    """Reference pullback corner of the cospan f, p of a space fibration: the
-    carrier, and the (n, opens) of the subspace of the product topology,
-    built as the unions of open boxes folded to a fixpoint."""
-    cat = fib.category
+def _carrier(cat, f, p):
+    """The set fibre product {(a, b) : f(a) = p(b)} of the cospan f, p, in
+    lexicographic order."""
     gf, gp = cat.graphs[f], cat.graphs[p]
-    spaces = spaces_of(fib)
-    sx, syp = spaces[cat.mor_dom[f]], spaces[cat.mor_dom[p]]
-    carrier = [(a, b) for a in range(sx.n) for b in range(syp.n) if gf[a] == gp[b]]
-    boxes = {
-        sum(1 << i for i, (a, b) in enumerate(carrier) if u >> a & 1 and v >> b & 1)
-        for u in sx.opens
-        for v in syp.opens
-    }
+    return tuple((a, b) for a, x in enumerate(gf) for b, y in enumerate(gp) if x == y)
+
+
+def _box_union_corner(sx, syp, carrier):
+    """Reference pullback corner over the given carrier: the (n, opens) of
+    the subspace of the product topology of sx x syp, built as the unions
+    of open boxes folded to a fixpoint."""
+    # the box U x V meets the carrier in (points over U) & (points over V)
+    over_x = [sum(1 << i for i, (a, _) in enumerate(carrier) if u >> a & 1) for u in sx.opens]
+    over_y = [sum(1 << i for i, (_, b) in enumerate(carrier) if v >> b & 1) for v in syp.opens]
+    boxes = {mu & mv for mu in over_x for mv in over_y}
     opens = set(boxes)
     frontier = set(boxes)
     while frontier:
         frontier = {a | b for a in frontier for b in boxes} - opens
         opens |= frontier
-    return carrier, (len(carrier), tuple(sorted(opens)))
+    return len(carrier), tuple(sorted(opens))
 
 
 def _assert_corners_match_box_unions(fib, cospans):
+    """Check each cospan's pullback against the box-union corner.  The
+    reference corner is a function of (dom f, dom p, carrier), so it is
+    computed once per such key."""
     cat = fib.category
     spaces = spaces_of(fib)
     max_points = max(s.n for s in spaces)
+    corners = {}
     built = 0
     for f, p in cospans:
-        carrier, shape = _box_union_corner(fib, f, p)
+        carrier = _carrier(cat, f, p)
         if len(carrier) > max_points:
             with pytest.raises(CapabilityError):
                 pullback(fib, f, p)
             continue
+        key = (cat.mor_dom[f], cat.mor_dom[p], carrier)
+        if key not in corners:
+            corners[key] = _box_union_corner(spaces[key[0]], spaces[key[1]], carrier)
         sq = pullback(fib, f, p)
         corner = spaces[cat.mor_dom[sq.f_prime]]
-        assert (corner.n, corner.opens) == shape
+        assert (corner.n, corner.opens) == corners[key]
         assert cat.graphs[sq.p_prime] == tuple(a for a, _ in carrier)
         assert cat.graphs[sq.f_prime] == tuple(b for _, b in carrier)
         built += 1
     # one memo entry per corner topology at most
     assert len(fib.backend.corners) <= cat.n_objects
     return built
+
+
+def _fintop3_sweep(fib):
+    cat = fib.category
+    return (
+        (f, p) for p in sorted(fib.eclass | fib.mclass) for f in cat.morphisms_to[cat.mor_cod[p]]
+    )
 
 
 def test_pullback_corners_match_box_unions_on_fintop2(fintop2):
@@ -436,13 +451,24 @@ def test_pullback_corners_match_box_unions_on_fintop2(fintop2):
 
 
 def test_pullback_corners_match_box_unions_on_fintop3_slice(fintop3):
-    cat = fintop3.category
-    swept = (
-        (f, p) for p in sorted(fintop3.eclass | fintop3.mclass)
-        for f in cat.morphisms_to[cat.mor_cod[p]]
-    )
+    swept = _fintop3_sweep(fintop3)
     built = _assert_corners_match_box_unions(fintop3, itertools.islice(swept, 0, None, 13))
     assert built > 50_000
+
+
+def test_pullback_corners_match_box_unions_on_every_fintop3_relation(fintop3):
+    # the sweep builds one pullback per (dom p, dom f, carrier) key, so one
+    # representative cospan per key proves every corner it builds
+    cat = fintop3.category
+    shapes = {}
+    for f, p in _fintop3_sweep(fintop3):
+        shapes.setdefault((cat.mor_dom[p], cat.graphs[p], cat.mor_dom[f], cat.graphs[f]), (f, p))
+    representatives = {}
+    for f, p in shapes.values():
+        representatives.setdefault((cat.mor_dom[p], cat.mor_dom[f], _carrier(cat, f, p)), (f, p))
+    assert len(representatives) == 47_095
+    built = _assert_corners_match_box_unions(fintop3, representatives.values())
+    assert 0 < built < len(representatives)
 
 
 def test_bcp_on_identity_square(fintop2):
