@@ -407,7 +407,7 @@ def _box_union_corner(sx, syp, carrier):
 
 def _assert_corners_match_box_unions(fib, cospans):
     """Check each cospan's pullback against the box-union corner.  The
-    reference corner is a function of (dom f, dom p, carrier), so it is
+    reference corner is a function of (dom p, dom f, carrier), so it is
     computed once per such key."""
     cat = fib.category
     spaces = spaces_of(fib)
@@ -420,9 +420,9 @@ def _assert_corners_match_box_unions(fib, cospans):
             with pytest.raises(CapabilityError):
                 pullback(fib, f, p)
             continue
-        key = (cat.mor_dom[f], cat.mor_dom[p], carrier)
+        key = (cat.mor_dom[p], cat.mor_dom[f], carrier)
         if key not in corners:
-            corners[key] = _box_union_corner(spaces[key[0]], spaces[key[1]], carrier)
+            corners[key] = _box_union_corner(spaces[key[1]], spaces[key[0]], carrier)
         sq = pullback(fib, f, p)
         corner = spaces[cat.mor_dom[sq.f_prime]]
         assert (corner.n, corner.opens) == corners[key]
@@ -434,7 +434,8 @@ def _assert_corners_match_box_unions(fib, cospans):
     return built
 
 
-def _fintop3_sweep(fib):
+def _sweep_cospans(fib):
+    """The cospans (f, p) of the E∪M pullback-transfer sweep, in its order."""
     cat = fib.category
     return (
         (f, p) for p in sorted(fib.eclass | fib.mclass) for f in cat.morphisms_to[cat.mor_cod[p]]
@@ -451,7 +452,7 @@ def test_pullback_corners_match_box_unions_on_fintop2(fintop2):
 
 
 def test_pullback_corners_match_box_unions_on_fintop3_slice(fintop3):
-    swept = _fintop3_sweep(fintop3)
+    swept = _sweep_cospans(fintop3)
     built = _assert_corners_match_box_unions(fintop3, itertools.islice(swept, 0, None, 13))
     assert built > 50_000
 
@@ -461,7 +462,7 @@ def test_pullback_corners_match_box_unions_on_every_fintop3_relation(fintop3):
     # representative cospan per key proves every corner it builds
     cat = fintop3.category
     shapes = {}
-    for f, p in _fintop3_sweep(fintop3):
+    for f, p in _sweep_cospans(fintop3):
         shapes.setdefault((cat.mor_dom[p], cat.graphs[p], cat.mor_dom[f], cat.graphs[f]), (f, p))
     representatives = {}
     for f, p in shapes.values():
