@@ -283,11 +283,6 @@ def test_validate_checks_endofunctor_laws(capsys, tmp_path):
     assert out.startswith(f"FAIL {doc}:endofunctor t0\n")
     laws = set(re.findall(r"violation: ([\w-]+);", out))
     assert laws == {"endofunctor-identity", "endofunctor-typing", "unit-typing"}
-    # a unit component that does not compose is a naturality failure, not a usage error
-    doc.write_text(_t0_record_line().replace("unit=pt=>id_pt,", "unit=pt=>pt>indiscrete2:0,") + "\n")
-    code, out, _ = run(capsys, "validate", str(doc))
-    assert code == 1
-    assert "violation: unit-typing; at pt" in out and "violation: unit-naturality" in out
 
 
 def test_induce_refuses_an_invalid_endofunctor_before_inducing(capsys, tmp_path):

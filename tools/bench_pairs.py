@@ -3,14 +3,14 @@
 
 Usage::
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json \
-        [--pairs 10] [--first-seed 1] [--seconds S] [--workloads a,b]
+    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json
 
 Each checkout is a directory holding ``benchmark/run.py`` and ``src/``.  For
-pair i (seed ``first-seed + i``) every workload runs once on each side with
-``--trace 0``; even pairs run the parent first, odd pairs the change first,
-so host drift hits both sides alike.  Then one traced run per side and
-workload (``--trace 1``, first seed) gives the per-layer counts.
+each of ten pairs (seeds 1 to 10) every workload of ``BENCHMARK.json`` runs
+once on each side with ``--trace 0`` for the benchmark's ``run_seconds``;
+even pairs run the parent first, odd pairs the change first, so host drift
+hits both sides alike.  Then one traced run per side and workload
+(``--trace 1``, seed 1) gives the per-layer counts.
 
 The JSON written to ``--out`` holds, per workload and side, every run's
 end-to-end metrics with their median, quartiles and IQR; the pairs the
@@ -33,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACED_PREFIXES = ("site.pullback.", "site.check_bcp.")
+SEEDS = list(range(1, 11))
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -65,20 +66,16 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=config["run_seconds"])
-    parser.add_argument("--workloads", default=",".join(w["name"] for w in config["workloads"]))
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    workloads = args.workloads.split(",")
-    seeds = [args.first_seed + i for i in range(args.pairs)]
+    workloads = [w["name"] for w in config["workloads"]]
+    seconds = config["run_seconds"]
 
     runs = {w: {side: [] for side in SIDES} for w in workloads}
-    for i, seed in enumerate(seeds):
+    for i, seed in enumerate(SEEDS):
         for workload in workloads:
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                result = run_benchmark(checkouts[side], workload, seed, args.seconds, 0)
+                result = run_benchmark(checkouts[side], workload, seed, seconds, 0)
                 runs[workload][side].append(result)
                 wall = result["metrics"]["wall_ref_s"]["value"]
                 print(f"pair {i + 1} seed={seed} {workload} {side}: wall_ref_s={wall:.4f} "
@@ -88,7 +85,7 @@ def main(argv=None) -> int:
         "command": " ".join(["python3 tools/bench_pairs.py", *(sys.argv[1:] if argv is None else argv)]),
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": len(os.sched_getaffinity(0))},
-        "seeds": seeds,
+        "seeds": SEEDS,
         "workloads": {},
     }
     for workload in workloads:
@@ -100,14 +97,14 @@ def main(argv=None) -> int:
                 for name in results[0]["metrics"]
             }
             entry[side]["failed_ops"] = sum(r["failed"] for r in results)
-            traced = run_benchmark(checkouts[side], workload, seeds[0], args.seconds, 1)
+            traced = run_benchmark(checkouts[side], workload, SEEDS[0], seconds, 1)
             entry[side]["traced"] = {
                 name: metric["value"] for name, metric in traced["metrics"].items()
                 if name.startswith(TRACED_PREFIXES)
             }
         parent_wall = entry["parent"]["wall_ref_s"]["runs"]
         change_wall = entry["change"]["wall_ref_s"]["runs"]
-        entry["wall_ref_s_change_wins"] = f"{change_wins(parent_wall, change_wall)}/{len(seeds)}"
+        entry["wall_ref_s_change_wins"] = f"{change_wins(parent_wall, change_wall)}/{len(SEEDS)}"
         report["workloads"][workload] = entry
         print(f"{workload}: wall_ref_s parent median={entry['parent']['wall_ref_s']['median']:.4f} "
               f"iqr={entry['parent']['wall_ref_s']['iqr']:.4f}, change "
