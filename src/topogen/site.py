@@ -152,6 +152,15 @@ def concrete_category(
 
 
 def validate_category(cat: FiniteCategory) -> Report:
+    """Identity typing, and identity neutrality over every composable pair.
+
+    ``compose`` looks a composite up by (dom f, cod g, graph), so it always
+    has the right domain and codomain, and both bracketings of h∘g∘f look up
+    the key (dom f, cod h, graph h ∘ graph g ∘ graph f): associativity holds
+    whenever the composites exist.  Each composite it needs is that of a
+    composable pair the pair loop composes, so a missing one has already
+    raised there.  ``checked`` still counts the composable triples.
+    """
     violations = []
     checked = 0
     for x in range(cat.n_objects):
@@ -162,24 +171,14 @@ def validate_category(cat: FiniteCategory) -> Report:
     for g, f in cat.composable_pairs():
         checked += 1
         h = cat.compose(g, f)
-        if cat.mor_dom[h] != cat.mor_dom[f] or cat.mor_cod[h] != cat.mor_cod[g]:
-            violations.append(
-                Violation("composition-typing", witness=(cat.mor_names[g], cat.mor_names[f]))
-            )
         if cat.is_identity(g) and h != f:
             violations.append(Violation("identity-neutral-left", witness=(cat.mor_names[f],)))
         if cat.is_identity(f) and h != g:
             violations.append(Violation("identity-neutral-right", witness=(cat.mor_names[g],)))
-    for g, f in cat.composable_pairs():
-        for h in cat.morphisms_from[cat.mor_cod[g]]:
-            checked += 1
-            if cat.compose(cat.compose(h, g), f) != cat.compose(h, cat.compose(g, f)):
-                violations.append(
-                    Violation(
-                        "associativity",
-                        witness=(cat.mor_names[h], cat.mor_names[g], cat.mor_names[f]),
-                    )
-                )
+    # the triples (h, g, f) with g out of y number w[y] per f into y
+    out = cat.morphisms_from
+    w = [sum(len(out[cat.mor_cod[g]]) for g in out[y]) for y in range(cat.n_objects)]
+    checked += sum(w[y] for y in cat.mor_cod)
     return Report("category", checked, tuple(violations))
 
 
@@ -258,6 +257,12 @@ def intern(tables) -> tuple[list[int], dict]:
 def validate_fibration(fib: SubobjectFibration, functoriality: bool = True) -> Report:
     """Exhaustive invariant scan; reports all violations with witnesses.
 
+    The per-morphism laws (``_morphism_laws``) read only the two lattices,
+    the two tables, and membership in M and, when E is pullback-stable, in
+    E.  They run once per distinct such key; each fault is reported under
+    every morphism with that key, in morphism order, and ``checked`` counts
+    every morphism's checks.
+
     Functoriality (img(g∘f) = img g ∘ img f and pre(g∘f) = pre f ∘ pre g
     for every composable pair) is first certified per morphism: when every
     table equals the set-level image/preimage along the morphism's graph,
@@ -266,58 +271,31 @@ def validate_fibration(fib: SubobjectFibration, functoriality: bool = True) -> R
     because direct images and preimages of subsets compose along composed
     functions.  The per-pair loop runs instead when there is no set-level
     presentation (``subsets`` is None) or when a table or a composite fails
-    the certificate; only the loop reports violations.  ``checked`` counts
-    the composable pairs either way.
+    the certificate; only the loop reports violations, and it skips the
+    pairs that involve a table with a size or range fault.  ``checked``
+    counts the composable pairs either way.
     """
     cat = fib.category
     violations = []
     checked = 0
+    lattices, _ = intern(map(id, fib.sub))
+    laws: dict = {}
+    unusable = set()
     for f in range(cat.n_morphisms):
-        lx, ly = fib.sub_dom(f), fib.sub_cod(f)
-        img, pre = fib.img[f], fib.pre[f]
+        x, y = cat.mor_dom[f], cat.mor_cod[f]
+        key = (
+            lattices[x], lattices[y], fib.img[f], fib.pre[f],
+            f in fib.mclass, f in fib.eclass and fib.e_pullback_stable,
+        )
+        if key not in laws:
+            laws[key] = _morphism_laws(fib.sub[x], fib.sub[y], *key[2:])
+        count, faults = laws[key]
+        checked += count
         name = cat.mor_names[f]
-        if len(img) != lx.size or len(pre) != ly.size:
-            violations.append(Violation("table-size", where=name))
-            continue
-        for i in range(lx.size):
-            for j in mask_iter(lx.up[i]):
-                checked += 1
-                if not ly.leq(img[i], img[j]):
-                    violations.append(
-                        Violation("image-monotone", where=name, witness=(lx.labels[i], lx.labels[j]))
-                    )
-        for i in range(ly.size):
-            for j in mask_iter(ly.up[i]):
-                checked += 1
-                if not lx.leq(pre[i], pre[j]):
-                    violations.append(
-                        Violation("preimage-monotone", where=name, witness=(ly.labels[i], ly.labels[j]))
-                    )
-        for m in range(lx.size):
-            for n in range(ly.size):
-                checked += 1
-                if ly.leq(img[m], n) != lx.leq(m, pre[n]):
-                    violations.append(
-                        Violation("adjunction", where=name, witness=(lx.labels[m], ly.labels[n]))
-                    )
-                    break
-            else:
-                continue
-            break
-        if f in fib.mclass:
-            for m in range(lx.size):
-                checked += 1
-                if pre[img[m]] != m:
-                    violations.append(
-                        Violation("m-preimage-section", where=name, witness=(lx.labels[m],))
-                    )
-        if f in fib.eclass and fib.e_pullback_stable:
-            for n in range(ly.size):
-                checked += 1
-                if img[pre[n]] != n:
-                    violations.append(
-                        Violation("e-image-retraction", where=name, witness=(ly.labels[n],))
-                    )
+        for law, witness in faults:
+            if law.startswith("table-"):
+                unusable.add(f)
+            violations.append(Violation(law, where=name, witness=witness))
     for x in range(cat.n_objects):
         i = cat.identities[x]
         checked += 1
@@ -327,8 +305,57 @@ def validate_fibration(fib: SubobjectFibration, functoriality: bool = True) -> R
     if functoriality:
         checked += sum(len(cat.morphisms_from[y]) for y in cat.mor_cod)
         if not _functoriality_certified(fib):
-            violations.extend(_functoriality_violations(fib))
+            violations.extend(_functoriality_violations(fib, unusable))
     return Report(f"fibration {fib.name}", checked, tuple(violations))
+
+
+def _morphism_laws(
+    lx: FiniteLattice, ly: FiniteLattice, img: tuple[int, ...], pre: tuple[int, ...],
+    in_m: bool, in_e: bool,
+) -> tuple[int, list[tuple[str, tuple[str, ...]]]]:
+    """(checks made, faults as (law, witness)) of one morphism's tables:
+    table size and range, image/preimage monotonicity, the adjunction, the
+    M-section when ``in_m`` and the E-retraction when ``in_e``.  A size or
+    range fault is the only one reported, since the laws would index out of
+    the tables or lattices."""
+    if len(img) != lx.size or len(pre) != ly.size:
+        return 0, [("table-size", ())]
+    for what, table, source, target in (("img", img, lx, ly), ("pre", pre, ly, lx)):
+        for i, v in enumerate(table):
+            if not 0 <= v < target.size:
+                return 0, [("table-range", (f"{what}[{source.labels[i]}]={v}",))]
+    faults = []
+    checked = 0
+    for i in range(lx.size):
+        for j in mask_iter(lx.up[i]):
+            checked += 1
+            if not ly.leq(img[i], img[j]):
+                faults.append(("image-monotone", (lx.labels[i], lx.labels[j])))
+    for i in range(ly.size):
+        for j in mask_iter(ly.up[i]):
+            checked += 1
+            if not lx.leq(pre[i], pre[j]):
+                faults.append(("preimage-monotone", (ly.labels[i], ly.labels[j])))
+    for m in range(lx.size):
+        for n in range(ly.size):
+            checked += 1
+            if ly.leq(img[m], n) != lx.leq(m, pre[n]):
+                faults.append(("adjunction", (lx.labels[m], ly.labels[n])))
+                break
+        else:
+            continue
+        break
+    if in_m:
+        for m in range(lx.size):
+            checked += 1
+            if pre[img[m]] != m:
+                faults.append(("m-preimage-section", (lx.labels[m],)))
+    if in_e:
+        for n in range(ly.size):
+            checked += 1
+            if img[pre[n]] != n:
+                faults.append(("e-image-retraction", (ly.labels[n],)))
+    return checked, faults
 
 
 def _functoriality_certified(fib: SubobjectFibration) -> bool:
@@ -340,25 +367,29 @@ def _functoriality_certified(fib: SubobjectFibration) -> bool:
     if subsets is None:
         return False
     index = [{mask: i for i, mask in enumerate(masks)} for masks in subsets]
+    # the set-level tables depend only on (subsets of x, subsets of y, graph)
+    sets, _ = intern(subsets)
+    tables: dict = {}
     for f, graph in enumerate(graphs):
         x, y = dom[f], cod[f]
-        img = []
-        for mask in subsets[x]:
-            out = 0
-            for e, ge in enumerate(graph):
-                if mask >> e & 1:
-                    out |= 1 << ge
-            img.append(index[y].get(out, -1))
-        if tuple(img) != fib.img[f]:
-            return False
-        pre = []
-        for mask in subsets[y]:
-            out = 0
-            for e, ge in enumerate(graph):
-                if mask >> ge & 1:
-                    out |= 1 << e
-            pre.append(index[x].get(out, -1))
-        if tuple(pre) != fib.pre[f]:
+        key = (sets[x], sets[y], graph)
+        if key not in tables:
+            img = []
+            for mask in subsets[x]:
+                out = 0
+                for e, ge in enumerate(graph):
+                    if mask >> e & 1:
+                        out |= 1 << ge
+                img.append(index[y].get(out, -1))
+            pre = []
+            for mask in subsets[y]:
+                out = 0
+                for e, ge in enumerate(graph):
+                    if mask >> ge & 1:
+                        out |= 1 << e
+                pre.append(index[x].get(out, -1))
+            tables[key] = (tuple(img), tuple(pre))
+        if tables[key] != (fib.img[f], fib.pre[f]):
             return False
     # closure under composition: compose each graph into y once with each
     # graph out of y; every codomain of the latter needs a morphism with the
@@ -383,15 +414,18 @@ def _functoriality_certified(fib: SubobjectFibration) -> bool:
     return True
 
 
-def _functoriality_violations(fib: SubobjectFibration) -> list[Violation]:
+def _functoriality_violations(fib: SubobjectFibration, unusable: set[int]) -> list[Violation]:
     """Image and preimage functoriality over every composable pair, in
     ``composable_pairs`` order, image before preimage; a missing composite
-    raises from ``compose``."""
+    raises from ``compose``.  Pairs with g, f or g∘f in ``unusable`` (tables
+    of the wrong size or with out-of-range entries) are skipped."""
     cat = fib.category
     img, pre, names = fib.img, fib.pre, cat.mor_names
     found = []
     for g, f in cat.composable_pairs():
         h = cat.compose(g, f)
+        if g in unusable or f in unusable or h in unusable:
+            continue
         if tuple(map(img[g].__getitem__, img[f])) != img[h]:
             found.append(Violation("image-functorial", where=f"{names[g]} o {names[f]}"))
         if tuple(map(pre[f].__getitem__, pre[g])) != pre[h]:

@@ -1,10 +1,11 @@
+import collections
 import itertools
 
 import pytest
 
 from topogen import site
 from topogen.errors import CapabilityError, DomainError, InternalConsistencyError
-from topogen.lattice import FiniteLattice
+from topogen.lattice import FiniteLattice, mask_iter
 from topogen.site import (
     FiniteCategory,
     PullbackSquare,
@@ -65,6 +66,180 @@ def test_builtin_fibrations_validate(fintop2, grp_small, disc2_loop):
     for fib in (fintop2, grp_small, disc2_loop):
         assert validate_category(fib.category).ok
         assert validate_fibration(fib).ok
+
+
+def _reference_category(cat):
+    """(checked, violations) of identity typing and neutrality over every
+    pair, and associativity recomputed over every composable triple."""
+    violations = []
+    checked = 0
+    for x in range(cat.n_objects):
+        i = cat.identities[x]
+        checked += 1
+        if cat.mor_dom[i] != x or cat.mor_cod[i] != x:
+            violations.append(Violation("identity-endo", where=cat.object_names[x]))
+    for g, f in cat.composable_pairs():
+        checked += 1
+        h = cat.compose(g, f)
+        if cat.is_identity(g) and h != f:
+            violations.append(Violation("identity-neutral-left", witness=(cat.mor_names[f],)))
+        if cat.is_identity(f) and h != g:
+            violations.append(Violation("identity-neutral-right", witness=(cat.mor_names[g],)))
+    for g, f in cat.composable_pairs():
+        for h in cat.morphisms_from[cat.mor_cod[g]]:
+            checked += 1
+            if cat.compose(cat.compose(h, g), f) != cat.compose(h, cat.compose(g, f)):
+                violations.append(
+                    Violation(
+                        "associativity",
+                        witness=(cat.mor_names[h], cat.mor_names[g], cat.mor_names[f]),
+                    )
+                )
+    return checked, violations
+
+
+@pytest.mark.parametrize("name", [n for n in FIBRATION_NAMES if n not in ("fintop3", "grp_le8")])
+def test_category_counts_the_triples_the_oracle_recomputes(name):
+    from topogen.instances.registry import builtin_fibration
+
+    cat = builtin_fibration(name).category
+    report = validate_category(cat)
+    assert (report.checked, list(report.violations)) == _reference_category(cat)
+    assert report.ok
+
+
+def _reference_morphism_laws(fib):
+    """(checked, violations) of the per-morphism laws, morphism by morphism,
+    and of the identity adjoints: ``validate_fibration`` without the
+    functoriality laws."""
+    cat = fib.category
+    violations = []
+    checked = 0
+    for f in range(cat.n_morphisms):
+        lx, ly = fib.sub_dom(f), fib.sub_cod(f)
+        img, pre = fib.img[f], fib.pre[f]
+        name = cat.mor_names[f]
+        if len(img) != lx.size or len(pre) != ly.size:
+            violations.append(Violation("table-size", where=name))
+            continue
+        for i in range(lx.size):
+            for j in mask_iter(lx.up[i]):
+                checked += 1
+                if not ly.leq(img[i], img[j]):
+                    violations.append(
+                        Violation("image-monotone", where=name, witness=(lx.labels[i], lx.labels[j]))
+                    )
+        for i in range(ly.size):
+            for j in mask_iter(ly.up[i]):
+                checked += 1
+                if not lx.leq(pre[i], pre[j]):
+                    violations.append(
+                        Violation("preimage-monotone", where=name, witness=(ly.labels[i], ly.labels[j]))
+                    )
+        for m in range(lx.size):
+            for n in range(ly.size):
+                checked += 1
+                if ly.leq(img[m], n) != lx.leq(m, pre[n]):
+                    violations.append(
+                        Violation("adjunction", where=name, witness=(lx.labels[m], ly.labels[n]))
+                    )
+                    break
+            else:
+                continue
+            break
+        if f in fib.mclass:
+            for m in range(lx.size):
+                checked += 1
+                if pre[img[m]] != m:
+                    violations.append(
+                        Violation("m-preimage-section", where=name, witness=(lx.labels[m],))
+                    )
+        if f in fib.eclass and fib.e_pullback_stable:
+            for n in range(ly.size):
+                checked += 1
+                if img[pre[n]] != n:
+                    violations.append(
+                        Violation("e-image-retraction", where=name, witness=(ly.labels[n],))
+                    )
+    for x in range(cat.n_objects):
+        i = cat.identities[x]
+        checked += 1
+        ident = tuple(range(fib.sub[x].size))
+        if fib.img[i] != ident or fib.pre[i] != ident:
+            violations.append(Violation("identity-adjoints", where=cat.object_names[x]))
+    return checked, violations
+
+
+def _assert_morphism_laws_match_reference(fib):
+    report = validate_fibration(fib, functoriality=False)
+    got = (report.checked, list(report.violations))
+    assert got == _reference_morphism_laws(fib)
+    return report.violations
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["fintop2", "grp_small", "disc2_loop", "t0_small", "coreflect_small", "fintop3", "topgrp_le4"],
+)
+def test_per_key_laws_match_the_per_morphism_oracle(name):
+    from topogen.instances.registry import builtin_fibration
+
+    assert _assert_morphism_laws_match_reference(builtin_fibration(name)) == ()
+
+
+def test_per_key_laws_name_only_the_corrupted_morphism(fintop3):
+    cat = fintop3.category
+    lattices = {id(lat): i for i, lat in enumerate(fintop3.sub)}
+
+    def key(f):
+        return (
+            lattices[id(fintop3.sub_dom(f))], lattices[id(fintop3.sub_cod(f))],
+            fintop3.img[f], fintop3.pre[f], f in fintop3.mclass, f in fintop3.eclass,
+        )
+
+    shared = collections.Counter(map(key, range(cat.n_morphisms)))
+    target = next(
+        f for f in range(cat.n_morphisms)
+        if not cat.is_identity(f) and shared[key(f)] > 100 and fintop3.img[f][-1] != 0
+    )
+    bad = _corrupt(fintop3, "img", target, -1, 0)  # the top goes below smaller images
+    violations = _assert_morphism_laws_match_reference(bad)
+    assert violations
+    assert {v.where for v in violations} == {cat.mor_names[target]}
+
+
+def test_per_key_laws_report_a_non_mono_added_to_m(fintop2):
+    cat = fintop2.category
+    const = cat.morphism_index("discrete2>pt:00")
+    assert const not in fintop2.mclass
+    bad = SubobjectFibration(
+        cat, fintop2.sub, fintop2.img, fintop2.pre, eclass=fintop2.eclass,
+        mclass=fintop2.mclass | {const}, fstar=fintop2.fstar, name="broken",
+        subsets=fintop2.subsets,
+    )
+    violations = _assert_morphism_laws_match_reference(bad)
+    assert {(v.law, v.where) for v in violations} == {("m-preimage-section", cat.mor_names[const])}
+
+
+@pytest.mark.parametrize(
+    "law, row",
+    [("table-size", lambda row: row[:2]), ("table-range", lambda row: (*row[:-1], 7))],
+)
+def test_a_malformed_table_is_reported_not_raised(fintop2, law, row):
+    cat = fintop2.category
+    target = next(
+        f for f in range(cat.n_morphisms)
+        if not cat.is_identity(f) and len(fintop2.img[f]) == 4 == fintop2.sub_cod(f).size
+    )
+    img = list(fintop2.img)
+    img[target] = row(img[target])
+    bad = _with_tables(fintop2, img=img)
+    # the table fails the certificate, so the pair scan runs; it skips the
+    # pairs that would index the malformed table, and still counts them
+    report = validate_fibration(bad)
+    assert [(v.law, v.where) for v in report.violations] == [(law, cat.mor_names[target])]
+    pairs = sum(len(cat.morphisms_from[y]) for y in cat.mor_cod)
+    assert report.checked - validate_fibration(bad, functoriality=False).checked == pairs
 
 
 def test_corrupt_image_table_is_reported(fintop2):
@@ -184,7 +359,7 @@ def test_functoriality_scan_matches_per_pair_reference(fintop2, grp_small):
     assert _assert_functoriality_matches_reference(loop)
 
 
-def _scan_must_not_run(fib):
+def _scan_must_not_run(fib, unusable):
     raise AssertionError(f"the per-pair functoriality scan ran on {fib.name}")
 
 
@@ -194,7 +369,7 @@ def test_intact_fibrations_are_certified_without_the_scan(monkeypatch, name):
     from topogen.instances.registry import builtin_fibration
 
     fib = builtin_fibration(name)
-    assert site._functoriality_violations(fib) == []
+    assert site._functoriality_violations(fib, set()) == []
     monkeypatch.setattr(site, "_functoriality_violations", _scan_must_not_run)
     assert _assert_functoriality_matches_reference(fib) == []
 
@@ -220,7 +395,8 @@ def test_functorial_tables_off_the_set_level_ones_go_through_the_scan(monkeypatc
     scan = site._functoriality_violations
     scanned = []
     monkeypatch.setattr(
-        site, "_functoriality_violations", lambda fib: scanned.append(fib.name) or scan(fib)
+        site, "_functoriality_violations",
+        lambda fib, unusable: scanned.append(fib.name) or scan(fib, unusable),
     )
     assert _assert_functoriality_matches_reference(relabelled) == []
     assert scanned == ["broken"]
@@ -286,6 +462,12 @@ def test_functoriality_scan_reports_a_missing_composite_like_compose(kind):
         validate_fibration(fib)
     assert str(got.value) == str(want.value)
     assert "not closed under composition" in str(got.value)
+    # the category check composes the same missing pair before any triple
+    with pytest.raises(InternalConsistencyError) as want:
+        _reference_category(cut)
+    with pytest.raises(InternalConsistencyError) as got:
+        validate_category(cut)
+    assert str(got.value) == str(want.value)
 
 
 def test_morphism_by_graph(fintop2, grp_small):
@@ -534,6 +716,22 @@ def test_lemma_inequality_on_all_commuting_squares(fintop2):
                     assert check_bcp(sq).lemma_inequality_holds
                     checked += 1
     assert checked > 1000
+
+
+def test_certificate_rejects_one_corrupted_preimage_entry(fintop3):
+    # the last morphism whose (subsets, subsets, graph) key came up before
+    # reads the memoised set-level tables, and must still be compared
+    cat = fintop3.category
+    subsets, dom, cod = fintop3.subsets, cat.mor_dom, cat.mor_cod
+    seen = set()
+    for f in range(cat.n_morphisms):
+        key = (subsets[dom[f]], subsets[cod[f]], cat.graphs[f])
+        if key in seen and fintop3.pre[f][-1] != 0:
+            target = f
+        seen.add(key)
+    assert site._functoriality_certified(fintop3)
+    # the preimage of the whole codomain becomes empty
+    assert not site._functoriality_certified(_corrupt(fintop3, "pre", target, -1, 0))
 
 
 def test_functoriality_exhaustive_at_scale(monkeypatch, fintop3):

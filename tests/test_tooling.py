@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import re
 import shlex
 from pathlib import Path
@@ -12,16 +13,24 @@ from topogen import cli
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "topogen"
 TRACING = ROOT / "benchmark" / "tracing.py"
+RUN = ROOT / "benchmark" / "run.py"
+BENCH_PAIRS = ROOT / "tools" / "bench_pairs.py"
 README = ROOT / "README.md"
 
 
-def _tracing_targets():
-    """``TARGETS`` of the benchmark's tracer, read from its source without importing it."""
-    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+def _assigned(path, name):
+    """The literal assigned to ``name`` at the top of ``path``, read from its
+    source without importing it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in tree.body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
             return ast.literal_eval(node.value)
-    raise AssertionError(f"no TARGETS assignment in {TRACING}")
+    raise AssertionError(f"no {name} assignment in {path}")
+
+
+def _tracing_targets():
+    """``TARGETS`` of the benchmark's tracer."""
+    return _assigned(TRACING, "TARGETS")
 
 
 def test_every_traced_function_resolves():
@@ -99,3 +108,26 @@ def test_every_src_function_has_a_src_caller():
         if f"{module}.{qualname}" not in allowed and qualname.split(".")[0] not in topogen.__all__
     ]
     assert stray == []
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_and_wins():
+    bench_pairs = _bench_pairs()
+    runs = [4.0, 1.0, 3.0, 2.0, 5.0]
+    assert bench_pairs.summary(runs) == {
+        "median": 3.0, "q1": 1.5, "q3": 4.5, "iqr": 3.0, "runs": runs,
+    }
+    assert bench_pairs.summary([2.0]) == {
+        "median": 2.0, "q1": 2.0, "q3": 2.0, "iqr": 0.0, "runs": [2.0],
+    }
+    # lower wins; a tie counts for neither side
+    assert bench_pairs.change_wins([5.0, 5.0, 5.0], [4.0, 5.0, 6.0]) == 1
+    # every traced prefix selects some per-layer metric of the benchmark
+    per_layer = [name for name, _ in _assigned(RUN, "PER_LAYER")]
+    assert all(any(m.startswith(p) for m in per_layer) for p in bench_pairs.TRACED_PREFIXES)

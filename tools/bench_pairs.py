@@ -15,7 +15,8 @@ hits both sides alike.  Then one traced run per side and workload
 The JSON written to ``--out`` holds, per workload and side, every run's
 end-to-end metrics with their median, quartiles and IQR; the pairs the
 change won on ``wall_ref_s`` (lower wins, ties count for neither side); and
-the traced ``site.pullback.*`` and ``site.check_bcp.*`` metrics.
+the traced ``site.pullback.*``, ``site.check_bcp.*``,
+``site.validate_fibration.*`` and ``site.validate_category.*`` metrics.
 Standard library only.
 """
 
@@ -32,7 +33,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-TRACED_PREFIXES = ("site.pullback.", "site.check_bcp.")
+TRACED_PREFIXES = (
+    "site.pullback.", "site.check_bcp.", "site.validate_fibration.", "site.validate_category.",
+)
 SEEDS = list(range(1, 11))
 
 
