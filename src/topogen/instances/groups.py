@@ -197,6 +197,7 @@ def subgroups_of(g: FinGroup) -> tuple[int, ...]:
     return tuple(sorted(found, key=lambda m: (bin(m).count("1"), m)))
 
 
+@lru_cache(maxsize=None)
 def is_normal(g: FinGroup, sub_mask: int) -> bool:
     for x in range(g.order):
         xi = g.inv(x)
@@ -206,6 +207,7 @@ def is_normal(g: FinGroup, sub_mask: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def normal_subgroups(g: FinGroup) -> tuple[int, ...]:
     return tuple(m for m in subgroups_of(g) if is_normal(g, m))
 
@@ -385,7 +387,7 @@ def normal_interval_order(fib: SubobjectFibration):
     rel = []
     for g in groups_of(fib):
         subs = subgroups_of(g)
-        normals = [m for m in subs if is_normal(g, m)]
+        normals = normal_subgroups(g)
         rows = []
         for a in subs:
             row = 0

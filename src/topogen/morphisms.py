@@ -1,30 +1,33 @@
 """Morphism classes relative to a topogenous order, and their calculus.
 
-The four classes of f: X -> Y are one biconditional, "bit of rel_Y iff
-bit of rel_X", over a grid of rows m and columns n, each ranging over sub X
-or sub Y:
+Each class of f: X -> Y is one biconditional, "bit of rel_Y iff bit of
+rel_X", over rows m and columns n ranging over sub X or sub Y.  A column
+over Y compares bit n with bit f^{-1}(n), and a column over X compares bit
+f_*(n) with bit n.  So pulling whole rows back along the table of the
+columns (``_pulled_rows``) makes each class an equality of row tuples.  With
+px = rel_X pulled back along f^{-1} and qy = rel_Y pulled back along f_*:
 
-    class      rows  columns
-    strict     X     Y
-    final      Y     Y
-    co-strict  Y     X
-    initial    X     X
+    class      rows  equality
+    strict     X     rel_Y∘img == px
+    final      Y     rel_Y     == px∘pre
+    co-strict  Y     qy        == rel_X∘pre
+    initial    X     qy∘img    == rel_X
 
-Continuity renderings (2) and (3) are the (Y, X) and (X, X) grids read as an
-implication.  Weak finality is decided separately, over m <= n in sub Y.
-Columns over X need the right adjoint f_* of preimage, so co-strictness and
-initiality are tri-state: ``None`` means "not applicable" because that
-adjoint does not exist for the morphism.
+Continuity renderings (2) and (3) are the co-strict and initial row pairs
+read as inclusions, and weak finality reads the final pair over m <= n.
+The co-strict and initial rows need the right adjoint f_* of preimage, so
+those two classes are tri-state: ``None`` means "not applicable" because
+that adjoint does not exist for the morphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter
 from typing import Optional
 
 from .errors import CapabilityError, InternalConsistencyError, PreconditionError
-from .lattice import mask_iter
 from .reporting import Report, Violation
 from .structures import (
     ClosureOperator,
@@ -52,66 +55,44 @@ class MorphismClassification:
 
 
 _CLASSES = ("strict", "final", "costrict", "initial")
-# (rows, columns) of each class's grid, in _CLASSES order; see _grid_holds
-_GRIDS = (("X", "Y"), ("Y", "Y"), ("Y", "X"), ("X", "X"))
 class_flags = attrgetter(*_CLASSES)  # a classification's flags, in _CLASSES order
 
 
-def _grid_holds(t: TopogenousOrder, f: int, rows: str, cols: str, implication=False) -> bool:
-    """Whether each bit (m, n) of the codomain relation equals the matching
-    bit of the domain relation (with ``implication``: implies it).
-
-    Rows over X compare rel_Y[f(m)] with rel_X[m]; rows over Y compare
-    rel_Y[m] with rel_X[f^{-1}(m)].  Columns over Y compare bit n with bit
-    f^{-1}(n); columns over X compare bit f_*(n) with bit n.
-    """
-    fib = t.fib
-    img, pre = fib.img[f], fib.pre[f]
-    relx, rely = t.rel[fib.dom(f)], t.rel[fib.cod(f)]
-    if rows == "X":
-        row_pairs = zip(map(rely.__getitem__, img), relx)
-    else:
-        row_pairs = zip(rely, map(relx.__getitem__, pre))
-    if cols == "X":
-        col_pairs = tuple(zip(fib.fstar[f], range(len(relx))))
-    else:
-        col_pairs = tuple(enumerate(pre))
-    for row_y, row_x in row_pairs:
-        for n_y, n_x in col_pairs:
-            bit_y = row_y >> n_y & 1
-            if bit_y != (row_x >> n_x & 1) and (bit_y or not implication):
-                return False
-    return True
+@lru_cache(maxsize=None)
+def _pulled_rows(rows: tuple[int, ...], table: tuple[int, ...]) -> tuple[int, ...]:
+    """Each row with bit n set to bit ``table[n]`` of that row; memoised by
+    value, since many morphisms share a relation and a table."""
+    return tuple(sum(1 << n for n, k in enumerate(table) if row >> k & 1) for row in rows)
 
 
-def _is_weakly_final(t: TopogenousOrder, f: int) -> bool:
-    # only the direction not already forced by preimage-stability:
-    # for m <= n in sub Y, preimages related implies m ⊏ n
-    fib = t.fib
-    pre = fib.pre[f]
-    ly = fib.sub_cod(f)
-    relx, rely = t.rel[fib.dom(f)], t.rel[fib.cod(f)]
-    for m in range(ly.size):
-        row_x = relx[pre[m]]
-        for n in mask_iter(ly.up[m]):
-            if row_x >> pre[n] & 1 and not rely[m] >> n & 1:
-                return False
-    return True
+def _weakly_final(below, up, rely) -> bool:
+    # only the direction not already forced by preimage-stability: for
+    # m <= n in sub Y, f^{-1}(m) ⊏ f^{-1}(n) (bit n of below[m]) implies m ⊏ n
+    return not any(b & u & ~r for b, u, r in zip(below, up, rely))
 
 
 def classify(f: int, t: TopogenousOrder) -> MorphismClassification:
-    has_fstar = t.fib.fstar[f] is not None
-    # a grid with columns over X needs f_*
-    flags = {
-        kind: _grid_holds(t, f, rows, cols) if has_fstar or cols == "Y" else None
-        for kind, (rows, cols) in zip(_CLASSES, _GRIDS)
-    }
+    fib = t.fib
+    img, pre, fstar = fib.img[f], fib.pre[f], fib.fstar[f]
+    relx, rely = t.rel[fib.dom(f)], t.rel[fib.cod(f)]
+    px = _pulled_rows(relx, pre)
+    below = tuple(map(px.__getitem__, pre))
+    final = rely == below
+    costrict = initial = None
+    if fstar is not None:
+        qy = _pulled_rows(rely, fstar)
+        costrict = qy == tuple(map(relx.__getitem__, pre))
+        initial = tuple(map(qy.__getitem__, img)) == relx
     return MorphismClassification(
         morphism=f,
         continuous=t.law_holds(f),
-        **flags,
-        weakly_final=_is_weakly_final(t, f),
-        fstar_available=has_fstar,
+        strict=tuple(map(rely.__getitem__, img)) == px,
+        final=final,
+        costrict=costrict,
+        initial=initial,
+        # final implies weakly final
+        weakly_final=final or _weakly_final(below, fib.sub_cod(f).up, rely),
+        fstar_available=fstar is not None,
     )
 
 
@@ -132,9 +113,11 @@ def continuity_equivalents(f: int, t: TopogenousOrder) -> tuple[bool, bool, bool
         raise CapabilityError(
             f"{fib.category.mor_names[f]}: preimage has no right adjoint"
         )
+    relx, rely = t.rel[fib.dom(f)], t.rel[fib.cod(f)]
+    qy = _pulled_rows(rely, fib.fstar[f])
     form1 = t.law_holds(f)
-    form2 = _grid_holds(t, f, "Y", "X", implication=True)
-    form3 = _grid_holds(t, f, "X", "X", implication=True)
+    form2 = not any(a & ~b for a, b in zip(qy, map(relx.__getitem__, fib.pre[f])))
+    form3 = not any(a & ~b for a, b in zip(map(qy.__getitem__, fib.img[f]), relx))
     if not (form1 == form2 == form3):
         raise InternalConsistencyError(
             f"continuity renderings disagree on {fib.category.mor_names[f]}: "
@@ -420,7 +403,8 @@ def weakly_final_formulas(t: TopogenousOrder) -> Report:
                 "join-preserving order with the right adjoint of preimage"
             )
         ly = fib.sub[y]
-        wf = _is_weakly_final(t, f)
+        px = _pulled_rows(t.rel[x], pre)
+        wf = _weakly_final(map(px.__getitem__, pre), ly.up, t.rel[y])
         if c is not None:
             formula = all(
                 c.cmap[y][m] == ly.join(m, img[c.cmap[x][pre[m]]]) for m in range(ly.size)

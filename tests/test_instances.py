@@ -28,6 +28,7 @@ from topogen.instances.topology import (
 )
 from topogen.instances.registry import (
     builtin_copointed,
+    builtin_fibration,
     builtin_order,
     builtin_pointed,
     builtin_space,
@@ -180,6 +181,36 @@ def test_sign_map_exists_and_preserves_normals(grp_small):
     ]
     assert len(signs) == 1
     assert preserves_normal_subgroups(grp_small, signs[0])
+
+
+def _normal_by_conjugation(g, mask):
+    """Uncached: every conjugate x h x^-1 of a member h lies in ``mask``."""
+    members = [h for h in range(g.order) if mask >> h & 1]
+    return all(
+        mask >> g.mul[g.mul[x][h]][g.inv(x)] & 1 for x in range(g.order) for h in members
+    )
+
+
+def test_preserves_normal_subgroups_matches_an_uncached_loop():
+    fib = builtin_fibration("grp_le8")
+    cat = fib.category
+    groups = groups_of(fib)
+    preserving = 0
+    for f in range(cat.n_morphisms):
+        gx, gy = groups[cat.mor_dom[f]], groups[cat.mor_cod[f]]
+        graph = cat.graphs[f]
+        expected = True
+        for n in subgroups_of(gx):
+            if _normal_by_conjugation(gx, n):
+                image = 0
+                for e in range(gx.order):
+                    if n >> e & 1:
+                        image |= 1 << graph[e]
+                expected = expected and _normal_by_conjugation(gy, image)
+        assert preserves_normal_subgroups(fib, f) == expected, cat.mor_names[f]
+        preserving += expected
+    # both verdicts occur
+    assert 0 < preserving < cat.n_morphisms
 
 
 def test_normal_interval_order_on_s3(grp_small):

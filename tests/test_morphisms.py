@@ -5,6 +5,7 @@ import pytest
 
 from topogen.errors import CapabilityError, InternalConsistencyError, PreconditionError
 from topogen.morphisms import (
+    MorphismClassification,
     check_class_calculus,
     check_pullback_transfer,
     check_strict_transfer,
@@ -18,6 +19,7 @@ from topogen.morphisms import (
     transfer_laws,
     weakly_final_formulas,
 )
+from topogen.lattice import mask_iter
 from topogen.site import PullbackSquare, check_bcp, pullback
 from topogen.structures import TopogenousOrder, closure_from_topogenous, validate_structure
 from topogen.instances.topology import closure_order, interior_order, map_predicates
@@ -65,8 +67,8 @@ def _brute_force_renderings(t, f):
     return form1, form2, form3
 
 
-# Oracle for the grid in ``morphisms._grid_holds``: one hand-written double
-# loop per class, sharing no code with it.
+# Oracles for the row equalities in ``morphisms.classify``: one hand-written
+# double loop per class, sharing no code with it.
 
 
 def _is_strict(t: TopogenousOrder, f: int) -> bool:
@@ -120,10 +122,32 @@ def _is_initial(t: TopogenousOrder, f: int) -> bool:
     return True
 
 
-def _oracle_flags(t, f):
-    if t.fib.fstar[f] is None:
-        return _is_strict(t, f), _is_final(t, f), None, None
-    return _is_strict(t, f), _is_final(t, f), _is_costrict(t, f), _is_initial(t, f)
+def _is_weakly_final(t: TopogenousOrder, f: int) -> bool:
+    # for m <= n in sub Y, preimages related implies m ⊏ n
+    fib = t.fib
+    pre = fib.pre[f]
+    ly = fib.sub_cod(f)
+    relx, rely = t.rel[fib.dom(f)], t.rel[fib.cod(f)]
+    for m in range(ly.size):
+        row_x = relx[pre[m]]
+        for n in mask_iter(ly.up[m]):
+            if row_x >> pre[n] & 1 and not rely[m] >> n & 1:
+                return False
+    return True
+
+
+def _oracle_classification(t, f):
+    has_fstar = t.fib.fstar[f] is not None
+    return MorphismClassification(
+        morphism=f,
+        continuous=t.law_holds(f),
+        strict=_is_strict(t, f),
+        final=_is_final(t, f),
+        costrict=_is_costrict(t, f) if has_fstar else None,
+        initial=_is_initial(t, f) if has_fstar else None,
+        weakly_final=_is_weakly_final(t, f),
+        fstar_available=has_fstar,
+    )
 
 
 @pytest.mark.parametrize("fib_name, kinds", [
@@ -137,7 +161,7 @@ def test_classify_matches_the_per_class_deciders(fib_name, kinds):
     for kind in kinds:
         t = builtin_order(kind, fib)
         for f in range(fib.category.n_morphisms):
-            assert class_flags(classify(f, t)) == _oracle_flags(t, f), (kind, f)
+            assert classify(f, t) == _oracle_classification(t, f), (kind, f)
 
 
 def _perturbed_orders(fib, n, seed):
@@ -155,23 +179,23 @@ def _perturbed_orders(fib, n, seed):
         yield TopogenousOrder(fib, tuple(map(tuple, rel)))
 
 
-def test_grid_matches_the_deciders_and_renderings_off_valid_orders(fintop2):
+def test_rows_match_the_deciders_and_renderings_off_valid_orders(fintop2):
     seen = set()
     invalid = 0
     for t in _perturbed_orders(fintop2, 300, seed=20):
         invalid += not validate_structure(t).ok
         for f in range(fintop2.category.n_morphisms):
-            flags = class_flags(classify(f, t))
-            assert flags == _oracle_flags(t, f), f
-            seen.update(enumerate(flags))
+            cls = classify(f, t)
+            assert cls == _oracle_classification(t, f), f
+            seen.update(enumerate((*class_flags(cls), cls.weakly_final)))
             expected = _brute_force_renderings(t, f)
             try:
                 assert continuity_equivalents(f, t) == expected
             except InternalConsistencyError as exc:
                 assert str(expected) in str(exc)
     assert invalid > 250
-    # every class is seen both holding and failing
-    assert seen >= {(k, b) for k in range(4) for b in (True, False)}
+    # every class, and weak finality, is seen both holding and failing
+    assert seen >= {(k, b) for k in range(5) for b in (True, False)}
 
 
 def test_corrupted_relation_fails_all_renderings(disc2_loop):

@@ -7,6 +7,8 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 import topogen
 from topogen import cli
 
@@ -131,3 +133,25 @@ def test_bench_pairs_summary_and_wins():
     # every traced prefix selects some per-layer metric of the benchmark
     per_layer = [name for name, _ in _assigned(RUN, "PER_LAYER")]
     assert all(any(m.startswith(p) for m in per_layer) for p in bench_pairs.TRACED_PREFIXES)
+    assert "morphisms.classify." in bench_pairs.TRACED_PREFIXES
+
+
+def _traced_result(classify_calls, classify_self_s):
+    return {"metrics": {
+        "morphisms.classify.calls": {"value": classify_calls, "unit": "count"},
+        "morphisms.classify.self_s": {"value": classify_self_s, "unit": "s"},
+        "cli.main.calls": {"value": classify_self_s, "unit": "count"},
+    }}
+
+
+def test_bench_pairs_traced_metrics_take_median_times_and_equal_counts():
+    bench_pairs = _bench_pairs()
+    assert bench_pairs.TRACED_RUNS >= 3
+    runs = [_traced_result(7, 0.3), _traced_result(7, 0.1), _traced_result(7, 0.2)]
+    # the median self time, the count, and nothing outside the traced prefixes
+    assert bench_pairs.traced_metrics(runs) == {
+        "morphisms.classify.calls": 7, "morphisms.classify.self_s": 0.2,
+    }
+    runs[1] = _traced_result(8, 0.1)
+    with pytest.raises(SystemExit, match=r"morphisms\.classify\.calls differs.*\[7, 8, 7\]"):
+        bench_pairs.traced_metrics(runs)

@@ -9,14 +9,17 @@ Each checkout is a directory holding ``benchmark/run.py`` and ``src/``.  For
 each of ten pairs (seeds 1 to 10) every workload of ``BENCHMARK.json`` runs
 once on each side with ``--trace 0`` for the benchmark's ``run_seconds``;
 even pairs run the parent first, odd pairs the change first, so host drift
-hits both sides alike.  Then one traced run per side and workload
-(``--trace 1``, seed 1) gives the per-layer counts.
+hits both sides alike.  Then ``TRACED_RUNS`` traced runs per side and
+workload (``--trace 1``, seed 1, sides alternating the same way) give the
+per-layer metrics: the median of each self time, and each count, which must
+read the same in every run or the command fails.
 
 The JSON written to ``--out`` holds, per workload and side, every run's
 end-to-end metrics with their median, quartiles and IQR; the pairs the
 change won on ``wall_ref_s`` (lower wins, ties count for neither side); and
 the traced ``site.pullback.*``, ``site.check_bcp.*``,
-``site.validate_fibration.*`` and ``site.validate_category.*`` metrics.
+``site.validate_fibration.*``, ``site.validate_category.*`` and
+``morphisms.classify.*`` metrics.
 Standard library only.
 """
 
@@ -35,8 +38,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACED_PREFIXES = (
     "site.pullback.", "site.check_bcp.", "site.validate_fibration.", "site.validate_category.",
+    "morphisms.classify.",
 )
 SEEDS = list(range(1, 11))
+# one traced run cannot tell a self time from host noise
+TRACED_RUNS = 3
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -61,6 +67,24 @@ def summary(values: list[float]) -> dict:
 def change_wins(parent: list[float], change: list[float]) -> int:
     """Pairs in which the change's value is strictly lower."""
     return sum(c < p for p, c in zip(parent, change))
+
+
+def traced_metrics(results: list[dict]) -> dict:
+    """The ``TRACED_PREFIXES`` metrics of repeated traced runs: the median of
+    each ``*.self_s``, and every other metric, a count that must repeat
+    exactly (``SystemExit`` naming it if it does not)."""
+    traced = {}
+    for name in results[0]["metrics"]:
+        if not name.startswith(TRACED_PREFIXES):
+            continue
+        values = [r["metrics"][name]["value"] for r in results]
+        if name.endswith(".self_s"):
+            traced[name] = statistics.median(values)
+        elif len(set(values)) > 1:
+            raise SystemExit(f"traced {name} differs between runs: {values}")
+        else:
+            traced[name] = values[0]
+    return traced
 
 
 def main(argv=None) -> int:
@@ -89,9 +113,14 @@ def main(argv=None) -> int:
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": len(os.sched_getaffinity(0))},
         "seeds": SEEDS,
+        "traced_runs": TRACED_RUNS,
         "workloads": {},
     }
     for workload in workloads:
+        traced = {side: [] for side in SIDES}
+        for i in range(TRACED_RUNS):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                traced[side].append(run_benchmark(checkouts[side], workload, SEEDS[0], seconds, 1))
         entry = {}
         for side in SIDES:
             results = runs[workload][side]
@@ -100,11 +129,7 @@ def main(argv=None) -> int:
                 for name in results[0]["metrics"]
             }
             entry[side]["failed_ops"] = sum(r["failed"] for r in results)
-            traced = run_benchmark(checkouts[side], workload, SEEDS[0], seconds, 1)
-            entry[side]["traced"] = {
-                name: metric["value"] for name, metric in traced["metrics"].items()
-                if name.startswith(TRACED_PREFIXES)
-            }
+            entry[side]["traced"] = traced_metrics(traced[side])
         parent_wall = entry["parent"]["wall_ref_s"]["runs"]
         change_wall = entry["change"]["wall_ref_s"]["runs"]
         entry["wall_ref_s_change_wins"] = f"{change_wins(parent_wall, change_wall)}/{len(SEEDS)}"
