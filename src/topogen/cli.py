@@ -315,7 +315,11 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    targets = args.targets.split(",") if args.targets else None
+    targets = args.targets.split(",") if args.targets is not None else None
+    for check_id in targets or ():
+        if check_id not in CHECKS:
+            raise DomainError(
+                f"unknown check id {check_id!r} (known: {', '.join(sorted(CHECKS))})")
     report = run_suite(args.scale, targets)
     _emit(report.render_text(), args.output)
     if args.json:

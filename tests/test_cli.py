@@ -483,3 +483,23 @@ def test_file_order_overrides_builtin_with_warning(capsys, tmp_path):
         assert code == 0
         assert ("warning: file map 'id_two' overrides a fibration morphism" in err) == warned
         assert "strict=" in out
+
+
+@pytest.mark.parametrize("targets, bad", [
+    ("pullback-transfr", "'pullback-transfr'"),
+    (",", "''"),
+    ("format-roundtrip,", "''"),
+    ("", "''"),
+])
+def test_suite_refuses_an_unknown_or_empty_target_before_any_check(
+    capsys, monkeypatch, targets, bad
+):
+    import topogen.cli as cli
+
+    def must_not_run(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "run_suite", must_not_run)
+    code, out, err = run(capsys, "suite", "--targets", targets)
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown check id {bad} (known: {', '.join(sorted(cli.CHECKS))})\n"

@@ -369,7 +369,6 @@ def _per_square_sweep(fib, classifications, orders):
 
 def test_memoised_sweep_matches_per_square_checks(fintop2):
     from topogen.harness.suite import sweep_pullback_transfer
-    from topogen.site import SubobjectFibration
 
     cat = fintop2.category
     orders = {"closure": closure_order(fintop2), "interior": interior_order(fintop2)}
@@ -387,23 +386,48 @@ def test_memoised_sweep_matches_per_square_checks(fintop2):
     }
     # one preimage entry moved, so that some squares lose the Beck-Chevalley
     # inequality and some only the equality
-    point = cat.morphism_index("pt>discrete2:0")
-    pre = list(fintop2.pre)
-    pre[point] = (0, 0, 0, 1)
-    broken = SubobjectFibration(
-        cat, fintop2.sub, fintop2.img, pre, fintop2.eclass, fintop2.mclass,
-        fstar=fintop2.fstar, backend=fintop2.backend, name="broken",
-    )
+    broken = _moved_preimage(fintop2, "pt>discrete2:0", (0, 0, 0, 1))
+    # one preimage entry of a map that is f in some squares moved: a verdict
+    # keyed without pre f would give those squares the intact map's verdict
+    broken_f = _moved_preimage(fintop2, "sierpinski>indiscrete2:00", (0, 0, 0, 3))
+    # every fifth morphism forced into every class in one order, the other
+    # order real: a verdict keyed without either order's flags of f, p, f'
+    # or p' would miss or invent violations
+    promoted = {
+        kind: tuple(
+            replace(c, strict=True, final=True, costrict=True, initial=True)
+            if c.morphism % 5 == 2 else c
+            for c in cls
+        )
+        for kind, cls in real.items()
+    }
+    closure_forged = {"closure": promoted["closure"], "interior": real["interior"]}
+    interior_forged = {"closure": real["closure"], "interior": promoted["interior"]}
     for fib, classifications, found in (
         (fintop2, real, set()),
         (fintop2, forged, {"ascent", "descent"}),
+        (fintop2, closure_forged, {"ascent", "descent"}),
+        (fintop2, interior_forged, {"ascent", "descent"}),
         (broken, forged, {"ascent", "descent", "image"}),
+        (broken_f, real, {"image"}),
     ):
         checked, violations, skipped = _per_square_sweep(fib, classifications, orders)
         swept = sweep_pullback_transfer(fib, classifications)
         assert (swept.checked, swept.violations, swept.skipped) == (checked, violations, skipped)
         assert checked > 400
         assert {v.law.split("-")[0] for v in violations} == found
+
+
+def _moved_preimage(fib, name, table):
+    """``fib`` with the preimage table of morphism ``name`` replaced."""
+    from topogen.site import SubobjectFibration
+
+    pre = list(fib.pre)
+    pre[fib.category.morphism_index(name)] = table
+    return SubobjectFibration(
+        fib.category, fib.sub, fib.img, pre, fib.eclass, fib.mclass,
+        fstar=fib.fstar, backend=fib.backend, name="broken",
+    )
 
 
 def test_operator_crosschecks_on_fintop2(fintop2):
@@ -521,26 +545,38 @@ def test_sweep_builds_each_pullback_relation_once(fintop2, monkeypatch):
     assert counts["square"] == counts["built"] + counts["bcp"] < report.checked == 505
 
 
-def test_memoised_legs_match_fresh_pullbacks(fintop2, fintop3):
-    from topogen.harness.suite import swept_legs
+def test_memoised_legs_match_fresh_pullbacks(fintop2, fintop3, monkeypatch):
+    import topogen.harness.suite as suite
+    from topogen.site import BcpResult, SubobjectFibration
 
+    # every square has the Beck-Chevalley equality and breaks one probe law,
+    # so the sweep names the square [f',p,p',f] of each cospan it checks
+    monkeypatch.setattr(suite, "check_bcp", lambda sq: BcpResult(True, True))
+    monkeypatch.setattr(suite, "transfer_laws", lambda *classes: ("probe",))
     for fib, ps in ((fintop2, _sweep_order(fintop2)), (fintop3, _sweep_order(fintop3)[::13])):
         cat = fib.category
         cospans = skipped = 0
-        shapes, relations = set(), set()
-        for f, p, legs in swept_legs(fib, ps):
-            cospans += 1
-            shapes.add((cat.mor_dom[p], cat.graphs[p], cat.mor_dom[f], cat.graphs[f]))
-            relations.add((cat.mor_dom[p], cat.mor_dom[f], _fibre_relation(cat, f, p)))
-            try:
-                fresh = pullback(fib, f, p)
-            except CapabilityError:
-                assert legs is None
-                skipped += 1
-                continue
-            assert legs == (fresh.f_prime, fresh.p_prime)
-            # the per-cospan alignment and commutation check the sweep leaves out
-            PullbackSquare(fib, legs[0], p, legs[1], f)
+        shapes, relations, squares = set(), set(), []
+        for p in ps:
+            for f in cat.morphisms_to[cat.mor_cod[p]]:
+                cospans += 1
+                shapes.add((cat.mor_dom[p], cat.graphs[p], cat.mor_dom[f], cat.graphs[f]))
+                relations.add((cat.mor_dom[p], cat.mor_dom[f], _fibre_relation(cat, f, p)))
+                try:
+                    squares.append(pullback(fib, f, p).name)
+                except CapabilityError:
+                    skipped += 1
+        # the sweep over p in ps alone; naming each violation builds its
+        # square, which runs the per-cospan alignment and commutation check
+        sliced = SubobjectFibration(
+            cat, fib.sub, fib.img, fib.pre, frozenset(ps), frozenset(),
+            fstar=fib.fstar, backend=fib.backend, name=fib.name,
+        )
+        t = closure_order(fib)
+        report = suite.sweep_pullback_transfer(
+            sliced, {"closure": tuple(classify(f, t) for f in range(cat.n_morphisms))})
+        assert [(v.law, v.where) for v in report.violations] == [("probe", sq) for sq in squares]
+        assert report.skipped == (f"{fib.name}: {skipped} squares beyond point budget",)
         # some cospans share a shape, and some shapes a relation, so legs are
         # shared across shapes too
         assert skipped > 0 and len(relations) < len(shapes) < cospans

@@ -133,13 +133,15 @@ def test_bench_pairs_summary_and_wins():
     # every traced prefix selects some per-layer metric of the benchmark
     per_layer = [name for name, _ in _assigned(RUN, "PER_LAYER")]
     assert all(any(m.startswith(p) for m in per_layer) for p in bench_pairs.TRACED_PREFIXES)
-    assert "morphisms.classify." in bench_pairs.TRACED_PREFIXES
+    assert {"morphisms.classify.", "harness.suite."} <= set(bench_pairs.TRACED_PREFIXES)
 
 
-def _traced_result(classify_calls, classify_self_s):
+def _traced_result(classify_calls, classify_self_s, instances=9, check_wall_s=1.0):
     return {"metrics": {
         "morphisms.classify.calls": {"value": classify_calls, "unit": "count"},
         "morphisms.classify.self_s": {"value": classify_self_s, "unit": "s"},
+        "harness.suite.instances": {"value": instances, "unit": "count"},
+        "harness.suite.pullback-transfer.wall_s": {"value": check_wall_s, "unit": "s"},
         "cli.main.calls": {"value": classify_self_s, "unit": "count"},
     }}
 
@@ -147,11 +149,20 @@ def _traced_result(classify_calls, classify_self_s):
 def test_bench_pairs_traced_metrics_take_median_times_and_equal_counts():
     bench_pairs = _bench_pairs()
     assert bench_pairs.TRACED_RUNS >= 3
-    runs = [_traced_result(7, 0.3), _traced_result(7, 0.1), _traced_result(7, 0.2)]
-    # the median self time, the count, and nothing outside the traced prefixes
+    runs = [
+        _traced_result(7, 0.3, check_wall_s=2.0),
+        _traced_result(7, 0.1, check_wall_s=1.5),
+        _traced_result(7, 0.2, check_wall_s=2.5),
+    ]
+    # the median self and check wall times, the counts, and nothing outside
+    # the traced prefixes
     assert bench_pairs.traced_metrics(runs) == {
         "morphisms.classify.calls": 7, "morphisms.classify.self_s": 0.2,
+        "harness.suite.instances": 9, "harness.suite.pullback-transfer.wall_s": 2.0,
     }
     runs[1] = _traced_result(8, 0.1)
     with pytest.raises(SystemExit, match=r"morphisms\.classify\.calls differs.*\[7, 8, 7\]"):
+        bench_pairs.traced_metrics(runs)
+    runs[1] = _traced_result(7, 0.1, instances=10)
+    with pytest.raises(SystemExit, match=r"harness\.suite\.instances differs.*\[9, 10, 9\]"):
         bench_pairs.traced_metrics(runs)

@@ -11,15 +11,16 @@ once on each side with ``--trace 0`` for the benchmark's ``run_seconds``;
 even pairs run the parent first, odd pairs the change first, so host drift
 hits both sides alike.  Then ``TRACED_RUNS`` traced runs per side and
 workload (``--trace 1``, seed 1, sides alternating the same way) give the
-per-layer metrics: the median of each self time, and each count, which must
-read the same in every run or the command fails.
+per-layer metrics: the median of each self time and check wall time, and
+each count, which must read the same in every run or the command fails.
 
 The JSON written to ``--out`` holds, per workload and side, every run's
 end-to-end metrics with their median, quartiles and IQR; the pairs the
 change won on ``wall_ref_s`` (lower wins, ties count for neither side); and
 the traced ``site.pullback.*``, ``site.check_bcp.*``,
-``site.validate_fibration.*``, ``site.validate_category.*`` and
-``morphisms.classify.*`` metrics.
+``site.validate_fibration.*``, ``site.validate_category.*``,
+``morphisms.classify.*`` and ``harness.suite.*`` metrics (the suite's
+instance count and the wall time of its two largest checks).
 Standard library only.
 """
 
@@ -38,7 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACED_PREFIXES = (
     "site.pullback.", "site.check_bcp.", "site.validate_fibration.", "site.validate_category.",
-    "morphisms.classify.",
+    "morphisms.classify.", "harness.suite.",
 )
 SEEDS = list(range(1, 11))
 # one traced run cannot tell a self time from host noise
@@ -71,14 +72,14 @@ def change_wins(parent: list[float], change: list[float]) -> int:
 
 def traced_metrics(results: list[dict]) -> dict:
     """The ``TRACED_PREFIXES`` metrics of repeated traced runs: the median of
-    each ``*.self_s``, and every other metric, a count that must repeat
-    exactly (``SystemExit`` naming it if it does not)."""
+    each ``*.self_s`` and ``*.wall_s``, and every other metric, a count that
+    must repeat exactly (``SystemExit`` naming it if it does not)."""
     traced = {}
     for name in results[0]["metrics"]:
         if not name.startswith(TRACED_PREFIXES):
             continue
         values = [r["metrics"][name]["value"] for r in results]
-        if name.endswith(".self_s"):
+        if name.endswith((".self_s", ".wall_s")):
             traced[name] = statistics.median(values)
         elif len(set(values)) > 1:
             raise SystemExit(f"traced {name} differs between runs: {values}")
