@@ -1,15 +1,21 @@
 """Exhaustive enumeration of structures on small fibrations.
 
-Per-object candidates are generated respecting the local axioms (and the
-object's own endomorphisms), then a backtracking product applies the kind's
-cross-object law (held by its class in ``structures``) incrementally.  Output
-order is deterministic.
+Per-object candidates are generated respecting the local axioms and pruned by
+the kind's law along the object's own endomorphisms; then a backtracking
+product applies the law along the other morphisms (held by the kind's class
+in ``structures``) incrementally.  Output order is deterministic.
+
+Both local steps are memoised for the life of the process: the candidates by
+lattice value, the pruned rows by ``local_candidates``'s key.  The property
+filter, the cross-object product, ``max_lattice`` and the candidate budget
+belong to each call and never enter a memo.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from ..errors import DomainError, PreconditionError, ResourceCapError
@@ -66,10 +72,12 @@ class EnumerationSpec:
 # local candidate generation
 
 
-def relation_candidates(lat: FiniteLattice) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def relation_candidates(lat: FiniteLattice) -> tuple[tuple[int, ...], ...]:
     """All per-object relations that are below the order, antitone in the
     first argument and up-closed in the second (the object-local axioms
-    shared by topogenous orders and neighbourhood assignments)."""
+    shared by topogenous orders and neighbourhood assignments); memoised by
+    lattice value."""
     upsets = lat.upsets()
     order = sorted(range(lat.size), key=lambda e: bin(lat.down[e]).count("1"))
     out = []
@@ -91,12 +99,13 @@ def relation_candidates(lat: FiniteLattice) -> list[tuple[int, ...]]:
         rows[e] = 0
 
     place(0)
-    return sorted(out)
+    return tuple(sorted(out))
 
 
-def operator_candidates(lat: FiniteLattice, kind: str) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def operator_candidates(lat: FiniteLattice, kind: str) -> tuple[tuple[int, ...], ...]:
     """All monotone self-maps that are extensive (``kind="closure"``) or
-    contractive (``kind="interior"``)."""
+    contractive (``kind="interior"``); memoised by lattice value."""
     allowed = lat.up if kind == "closure" else lat.down
     order = sorted(range(lat.size), key=lambda e: bin(lat.down[e]).count("1"))
     out = []
@@ -116,7 +125,40 @@ def operator_candidates(lat: FiniteLattice, kind: str) -> list[tuple[int, ...]]:
             place(pos + 1)
 
     place(0)
-    return sorted(out)
+    return tuple(sorted(out))
+
+
+# local_candidates' memo; it holds lattices and tables, never a fibration
+_LOCAL: dict = {}
+
+
+def local_candidates(
+    structure_class, fib: SubobjectFibration, x: int
+) -> tuple[tuple[int, ...], ...]:
+    """Object ``x``'s candidate rows for ``structure_class`` that satisfy the
+    class's law along every endomorphism of ``x``.
+
+    Memoised on (class, lattice of x, the ``(pre[f], img[f])`` tables of x's
+    endomorphisms f in order).  The key is sound: the candidates depend only
+    on the class and the lattice, and the law along an endomorphism f reads
+    ``fib`` only through ``pre[f]``, ``img[f]`` and ``sub_cod(f)``/
+    ``sub_dom(f)``, which for an endomorphism are x's own lattice.
+    """
+    lat = fib.sub[x]
+    cat = fib.category
+    endos = [f for f in cat.morphisms_from[x] if cat.mor_cod[f] == x]
+    key = (structure_class, lat, tuple((fib.pre[f], fib.img[f]) for f in endos))
+    rows = _LOCAL.get(key)
+    if rows is None:
+        kind, law = structure_class.kind, structure_class.law
+        candidates = (
+            operator_candidates(lat, kind) if kind in ("closure", "interior")
+            else relation_candidates(lat)
+        )
+        rows = _LOCAL[key] = tuple(
+            r for r in candidates if all(next(law(fib, f, r, r), None) is None for f in endos)
+        )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +175,10 @@ _FILTERS = {
 def enumerate_structures(spec: EnumerationSpec) -> Iterator:
     """Yield every structure of the requested kind exactly once.
 
-    Raises a usage error for a property filter that does not apply, and a
-    resource error if the pruned candidate space exceeds the budget, both
-    before generation.
+    Before any candidate generation, raises a usage error for a property
+    filter that does not apply, a resource error for a lattice over
+    ``max_lattice``, and then a usage error for a malformed budget; a
+    resource error if the pruned candidate space exceeds the budget.
     """
     if spec.kind not in KINDS:
         raise PreconditionError(f"unknown enumeration kind {spec.kind!r}")
@@ -152,25 +195,12 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
             raise ResourceCapError(
                 f"lattice of size {lat.size} exceeds enumeration cap {spec.max_lattice}"
             )
+    budget = spec.budget()
     structure_class = KINDS[spec.kind]
     law = structure_class.law
 
-    local: list[list[tuple[int, ...]]] = []
-    candidate_sets = {}
-    for x, lat in enumerate(fib.sub):
-        key = id(lat)
-        if key not in candidate_sets:
-            candidate_sets[key] = (
-                operator_candidates(lat, spec.kind)
-                if spec.kind in ("closure", "interior")
-                else relation_candidates(lat)
-            )
-        rows = candidate_sets[key]
-        endos = [f for f in cat.morphisms_from[x] if cat.mor_cod[f] == x]
-        kept = [r for r in rows if all(next(law(fib, f, r, r), None) is None for f in endos)]
-        local.append(kept)
-
-    budget = spec.budget()
+    n_objects = cat.n_objects
+    local = [local_candidates(structure_class, fib, x) for x in range(n_objects)]
     total = 1
     for rows in local:
         total *= len(rows)
@@ -179,7 +209,6 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
                 f"candidate space exceeds {budget} after local pruning", total
             )
 
-    n_objects = cat.n_objects
     cross = [
         [
             f

@@ -14,8 +14,10 @@ from topogen.site import FiniteCategory, SubobjectFibration
 from topogen.structures import TopogenousOrder, validate_structure
 from topogen.harness import fileformat
 from topogen.harness.enumeration import (
+    KINDS,
     EnumerationSpec,
     enumerate_structures,
+    local_candidates,
     operator_candidates,
     relation_candidates,
 )
@@ -189,20 +191,94 @@ def test_unknown_kind_rejected(disc2_loop):
         next(iter(enumerate_structures(EnumerationSpec(disc2_loop, "nonsense"))))
 
 
-@pytest.mark.parametrize("kind,prop", [
-    ("closure", "meet"), ("interior", "join"), ("neighbourhood", "interpolative"),
-    ("topogenous", "nonsense"),
-])
-def test_bad_property_filter_rejected_before_generation(fintop2, monkeypatch, kind, prop):
+def _refuse_generation(monkeypatch):
     import topogen.harness.enumeration as enumeration
 
     def no_generation(*args):
         raise AssertionError("candidates generated")
 
-    monkeypatch.setattr(enumeration, "relation_candidates", no_generation)
-    monkeypatch.setattr(enumeration, "operator_candidates", no_generation)
+    for name in ("relation_candidates", "operator_candidates", "local_candidates"):
+        monkeypatch.setattr(enumeration, name, no_generation)
+
+
+@pytest.mark.parametrize("kind,prop", [
+    ("closure", "meet"), ("interior", "join"), ("neighbourhood", "interpolative"),
+    ("topogenous", "nonsense"),
+])
+def test_bad_property_filter_rejected_before_generation(fintop2, monkeypatch, kind, prop):
+    _refuse_generation(monkeypatch)
     with pytest.raises(DomainError):
         next(iter(enumerate_structures(EnumerationSpec(fintop2, kind, prop_filter=prop))))
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bad_budget_rejected_before_generation(fintop2, monkeypatch, value):
+    _refuse_generation(monkeypatch)
+    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", value)
+    with pytest.raises(DomainError, match="TOPOGEN_MAX_CANDIDATES"):
+        next(iter(enumerate_structures(EnumerationSpec(fintop2, "closure"))))
+
+
+def test_lattice_cap_precedes_a_bad_budget(monkeypatch):
+    _refuse_generation(monkeypatch)
+    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "abc")
+    fib = loop_fibration(FiniteLattice.powerset(2))
+    with pytest.raises(ResourceCapError):
+        next(iter(enumerate_structures(EnumerationSpec(fib, "topogenous", max_lattice=2))))
+
+
+def _fresh_local_rows(structure_class, fib, x):
+    """The oracle: object x's candidates kept by a fresh per-row filter."""
+    lat = fib.sub[x]
+    cat = fib.category
+    endos = [f for f in cat.morphisms_from[x] if cat.mor_cod[f] == x]
+    candidates = (
+        operator_candidates(lat, structure_class.kind)
+        if structure_class.kind in ("closure", "interior")
+        else relation_candidates(lat)
+    )
+    return [
+        r for r in candidates
+        if all(next(structure_class.law(fib, f, r, r), None) is None for f in endos)
+    ]
+
+
+def test_memoised_local_rows_match_a_fresh_filter():
+    # all these fibrations share the 3-point powerset lattice, but not the
+    # endomorphisms of their objects: a memo keyed on less than (kind, lattice,
+    # endomorphism tables) hands some object another object's rows
+    from topogen.instances.topology import FinTopSpace, enumerate_topologies, fintop_fibration
+
+    discrete = FinTopSpace(3, tuple(range(8)))
+    sierpinski_like = FinTopSpace(3, (0, 1, 7))
+    oracle = {}
+    for a in (discrete, sierpinski_like):
+        for c in enumerate_topologies(3):
+            fib = fintop_fibration([a, c], object_names=("a", "c"))
+            for x, space in enumerate((a, c)):
+                for structure_class in KINDS.values():
+                    key = (structure_class, space.opens)
+                    if key not in oracle:
+                        oracle[key] = _fresh_local_rows(structure_class, fib, x)
+                    assert list(local_candidates(structure_class, fib, x)) == oracle[key]
+    # the endomorphisms prune differently, so the test can tell keys apart
+    for structure_class in KINDS.values():
+        assert oracle[structure_class, discrete.opens] != oracle[structure_class, sierpinski_like.opens]
+
+
+def test_a_warm_memo_keeps_the_budget_verdicts(fintop2, monkeypatch):
+    assert list(enumerate_structures(EnumerationSpec(fintop2, "topogenous")))
+    with pytest.raises(ResourceCapError):
+        next(iter(enumerate_structures(EnumerationSpec(fintop2, "topogenous", max_candidates=1))))
+    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "abc")
+    with pytest.raises(DomainError):
+        next(iter(enumerate_structures(EnumerationSpec(fintop2, "topogenous"))))
+    # the candidate memo is keyed by lattice value, not identity
+    first, second = FiniteLattice.powerset(3), FiniteLattice.powerset(3)
+    assert first is not second
+    assert relation_candidates(first) is relation_candidates(second)
+    assert operator_candidates(first, "closure") is operator_candidates(second, "closure")
+    assert isinstance(relation_candidates(first), tuple)
 
 
 # ---------------------------------------------------------------------------

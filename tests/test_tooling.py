@@ -133,7 +133,10 @@ def test_bench_pairs_summary_and_wins():
     # every traced prefix selects some per-layer metric of the benchmark
     per_layer = [name for name, _ in _assigned(RUN, "PER_LAYER")]
     assert all(any(m.startswith(p) for m in per_layer) for p in bench_pairs.TRACED_PREFIXES)
-    assert {"morphisms.classify.", "harness.suite."} <= set(bench_pairs.TRACED_PREFIXES)
+    assert {
+        "morphisms.classify.", "harness.suite.", "harness.enumeration.",
+        "structures.validate_structure.", "harness.fileformat.",
+    } <= set(bench_pairs.TRACED_PREFIXES)
 
 
 def _traced_result(classify_calls, classify_self_s, instances=9, check_wall_s=1.0):
@@ -165,4 +168,11 @@ def test_bench_pairs_traced_metrics_take_median_times_and_equal_counts():
         bench_pairs.traced_metrics(runs)
     runs[1] = _traced_result(7, 0.1, instances=10)
     with pytest.raises(SystemExit, match=r"harness\.suite\.instances differs.*\[9, 10, 9\]"):
+        bench_pairs.traced_metrics(runs)
+    # the enumeration counts must repeat too
+    runs = [_traced_result(7, 0.1) for _ in range(3)]
+    for run, yielded in zip(runs, (31, 30, 31)):
+        run["metrics"]["harness.enumeration.enumerate_structures.yielded"] = {
+            "value": yielded, "unit": "count"}
+    with pytest.raises(SystemExit, match=r"enumerate_structures\.yielded differs.*\[31, 30, 31\]"):
         bench_pairs.traced_metrics(runs)

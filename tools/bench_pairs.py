@@ -20,7 +20,9 @@ change won on ``wall_ref_s`` (lower wins, ties count for neither side); and
 the traced ``site.pullback.*``, ``site.check_bcp.*``,
 ``site.validate_fibration.*``, ``site.validate_category.*``,
 ``morphisms.classify.*`` and ``harness.suite.*`` metrics (the suite's
-instance count and the wall time of its two largest checks).
+instance count and the wall time of its two largest checks), and the
+enumeration layers ``harness.enumeration.*``, ``structures.validate_structure.*``
+and ``harness.fileformat.*`` (so ``enumerate_structures.yielded`` must repeat).
 Standard library only.
 """
 
@@ -39,7 +41,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACED_PREFIXES = (
     "site.pullback.", "site.check_bcp.", "site.validate_fibration.", "site.validate_category.",
-    "morphisms.classify.", "harness.suite.",
+    "morphisms.classify.", "harness.suite.", "harness.enumeration.",
+    "structures.validate_structure.", "harness.fileformat.",
 )
 SEEDS = list(range(1, 11))
 # one traced run cannot tell a self time from host noise
