@@ -78,13 +78,20 @@ class _Environment:
         return registry.builtin_fibration(name)
 
     def order(self, name: str, fib):
+        """The named order; a file order is validated once, here, and one
+        that is not topogenous prints its report and fails the command."""
         rec = self._find(fileformat.OrderRecord, name)
-        if rec is not None:
-            if name in registry.ORDER_KINDS:
-                print(f"warning: file order {name!r} overrides the built-in kind",
-                      file=sys.stderr)
-            return fileformat.resolve_order(rec, fib)
-        return registry.builtin_order(name, fib)
+        if rec is None:
+            return registry.builtin_order(name, fib)
+        if name in registry.ORDER_KINDS:
+            print(f"warning: file order {name!r} overrides the built-in kind",
+                  file=sys.stderr)
+        order = fileformat.resolve_order(rec, fib)
+        rep = validate_structure(order)
+        if not rep.ok:
+            print(rep.render(), file=sys.stderr)
+            raise PreconditionError(f"order {name!r} is not topogenous")
+        return order
 
     def morphism(self, name: str, fib) -> int:
         rec = self._find(fileformat.MapRecord, name)
@@ -187,10 +194,6 @@ def _cmd_convert(args) -> int:
     env = _Environment(args.files)
     fib = env.fibration(args.fibration)
     order = env.order(args.order, fib)
-    rep = validate_structure(order)
-    if not rep.ok:
-        print(rep.render(), file=sys.stderr)
-        return EXIT_FAILURE
     result = _CONVERTERS[args.target_kind](order)
     if args.target_kind == "neighbourhood":
         record = fileformat.order_record_of(f"{args.order}_as_nbhd", result)

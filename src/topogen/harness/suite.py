@@ -124,8 +124,8 @@ def check_instance_validity(scale: str) -> Report:
     reports.append(Report("fstar-formula", cat.n_morphisms, tuple(mismatched)))
     if scale == "medium":
         fib3 = _fib("fintop3")
-        reports.append(validate_fibration(fib3, functoriality=True))
-        reports.append(validate_fibration(_fib("grp_le8"), functoriality=True))
+        reports.append(validate_fibration(fib3))
+        reports.append(validate_fibration(_fib("grp_le8")))
     return merge("instance-validity", reports)
 
 

@@ -10,7 +10,7 @@ from functools import lru_cache
 from ..errors import CapabilityError, PreconditionError
 from ..lattice import FiniteLattice, mask_iter
 from ..reporting import Report, Violation
-from ..site import SubobjectFibration, concrete_category
+from ..site import SubobjectFibration, concrete_category, subset_fibration
 
 
 @dataclass(frozen=True)
@@ -326,50 +326,13 @@ def fingrp_fibration(groups, name: str = "fingrp", max_morphisms: int = 100_000)
         names, [g.order for g in groups], lambda x, y: homs(groups[x], groups[y]),
         max_morphisms, "homomorphisms",
     )
-    mor_dom, mor_cod, graphs = category.mor_dom, category.mor_cod, category.graphs
-    sub = [subgroup_lattice(g) for g in groups]
-    subs_masks = [subgroups_of(g) for g in groups]
-    sub_index = [{m: i for i, m in enumerate(masks)} for masks in subs_masks]
-
-    img, pre = [], []
-    for f in range(category.n_morphisms):
-        graph = graphs[f]
-        x, y = mor_dom[f], mor_cod[f]
-        img_t = []
-        for mask in subs_masks[x]:
-            out = 0
-            for e in mask_iter(mask):
-                out |= 1 << graph[e]
-            img_t.append(sub_index[y][out])
-        pre_t = []
-        for mask in subs_masks[y]:
-            out = 0
-            for e, ge in enumerate(graph):
-                if mask >> ge & 1:
-                    out |= 1 << e
-            pre_t.append(sub_index[x][out])
-        img.append(tuple(img_t))
-        pre.append(tuple(pre_t))
-
-    eclass = frozenset(
-        f for f in range(category.n_morphisms)
-        if len(set(graphs[f])) == groups[mor_cod[f]].order
+    mclass = (
+        f for f, graph in enumerate(category.graphs)
+        if len(set(graph)) == groups[category.mor_dom[f]].order
     )
-    mclass = frozenset(
-        f for f in range(category.n_morphisms)
-        if len(set(graphs[f])) == groups[mor_dom[f]].order
-    )
-    return SubobjectFibration(
-        category=category,
-        sub=sub,
-        img=img,
-        pre=pre,
-        eclass=eclass,
-        mclass=mclass,
-        e_pullback_stable=True,
-        backend=_FinGrpBackend(groups),
-        name=name,
-        subsets=subs_masks,
+    return subset_fibration(
+        category, [subgroup_lattice(g) for g in groups], [subgroups_of(g) for g in groups],
+        mclass, backend=_FinGrpBackend(groups), name=name,
     )
 
 

@@ -14,7 +14,7 @@ from ..constructions import FiberedFunctor
 from ..errors import PreconditionError
 from ..lattice import mask_iter
 from ..reporting import Report, Violation
-from ..site import SubobjectFibration, concrete_category
+from ..site import concrete_category, subset_fibration
 from .groups import (
     FinGroup,
     catalog,
@@ -140,46 +140,29 @@ def topgrp_fibration(max_order: int = 4) -> FiberedFunctor:
     )
     mor_dom, mor_cod, graphs = category.mor_dom, category.mor_cod, category.graphs
     sub = [subgroup_lattice(tg.group) for tg in tgs]
-    mor_map = []
-    img, pre = [], []
-    for f in range(category.n_morphisms):
-        bx = base_index[tgs[mor_dom[f]].group.name]
-        by = base_index[tgs[mor_cod[f]].group.name]
-        bf = base.category.morphism_by_graph(bx, by, graphs[f])
-        mor_map.append(bf)
-        img.append(base.img[bf])
-        pre.append(base.pre[bf])
-    eclass = frozenset(
-        f for f in range(category.n_morphisms)
-        if len(set(graphs[f])) == tgs[mor_cod[f]].group.order
+    obj_map = tuple(base_index[tg.group.name] for tg in tgs)
+    mor_map = tuple(
+        base.category.morphism_by_graph(obj_map[mor_dom[f]], obj_map[mor_cod[f]], graph)
+        for f, graph in enumerate(graphs)
     )
     # initial monos: injective and the domain's open subgroup is the pulled-back one
     open_sub = [open_subgroup_mask(tg) for tg in tgs]
-    mclass = frozenset(
+    mclass = (
         f for f in range(category.n_morphisms)
         if len(set(graphs[f])) == tgs[mor_dom[f]].group.order
         and open_sub[mor_dom[f]]
         == sum(1 << x for x, gx in enumerate(graphs[f]) if open_sub[mor_cod[f]] >> gx & 1)
     )
-    total = SubobjectFibration(
-        category=category,
-        sub=sub,
-        img=img,
-        pre=pre,
-        eclass=eclass,
-        mclass=mclass,
-        e_pullback_stable=True,
-        backend=_TopGrpBackend(tgs),
-        name=f"topgrp_le{max_order}",
-        subsets=[subgroups_of(tg.group) for tg in tgs],
+    total = subset_fibration(
+        category, sub, [subgroups_of(tg.group) for tg in tgs], mclass,
+        backend=_TopGrpBackend(tgs), name=f"topgrp_le{max_order}",
     )
-    obj_map = tuple(base_index[tg.group.name] for tg in tgs)
     gamma = tuple(tuple(range(lat.size)) for lat in sub)
     return FiberedFunctor(
         total=total,
         base=base,
         obj_map=obj_map,
-        mor_map=tuple(mor_map),
+        mor_map=mor_map,
         gamma=gamma,
         delta=gamma,
     )

@@ -14,7 +14,7 @@ from functools import lru_cache
 from ..errors import CapabilityError, DomainError, PreconditionError
 from ..lattice import FiniteLattice, mask_iter
 from ..constructions import CopointedEndofunctor, PointedEndofunctor
-from ..site import PullbackSquare, SubobjectFibration, concrete_category
+from ..site import PullbackSquare, SubobjectFibration, concrete_category, subset_fibration
 
 
 @dataclass(frozen=True)
@@ -309,45 +309,21 @@ def fintop_fibration(
             lattices[s.n] = FiniteLattice.powerset(s.n)
         sub.append(lattices[s.n])
 
-    img, pre, fstar = [], [], []
-    for m in range(category.n_morphisms):
-        graph = graphs[m]
-        nx = spaces[mor_dom[m]].n
-        img.append(tuple(image_mask(graph, mask) for mask in range(1 << nx)))
-        ny = spaces[mor_cod[m]].n
-        pre.append(tuple(preimage_mask(graph, mask) for mask in range(1 << ny)))
-        # right adjoint of preimage: the complement formula, verified generically
-        full_x = (1 << nx) - 1
-        full_y = (1 << ny) - 1
-        fstar.append(tuple(
-            full_y & ~image_mask(graph, full_x & ~a) for a in range(1 << nx)
-        ))
-
-    eclass = frozenset(
-        m for m in range(category.n_morphisms)
-        if image_mask(graphs[m], (1 << spaces[mor_dom[m]].n) - 1)
-        == (1 << spaces[mor_cod[m]].n) - 1
-    )
+    # right adjoint of preimage: the complement formula, verified generically
+    fstar = []
+    for graph, x, y in zip(graphs, mor_dom, mor_cod):
+        full_x, full_y = spaces[x].full, spaces[y].full
+        fstar.append(tuple(full_y & ~image_mask(graph, full_x & ~a) for a in range(full_x + 1)))
     # embeddings: injective and the domain topology is exactly the pulled-back one
-    mclass = frozenset(
+    mclass = (
         m for m in range(category.n_morphisms)
         if len(set(graphs[m])) == spaces[mor_dom[m]].n
         and set(spaces[mor_dom[m]].opens)
         == {preimage_mask(graphs[m], o) for o in spaces[mor_cod[m]].opens}
     )
-
-    return SubobjectFibration(
-        category=category,
-        sub=sub,
-        img=img,
-        pre=pre,
-        eclass=eclass,
-        mclass=mclass,
-        e_pullback_stable=True,
-        fstar=fstar,
-        backend=_FinTopBackend(spaces, max_points),
-        name=name,
-        subsets=[tuple(range(1 << s.n)) for s in spaces],
+    return subset_fibration(
+        category, sub, [tuple(range(1 << s.n)) for s in spaces], mclass,
+        fstar=fstar, backend=_FinTopBackend(spaces, max_points), name=name,
     )
 
 

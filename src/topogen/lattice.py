@@ -186,13 +186,11 @@ class FiniteLattice:
         )
 
     @staticmethod
-    def powerset(n_points: int, point_names: Optional[tuple[str, ...]] = None) -> "FiniteLattice":
+    def powerset(n_points: int) -> "FiniteLattice":
         """Powerset of n points; element index == subset bitmask."""
-        if point_names is None:
-            point_names = tuple(str(i) for i in range(n_points))
         size = 1 << n_points
         labels = tuple(
-            "{" + ",".join(point_names[p] for p in range(n_points) if s >> p & 1) + "}"
+            "{" + ",".join(str(p) for p in range(n_points) if s >> p & 1) + "}"
             for s in range(size)
         )
         up = tuple(

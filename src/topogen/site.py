@@ -358,39 +358,83 @@ def _morphism_laws(
     return checked, faults
 
 
-def _functoriality_certified(fib: SubobjectFibration) -> bool:
-    """True when every image/preimage table is the set-level one along its
-    graph and each composite's graph belongs to a morphism with the right
-    codomain; False sends the caller to the per-pair loop."""
-    cat = fib.category
-    subsets, graphs, dom, cod = fib.subsets, cat.graphs, cat.mor_dom, cat.mor_cod
-    if subsets is None:
-        return False
+def set_level_tables(
+    cat: FiniteCategory, subsets: Sequence[tuple[int, ...]]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Per morphism, the set-level image and preimage tables along its graph.
+
+    ``subsets[x]`` lists the carrier bitmask of each subobject of x; entry i
+    of f's image table is the index of the image of subset i of dom f among
+    the subsets of cod f, or -1 where that set is not one of them, and
+    likewise for preimages.  The tables depend only on (subsets of dom f,
+    subsets of cod f, graph), so each such key is computed once and its
+    tables are shared.
+    """
     index = [{mask: i for i, mask in enumerate(masks)} for masks in subsets]
-    # the set-level tables depend only on (subsets of x, subsets of y, graph)
     sets, _ = intern(subsets)
     tables: dict = {}
-    for f, graph in enumerate(graphs):
-        x, y = dom[f], cod[f]
+    img, pre = [], []
+    for f, graph in enumerate(cat.graphs):
+        x, y = cat.mor_dom[f], cat.mor_cod[f]
         key = (sets[x], sets[y], graph)
         if key not in tables:
-            img = []
+            image = []
             for mask in subsets[x]:
                 out = 0
-                for e, ge in enumerate(graph):
-                    if mask >> e & 1:
-                        out |= 1 << ge
-                img.append(index[y].get(out, -1))
-            pre = []
+                for e in mask_iter(mask):
+                    out |= 1 << graph[e]
+                image.append(index[y].get(out, -1))
+            preimage = []
             for mask in subsets[y]:
                 out = 0
                 for e, ge in enumerate(graph):
                     if mask >> ge & 1:
                         out |= 1 << e
-                pre.append(index[x].get(out, -1))
-            tables[key] = (tuple(img), tuple(pre))
-        if tables[key] != (fib.img[f], fib.pre[f]):
-            return False
+                preimage.append(index[x].get(out, -1))
+            tables[key] = (tuple(image), tuple(preimage))
+        img.append(tables[key][0])
+        pre.append(tables[key][1])
+    return img, pre
+
+
+def subset_fibration(
+    category: FiniteCategory,
+    sub: Sequence[FiniteLattice],
+    subsets: Sequence[tuple[int, ...]],
+    mclass: Iterable[int],
+    fstar: Optional[Sequence[Optional[tuple[int, ...]]]] = None,
+    backend=None,
+    name: str = "fibration",
+) -> SubobjectFibration:
+    """The fibration whose subobjects are the given subsets of each carrier.
+
+    Image and preimage are the set-level ones along the morphism graphs
+    (``set_level_tables``), and E is the class of surjective graphs, which
+    is pullback-stable.  M and the right adjoints of preimage (computed
+    generically when ``fstar`` is None) are the caller's.
+    """
+    img, pre = set_level_tables(category, subsets)
+    graphs, ids, cod = category.graphs, category.identities, category.mor_cod
+    eclass = frozenset(
+        f for f, graph in enumerate(graphs) if len(set(graph)) == len(graphs[ids[cod[f]]])
+    )
+    return SubobjectFibration(
+        category, sub, img, pre, eclass, mclass,
+        fstar=fstar, backend=backend, name=name, subsets=subsets,
+    )
+
+
+def _functoriality_certified(fib: SubobjectFibration) -> bool:
+    """True when every image/preimage table is the set-level one along its
+    graph and each composite's graph belongs to a morphism with the right
+    codomain; False sends the caller to the per-pair loop."""
+    cat = fib.category
+    graphs, dom, cod = cat.graphs, cat.mor_dom, cat.mor_cod
+    if fib.subsets is None:
+        return False
+    img, pre = set_level_tables(cat, fib.subsets)
+    if tuple(img) != fib.img or tuple(pre) != fib.pre:
+        return False
     # closure under composition: compose each graph into y once with each
     # graph out of y; every codomain of the latter needs a morphism with the
     # composed graph from every domain of the former

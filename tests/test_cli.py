@@ -485,6 +485,34 @@ def test_file_order_overrides_builtin_with_warning(capsys, tmp_path):
         assert "strict=" in out
 
 
+# {0} relates to {} although {0} is not below {}: not a topogenous order
+NOT_TOPOGENOUS = (
+    "space a: points=2; opens={},{0},{0,1}\n"
+    "order bad: fibration=spaces:a; kind=explicit; rel=a[({0},{})]\n"
+    "map m: from=a; to=a; graph=0,0\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--order", "bad", "--map", "m"),
+    ("strict-subs", "--order", "bad", "--object", "a"),
+    ("predicates", "--order", "bad"),
+    ("convert", "--from", "topogenous", "--to", "closure", "--order", "bad"),
+    ("induce", "--copointed", "discrete", "--order", "bad"),
+])
+def test_file_order_that_is_not_topogenous_fails_every_command(capsys, tmp_path, argv):
+    doc = tmp_path / "in.topo"
+    doc.write_text(NOT_TOPOGENOUS)
+    code, out, err = run(capsys, *argv, "--fibration", "spaces:a", str(doc))
+    assert (code, out) == (1, "")
+    assert err.startswith("FAIL topogenous-order checked=17\n")
+    assert "violation: below-order; at a; witness {0}, {}" in err
+    assert err.endswith("failure: order 'bad' is not topogenous\n")
+    # the same record is refused by validate
+    code, out, _ = run(capsys, "validate", str(doc))
+    assert code == 1 and "FAIL " + str(doc) + ":order bad" in out
+
+
 @pytest.mark.parametrize("targets, bad", [
     ("pullback-transfr", "'pullback-transfr'"),
     (",", "''"),

@@ -416,3 +416,46 @@ def test_every_concrete_builder_sets_subsets(tmp_path):
     ):
         assert fib.subsets is not None, fib.name
         assert [len(masks) for masks in fib.subsets] == [lat.size for lat in fib.sub]
+
+
+def _brute_force_tables(fib, f):
+    """The image and preimage tables of f from Python sets of points: the
+    index of each image/preimage among the subobjects, or -1."""
+    cat = fib.category
+    x, y = cat.mor_dom[f], cat.mor_cod[f]
+    graph = cat.graphs[f]
+
+    def members(z):
+        n = len(cat.graphs[cat.identities[z]])
+        return [frozenset(p for p in range(n) if mask >> p & 1) for mask in fib.subsets[z]]
+
+    def position(subobjects, s):
+        return subobjects.index(s) if s in subobjects else -1
+
+    sx, sy = members(x), members(y)
+    img = tuple(position(sy, frozenset(graph[e] for e in a)) for a in sx)
+    pre = tuple(
+        position(sx, frozenset(e for e, v in enumerate(graph) if v in b)) for b in sy
+    )
+    return img, pre
+
+
+@pytest.mark.parametrize("name", ["fintop2", "grp_small", "topgrp_le4", "spaces:two,one,three"])
+def test_set_level_tables_and_e_match_a_brute_force_oracle(tmp_path, name):
+    from topogen.cli import _Environment
+
+    doc = tmp_path / "in.topo"
+    doc.write_text(
+        "space two: points=2; opens={},{0},{0,1}\n"
+        "space one: points=1; opens={},{0}\n"
+        "space three: points=3; opens={},{2},{1,2},{0,1,2}\n"
+    )
+    fib = _Environment([doc]).fibration(name)
+    cat = fib.category
+    for f in range(cat.n_morphisms):
+        assert (fib.img[f], fib.pre[f]) == _brute_force_tables(fib, f), cat.mor_names[f]
+    surjective = {
+        f for f, graph in enumerate(cat.graphs)
+        if set(graph) == set(cat.graphs[cat.identities[cat.mor_cod[f]]])
+    }
+    assert fib.eclass == surjective
