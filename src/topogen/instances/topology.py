@@ -309,11 +309,18 @@ def fintop_fibration(
             lattices[s.n] = FiniteLattice.powerset(s.n)
         sub.append(lattices[s.n])
 
-    # right adjoint of preimage: the complement formula, verified generically
+    # right adjoint of preimage: the complement formula, verified generically;
+    # it reads only the graph and the codomain's size
+    formulas: dict = {}
     fstar = []
-    for graph, x, y in zip(graphs, mor_dom, mor_cod):
-        full_x, full_y = spaces[x].full, spaces[y].full
-        fstar.append(tuple(full_y & ~image_mask(graph, full_x & ~a) for a in range(full_x + 1)))
+    for graph, y in zip(graphs, mor_cod):
+        key = (graph, spaces[y].n)
+        if key not in formulas:
+            full_x, full_y = (1 << len(graph)) - 1, spaces[y].full
+            formulas[key] = tuple(
+                full_y & ~image_mask(graph, full_x & ~a) for a in range(full_x + 1)
+            )
+        fstar.append(formulas[key])
     # embeddings: injective and the domain topology is exactly the pulled-back one
     mclass = (
         m for m in range(category.n_morphisms)

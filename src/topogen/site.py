@@ -9,6 +9,7 @@ two morphism classes of a proper factorization system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapabilityError, DomainError, InternalConsistencyError, ResourceCapError
@@ -44,14 +45,13 @@ class FiniteCategory:
             (self.mor_dom[i], self.mor_cod[i], graph): i for i, graph in enumerate(self.graphs)
         }
         self._name_index = {name: i for i, name in enumerate(self.mor_names)}
-        self.morphisms_from = tuple(
-            tuple(i for i in range(self.n_morphisms) if self.mor_dom[i] == x)
-            for x in range(self.n_objects)
-        )
-        self.morphisms_to = tuple(
-            tuple(i for i in range(self.n_morphisms) if self.mor_cod[i] == x)
-            for x in range(self.n_objects)
-        )
+        outs: list[list[int]] = [[] for _ in self.object_names]
+        ins: list[list[int]] = [[] for _ in self.object_names]
+        for i, (x, y) in enumerate(zip(self.mor_dom, self.mor_cod)):
+            outs[x].append(i)
+            ins[y].append(i)
+        self.morphisms_from = tuple(map(tuple, outs))
+        self.morphisms_to = tuple(map(tuple, ins))
 
     @property
     def n_objects(self) -> int:
@@ -336,15 +336,24 @@ def _morphism_laws(
             checked += 1
             if not lx.leq(pre[i], pre[j]):
                 faults.append(("preimage-monotone", (ly.labels[i], ly.labels[j])))
-    for m in range(lx.size):
-        for n in range(ly.size):
-            checked += 1
-            if ly.leq(img[m], n) != lx.leq(m, pre[n]):
-                faults.append(("adjunction", (lx.labels[m], ly.labels[n])))
-                break
-        else:
-            continue
-        break
+    # between monotone maps, img ⊣ pre iff the unit m <= pre img m and the
+    # counit img pre n <= n hold; the (m, n) scan finds the first mismatch
+    if (
+        not faults
+        and all(lx.leq(m, pre[img[m]]) for m in range(lx.size))
+        and all(ly.leq(img[pre[n]], n) for n in range(ly.size))
+    ):
+        checked += lx.size * ly.size
+    else:
+        for m in range(lx.size):
+            for n in range(ly.size):
+                checked += 1
+                if ly.leq(img[m], n) != lx.leq(m, pre[n]):
+                    faults.append(("adjunction", (lx.labels[m], ly.labels[n])))
+                    break
+            else:
+                continue
+            break
     if in_m:
         for m in range(lx.size):
             checked += 1
@@ -435,9 +444,11 @@ def _functoriality_certified(fib: SubobjectFibration) -> bool:
     img, pre = set_level_tables(cat, fib.subsets)
     if tuple(img) != fib.img or tuple(pre) != fib.pre:
         return False
-    # closure under composition: compose each graph into y once with each
-    # graph out of y; every codomain of the latter needs a morphism with the
-    # composed graph from every domain of the former
+    # closure under composition: g∘f reads g only on the image S of f, so per
+    # object y the graphs into y are grouped by image, and each distinct
+    # restriction g|S of the graphs out of y (their codomains unioned) is
+    # composed once with each graph into y with image S; every such codomain
+    # needs a morphism with the composed graph from every domain of f
     cods: list[dict] = [{} for _ in range(cat.n_objects)]
     for h, graph in enumerate(graphs):
         cods[dom[h]].setdefault(graph, set()).add(cod[h])
@@ -446,16 +457,33 @@ def _functoriality_certified(fib: SubobjectFibration) -> bool:
         outs: dict = {}
         for g in cat.morphisms_from[y]:
             outs.setdefault(graphs[g], set()).add(cod[g])
-        ins: dict = {}
+        by_image: dict = {}
         for f in cat.morphisms_to[y]:
-            ins.setdefault(graphs[f], []).append(cods[dom[f]])
-        for graph_f, sources in ins.items():
+            graph = graphs[f]
+            by_image.setdefault(frozenset(graph), {}).setdefault(graph, []).append(cods[dom[f]])
+        for image, ins in by_image.items():
+            image = sorted(image)
+            restrict = _picker(image)
+            restrictions: dict = {}
             for graph_g, targets in outs.items():
-                composed = tuple(map(graph_g.__getitem__, graph_f))
-                for reached in sources:
-                    if not targets <= reached.get(composed, missing):
-                        return False
+                restrictions.setdefault(restrict(graph_g), set()).update(targets)
+            position = {v: k for k, v in enumerate(image)}
+            for graph_f, sources in ins.items():
+                compose = _picker([position[v] for v in graph_f])
+                for restricted, targets in restrictions.items():
+                    composed = compose(restricted)
+                    for reached in sources:
+                        if not targets <= reached.get(composed, missing):
+                            return False
     return True
+
+
+def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """``seq -> tuple(seq[i] for i in positions)``, through ``itemgetter``
+    where it returns a tuple (at two positions or more)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda seq: tuple(seq[i] for i in positions)
 
 
 def _functoriality_violations(fib: SubobjectFibration, unusable: set[int]) -> list[Violation]:

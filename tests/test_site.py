@@ -270,6 +270,56 @@ def test_corrupt_image_table_is_reported(fintop2):
     )
 
 
+def _monotone(source, target, table):
+    return all(
+        target.leq(table[i], table[j]) for i in range(source.size) for j in mask_iter(source.up[i])
+    )
+
+
+def _unit_and_counit(lx, ly, img, pre):
+    """Whether m <= pre[img[m]] for every m, and img[pre[n]] <= n for every n."""
+    return (
+        all(lx.leq(m, pre[img[m]]) for m in range(lx.size)),
+        all(ly.leq(img[pre[n]], n) for n in range(ly.size)),
+    )
+
+
+def test_adjunction_by_unit_and_counit_matches_the_scan_oracle(fintop2):
+    # monotone tables of one morphism between 2-point spaces that break only
+    # the unit or only the counit must reach the (m, n) scan, with its first
+    # mismatch as witness and its count of checks
+    cat = fintop2.category
+    target = next(
+        f for f in range(cat.n_morphisms)
+        if not cat.is_identity(f) and fintop2.sub_dom(f).size == 4 == fintop2.sub_cod(f).size
+        and len(set(cat.graphs[f])) == 2
+    )
+    lx, ly = fintop2.sub_dom(target), fintop2.sub_cod(target)
+    img, pre = fintop2.img[target], fintop2.pre[target]
+    pairs = [  # the constant tables at bottom and at top
+        (tuple(bound for _ in img), pre) for bound in (0, ly.size - 1)
+    ] + [(img, tuple(bound for _ in pre)) for bound in (0, lx.size - 1)]
+    for i, value in itertools.product(range(4), range(4)):  # one entry changed
+        pairs.append((img[:i] + (value,) + img[i + 1:], pre))
+        pairs.append((img, pre[:i] + (value,) + pre[i + 1:]))
+    broken = collections.Counter()
+    for bad_img, bad_pre in pairs:
+        if (bad_img, bad_pre) == (img, pre):
+            continue
+        if not (_monotone(lx, ly, bad_img) and _monotone(ly, lx, bad_pre)):
+            continue
+        unit, counit = _unit_and_counit(lx, ly, bad_img, bad_pre)
+        broken[unit, counit] += 1
+        bad = _with_tables(
+            fintop2,
+            img=fintop2.img[:target] + (bad_img,) + fintop2.img[target + 1:],
+            pre=fintop2.pre[:target] + (bad_pre,) + fintop2.pre[target + 1:],
+        )
+        violations = _assert_morphism_laws_match_reference(bad)
+        assert ("adjunction", cat.mor_names[target]) in {(v.law, v.where) for v in violations}
+    assert broken[False, True] >= 2 and broken[True, False] >= 2
+
+
 def test_fstar_tables_match_generic_right_adjoint(fintop2):
     from topogen.lattice import right_adjoint_of
 
@@ -428,17 +478,10 @@ def test_functoriality_scan_matches_reference_on_corrupted_tables(fintop2):
     assert len({v.law for v in got}) == 2
 
 
-@pytest.mark.parametrize("kind", ["graphs", "graphs+subsets"])
-def test_functoriality_scan_reports_a_missing_composite_like_compose(kind):
-    from topogen.instances.topology import fintop_fibration
-    from topogen.instances.registry import builtin_space
-
-    # the constant endomap 0 of Sierpinski space factors only through the
-    # point; the point's own constant map has the same graph, so the
-    # composite check must compare codomains, not graphs alone
-    fib = fintop_fibration([builtin_space("pt"), builtin_space("sierpinski")])
+def _without(fib, drop, keep_subsets=True):
+    """The fibration on the category left after dropping morphism ``drop``,
+    with the other morphisms' tables; set-level subsets only if kept."""
     cat = fib.category
-    drop = cat.morphism_index("sierpinski>sierpinski:00")
     keep = [m for m in range(cat.n_morphisms) if m != drop]
     new = {m: i for i, m in enumerate(keep)}
     cut = FiniteCategory(
@@ -449,13 +492,29 @@ def test_functoriality_scan_reports_a_missing_composite_like_compose(kind):
         [new[i] for i in cat.identities],
         graphs=[cat.graphs[m] for m in keep],
     )
-    fib = SubobjectFibration(
+    return SubobjectFibration(
         cut, fib.sub, [fib.img[m] for m in keep], [fib.pre[m] for m in keep],
         eclass=frozenset(new[m] for m in fib.eclass if m != drop),
         mclass=frozenset(new[m] for m in fib.mclass if m != drop),
         fstar=[fib.fstar[m] for m in keep], name="cut",
-        subsets=fib.subsets if kind == "graphs+subsets" else None,
+        subsets=fib.subsets if keep_subsets else None,
     )
+
+
+@pytest.mark.parametrize("kind", ["graphs", "graphs+subsets"])
+def test_functoriality_scan_reports_a_missing_composite_like_compose(kind):
+    from topogen.instances.topology import fintop_fibration
+    from topogen.instances.registry import builtin_space
+
+    # the constant endomap 0 of Sierpinski space factors only through the
+    # point; the point's own constant map has the same graph, so the
+    # composite check must compare codomains, not graphs alone
+    fib = fintop_fibration([builtin_space("pt"), builtin_space("sierpinski")])
+    fib = _without(
+        fib, fib.category.morphism_index("sierpinski>sierpinski:00"),
+        keep_subsets=kind == "graphs+subsets",
+    )
+    cut = fib.category
     with pytest.raises(InternalConsistencyError) as want:
         _reference_functoriality(fib)
     with pytest.raises(InternalConsistencyError) as got:
@@ -741,3 +800,78 @@ def test_functoriality_exhaustive_at_scale(monkeypatch, fintop3):
     monkeypatch.setattr(site, "_functoriality_violations", _scan_must_not_run)
     assert validate_fibration(fintop3, functoriality=True).ok
     assert validate_fibration(builtin_fibration("grp_le8"), functoriality=True).ok
+
+
+def _reference_certified(fib):
+    """``site._functoriality_certified`` with closure under composition
+    checked per (graph into y, graph out of y) pair: every codomain of a
+    graph out of y needs a morphism with the composed graph from every
+    domain of a graph into y."""
+    cat = fib.category
+    graphs, dom, cod = cat.graphs, cat.mor_dom, cat.mor_cod
+    if fib.subsets is None:
+        return False
+    img, pre = site.set_level_tables(cat, fib.subsets)
+    if tuple(img) != fib.img or tuple(pre) != fib.pre:
+        return False
+    cods = [{} for _ in range(cat.n_objects)]
+    for h, graph in enumerate(graphs):
+        cods[dom[h]].setdefault(graph, set()).add(cod[h])
+    for y in range(cat.n_objects):
+        outs = {}
+        for g in cat.morphisms_from[y]:
+            outs.setdefault(graphs[g], set()).add(cod[g])
+        ins = {}
+        for f in cat.morphisms_to[y]:
+            ins.setdefault(graphs[f], []).append(cods[dom[f]])
+        for graph_f, sources in ins.items():
+            for graph_g, targets in outs.items():
+                composed = tuple(map(graph_g.__getitem__, graph_f))
+                for reached in sources:
+                    if not targets <= reached.get(composed, frozenset()):
+                        return False
+    return True
+
+
+@pytest.mark.parametrize("name", FIBRATION_NAMES)
+def test_closure_by_image_restriction_matches_the_pair_oracle(name):
+    from topogen.instances.registry import builtin_fibration
+
+    fib = builtin_fibration(name)
+    assert site._functoriality_certified(fib) == _reference_certified(fib) is True
+
+
+def _missing_composites(cat):
+    """The composable pairs whose composite graph no morphism carries."""
+    return [
+        (g, f) for g, f in cat.composable_pairs()
+        if cat.morphism_by_graph(
+            cat.mor_dom[f], cat.mor_cod[g], tuple(map(cat.graphs[g].__getitem__, cat.graphs[f]))
+        ) is None
+    ]
+
+
+@pytest.mark.parametrize("name", ["fintop2", "grp_small"])
+def test_closure_certificate_matches_the_pair_oracle_on_every_cut(name):
+    from topogen.instances.registry import builtin_fibration
+
+    fib = builtin_fibration(name)
+    cat = fib.category
+    shapes = collections.Counter()
+    for drop in range(cat.n_morphisms):
+        if cat.is_identity(drop):
+            continue
+        cut = _without(fib, drop)
+        want = _reference_certified(cut)
+        assert site._functoriality_certified(cut) == want, cat.mor_names[drop]
+        # classify the cut by the factors f of its missing composites g∘f
+        missing = _missing_composites(cut.category)
+        assert want == (not missing)
+        graphs, ids, cods = cut.category.graphs, cut.category.identities, cut.category.mor_cod
+        onto = {len(set(graphs[f])) == len(graphs[ids[cods[f]]]) for _, f in missing}
+        shapes["closed" if not missing else "f onto" if onto == {True} else
+               "f never onto" if onto == {False} else "mixed"] += 1
+    # cuts that stay closed, and cuts whose every missing composite has an
+    # f that is not surjective, so g∘f reads g on a proper restriction only
+    assert shapes["closed"] and shapes["f never onto"] and shapes["f onto"]
+

@@ -136,6 +136,7 @@ def test_bench_pairs_summary_and_wins():
     assert {
         "morphisms.classify.", "harness.suite.", "harness.enumeration.",
         "structures.validate_structure.", "harness.fileformat.",
+        "instances.topology.fintop_fibration.",
     } <= set(bench_pairs.TRACED_PREFIXES)
 
 

@@ -22,7 +22,8 @@ the traced ``site.pullback.*``, ``site.check_bcp.*``,
 ``morphisms.classify.*`` and ``harness.suite.*`` metrics (the suite's
 instance count and the wall time of its two largest checks), and the
 enumeration layers ``harness.enumeration.*``, ``structures.validate_structure.*``
-and ``harness.fileformat.*`` (so ``enumerate_structures.yielded`` must repeat).
+and ``harness.fileformat.*`` (so ``enumerate_structures.yielded`` must repeat),
+and the finite-space fibration builder ``instances.topology.fintop_fibration.*``.
 Standard library only.
 """
 
@@ -43,6 +44,7 @@ TRACED_PREFIXES = (
     "site.pullback.", "site.check_bcp.", "site.validate_fibration.", "site.validate_category.",
     "morphisms.classify.", "harness.suite.", "harness.enumeration.",
     "structures.validate_structure.", "harness.fileformat.",
+    "instances.topology.fintop_fibration.",
 )
 SEEDS = list(range(1, 11))
 # one traced run cannot tell a self time from host noise
