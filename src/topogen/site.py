@@ -462,12 +462,12 @@ def _functoriality_certified(fib: SubobjectFibration) -> bool:
             graph = graphs[f]
             by_image.setdefault(frozenset(graph), {}).setdefault(graph, []).append(cods[dom[f]])
         for image, ins in by_image.items():
-            image = sorted(image)
-            restrict = _picker(image)
+            points = sorted(image)
+            restrict = _picker(points)
             restrictions: dict = {}
             for graph_g, targets in outs.items():
                 restrictions.setdefault(restrict(graph_g), set()).update(targets)
-            position = {v: k for k, v in enumerate(image)}
+            position = {v: k for k, v in enumerate(points)}
             for graph_f, sources in ins.items():
                 compose = _picker([position[v] for v in graph_f])
                 for restricted, targets in restrictions.items():
