@@ -8,8 +8,9 @@ the sorted tuple of its open masks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterator
 
 from ..errors import CapabilityError, DomainError, PreconditionError
 from ..lattice import FiniteLattice, mask_iter
@@ -21,6 +22,7 @@ from ..site import PullbackSquare, SubobjectFibration, concrete_category, subset
 class FinTopSpace:
     n: int
     opens: tuple[int, ...]   # sorted masks; contains 0 and the full mask
+    open_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         full = (1 << self.n) - 1
@@ -30,7 +32,8 @@ class FinTopSpace:
             raise PreconditionError("opens must contain the empty set and the whole space")
         if tuple(sorted(set(self.opens))) != self.opens:
             raise PreconditionError("opens must be sorted and duplicate-free")
-        open_set = set(self.opens)
+        open_set = frozenset(self.opens)
+        object.__setattr__(self, "open_set", open_set)
         for a in self.opens:
             for b in self.opens:
                 if a | b not in open_set or a & b not in open_set:
@@ -41,7 +44,7 @@ class FinTopSpace:
         return (1 << self.n) - 1
 
     def is_open(self, mask: int) -> bool:
-        return mask in set(self.opens)
+        return mask in self.open_set
 
     def closure(self, mask: int) -> int:
         out = self.full
@@ -273,6 +276,58 @@ class _FinTopBackend:
         return PullbackSquare(fib, f_prime=f_prime, p=p, p_prime=p_prime, f=f)
 
 
+def continuous_maps(
+    dom_nbhds: tuple[int, ...], cod_nbhds: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """The graphs of the continuous maps between the spaces with these
+    minimal neighbourhoods, in ``itertools.product`` order.
+
+    f is continuous iff f(U_a) is inside V_f(a) for every point a, that is,
+    iff f(b) is in V_f(a) whenever b is in U_a.  Points are assigned in
+    order and values in ascending order, depth first; each point may take
+    only the values that meet this condition with every earlier point, both
+    ways round.
+    """
+    n, m = len(dom_nbhds), len(cod_nbhds)
+    full = (1 << m) - 1
+    # above[d]: the values c whose neighbourhood V_c contains d
+    above = [sum(1 << c for c, v in enumerate(cod_nbhds) if v >> d & 1) for d in range(m)]
+    # per point b, (a, allowed values of b per value of a) for each earlier
+    # point a that b is tied to: b in U_a, or a in U_b
+    checks = [
+        [
+            (a, tuple(
+                (cod_nbhds[v] if dom_nbhds[a] >> b & 1 else full)
+                & (above[v] if u >> a & 1 else full)
+                for v in range(m)
+            ))
+            for a in range(b) if (dom_nbhds[a] >> b | u >> a) & 1
+        ]
+        for b, u in enumerate(dom_nbhds)
+    ]
+    # partial graphs still to extend; the smallest value is popped first
+    pending = [()]
+    while pending:
+        graph = pending.pop()
+        b = len(graph)
+        if b == n:
+            yield graph
+            continue
+        allowed = full
+        for a, table in checks[b]:
+            allowed &= table[graph[a]]
+        for c in range(m - 1, -1, -1):
+            if allowed >> c & 1:
+                pending.append(graph + (c,))
+
+
+def _complement_formula(img: tuple[int, ...], pre: tuple[int, ...]) -> tuple[int, ...]:
+    """The right adjoint of preimage between powersets, from the image
+    table: A goes to Y minus f(X minus A)."""
+    full_x, full_y = len(img) - 1, len(pre) - 1
+    return tuple(full_y ^ img[full_x ^ a] for a in range(full_x + 1))
+
+
 def fintop_fibration(
     spaces,
     name: str = "fintop",
@@ -288,17 +343,11 @@ def fintop_fibration(
         raise PreconditionError("object name count differs from space count")
     if len(set(names)) != len(names):
         raise PreconditionError("duplicate spaces in fibration")
-    max_points = max((s.n for s in spaces), default=0)
-
-    def continuous_maps(x, y):
-        dom, cod = spaces[x], spaces[y]
-        return (
-            graph for graph in itertools.product(range(cod.n), repeat=dom.n)
-            if is_continuous(graph, dom, cod)
-        )
-
+    backend = _FinTopBackend(spaces, max((s.n for s in spaces), default=0))
+    nbhds = backend.nbhds
     category = concrete_category(
-        names, [s.n for s in spaces], continuous_maps, max_morphisms, "continuous maps"
+        names, [s.n for s in spaces], lambda x, y: continuous_maps(nbhds[x], nbhds[y]),
+        max_morphisms, "continuous maps",
     )
     mor_dom, mor_cod, graphs = category.mor_dom, category.mor_cod, category.graphs
 
@@ -309,28 +358,17 @@ def fintop_fibration(
             lattices[s.n] = FiniteLattice.powerset(s.n)
         sub.append(lattices[s.n])
 
-    # right adjoint of preimage: the complement formula, verified generically;
-    # it reads only the graph and the codomain's size
-    formulas: dict = {}
-    fstar = []
-    for graph, y in zip(graphs, mor_cod):
-        key = (graph, spaces[y].n)
-        if key not in formulas:
-            full_x, full_y = (1 << len(graph)) - 1, spaces[y].full
-            formulas[key] = tuple(
-                full_y & ~image_mask(graph, full_x & ~a) for a in range(full_x + 1)
-            )
-        fstar.append(formulas[key])
     # embeddings: injective and the domain topology is exactly the pulled-back one
     mclass = (
         m for m in range(category.n_morphisms)
         if len(set(graphs[m])) == spaces[mor_dom[m]].n
-        and set(spaces[mor_dom[m]].opens)
+        and spaces[mor_dom[m]].open_set
         == {preimage_mask(graphs[m], o) for o in spaces[mor_cod[m]].opens}
     )
+    # right adjoint of preimage: the complement formula, verified generically
     return subset_fibration(
         category, sub, [tuple(range(1 << s.n)) for s in spaces], mclass,
-        fstar=fstar, backend=_FinTopBackend(spaces, max_points), name=name,
+        fstar_formula=_complement_formula, backend=backend, name=name,
     )
 
 

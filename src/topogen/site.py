@@ -387,23 +387,37 @@ def set_level_tables(
         x, y = cat.mor_dom[f], cat.mor_cod[f]
         key = (sets[x], sets[y], graph)
         if key not in tables:
-            image = []
-            for mask in subsets[x]:
-                out = 0
-                for e in mask_iter(mask):
-                    out |= 1 << graph[e]
-                image.append(index[y].get(out, -1))
-            preimage = []
-            for mask in subsets[y]:
-                out = 0
-                for e, ge in enumerate(graph):
-                    if mask >> ge & 1:
-                        out |= 1 << e
-                preimage.append(index[x].get(out, -1))
-            tables[key] = (tuple(image), tuple(preimage))
+            fibres = [0] * len(cat.graphs[cat.identities[y]])
+            for e, ge in enumerate(graph):
+                fibres[ge] |= 1 << e
+            tables[key] = (
+                _unions(subsets[x], [1 << ge for ge in graph], index[y]),
+                _unions(subsets[y], fibres, index[x]),
+            )
         img.append(tables[key][0])
         pre.append(tables[key][1])
     return img, pre
+
+
+def _unions(masks: Sequence[int], parts: Sequence[int], index: dict) -> tuple[int, ...]:
+    """Per mask, the index in ``index`` of the union of ``parts[p]`` over
+    its points p, or -1.  The union for a non-empty mask is the one for the
+    mask without its lowest point, plus that point's part, when the smaller
+    mask came earlier in ``masks`` (always among all subsets in counting
+    order); otherwise it is gathered point by point."""
+    unions = {0: 0}
+    out = []
+    for mask in masks:
+        rest = mask & (mask - 1)
+        if mask and rest in unions:
+            union = unions[rest] | parts[(mask ^ rest).bit_length() - 1]
+        else:
+            union = 0
+            for p in mask_iter(mask):
+                union |= parts[p]
+        unions[mask] = union
+        out.append(index.get(union, -1))
+    return tuple(out)
 
 
 def subset_fibration(
@@ -411,7 +425,7 @@ def subset_fibration(
     sub: Sequence[FiniteLattice],
     subsets: Sequence[tuple[int, ...]],
     mclass: Iterable[int],
-    fstar: Optional[Sequence[Optional[tuple[int, ...]]]] = None,
+    fstar_formula: Optional[Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]] = None,
     backend=None,
     name: str = "fibration",
 ) -> SubobjectFibration:
@@ -419,10 +433,22 @@ def subset_fibration(
 
     Image and preimage are the set-level ones along the morphism graphs
     (``set_level_tables``), and E is the class of surjective graphs, which
-    is pullback-stable.  M and the right adjoints of preimage (computed
-    generically when ``fstar`` is None) are the caller's.
+    is pullback-stable.  M is the caller's.  ``fstar_formula``, when given,
+    maps a morphism's image and preimage tables to the right adjoint of its
+    preimage; it runs once per pair of table objects, which
+    ``set_level_tables`` shares among the morphisms with one key.  Without
+    it the right adjoints are computed generically.
     """
     img, pre = set_level_tables(category, subsets)
+    fstar = None
+    if fstar_formula is not None:
+        adjoints: dict = {}
+        fstar = []
+        for tables in zip(img, pre):
+            key = tuple(map(id, tables))
+            if key not in adjoints:
+                adjoints[key] = fstar_formula(*tables)
+            fstar.append(adjoints[key])
     graphs, ids, cod = category.graphs, category.identities, category.mor_cod
     eclass = frozenset(
         f for f, graph in enumerate(graphs) if len(set(graph)) == len(graphs[ids[cod[f]]])

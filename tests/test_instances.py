@@ -18,11 +18,14 @@ from topogen.instances.groups import (
 from topogen.instances.topology import (
     FinTopSpace,
     SIERPINSKI,
+    continuous_maps,
     discrete,
     enumerate_topologies,
     enumerate_topologies_via_preorders,
     indiscrete,
+    is_continuous,
     map_predicates,
+    minimal_neighbourhoods,
     spaces_of,
     t0_quotient_classes,
 )
@@ -65,6 +68,43 @@ def test_continuous_map_count_against_brute_force(fintop2):
                 )
                 total += continuous
     assert total == fintop2.category.n_morphisms == 69
+
+
+def _product_filter(dom, cod):
+    """The hom-set the naive way: every graph, in ``itertools.product``
+    order, filtered by the open-set test of continuity."""
+    return [
+        graph for graph in itertools.product(range(cod.n), repeat=dom.n)
+        if is_continuous(graph, dom, cod)
+    ]
+
+
+def test_continuous_maps_match_the_product_filter():
+    small = [s for n in range(4) for s in enumerate_topologies(n)]
+    assert small[0] == FinTopSpace(0, (0,))
+    pairs = list(itertools.product(small, repeat=2))
+    # a fixed slice of the 126,025 ordered pairs of 4-point topologies
+    pairs += list(itertools.product(enumerate_topologies(4), repeat=2))[::97]
+    for dom, cod in pairs:
+        graphs = continuous_maps(minimal_neighbourhoods(dom), minimal_neighbourhoods(cod))
+        assert list(graphs) == _product_filter(dom, cod), (dom.opens, cod.opens)
+
+
+@pytest.mark.parametrize(
+    "name", ["fintop2", "fintop3", "t0_small", "disc2_loop", "coreflect_small"]
+)
+def test_builtin_space_categories_match_a_product_filter_rebuild(name):
+    from topogen.site import concrete_category
+
+    fib = builtin_fibration(name)
+    cat, spaces = fib.category, spaces_of(fib)
+    rebuilt = concrete_category(
+        cat.object_names, [s.n for s in spaces],
+        lambda x, y: _product_filter(spaces[x], spaces[y]),
+    )
+    assert rebuilt.graphs == cat.graphs
+    assert rebuilt.mor_names == cat.mor_names
+    assert (rebuilt.mor_dom, rebuilt.mor_cod) == (cat.mor_dom, cat.mor_cod)
 
 
 def test_one_point_space_category_is_a_single_identity():
@@ -440,7 +480,10 @@ def _brute_force_tables(fib, f):
     return img, pre
 
 
-@pytest.mark.parametrize("name", ["fintop2", "grp_small", "topgrp_le4", "spaces:two,one,three"])
+@pytest.mark.parametrize("name", [
+    "fintop2", "grp_small", "grp_le8", "topgrp_le4", "spaces:two,one,three",
+    "spaces:four_a,four_b,four_c",
+])
 def test_set_level_tables_and_e_match_a_brute_force_oracle(tmp_path, name):
     from topogen.cli import _Environment
 
@@ -449,6 +492,9 @@ def test_set_level_tables_and_e_match_a_brute_force_oracle(tmp_path, name):
         "space two: points=2; opens={},{0},{0,1}\n"
         "space one: points=1; opens={},{0}\n"
         "space three: points=3; opens={},{2},{1,2},{0,1,2}\n"
+        "space four_a: points=4; opens={},{0},{1,2},{0,1,2},{0,3},{0,1,2,3}\n"
+        "space four_b: points=4; opens={},{1},{3},{0,3},{1,3},{0,1,3},{1,2,3},{0,1,2,3}\n"
+        "space four_c: points=4; opens={},{1,2},{0,1,2},{3},{1,2,3},{0,1,2,3}\n"
     )
     fib = _Environment([doc]).fibration(name)
     cat = fib.category

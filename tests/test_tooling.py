@@ -136,8 +136,16 @@ def test_bench_pairs_summary_and_wins():
     assert {
         "morphisms.classify.", "harness.suite.", "harness.enumeration.",
         "structures.validate_structure.", "harness.fileformat.",
-        "instances.topology.fintop_fibration.",
+        "instances.topology.fintop_fibration.", "cli.",
     } <= set(bench_pairs.TRACED_PREFIXES)
+    # the CLI layer: cli.main's count must repeat, each command's p50 is a
+    # latency and takes the median over the traced runs
+    runs = [
+        {"metrics": {"cli.main.calls": {"value": 20, "unit": "count"},
+                     "cli.convert.p50_ms": {"value": ms, "unit": "ms"}}}
+        for ms in (31.0, 12.5, 20.0)
+    ]
+    assert bench_pairs.traced_metrics(runs) == {"cli.main.calls": 20, "cli.convert.p50_ms": 20.0}
 
 
 def _traced_result(classify_calls, classify_self_s, instances=9, check_wall_s=1.0):
@@ -146,7 +154,7 @@ def _traced_result(classify_calls, classify_self_s, instances=9, check_wall_s=1.
         "morphisms.classify.self_s": {"value": classify_self_s, "unit": "s"},
         "harness.suite.instances": {"value": instances, "unit": "count"},
         "harness.suite.pullback-transfer.wall_s": {"value": check_wall_s, "unit": "s"},
-        "cli.main.calls": {"value": classify_self_s, "unit": "count"},
+        "lattice.right_adjoint_of.calls": {"value": classify_self_s, "unit": "count"},
     }}
 
 

@@ -11,8 +11,9 @@ once on each side with ``--trace 0`` for the benchmark's ``run_seconds``;
 even pairs run the parent first, odd pairs the change first, so host drift
 hits both sides alike.  Then ``TRACED_RUNS`` traced runs per side and
 workload (``--trace 1``, seed 1, sides alternating the same way) give the
-per-layer metrics: the median of each self time and check wall time, and
-each count, which must read the same in every run or the command fails.
+per-layer metrics: the median of each self time, check wall time and
+per-command median latency, and each count, which must read the same in
+every run or the command fails.
 
 The JSON written to ``--out`` holds, per workload and side, every run's
 end-to-end metrics with their median, quartiles and IQR; the pairs the
@@ -23,7 +24,9 @@ the traced ``site.pullback.*``, ``site.check_bcp.*``,
 instance count and the wall time of its two largest checks), and the
 enumeration layers ``harness.enumeration.*``, ``structures.validate_structure.*``
 and ``harness.fileformat.*`` (so ``enumerate_structures.yielded`` must repeat),
-and the finite-space fibration builder ``instances.topology.fintop_fibration.*``.
+the finite-space fibration builder ``instances.topology.fintop_fibration.*``,
+and the CLI layer ``cli.*`` (``cli.main``'s calls and self time, and each
+command's median latency ``cli.<command>.p50_ms``).
 Standard library only.
 """
 
@@ -44,7 +47,7 @@ TRACED_PREFIXES = (
     "site.pullback.", "site.check_bcp.", "site.validate_fibration.", "site.validate_category.",
     "morphisms.classify.", "harness.suite.", "harness.enumeration.",
     "structures.validate_structure.", "harness.fileformat.",
-    "instances.topology.fintop_fibration.",
+    "instances.topology.fintop_fibration.", "cli.",
 )
 SEEDS = list(range(1, 11))
 # one traced run cannot tell a self time from host noise
@@ -77,14 +80,15 @@ def change_wins(parent: list[float], change: list[float]) -> int:
 
 def traced_metrics(results: list[dict]) -> dict:
     """The ``TRACED_PREFIXES`` metrics of repeated traced runs: the median of
-    each ``*.self_s`` and ``*.wall_s``, and every other metric, a count that
-    must repeat exactly (``SystemExit`` naming it if it does not)."""
+    each ``*.self_s``, ``*.wall_s`` and ``*.p50_ms``, and every other metric,
+    a count that must repeat exactly (``SystemExit`` naming it if it does
+    not)."""
     traced = {}
     for name in results[0]["metrics"]:
         if not name.startswith(TRACED_PREFIXES):
             continue
         values = [r["metrics"][name]["value"] for r in results]
-        if name.endswith((".self_s", ".wall_s")):
+        if name.endswith((".self_s", ".wall_s", ".p50_ms")):
             traced[name] = statistics.median(values)
         elif len(set(values)) > 1:
             raise SystemExit(f"traced {name} differs between runs: {values}")
