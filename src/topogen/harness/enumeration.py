@@ -1,25 +1,29 @@
 """Exhaustive enumeration of structures on small fibrations.
 
-Per-object candidates are generated respecting the local axioms and pruned by
-the kind's law along the object's own endomorphisms; then a backtracking
-product applies the law along the other morphisms (held by the kind's class
-in ``structures``) incrementally.  Output order is deterministic.
+Each object's candidates obey the local axioms and the kind's law along the
+object's own endomorphisms from the start: a backtracking search places one
+entry per lattice element and checks each index pair of the law (see
+``structures._Structure``) as soon as both of its entries are placed, rather
+than generating every local table and filtering afterwards.  Then a
+backtracking product applies the law along the other morphisms
+incrementally, with each morphism's pairs and entry law (for a relation,
+the memoised pull_f of its preimage table) built once per call.  Output
+order is deterministic.
 
-Both local steps are memoised for the life of the process: the candidates by
-lattice value, the pruned rows by ``local_candidates``'s key.  The property
-filter, the cross-object product, ``max_lattice`` and the candidate budget
-belong to each call and never enter a memo.
+The local candidates are memoised for the life of the process by
+``local_candidates``'s key.  The property filter, the cross-object product,
+``max_lattice`` and the candidate budget belong to each call and never enter
+a memo.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional
 
 from ..errors import DomainError, PreconditionError, ResourceCapError
-from ..lattice import FiniteLattice, mask_iter
+from ..lattice import FiniteLattice
 from ..site import SubobjectFibration
 from ..structures import (
     ClosureOperator,
@@ -72,57 +76,46 @@ class EnumerationSpec:
 # local candidate generation
 
 
-@lru_cache(maxsize=None)
-def relation_candidates(lat: FiniteLattice) -> tuple[tuple[int, ...], ...]:
-    """All per-object relations that are below the order, antitone in the
-    first argument and up-closed in the second (the object-local axioms
-    shared by topogenous orders and neighbourhood assignments); memoised by
-    lattice value."""
-    upsets = lat.upsets()
-    order = sorted(range(lat.size), key=lambda e: bin(lat.down[e]).count("1"))
+def _tables(lat: FiniteLattice, kind: str, checks) -> tuple[tuple[int, ...], ...]:
+    """Every table of ``kind`` on ``lat`` that obeys the object-local axioms
+    and each check ``(a, b, fails)``, ``fails(table[a], table[b])`` falsy;
+    sorted.
+
+    A relation row lies below its element, is an up-set and is antitone in
+    the element; an operator value is above (closure) or below (interior)
+    its element and monotone in it.  Elements are placed in order of their
+    down-set size, so each after all below it, and each check runs as soon
+    as both of its entries are placed.
+    """
+    if kind in ("closure", "interior"):
+        allowed = lat.up if kind == "closure" else lat.down
+        # (value, its mask, the bound it puts on the values above it)
+        values = [(v, 1 << v, lat.up[v]) for v in range(lat.size)]
+    else:
+        allowed = lat.up
+        values = [(u, u, u) for u in lat.upsets()]
+    order = sorted(range(lat.size), key=lambda e: lat.down[e].bit_count())
+    position = {e: pos for pos, e in enumerate(order)}
+    below = [[d for d in order[:pos] if lat.leq(d, e)] for pos, e in enumerate(order)]
+    due = [[] for _ in order]
+    for a, b, fails in checks:
+        due[max(position[a], position[b])].append((a, b, fails))
     out = []
-    rows = [0] * lat.size
+    table, bounds = [0] * lat.size, [0] * lat.size
 
     def place(pos):
-        if pos == len(order):
-            out.append(tuple(rows))
-            return
-        e = order[pos]
-        bound = lat.up[e]
-        for smaller in order[:pos]:
-            if lat.leq(smaller, e):
-                bound &= rows[smaller]
-        for u in upsets:
-            if u & ~bound == 0:
-                rows[e] = u
-                place(pos + 1)
-        rows[e] = 0
-
-    place(0)
-    return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def operator_candidates(lat: FiniteLattice, kind: str) -> tuple[tuple[int, ...], ...]:
-    """All monotone self-maps that are extensive (``kind="closure"``) or
-    contractive (``kind="interior"``); memoised by lattice value."""
-    allowed = lat.up if kind == "closure" else lat.down
-    order = sorted(range(lat.size), key=lambda e: bin(lat.down[e]).count("1"))
-    out = []
-    table = [0] * lat.size
-
-    def place(pos):
-        if pos == len(order):
+        if pos == lat.size:
             out.append(tuple(table))
             return
         e = order[pos]
         bound = allowed[e]
-        for smaller in order[:pos]:
-            if lat.leq(smaller, e):
-                bound &= lat.up[table[smaller]]
-        for v in mask_iter(bound):
-            table[e] = v
-            place(pos + 1)
+        for d in below[pos]:
+            bound &= bounds[d]
+        for v, mask, above in values:
+            if mask & ~bound == 0:
+                table[e], bounds[e] = v, above
+                if not any(fails(table[a], table[b]) for a, b, fails in due[pos]):
+                    place(pos + 1)
 
     place(0)
     return tuple(sorted(out))
@@ -136,12 +129,13 @@ def local_candidates(
     structure_class, fib: SubobjectFibration, x: int
 ) -> tuple[tuple[int, ...], ...]:
     """Object ``x``'s candidate rows for ``structure_class`` that satisfy the
-    class's law along every endomorphism of ``x``.
+    class's law along every endomorphism of ``x``: the tables of ``_tables``
+    under one check per endomorphism and pair of the law.
 
     Memoised on (class, lattice of x, the ``(pre[f], img[f])`` tables of x's
-    endomorphisms f in order).  The key is sound: the candidates depend only
-    on the class and the lattice, and the law along an endomorphism f reads
-    ``fib`` only through ``pre[f]``, ``img[f]`` and ``sub_cod(f)``/
+    endomorphisms f in order).  The key is sound: the local axioms depend
+    only on the class and the lattice, and the law along an endomorphism f
+    reads ``fib`` only through ``pre[f]``, ``img[f]`` and ``sub_cod(f)``/
     ``sub_dom(f)``, which for an endomorphism are x's own lattice.
     """
     lat = fib.sub[x]
@@ -150,15 +144,24 @@ def local_candidates(
     key = (structure_class, lat, tuple((fib.pre[f], fib.img[f]) for f in endos))
     rows = _LOCAL.get(key)
     if rows is None:
-        kind, law = structure_class.kind, structure_class.law
-        candidates = (
-            operator_candidates(lat, kind) if kind in ("closure", "interior")
-            else relation_candidates(lat)
-        )
-        rows = _LOCAL[key] = tuple(
-            r for r in candidates if all(next(law(fib, f, r, r), None) is None for f in endos)
-        )
+        checks = [
+            (a, b, fails)
+            for _, _, pairs, fails in _laws(structure_class, fib, endos)
+            for a, b in pairs
+        ]
+        rows = _LOCAL[key] = _tables(lat, structure_class.kind, checks)
     return rows
+
+
+def _laws(structure_class, fib: SubobjectFibration, morphisms) -> list:
+    """``(dom, cod, pairs, fails)`` for the class's law along each of
+    ``morphisms``, its index pairs and entry law; morphisms between the same
+    objects with equal tables have one law, listed once."""
+    distinct = {(fib.dom(f), fib.cod(f), fib.pre[f], fib.img[f]): f for f in morphisms}
+    return [
+        (dx, cx, tuple(structure_class.law_pairs(fib, f)), structure_class.entry_law(fib, f))
+        for (dx, cx, _, _), f in distinct.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +200,6 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
             )
     budget = spec.budget()
     structure_class = KINDS[spec.kind]
-    law = structure_class.law
 
     n_objects = cat.n_objects
     local = [local_candidates(structure_class, fib, x) for x in range(n_objects)]
@@ -209,13 +211,14 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
                 f"candidate space exceeds {budget} after local pruning", total
             )
 
+    # the laws along the morphisms between x and an earlier object
     cross = [
-        [
+        _laws(structure_class, fib, (
             f
             for f in range(cat.n_morphisms)
             if (cat.mor_dom[f] == x) != (cat.mor_cod[f] == x)
             and max(cat.mor_dom[f], cat.mor_cod[f]) == x
-        ]
+        ))
         for x in range(n_objects)
     ]
     assignment: list[Optional[tuple[int, ...]]] = [None] * n_objects
@@ -228,9 +231,9 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
             return
         for rows in local[x]:
             assignment[x] = rows
-            for f in cross[x]:
-                dx, cx = cat.mor_dom[f], cat.mor_cod[f]
-                if next(law(fib, f, assignment[dx], assignment[cx]), None) is not None:
+            for dx, cx, pairs, fails in cross[x]:
+                dom_row, cod_row = assignment[dx], assignment[cx]
+                if any(fails(cod_row[a], dom_row[b]) for a, b in pairs):
                     break
             else:
                 yield from place(x + 1)

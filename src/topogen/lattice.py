@@ -187,17 +187,25 @@ class FiniteLattice:
 
     @staticmethod
     def powerset(n_points: int) -> "FiniteLattice":
-        """Powerset of n points; element index == subset bitmask."""
+        """Powerset of n points; element index == subset bitmask, so the order
+        is inclusion, meet is ``&`` and join is ``|``."""
         size = 1 << n_points
+        if size > MAX_ELEMENTS:
+            raise PreconditionError(f"lattice size {size} exceeds cap {MAX_ELEMENTS}")
+        elems = range(size)
         labels = tuple(
             "{" + ",".join(str(p) for p in range(n_points) if s >> p & 1) + "}"
-            for s in range(size)
+            for s in elems
         )
-        up = tuple(
-            sum(1 << t for t in range(size) if s & ~t == 0)
-            for s in range(size)
+        return FiniteLattice(
+            labels=labels,
+            up=tuple(sum(1 << t for t in elems if s & ~t == 0) for s in elems),
+            down=tuple(sum(1 << t for t in elems if t & ~s == 0) for s in elems),
+            meet_table=tuple(tuple(s & t for t in elems) for s in elems),
+            join_table=tuple(tuple(s | t for t in elems) for s in elems),
+            top=size - 1,
+            bottom=0,
         )
-        return FiniteLattice.from_order(labels, up)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,10 @@ px = rel_X pulled back along f^{-1} and qy = rel_Y pulled back along f_*:
     co-strict  Y     qy        == rel_X∘pre
     initial    X     qy∘img    == rel_X
 
-Continuity renderings (2) and (3) are the co-strict and initial row pairs
-read as inclusions, and weak finality reads the final pair over m <= n.
+Continuity (preimage stability) is the final pair read as an inclusion,
+rel_Y ⊆ px∘pre; its renderings (2) and (3) are the co-strict and initial
+row pairs read as inclusions, and weak finality reads the final pair over
+m <= n.
 The co-strict and initial rows need the right adjoint f_* of preimage, so
 those two classes are tri-state: ``None`` means "not applicable" because
 that adjoint does not exist for the morphism.
@@ -85,7 +87,7 @@ def classify(f: int, t: TopogenousOrder) -> MorphismClassification:
         initial = tuple(map(qy.__getitem__, img)) == relx
     return MorphismClassification(
         morphism=f,
-        continuous=t.law_holds(f),
+        continuous=not any(r & ~b for r, b in zip(rely, below)),
         strict=tuple(map(rely.__getitem__, img)) == px,
         final=final,
         costrict=costrict,

@@ -11,7 +11,7 @@ accident we rely on silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .errors import PreconditionError
 from .lattice import mask_iter
@@ -22,14 +22,19 @@ from .site import SubobjectFibration
 class _Structure:
     """One table per object over a fibration, with its kind's axioms.
 
-    Each kind states its cross-object law once, as the generator
-    ``law(fib, f, dom_row, cod_row)``: it yields each witness, as lattice
-    indices, at which the law fails along f between the table ``dom_row`` of
-    f's domain and the table ``cod_row`` of its codomain.  The validator names
-    the witnesses; the enumerator and the extremality constraints only ask
-    whether there is one.  ``law_checks`` is the number of checks the law
-    makes, in closed form, and ``witness_sides`` says which end of f (0
-    domain, 1 codomain) each witness index lies in.
+    Each kind states its cross-object law along f once, entry by entry:
+    ``law_pairs(fib, f)`` lists the index pairs (a, b) it relates, a in f's
+    codomain lattice and b in its domain's, and ``entry_law(fib, f)`` is a
+    function of the codomain entry at a and the domain entry at b that is
+    falsy exactly where the law holds.  The generator
+    ``law(fib, f, dom_row, cod_row)`` yields each witness, as lattice
+    indices, at which the law fails between the table ``dom_row`` of f's
+    domain and the table ``cod_row`` of its codomain.  The validator names
+    the witnesses; the extremality constraints only ask whether there is
+    one, and the enumerator checks each pair as soon as both entries are
+    placed.  ``law_checks`` is the number of checks the law makes, in
+    closed form, and ``witness_sides`` says which end of f (0 domain, 1
+    codomain) each witness index lies in.
 
     Two structures are equal when they are of one kind, over the same
     fibration object, with equal tables.
@@ -57,9 +62,64 @@ class _Structure:
         return hash(self._key())
 
 
+class _Pull(dict):
+    """pull_f for one preimage table ``pre``: the mask S maps to
+    {n : pre[n] ∈ S}; filled on first use."""
+
+    def __init__(self, pre: tuple[int, ...]):
+        super().__init__()
+        self.pre = pre
+
+    def __missing__(self, s: int) -> int:
+        pulled = self[s] = sum(1 << n for n, p in enumerate(self.pre) if s >> p & 1)
+        return pulled
+
+
+@lru_cache(maxsize=None)
+def _pull_along(pre: tuple[int, ...]) -> _Pull:
+    """The one pull_f of each preimage table, memoised by value."""
+    return _Pull(pre)
+
+
+def _image_pairs(fib, f):
+    """(f(m), m) for each m of f's domain lattice."""
+    img = fib.img[f]
+    return zip(img, range(len(img)))
+
+
+def _preimage_pairs(fib, f):
+    """(n, f^{-1}(n)) for each n of f's codomain lattice."""
+    return enumerate(fib.pre[f])
+
+
 @dataclass(frozen=True, eq=False)
 class _Relation(_Structure):
-    """A relation of each subobject lattice: row m is a mask of elements."""
+    """A relation of each subobject lattice: row m is a mask of elements.
+
+    Its law along f is one inclusion per index pair (a, b): the codomain row
+    at a lies inside the domain row at b pulled back along f,
+    ``cod_row[a] ⊆ pull_f(dom_row[b])``.
+    """
+
+    @staticmethod
+    def entry_law(fib, f):
+        pull = _pull_along(fib.pre[f])
+        return lambda cod_entry, dom_entry: cod_entry & ~pull[dom_entry]
+
+    @classmethod
+    def law(cls, fib, f, dom_row, cod_row):
+        """Yields (k, n) for the k-th pair (a, b) and each n of cod_row[a]
+        outside pull_f(dom_row[b]), lowest first."""
+        fails = cls.entry_law(fib, f)
+        for k, (a, b) in enumerate(cls.law_pairs(fib, f)):
+            outside = fails(cod_row[a], dom_row[b])
+            if outside:
+                for n in mask_iter(outside):
+                    yield k, n
+
+    @classmethod
+    def law_checks(cls, fib, f, dom_row, cod_row) -> int:
+        return sum(cod_row[a].bit_count() for a, _ in cls.law_pairs(fib, f))
 
     def pointwise_leq(self, other: "_Relation") -> bool:
         """Pointwise inclusion of the rows."""
@@ -120,23 +180,9 @@ class TopogenousOrder(_Relation):
     law_name = "preimage-stability"
     witness_sides = (1, 1)
 
-    @staticmethod
-    def law(fib, f, dom_row, cod_row):
-        """Preimage stability: m ⊏ n downstairs gives f^{-1}(m) ⊏ f^{-1}(n);
-        yields (m, n)."""
-        pre = fib.pre[f]
-        for m, related in enumerate(cod_row):
-            row = dom_row[pre[m]]
-            while related:  # the set bits n of related, lowest first
-                low = related & -related
-                n = low.bit_length() - 1
-                if not row >> pre[n] & 1:
-                    yield m, n
-                related ^= low
-
-    @staticmethod
-    def law_checks(fib, f, dom_row, cod_row) -> int:
-        return sum(row.bit_count() for row in cod_row)
+    # preimage stability: m ⊏ n downstairs gives f^{-1}(m) ⊏ f^{-1}(n);
+    # witnesses (m, n)
+    law_pairs = staticmethod(_preimage_pairs)
 
     def holds(self, x: int, m: int, n: int) -> bool:
         return bool(self.rel[x][m] >> n & 1)
@@ -152,28 +198,30 @@ class NeighbourhoodOperator(_Relation):
     law_name = "continuity"
     witness_sides = (0, 1)
 
-    @staticmethod
-    def law(fib, f, dom_row, cod_row):
-        """Continuity: n a neighbourhood of f(m) gives f^{-1}(n) a
-        neighbourhood of m; yields (m, n)."""
-        img, pre = fib.img[f], fib.pre[f]
-        for m, row in enumerate(dom_row):
-            related = cod_row[img[m]]
-            while related:  # the set bits n of related, lowest first
-                low = related & -related
-                n = low.bit_length() - 1
-                if not row >> pre[n] & 1:
-                    yield m, n
-                related ^= low
-
-    @staticmethod
-    def law_checks(fib, f, dom_row, cod_row) -> int:
-        return sum(cod_row[i].bit_count() for i in fib.img[f])
+    # continuity: n a neighbourhood of f(m) gives f^{-1}(n) a neighbourhood
+    # of m; witnesses (m, n)
+    law_pairs = staticmethod(_image_pairs)
 
 
 @dataclass(frozen=True, eq=False)
 class _Operator(_Structure):
-    """A self-map of each subobject lattice."""
+    """A self-map of each subobject lattice.
+
+    Its law along f is one comparison per index pair (a, b) of the codomain
+    entry at a with the domain entry at b.
+    """
+
+    @classmethod
+    def law(cls, fib, f, dom_row, cod_row):
+        """Yields (k,) for each k-th pair (a, b) at which the law fails."""
+        fails = cls.entry_law(fib, f)
+        for k, (a, b) in enumerate(cls.law_pairs(fib, f)):
+            if fails(cod_row[a], dom_row[b]):
+                yield (k,)
+
+    @classmethod
+    def law_checks(cls, fib, f, dom_row, cod_row) -> int:
+        return sum(1 for _ in cls.law_pairs(fib, f))
 
     def pointwise_leq(self, other: "_Operator") -> bool:
         return all(
@@ -216,17 +264,13 @@ class ClosureOperator(_Operator):
     law_name = "image-continuity"
     witness_sides = (0,)
 
-    @staticmethod
-    def law(fib, f, dom_row, cod_row):
-        """Image continuity: f(c(m)) <= c(f(m)); yields (m,)."""
-        img, up = fib.img[f], fib.sub_cod(f).up
-        for m, cm in enumerate(dom_row):
-            if not up[img[cm]] >> cod_row[img[m]] & 1:
-                yield (m,)
+    law_pairs = staticmethod(_image_pairs)
 
     @staticmethod
-    def law_checks(fib, f, dom_row, cod_row) -> int:
-        return len(dom_row)
+    def entry_law(fib, f):
+        # image continuity: f(c(m)) <= c(f(m)); witnesses (m,)
+        img, up = fib.img[f], fib.sub_cod(f).up
+        return lambda cod_entry, dom_entry: not up[img[dom_entry]] >> cod_entry & 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,17 +283,13 @@ class InteriorOperator(_Operator):
     law_name = "preimage-continuity"
     witness_sides = (1,)
 
-    @staticmethod
-    def law(fib, f, dom_row, cod_row):
-        """Preimage continuity: f^{-1}(i(n)) <= i(f^{-1}(n)); yields (n,)."""
-        pre, up = fib.pre[f], fib.sub_dom(f).up
-        for n, i_n in enumerate(cod_row):
-            if not up[pre[i_n]] >> dom_row[pre[n]] & 1:
-                yield (n,)
+    law_pairs = staticmethod(_preimage_pairs)
 
     @staticmethod
-    def law_checks(fib, f, dom_row, cod_row) -> int:
-        return len(cod_row)
+    def entry_law(fib, f):
+        # preimage continuity: f^{-1}(i(n)) <= i(f^{-1}(n)); witnesses (n,)
+        pre, up = fib.pre[f], fib.sub_dom(f).up
+        return lambda cod_entry, dom_entry: not up[pre[cod_entry]] >> dom_entry & 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from topogen import cli
 from topogen.cli import main
 from topogen.instances.topology import FinTopSpace
 
@@ -531,3 +536,32 @@ def test_suite_refuses_an_unknown_or_empty_target_before_any_check(
     code, out, err = run(capsys, "suite", "--targets", targets)
     assert (code, out) == (2, "")
     assert err == f"error: unknown check id {bad} (known: {', '.join(sorted(cli.CHECKS))})\n"
+
+
+def test_commands_in_one_process_answer_as_each_alone(capsys, monkeypatch):
+    # main parses with one parser per process; each command must still
+    # print and exit as it does in a process of its own
+    commands = [
+        ("classify", "--order", "closure", "--map", "id_sierpinski"),
+        ("strict-subs", "--order", "interior", "--object", "nowhere"),
+        ("predicates", "--order", "interior"),
+        ("classify", "--order", "interior", "--map", "id_sierpinski"),
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    alone = []
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "topogen.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        alone.append((proc.returncode, proc.stdout))
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    together = [run(capsys, *argv)[:2] for argv in commands]
+    assert together == alone
+    assert [code for code, _ in together] == [0, 2, 0, 0]
+    assert len(built) == 1

@@ -1,4 +1,6 @@
 import itertools
+import time
+from functools import lru_cache
 
 import pytest
 
@@ -9,17 +11,15 @@ from topogen.errors import (
     PreconditionError,
     ResourceCapError,
 )
-from topogen.lattice import FiniteLattice
+from topogen.lattice import FiniteLattice, mask_iter
 from topogen.site import FiniteCategory, SubobjectFibration
-from topogen.structures import TopogenousOrder, validate_structure
+from topogen.structures import ClosureOperator, TopogenousOrder, validate_structure
 from topogen.harness import fileformat
 from topogen.harness.enumeration import (
     KINDS,
     EnumerationSpec,
     enumerate_structures,
     local_candidates,
-    operator_candidates,
-    relation_candidates,
 )
 from topogen.harness.suite import run_suite
 from topogen.instances.groups import groups_of
@@ -56,6 +56,68 @@ def loop_fibration(lat, extra_pre_tables=()):
         cat, (lat,), imgs, [tuple(p) for p in pres],
         eclass=frozenset({0}), mclass=frozenset({0}), name="loop",
     )
+
+
+@lru_cache(maxsize=None)
+def relation_candidates(lat):
+    """Every relation below the order, antitone in the first argument and
+    up-closed in the second (the object-local axioms of topogenous orders
+    and neighbourhood assignments), by backtracking without any law; sorted."""
+    upsets = lat.upsets()
+    order = sorted(range(lat.size), key=lambda e: bin(lat.down[e]).count("1"))
+    out = []
+    rows = [0] * lat.size
+
+    def place(pos):
+        if pos == len(order):
+            out.append(tuple(rows))
+            return
+        e = order[pos]
+        bound = lat.up[e]
+        for smaller in order[:pos]:
+            if lat.leq(smaller, e):
+                bound &= rows[smaller]
+        for u in upsets:
+            if u & ~bound == 0:
+                rows[e] = u
+                place(pos + 1)
+        rows[e] = 0
+
+    place(0)
+    return tuple(sorted(out))
+
+
+@lru_cache(maxsize=None)
+def operator_candidates(lat, kind):
+    """Every monotone self-map that is extensive (``kind="closure"``) or
+    contractive (``kind="interior"``), by backtracking without any law; sorted."""
+    allowed = lat.up if kind == "closure" else lat.down
+    order = sorted(range(lat.size), key=lambda e: bin(lat.down[e]).count("1"))
+    out = []
+    table = [0] * lat.size
+
+    def place(pos):
+        if pos == len(order):
+            out.append(tuple(table))
+            return
+        e = order[pos]
+        bound = allowed[e]
+        for smaller in order[:pos]:
+            if lat.leq(smaller, e):
+                bound &= lat.up[table[smaller]]
+        for v in mask_iter(bound):
+            table[e] = v
+            place(pos + 1)
+
+    place(0)
+    return tuple(sorted(out))
+
+
+def candidates(lat, kind):
+    """The law-free candidates of one object for ``kind``."""
+    if kind in ("closure", "interior"):
+        return operator_candidates(lat, kind)
+    return relation_candidates(lat)
 
 
 def brute_force_topogenous_count(fib):
@@ -197,7 +259,7 @@ def _refuse_generation(monkeypatch):
     def no_generation(*args):
         raise AssertionError("candidates generated")
 
-    for name in ("relation_candidates", "operator_candidates", "local_candidates"):
+    for name in ("_tables", "local_candidates"):
         monkeypatch.setattr(enumeration, name, no_generation)
 
 
@@ -227,20 +289,72 @@ def test_lattice_cap_precedes_a_bad_budget(monkeypatch):
         next(iter(enumerate_structures(EnumerationSpec(fib, "topogenous", max_lattice=2))))
 
 
+def _order_law(fib, f, dom_row, cod_row):
+    """Preimage stability bit by bit: m ⊏ n downstairs gives f^{-1}(m) ⊏
+    f^{-1}(n); yields (m, n)."""
+    pre = fib.pre[f]
+    for m, related in enumerate(cod_row):
+        row = dom_row[pre[m]]
+        while related:  # the set bits n of related, lowest first
+            low = related & -related
+            n = low.bit_length() - 1
+            if not row >> pre[n] & 1:
+                yield m, n
+            related ^= low
+
+
+def _neighbourhood_law(fib, f, dom_row, cod_row):
+    """Continuity bit by bit: n a neighbourhood of f(m) gives f^{-1}(n) a
+    neighbourhood of m; yields (m, n)."""
+    img, pre = fib.img[f], fib.pre[f]
+    for m, row in enumerate(dom_row):
+        related = cod_row[img[m]]
+        while related:  # the set bits n of related, lowest first
+            low = related & -related
+            n = low.bit_length() - 1
+            if not row >> pre[n] & 1:
+                yield m, n
+            related ^= low
+
+
+def _closure_law(fib, f, dom_row, cod_row):
+    """Image continuity: f(c(m)) <= c(f(m)); yields (m,)."""
+    img, up = fib.img[f], fib.sub_cod(f).up
+    for m, cm in enumerate(dom_row):
+        if not up[img[cm]] >> cod_row[img[m]] & 1:
+            yield (m,)
+
+
+def _interior_law(fib, f, dom_row, cod_row):
+    """Preimage continuity: f^{-1}(i(n)) <= i(f^{-1}(n)); yields (n,)."""
+    pre, up = fib.pre[f], fib.sub_dom(f).up
+    for n, i_n in enumerate(cod_row):
+        if not up[pre[i_n]] >> dom_row[pre[n]] & 1:
+            yield (n,)
+
+
+# each kind's law written out on its own, as the reference for the law of
+# the kind's class in structures
+REFERENCE_LAWS = {
+    "topogenous": _order_law,
+    "neighbourhood": _neighbourhood_law,
+    "closure": _closure_law,
+    "interior": _interior_law,
+}
+
+
+def _law_holds_along_all(kind, fib, endos, table):
+    return all(next(REFERENCE_LAWS[kind](fib, f, table, table), None) is None for f in endos)
+
+
 def _fresh_local_rows(structure_class, fib, x):
-    """The oracle: object x's candidates kept by a fresh per-row filter."""
+    """The oracle: object x's law-free candidates kept by a fresh per-row
+    filter, the reference law along each endomorphism of x."""
     lat = fib.sub[x]
     cat = fib.category
     endos = [f for f in cat.morphisms_from[x] if cat.mor_cod[f] == x]
-    candidates = (
-        operator_candidates(lat, structure_class.kind)
-        if structure_class.kind in ("closure", "interior")
-        else relation_candidates(lat)
-    )
-    return [
-        r for r in candidates
-        if all(next(structure_class.law(fib, f, r, r), None) is None for f in endos)
-    ]
+    kind = structure_class.kind
+    return [r for r in candidates(lat, kind) if _law_holds_along_all(kind, fib, endos, r)]
 
 
 def test_memoised_local_rows_match_a_fresh_filter():
@@ -266,6 +380,67 @@ def test_memoised_local_rows_match_a_fresh_filter():
         assert oracle[structure_class, discrete.opens] != oracle[structure_class, sierpinski_like.opens]
 
 
+@pytest.mark.parametrize("name", ["fintop2", "grp_small", "grp_le8"])
+def test_local_rows_under_the_laws_match_a_fresh_filter(name):
+    # subgroup lattices are not powersets, and their preimage tables are not
+    # those of a map of points.  The law-free candidates of a lattice of more
+    # than 8 elements are too many to filter (381,944 rows for d4), so there
+    # the laws along every second endomorphism are placed in the search and
+    # the filter runs along all of them
+    from topogen.harness.enumeration import _laws, _tables
+    from topogen.instances.registry import builtin_fibration
+
+    fib = builtin_fibration(name)
+    cat = fib.category
+    for x, lat in enumerate(fib.sub):
+        endos = [f for f in cat.morphisms_from[x] if cat.mor_cod[f] == x]
+        for structure_class in KINDS.values():
+            rows = list(local_candidates(structure_class, fib, x))
+            if lat.size <= 8:
+                assert rows == _fresh_local_rows(structure_class, fib, x), cat.object_names[x]
+                continue
+            checks = [
+                (a, b, fails)
+                for _, _, pairs, fails in _laws(structure_class, fib, endos[::2])
+                for a, b in pairs
+            ]
+            kind = structure_class.kind
+            kept = [
+                r for r in _tables(lat, kind, checks)
+                if _law_holds_along_all(kind, fib, endos, r)
+            ]
+            assert rows == kept, cat.object_names[x]
+
+
+@pytest.mark.parametrize("opens,counts", [
+    (tuple(range(16)), (6, 3, 3, 6, 3, 3)),
+    # the 4-point topology with the fewest continuous self-maps (31)
+    ((0, 1, 2, 3, 5, 7, 11, 15), (17, 11, 11, 17, 11, 11)),
+], ids=["discrete4", "fewest-endomorphisms"])
+def test_four_point_spaces_enumerate_within_a_second(opens, counts):
+    # generating every law-free row of the 16-element lattice first and
+    # filtering afterwards does not finish on these spaces
+    from topogen.instances.topology import FinTopSpace, fintop_fibration
+
+    fib = fintop_fibration([FinTopSpace(4, opens)])
+    assert fib.category.n_morphisms == (256 if opens == tuple(range(16)) else 31)
+    started = time.perf_counter()
+    found = {
+        (kind, prop): sum(1 for _ in enumerate_structures(
+            EnumerationSpec(fib, kind, prop_filter=prop, max_candidates=1000)
+        ))
+        for kind, prop in (
+            ("topogenous", None), ("closure", None), ("interior", None),
+            ("neighbourhood", None), ("topogenous", "meet"), ("topogenous", "join"),
+        )
+    }
+    assert time.perf_counter() - started < 1.0
+    assert found["topogenous", None] == found["neighbourhood", None]
+    assert found["topogenous", "meet"] == found["closure", None]
+    assert found["topogenous", "join"] == found["interior", None]
+    assert tuple(found.values()) == counts
+
+
 def test_a_warm_memo_keeps_the_budget_verdicts(fintop2, monkeypatch):
     assert list(enumerate_structures(EnumerationSpec(fintop2, "topogenous")))
     with pytest.raises(ResourceCapError):
@@ -273,12 +448,15 @@ def test_a_warm_memo_keeps_the_budget_verdicts(fintop2, monkeypatch):
     monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "abc")
     with pytest.raises(DomainError):
         next(iter(enumerate_structures(EnumerationSpec(fintop2, "topogenous"))))
-    # the candidate memo is keyed by lattice value, not identity
-    first, second = FiniteLattice.powerset(3), FiniteLattice.powerset(3)
-    assert first is not second
-    assert relation_candidates(first) is relation_candidates(second)
-    assert operator_candidates(first, "closure") is operator_candidates(second, "closure")
-    assert isinstance(relation_candidates(first), tuple)
+    # the local memo is keyed by the values of the lattice and the tables,
+    # not by the identity of the fibration
+    first = loop_fibration(FiniteLattice.powerset(3))
+    second = loop_fibration(FiniteLattice.powerset(3))
+    assert first.sub[0] is not second.sub[0]
+    for structure_class in (TopogenousOrder, ClosureOperator):
+        rows = local_candidates(structure_class, first, 0)
+        assert isinstance(rows, tuple)
+        assert local_candidates(structure_class, second, 0) is rows
 
 
 # ---------------------------------------------------------------------------

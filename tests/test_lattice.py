@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -85,6 +86,21 @@ def test_powerset_meet_join_are_set_operations():
     assert lat.join_all([]) == lat.bottom
     assert lat.meet_all([]) == lat.top
     assert lat.labels[0] == "{}" and lat.labels[3] == "{0,1}"
+
+
+@pytest.mark.parametrize("n_points", range(5))
+def test_powerset_in_closed_form_equals_the_validated_order(n_points):
+    closed = FiniteLattice.powerset(n_points)
+    elems = range(1 << n_points)
+    assert all(closed.leq(s, t) == (s & ~t == 0) for s in elems for t in elems)
+    validated = FiniteLattice.from_order(closed.labels, closed.up)
+    for field in dataclasses.fields(FiniteLattice):
+        assert getattr(closed, field.name) == getattr(validated, field.name), field.name
+
+
+def test_powerset_keeps_the_lattice_size_cap():
+    with pytest.raises(PreconditionError, match="exceeds cap"):
+        FiniteLattice.powerset(9)
 
 
 def test_meet_all_rejects_foreign_elements():

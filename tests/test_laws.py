@@ -180,3 +180,22 @@ def test_order_law_constraints_agree_with_continuity_between(name, side):
             assert by_constraint == by_neighbourhood_law
             verdicts.add(by_constraint)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("kind", ["topogenous", "neighbourhood", "closure", "interior"])
+def test_laws_give_the_reference_witnesses_on_every_pair_of_candidates(fintop2, kind):
+    """Each class's law, written once in entry form, yields the witnesses of
+    the kind's law written out on its own, in order, for every pair of
+    law-free candidates of the domain and codomain along every morphism."""
+    from test_harness import REFERENCE_LAWS, candidates
+
+    fib = fintop2
+    law, reference = _structure(fib, kind)[0].law, REFERENCE_LAWS[kind]
+    failing = 0
+    for f in range(fib.category.n_morphisms):
+        for dom_row in candidates(fib.sub_dom(f), kind):
+            for cod_row in candidates(fib.sub_cod(f), kind):
+                witnesses = list(reference(fib, f, dom_row, cod_row))
+                assert list(law(fib, f, dom_row, cod_row)) == witnesses
+                failing += bool(witnesses)
+    assert failing

@@ -210,6 +210,33 @@ def test_corrupted_relation_fails_all_renderings(disc2_loop):
     assert continuity_equivalents(swap, bad) == (False, False, False)
 
 
+def _coarse_rows(lat):
+    """The coarsest order on a lattice: m ⊏ n iff m is the bottom or n the top."""
+    return tuple(lat.up[m] if m == lat.bottom else 1 << lat.top for m in range(lat.size))
+
+
+@pytest.mark.parametrize("name,kinds", [
+    ("fintop3", ("closure", "interior")), ("grp_le8", ("grp_normal", "leq")),
+])
+def test_classify_continuity_is_the_law_on_every_morphism(name, kinds):
+    # classify reads continuity off the rows it pulls back; the law reads
+    # the order's rows bit by bit.  The mixed order, the first order on the
+    # even objects and the coarsest on the odd ones, makes maps discontinuous
+    fib = builtin_fibration(name)
+    first = builtin_order(kinds[0], fib)
+    mixed = TopogenousOrder(fib, tuple(
+        _coarse_rows(lat) if x % 2 else rows
+        for x, (lat, rows) in enumerate(zip(fib.sub, first.rel))
+    ))
+    seen = set()
+    for t in (first, builtin_order(kinds[1], fib), mixed):
+        for f in range(fib.category.n_morphisms):
+            continuous = classify(f, t).continuous
+            assert continuous == t.law_holds(f), fib.category.mor_names[f]
+            seen.add(continuous)
+    assert seen == {True, False}
+
+
 def test_continuity_renderings_need_fstar(grp_small):
     t = builtin_order("grp_normal", grp_small)
     f = next(
