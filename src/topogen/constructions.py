@@ -203,8 +203,8 @@ def continuity_between(f: int, t_dom: TopogenousOrder, t_cod: TopogenousOrder):
     fib = t_dom.fib
     if t_cod.fib is not fib:
         raise PreconditionError("both orders must live on the same fibration")
-    witnesses = NeighbourhoodOperator.law(fib, f, t_dom.rel[fib.dom(f)], t_cod.rel[fib.cod(f)])
-    witness = next(witnesses, None)
+    law = NeighbourhoodOperator.law_along(fib, f)
+    witness = next(law.witnesses(t_dom.rel[fib.dom(f)], t_cod.rel[fib.cod(f)]), None)
     if witness is None:
         return True, None
     m, n = witness
@@ -350,26 +350,26 @@ def induced_interior(data, t: TopogenousOrder) -> InteriorOperator:
 def unit_constraint(p: PointedEndofunctor, base) -> Callable:
     """Each unit component x -> Fx obeys the law of ``base``'s kind from the
     candidate's table at x to ``base``'s table at Fx."""
-    fib, law = p.fib, base.law
+    laws = [
+        (x, base.table[fx], base.law_along(p.fib, u))
+        for x, (u, fx) in enumerate(zip(p.unit, p.obj_map))
+    ]
 
     def ok(candidate) -> bool:
-        return all(
-            next(law(fib, u, candidate.table[x], base.table[fx]), None) is None
-            for x, (u, fx) in enumerate(zip(p.unit, p.obj_map))
-        )
+        return all(law.holds(candidate.table[x], cod_row) for x, cod_row, law in laws)
     return ok
 
 
 def counit_constraint(q: CopointedEndofunctor, base) -> Callable:
     """Each counit component Gx -> x obeys the law of ``base``'s kind from
     ``base``'s table at Gx to the candidate's table at x."""
-    fib, law = q.fib, base.law
+    laws = [
+        (x, base.table[gx], base.law_along(q.fib, e))
+        for x, (e, gx) in enumerate(zip(q.counit, q.obj_map))
+    ]
 
     def ok(candidate) -> bool:
-        return all(
-            next(law(fib, e, base.table[gx], candidate.table[x]), None) is None
-            for x, (e, gx) in enumerate(zip(q.counit, q.obj_map))
-        )
+        return all(law.holds(dom_row, candidate.table[x]) for x, dom_row, law in laws)
     return ok
 
 

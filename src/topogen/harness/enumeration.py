@@ -1,14 +1,19 @@
 """Exhaustive enumeration of structures on small fibrations.
 
+Each kind states its law along a morphism once, as data (``law_along`` of
+its class in ``structures``: index pairs and two lookups).  The validator
+decides it over two whole rows in one loop (``LawAlong.holds``); the
+enumerator, which places one entry at a time, reads the same statement in
+per-entry form (``LawAlong.entries``).
 Each object's candidates obey the local axioms and the kind's law along the
 object's own endomorphisms from the start: a backtracking search places one
-entry per lattice element and checks each index pair of the law (see
-``structures._Structure``) as soon as both of its entries are placed, rather
-than generating every local table and filtering afterwards.  Then a
-backtracking product applies the law along the other morphisms
-incrementally, with each morphism's pairs and entry law (for a relation,
-the memoised pull_f of its preimage table) built once per call.  Output
-order is deterministic.
+entry per lattice element and checks each index pair of the law as soon as
+both of its entries are placed, rather than generating every local table
+and filtering afterwards.  Then a backtracking product applies the law
+along the other morphisms incrementally, with each morphism's pairs and
+per-entry test (for a relation, over the memoised pull_f of its preimage
+table) built once per call; ``any`` stops at the first failing pair.
+Output order is deterministic.
 
 The local candidates are memoised for the life of the process by
 ``local_candidates``'s key.  The property filter, the cross-object product,
@@ -155,11 +160,11 @@ def local_candidates(
 
 def _laws(structure_class, fib: SubobjectFibration, morphisms) -> list:
     """``(dom, cod, pairs, fails)`` for the class's law along each of
-    ``morphisms``, its index pairs and entry law; morphisms between the same
-    objects with equal tables have one law, listed once."""
+    ``morphisms``, in per-entry form; morphisms between the same objects
+    with equal tables have one law, listed once."""
     distinct = {(fib.dom(f), fib.cod(f), fib.pre[f], fib.img[f]): f for f in morphisms}
     return [
-        (dx, cx, tuple(structure_class.law_pairs(fib, f)), structure_class.entry_law(fib, f))
+        (dx, cx, *structure_class.law_along(fib, f).entries())
         for (dx, cx, _, _), f in distinct.items()
     ]
 

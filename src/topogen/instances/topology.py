@@ -492,7 +492,8 @@ def t0_reflection(fib: SubobjectFibration) -> PointedEndofunctor:
     cat = fib.category
     obj_map = []
     unit = []
-    class_index = []
+    class_index = []  # per object, each point's class
+    class_count = []
     for x, s in enumerate(spaces):
         classes = t0_quotient_classes(s)
         point_class = [0] * s.n
@@ -515,12 +516,12 @@ def t0_reflection(fib: SubobjectFibration) -> PointedEndofunctor:
         obj_map.append(fx)
         unit.append(backend._morphism_of(fib, x, fx, eta_graph))
         class_index.append(point_class)
+        class_count.append(len(classes))
     mor_map = []
     for f in range(cat.n_morphisms):
         x, y = cat.mor_dom[f], cat.mor_cod[f]
         graph = cat.graphs[f]
-        n_classes = len(t0_quotient_classes(spaces[x]))
-        ff_graph = [0] * n_classes
+        ff_graph = [0] * class_count[x]
         for pnt in range(spaces[x].n):
             ff_graph[class_index[x][pnt]] = class_index[y][graph[pnt]]
         mor_map.append(backend._morphism_of(fib, obj_map[x], obj_map[y], tuple(ff_graph)))

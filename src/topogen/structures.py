@@ -12,29 +12,104 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import Mapping, Optional, Sequence
 
 from .errors import PreconditionError
-from .lattice import mask_iter
+from .lattice import MAX_ELEMENTS, mask_iter
 from .reporting import Report, Violation
 from .site import SubobjectFibration
+
+
+class LawAlong:
+    """A kind's law along one morphism f, as data.
+
+    Pair k relates the codomain entry at ``cod_index[k]`` with the domain
+    entry at ``dom_index[k]``, and the law fails there iff ``lhs[c] &
+    ~rhs[d]`` is nonzero for the codomain entry c and the domain entry d.
+    ``lhs`` and ``rhs`` are lookups built from f's tables, so the law
+    compares masks on any lattice.  A relation's law has ``lhs`` None and
+    reads c itself: each element n of that mask is a check and a witness
+    (k, n).  An operator's ``lhs`` maps a value to its single bit: each pair
+    is one check and a failing pair one witness (k,).
+    """
+
+    __slots__ = ("cod_index", "dom_index", "lhs", "rhs")
+
+    def __init__(
+        self,
+        cod_index: Sequence[int],
+        dom_index: Sequence[int],
+        lhs: Optional[Sequence[int]],
+        rhs: Mapping[int, int],
+    ):
+        self.cod_index, self.dom_index, self.lhs, self.rhs = cod_index, dom_index, lhs, rhs
+
+    def holds(self, dom_row, cod_row) -> bool:
+        """Whether the law holds between the table ``dom_row`` of f's domain
+        and the table ``cod_row`` of its codomain: one loop over the pairs,
+        with no call per pair (``map`` over the rows' bound ``__getitem__``
+        read slower on CPython 3.11)."""
+        cod_index, dom_index, lhs, rhs = self.cod_index, self.dom_index, self.lhs, self.rhs
+        if lhs is None:
+            for a, b in zip(cod_index, dom_index):
+                if cod_row[a] & ~rhs[dom_row[b]]:
+                    return False
+        else:
+            for a, b in zip(cod_index, dom_index):
+                if lhs[cod_row[a]] & ~rhs[dom_row[b]]:
+                    return False
+        return True
+
+    def witnesses(self, dom_row, cod_row):
+        """Yields each witness, as lattice indices, lowest pair first; the
+        pairs are walked for witnesses only when the law fails."""
+        if self.holds(dom_row, cod_row):
+            return
+        pairs, fails = self.entries()
+        for k, (a, b) in enumerate(pairs):
+            outside = fails(cod_row[a], dom_row[b])
+            if not outside:
+                continue
+            if self.lhs is None:
+                for n in mask_iter(outside):
+                    yield k, n
+            else:
+                yield (k,)
+
+    def checks(self, cod_row) -> int:
+        """The number of checks the law makes, in closed form: one per pair,
+        or for a relation the sizes of the codomain rows it reads."""
+        cod_index = self.cod_index
+        if self.lhs is not None:
+            return len(cod_index)
+        if isinstance(cod_index, range):  # each codomain row once
+            return sum(map(int.bit_count, cod_row))
+        return sum(map(int.bit_count, map(cod_row.__getitem__, cod_index)))
+
+    def entries(self):
+        """The law in per-entry form: the pairs (a, b) and ``fails``, where
+        ``fails(cod_row[a], dom_row[b])`` is nonzero exactly where it fails."""
+        lhs, rhs = self.lhs, self.rhs
+        pairs = tuple(zip(self.cod_index, self.dom_index))
+        if lhs is None:
+            return pairs, lambda c, d: c & ~rhs[d]
+        return pairs, lambda c, d: lhs[c] & ~rhs[d]
+
 
 @dataclass(frozen=True, eq=False)
 class _Structure:
     """One table per object over a fibration, with its kind's axioms.
 
-    Each kind states its cross-object law along f once, entry by entry:
-    ``law_pairs(fib, f)`` lists the index pairs (a, b) it relates, a in f's
-    codomain lattice and b in its domain's, and ``entry_law(fib, f)`` is a
-    function of the codomain entry at a and the domain entry at b that is
-    falsy exactly where the law holds.  The generator
-    ``law(fib, f, dom_row, cod_row)`` yields each witness, as lattice
-    indices, at which the law fails between the table ``dom_row`` of f's
-    domain and the table ``cod_row`` of its codomain.  The validator names
-    the witnesses; the extremality constraints only ask whether there is
-    one, and the enumerator checks each pair as soon as both entries are
-    placed.  ``law_checks`` is the number of checks the law makes, in
-    closed form, and ``witness_sides`` says which end of f (0 domain, 1
-    codomain) each witness index lies in.
+    Each kind states its cross-object law along f once, as data:
+    ``law_along(fib, f)`` is a ``LawAlong``, the index pairs it relates and
+    the two lookups that decide each pair.  Two readers derive from it.
+    The whole-row reader ``LawAlong.holds`` decides the law between two
+    tables for the validator, ``law_holds``, the extremality constraints
+    and ``constructions.continuity_between``; only where it fails are the
+    pairs walked for witnesses, and ``witness_sides`` says which end of f
+    (0 domain, 1 codomain) each witness index lies in.  The per-entry
+    reader ``LawAlong.entries`` lets the enumerator check each pair as soon
+    as both of its entries are placed.
 
     Two structures are equal when they are of one kind, over the same
     fibration object, with equal tables.
@@ -50,7 +125,7 @@ class _Structure:
         """Whether the kind's law holds along f between this structure's tables."""
         fib = self.fib
         rows = self.table
-        return next(self.law(fib, f, rows[fib.dom(f)], rows[fib.cod(f)]), None) is None
+        return self.law_along(fib, f).holds(rows[fib.dom(f)], rows[fib.cod(f)])
 
     def _key(self):
         return (type(self), id(self.fib), self.table)
@@ -81,45 +156,48 @@ def _pull_along(pre: tuple[int, ...]) -> _Pull:
     return _Pull(pre)
 
 
-def _image_pairs(fib, f):
-    """(f(m), m) for each m of f's domain lattice."""
-    img = fib.img[f]
-    return zip(img, range(len(img)))
+# 1 << i for each index i of a lattice
+_BITS = tuple(1 << i for i in range(MAX_ELEMENTS))
 
 
-def _preimage_pairs(fib, f):
-    """(n, f^{-1}(n)) for each n of f's codomain lattice."""
-    return enumerate(fib.pre[f])
+# Each kind's law along f, named by its ``law_name``, as a function of the
+# tables of f and its lattices that it reads, memoised by value.
+
+
+@lru_cache(maxsize=None)
+def _preimage_stability(pre) -> LawAlong:
+    """m ⊏ n downstairs gives f^{-1}(m) ⊏ f^{-1}(n): pairs (m, f^{-1}(m)),
+    witnesses (m, n)."""
+    return LawAlong(range(len(pre)), pre, None, _pull_along(pre))
+
+
+@lru_cache(maxsize=None)
+def _continuity(img, pre) -> LawAlong:
+    """n a neighbourhood of f(m) gives f^{-1}(n) a neighbourhood of m: pairs
+    (f(m), m), witnesses (m, n)."""
+    return LawAlong(img, range(len(img)), None, _pull_along(pre))
+
+
+@lru_cache(maxsize=None)
+def _image_continuity(img, cod_up) -> LawAlong:
+    """f(c(m)) <= c(f(m)): pairs (f(m), m), witnesses (m,)."""
+    return LawAlong(img, range(len(img)), _BITS, tuple(cod_up[a] for a in img))
+
+
+@lru_cache(maxsize=None)
+def _preimage_continuity(pre, dom_down) -> LawAlong:
+    """f^{-1}(i(n)) <= i(f^{-1}(n)): pairs (n, f^{-1}(n)), witnesses (n,)."""
+    return LawAlong(range(len(pre)), pre, tuple(_BITS[b] for b in pre), dom_down)
 
 
 @dataclass(frozen=True, eq=False)
 class _Relation(_Structure):
     """A relation of each subobject lattice: row m is a mask of elements.
 
-    Its law along f is one inclusion per index pair (a, b): the codomain row
-    at a lies inside the domain row at b pulled back along f,
-    ``cod_row[a] ⊆ pull_f(dom_row[b])``.
+    Its law along f is one inclusion per index pair: the codomain row lies
+    inside the domain row pulled back along f, ``lhs`` the identity and
+    ``rhs`` pull_f.
     """
-
-    @staticmethod
-    def entry_law(fib, f):
-        pull = _pull_along(fib.pre[f])
-        return lambda cod_entry, dom_entry: cod_entry & ~pull[dom_entry]
-
-    @classmethod
-    def law(cls, fib, f, dom_row, cod_row):
-        """Yields (k, n) for the k-th pair (a, b) and each n of cod_row[a]
-        outside pull_f(dom_row[b]), lowest first."""
-        fails = cls.entry_law(fib, f)
-        for k, (a, b) in enumerate(cls.law_pairs(fib, f)):
-            outside = fails(cod_row[a], dom_row[b])
-            if outside:
-                for n in mask_iter(outside):
-                    yield k, n
-
-    @classmethod
-    def law_checks(cls, fib, f, dom_row, cod_row) -> int:
-        return sum(cod_row[a].bit_count() for a, _ in cls.law_pairs(fib, f))
 
     def pointwise_leq(self, other: "_Relation") -> bool:
         """Pointwise inclusion of the rows."""
@@ -180,9 +258,9 @@ class TopogenousOrder(_Relation):
     law_name = "preimage-stability"
     witness_sides = (1, 1)
 
-    # preimage stability: m ⊏ n downstairs gives f^{-1}(m) ⊏ f^{-1}(n);
-    # witnesses (m, n)
-    law_pairs = staticmethod(_preimage_pairs)
+    @staticmethod
+    def law_along(fib, f) -> LawAlong:
+        return _preimage_stability(fib.pre[f])
 
     def holds(self, x: int, m: int, n: int) -> bool:
         return bool(self.rel[x][m] >> n & 1)
@@ -198,30 +276,19 @@ class NeighbourhoodOperator(_Relation):
     law_name = "continuity"
     witness_sides = (0, 1)
 
-    # continuity: n a neighbourhood of f(m) gives f^{-1}(n) a neighbourhood
-    # of m; witnesses (m, n)
-    law_pairs = staticmethod(_image_pairs)
+    @staticmethod
+    def law_along(fib, f) -> LawAlong:
+        return _continuity(fib.img[f], fib.pre[f])
 
 
 @dataclass(frozen=True, eq=False)
 class _Operator(_Structure):
     """A self-map of each subobject lattice.
 
-    Its law along f is one comparison per index pair (a, b) of the codomain
-    entry at a with the domain entry at b.
+    Its law along f is one order comparison per index pair, ``lhs`` the
+    single bit of one side's value and ``rhs`` the mask of values it may
+    take against the other side's.
     """
-
-    @classmethod
-    def law(cls, fib, f, dom_row, cod_row):
-        """Yields (k,) for each k-th pair (a, b) at which the law fails."""
-        fails = cls.entry_law(fib, f)
-        for k, (a, b) in enumerate(cls.law_pairs(fib, f)):
-            if fails(cod_row[a], dom_row[b]):
-                yield (k,)
-
-    @classmethod
-    def law_checks(cls, fib, f, dom_row, cod_row) -> int:
-        return sum(1 for _ in cls.law_pairs(fib, f))
 
     def pointwise_leq(self, other: "_Operator") -> bool:
         return all(
@@ -264,13 +331,9 @@ class ClosureOperator(_Operator):
     law_name = "image-continuity"
     witness_sides = (0,)
 
-    law_pairs = staticmethod(_image_pairs)
-
     @staticmethod
-    def entry_law(fib, f):
-        # image continuity: f(c(m)) <= c(f(m)); witnesses (m,)
-        img, up = fib.img[f], fib.sub_cod(f).up
-        return lambda cod_entry, dom_entry: not up[img[dom_entry]] >> cod_entry & 1
+    def law_along(fib, f) -> LawAlong:
+        return _image_continuity(fib.img[f], fib.sub_cod(f).up)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,13 +346,9 @@ class InteriorOperator(_Operator):
     law_name = "preimage-continuity"
     witness_sides = (1,)
 
-    law_pairs = staticmethod(_preimage_pairs)
-
     @staticmethod
-    def entry_law(fib, f):
-        # preimage continuity: f^{-1}(i(n)) <= i(f^{-1}(n)); witnesses (n,)
-        pre, up = fib.pre[f], fib.sub_dom(f).up
-        return lambda cod_entry, dom_entry: not up[pre[cod_entry]] >> dom_entry & 1
+    def law_along(fib, f) -> LawAlong:
+        return _preimage_continuity(fib.pre[f], fib.sub_dom(f).down)
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +363,20 @@ def validate_structure(s) -> Report:
     fib, table = s.fib, s.table
     cat = fib.category
     checked, violations = s._local_violations()
-    for f in range(cat.n_morphisms):
-        dom_row, cod_row = table[fib.dom(f)], table[fib.cod(f)]
-        labels = (fib.sub_dom(f).labels, fib.sub_cod(f).labels)
-        checked += s.law_checks(fib, f, dom_row, cod_row)
+    for f, (x, y) in enumerate(zip(cat.mor_dom, cat.mor_cod)):
+        law = s.law_along(fib, f)
+        dom_row, cod_row = table[x], table[y]
+        checked += law.checks(cod_row)
+        if law.holds(dom_row, cod_row):
+            continue
+        labels = (fib.sub[x].labels, fib.sub[y].labels)
         violations.extend(
             Violation(
                 s.law_name,
                 where=cat.mor_names[f],
                 witness=tuple(labels[side][i] for side, i in zip(s.witness_sides, witness)),
             )
-            for witness in s.law(fib, f, dom_row, cod_row)
+            for witness in law.witnesses(dom_row, cod_row)
         )
     return Report(s.report_name, checked, tuple(violations))
 

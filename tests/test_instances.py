@@ -350,6 +350,43 @@ def test_t0_reflection_fixes_t0_spaces(fintop2):
     assert cat.object_names[p.obj_map[ind]] == "pt"
 
 
+def test_t0_reflection_matches_the_per_morphism_formula(fintop3):
+    # the oracle recomputes the T0 classes of both ends of every morphism
+    from topogen.instances.topology import t0_reflection
+
+    fib = fintop3
+    cat, backend = fib.category, fib.backend
+    spaces = spaces_of(fib)
+
+    def class_of(x):
+        classes = t0_quotient_classes(spaces[x])
+        return tuple(next(ci for ci, c in enumerate(classes) if c >> pnt & 1)
+                     for pnt in range(spaces[x].n)), len(classes)
+
+    obj_map, unit = [], []
+    for x, s in enumerate(spaces):
+        eta, n_classes = class_of(x)
+        opens = tuple(
+            v for v in range(1 << n_classes)
+            if s.is_open(sum(1 << pnt for pnt in range(s.n) if v >> eta[pnt] & 1))
+        )
+        obj_map.append(backend._object_of(FinTopSpace(n_classes, opens)))
+        unit.append(cat.morphism_by_graph(x, obj_map[x], eta))
+    mor_map = []
+    for f in range(cat.n_morphisms):
+        x, y = cat.mor_dom[f], cat.mor_cod[f]
+        (eta_x, n_classes), (eta_y, _) = class_of(x), class_of(y)
+        graph = [0] * n_classes
+        for pnt, q in enumerate(cat.graphs[f]):
+            graph[eta_x[pnt]] = eta_y[q]
+        mor_map.append(cat.morphism_by_graph(obj_map[x], obj_map[y], tuple(graph)))
+    p = t0_reflection(fib)
+    assert p.obj_map == tuple(obj_map)
+    assert p.unit == tuple(unit)
+    assert p.mor_map == tuple(mor_map)
+    assert len(set(p.obj_map)) < cat.n_objects  # some spaces are not T0
+
+
 def test_discrete_coreflection_structure(fintop2):
     q = builtin_copointed("discrete", fintop2)
     cat = fintop2.category

@@ -136,7 +136,7 @@ def test_bench_pairs_summary_and_wins():
     assert {
         "morphisms.classify.", "harness.suite.", "harness.enumeration.",
         "structures.validate_structure.", "harness.fileformat.",
-        "instances.topology.fintop_fibration.", "cli.",
+        "constructions.check_extremality.", "instances.topology.fintop_fibration.", "cli.",
     } <= set(bench_pairs.TRACED_PREFIXES)
     # the CLI layer: cli.main's count must repeat, each command's p50 is a
     # latency and takes the median over the traced runs

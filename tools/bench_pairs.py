@@ -24,7 +24,9 @@ the traced ``site.pullback.*``, ``site.check_bcp.*``,
 instance count and the wall time of its two largest checks), and the
 enumeration layers ``harness.enumeration.*``, ``structures.validate_structure.*``
 and ``harness.fileformat.*`` (so ``enumerate_structures.yielded`` must repeat),
-the finite-space fibration builder ``instances.topology.fintop_fibration.*``,
+the extremality checks ``constructions.check_extremality.*``, which the
+(co)unit continuity constraints feed, the finite-space fibration builder
+``instances.topology.fintop_fibration.*``,
 and the CLI layer ``cli.*`` (``cli.main``'s calls and self time, and each
 command's median latency ``cli.<command>.p50_ms``).
 Standard library only.
@@ -47,7 +49,7 @@ TRACED_PREFIXES = (
     "site.pullback.", "site.check_bcp.", "site.validate_fibration.", "site.validate_category.",
     "morphisms.classify.", "harness.suite.", "harness.enumeration.",
     "structures.validate_structure.", "harness.fileformat.",
-    "instances.topology.fintop_fibration.", "cli.",
+    "constructions.check_extremality.", "instances.topology.fintop_fibration.", "cli.",
 )
 SEEDS = list(range(1, 11))
 # one traced run cannot tell a self time from host noise
