@@ -73,6 +73,8 @@ class _Environment:
                 rec = self._find(fileformat.SpaceRecord, space_name.strip())
                 if rec is None:
                     raise DomainError(f"no space record named {space_name.strip()!r}")
+                if rec.name in labels:
+                    raise DomainError(f"space {rec.name!r} named twice in fibration {name!r}")
                 spaces.append(rec.space)
                 labels.append(rec.name)
             return fintop_fibration(spaces, name=name, object_names=labels)

@@ -413,10 +413,9 @@ def check_extremality(candidate, spec: FamilySpec) -> Report:
             seen_candidate = True
             continue
         lower, upper = (candidate, member) if spec.extreme == "least" else (member, candidate)
-        if not lower.pointwise_leq(upper):
-            violations.append(
-                Violation(f"not-{spec.extreme}", where=spec.description, witness=(repr(member)[:80],))
-            )
+        excess = lower.first_excess(upper)
+        if excess is not None:
+            violations.append(Violation(f"not-{spec.extreme}", where=spec.description, witness=excess))
     if not seen_candidate:
         violations.append(Violation("candidate-not-in-family", where=spec.description))
     return Report(f"extremality {spec.description}", family_size, tuple(violations))

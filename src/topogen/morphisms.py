@@ -20,6 +20,14 @@ m <= n.
 The co-strict and initial rows need the right adjoint f_* of preimage, so
 those two classes are tri-state: ``None`` means "not applicable" because
 that adjoint does not exist for the morphism.
+
+The calculus of the classes and their ascent and descent across pullback
+squares is one table, ``LAWS``: per scope (isos, composable pairs, single
+morphisms, pullback squares), laws (id, premises, conclusion) over (role,
+fact) pairs.  A law is violated where every premise is True and its
+conclusion is False, so a flag that is None neither fires a law nor fails
+one.  ``check_class_calculus`` decides the table once per key of interned
+fact ids, and ``transfer_laws`` per square.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from .structures import (
     is_join_preserving,
     is_meet_preserving,
 )
-from .site import PullbackSquare, SubobjectFibration, check_bcp
+from .site import PullbackSquare, SubobjectFibration, check_bcp, intern
 
 
 @dataclass(frozen=True)
@@ -53,7 +61,6 @@ class MorphismClassification:
     costrict: Optional[bool]
     initial: Optional[bool]
     weakly_final: bool
-    fstar_available: bool
 
 
 _CLASSES = ("strict", "final", "costrict", "initial")
@@ -94,7 +101,6 @@ def classify(f: int, t: TopogenousOrder) -> MorphismClassification:
         initial=initial,
         # final implies weakly final
         weakly_final=final or _weakly_final(below, fib.sub_cod(f).up, rely),
-        fstar_available=fstar is not None,
     )
 
 
@@ -168,81 +174,87 @@ def check_strict_transfer(f: int, t: TopogenousOrder) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# class calculus: composition, cancellation, containments, sections
+# the class calculus and pullback transfer, stated once as data
+
+# The facts a law may read of a morphism, in ``morphism_facts`` order; the
+# square laws read class flags only.
+FACTS = (*_CLASSES, "weakly_final", "m", "e", "raw_e", "identity")
+
+
+def morphism_facts(fib: SubobjectFibration, cls: MorphismClassification) -> tuple:
+    """f's class flags, weak finality, f in M, f in E where E is
+    pullback-stable, f in E, and whether f is an identity."""
+    f, in_e = cls.morphism, cls.morphism in fib.eclass
+    return (*class_flags(cls), cls.weakly_final, f in fib.mclass,
+            in_e and fib.e_pullback_stable, in_e, fib.category.is_identity(f))
+
+
+# Each scope's roles: h = g∘f for pairs, and p∘f' = f∘p' for squares.
+ROLES = {"iso": ("f",), "pair": ("f", "g", "h"), "morphism": ("f",), "square": ("f'", "p", "p'", "f")}
+
+# Each scope's laws, in report order.
+LAWS = {
+    "iso": tuple((f"iso-{k}", (), ("f", k)) for k in _CLASSES),
+    # initial and final cancel fully, the others along M and stable E
+    "pair": (
+        *(law for k in _CLASSES for law in (
+            (f"compose-{k}", (("f", k), ("g", k)), ("h", k)),
+            ("left-cancel-initial", (("h", k),), ("f", k)) if k == "initial"
+            else (f"left-cancel-{k}-along-m", (("h", k), ("g", "m")), ("f", k)),
+            ("right-cancel-final", (("h", k),), ("g", k)) if k == "final"
+            else (f"right-cancel-{k}-along-e", (("h", k), ("f", "e")), ("g", k)),
+        )),
+        ("section-initial", (("h", "identity"),), ("f", "initial")),
+        ("retraction-final", (("h", "identity"), ("g", "raw_e")), ("g", "final")),
+    ),
+    "morphism": (
+        ("costrict-in-m-initial", (("f", "m"), ("f", "costrict")), ("f", "initial")),
+        ("initial-in-e-costrict", (("f", "e"), ("f", "initial")), ("f", "costrict")),
+        ("strict-in-m-initial", (("f", "m"), ("f", "strict")), ("f", "initial")),
+        ("strict-in-e-final", (("f", "e"), ("f", "strict")), ("f", "final")),
+        ("final-in-m-strict", (("f", "m"), ("f", "final")), ("f", "strict")),
+        ("costrict-in-e-final", (("f", "e"), ("f", "costrict")), ("f", "final")),
+        # on stable E, weak finality is finality
+        *(("weak-final-vs-final-in-e", (("f", "e"), ("f", a)), ("f", b))
+          for a, b in (("weakly_final", "final"), ("final", "weakly_final"))),
+    ),
+    "square": (
+        *((f"ascent-{k}", (("p'", "initial"), ("f", k)), ("f'", k)) for k in _CLASSES),
+        *((f"descent-{k}", (("p", "final"), ("f'", k)), ("f", k)) for k in _CLASSES),
+    ),
+}
+
+
+def violated(scope: str, facts) -> tuple[str, ...]:
+    """The ids of the scope's laws violated by ``facts``, one tuple per role."""
+    at = dict(zip(ROLES[scope], facts))
+    return tuple(
+        law for law, premises, (role, k) in LAWS[scope]
+        if at[role][FACTS.index(k)] is False
+        and all(at[r][FACTS.index(x)] is True for r, x in premises)
+    )
 
 
 def check_class_calculus(fib: SubobjectFibration, t: TopogenousOrder) -> Report:
-    """Composition closure, cancellation, containments, and split pairs.
-
-    Items conditioned on pullback stability of the E-class are gated by the
-    fibration's flag.  Flags that need the right adjoint of preimage are
-    skipped (not failed) where it does not exist.
-    """
+    """The iso, pair and per-morphism ``LAWS``, each scope decided once per
+    key of interned fact ids; ``checked`` counts isos, pairs and morphisms."""
     cat = fib.category
-    violations = []
-    checked = 0
-    cache = {f: classify(f, t) for f in range(cat.n_morphisms)}
+    names = cat.mor_names
+    fact_id, index = intern(morphism_facts(fib, classify(f, t)) for f in range(cat.n_morphisms))
+    facts = tuple(index)
+    iso, pair, one = (
+        lru_cache(maxsize=None)(lambda *ids, s=scope: violated(s, map(facts.__getitem__, ids)))
+        for scope in ("iso", "pair", "morphism")
+    )
     isos = cat.isomorphisms()
-
-    for f in isos:
-        cls = cache[f]
-        checked += 1
-        for kind, flag in zip(_CLASSES, class_flags(cls)):
-            if flag is False:
-                violations.append(
-                    Violation(f"iso-{kind}", where=cat.mor_names[f])
-                )
-
-    stable = fib.e_pullback_stable
+    violations = [Violation(law, where=names[f]) for f in isos for law in iso(fact_id[f])]
+    pairs = 0
     for g, f in cat.composable_pairs():
-        h = cat.compose(g, f)
-        cf, cg, ch = cache[f], cache[g], cache[h]
-        pair = (cat.mor_names[g], cat.mor_names[f])
-        checked += 1
-        for kind, a, b, c in zip(_CLASSES, class_flags(cf), class_flags(cg), class_flags(ch)):
-            # composition closure
-            if a is True and b is True and c is False:
-                violations.append(Violation(f"compose-{kind}", witness=pair))
-            # left cancellation: initial fully, the others along M
-            if kind == "initial":
-                if c is True and a is False:
-                    violations.append(Violation("left-cancel-initial", witness=pair))
-            elif c is True and g in fib.mclass and a is False:
-                violations.append(Violation(f"left-cancel-{kind}-along-m", witness=pair))
-            # right cancellation: final fully, the others along stable E
-            if kind == "final":
-                if c is True and b is False:
-                    violations.append(Violation("right-cancel-final", witness=pair))
-            elif stable and c is True and f in fib.eclass and b is False:
-                violations.append(Violation(f"right-cancel-{kind}-along-e", witness=pair))
-        # split pairs: g∘f an identity makes f initial, and g final when g in E
-        if cat.is_identity(h):
-            if cf.initial is False:
-                violations.append(Violation("section-initial", witness=pair))
-            if g in fib.eclass and cg.final is False:
-                violations.append(Violation("retraction-final", witness=pair))
-
-    for f in range(cat.n_morphisms):
-        cls = cache[f]
-        name = cat.mor_names[f]
-        in_m, in_e = f in fib.mclass, f in fib.eclass
-        checked += 1
-        if in_m and cls.costrict is True and cls.initial is False:
-            violations.append(Violation("costrict-in-m-initial", where=name))
-        if stable and in_e and cls.initial is True and cls.costrict is False:
-            violations.append(Violation("initial-in-e-costrict", where=name))
-        if in_m and cls.strict and cls.initial is False:
-            violations.append(Violation("strict-in-m-initial", where=name))
-        if stable and in_e and cls.strict and not cls.final:
-            violations.append(Violation("strict-in-e-final", where=name))
-        if in_m and cls.final and not cls.strict:
-            violations.append(Violation("final-in-m-strict", where=name))
-        if stable and in_e and cls.costrict is True and not cls.final:
-            violations.append(Violation("costrict-in-e-final", where=name))
-        # weak finality coincides with finality on stable E
-        if stable and in_e and cls.weakly_final != cls.final:
-            violations.append(Violation("weak-final-vs-final-in-e", where=name))
-    return Report("class-calculus", checked, tuple(violations))
+        pairs += 1
+        for law in pair(fact_id[f], fact_id[g], fact_id[cat.compose(g, f)]):
+            violations.append(Violation(law, witness=(names[g], names[f])))
+    violations += (Violation(law, where=n) for f, n in enumerate(names) for law in one(fact_id[f]))
+    return Report("class-calculus", len(isos) + pairs + len(names), tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -255,26 +267,10 @@ def transfer_laws(
     c_p_prime: MorphismClassification,
     c_f: MorphismClassification,
 ) -> tuple[str, ...]:
-    """The transfer laws a Beck-Chevalley square p∘f' = f∘p' violates.
-
-    Ascent along an initial p': each class of f holds for f'.  Descent
-    along a final p: each class of f' holds for f.  The verdict reads only
-    the four classifications' flags, so sweeps may memoise it on them.
-    """
-    laws = []
-    if c_p_prime.initial is True:
-        laws.extend(
-            f"ascent-{kind}"
-            for kind, a, b in zip(_CLASSES, class_flags(c_f), class_flags(c_f_prime))
-            if a is True and b is False
-        )
-    if c_p.final:
-        laws.extend(
-            f"descent-{kind}"
-            for kind, a, b in zip(_CLASSES, class_flags(c_f_prime), class_flags(c_f))
-            if a is True and b is False
-        )
-    return tuple(laws)
+    """The square ``LAWS`` a Beck-Chevalley square p∘f' = f∘p' violates.
+    The verdict reads only the four classifications' flags, so sweeps may
+    memoise it on them."""
+    return violated("square", map(class_flags, (c_f_prime, c_p, c_p_prime, c_f)))
 
 
 def check_pullback_transfer(sq: PullbackSquare, t: TopogenousOrder, cache=None) -> Report:

@@ -199,11 +199,15 @@ class _Relation(_Structure):
     ``rhs`` pull_f.
     """
 
-    def pointwise_leq(self, other: "_Relation") -> bool:
-        """Pointwise inclusion of the rows."""
-        return all(
-            a & ~b == 0 for ra, rb in zip(self.table, other.table) for a, b in zip(ra, rb)
-        )
+    def first_excess(self, other: "_Relation"):
+        """(object, m, n) naming the first pair m ⊏ n related here but not in
+        ``other``; None when every row lies inside ``other``'s."""
+        for x, (lat, ra, rb) in enumerate(zip(self.fib.sub, self.table, other.table)):
+            for m, (a, b) in enumerate(zip(ra, rb)):
+                if a & ~b:
+                    n = next(mask_iter(a & ~b))
+                    return self.fib.category.object_names[x], lat.labels[m], lat.labels[n]
+        return None
 
     def _local_violations(self):
         """Each row lies above its element, is antitone in the element and
@@ -290,12 +294,14 @@ class _Operator(_Structure):
     take against the other side's.
     """
 
-    def pointwise_leq(self, other: "_Operator") -> bool:
-        return all(
-            lat.leq(a, b)
-            for lat, ra, rb in zip(self.fib.sub, self.table, other.table)
-            for a, b in zip(ra, rb)
-        )
+    def first_excess(self, other: "_Operator"):
+        """(object, m) naming the first element whose value here is not below
+        its value in ``other``; None when there is none."""
+        for x, (lat, ra, rb) in enumerate(zip(self.fib.sub, self.table, other.table)):
+            for m, (a, b) in enumerate(zip(ra, rb)):
+                if not lat.leq(a, b):
+                    return self.fib.category.object_names[x], lat.labels[m]
+        return None
 
     def _local_violations(self):
         """Each map is extensive (closure) or contractive (interior), and

@@ -196,6 +196,16 @@ def test_unknown_order_is_a_usage_error(capsys, argv):
     assert err.startswith("error: unknown order kind 'nosuch'")
 
 
+def test_a_repeated_space_name_is_a_usage_error(capsys, tmp_path):
+    doc = tmp_path / "in.topo"
+    doc.write_text("space a: points=2; opens={},{0},{0,1}\n")
+    code, out, err = run(
+        capsys, "predicates", "--fibration", "spaces:a, a", "--order", "closure", str(doc))
+    assert code == 2
+    assert out == ""
+    assert err == "error: space 'a' named twice in fibration 'spaces:a, a'\n"
+
+
 def test_unknown_order_kind_in_a_file_is_a_parse_error(capsys, tmp_path):
     doc = tmp_path / "in.topo"
     doc.write_text(

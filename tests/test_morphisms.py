@@ -1,10 +1,14 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from topogen.errors import CapabilityError, InternalConsistencyError, PreconditionError
 from topogen.morphisms import (
+    FACTS,
+    LAWS,
+    ROLES,
     MorphismClassification,
     check_class_calculus,
     check_pullback_transfer,
@@ -15,11 +19,13 @@ from topogen.morphisms import (
     continuity_equivalents,
     crosscheck_operator_classes,
     interior_classes,
+    morphism_facts,
     strict_subobjects,
     transfer_laws,
     weakly_final_formulas,
 )
 from topogen.lattice import mask_iter
+from topogen.reporting import Report, Violation
 from topogen.site import PullbackSquare, check_bcp, pullback
 from topogen.structures import TopogenousOrder, closure_from_topogenous, validate_structure
 from topogen.instances.topology import closure_order, interior_order, map_predicates
@@ -31,7 +37,7 @@ def test_identity_is_in_every_class(fintop2):
     cls = classify(fintop2.category.morphism_index("id_sierpinski"), t)
     assert cls.continuous and cls.strict and cls.final
     assert cls.costrict and cls.initial and cls.weakly_final
-    assert cls.fstar_available
+    assert cls.costrict is not None
 
 
 def test_every_morphism_is_continuous(fintop2):
@@ -146,7 +152,6 @@ def _oracle_classification(t, f):
         costrict=_is_costrict(t, f) if has_fstar else None,
         initial=_is_initial(t, f) if has_fstar else None,
         weakly_final=_is_weakly_final(t, f),
-        fstar_available=has_fstar,
     )
 
 
@@ -309,6 +314,210 @@ def test_class_calculus_vacuous_on_one_object_category():
     fib = SubobjectFibration(cat, (lat,), (ident,), (ident,), frozenset({0}), frozenset({0}))
     report = check_class_calculus(fib, discrete_order(fib))
     assert report.ok
+
+
+# The class calculus and pullback transfer as if-chains, one hand-written
+# test per law: the reference for the table ``morphisms.LAWS`` and its
+# readers.  ``_reference_class_calculus`` takes the classifications as given.
+
+_CLASSES = ("strict", "final", "costrict", "initial")
+
+
+def _reference_class_calculus(fib, cache):
+    cat = fib.category
+    violations = []
+    checked = 0
+    isos = cat.isomorphisms()
+
+    for f in isos:
+        cls = cache[f]
+        checked += 1
+        for kind, flag in zip(_CLASSES, class_flags(cls)):
+            if flag is False:
+                violations.append(
+                    Violation(f"iso-{kind}", where=cat.mor_names[f])
+                )
+
+    stable = fib.e_pullback_stable
+    for g, f in cat.composable_pairs():
+        h = cat.compose(g, f)
+        cf, cg, ch = cache[f], cache[g], cache[h]
+        pair = (cat.mor_names[g], cat.mor_names[f])
+        checked += 1
+        for kind, a, b, c in zip(_CLASSES, class_flags(cf), class_flags(cg), class_flags(ch)):
+            # composition closure
+            if a is True and b is True and c is False:
+                violations.append(Violation(f"compose-{kind}", witness=pair))
+            # left cancellation: initial fully, the others along M
+            if kind == "initial":
+                if c is True and a is False:
+                    violations.append(Violation("left-cancel-initial", witness=pair))
+            elif c is True and g in fib.mclass and a is False:
+                violations.append(Violation(f"left-cancel-{kind}-along-m", witness=pair))
+            # right cancellation: final fully, the others along stable E
+            if kind == "final":
+                if c is True and b is False:
+                    violations.append(Violation("right-cancel-final", witness=pair))
+            elif stable and c is True and f in fib.eclass and b is False:
+                violations.append(Violation(f"right-cancel-{kind}-along-e", witness=pair))
+        # split pairs: g∘f an identity makes f initial, and g final when g in E
+        if cat.is_identity(h):
+            if cf.initial is False:
+                violations.append(Violation("section-initial", witness=pair))
+            if g in fib.eclass and cg.final is False:
+                violations.append(Violation("retraction-final", witness=pair))
+
+    for f in range(cat.n_morphisms):
+        cls = cache[f]
+        name = cat.mor_names[f]
+        in_m, in_e = f in fib.mclass, f in fib.eclass
+        checked += 1
+        if in_m and cls.costrict is True and cls.initial is False:
+            violations.append(Violation("costrict-in-m-initial", where=name))
+        if stable and in_e and cls.initial is True and cls.costrict is False:
+            violations.append(Violation("initial-in-e-costrict", where=name))
+        if in_m and cls.strict and cls.initial is False:
+            violations.append(Violation("strict-in-m-initial", where=name))
+        if stable and in_e and cls.strict and not cls.final:
+            violations.append(Violation("strict-in-e-final", where=name))
+        if in_m and cls.final and not cls.strict:
+            violations.append(Violation("final-in-m-strict", where=name))
+        if stable and in_e and cls.costrict is True and not cls.final:
+            violations.append(Violation("costrict-in-e-final", where=name))
+        # weak finality coincides with finality on stable E
+        if stable and in_e and cls.weakly_final != cls.final:
+            violations.append(Violation("weak-final-vs-final-in-e", where=name))
+    return Report("class-calculus", checked, tuple(violations))
+
+
+def _reference_transfer_laws(c_f_prime, c_p, c_p_prime, c_f):
+    laws = []
+    if c_p_prime.initial is True:
+        laws.extend(
+            f"ascent-{kind}"
+            for kind, a, b in zip(_CLASSES, class_flags(c_f), class_flags(c_f_prime))
+            if a is True and b is False
+        )
+    if c_p.final:
+        laws.extend(
+            f"descent-{kind}"
+            for kind, a, b in zip(_CLASSES, class_flags(c_f_prime), class_flags(c_f))
+            if a is True and b is False
+        )
+    return tuple(laws)
+
+
+_SUITE_ORDERS = (("fintop2", "closure"), ("fintop2", "interior"), ("grp_small", "grp_normal"))
+
+
+def _forged(classifications):
+    """Each class flag flipped on its own stride of morphisms, and co-strict
+    and initial made not applicable on every seventh."""
+    out = []
+    for c in classifications:
+        flips = {
+            k: not v for stride, (k, v) in enumerate(zip(_CLASSES, class_flags(c)), 3)
+            if c.morphism % stride == 1 and v is not None
+        }
+        c = replace(c, **flips)
+        if c.morphism % 7 == 2:
+            c = replace(c, costrict=None, initial=None)
+        out.append(c)
+    return out
+
+
+def _unstable_copy(fib):
+    """``fib`` with E declared not pullback-stable: gated and raw E differ."""
+    from topogen.site import SubobjectFibration
+
+    return SubobjectFibration(
+        fib.category, fib.sub, fib.img, fib.pre, fib.eclass, fib.mclass,
+        e_pullback_stable=False, fstar=fib.fstar, backend=fib.backend, name="unstable",
+    )
+
+
+def test_class_calculus_matches_the_reference_if_chains(monkeypatch):
+    import topogen.morphisms as morphisms
+
+    laws = set()
+    for fib_name, kind in _SUITE_ORDERS:
+        fib = builtin_fibration(fib_name)
+        t = builtin_order(kind, fib)
+        real = [classify(f, t) for f in range(fib.category.n_morphisms)]
+        forged = _forged(real)
+        # one E-morphism final but not weakly final
+        e = min(fib.eclass)
+        forged[e] = replace(forged[e], final=True, weakly_final=False)
+        for classes in (real, forged):
+            monkeypatch.setattr(morphisms, "classify", lambda f, t: classes[f])
+            for fibration in (fib, _unstable_copy(fib)):
+                report = check_class_calculus(fibration, t)
+                expected = _reference_class_calculus(fibration, classes)
+                assert (report.checked, report.violations) == (
+                    expected.checked, expected.violations), (fib_name, kind, fibration.name)
+                laws.update(v.law for v in report.violations)
+    # the forged classifications break every law
+    assert laws == {law for scope in ("iso", "pair", "morphism") for law, _, _ in LAWS[scope]}
+
+
+def test_transfer_laws_match_the_reference_on_every_flag_combination():
+    from itertools import product
+
+    base = MorphismClassification(0, True, True, True, True, True, True)
+    roles = [
+        replace(base, strict=s, final=f, costrict=c, initial=i)
+        for s, f in product((True, False), repeat=2)
+        for c, i in (*product((True, False), repeat=2), (None, None))
+    ]
+    laws = set()
+    for classes in product(roles, repeat=4):
+        found = transfer_laws(*classes)
+        assert found == _reference_transfer_laws(*classes), classes
+        laws.update(found)
+    assert len(laws) == 8
+
+
+def _premise_hits(scope, facts_of_roles):
+    """How often each law of the scope has every premise True."""
+    hits = Counter()
+    for facts in facts_of_roles:
+        at = dict(zip(ROLES[scope], facts))
+        for law, premises, _ in LAWS[scope]:
+            hits[law] += all(at[r][FACTS.index(x)] is True for r, x in premises)
+    return hits
+
+
+def test_every_class_calculus_law_has_premises_that_hold():
+    hits = Counter()
+    for fib_name, kind in _SUITE_ORDERS:
+        fib = builtin_fibration(fib_name)
+        t = builtin_order(kind, fib)
+        cat = fib.category
+        facts = [morphism_facts(fib, classify(f, t)) for f in range(cat.n_morphisms)]
+        hits += _premise_hits("iso", ([facts[f]] for f in cat.isomorphisms()))
+        hits += _premise_hits("pair", (
+            [facts[f], facts[g], facts[cat.compose(g, f)]] for g, f in cat.composable_pairs()))
+        hits += _premise_hits("morphism", ([row] for row in facts))
+    laws = {law for scope in ("iso", "pair", "morphism") for law, _, _ in LAWS[scope]}
+    assert len(laws) == 25
+    assert {law for law in laws if hits[law] == 0} == set()
+
+
+def test_every_transfer_law_has_premises_that_hold(fintop2):
+    cat = fintop2.category
+    hits = Counter()
+    for t in (closure_order(fintop2), interior_order(fintop2)):
+        flags = [class_flags(classify(f, t)) for f in range(cat.n_morphisms)]
+        for p in sorted(fintop2.eclass | fintop2.mclass):
+            for f in cat.morphisms_to[cat.mor_cod[p]]:
+                try:
+                    sq = pullback(fintop2, f, p)
+                except CapabilityError:
+                    continue
+                square = (sq.f_prime, sq.p, sq.p_prime, sq.f)
+                hits += _premise_hits("square", [[flags[m] for m in square]])
+    assert len(LAWS["square"]) == 8
+    assert {law for law, _, _ in LAWS["square"] if hits[law] == 0} == set()
 
 
 def test_pullback_transfer_on_identity_square(fintop2):

@@ -205,14 +205,49 @@ def test_conversions_are_order_compatible(disc2_loop):
     orders = _all_orders(disc2_loop)
     for t1 in orders:
         for t2 in orders:
-            if not t1.pointwise_leq(t2):
+            if t1.first_excess(t2) is not None:
                 continue
-            assert nbhd_from_topogenous(t1).pointwise_leq(nbhd_from_topogenous(t2))
+            assert nbhd_from_topogenous(t1).first_excess(nbhd_from_topogenous(t2)) is None
             p1, p2 = predicates(t1), predicates(t2)
             if p1.meet_preserving and p2.meet_preserving:
-                assert closure_from_topogenous(t2).pointwise_leq(closure_from_topogenous(t1))
+                c1, c2 = closure_from_topogenous(t1), closure_from_topogenous(t2)
+                assert c2.first_excess(c1) is None
             if p1.join_preserving and p2.join_preserving:
-                assert interior_from_topogenous(t1).pointwise_leq(interior_from_topogenous(t2))
+                i1, i2 = interior_from_topogenous(t1), interior_from_topogenous(t2)
+                assert i1.first_excess(i2) is None
+
+
+def _first_excess_by_entries(s1, s2):
+    """The first entry, in object, m, n order, where s1 <= s2 fails."""
+    for x, lat in enumerate(s1.fib.sub):
+        where = s1.fib.category.object_names[x]
+        for m in range(lat.size):
+            a, b = s1.table[x][m], s2.table[x][m]
+            if s1.kind in ("closure", "interior"):
+                if not lat.leq(a, b):
+                    return where, lat.labels[m]
+                continue
+            for n in range(lat.size):
+                if a >> n & 1 and not b >> n & 1:
+                    return where, lat.labels[m], lat.labels[n]
+    return None
+
+
+def test_first_excess_names_the_first_entry_out_of_order(disc2_loop):
+    orders = _all_orders(disc2_loop)
+    closures = [
+        closure_from_topogenous(t) for t in orders if predicates(t).meet_preserving]
+    interiors = [
+        interior_from_topogenous(t) for t in orders if predicates(t).join_preserving]
+    found = set()
+    for family in (orders, list(map(nbhd_from_topogenous, orders)), closures, interiors):
+        for s1 in family:
+            for s2 in family:
+                excess = s1.first_excess(s2)
+                assert excess == _first_excess_by_entries(s1, s2)
+                found.add((s1.kind, excess is None))
+    kinds = ("topogenous", "neighbourhood", "closure", "interior")
+    assert found == {(kind, b) for kind in kinds for b in (True, False)}
 
 
 def induced_relation_of_closure(t: TopogenousOrder) -> tuple[tuple[int, ...], ...]:
