@@ -57,6 +57,8 @@ class _Environment:
         for path in paths:
             with open(path, "r", encoding="utf-8") as handle:
                 self.documents.append(fileformat.parse_document(handle.read()))
+        # each fibration named in this command, built once
+        self._fibrations = {}
 
     def _find(self, kind, name):
         for doc in self.documents:
@@ -66,6 +68,11 @@ class _Environment:
         return None
 
     def fibration(self, name: str):
+        if name not in self._fibrations:
+            self._fibrations[name] = self._build_fibration(name)
+        return self._fibrations[name]
+
+    def _build_fibration(self, name: str):
         if name.startswith("spaces:"):
             spaces = []
             labels = []

@@ -100,25 +100,26 @@ class Document:
 
 
 def _split_top(value: str, sep: str, line: int, col: int) -> list[str]:
-    """Split on a separator at bracket depth zero."""
+    """Split on a separator character, not a bracket, at bracket depth zero.
+
+    Any bracket kind closes any other; a prefix that closes more than it
+    opens, or an unclosed bracket at the end, is a ``FormatError``.  Parts
+    are sliced out of ``value`` between the separators found."""
     parts = []
-    depth = 0
-    current = []
-    for ch in value:
+    depth = start = 0
+    for i, ch in enumerate(value):
         if ch in "{[(":
             depth += 1
         elif ch in "}])":
             depth -= 1
             if depth < 0:
                 raise FormatError("unbalanced brackets", line, col)
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
+        elif ch == sep and depth == 0:
+            parts.append(value[start:i])
+            start = i + 1
     if depth != 0:
         raise FormatError("unbalanced brackets", line, col)
-    parts.append("".join(current))
+    parts.append(value[start:])
     return parts
 
 

@@ -323,9 +323,10 @@ def continuous_maps(
 
 def _complement_formula(img: tuple[int, ...], pre: tuple[int, ...]) -> tuple[int, ...]:
     """The right adjoint of preimage between powersets, from the image
-    table: A goes to Y minus f(X minus A)."""
-    full_x, full_y = len(img) - 1, len(pre) - 1
-    return tuple(full_y ^ img[full_x ^ a] for a in range(full_x + 1))
+    table: A goes to Y minus f(X minus A).  X minus A is the mask
+    ``len(img) - 1 - A``, so ``img`` read backwards lists f(X minus A)."""
+    full_y = len(pre) - 1
+    return tuple(map(full_y.__xor__, reversed(img)))
 
 
 def fintop_fibration(

@@ -261,7 +261,9 @@ def validate_fibration(fib: SubobjectFibration, functoriality: bool = True) -> R
     the two tables, and membership in M and, when E is pullback-stable, in
     E.  They run once per distinct such key; each fault is reported under
     every morphism with that key, in morphism order, and ``checked`` counts
-    every morphism's checks.
+    every morphism's checks.  Monotonicity is tested on the covering pairs
+    of each lattice (``_order_of``, once per lattice), which on a finite
+    order implies it on every comparable pair.
 
     Functoriality (img(g∘f) = img g ∘ img f and pre(g∘f) = pre f ∘ pre g
     for every composable pair) is first certified per morphism: when every
@@ -279,6 +281,7 @@ def validate_fibration(fib: SubobjectFibration, functoriality: bool = True) -> R
     violations = []
     checked = 0
     lattices, _ = intern(map(id, fib.sub))
+    orders = {x: _order_of(lat) for x, lat in dict(zip(lattices, fib.sub)).items()}
     laws: dict = {}
     unusable = set()
     for f in range(cat.n_morphisms):
@@ -288,7 +291,9 @@ def validate_fibration(fib: SubobjectFibration, functoriality: bool = True) -> R
             f in fib.mclass, f in fib.eclass and fib.e_pullback_stable,
         )
         if key not in laws:
-            laws[key] = _morphism_laws(fib.sub[x], fib.sub[y], *key[2:])
+            laws[key] = _morphism_laws(
+                fib.sub[x], fib.sub[y], orders[key[0]], orders[key[1]], *key[2:]
+            )
         count, faults = laws[key]
         checked += count
         name = cat.mor_names[f]
@@ -309,15 +314,29 @@ def validate_fibration(fib: SubobjectFibration, functoriality: bool = True) -> R
     return Report(f"fibration {fib.name}", checked, tuple(violations))
 
 
+def _order_of(lat: FiniteLattice) -> tuple[tuple[tuple[int, int], ...], int]:
+    """(covering pairs (i, j), i below j with nothing strictly between, and
+    the number of comparable pairs (i, j), i <= j, equal ones included)."""
+    covers = []
+    for i, above in enumerate(lat.up):
+        strictly = above & ~(1 << i)
+        for j in mask_iter(strictly):
+            if not strictly & lat.down[j] & ~(1 << j):
+                covers.append((i, j))
+    return tuple(covers), sum(map(int.bit_count, lat.up))
+
+
 def _morphism_laws(
-    lx: FiniteLattice, ly: FiniteLattice, img: tuple[int, ...], pre: tuple[int, ...],
-    in_m: bool, in_e: bool,
+    lx: FiniteLattice, ly: FiniteLattice, order_x: tuple, order_y: tuple,
+    img: tuple[int, ...], pre: tuple[int, ...], in_m: bool, in_e: bool,
 ) -> tuple[int, list[tuple[str, tuple[str, ...]]]]:
     """(checks made, faults as (law, witness)) of one morphism's tables:
     table size and range, image/preimage monotonicity, the adjunction, the
     M-section when ``in_m`` and the E-retraction when ``in_e``.  A size or
     range fault is the only one reported, since the laws would index out of
-    the tables or lattices."""
+    the tables or lattices.  ``order_x`` and ``order_y`` are the lattices'
+    ``_order_of``: a map is monotone iff it is on the covering pairs, and
+    one that is not is scanned over every comparable pair for its faults."""
     if len(img) != lx.size or len(pre) != ly.size:
         return 0, [("table-size", ())]
     for what, table, source, target in (("img", img, lx, ly), ("pre", pre, ly, lx)):
@@ -325,17 +344,20 @@ def _morphism_laws(
             if not 0 <= v < target.size:
                 return 0, [("table-range", (f"{what}[{source.labels[i]}]={v}",))]
     faults = []
-    checked = 0
-    for i in range(lx.size):
-        for j in mask_iter(lx.up[i]):
-            checked += 1
-            if not ly.leq(img[i], img[j]):
-                faults.append(("image-monotone", (lx.labels[i], lx.labels[j])))
-    for i in range(ly.size):
-        for j in mask_iter(ly.up[i]):
-            checked += 1
-            if not lx.leq(pre[i], pre[j]):
-                faults.append(("preimage-monotone", (ly.labels[i], ly.labels[j])))
+    checked = order_x[1] + order_y[1]
+    up_x, up_y = lx.up, ly.up
+    if not (
+        all(up_y[img[i]] >> img[j] & 1 for i, j in order_x[0])
+        and all(up_x[pre[i]] >> pre[j] & 1 for i, j in order_y[0])
+    ):
+        for i in range(lx.size):
+            for j in mask_iter(up_x[i]):
+                if not ly.leq(img[i], img[j]):
+                    faults.append(("image-monotone", (lx.labels[i], lx.labels[j])))
+        for i in range(ly.size):
+            for j in mask_iter(up_y[i]):
+                if not lx.leq(pre[i], pre[j]):
+                    faults.append(("preimage-monotone", (ly.labels[i], ly.labels[j])))
     # between monotone maps, img ⊣ pre iff the unit m <= pre img m and the
     # counit img pre n <= n hold; the (m, n) scan finds the first mismatch
     if (
@@ -369,55 +391,85 @@ def _morphism_laws(
 
 def set_level_tables(
     cat: FiniteCategory, subsets: Sequence[tuple[int, ...]]
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Per morphism, the set-level image and preimage tables along its graph.
 
     ``subsets[x]`` lists the carrier bitmask of each subobject of x; entry i
     of f's image table is the index of the image of subset i of dom f among
     the subsets of cod f, or -1 where that set is not one of them, and
     likewise for preimages.  The tables depend only on (subsets of dom f,
-    subsets of cod f, graph), so each such key is computed once and its
-    tables are shared.
+    subsets of cod f, graph), so they are computed once per such key
+    (``_key_facts``) and shared by the morphisms with that key.
     """
-    index = [{mask: i for i, mask in enumerate(masks)} for masks in subsets]
-    sets, _ = intern(subsets)
-    tables: dict = {}
-    img, pre = [], []
-    for f, graph in enumerate(cat.graphs):
-        x, y = cat.mor_dom[f], cat.mor_cod[f]
-        key = (sets[x], sets[y], graph)
-        if key not in tables:
-            fibres = [0] * len(cat.graphs[cat.identities[y]])
-            for e, ge in enumerate(graph):
-                fibres[ge] |= 1 << e
-            tables[key] = (
-                _unions(subsets[x], [1 << ge for ge in graph], index[y]),
-                _unions(subsets[y], fibres, index[x]),
-            )
-        img.append(tables[key][0])
-        pre.append(tables[key][1])
-    return img, pre
+    key_ids, (img, pre, _, _) = _key_facts(cat, subsets)
+    pick = _picker(key_ids)
+    return pick(img), pick(pre)
 
 
-def _unions(masks: Sequence[int], parts: Sequence[int], index: dict) -> tuple[int, ...]:
+def _key_facts(cat: FiniteCategory, subsets: Sequence[tuple[int, ...]], fstar_formula=None):
+    """(key id per morphism, and per key its image table, preimage table,
+    ``fstar_formula`` adjoint or None, and surjectivity), for the keys
+    (subsets and carrier size of dom f and of cod f, graph) in order of
+    first occurrence."""
+    sizes = [len(cat.graphs[i]) for i in cat.identities]
+    set_ids, set_index = intern(zip(subsets, sizes))
+    # per distinct subset list: its masks and the index of each mask, both
+    # None when it is every subset of the carrier in counting order
+    masks, index, carrier = [], [], []
+    for listed, n in set_index:
+        powerset = len(listed) == 1 << n and listed == tuple(range(1 << n))
+        masks.append(None if powerset else listed)
+        index.append(None if powerset else {mask: i for i, mask in enumerate(listed)})
+        carrier.append(n)
+    key_ids, key_index = intern(zip(
+        map(set_ids.__getitem__, cat.mor_dom), map(set_ids.__getitem__, cat.mor_cod), cat.graphs,
+    ))
+    img, pre, fstar, onto = [], [], [], []
+    for sx, sy, graph in key_index:
+        fibres = [0] * carrier[sy]
+        for e, ge in enumerate(graph):
+            fibres[ge] |= 1 << e
+        image = _unions(masks[sx], [1 << ge for ge in graph], index[sy])
+        preimage = _unions(masks[sy], fibres, index[sx])
+        img.append(image)
+        pre.append(preimage)
+        fstar.append(None if fstar_formula is None else fstar_formula(image, preimage))
+        onto.append(all(fibres))
+    return key_ids, (img, pre, fstar, onto)
+
+
+def _unions(
+    masks: Optional[Sequence[int]], parts: Sequence[int], index: Optional[dict]
+) -> tuple[int, ...]:
     """Per mask, the index in ``index`` of the union of ``parts[p]`` over
-    its points p, or -1.  The union for a non-empty mask is the one for the
-    mask without its lowest point, plus that point's part, when the smaller
-    mask came earlier in ``masks`` (always among all subsets in counting
-    order); otherwise it is gathered point by point."""
-    unions = {0: 0}
-    out = []
-    for mask in masks:
-        rest = mask & (mask - 1)
-        if mask and rest in unions:
-            union = unions[rest] | parts[(mask ^ rest).bit_length() - 1]
-        else:
-            union = 0
-            for p in mask_iter(mask):
-                union |= parts[p]
-        unions[mask] = union
-        out.append(index.get(union, -1))
-    return tuple(out)
+    its points p, or -1; None for ``masks`` or ``index`` stands for every
+    subset in counting order.  All subsets are built by doubling over the
+    points (those with point p are those before it, each plus p), and such
+    a union is its own index.  Listed masks take the union for the mask
+    without its lowest point plus that point's part when the smaller mask
+    came earlier, else gather point by point (subgroup lattices)."""
+    if masks is None:
+        unions = [0]
+        for part in parts:
+            unions += [union | part for union in unions]
+    else:
+        earlier = {0: 0}
+        unions = []
+        for mask in masks:
+            rest = mask & (mask - 1)
+            if mask and rest in earlier:
+                union = earlier[rest] | parts[(mask ^ rest).bit_length() - 1]
+            else:
+                union, left = 0, mask
+                while left:
+                    low = left & -left
+                    union |= parts[low.bit_length() - 1]
+                    left ^= low
+            earlier[mask] = union
+            unions.append(union)
+    if index is None:
+        return tuple(unions)
+    return tuple([index.get(union, -1) for union in unions])
 
 
 def subset_fibration(
@@ -435,27 +487,17 @@ def subset_fibration(
     (``set_level_tables``), and E is the class of surjective graphs, which
     is pullback-stable.  M is the caller's.  ``fstar_formula``, when given,
     maps a morphism's image and preimage tables to the right adjoint of its
-    preimage; it runs once per pair of table objects, which
-    ``set_level_tables`` shares among the morphisms with one key.  Without
-    it the right adjoints are computed generically.
+    preimage; without it the right adjoints are computed generically.  The
+    tables, the formula's adjoint and surjectivity are computed once per
+    (subsets of dom, subsets of cod, graph) key and shared by its morphisms.
     """
-    img, pre = set_level_tables(category, subsets)
-    fstar = None
-    if fstar_formula is not None:
-        adjoints: dict = {}
-        fstar = []
-        for tables in zip(img, pre):
-            key = tuple(map(id, tables))
-            if key not in adjoints:
-                adjoints[key] = fstar_formula(*tables)
-            fstar.append(adjoints[key])
-    graphs, ids, cod = category.graphs, category.identities, category.mor_cod
-    eclass = frozenset(
-        f for f, graph in enumerate(graphs) if len(set(graph)) == len(graphs[ids[cod[f]]])
-    )
+    key_ids, (img, pre, fstar, onto) = _key_facts(category, subsets, fstar_formula)
+    pick = _picker(key_ids)
     return SubobjectFibration(
-        category, sub, img, pre, eclass, mclass,
-        fstar=fstar, backend=backend, name=name, subsets=subsets,
+        category, sub, pick(img), pick(pre),
+        frozenset(f for f, k in enumerate(key_ids) if onto[k]), mclass,
+        fstar=pick(fstar) if fstar_formula is not None else None,
+        backend=backend, name=name, subsets=subsets,
     )
 
 

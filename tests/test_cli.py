@@ -575,3 +575,39 @@ def test_commands_in_one_process_answer_as_each_alone(capsys, monkeypatch):
     assert together == alone
     assert [code for code, _ in together] == [0, 2, 0, 0]
     assert len(built) == 1
+
+
+def test_validate_builds_each_named_fibration_once(capsys, tmp_path, monkeypatch):
+    doc = tmp_path / "orders.topo"
+    lines = [
+        "space a: points=2; opens={},{0},{0,1}",
+        "space b: points=1; opens={},{0}",
+        "space c: points=3; opens={},{2},{1,2},{0,1,2}",
+    ]
+    for i in range(20):
+        kind = ("closure", "interior")[i % 2]
+        lines.append(f"order o{i}: fibration=spaces:a,b,c; kind={kind}")
+    lines.append("order p: fibration=spaces:a,b; kind=closure")
+    doc.write_text("\n".join(lines) + "\n")
+    built = []
+
+    def counting(spaces, name="fintop", **kwargs):
+        built.append(name)
+        return fintop_fibration(spaces, name=name, **kwargs)
+
+    from topogen.instances.topology import fintop_fibration
+
+    monkeypatch.setattr(cli, "fintop_fibration", counting)
+    memoised = run(capsys, "validate", str(doc))
+    assert sorted(built) == ["spaces:a,b", "spaces:a,b,c"]
+    # the next command builds its own
+    built.clear()
+    assert run(capsys, "validate", str(doc)) == memoised
+    assert sorted(built) == ["spaces:a,b", "spaces:a,b,c"]
+    # one build per record, as each lookup built afresh before
+    built.clear()
+    monkeypatch.setattr(cli._Environment, "fibration", cli._Environment._build_fibration)
+    assert run(capsys, "validate", str(doc)) == memoised
+    assert len(built) == 21
+    code, out, _ = memoised
+    assert code == 0 and out.count("ok ") == 24

@@ -3,6 +3,7 @@ import time
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topogen.errors import (
     DomainError,
@@ -486,6 +487,66 @@ def test_parse_error_positions():
     with pytest.raises(FormatError) as err:
         fileformat.parse_document("space ok: points=1; opens={},{0}\nnonsense x: a=b\n")
     assert err.value.line == 2
+
+
+def _reference_split_top(value, sep, line, col):
+    """Split on ``sep`` at bracket depth zero, one character at a time."""
+    parts = []
+    depth = 0
+    current = []
+    for ch in value:
+        if ch in "{[(":
+            depth += 1
+        elif ch in "}])":
+            depth -= 1
+            if depth < 0:
+                raise FormatError("unbalanced brackets", line, col)
+        if ch == sep and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    if depth != 0:
+        raise FormatError("unbalanced brackets", line, col)
+    parts.append("".join(current))
+    return parts
+
+
+def _split_outcome(split, value, sep):
+    try:
+        return split(value, sep, 3, 5)
+    except FormatError as err:
+        return ("FormatError", str(err), err.line, err.column)
+
+
+_SPLIT_ALPHABET = "{}[]()|,;=> 0a"
+# balanced values with every bracket kind, nested, and mixed kinds closing
+_BALANCED = st.recursive(
+    st.text(alphabet="|,;=> 0a", max_size=4),
+    lambda inner: st.builds(
+        lambda o, parts, c: o + "".join(parts) + c,
+        st.sampled_from("{[("), st.lists(inner, max_size=3), st.sampled_from("}])"),
+    ) | st.lists(inner, min_size=2, max_size=4).map("".join),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400)
+@given(
+    st.one_of(st.text(alphabet=_SPLIT_ALPHABET, max_size=24), _BALANCED),
+    st.sampled_from(",|;"),
+)
+def test_split_top_matches_the_per_character_scanner(value, sep):
+    assert _split_outcome(fileformat._split_top, value, sep) == _split_outcome(
+        _reference_split_top, value, sep
+    )
+
+
+def test_split_top_errors_and_mixed_brackets():
+    assert fileformat._split_top("{0,1),(a|b],c", ",", 1, 0) == ["{0,1)", "(a|b]", "c"]
+    for bad in ("}{", "{0},1}", "(a", "a,]("):
+        with pytest.raises(FormatError):
+            fileformat._split_top(bad, ",", 1, 0)
 
 
 def test_parse_rejects_duplicates_and_unknown_fields():

@@ -179,7 +179,10 @@ def _assert_morphism_laws_match_reference(fib):
 
 @pytest.mark.parametrize(
     "name",
-    ["fintop2", "grp_small", "disc2_loop", "t0_small", "coreflect_small", "fintop3", "topgrp_le4"],
+    [
+        "fintop2", "grp_small", "disc2_loop", "t0_small", "coreflect_small", "fintop3",
+        "topgrp_le4", "grp_le8",
+    ],
 )
 def test_per_key_laws_match_the_per_morphism_oracle(name):
     from topogen.instances.registry import builtin_fibration
@@ -839,6 +842,150 @@ def test_closure_by_image_restriction_matches_the_pair_oracle(name):
 
     fib = builtin_fibration(name)
     assert site._functoriality_certified(fib) == _reference_certified(fib) is True
+
+
+# -- the per-morphism subset fibration, kept as the reference ------------------
+
+
+def _reference_unions(masks, parts, index):
+    """Per mask, the index in ``index`` of the union of ``parts[p]`` over its
+    points p, or -1: from the mask without its lowest point when that came
+    earlier in ``masks``, else gathered point by point."""
+    unions = {0: 0}
+    out = []
+    for mask in masks:
+        rest = mask & (mask - 1)
+        if mask and rest in unions:
+            union = unions[rest] | parts[(mask ^ rest).bit_length() - 1]
+        else:
+            union = 0
+            for p in mask_iter(mask):
+                union |= parts[p]
+        unions[mask] = union
+        out.append(index.get(union, -1))
+    return tuple(out)
+
+
+def _reference_set_level_tables(cat, subsets):
+    """Per morphism, the image and preimage tables, one dict lookup per mask,
+    memoised per (subsets of dom, subsets of cod, graph)."""
+    index = [{mask: i for i, mask in enumerate(masks)} for masks in subsets]
+    sets, _ = site.intern(subsets)
+    tables = {}
+    img, pre = [], []
+    for f, graph in enumerate(cat.graphs):
+        x, y = cat.mor_dom[f], cat.mor_cod[f]
+        key = (sets[x], sets[y], graph)
+        if key not in tables:
+            fibres = [0] * len(cat.graphs[cat.identities[y]])
+            for e, ge in enumerate(graph):
+                fibres[ge] |= 1 << e
+            tables[key] = (
+                _reference_unions(subsets[x], [1 << ge for ge in graph], index[y]),
+                _reference_unions(subsets[y], fibres, index[x]),
+            )
+        img.append(tables[key][0])
+        pre.append(tables[key][1])
+    return img, pre
+
+
+def _reference_complement_formula(img, pre):
+    """A goes to Y minus f(X minus A), reading ``img`` at X minus A."""
+    full_x, full_y = len(img) - 1, len(pre) - 1
+    return tuple(full_y ^ img[full_x ^ a] for a in range(full_x + 1))
+
+
+def _reference_subset_fibration(fib, fstar_formula):
+    """``site.subset_fibration`` on ``fib``'s category, lattices, subsets and
+    M, morphism by morphism: the formula runs once per pair of table
+    objects, keyed by their ids, and E is read off each graph."""
+    cat = fib.category
+    img, pre = _reference_set_level_tables(cat, fib.subsets)
+    fstar = None
+    if fstar_formula is not None:
+        adjoints = {}
+        fstar = []
+        for tables in zip(img, pre):
+            key = tuple(map(id, tables))
+            if key not in adjoints:
+                adjoints[key] = fstar_formula(*tables)
+            fstar.append(adjoints[key])
+    graphs, ids, cod = cat.graphs, cat.identities, cat.mor_cod
+    eclass = frozenset(
+        f for f, graph in enumerate(graphs) if len(set(graph)) == len(graphs[ids[cod[f]]])
+    )
+    return SubobjectFibration(
+        cat, fib.sub, img, pre, eclass, fib.mclass, fstar=fstar, subsets=fib.subsets,
+    )
+
+
+def _assert_subset_fibration_matches_reference(fib):
+    from topogen.instances.topology import _FinTopBackend
+
+    formula = _reference_complement_formula if isinstance(fib.backend, _FinTopBackend) else None
+    ref = _reference_subset_fibration(fib, formula)
+    assert fib.img == ref.img and fib.pre == ref.pre
+    assert fib.fstar == ref.fstar
+    assert (fib.eclass, fib.mclass) == (ref.eclass, ref.mclass)
+    assert site.set_level_tables(fib.category, fib.subsets) == (ref.img, ref.pre)
+
+
+@pytest.mark.parametrize("name", FIBRATION_NAMES)
+def test_subset_fibration_matches_the_per_morphism_reference(name):
+    from topogen.instances.registry import builtin_fibration
+
+    _assert_subset_fibration_matches_reference(builtin_fibration(name))
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_seeded_spaces_fibrations_match_the_per_morphism_reference(tmp_path, seed):
+    import random
+
+    from topogen.cli import _Environment
+    from topogen.instances.topology import enumerate_topologies
+
+    spaces = random.Random(seed).sample(enumerate_topologies(4), 3)
+    doc = tmp_path / "spaces.topo"
+    doc.write_text("".join(
+        f"space s{i}: points=4; opens="
+        + ",".join("{" + ",".join(map(str, mask_iter(o))) + "}" for o in s.opens) + "\n"
+        for i, s in enumerate(spaces)
+    ))
+    fib = _Environment([doc]).fibration("spaces:s0,s1,s2")
+    assert [s.opens for s in spaces_of(fib)] == [s.opens for s in spaces]
+    _assert_subset_fibration_matches_reference(fib)
+
+
+def test_fibrations_with_the_empty_space_match_the_per_morphism_reference():
+    from topogen.instances.topology import SIERPINSKI, FinTopSpace, discrete, fintop_fibration
+
+    empty = FinTopSpace(0, (0,))
+    for spaces in ([empty], [empty, discrete(2), SIERPINSKI], [SIERPINSKI, empty], []):
+        fib = fintop_fibration(spaces, name="with_empty")
+        _assert_subset_fibration_matches_reference(fib)
+    assert fib.category.n_morphisms == 0
+
+
+def test_subsets_out_of_counting_order_match_the_per_morphism_reference(fintop2):
+    # object 0 keeps counting order, the others list their subsets reversed
+    # or rotated, so tables run between dense and listed subsets both ways
+    cat = fintop2.category
+    subsets, sub = [], []
+    for x, lat in enumerate(fintop2.sub):
+        masks = tuple(range(lat.size))
+        if x % 3 == 1:
+            masks = masks[::-1]
+        elif x % 3 == 2:
+            masks = masks[1:] + masks[:1]
+        subsets.append(masks)
+        sub.append(FiniteLattice.from_order(
+            [lat.labels[m] for m in masks],
+            [sum(1 << j for j, t in enumerate(masks) if s & ~t == 0) for s in masks],
+        ))
+    fib = site.subset_fibration(cat, sub, subsets, fintop2.mclass, name="permuted")
+    assert any(masks != tuple(range(len(masks))) for masks in subsets)
+    _assert_subset_fibration_matches_reference(fib)
+    assert validate_fibration(fib).ok
 
 
 def _missing_composites(cat):
