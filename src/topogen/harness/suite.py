@@ -28,7 +28,7 @@ from ..constructions import (
     validate_fibered_functor,
     validate_pointed,
 )
-from ..errors import CapabilityError, PreconditionError, ResourceCapError, TopogenError
+from ..errors import CapabilityError, DomainError, PreconditionError, ResourceCapError, TopogenError
 from ..lattice import right_adjoint_of
 from ..morphisms import (
     check_class_calculus,
@@ -117,7 +117,7 @@ def check_instance_validity(scale: str) -> Report:
     for f in range(cat.n_morphisms):
         try:
             adjoint = right_adjoint_of(fib.pre_map(f))
-        except PreconditionError:  # a non-monotone preimage table, reported above
+        except (DomainError, PreconditionError):  # a malformed table, reported above
             adjoint = None
         if adjoint is None or adjoint.table != fib.fstar[f]:
             mismatched.append(Violation("fstar-differs-from-right-adjoint", where=cat.mor_names[f]))

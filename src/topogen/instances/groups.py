@@ -294,14 +294,14 @@ class _FinGrpBackend:
         cat = fib.category
         graph = cat.graphs[f]
         x, y = cat.mor_dom[f], cat.mor_cod[f]
-        gx, gy = self.groups[x], self.groups[y]
+        gy = self.groups[y]
         image = sorted(set(graph))
         # find a catalog object isomorphic to the image subgroup
         for mid, gm in enumerate(self.groups):
             if gm.order != len(image):
                 continue
-            for iso_images in itertools.product(image, repeat=len(generating_set(gm)) or 1):
-                gens = generating_set(gm)
+            gens = generating_set(gm)
+            for iso_images in itertools.product(image, repeat=len(gens) or 1):
                 table = _extend_hom(gm, gy, gens, iso_images[:len(gens)])
                 if table is None or sorted(set(table)) != image:
                     continue

@@ -10,7 +10,7 @@ these masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, PreconditionError
 from .reporting import Report, Violation
@@ -219,9 +219,10 @@ class MonotoneMap:
             raise DomainError("monotone map table size does not match source lattice")
         for v in self.table:
             self.target.require(v)
-        for i in range(self.source.size):
-            for j in mask_iter(self.source.up[i]):
-                if not self.target.leq(self.table[i], self.table[j]):
+        up, table = self.target.up, self.table
+        for i, above in enumerate(self.source.up):
+            for j in mask_iter(above):
+                if not up[table[i]] >> table[j] & 1:
                     raise PreconditionError(
                         "map is not monotone",
                         witness=(self.source.labels[i], self.source.labels[j]),
@@ -265,24 +266,26 @@ def check_adjunction(pair: AdjointPair):
     return True, None
 
 
-def right_adjoint_of(upper: MonotoneMap) -> Optional[MonotoneMap]:
-    """Right adjoint of ``upper`` (L_Y -> L_X), or None.
-
-    Constructs the join-formula candidate n |-> join{p : upper(p) <= n} and
-    returns it only if the adjunction upper(m) <= n iff m <= candidate(n)
-    verifies on all pairs; partial adjoints are never returned.
-    """
-    ly, lx = upper.source, upper.target
-    table = []
-    for n in range(lx.size):
-        below = [p for p in range(ly.size) if lx.leq(upper.table[p], n)]
-        table.append(ly.join_all(below))
+def right_adjoint_table(
+    source: FiniteLattice, target: FiniteLattice, table: Sequence[int]
+) -> Optional[tuple[int, ...]]:
+    """The right adjoint of the map ``table`` (source -> target, entries in
+    range), or None.  It exists iff each {p : table[p] <= x} is a principal
+    down-set ↓c of the source, and then sends x to c; the adjunction holds
+    by construction and makes both maps monotone."""
+    below = [0] * target.size
+    for p, v in enumerate(table):
+        for x in mask_iter(target.up[v]):
+            below[x] |= 1 << p
+    principal = {mask: c for c, mask in enumerate(source.down)}
     try:
-        cand = MonotoneMap(lx, ly, tuple(table))
-    except PreconditionError:
+        return tuple([principal[mask] for mask in below])
+    except KeyError:  # not principal
         return None
-    for m in range(ly.size):
-        for n in range(lx.size):
-            if lx.leq(upper.table[m], n) != ly.leq(m, cand.table[n]):
-                return None
-    return cand
+
+
+def right_adjoint_of(upper: MonotoneMap) -> Optional[MonotoneMap]:
+    """Right adjoint of ``upper`` (L_Y -> L_X), or None; partial adjoints
+    are never returned (``right_adjoint_table``)."""
+    table = right_adjoint_table(upper.source, upper.target, upper.table)
+    return None if table is None else MonotoneMap(upper.target, upper.source, table)

@@ -13,7 +13,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapabilityError, DomainError, InternalConsistencyError, ResourceCapError
-from .lattice import FiniteLattice, MonotoneMap, mask_iter, right_adjoint_of
+from .lattice import FiniteLattice, MonotoneMap, mask_iter, right_adjoint_table
 from .reporting import Report, Violation
 
 
@@ -215,14 +215,10 @@ class SubobjectFibration:
         self.backend = backend
         self.name = name
         self.subsets = tuple(subsets) if subsets is not None else None
-        if fstar is None:
-            fstar = [self._compute_fstar(f) for f in range(category.n_morphisms)]
+        if fstar is None:  # pre_map raises on a malformed table
+            uppers = map(self.pre_map, range(category.n_morphisms))
+            fstar = [right_adjoint_table(u.source, u.target, u.table) for u in uppers]
         self.fstar = tuple(fstar)
-
-    def _compute_fstar(self, f: int) -> Optional[tuple[int, ...]]:
-        upper = self.pre_map(f)
-        adj = right_adjoint_of(upper)
-        return adj.table if adj is not None else None
 
     # -- object/morphism helpers -------------------------------------------
     def dom(self, f: int) -> int:

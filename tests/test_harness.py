@@ -695,6 +695,35 @@ def test_suite_reports_a_moved_preimage_entry_with_the_morphism(
     assert "status=fail" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name, moved, first", [
+    ("discrete2>pt:00", (0b00, 7), "table-range; at discrete2>pt:00; witness pre[{0}]=7"),
+    ("discrete2>discrete2:10", (0b00, 0b01, 0b10), "table-size; at discrete2>discrete2:10"),
+])
+def test_suite_reports_a_malformed_preimage_table_with_the_morphism(
+    monkeypatch, capsys, fintop2, name, moved, first
+):
+    from topogen.cli import main
+    from topogen.harness import suite
+
+    f = fintop2.category.morphism_index(name)
+    pre = list(fintop2.pre)
+    pre[f] = moved
+    broken = SubobjectFibration(
+        category=fintop2.category, sub=fintop2.sub, img=fintop2.img, pre=pre,
+        eclass=fintop2.eclass, mclass=fintop2.mclass, fstar=fintop2.fstar,
+        backend=fintop2.backend, name="fintop2",
+    )
+    builtin = suite._fib
+    monkeypatch.setattr(suite, "_fib", lambda n: broken if n == "fintop2" else builtin(n))
+    report = run_suite("small", ["instance-validity"])
+    (entry,) = report.entries
+    # the check's own report survives: the fault, and no adjoint to compare
+    assert entry.instances > 0
+    assert entry.failures == (first, f"fstar-differs-from-right-adjoint; at {name}")
+    assert main(["suite", "--targets", "instance-validity"]) == 1
+    assert "status=fail" in capsys.readouterr().out
+
+
 def test_suite_unknown_target():
     report = run_suite("small", targets=["no-such-check"])
     assert report.entries[0].skipped == ("unknown proposition id",)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from topogen.errors import DomainError, PreconditionError
+from topogen.instances.registry import FIBRATION_NAMES, builtin_fibration
 from topogen.lattice import (
     AdjointPair,
     FiniteLattice,
@@ -248,8 +249,6 @@ def test_right_adjoint_matches_complement_formula():
 
 
 def test_subgroup_inclusion_preimage_has_no_right_adjoint():
-    from topogen.instances.registry import builtin_fibration
-
     fib = builtin_fibration("grp_small")
     cat = fib.category
     z2 = cat.object_index("z2")
@@ -262,6 +261,59 @@ def test_subgroup_inclusion_preimage_has_no_right_adjoint():
     for f in embeddings:
         assert right_adjoint_of(fib.pre_map(f)) is None
         assert fib.fstar[f] is None
+
+
+def _reference_right_adjoint(upper: MonotoneMap):
+    """The join-formula candidate n |-> join{p : upper(p) <= n}, returned
+    only if it is monotone and the adjunction verifies on all pairs."""
+    ly, lx = upper.source, upper.target
+    table = []
+    for n in range(lx.size):
+        below = [p for p in range(ly.size) if lx.leq(upper.table[p], n)]
+        table.append(ly.join_all(below))
+    try:
+        cand = MonotoneMap(lx, ly, tuple(table))
+    except PreconditionError:
+        return None
+    for m in range(ly.size):
+        for n in range(lx.size):
+            if lx.leq(upper.table[m], n) != ly.leq(m, cand.table[n]):
+                return None
+    return cand
+
+
+def _diamond_m3():
+    # bottom 0, atoms 1..3, top 4
+    return FiniteLattice.from_order("01234", [0b11111, 0b10010, 0b10100, 0b11000, 0b10000])
+
+
+def _pentagon_n5():
+    # bottom 0 < a 1 < b 2 < top 4, and 0 < c 3 < top 4
+    return FiniteLattice.from_order("0abct", [0b11111, 0b10110, 0b10100, 0b11000, 0b10000])
+
+
+def test_right_adjoint_of_matches_the_join_formula_oracle():
+    m3, n5 = _diamond_m3(), _pentagon_n5()
+    lattices = [chain(1), chain(2), chain(3), FiniteLattice.powerset(2), m3, n5]
+    for src, tgt in itertools.product(lattices, repeat=2):
+        outcomes = set()
+        for m in _all_monotone_maps(src, tgt):
+            got, want = right_adjoint_of(m), _reference_right_adjoint(m)
+            assert (got and got.table) == (want and want.table), (src.labels, tgt.labels, m.table)
+            outcomes.add(got is None)
+        if (src in (m3, n5) or tgt in (m3, n5)) and min(src.size, tgt.size) > 1:
+            # non-distributive: some monotone maps have an adjoint, some not
+            assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", FIBRATION_NAMES)
+def test_fstar_matches_the_join_formula_oracle_on_builtin_fibrations(name):
+    fib = builtin_fibration(name)
+    for f in range(fib.category.n_morphisms):
+        want = _reference_right_adjoint(fib.pre_map(f))
+        assert fib.fstar[f] == (want and want.table)
+        got = right_adjoint_of(fib.pre_map(f))
+        assert (got and got.table) == (want and want.table)
 
 
 def test_monotone_map_rejects_non_monotone_table():

@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from topogen import site
-from topogen.errors import CapabilityError, DomainError, InternalConsistencyError
+from topogen.errors import CapabilityError, DomainError, InternalConsistencyError, PreconditionError
 from topogen.lattice import FiniteLattice, mask_iter
 from topogen.site import (
     FiniteCategory,
@@ -329,6 +329,22 @@ def test_fstar_tables_match_generic_right_adjoint(fintop2):
     for f in range(fintop2.category.n_morphisms):
         adj = right_adjoint_of(fintop2.pre_map(f))
         assert adj is not None and adj.table == fintop2.fstar[f]
+
+
+@pytest.mark.parametrize("moved, error", [
+    ((0b00, 0b01, 0b11), DomainError),          # wrong size
+    ((0b00, 0b01, 0b10, 4), DomainError),       # out of range
+    ((0b00, 0b01, 0b10, -1), DomainError),      # negative
+    ((0b00, 0b01, 0b10, 0b00), PreconditionError),  # not monotone
+])
+def test_constructor_rejects_a_malformed_preimage_table_without_fstar(fintop2, moved, error):
+    f = fintop2.category.morphism_index("discrete2>discrete2:10")
+    pre = fintop2.pre[:f] + (moved,) + fintop2.pre[f + 1:]
+    with pytest.raises(error):
+        SubobjectFibration(
+            category=fintop2.category, sub=fintop2.sub, img=fintop2.img, pre=pre,
+            eclass=fintop2.eclass, mclass=fintop2.mclass,
+        )
 
 
 def _with_tables(fib, img=None, pre=None):

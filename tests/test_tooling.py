@@ -137,6 +137,8 @@ def test_bench_pairs_summary_and_wins():
         "morphisms.classify.", "harness.suite.", "harness.enumeration.",
         "structures.validate_structure.", "harness.fileformat.",
         "constructions.check_extremality.", "instances.topology.fintop_fibration.", "cli.",
+        "lattice.right_adjoint_of.", "instances.groups.fingrp_fibration.",
+        "instances.registry.builtin_fibration.",
     } <= set(bench_pairs.TRACED_PREFIXES)
     # the CLI layer: cli.main's count must repeat, each command's p50 is a
     # latency and takes the median over the traced runs
@@ -154,7 +156,7 @@ def _traced_result(classify_calls, classify_self_s, instances=9, check_wall_s=1.
         "morphisms.classify.self_s": {"value": classify_self_s, "unit": "s"},
         "harness.suite.instances": {"value": instances, "unit": "count"},
         "harness.suite.pullback-transfer.wall_s": {"value": check_wall_s, "unit": "s"},
-        "lattice.right_adjoint_of.calls": {"value": classify_self_s, "unit": "count"},
+        "structures.predicates.calls": {"value": classify_self_s, "unit": "count"},
     }}
 
 

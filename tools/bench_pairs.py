@@ -26,7 +26,9 @@ enumeration layers ``harness.enumeration.*``, ``structures.validate_structure.*`
 and ``harness.fileformat.*`` (so ``enumerate_structures.yielded`` must repeat),
 the extremality checks ``constructions.check_extremality.*``, which the
 (co)unit continuity constraints feed, the finite-space fibration builder
-``instances.topology.fintop_fibration.*``,
+``instances.topology.fintop_fibration.*``, the set-up layers
+``instances.registry.builtin_fibration.*``, ``instances.groups.fingrp_fibration.*``
+and ``lattice.right_adjoint_of.*``,
 and the CLI layer ``cli.*`` (``cli.main``'s calls and self time, and each
 command's median latency ``cli.<command>.p50_ms``).
 Standard library only.
@@ -50,6 +52,8 @@ TRACED_PREFIXES = (
     "morphisms.classify.", "harness.suite.", "harness.enumeration.",
     "structures.validate_structure.", "harness.fileformat.",
     "constructions.check_extremality.", "instances.topology.fintop_fibration.", "cli.",
+    "lattice.right_adjoint_of.", "instances.groups.fingrp_fibration.",
+    "instances.registry.builtin_fibration.",
 )
 SEEDS = list(range(1, 11))
 # one traced run cannot tell a self time from host noise
