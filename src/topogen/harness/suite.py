@@ -45,7 +45,6 @@ from ..site import (
     PullbackSquare,
     check_bcp,
     intern,
-    pullback,
     validate_category,
     validate_fibration,
 )
@@ -215,6 +214,7 @@ def check_class_calculus_suite(scale: str) -> Report:
 # a verdict whose violation is named by f, not by the square
 _INEQUALITY = ("image-preimage-inequality",)
 _MISSING = object()
+_BUDGET, _NO_CORNER = "beyond point budget", "whose pullback corner is not an object"
 
 
 def sweep_pullback_transfer(fib, classifications) -> Report:
@@ -227,16 +227,17 @@ def sweep_pullback_transfer(fib, classifications) -> Report:
     Legs.  The pullback of f: X->Y along p: Y'->Y is the fibre product of
     the graphs with the subspace topology of X x Y', so its legs f', p'
     depend on dom f, dom p and the fibre relation R = {(a, b) : f(a) = p(b)}
-    alone, never on Y.  So does the check of alignment and commutation:
-    p o f' and f o p' agree on each (a, b) in R by the definition of R, and
-    ``validate_fibration`` certifies that both composites exist; the budget
-    ``CapabilityError`` counts the points of R.  Within a block of
-    consecutive p with one domain, legs are looked up by shape (graph p,
-    dom f, graph f), and on a shape miss by relation (dom f, the mask of
-    p's fibre over f(a) for each point a of X); ``pullback`` runs only on a
-    relation miss.  The medium sweep checks 672,582 squares from 28,102
-    built pullbacks, and builds a ``PullbackSquare`` only for ``check_bcp``
-    on a memo miss and to name a violation.
+    alone, never on Y.  Within a block of consecutive p with one domain,
+    legs are looked up by shape (graph p, dom f, graph f), then by relation
+    (dom f, dom p, the mask of p's fibre over f(a) for each a in X); only a
+    relation miss reads them off R, by the backend's ``pullback_legs``,
+    which looks each leg up by (dom, cod, graph), so the square aligns.
+    The miss certifies R: p o f' = f o p' on the graphs, or ``DomainError``;
+    every cospan of R commutes, as f(a) = p(b) on R.  A refused relation is
+    skipped as beyond the point budget or, if R is within it, as a corner
+    that is not an object.  The medium sweep checks 672,582 squares from
+    28,102 relations with legs, and builds a ``PullbackSquare`` only for
+    ``check_bcp`` on a memo miss and to name a violation.
 
     Verdicts.  ``check_bcp`` reads four tables (img p', pre f', img p,
     pre f) and the lattices of cod f' and cod p', and ``transfer_laws`` the
@@ -268,7 +269,11 @@ def sweep_pullback_transfer(fib, classifications) -> Report:
     bcps = {}
     transfers = [{} for _ in classes]
 
-    def leg_base(f_prime, p_prime):
+    def leg_base(f, p, f_prime, p_prime):
+        # certify R: p o f' = f o p', read on the graphs at each corner point
+        p_after_f_prime = map(cat.graphs[p].__getitem__, cat.graphs[f_prime])
+        if list(p_after_f_prime) != list(map(cat.graphs[f].__getitem__, cat.graphs[p_prime])):
+            raise DomainError(f"pullback legs of {names[f]} and {names[p]} do not commute")
         side = (
             img_id[p_prime], pre_id[f_prime],
             sub_id[cat.mor_cod[f_prime]], sub_id[cat.mor_cod[p_prime]],
@@ -299,7 +304,7 @@ def sweep_pullback_transfer(fib, classifications) -> Report:
         return tuple(laws)
 
     violations = []
-    checked = n_skip = 0
+    checked, skips = 0, dict.fromkeys((_BUDGET, _NO_CORNER), 0)
     block = None
     for p in sorted(fib.eclass | fib.mclass):
         y = cat.mor_cod[p]
@@ -313,19 +318,20 @@ def sweep_pullback_transfer(fib, classifications) -> Report:
         for f in cat.morphisms_to[y]:
             legs = legs_of.get(shape_id[f], _MISSING)
             if legs is _MISSING:
-                relation = (cat.mor_dom[f], tuple(map(fibre.__getitem__, cat.graphs[f])))
+                relation = (cat.mor_dom[f], block, tuple(map(fibre.__getitem__, cat.graphs[f])))
                 legs = by_relation.get(relation, _MISSING)
                 if legs is _MISSING:
                     try:
-                        sq = pullback(fib, f, p)
+                        f_prime, p_prime = fib.backend.pullback_legs(fib, *relation)
                     except CapabilityError:
-                        legs = None
+                        size = sum(map(int.bit_count, relation[2]))
+                        legs = _BUDGET if size > fib.backend.max_points else _NO_CORNER
                     else:
-                        legs = (sq.f_prime, sq.p_prime, leg_base(sq.f_prime, sq.p_prime))
+                        legs = (f_prime, p_prime, leg_base(f, p, f_prime, p_prime))
                     by_relation[relation] = legs
                 legs_of[shape_id[f]] = legs
-            if legs is None:
-                n_skip += 1
+            if type(legs) is str:
+                skips[legs] += 1
                 continue
             checked += 1
             f_prime, p_prime, base = legs
@@ -339,7 +345,7 @@ def sweep_pullback_transfer(fib, classifications) -> Report:
             elif found:
                 where = PullbackSquare(fib, f_prime, p, p_prime, f).name
                 violations.extend(Violation(law, where=where) for law in found)
-    skipped = (f"{fib.name}: {n_skip} squares beyond point budget",) if n_skip else ()
+    skipped = tuple(f"{fib.name}: {n} squares {cause}" for cause, n in skips.items() if n)
     return Report(f"pullback-transfer {fib.name}", checked, tuple(violations), skipped)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from ..errors import CapabilityError, DomainError, PreconditionError
@@ -68,6 +68,14 @@ class FinTopSpace:
         for o in self.opens:
             opens.add(sum(1 << rank[p] for p in mask_iter(o & carrier)))
         return FinTopSpace(len(points), tuple(sorted(opens)))
+
+    @cached_property
+    def closures(self) -> tuple[int, ...]:
+        return tuple(map(self.closure, range(1 << self.n)))
+
+    @cached_property
+    def subspaces(self) -> tuple["FinTopSpace", ...]:
+        return tuple(map(self.subspace, range(1 << self.n)))
 
 
 def minimal_neighbourhoods(space: FinTopSpace) -> tuple[int, ...]:
@@ -240,39 +248,40 @@ class _FinTopBackend:
         m = self._morphism_of(fib, mid, y, m_graph)
         return e, m
 
-    def pullback(self, fib, f: int, p: int) -> PullbackSquare:
-        cat = fib.category
-        xf, yp = cat.mor_dom[f], cat.mor_dom[p]
-        gf, gp = cat.graphs[f], cat.graphs[p]
-        nx, nyp = self.nbhds[xf], self.nbhds[yp]
-        carrier = [
-            (a, b) for a in range(len(gf)) for b in range(len(gp)) if gf[a] == gp[b]
-        ]
-        if len(carrier) > self.max_points:
+    def pullback_legs(self, fib, dom_f: int, dom_p: int, relation: tuple[int, ...]):
+        """(f', p') of the pullback of f along p, from dom f, dom p and the fibre
+        relation R = {(a, b) : f(a) = p(b)} as the mask of each a's points b."""
+        size = sum(map(int.bit_count, relation))
+        if size > self.max_points:
             raise CapabilityError(
-                f"pullback carrier has {len(carrier)} points, beyond this fibration's scale"
-            )
-        # subspace of the product topology: (a, b) has the minimal
-        # neighbourhood (U_a x V_b) restricted to the carrier
+                f"pullback carrier has {size} points, beyond this fibration's scale")
+        xs, ys = [], []  # the points (a, b) of R, in lexicographic order
+        for a, bs in enumerate(relation):
+            while bs:
+                xs.append(a)
+                ys.append((bs & -bs).bit_length() - 1)
+                bs &= bs - 1
+        # R as a subspace of X x Y': (a, b) has the neighbourhood (U_a x V_b) & R
         key = []
-        for a, b in carrier:
-            u, v = nx[a], nyp[b]
+        for a, b in zip(xs, ys):
+            u, v = self.nbhds[dom_f][a], self.nbhds[dom_p][b]
             nbhd = 0
-            for i, (c, d) in enumerate(carrier):
-                if u >> c & 1 and v >> d & 1:
+            for i, (c, d) in enumerate(zip(xs, ys)):
+                if u >> c & v >> d & 1:
                     nbhd |= 1 << i
             key.append(nbhd)
         key = tuple(key)
-        corner = self.corners.get(key)
-        if corner is None:
-            corner = self._object_of(space_of_neighbourhoods(key))
-            self.corners[key] = corner
-        p_prime = self._morphism_of(
-            fib, corner, xf, tuple(a for a, _ in carrier)
-        )
-        f_prime = self._morphism_of(
-            fib, corner, yp, tuple(b for _, b in carrier)
-        )
+        if key not in self.corners:
+            self.corners[key] = self._object_of(space_of_neighbourhoods(key))
+        corner = self.corners[key]
+        p_prime = self._morphism_of(fib, corner, dom_f, tuple(xs))
+        return self._morphism_of(fib, corner, dom_p, tuple(ys)), p_prime
+
+    def pullback(self, fib, f: int, p: int) -> PullbackSquare:
+        cat = fib.category
+        gp = cat.graphs[p]
+        relation = tuple(sum(1 << b for b, y in enumerate(gp) if y == x) for x in cat.graphs[f])
+        f_prime, p_prime = self.pullback_legs(fib, cat.mor_dom[f], cat.mor_dom[p], relation)
         return PullbackSquare(fib, f_prime=f_prime, p=p, p_prime=p_prime, f=f)
 
 
@@ -443,10 +452,10 @@ def map_predicates(fib: SubobjectFibration, f: int) -> MapPredicates:
     is_open = all(cod.is_open(image_mask(graph, u)) for u in dom.opens)
     closed_sets_dom = [dom.full & ~u for u in dom.opens]
     is_closed = all(
-        cod.closure(image_mask(graph, c)) == image_mask(graph, c) for c in closed_sets_dom
+        cod.closures[image_mask(graph, c)] == image_mask(graph, c) for c in closed_sets_dom
     )
     initial = all(
-        dom.closure(a) == preimage_mask(graph, cod.closure(image_mask(graph, a)))
+        dom.closures[a] == preimage_mask(graph, cod.closures[image_mask(graph, a)])
         for a in range(1 << dom.n)
     )
     surjective = image_mask(graph, dom.full) == cod.full
@@ -454,8 +463,8 @@ def map_predicates(fib: SubobjectFibration, f: int) -> MapPredicates:
     if surjective:
         for a_mask in range(1 << cod.n):
             s_mask = preimage_mask(graph, a_mask)
-            sub_dom = dom.subspace(s_mask)
-            sub_cod = cod.subspace(a_mask)
+            sub_dom = dom.subspaces[s_mask]
+            sub_cod = cod.subspaces[a_mask]
             dom_points = list(mask_iter(s_mask))
             cod_points = {p: i for i, p in enumerate(mask_iter(a_mask))}
             restricted = tuple(cod_points[graph[p]] for p in dom_points)

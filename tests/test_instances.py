@@ -328,6 +328,92 @@ def test_hereditary_quotient_matches_closed_image_characterization(fintop2):
         assert map_predicates(fintop2, f).hereditary_quotient == alt
 
 
+def _reference_map_predicates(fib, f):
+    """``map_predicates`` with every closure and subspace computed afresh
+    from the opens, per call."""
+    from topogen.instances.topology import MapPredicates, image_mask, preimage_mask
+    from topogen.lattice import mask_iter
+
+    spaces = spaces_of(fib)
+    cat = fib.category
+    graph = cat.graphs[f]
+    dom, cod = spaces[cat.mor_dom[f]], spaces[cat.mor_cod[f]]
+    is_open = all(cod.is_open(image_mask(graph, u)) for u in dom.opens)
+    closed_sets_dom = [dom.full & ~u for u in dom.opens]
+    is_closed = all(
+        cod.closure(image_mask(graph, c)) == image_mask(graph, c) for c in closed_sets_dom
+    )
+    initial = all(
+        dom.closure(a) == preimage_mask(graph, cod.closure(image_mask(graph, a)))
+        for a in range(1 << dom.n)
+    )
+    surjective = image_mask(graph, dom.full) == cod.full
+    hered = surjective
+    if surjective:
+        for a_mask in range(1 << cod.n):
+            s_mask = preimage_mask(graph, a_mask)
+            sub_dom = dom.subspace(s_mask)
+            sub_cod = cod.subspace(a_mask)
+            dom_points = list(mask_iter(s_mask))
+            cod_points = {p: i for i, p in enumerate(mask_iter(a_mask))}
+            restricted = tuple(cod_points[graph[p]] for p in dom_points)
+            quotient_opens = tuple(sorted(
+                v for v in range(1 << sub_cod.n)
+                if sub_dom.is_open(preimage_mask(restricted, v))
+            ))
+            if quotient_opens != sub_cod.opens:
+                hered = False
+                break
+    return MapPredicates(is_open, is_closed, initial, hered)
+
+
+def _seeded_spaces_fibration(tmp_path, seed):
+    """The ``spaces:`` fibration of a parsed document of three 4-point
+    spaces drawn with this seed."""
+    import random
+
+    from topogen.cli import _Environment
+    from topogen.lattice import mask_iter
+
+    spaces = random.Random(seed).sample(enumerate_topologies(4), 3)
+    doc = tmp_path / "spaces.topo"
+    doc.write_text("".join(
+        f"space s{i}: points=4; opens="
+        + ",".join("{" + ",".join(map(str, mask_iter(o))) + "}" for o in s.opens) + "\n"
+        for i, s in enumerate(spaces)
+    ))
+    return _Environment([doc]).fibration("spaces:s0,s1,s2")
+
+
+def test_map_predicates_match_the_per_call_reference(fintop2, fintop3, tmp_path):
+    seeded = _seeded_spaces_fibration(tmp_path, 7)
+    for fib in (fintop2, fintop3, seeded):
+        for f in range(fib.category.n_morphisms):
+            assert map_predicates(fib, f) == _reference_map_predicates(fib, f), (fib.name, f)
+    # the seeded maps reach every predicate both ways
+    found = {map_predicates(seeded, f) for f in range(seeded.category.n_morphisms)}
+    for field in ("open", "closed", "initial_topology", "hereditary_quotient"):
+        assert {getattr(mp, field) for mp in found} == {False, True}
+
+
+def test_space_tables_are_per_instance_and_invisible():
+    from topogen.instances.topology import SIERPINSKI
+
+    space = FinTopSpace(3, (0, 1, 3, 7))
+    twin = FinTopSpace(3, (0, 1, 3, 7))
+    before = (repr(space), hash(space))
+    assert space.closures == tuple(space.closure(m) for m in range(8))
+    assert space.subspaces == tuple(space.subspace(m) for m in range(8))
+    # tables take no part in equality, hashing or repr
+    assert (repr(space), hash(space)) == before
+    assert space == twin and hash(space) == hash(twin) and repr(space) == repr(twin)
+    assert "closures" not in repr(space) and space != SIERPINSKI
+    # an equal space built apart has no table until it asks, then its own
+    assert "closures" not in vars(twin) and "subspaces" not in vars(twin)
+    assert twin.closures == space.closures and twin.closures is not space.closures
+    assert twin.subspaces == space.subspaces and twin.subspaces is not space.subspaces
+
+
 # ---------------------------------------------------------------------------
 # reflection / coreflection instances
 

@@ -749,15 +749,13 @@ def test_sweep_builds_each_pullback_relation_once(fintop2, monkeypatch):
     cospans = [(f, p) for p in _sweep_order(fintop2) for f in cat.morphisms_to[cat.mor_cod[p]]]
     shapes = {(cat.mor_dom[p], cat.graphs[p], cat.mor_dom[f], cat.graphs[f]) for f, p in cospans}
     relations = {(cat.mor_dom[p], cat.mor_dom[f], _fibre_relation(cat, f, p)) for f, p in cospans}
-    counts = {"pullback": 0, "built": 0, "bcp": 0, "square": 0}
-    traced_pullback, traced_bcp = suite.pullback, suite.check_bcp
+    counts = {"legs": 0, "bcp": 0, "square": 0}
+    traced_legs, traced_bcp = fintop2.backend.pullback_legs, suite.check_bcp
     checked_square = PullbackSquare.__post_init__
 
-    def counted_pullback(fib, f, p):
-        counts["pullback"] += 1
-        sq = traced_pullback(fib, f, p)
-        counts["built"] += 1
-        return sq
+    def counted_legs(fib, dom_f, dom_p, relation):
+        counts["legs"] += 1
+        return traced_legs(fib, dom_f, dom_p, relation)
 
     def counted_bcp(sq):
         counts["bcp"] += 1
@@ -767,7 +765,7 @@ def test_sweep_builds_each_pullback_relation_once(fintop2, monkeypatch):
         counts["square"] += 1
         checked_square(sq)
 
-    monkeypatch.setattr(suite, "pullback", counted_pullback)
+    monkeypatch.setattr(fintop2.backend, "pullback_legs", counted_legs)
     monkeypatch.setattr(suite, "check_bcp", counted_bcp)
     monkeypatch.setattr(PullbackSquare, "__post_init__", counted_square)
     classifications = {
@@ -776,9 +774,10 @@ def test_sweep_builds_each_pullback_relation_once(fintop2, monkeypatch):
     }
     report = suite.sweep_pullback_transfer(fintop2, classifications)
     assert report.ok
-    assert counts["pullback"] == len(relations) == 121 and len(shapes) == 233
-    # one square per built pullback and one per Beck-Chevalley memo miss, none per cospan
-    assert counts["square"] == counts["built"] + counts["bcp"] < report.checked == 505
+    assert counts["legs"] == len(relations) == 121 and len(shapes) == 233
+    # legs are read off the relation: one square per Beck-Chevalley memo
+    # miss, none per built pullback or per cospan
+    assert counts["square"] == counts["bcp"] < report.checked == 505
 
 
 def test_memoised_legs_match_fresh_pullbacks(fintop2, fintop3, monkeypatch):
@@ -816,3 +815,63 @@ def test_memoised_legs_match_fresh_pullbacks(fintop2, fintop3, monkeypatch):
         # some cospans share a shape, and some shapes a relation, so legs are
         # shared across shapes too
         assert skipped > 0 and len(relations) < len(shapes) < cospans
+
+
+def _closure_classifications(fib):
+    t = closure_order(fib)
+    return {"closure": tuple(classify(f, t) for f in range(fib.category.n_morphisms))}
+
+
+@pytest.mark.parametrize("spaces, budget, no_corner, checked", [
+    # corners of at most one point are not objects, and no carrier of
+    # exactly three points is refused
+    ("sierpinski discrete2 discrete3", 108, 78, 529),
+    # here some carriers of exactly three points have a corner that is not
+    # an object
+    ("discrete2 t3_01", 8, 48, 81),
+])
+def test_sweep_counts_corners_that_are_not_objects_apart_from_the_budget(
+    spaces, budget, no_corner, checked
+):
+    from topogen.harness.suite import sweep_pullback_transfer
+    from topogen.instances.topology import (
+        SIERPINSKI, discrete, enumerate_topologies, fintop_fibration,
+    )
+
+    named = {"sierpinski": SIERPINSKI, "discrete2": discrete(2), "discrete3": discrete(3),
+             "t3_01": enumerate_topologies(3)[1]}
+    fib = fintop_fibration([named[name] for name in spaces.split()])
+    cat = fib.category
+    refused = Counter()
+    for p in _sweep_order(fib):
+        for f in cat.morphisms_to[cat.mor_cod[p]]:
+            try:
+                pullback(fib, f, p)
+            except CapabilityError:
+                refused[len(_fibre_relation(cat, f, p)) > 3] += 1
+    assert (refused[True], refused[False]) == (budget, no_corner)
+    report = sweep_pullback_transfer(fib, _closure_classifications(fib))
+    assert report.ok and report.checked == checked
+    assert report.skipped == (
+        f"fintop: {budget} squares beyond point budget",
+        f"fintop: {no_corner} squares whose pullback corner is not an object",
+    )
+
+
+def test_sweep_refuses_legs_that_do_not_commute(fintop2, monkeypatch):
+    from topogen.errors import DomainError
+    from topogen.harness.suite import sweep_pullback_transfer
+
+    cat = fintop2.category
+    legs = fintop2.backend.pullback_legs
+
+    def constant_p_prime(fib, dom_f, dom_p, relation):
+        # aligned legs, but p' sends every corner point to the first point of X
+        f_prime, p_prime = legs(fib, dom_f, dom_p, relation)
+        corner = cat.mor_dom[p_prime]
+        return f_prime, cat.morphism_by_graph(corner, dom_f, (0,) * len(cat.graphs[p_prime]))
+
+    classifications = _closure_classifications(fintop2)
+    monkeypatch.setattr(fintop2.backend, "pullback_legs", constant_p_prime)
+    with pytest.raises(DomainError, match="do not commute"):
+        sweep_pullback_transfer(fintop2, classifications)

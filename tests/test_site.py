@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 
 import pytest
@@ -717,19 +718,102 @@ def test_pullback_corners_match_box_unions_on_fintop3_slice(fintop3):
     assert built > 50_000
 
 
-def test_pullback_corners_match_box_unions_on_every_fintop3_relation(fintop3):
-    # the sweep builds one pullback per (dom p, dom f, carrier) key, so one
-    # representative cospan per key proves every corner it builds
-    cat = fintop3.category
+@functools.lru_cache(maxsize=None)
+def _relation_representatives(fib):
+    """One sweep cospan per (dom p, dom f, carrier) key, the key of the
+    sweep's relation memo."""
+    cat = fib.category
     shapes = {}
-    for f, p in _sweep_cospans(fintop3):
+    for f, p in _sweep_cospans(fib):
         shapes.setdefault((cat.mor_dom[p], cat.graphs[p], cat.mor_dom[f], cat.graphs[f]), (f, p))
     representatives = {}
     for f, p in shapes.values():
         representatives.setdefault((cat.mor_dom[p], cat.mor_dom[f], _carrier(cat, f, p)), (f, p))
+    return tuple(representatives.values())
+
+
+def test_pullback_corners_match_box_unions_on_every_fintop3_relation(fintop3):
+    # the sweep builds one pullback per (dom p, dom f, carrier) key, so one
+    # representative cospan per key proves every corner it builds
+    representatives = _relation_representatives(fintop3)
     assert len(representatives) == 47_095
-    built = _assert_corners_match_box_unions(fintop3, representatives.values())
+    built = _assert_corners_match_box_unions(fintop3, representatives)
     assert 0 < built < len(representatives)
+
+
+def _reference_pullback(fib, f, p):
+    """The carrier-scan pullback: R listed pair by pair from both graphs,
+    each point's neighbourhood in the corner read off the carrier, and the
+    corner and both legs looked up in the fibration."""
+    from topogen.instances.topology import space_of_neighbourhoods
+
+    backend, cat = fib.backend, fib.category
+    xf, yp = cat.mor_dom[f], cat.mor_dom[p]
+    gf, gp = cat.graphs[f], cat.graphs[p]
+    nx, nyp = backend.nbhds[xf], backend.nbhds[yp]
+    carrier = [(a, b) for a in range(len(gf)) for b in range(len(gp)) if gf[a] == gp[b]]
+    if len(carrier) > backend.max_points:
+        raise CapabilityError(
+            f"pullback carrier has {len(carrier)} points, beyond this fibration's scale"
+        )
+    key = []
+    for a, b in carrier:
+        u, v = nx[a], nyp[b]
+        nbhd = 0
+        for i, (c, d) in enumerate(carrier):
+            if u >> c & 1 and v >> d & 1:
+                nbhd |= 1 << i
+        key.append(nbhd)
+    corner = backend._object_of(space_of_neighbourhoods(tuple(key)))
+    p_prime = backend._morphism_of(fib, corner, xf, tuple(a for a, _ in carrier))
+    f_prime = backend._morphism_of(fib, corner, yp, tuple(b for _, b in carrier))
+    return PullbackSquare(fib, f_prime=f_prime, p=p, p_prime=p_prime, f=f)
+
+
+def _outcome(build, fib, f, p):
+    """The legs of a pullback, or the message of its ``CapabilityError``."""
+    try:
+        sq = build(fib, f, p)
+    except CapabilityError as exc:
+        return str(exc)
+    return sq.f_prime, sq.p_prime
+
+
+def _assert_pullbacks_match_reference(fib, cospans):
+    """``pullback`` against the carrier scan: equal legs, or the same
+    refusal.  Returns the number of each outcome kind."""
+    kinds = collections.Counter()
+    for f, p in cospans:
+        got = _outcome(pullback, fib, f, p)
+        assert got == _outcome(_reference_pullback, fib, f, p), (f, p)
+        kinds[got if isinstance(got, str) else "built"] += 1
+    return kinds
+
+
+def test_pullbacks_match_the_carrier_scan_on_fintop2(fintop2):
+    kinds = _assert_pullbacks_match_reference(fintop2, _sweep_cospans(fintop2))
+    assert kinds["built"] == 505 and kinds[
+        "pullback carrier has 4 points, beyond this fibration's scale"] == 16
+
+
+def test_pullbacks_match_the_carrier_scan_on_every_fintop3_relation(fintop3):
+    kinds = _assert_pullbacks_match_reference(fintop3, _relation_representatives(fintop3))
+    assert kinds["built"] == 27_997 and sum(kinds.values()) == 47_095
+
+
+def test_pullbacks_match_the_carrier_scan_where_corners_are_not_objects():
+    from topogen.instances.topology import SIERPINSKI, discrete, fintop_fibration
+
+    fib = fintop_fibration([SIERPINSKI, discrete(2), discrete(3)])
+    cat = fib.category
+    cospans = [(f, p) for p in range(cat.n_morphisms) for f in cat.morphisms_to[cat.mor_cod[p]]]
+    kinds = _assert_pullbacks_match_reference(fib, cospans)
+    # both refusals occur: carriers beyond three points, and corners of
+    # at most one point, which are not objects
+    assert kinds["built"] > 0
+    assert kinds["required 0-point space is not an object of this fibration"] > 0
+    assert kinds["required 1-point space is not an object of this fibration"] > 0
+    assert kinds["pullback carrier has 4 points, beyond this fibration's scale"] > 0
 
 
 def test_bcp_on_identity_square(fintop2):

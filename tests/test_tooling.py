@@ -138,7 +138,7 @@ def test_bench_pairs_summary_and_wins():
         "structures.validate_structure.", "harness.fileformat.",
         "constructions.check_extremality.", "instances.topology.fintop_fibration.", "cli.",
         "lattice.right_adjoint_of.", "instances.groups.fingrp_fibration.",
-        "instances.registry.builtin_fibration.",
+        "instances.registry.builtin_fibration.", "instances.topology.map_predicates.",
     } <= set(bench_pairs.TRACED_PREFIXES)
     # the CLI layer: cli.main's count must repeat, each command's p50 is a
     # latency and takes the median over the traced runs

@@ -26,7 +26,8 @@ enumeration layers ``harness.enumeration.*``, ``structures.validate_structure.*`
 and ``harness.fileformat.*`` (so ``enumerate_structures.yielded`` must repeat),
 the extremality checks ``constructions.check_extremality.*``, which the
 (co)unit continuity constraints feed, the finite-space fibration builder
-``instances.topology.fintop_fibration.*``, the set-up layers
+``instances.topology.fintop_fibration.*`` and set-level map oracle
+``instances.topology.map_predicates.*``, the set-up layers
 ``instances.registry.builtin_fibration.*``, ``instances.groups.fingrp_fibration.*``
 and ``lattice.right_adjoint_of.*``,
 and the CLI layer ``cli.*`` (``cli.main``'s calls and self time, and each
@@ -53,7 +54,7 @@ TRACED_PREFIXES = (
     "structures.validate_structure.", "harness.fileformat.",
     "constructions.check_extremality.", "instances.topology.fintop_fibration.", "cli.",
     "lattice.right_adjoint_of.", "instances.groups.fingrp_fibration.",
-    "instances.registry.builtin_fibration.",
+    "instances.registry.builtin_fibration.", "instances.topology.map_predicates.",
 )
 SEEDS = list(range(1, 11))
 # one traced run cannot tell a self time from host noise
