@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator, Optional
 
 from ..errors import CapabilityError, PreconditionError
 from ..lattice import FiniteLattice, mask_iter
@@ -176,24 +177,37 @@ def catalog_le4() -> tuple[FinGroup, ...]:
 
 
 def closure_of(g: FinGroup, seed: int) -> int:
-    """Subgroup generated by the element set ``seed`` (a mask)."""
-    members = seed | 1 << g.identity
-    while True:
-        new = members
-        for a in mask_iter(members):
-            for b in mask_iter(members):
-                new |= 1 << g.mul[a][b]
-        if new == members:
-            return members
-        members = new
+    """Subgroup generated by the element set ``seed`` (a mask).
+
+    In a finite group it is the monoid the seed generates: each newly found
+    element is multiplied by each seed element until nothing new appears."""
+    gens = tuple(mask_iter(seed))
+    members = frontier = seed | 1 << g.identity
+    while frontier:
+        new = 0
+        for a in mask_iter(frontier):
+            row = g.mul[a]
+            for b in gens:
+                new |= 1 << row[b]
+        frontier = new & ~members
+        members |= frontier
+    return members
 
 
 @lru_cache(maxsize=None)
 def subgroups_of(g: FinGroup) -> tuple[int, ...]:
-    """All subgroups as element masks, sorted by (size, members)."""
-    found = set()
-    for seed in range(1 << g.order):
-        found.add(closure_of(g, seed))
+    """All subgroups as element masks, sorted by (size, members).
+
+    Every subgroup is the join of a chain from the trivial group that adds
+    one element at a time, so growing each found subgroup H by each x not
+    in H reaches them all."""
+    found = frontier = {1 << g.identity}
+    while frontier:
+        grown = {
+            closure_of(g, h | 1 << x) for h in frontier for x in range(g.order) if not h >> x & 1
+        }
+        frontier = grown - found
+        found = found | frontier
     return tuple(sorted(found, key=lambda m: (bin(m).count("1"), m)))
 
 
@@ -244,42 +258,77 @@ def generating_set(g: FinGroup) -> tuple[int, ...]:
     raise PreconditionError(f"group {g.name} has no generating set (impossible)")
 
 
+@lru_cache(maxsize=None)
+def element_orders(g: FinGroup) -> tuple[int, ...]:
+    """The order of each element."""
+    orders = []
+    for a in range(g.order):
+        k, acc = 1, a
+        while acc != g.identity:
+            acc = g.mul[acc][a]
+            k += 1
+        orders.append(k)
+    return tuple(orders)
+
+
+@lru_cache(maxsize=None)
+def _words(g: FinGroup, gens: tuple[int, ...]) -> Optional[tuple[tuple[int, int, int], ...]]:
+    """Each non-identity element once, breadth-first from the identity, as
+    (element, parent, k) with element = parent * gens[k]; None when ``gens``
+    does not generate ``g``."""
+    seen = 1 << g.identity
+    frontier, words = [g.identity], []
+    while frontier:
+        found = []
+        for parent in frontier:
+            row = g.mul[parent]
+            for k, x in enumerate(gens):
+                a = row[x]
+                if not seen >> a & 1:
+                    seen |= 1 << a
+                    words.append((a, parent, k))
+                    found.append(a)
+        frontier = found
+    return tuple(words) if len(words) == g.order - 1 else None
+
+
 def _extend_hom(g: FinGroup, h: FinGroup, gens, images):
-    """Grow the partial map gens -> images into a full homomorphism, or None."""
-    table = [None] * g.order
-    table[g.identity] = h.identity
-    for a, b in zip(gens, images):
-        if table[a] is not None and table[a] != b:
-            return None
-        table[a] = b
-    changed = True
-    while changed:
-        changed = False
-        known = [i for i in range(g.order) if table[i] is not None]
-        for a in known:
-            for b in known:
-                c = g.mul[a][b]
-                v = h.mul[table[a]][table[b]]
-                if table[c] is None:
-                    table[c] = v
-                    changed = True
-                elif table[c] != v:
-                    return None
-    if any(v is None for v in table):
+    """The homomorphism g -> h sending each gens[k] to images[k], or None.
+
+    The images fix the table through the words of ``_words``; the table is a
+    homomorphism iff table[ab] = table[a] table[b] on every pair, the
+    certificate checked here row by row."""
+    words = _words(g, tuple(gens))
+    if words is None:
         return None
+    table = [h.identity] * g.order
+    for a, parent, k in words:
+        table[a] = h.mul[table[parent]][images[k]]
+    if any(table[a] != b for a, b in zip(gens, images)):
+        return None
+    for a, row in enumerate(g.mul):
+        image_row = h.mul[table[a]]
+        if [table[c] for c in row] != [image_row[t] for t in table]:
+            return None
     return tuple(table)
+
+
+def _hom_candidates(g: FinGroup, h: FinGroup, within) -> Iterator[tuple[int, ...]]:
+    """Image tuples for ``generating_set(g)`` drawn from ``within``, in
+    product order, keeping only images whose order divides the generator's
+    (which every homomorphism satisfies)."""
+    orders_g, orders_h = element_orders(g), element_orders(h)
+    return itertools.product(*(
+        [y for y in within if orders_g[x] % orders_h[y] == 0] for x in generating_set(g)
+    ))
 
 
 @lru_cache(maxsize=None)
 def homs(g: FinGroup, h: FinGroup) -> tuple[tuple[int, ...], ...]:
     """All homomorphisms g -> h as image tuples, sorted."""
     gens = generating_set(g)
-    out = set()
-    for images in itertools.product(range(h.order), repeat=len(gens)):
-        table = _extend_hom(g, h, gens, images)
-        if table is not None:
-            out.add(table)
-    return tuple(sorted(out))
+    tables = (_extend_hom(g, h, gens, images) for images in _hom_candidates(g, h, range(h.order)))
+    return tuple(sorted(t for t in tables if t is not None))
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +350,8 @@ class _FinGrpBackend:
             if gm.order != len(image):
                 continue
             gens = generating_set(gm)
-            for iso_images in itertools.product(image, repeat=len(gens) or 1):
-                table = _extend_hom(gm, gy, gens, iso_images[:len(gens)])
+            for iso_images in _hom_candidates(gm, gy, image):
+                table = _extend_hom(gm, gy, gens, iso_images)
                 if table is None or sorted(set(table)) != image:
                     continue
                 m_graph = table

@@ -193,8 +193,9 @@ def is_continuous(f: tuple[int, ...], dom: FinTopSpace, cod: FinTopSpace) -> boo
 
 def image_mask(f: tuple[int, ...], mask: int) -> int:
     out = 0
-    for x in mask_iter(mask):
-        out |= 1 << f[x]
+    for x, fx in enumerate(f):
+        if mask >> x & 1:
+            out |= 1 << fx
     return out
 
 

@@ -10,6 +10,7 @@ these masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, PreconditionError
@@ -111,6 +112,16 @@ class FiniteLattice:
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
+
+    @cached_property
+    def above(self) -> tuple[tuple[int, ...], ...]:
+        """above[i] = the j with i <= j, in increasing order."""
+        return tuple(tuple(mask_iter(mask)) for mask in self.up)
+
+    @cached_property
+    def principal(self) -> dict[int, int]:
+        """Each principal down-set ↓c, as a mask, mapped to c."""
+        return {mask: c for c, mask in enumerate(self.down)}
 
     def meet(self, i: int, j: int) -> int:
         return self.meet_table[i][j]
@@ -274,10 +285,12 @@ def right_adjoint_table(
     down-set ↓c of the source, and then sends x to c; the adjunction holds
     by construction and makes both maps monotone."""
     below = [0] * target.size
+    above = target.above
     for p, v in enumerate(table):
-        for x in mask_iter(target.up[v]):
-            below[x] |= 1 << p
-    principal = {mask: c for c, mask in enumerate(source.down)}
+        bit = 1 << p
+        for x in above[v]:
+            below[x] |= bit
+    principal = source.principal
     try:
         return tuple([principal[mask] for mask in below])
     except KeyError:  # not principal

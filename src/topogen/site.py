@@ -215,10 +215,25 @@ class SubobjectFibration:
         self.backend = backend
         self.name = name
         self.subsets = tuple(subsets) if subsets is not None else None
-        if fstar is None:  # pre_map raises on a malformed table
-            uppers = map(self.pre_map, range(category.n_morphisms))
-            fstar = [right_adjoint_table(u.source, u.target, u.table) for u in uppers]
+        if fstar is None:  # covering pairs found once per lattice (``_order_of``)
+            lattices, _ = intern(map(id, self.sub))
+            covers = {k: _order_of(lat)[0] for k, lat in dict(zip(lattices, self.sub)).items()}
+            fstar = [self._right_adjoint(f, covers[lattices[y]]) for f, y in enumerate(category.mor_cod)]
         self.fstar = tuple(fstar)
+
+    def _right_adjoint(self, f: int, covers: tuple[tuple[int, int], ...]) -> Optional[tuple[int, ...]]:
+        """The right adjoint of f's preimage table, once the table is checked
+        for size, range and monotonicity on ``covers``, the covering pairs of
+        its source; a table that fails raises from ``pre_map`` with its witness."""
+        source, target, table = self.sub_cod(f), self.sub_dom(f), self.pre[f]
+        up = target.up
+        if not (
+            len(table) == source.size
+            and 0 <= min(table) and max(table) < len(up)
+            and all(up[table[i]] >> table[j] & 1 for i, j in covers)
+        ):
+            self.pre_map(f)
+        return right_adjoint_table(source, target, table)
 
     # -- object/morphism helpers -------------------------------------------
     def dom(self, f: int) -> int:

@@ -4,7 +4,9 @@ import pytest
 
 from topogen.instances.groups import (
     catalog,
+    closure_of,
     cyclic,
+    generating_set,
     groups_of,
     homs,
     is_normal,
@@ -36,6 +38,7 @@ from topogen.instances.registry import (
     builtin_pointed,
     builtin_space,
 )
+from topogen.site import factorize
 
 
 LABELLED_TOPOLOGY_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29}
@@ -212,6 +215,109 @@ def test_hom_enumeration_against_brute_force():
         assert list(homs(by[a], by[b])) == brute_homs(by[a], by[b])
 
 
+def _reference_closure_of(g, seed):
+    """All-pairs growth: multiply every member by every member until stable."""
+    members = seed | 1 << g.identity
+    while True:
+        new = members
+        for a in range(g.order):
+            for b in range(g.order):
+                if members >> a & 1 and members >> b & 1:
+                    new |= 1 << g.mul[a][b]
+        if new == members:
+            return members
+        members = new
+
+
+def _reference_subgroups_of(g):
+    """The closure of every seed mask."""
+    found = {_reference_closure_of(g, seed) for seed in range(1 << g.order)}
+    return tuple(sorted(found, key=lambda m: (bin(m).count("1"), m)))
+
+
+def _reference_extend_hom(g, h, gens, images):
+    """Grow the partial map gens -> images under products until stable."""
+    table = [None] * g.order
+    table[g.identity] = h.identity
+    for a, b in zip(gens, images):
+        if table[a] is not None and table[a] != b:
+            return None
+        table[a] = b
+    changed = True
+    while changed:
+        changed = False
+        known = [i for i in range(g.order) if table[i] is not None]
+        for a in known:
+            for b in known:
+                c, v = g.mul[a][b], h.mul[table[a]][table[b]]
+                if table[c] is None:
+                    table[c] = v
+                    changed = True
+                elif table[c] != v:
+                    return None
+    return None if None in table else tuple(table)
+
+
+def _reference_homs(g, h):
+    """``_reference_extend_hom`` over every image tuple of the generators."""
+    gens = generating_set(g)
+    tables = (
+        _reference_extend_hom(g, h, gens, images)
+        for images in itertools.product(range(h.order), repeat=len(gens))
+    )
+    return tuple(sorted({t for t in tables if t is not None}))
+
+
+def _reference_factorize(fib, f):
+    """The first catalog object, and the first image tuple of its generators
+    in product order, whose homomorphism onto the image makes both legs."""
+    cat = fib.category
+    groups = groups_of(fib)
+    graph = cat.graphs[f]
+    x, y = cat.mor_dom[f], cat.mor_cod[f]
+    image = sorted(set(graph))
+    for mid, gm in enumerate(groups):
+        if gm.order != len(image):
+            continue
+        gens = generating_set(gm)
+        for images in itertools.product(image, repeat=len(gens)):
+            table = _reference_extend_hom(gm, groups[y], gens, images)
+            if table is None or sorted(set(table)) != image:
+                continue
+            inv = {v: i for i, v in enumerate(table)}
+            e = cat.morphism_by_graph(x, mid, tuple(inv[v] for v in graph))
+            m = cat.morphism_by_graph(mid, y, table)
+            if e is not None and m is not None:
+                return e, m
+    return None
+
+
+def test_closure_of_matches_all_pairs_growth_on_every_seed():
+    for g in catalog():
+        for seed in range(1 << g.order):
+            assert closure_of(g, seed) == _reference_closure_of(g, seed), (g.name, seed)
+
+
+def test_subgroups_of_matches_the_closure_of_every_seed():
+    for g in catalog():
+        assert subgroups_of(g) == _reference_subgroups_of(g), g.name
+
+
+def test_homs_match_extension_over_every_image_tuple():
+    total = 0
+    for g, h in itertools.product(catalog(), repeat=2):
+        assert homs(g, h) == _reference_homs(g, h), (g.name, h.name)
+        total += len(homs(g, h))
+    assert total == 1852
+
+
+@pytest.mark.parametrize("name", ["grp_small", "grp_le4"])
+def test_factorize_matches_the_reference_search(name):
+    fib = builtin_fibration(name)
+    for f in range(fib.category.n_morphisms):
+        assert factorize(fib, f) == _reference_factorize(fib, f), fib.category.mor_names[f]
+
+
 def test_sign_map_exists_and_preserves_normals(grp_small):
     cat = grp_small.category
     s3, z2 = cat.object_index("s3"), cat.object_index("z2")
@@ -326,6 +432,25 @@ def test_hereditary_quotient_matches_closed_image_characterization(fintop2):
                     alt = False
                     break
         assert map_predicates(fintop2, f).hereditary_quotient == alt
+
+
+def _reference_image_mask(f, mask):
+    """The image walked over the mask's points through ``mask_iter``."""
+    from topogen.lattice import mask_iter
+
+    out = 0
+    for x in mask_iter(mask):
+        out |= 1 << f[x]
+    return out
+
+
+@pytest.mark.parametrize("name", ["fintop2", "fintop3"])
+def test_image_mask_matches_a_walk_over_the_points(name):
+    from topogen.instances.topology import image_mask
+
+    for graph in set(builtin_fibration(name).category.graphs):
+        for mask in range(1 << len(graph)):
+            assert image_mask(graph, mask) == _reference_image_mask(graph, mask), (graph, mask)
 
 
 def _reference_map_predicates(fib, f):

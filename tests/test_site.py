@@ -6,7 +6,7 @@ import pytest
 
 from topogen import site
 from topogen.errors import CapabilityError, DomainError, InternalConsistencyError, PreconditionError
-from topogen.lattice import FiniteLattice, mask_iter
+from topogen.lattice import FiniteLattice, MonotoneMap, mask_iter
 from topogen.site import (
     FiniteCategory,
     PullbackSquare,
@@ -340,12 +340,34 @@ def test_fstar_tables_match_generic_right_adjoint(fintop2):
 ])
 def test_constructor_rejects_a_malformed_preimage_table_without_fstar(fintop2, moved, error):
     f = fintop2.category.morphism_index("discrete2>discrete2:10")
-    pre = fintop2.pre[:f] + (moved,) + fintop2.pre[f + 1:]
-    with pytest.raises(error):
+    _assert_rejected_as_a_monotone_map(fintop2, f, moved, error)
+
+
+def test_constructor_rejects_a_non_monotone_subgroup_preimage_table(grp_small):
+    f = next(
+        f for f in sorted(grp_small.mclass)
+        if grp_small.sub_dom(f).size >= 2 and grp_small.sub_cod(f).size >= 3
+    )
+    # an injection pulls back the image of its domain to the whole domain;
+    # send the whole codomain to the trivial subgroup instead
+    moved = list(grp_small.pre[f])
+    moved[grp_small.sub_cod(f).top] = grp_small.sub_dom(f).bottom
+    _assert_rejected_as_a_monotone_map(grp_small, f, tuple(moved), PreconditionError)
+
+
+def _assert_rejected_as_a_monotone_map(fib, f, moved, error):
+    """Without fstar, the constructor raises what ``MonotoneMap`` raises on
+    the moved table: the same type, message and witness."""
+    with pytest.raises(error) as expected:
+        MonotoneMap(fib.sub_cod(f), fib.sub_dom(f), moved)
+    with pytest.raises(error) as got:
         SubobjectFibration(
-            category=fintop2.category, sub=fintop2.sub, img=fintop2.img, pre=pre,
-            eclass=fintop2.eclass, mclass=fintop2.mclass,
+            category=fib.category, sub=fib.sub, img=fib.img,
+            pre=fib.pre[:f] + (moved,) + fib.pre[f + 1:], eclass=fib.eclass, mclass=fib.mclass,
         )
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+    assert getattr(got.value, "witness", None) == getattr(expected.value, "witness", None)
 
 
 def _with_tables(fib, img=None, pre=None):
