@@ -260,15 +260,8 @@ def generating_set(g: FinGroup) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def element_orders(g: FinGroup) -> tuple[int, ...]:
-    """The order of each element."""
-    orders = []
-    for a in range(g.order):
-        k, acc = 1, a
-        while acc != g.identity:
-            acc = g.mul[acc][a]
-            k += 1
-        orders.append(k)
-    return tuple(orders)
+    """The order of each element, the size of the cyclic subgroup it generates."""
+    return tuple(closure_of(g, 1 << a).bit_count() for a in range(g.order))
 
 
 @lru_cache(maxsize=None)
