@@ -218,7 +218,9 @@ class SubobjectFibration:
         if fstar is None:  # covering pairs found once per lattice (``_order_of``)
             lattices, _ = intern(map(id, self.sub))
             covers = {k: _order_of(lat)[0] for k, lat in dict(zip(lattices, self.sub)).items()}
-            fstar = [self._right_adjoint(f, covers[lattices[y]]) for f, y in enumerate(category.mor_cod)]
+            fstar = [
+                self._right_adjoint(f, covers[lattices[y]]) for f, y in enumerate(category.mor_cod)
+            ]
         self.fstar = tuple(fstar)
 
     def _right_adjoint(self, f: int, covers: tuple[tuple[int, int], ...]) -> Optional[tuple[int, ...]]:
