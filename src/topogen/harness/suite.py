@@ -67,6 +67,7 @@ from ..instances.topgroups import topgrp_fibration, validate_topgroup
 from ..instances.topology import (
     enumerate_topologies,
     enumerate_topologies_via_preorders,
+    fibre_masks,
     map_predicates,
 )
 from . import fileformat
@@ -227,47 +228,57 @@ def sweep_pullback_transfer(fib, classifications) -> Report:
     Legs.  The pullback of f: X->Y along p: Y'->Y is the fibre product of
     the graphs with the subspace topology of X x Y', so its legs f', p'
     depend on dom f, dom p and the fibre relation R = {(a, b) : f(a) = p(b)}
-    alone, never on Y.  Within a block of consecutive p with one domain,
-    legs are looked up by shape (graph p, dom f, graph f), then by relation
-    (dom f, dom p, the mask of p's fibre over f(a) for each a in X); only a
-    relation miss reads them off R, by the backend's ``pullback_legs``,
-    which looks each leg up by (dom, cod, graph), so the square aligns.
-    The miss certifies R: p o f' = f o p' on the graphs, or ``DomainError``;
-    every cospan of R commutes, as f(a) = p(b) on R.  A refused relation is
-    skipped as beyond the point budget or, if R is within it, as a corner
-    that is not an object.  The medium sweep checks 672,582 squares from
-    28,102 relations with legs, and builds a ``PullbackSquare`` only for
-    ``check_bcp`` on a memo miss and to name a violation.
+    alone, and R on graph p and graph f alone.  Graphs are interned; each
+    graph of p keeps a row of relation ids, indexed by graph id of f and
+    filled on first use (``fibre_masks``; medium: 776 fills).  Within a
+    block of consecutive p with one domain, legs are looked up by relation
+    id and dom f.  A miss (medium: 47,216) over the backend's ``max_points``
+    points is skipped as beyond the point budget with no backend call
+    (19,114); the others read the legs off R by the backend's
+    ``pullback_legs``, which looks each leg up by (dom, cod, graph), so the
+    square aligns, and refuses a corner that is not an object.  Legs
+    certify R: p o f' = f o p' on the graphs, or ``DomainError``; every
+    cospan of R commutes, as f(a) = p(b) on R.  The medium sweep checks
+    672,582 squares from 28,102 relations with legs, and builds a
+    ``PullbackSquare`` only for ``check_bcp`` on a memo miss and to name a
+    violation.
 
     Verdicts.  ``check_bcp`` reads four tables (img p', pre f', img p,
     pre f) and the lattices of cod f' and cod p', and ``transfer_laws`` the
-    flags of f', p, p' and f per order.  So a cospan's whole verdict is a
-    function of three interned ids: its leg side (img p', pre f', both
-    lattices, and each order's flags of f' and p'), read once per relation
-    miss; its p side (img p and its flags), read once per p; and its f
-    side (pre f and its flags).  The relation memo stores the leg side
-    premultiplied by the number of f sides, so a cospan costs one addition
-    and one lookup in the verdict memo of its p side; ``check_bcp`` and
-    ``transfer_laws`` run, memoised on their own keys, only on a verdict
-    miss (medium: 79,405 verdicts, 814 ``check_bcp`` calls).  Lattices are
-    keyed by identity: objects of one size share one.  The legs and
-    verdict memos are dropped when the domain of p changes: over the whole
-    medium sweep, one legs memo raises its peak RSS from 31 MB to 49 MB,
-    and one verdict memo adds 1.9 MB where the per-block ones add 0.35 MB.
+    flags of f', p, p' and f in every order, interned as one id per map.
+    So a cospan's whole verdict is a function of three ids interned over
+    the sweep: its leg side (img p', pre f', both lattices, and the flags
+    of f' and p'), read once per relation miss; its p side (img p and its
+    flags); and its f side (pre f and its flags).  The relation memo stores
+    the leg side premultiplied by the number of f sides, so a cospan costs
+    one addition and one lookup in the verdict memo of its p side, kept for
+    the whole sweep (about 0.75 MB of suite-medium peak RSS); ``check_bcp``
+    and ``transfer_laws`` run, memoised on their own keys, only on a
+    verdict miss (medium: 24,635 verdicts, 814 ``check_bcp`` calls).
+    Lattices are keyed by identity: objects of one size share one.
     """
     cat = fib.category
     names = cat.mor_names
     img_id, _ = intern(fib.img)
     pre_id, _ = intern(fib.pre)
     sub_id, _ = intern(map(id, fib.sub))
-    shape_id, _ = intern(zip(cat.mor_dom, cat.graphs))
+    graph_id, graph_ids = intern(cat.graphs)
     classes = list(classifications.values())
-    flag_ids = [intern(map(class_flags, cls))[0] for cls in classes]
-    f_side, f_sides = intern(zip(pre_id, *flag_ids))
-    p_side, _ = intern(zip(img_id, *flag_ids))
-    leg_sides = {}
-    bcps = {}
-    transfers = [{} for _ in classes]
+    flag_id, _ = intern(tuple(class_flags(cls[f]) for cls in classes) for f in range(len(names)))
+    f_side, f_sides = intern(zip(pre_id, flag_id))
+    p_side, _ = intern(zip(img_id, flag_id))
+    leg_sides, bcps, transfers = {}, {}, {}
+    # relation ids x n_objects, per graph id of p and graph id of f
+    rows, n_objects = [None] * len(graph_ids), cat.n_objects
+    relation_ids, masks = {}, []  # masks[id] is None beyond the point budget
+
+    def relation_key(p, f):
+        relation = fibre_masks(cat.graphs[p], cat.graphs[f])
+        if relation not in relation_ids:
+            relation_ids[relation] = len(masks)
+            within = sum(map(int.bit_count, relation)) <= fib.backend.max_points
+            masks.append(relation if within else None)
+        return relation_ids[relation] * n_objects
 
     def leg_base(f, p, f_prime, p_prime):
         # certify R: p o f' = f o p', read on the graphs at each corner point
@@ -275,10 +286,8 @@ def sweep_pullback_transfer(fib, classifications) -> Report:
         if list(p_after_f_prime) != list(map(cat.graphs[f].__getitem__, cat.graphs[p_prime])):
             raise DomainError(f"pullback legs of {names[f]} and {names[p]} do not commute")
         side = (
-            img_id[p_prime], pre_id[f_prime],
-            sub_id[cat.mor_cod[f_prime]], sub_id[cat.mor_cod[p_prime]],
-            *(flag_id[f_prime] for flag_id in flag_ids),
-            *(flag_id[p_prime] for flag_id in flag_ids),
+            img_id[p_prime], pre_id[f_prime], sub_id[cat.mor_cod[f_prime]],
+            sub_id[cat.mor_cod[p_prime]], flag_id[f_prime], flag_id[p_prime],
         )
         return leg_sides.setdefault(side, len(leg_sides)) * len(f_sides)
 
@@ -294,42 +303,42 @@ def sweep_pullback_transfer(fib, classifications) -> Report:
             return _INEQUALITY
         if not bcp.bcp_equality:
             return ()
-        laws = []
-        for cls, flag_id, memo in zip(classes, flag_ids, transfers):
-            key = (flag_id[f_prime], flag_id[p], flag_id[p_prime], flag_id[f])
-            found = memo.get(key)
-            if found is None:
-                found = memo[key] = transfer_laws(cls[f_prime], cls[p], cls[p_prime], cls[f])
-            laws.extend(found)
-        return tuple(laws)
+        key = (flag_id[f_prime], flag_id[p], flag_id[p_prime], flag_id[f])
+        if key not in transfers:
+            transfers[key] = tuple(
+                law for cls in classes
+                for law in transfer_laws(cls[f_prime], cls[p], cls[p_prime], cls[f]))
+        return transfers[key]
 
     violations = []
     checked, skips = 0, dict.fromkeys((_BUDGET, _NO_CORNER), 0)
-    block = None
+    block, by_p_side = None, {}
     for p in sorted(fib.eclass | fib.mclass):
-        y = cat.mor_cod[p]
         if cat.mor_dom[p] != block:
-            block, by_shape, by_relation, by_p_side = cat.mor_dom[p], {}, {}, {}
-        legs_of = by_shape.setdefault(shape_id[p], {})
+            block, by_relation = cat.mor_dom[p], {}
+        row = rows[graph_id[p]]
+        if row is None:
+            row = rows[graph_id[p]] = [None] * len(graph_ids)
         verdicts = by_p_side.setdefault(p_side[p], {})
-        fibre = [0] * len(cat.graphs[cat.identities[y]])
-        for b, v in enumerate(cat.graphs[p]):
-            fibre[v] |= 1 << b
-        for f in cat.morphisms_to[y]:
-            legs = legs_of.get(shape_id[f], _MISSING)
+        for f in cat.morphisms_to[cat.mor_cod[p]]:
+            key = row[graph_id[f]]
+            if key is None:
+                key = row[graph_id[f]] = relation_key(p, f)
+            key += cat.mor_dom[f]
+            legs = by_relation.get(key, _MISSING)
             if legs is _MISSING:
-                relation = (cat.mor_dom[f], block, tuple(map(fibre.__getitem__, cat.graphs[f])))
-                legs = by_relation.get(relation, _MISSING)
-                if legs is _MISSING:
+                relation = masks[key // n_objects]
+                if relation is None:
+                    legs = _BUDGET
+                else:
                     try:
-                        f_prime, p_prime = fib.backend.pullback_legs(fib, *relation)
+                        f_prime, p_prime = fib.backend.pullback_legs(
+                            fib, cat.mor_dom[f], block, relation)
                     except CapabilityError:
-                        size = sum(map(int.bit_count, relation[2]))
-                        legs = _BUDGET if size > fib.backend.max_points else _NO_CORNER
+                        legs = _NO_CORNER
                     else:
                         legs = (f_prime, p_prime, leg_base(f, p, f_prime, p_prime))
-                    by_relation[relation] = legs
-                legs_of[shape_id[f]] = legs
+                by_relation[key] = legs
             if type(legs) is str:
                 skips[legs] += 1
                 continue

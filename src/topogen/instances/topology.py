@@ -207,6 +207,12 @@ def preimage_mask(f: tuple[int, ...], mask: int) -> int:
     return out
 
 
+def fibre_masks(p: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
+    """The fibre relation {(a, b) : f(a) = p(b)} of two graphs into one set,
+    as the mask of p's fibre over each f(a)."""
+    return tuple(preimage_mask(p, 1 << x) for x in f)
+
+
 class _FinTopBackend:
     """Factorization and pullback construction for space fibrations."""
 
@@ -280,8 +286,7 @@ class _FinTopBackend:
 
     def pullback(self, fib, f: int, p: int) -> PullbackSquare:
         cat = fib.category
-        gp = cat.graphs[p]
-        relation = tuple(sum(1 << b for b, y in enumerate(gp) if y == x) for x in cat.graphs[f])
+        relation = fibre_masks(cat.graphs[p], cat.graphs[f])
         f_prime, p_prime = self.pullback_legs(fib, cat.mor_dom[f], cat.mor_dom[p], relation)
         return PullbackSquare(fib, f_prime=f_prime, p=p, p_prime=p_prime, f=f)
 

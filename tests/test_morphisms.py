@@ -774,10 +774,22 @@ def test_sweep_builds_each_pullback_relation_once(fintop2, monkeypatch):
     }
     report = suite.sweep_pullback_transfer(fintop2, classifications)
     assert report.ok
-    assert counts["legs"] == len(relations) == 121 and len(shapes) == 233
+    # relations beyond the point budget are refused by their point count,
+    # with no backend call
+    budget = fintop2.backend.max_points
+    over = {r for r in relations if len(r[2]) > budget}
+    assert len(relations) == 121 and len(over) == 16 and len(shapes) == 233
+    assert counts["legs"] == len(relations) - len(over) == 105
     # legs are read off the relation: one square per Beck-Chevalley memo
     # miss, none per built pullback or per cospan
     assert counts["square"] == counts["bcp"] < report.checked == 505
+
+
+def test_sweep_without_orders_checks_beck_chevalley_alone(fintop2):
+    from topogen.harness.suite import sweep_pullback_transfer
+
+    report = sweep_pullback_transfer(fintop2, {})
+    assert report.ok and report.checked == 505
 
 
 def test_memoised_legs_match_fresh_pullbacks(fintop2, fintop3, monkeypatch):
@@ -812,9 +824,57 @@ def test_memoised_legs_match_fresh_pullbacks(fintop2, fintop3, monkeypatch):
             sliced, {"closure": tuple(classify(f, t) for f in range(cat.n_morphisms))})
         assert [(v.law, v.where) for v in report.violations] == [("probe", sq) for sq in squares]
         assert report.skipped == (f"{fib.name}: {skipped} squares beyond point budget",)
-        # some cospans share a shape, and some shapes a relation, so legs are
-        # shared across shapes too
+        # some cospans share their (dom p, graph p, dom f, graph f), and some
+        # of those a relation, so legs are shared across graph pairs too
         assert skipped > 0 and len(relations) < len(shapes) < cospans
+
+
+def _as_masks(pairs, n_points):
+    """A relation {(a, b)} as the mask of its points b for each a < n_points."""
+    return tuple(sum(1 << b for a2, b in pairs if a2 == a) for a in range(n_points))
+
+
+def test_sweep_reads_each_relation_from_its_graph_pair(fintop2, fintop3, monkeypatch):
+    import topogen.harness.suite as suite
+    from topogen.site import BcpResult, SubobjectFibration
+
+    # every checked square breaks one probe law, so the sweep names the
+    # square [f',p,p',f] of each cospan it checks
+    monkeypatch.setattr(suite, "check_bcp", lambda sq: BcpResult(True, True))
+    monkeypatch.setattr(suite, "transfer_laws", lambda *classes: ("probe",))
+    fills = Counter()
+    fibre_masks = suite.fibre_masks
+
+    def counted_masks(graph_p, graph_f):
+        fills[graph_p, graph_f] += 1
+        return fibre_masks(graph_p, graph_f)
+
+    monkeypatch.setattr(suite, "fibre_masks", counted_masks)
+    for fib, ps in ((fintop2, _sweep_order(fintop2)), (fintop3, _sweep_order(fintop3)[::13])):
+        cat = fib.category
+        cospans = [(f, p) for p in ps for f in cat.morphisms_to[cat.mor_cod[p]]]
+        within = [(f, p) for f, p in cospans
+                  if len(_fibre_relation(cat, f, p)) <= fib.backend.max_points]
+        sliced = SubobjectFibration(
+            cat, fib.sub, fib.img, fib.pre, frozenset(ps), frozenset(),
+            fstar=fib.fstar, backend=fib.backend, name=fib.name,
+        )
+        fills.clear()
+        report = suite.sweep_pullback_transfer(sliced, _closure_classifications(fib))
+        # one fill per distinct pair of graphs, none per cospan or per block
+        pairs = {(cat.graphs[p], cat.graphs[f]) for f, p in cospans}
+        assert fills == Counter(dict.fromkeys(pairs, 1)) and len(pairs) < len(cospans)
+        # the relation each checked cospan's legs were read off, read back
+        # from the legs as {(p'(c), f'(c))}, is the cospan's fibre relation
+        read = []
+        for v in report.violations:
+            f_prime, p, p_prime, f = map(cat.morphism_index, v.where[len("square["):-1].split(","))
+            legs = set(zip(cat.graphs[p_prime], cat.graphs[f_prime]))
+            read.append((f, p, _as_masks(legs, len(cat.graphs[f]))))
+        assert read == [
+            (f, p, _as_masks(_fibre_relation(cat, f, p), len(cat.graphs[f]))) for f, p in within]
+        assert report.skipped == (
+            f"{fib.name}: {len(cospans) - len(within)} squares beyond point budget",)
 
 
 def _closure_classifications(fib):

@@ -32,6 +32,9 @@ the extremality checks ``constructions.check_extremality.*``, which the
 and ``lattice.right_adjoint_of.*``,
 and the CLI layer ``cli.*`` (``cli.main``'s calls and self time, and each
 command's median latency ``cli.<command>.p50_ms``).
+The pullback sweep over E and M reads its legs off fibre relations and
+builds no ``site.pullback``, so ``site.pullback.*`` reads 0 on suite-medium;
+its layer evidence is ``harness.suite.pullback-transfer.wall_s``.
 Standard library only.
 """
 
