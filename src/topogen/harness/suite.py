@@ -252,7 +252,7 @@ def sweep_pullback_transfer(fib, classifications) -> Report:
     flags); and its f side (pre f and its flags).  The relation memo stores
     the leg side premultiplied by the number of f sides, so a cospan costs
     one addition and one lookup in the verdict memo of its p side, kept for
-    the whole sweep (about 0.75 MB of suite-medium peak RSS); ``check_bcp``
+    the whole sweep (+0.35 MB of suite-medium peak RSS); ``check_bcp``
     and ``transfer_laws`` run, memoised on their own keys, only on a
     verdict miss (medium: 24,635 verdicts, 814 ``check_bcp`` calls).
     Lattices are keyed by identity: objects of one size share one.
