@@ -26,15 +26,7 @@ from .harness.suite import CHECKS, SCALES, run_suite
 from .instances import registry
 from .instances.topology import fintop_fibration, is_continuous, map_predicates
 from .morphisms import classify, strict_subobjects
-from .constructions import (
-    CopointedEndofunctor,
-    PointedEndofunctor,
-    induce_copointed,
-    induce_pointed,
-    lift_topogenous,
-    validate_copointed,
-    validate_pointed,
-)
+from .constructions import induce_order, lift_topogenous, validate_endofunctor
 from .structures import (
     closure_from_topogenous,
     interior_from_topogenous,
@@ -118,16 +110,14 @@ class _Environment:
             return f
         return fib.category.morphism_index(name)
 
-    def endofunctor(self, kind: str, name: str, fib):
-        """The ``kind`` ("pointed" or "copointed") endofunctor ``name``."""
+    def endofunctor(self, side: str, name: str, fib):
+        """The ``side`` ("pointed" or "copointed") endofunctor ``name``."""
         rec = self._find(fileformat.EndofunctorRecord, name)
         if rec is None:
-            if kind == "pointed":
-                return registry.builtin_pointed(name, fib)
-            return registry.builtin_copointed(name, fib)
-        if rec.kind != kind:
-            raise DomainError(f"endofunctor {name!r} is {rec.kind}, not {kind}")
-        if name in (registry.POINTED if kind == "pointed" else registry.COPOINTED):
+            return registry.builtin_endofunctor(side, name, fib)
+        if rec.kind != side:
+            raise DomainError(f"endofunctor {name!r} is {rec.kind}, not {side}")
+        if (side, name) in registry.ENDOFUNCTORS:
             print(f"warning: file endofunctor {name!r} overrides the built-in",
                   file=sys.stderr)
         return fileformat.resolve_endofunctor(rec, fib)
@@ -145,12 +135,12 @@ def _emit(text: str, output):
 # commands
 
 
+# per record type: how it resolves over its fibration, and its validator
 _RESOLVERS = {
-    fileformat.OrderRecord: fileformat.resolve_order,
-    fileformat.OperatorRecord: fileformat.resolve_operator,
-    fileformat.EndofunctorRecord: fileformat.resolve_endofunctor,
+    fileformat.OrderRecord: (fileformat.resolve_order, validate_structure),
+    fileformat.OperatorRecord: (fileformat.resolve_operator, validate_structure),
+    fileformat.EndofunctorRecord: (fileformat.resolve_endofunctor, validate_endofunctor),
 }
-_VALIDATORS = {PointedEndofunctor: validate_pointed, CopointedEndofunctor: validate_copointed}
 
 
 def _cmd_validate(args) -> int:
@@ -184,8 +174,8 @@ def _cmd_validate(args) -> int:
                 failures += not ok
                 print(("ok " if ok else "FAIL ") + label + ("" if ok else ": not continuous"))
             else:
-                resolved = _RESOLVERS[type(rec)](rec, env.fibration(rec.fibration))
-                rep = _VALIDATORS.get(type(resolved), validate_structure)(resolved)
+                resolve, validate = _RESOLVERS[type(rec)]
+                rep = validate(resolve(rec, env.fibration(rec.fibration)))
                 failures += not rep.ok
                 print(("ok " if rep.ok else "FAIL ") + label)
                 if not rep.ok:
@@ -293,11 +283,11 @@ def _cmd_induce(args) -> int:
     order = env.order(args.order, fib)
     endo_name = args.pointed or args.copointed
     endo = env.endofunctor("pointed" if args.pointed else "copointed", endo_name, fib)
-    rep = _VALIDATORS[type(endo)](endo)
+    rep = validate_endofunctor(endo)
     if not rep.ok:
         print(rep.render(), file=sys.stderr)
         return EXIT_FAILURE
-    induced = (induce_pointed if args.pointed else induce_copointed)(endo, order)
+    induced = induce_order(endo, order)
     name = f"{args.order}_via_{endo_name}"
     vrep = validate_structure(induced)
     record = fileformat.order_record_of(name, induced)

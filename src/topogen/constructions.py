@@ -122,74 +122,72 @@ def lift_topogenous(fd: FiberedFunctor, t_base: TopogenousOrder) -> TopogenousOr
 
 
 @dataclass(frozen=True, eq=False)
-class PointedEndofunctor:
+class Endofunctor:
+    """A pointed endofunctor, whose unit at x runs x -> Fx, or a copointed
+    one, whose counit at x runs Fx -> x; ``components[x]`` is that arrow."""
+
     fib: SubobjectFibration
+    side: str                    # "pointed" | "copointed"
     obj_map: tuple[int, ...]
     mor_map: tuple[int, ...]
-    unit: tuple[int, ...]        # unit[x]: x -> obj_map[x]
+    components: tuple[int, ...]
+
+    @property
+    def pointed(self) -> bool:
+        return self.side == "pointed"
+
+    @property
+    def component(self) -> str:
+        """What each component is called: ``unit`` or ``counit``."""
+        return "unit" if self.pointed else "counit"
+
+    def orient(self, at_x, at_fx) -> tuple:
+        """A pair given as (the one at x, the one at Fx), reordered as (the
+        one at the component's domain, the one at its codomain)."""
+        return (at_x, at_fx) if self.pointed else (at_fx, at_x)
 
     @property
     def e_pointed(self) -> bool:
-        return all(u in self.fib.eclass for u in self.unit)
+        return all(c in self.fib.eclass for c in self.components)
 
 
-@dataclass(frozen=True, eq=False)
-class CopointedEndofunctor:
-    fib: SubobjectFibration
-    obj_map: tuple[int, ...]
-    mor_map: tuple[int, ...]
-    counit: tuple[int, ...]      # counit[x]: obj_map[x] -> x
-
-
-def _validate_endofunctor_tables(fib, obj_map, mor_map) -> list[Violation]:
-    cat = fib.category
+def validate_endofunctor(endo: Endofunctor) -> Report:
+    """The functor laws of the two maps, and the typing and naturality of
+    each component: F f ∘ η_x = η_y ∘ f for a unit, f ∘ ε_x = ε_y ∘ F f for
+    a counit (the arrow at the component's codomain after the component
+    equals the component after the arrow at its domain).  A composite or
+    naturality square that needs a morphism already reported as mistyped is
+    not composed; ``checked`` counts it either way."""
+    cat = endo.fib.category
+    F, comps, name = endo.mor_map, endo.components, endo.component
     violations = []
     for x in range(cat.n_objects):
-        if mor_map[cat.identities[x]] != cat.identities[obj_map[x]]:
+        if F[cat.identities[x]] != cat.identities[endo.obj_map[x]]:
             violations.append(Violation("endofunctor-identity", where=cat.object_names[x]))
+    typed = []
     for f in range(cat.n_morphisms):
-        ff = mor_map[f]
-        if (cat.mor_dom[ff] != obj_map[cat.mor_dom[f]]
-                or cat.mor_cod[ff] != obj_map[cat.mor_cod[f]]):
+        ends = endo.obj_map[cat.mor_dom[f]], endo.obj_map[cat.mor_cod[f]]
+        typed.append((cat.mor_dom[F[f]], cat.mor_cod[F[f]]) == ends)
+        if not typed[f]:
             violations.append(Violation("endofunctor-typing", where=cat.mor_names[f]))
     for g, f in cat.composable_pairs():
-        if mor_map[cat.compose(g, f)] != cat.compose(mor_map[g], mor_map[f]):
+        if typed[g] and typed[f] and F[cat.compose(g, f)] != cat.compose(F[g], F[f]):
             violations.append(
                 Violation("endofunctor-composition", witness=(cat.mor_names[g], cat.mor_names[f]))
             )
-    return violations
-
-
-def validate_pointed(p: PointedEndofunctor) -> Report:
-    cat = p.fib.category
-    violations = _validate_endofunctor_tables(p.fib, p.obj_map, p.mor_map)
-    checked = cat.n_morphisms
-    for x in range(cat.n_objects):
-        u = p.unit[x]
-        if cat.mor_dom[u] != x or cat.mor_cod[u] != p.obj_map[x]:
-            violations.append(Violation("unit-typing", where=cat.object_names[x]))
+    comp_typed = []
+    for x, c in enumerate(comps):
+        comp_typed.append((cat.mor_dom[c], cat.mor_cod[c]) == endo.orient(x, endo.obj_map[x]))
+        if not comp_typed[x]:
+            violations.append(Violation(f"{name}-typing", where=cat.object_names[x]))
     for f in range(cat.n_morphisms):
         x, y = cat.mor_dom[f], cat.mor_cod[f]
-        checked += 1
-        if cat.compose(p.mor_map[f], p.unit[x]) != cat.compose(p.unit[y], f):
-            violations.append(Violation("unit-naturality", where=cat.mor_names[f]))
-    return Report("pointed-endofunctor", checked, tuple(violations))
-
-
-def validate_copointed(q: CopointedEndofunctor) -> Report:
-    cat = q.fib.category
-    violations = _validate_endofunctor_tables(q.fib, q.obj_map, q.mor_map)
-    checked = cat.n_morphisms
-    for x in range(cat.n_objects):
-        e = q.counit[x]
-        if cat.mor_dom[e] != q.obj_map[x] or cat.mor_cod[e] != x:
-            violations.append(Violation("counit-typing", where=cat.object_names[x]))
-    for f in range(cat.n_morphisms):
-        x, y = cat.mor_dom[f], cat.mor_cod[f]
-        checked += 1
-        if cat.compose(f, q.counit[x]) != cat.compose(q.counit[y], q.mor_map[f]):
-            violations.append(Violation("counit-naturality", where=cat.mor_names[f]))
-    return Report("copointed-endofunctor", checked, tuple(violations))
+        if not (typed[f] and comp_typed[x] and comp_typed[y]):
+            continue
+        before, after = endo.orient(f, F[f])
+        if cat.compose(after, comps[x]) != cat.compose(comps[y], before):
+            violations.append(Violation(f"{name}-naturality", where=cat.mor_names[f]))
+    return Report(f"{endo.side}-endofunctor", 2 * cat.n_morphisms, tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -215,54 +213,37 @@ def continuity_between(f: int, t_dom: TopogenousOrder, t_cod: TopogenousOrder):
 # induced orders
 
 
-def induce_pointed(p: PointedEndofunctor, t: TopogenousOrder) -> TopogenousOrder:
-    """Least order making every unit component continuous into t.
+def induce_order(endo: Endofunctor, t: TopogenousOrder) -> TopogenousOrder:
+    """The order induced along the components.
 
-    m related to n iff some subobject p of the target of the unit is above
-    the unit-image of m in t and pulls back under the unit to within n.
+    Pointed: the least order making every unit continuous into t; m is
+    related to n iff some subobject q of Fx is above the unit-image of m in
+    t and pulls back under the unit to within n.  Every unit must be in E.
+    Copointed: the largest order making every counit continuous out of t;
+    comparable m <= n are related iff their counit preimages are related
+    in t.
     """
-    fib = p.fib
+    fib = endo.fib
     if t.fib is not fib:
         raise PreconditionError("order lives on a different fibration")
-    if not p.e_pointed:
+    if endo.pointed and not endo.e_pointed:
         raise PreconditionError("endofunctor is not E-pointed")
     rel = []
-    for x in range(fib.category.n_objects):
-        u = p.unit[x]
-        img_u, pre_u = fib.img[u], fib.pre[u]
-        fx = p.obj_map[x]
-        lx = fib.sub[x]
+    for x, lx in enumerate(fib.sub):
+        c = endo.components[x]
+        img_c, pre_c = fib.img[c], fib.pre[c]
+        t_fx = t.rel[endo.obj_map[x]]
         rows = []
         for m in range(lx.size):
             row = 0
-            for q in mask_iter(t.rel[fx][img_u[m]]):
-                row |= lx.up[pre_u[q]]
-            rows.append(row)
-        rel.append(tuple(rows))
-    return TopogenousOrder(fib, tuple(rel))
-
-
-def induce_copointed(q: CopointedEndofunctor, t: TopogenousOrder) -> TopogenousOrder:
-    """Largest order making every counit component continuous out of t.
-
-    For comparable m <= n: related iff the counit preimages are related in t.
-    """
-    fib = q.fib
-    if t.fib is not fib:
-        raise PreconditionError("order lives on a different fibration")
-    rel = []
-    for x in range(fib.category.n_objects):
-        e = q.counit[x]
-        pre_e = fib.pre[e]
-        gx = q.obj_map[x]
-        lx = fib.sub[x]
-        rows = []
-        for m in range(lx.size):
-            row = 0
-            base_row = t.rel[gx][pre_e[m]]
-            for n in mask_iter(lx.up[m]):
-                if base_row >> pre_e[n] & 1:
-                    row |= 1 << n
+            if endo.pointed:
+                for q in mask_iter(t_fx[img_c[m]]):
+                    row |= lx.up[pre_c[q]]
+            else:
+                base_row = t_fx[pre_c[m]]
+                for n in mask_iter(lx.up[m]):
+                    if base_row >> pre_c[n] & 1:
+                        row |= 1 << n
             rows.append(row)
         rel.append(tuple(rows))
     return TopogenousOrder(fib, tuple(rel))
@@ -272,104 +253,63 @@ def induce_copointed(q: CopointedEndofunctor, t: TopogenousOrder) -> TopogenousO
 # induced operators
 
 
-def induced_closure(data, t: TopogenousOrder) -> ClosureOperator:
+def induced_closure(endo: Endofunctor, t: TopogenousOrder) -> ClosureOperator:
     """Closure induced by a (co)pointed endofunctor from a meet-preserving order."""
     fib = t.fib
     base = closure_from_topogenous(t)  # raises with witness if not meet-preserving
-    if isinstance(data, PointedEndofunctor):
-        cmap = []
-        for x in range(fib.category.n_objects):
-            u = data.unit[x]
-            img_u, pre_u = fib.img[u], fib.pre[u]
-            fx = data.obj_map[x]
-            cmap.append(tuple(
-                pre_u[base.cmap[fx][img_u[m]]] for m in range(fib.sub[x].size)
-            ))
-        return ClosureOperator(fib, tuple(cmap))
-    if isinstance(data, CopointedEndofunctor):
-        cmap = []
-        for x in range(fib.category.n_objects):
-            e = data.counit[x]
-            img_e, pre_e = fib.img[e], fib.pre[e]
-            gx = data.obj_map[x]
-            lx = fib.sub[x]
-            cmap.append(tuple(
-                lx.join(m, img_e[base.cmap[gx][pre_e[m]]]) for m in range(lx.size)
-            ))
-        return ClosureOperator(fib, tuple(cmap))
-    raise PreconditionError("need a pointed or copointed endofunctor")
+    cmap = []
+    for x, lx in enumerate(fib.sub):
+        c = endo.components[x]
+        img_c, pre_c = fib.img[c], fib.pre[c]
+        c_fx = base.cmap[endo.obj_map[x]]
+        if endo.pointed:
+            cmap.append(tuple(pre_c[c_fx[img_c[m]]] for m in range(lx.size)))
+        else:
+            cmap.append(tuple(lx.join(m, img_c[c_fx[pre_c[m]]]) for m in range(lx.size)))
+    return ClosureOperator(fib, tuple(cmap))
 
 
-def induced_interior(data, t: TopogenousOrder) -> InteriorOperator:
+def induced_interior(endo: Endofunctor, t: TopogenousOrder) -> InteriorOperator:
     """Interior induced by a (co)pointed endofunctor from a join-preserving order.
 
-    The pointed case composes with the right adjoint of the unit's preimage;
-    the copointed case with the right adjoint of the counit's preimage.  Both
-    must exist (a precondition error names the failing component).
+    Both sides compose with the right adjoint of the component's preimage,
+    which must exist (a precondition error names the failing component).
     """
     fib = t.fib
     base = interior_from_topogenous(t)
-    if isinstance(data, PointedEndofunctor):
-        imap = []
-        for x in range(fib.category.n_objects):
-            u = data.unit[x]
-            star = fib.fstar[u]
-            if star is None:
-                raise PreconditionError(
-                    f"unit at {fib.category.object_names[x]} has no right adjoint of preimage"
-                )
-            pre_u = fib.pre[u]
-            fx = data.obj_map[x]
-            imap.append(tuple(
-                pre_u[base.imap[fx][star[m]]] for m in range(fib.sub[x].size)
-            ))
-        return InteriorOperator(fib, tuple(imap))
-    if isinstance(data, CopointedEndofunctor):
-        imap = []
-        for x in range(fib.category.n_objects):
-            e = data.counit[x]
-            star = fib.fstar[e]
-            if star is None:
-                raise PreconditionError(
-                    f"counit at {fib.category.object_names[x]} has no right adjoint of preimage"
-                )
-            pre_e = fib.pre[e]
-            gx = data.obj_map[x]
-            lx = fib.sub[x]
-            imap.append(tuple(
-                lx.meet(m, star[base.imap[gx][pre_e[m]]]) for m in range(lx.size)
-            ))
-        return InteriorOperator(fib, tuple(imap))
-    raise PreconditionError("need a pointed or copointed endofunctor")
+    imap = []
+    for x, lx in enumerate(fib.sub):
+        c = endo.components[x]
+        star = fib.fstar[c]
+        if star is None:
+            raise PreconditionError(
+                f"{endo.component} at {fib.category.object_names[x]} "
+                f"has no right adjoint of preimage"
+            )
+        pre_c = fib.pre[c]
+        i_fx = base.imap[endo.obj_map[x]]
+        if endo.pointed:
+            imap.append(tuple(pre_c[i_fx[star[m]]] for m in range(lx.size)))
+        else:
+            imap.append(tuple(lx.meet(m, star[i_fx[pre_c[m]]]) for m in range(lx.size)))
+    return InteriorOperator(fib, tuple(imap))
 
 
 # ---------------------------------------------------------------------------
 # continuity constraints for the extremality families
 
 
-def unit_constraint(p: PointedEndofunctor, base) -> Callable:
-    """Each unit component x -> Fx obeys the law of ``base``'s kind from the
-    candidate's table at x to ``base``'s table at Fx."""
+def component_constraint(endo: Endofunctor, base) -> Callable:
+    """Each component obeys the law of ``base``'s kind between the
+    candidate's table at x and ``base``'s table at Fx: from the first to the
+    second for a unit x -> Fx, the other way for a counit Fx -> x."""
     laws = [
-        (x, base.table[fx], base.law_along(p.fib, u))
-        for x, (u, fx) in enumerate(zip(p.unit, p.obj_map))
+        (x, base.table[fx], base.law_along(endo.fib, c))
+        for x, (c, fx) in enumerate(zip(endo.components, endo.obj_map))
     ]
 
     def ok(candidate) -> bool:
-        return all(law.holds(candidate.table[x], cod_row) for x, cod_row, law in laws)
-    return ok
-
-
-def counit_constraint(q: CopointedEndofunctor, base) -> Callable:
-    """Each counit component Gx -> x obeys the law of ``base``'s kind from
-    ``base``'s table at Gx to the candidate's table at x."""
-    laws = [
-        (x, base.table[gx], base.law_along(q.fib, e))
-        for x, (e, gx) in enumerate(zip(q.counit, q.obj_map))
-    ]
-
-    def ok(candidate) -> bool:
-        return all(law.holds(dom_row, candidate.table[x]) for x, dom_row, law in laws)
+        return all(law.holds(*endo.orient(candidate.table[x], row)) for x, row, law in laws)
     return ok
 
 

@@ -441,28 +441,8 @@ def resolve_order(record: OrderRecord, fib) -> "object":
     return TopogenousOrder(fib, tuple(tuple(r) for r in rows))
 
 
-def endofunctor_record_of(name: str, endo) -> EndofunctorRecord:
-    from ..constructions import PointedEndofunctor
-
-    fib = endo.fib
-    cat = fib.category
-    pointed = isinstance(endo, PointedEndofunctor)
-    components = endo.unit if pointed else endo.counit
-    return EndofunctorRecord(
-        name,
-        fib.name,
-        "pointed" if pointed else "copointed",
-        tuple((cat.object_names[x], cat.object_names[endo.obj_map[x]])
-              for x in range(cat.n_objects)),
-        tuple((cat.mor_names[f], cat.mor_names[endo.mor_map[f]])
-              for f in range(cat.n_morphisms)),
-        tuple((cat.object_names[x], cat.mor_names[components[x]])
-              for x in range(cat.n_objects)),
-    )
-
-
 def resolve_endofunctor(record: EndofunctorRecord, fib):
-    from ..constructions import CopointedEndofunctor, PointedEndofunctor
+    from ..constructions import Endofunctor
 
     cat = fib.category
     obj_map = [None] * cat.n_objects
@@ -476,8 +456,7 @@ def resolve_endofunctor(record: EndofunctorRecord, fib):
         components[cat.object_index(a)] = cat.morphism_index(b)
     if any(v is None for v in (*obj_map, *mor_map, *components)):
         raise FormatError(f"endofunctor {record.name!r} leaves entries unassigned")
-    cls = PointedEndofunctor if record.kind == "pointed" else CopointedEndofunctor
-    return cls(fib, tuple(obj_map), tuple(mor_map), tuple(components))
+    return Endofunctor(fib, record.kind, tuple(obj_map), tuple(mor_map), tuple(components))
 
 
 def operator_record_of(name: str, op, kind: str) -> OperatorRecord:

@@ -16,17 +16,14 @@ from functools import lru_cache, partial
 from ..constructions import (
     FamilySpec,
     check_extremality,
+    component_constraint,
     continuity_between,
-    counit_constraint,
-    induce_copointed,
-    induce_pointed,
+    induce_order,
     induced_closure,
     induced_interior,
     lift_topogenous,
-    unit_constraint,
-    validate_copointed,
+    validate_endofunctor,
     validate_fibered_functor,
-    validate_pointed,
 )
 from ..errors import CapabilityError, DomainError, PreconditionError, ResourceCapError, TopogenError
 from ..lattice import right_adjoint_of
@@ -414,82 +411,78 @@ def check_fibration_lift(scale: str) -> Report:
     return Report("fibration-lift", checked, tuple(violations))
 
 
-def check_pointed_induced_order(scale: str) -> Report:
-    violations = []
+# per side: the instance, its built-in endofunctor, and the extreme the
+# order it induces must be
+_ENDOFUNCTORS = {
+    "pointed": ("t0_small", "t0", "least"),
+    "copointed": ("coreflect_small", "discrete", "largest"),
+}
+
+
+def check_induced_order(side: str, scale: str) -> Report:
+    """The order induced by the side's built-in endofunctor from the closure
+    and interior orders: valid, its components continuous, extremal in their
+    family, and (pointed side) interpolative when the order is; then the
+    side's own statement, the reflection formula or discretization to
+    inclusion."""
+    fib_name, endo_name, extreme = _ENDOFUNCTORS[side]
+    fib = _fib(fib_name)
+    endo = registry.builtin_endofunctor(side, endo_name, fib)
+    violations = list(validate_endofunctor(endo).violations)
     checked = 0
-    # extremality on the two-object instance
-    fib = _fib("t0_small")
-    p = registry.builtin_pointed("t0", fib)
-    rep = validate_pointed(p)
-    violations.extend(rep.violations)
     for kind in ("closure", "interior"):
-        t = _order("t0_small", kind)
-        ind = induce_pointed(p, t)
+        t = _order(fib_name, kind)
+        ind = induce_order(endo, t)
         v = validate_structure(ind)
         checked += v.checked
         violations.extend(v.violations)
-        if not all(
-            continuity_between(p.unit[x], ind, t)[0]
-            for x in range(fib.category.n_objects)
-        ):
-            violations.append(Violation("unit-not-continuous", where=kind))
-        if is_interpolative(t) and not is_interpolative(ind):
+        # each component is continuous between the induced order at x and t at Fx
+        if not all(continuity_between(c, *endo.orient(ind, t))[0] for c in endo.components):
+            violations.append(Violation(f"{endo.component}-not-continuous", where=kind))
+        if endo.pointed and is_interpolative(t) and not is_interpolative(ind):
             violations.append(Violation("interpolation-inheritance", where=kind))
         r = check_extremality(ind, FamilySpec(
-            fib, "topogenous", unit_constraint(p, t), "least",
-            f"pointed-order-{kind}"))
+            fib, "topogenous", component_constraint(endo, t), extreme,
+            f"{side}-order-{kind}"))
         checked += r.checked
         violations.extend(r.violations)
-    # the reflection formula on the bigger fibration
+    tail_checked, tail_violations = (
+        _reflection_formula(scale) if endo.pointed else _discretization_is_inclusion(endo))
+    return Report(f"{side}-induced-order", checked + tail_checked,
+                  tuple(violations + tail_violations))
+
+
+def _reflection_formula(scale: str):
+    """The reflection's order induced from the closure order on the bigger
+    fibration is valid and has the row of the closure formula."""
     big = "fintop2" if scale == "small" else "fintop3"
-    fib2 = _fib(big)
-    p2 = registry.builtin_pointed("t0", fib2)
-    t2 = _order(big, "closure")
-    ind2 = induce_pointed(p2, t2)
-    v = validate_structure(ind2)
-    checked += v.checked
-    violations.extend(v.violations)
-    c2 = closure_from_topogenous(t2)
-    for x in range(fib2.category.n_objects):
-        u = p2.unit[x]
-        img_u, pre_u = fib2.img[u], fib2.pre[u]
-        fx = p2.obj_map[x]
-        lat = fib2.sub[x]
+    fib = _fib(big)
+    p = registry.builtin_endofunctor("pointed", "t0", fib)
+    t = _order(big, "closure")
+    ind = induce_order(p, t)
+    v = validate_structure(ind)
+    checked = v.checked
+    violations = list(v.violations)
+    c = closure_from_topogenous(t)
+    for x, lat in enumerate(fib.sub):
+        u = p.components[x]
+        img_u, pre_u = fib.img[u], fib.pre[u]
+        fx = p.obj_map[x]
         for m in range(lat.size):
             checked += 1
-            if ind2.rel[x][m] != lat.up[pre_u[c2.cmap[fx][img_u[m]]]]:
+            if ind.rel[x][m] != lat.up[pre_u[c.cmap[fx][img_u[m]]]]:
                 violations.append(Violation(
-                    "reflection-order-formula", where=fib2.category.object_names[x],
+                    "reflection-order-formula", where=fib.category.object_names[x],
                     witness=(lat.labels[m],)))
-    return Report("pointed-induced-order", checked, tuple(violations))
+    return checked, violations
 
 
-def check_copointed_induced_order(scale: str) -> Report:
-    violations = []
+def _discretization_is_inclusion(endo):
+    """Discretization turns the closure order into plain inclusion."""
+    fib = endo.fib
+    ind = induce_order(endo, _order(fib.name, "closure"))
     checked = 0
-    fib = _fib("coreflect_small")
-    q = registry.builtin_copointed("discrete", fib)
-    rep = validate_copointed(q)
-    violations.extend(rep.violations)
-    for kind in ("closure", "interior"):
-        t = _order("coreflect_small", kind)
-        ind = induce_copointed(q, t)
-        v = validate_structure(ind)
-        checked += v.checked
-        violations.extend(v.violations)
-        if not all(
-            continuity_between(q.counit[x], t, ind)[0]
-            for x in range(fib.category.n_objects)
-        ):
-            violations.append(Violation("counit-not-continuous", where=kind))
-        r = check_extremality(ind, FamilySpec(
-            fib, "topogenous", counit_constraint(q, t), "largest",
-            f"copointed-order-{kind}"))
-        checked += r.checked
-        violations.extend(r.violations)
-    # discretization turns the closure order into plain inclusion
-    t = _order("coreflect_small", "closure")
-    ind = induce_copointed(q, t)
+    violations = []
     for x, lat in enumerate(fib.sub):
         for m in range(lat.size):
             checked += 1
@@ -497,16 +490,8 @@ def check_copointed_induced_order(scale: str) -> Report:
                 violations.append(Violation(
                     "discretization-order-is-inclusion",
                     where=fib.category.object_names[x], witness=(lat.labels[m],)))
-    return Report("copointed-induced-order", checked, tuple(violations))
+    return checked, violations
 
-
-# (side, instance, its built-in endofunctor, the order it induces, and the
-# continuity constraint of its unit or counit)
-_ENDOFUNCTORS = (
-    ("pointed", "t0_small", registry.POINTED["t0"], induce_pointed, unit_constraint),
-    ("copointed", "coreflect_small", registry.COPOINTED["discrete"], induce_copointed,
-     counit_constraint),
-)
 
 # per operator kind: the induced operator, the conversion from orders, and
 # per side the extreme the operator must be
@@ -526,15 +511,15 @@ def check_induced_operator(kind: str, scale: str) -> Report:
     induced, convert, extremes = _INDUCED_OPERATORS[kind]
     violations = []
     checked = 0
-    for side, fib_name, endofunctor, induce, constraint in _ENDOFUNCTORS:
+    for side, (fib_name, endo_name, _) in _ENDOFUNCTORS.items():
         fib = _fib(fib_name)
-        endo = endofunctor(fib)
+        endo = registry.builtin_endofunctor(side, endo_name, fib)
         t = _order(fib_name, kind)
         op = induced(endo, t)
         v = validate_structure(op)
         checked += v.checked
         violations.extend(v.violations)
-        if op != convert(induce(endo, t)):
+        if op != convert(induce_order(endo, t)):
             violations.append(Violation(f"{side}-{kind}-vs-conversion"))
         if (
             side == "pointed"
@@ -544,16 +529,16 @@ def check_induced_operator(kind: str, scale: str) -> Report:
         ):
             violations.append(Violation(f"pointed-{kind}-idempotence"))
         r = check_extremality(op, FamilySpec(
-            fib, kind, constraint(endo, convert(t)), extremes[side], f"{side}-{kind}"))
+            fib, kind, component_constraint(endo, convert(t)), extremes[side], f"{side}-{kind}"))
         checked += r.checked
         violations.extend(r.violations)
 
     # agreement also on the larger reflection instance
     fib2 = _fib("fintop2")
     t2 = _order("fintop2", kind)
-    for side, _, endofunctor, induce, _ in _ENDOFUNCTORS:
-        endo = endofunctor(fib2)
-        if induced(endo, t2) != convert(induce(endo, t2)):
+    for side, (_, endo_name, _) in _ENDOFUNCTORS.items():
+        endo = registry.builtin_endofunctor(side, endo_name, fib2)
+        if induced(endo, t2) != convert(induce_order(endo, t2)):
             violations.append(Violation(f"{side}-{kind}-vs-conversion", where="fintop2"))
     checked += 2
     return Report(f"induced-{kind}", checked, tuple(violations))
@@ -669,8 +654,8 @@ CHECKS = {
     "operator-crosschecks": check_operator_crosschecks,
     "weak-finality-formulas": check_weak_finality,
     "fibration-lift": check_fibration_lift,
-    "pointed-induced-order": check_pointed_induced_order,
-    "copointed-induced-order": check_copointed_induced_order,
+    "pointed-induced-order": partial(check_induced_order, "pointed"),
+    "copointed-induced-order": partial(check_induced_order, "copointed"),
     "induced-closure": partial(check_induced_operator, "closure"),
     "induced-interior": partial(check_induced_operator, "interior"),
     "top-map-classes": check_top_map_classes,

@@ -90,20 +90,16 @@ def builtin_order(kind: str, fib) -> TopogenousOrder:
     raise DomainError(f"unknown order kind {kind!r} (one of {ORDER_KINDS})")
 
 
-POINTED = {"t0": t0_reflection}
-COPOINTED = {"discrete": discrete_coreflection}
+ENDOFUNCTORS = {
+    ("pointed", "t0"): t0_reflection,
+    ("copointed", "discrete"): discrete_coreflection,
+}
 
 
-def builtin_pointed(name: str, fib):
-    if name not in POINTED:
-        raise DomainError(f"unknown built-in pointed endofunctor {name!r}")
-    return POINTED[name](fib)
-
-
-def builtin_copointed(name: str, fib):
-    if name not in COPOINTED:
-        raise DomainError(f"unknown built-in copointed endofunctor {name!r}")
-    return COPOINTED[name](fib)
+def builtin_endofunctor(side: str, name: str, fib):
+    if (side, name) not in ENDOFUNCTORS:
+        raise DomainError(f"unknown built-in {side} endofunctor {name!r}")
+    return ENDOFUNCTORS[side, name](fib)
 
 
 FIBRATION_NAMES = (

@@ -14,7 +14,7 @@ from typing import Iterator
 
 from ..errors import CapabilityError, DomainError, PreconditionError
 from ..lattice import FiniteLattice, mask_iter
-from ..constructions import CopointedEndofunctor, PointedEndofunctor
+from ..constructions import Endofunctor
 from ..site import PullbackSquare, SubobjectFibration, concrete_category, subset_fibration
 
 
@@ -498,7 +498,7 @@ def t0_quotient_classes(space: FinTopSpace) -> list[int]:
     return sorted(classes.values(), key=lambda m: next(mask_iter(m)))
 
 
-def t0_reflection(fib: SubobjectFibration) -> PointedEndofunctor:
+def t0_reflection(fib: SubobjectFibration) -> Endofunctor:
     """The point-identification reflection: quotient by equal singleton closures.
 
     Every object's quotient space must already be an object of the fibration.
@@ -541,10 +541,10 @@ def t0_reflection(fib: SubobjectFibration) -> PointedEndofunctor:
         for pnt in range(spaces[x].n):
             ff_graph[class_index[x][pnt]] = class_index[y][graph[pnt]]
         mor_map.append(backend._morphism_of(fib, obj_map[x], obj_map[y], tuple(ff_graph)))
-    return PointedEndofunctor(fib, tuple(obj_map), tuple(mor_map), tuple(unit))
+    return Endofunctor(fib, "pointed", tuple(obj_map), tuple(mor_map), tuple(unit))
 
 
-def discrete_coreflection(fib: SubobjectFibration) -> CopointedEndofunctor:
+def discrete_coreflection(fib: SubobjectFibration) -> Endofunctor:
     """Discretization: counit is the identity function from the discrete space.
 
     Every object's discretization must already be an object of the fibration.
@@ -568,4 +568,4 @@ def discrete_coreflection(fib: SubobjectFibration) -> CopointedEndofunctor:
     for f in range(cat.n_morphisms):
         x, y = cat.mor_dom[f], cat.mor_cod[f]
         mor_map.append(backend._morphism_of(fib, obj_map[x], obj_map[y], cat.graphs[f]))
-    return CopointedEndofunctor(fib, tuple(obj_map), tuple(mor_map), tuple(counit))
+    return Endofunctor(fib, "copointed", tuple(obj_map), tuple(mor_map), tuple(counit))

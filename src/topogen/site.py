@@ -267,7 +267,7 @@ def intern(tables) -> tuple[list[int], dict]:
     return [index.setdefault(t, len(index)) for t in tables], index
 
 
-def validate_fibration(fib: SubobjectFibration, functoriality: bool = True) -> Report:
+def validate_fibration(fib: SubobjectFibration) -> Report:
     """Exhaustive invariant scan; reports all violations with witnesses.
 
     The per-morphism laws (``_morphism_laws``) read only the two lattices,
@@ -320,10 +320,9 @@ def validate_fibration(fib: SubobjectFibration, functoriality: bool = True) -> R
         ident = tuple(range(fib.sub[x].size))
         if fib.img[i] != ident or fib.pre[i] != ident:
             violations.append(Violation("identity-adjoints", where=cat.object_names[x]))
-    if functoriality:
-        checked += sum(len(cat.morphisms_from[y]) for y in cat.mor_cod)
-        if not _functoriality_certified(fib):
-            violations.extend(_functoriality_violations(fib, unusable))
+    checked += sum(len(cat.morphisms_from[y]) for y in cat.mor_cod)
+    if not _functoriality_certified(fib):
+        violations.extend(_functoriality_violations(fib, unusable))
     return Report(f"fibration {fib.name}", checked, tuple(violations))
 
 
@@ -458,27 +457,18 @@ def _unions(
     its points p, or -1; None for ``masks`` or ``index`` stands for every
     subset in counting order.  All subsets are built by doubling over the
     points (those with point p are those before it, each plus p), and such
-    a union is its own index.  Listed masks take the union for the mask
-    without its lowest point plus that point's part when the smaller mask
-    came earlier, else gather point by point (subgroup lattices)."""
+    a union is its own index.  Listed masks (subgroup lattices) gather
+    point by point."""
     if masks is None:
         unions = [0]
         for part in parts:
             unions += [union | part for union in unions]
     else:
-        earlier = {0: 0}
         unions = []
         for mask in masks:
-            rest = mask & (mask - 1)
-            if mask and rest in earlier:
-                union = earlier[rest] | parts[(mask ^ rest).bit_length() - 1]
-            else:
-                union, left = 0, mask
-                while left:
-                    low = left & -left
-                    union |= parts[low.bit_length() - 1]
-                    left ^= low
-            earlier[mask] = union
+            union = 0
+            for p in mask_iter(mask):
+                union |= parts[p]
             unions.append(union)
     if index is None:
         return tuple(unions)

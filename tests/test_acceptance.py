@@ -74,8 +74,8 @@ def test_criterion_5_fibration_lift():
 
 def test_criterion_6_induced_structures():
     def body(failures):
-        _collect(failures, S.check_pointed_induced_order("small"))
-        _collect(failures, S.check_copointed_induced_order("small"))
+        _collect(failures, S.check_induced_order("pointed", "small"))
+        _collect(failures, S.check_induced_order("copointed", "small"))
         _collect(failures, S.check_induced_operator("closure", "small"))
         _collect(failures, S.check_induced_operator("interior", "small"))
 

@@ -269,29 +269,33 @@ def test_validate_checks_operator_axioms(capsys, tmp_path):
     assert "violation: extensive; at pt; witness {0}" in out
 
 
-def _t0_record_line():
+def _builtin_record_line(endofunctor_record, side, name, fib_name):
     from topogen.harness import fileformat
-    from topogen.instances.registry import builtin_fibration, builtin_pointed
+    from topogen.instances.registry import builtin_endofunctor, builtin_fibration
 
-    record = fileformat.endofunctor_record_of(
-        "t0", builtin_pointed("t0", builtin_fibration("t0_small")))
-    line = fileformat.serialize_record(record)
+    endo = builtin_endofunctor(side, name, builtin_fibration(fib_name))
+    return fileformat.serialize_record(endofunctor_record(name, endo))
+
+
+def _t0_record_line(endofunctor_record):
+    line = _builtin_record_line(endofunctor_record, "pointed", "t0", "t0_small")
     assert "obj=pt=>pt,indiscrete2=>pt;" in line and "unit=pt=>id_pt," in line
     return line
 
 
-def test_validate_checks_endofunctor_laws(capsys, tmp_path):
+def test_validate_checks_endofunctor_laws(capsys, tmp_path, endofunctor_record):
     from topogen.harness import fileformat
-    from topogen.instances.registry import builtin_copointed, builtin_fibration
+    from topogen.instances.registry import builtin_endofunctor, builtin_fibration
 
     doc = tmp_path / "endo.topo"
-    copointed = fileformat.endofunctor_record_of(
-        "d", builtin_copointed("discrete", builtin_fibration("coreflect_small")))
-    doc.write_text(_t0_record_line() + "\n" + fileformat.serialize_record(copointed) + "\n")
+    copointed = endofunctor_record(
+        "d", builtin_endofunctor("copointed", "discrete", builtin_fibration("coreflect_small")))
+    doc.write_text(_t0_record_line(endofunctor_record) + "\n"
+                   + fileformat.serialize_record(copointed) + "\n")
     code, out, _ = run(capsys, "validate", str(doc))
     assert (code, out) == (0, f"ok {doc}:endofunctor t0\nok {doc}:endofunctor d\n")
     # both objects sent to indiscrete2: identities, morphisms and the unit are mistyped
-    doc.write_text(_t0_record_line().replace(
+    doc.write_text(_t0_record_line(endofunctor_record).replace(
         "obj=pt=>pt,indiscrete2=>pt;", "obj=pt=>indiscrete2,indiscrete2=>indiscrete2;") + "\n")
     code, out, _ = run(capsys, "validate", str(doc))
     assert code == 1
@@ -300,9 +304,41 @@ def test_validate_checks_endofunctor_laws(capsys, tmp_path):
     assert laws == {"endofunctor-identity", "endofunctor-typing", "unit-typing"}
 
 
-def test_induce_refuses_an_invalid_endofunctor_before_inducing(capsys, tmp_path):
+# a built-in endofunctor record with one component given the wrong ends:
+# (side, name, fibration, the component as serialized, its replacement,
+# the report line); its naturality squares cannot be composed
+MISTYPED_COMPONENTS = [
+    ("pointed", "t0", "t0_small", "indiscrete2=>indiscrete2>pt:00",
+     "indiscrete2=>indiscrete2>indiscrete2:00",
+     "FAIL pointed-endofunctor checked=16\n  violation: unit-typing; at indiscrete2\n"),
+    ("copointed", "discrete", "coreflect_small", "sierpinski=>discrete2>sierpinski:01",
+     "sierpinski=>id_discrete2",
+     "FAIL copointed-endofunctor checked=26\n  violation: counit-typing; at sierpinski\n"),
+]
+
+
+@pytest.mark.parametrize("side, name, fib_name, component, mistyped, report",
+                         MISTYPED_COMPONENTS)
+def test_validate_reports_a_mistyped_component_and_the_records_after_it(
+        capsys, tmp_path, endofunctor_record, side, name, fib_name, component, mistyped, report):
+    line = _builtin_record_line(endofunctor_record, side, name, fib_name)
+    assert component in line
     doc = tmp_path / "endo.topo"
-    doc.write_text(_t0_record_line().replace(
+    doc.write_text(line.replace(component, mistyped) + "\n"
+                   + "space two: points=2; opens={},{0},{0,1}\n")
+    code, out, _ = run(capsys, "validate", str(doc))
+    assert (code, out) == (1, f"FAIL {doc}:endofunctor {name}\n{report}ok {doc}:space two\n")
+    # induce validates the record first and refuses it
+    code, out, err = run(capsys, "induce", f"--{side}", name, "--order", "closure",
+                         "--fibration", fib_name, str(doc))
+    assert (code, out) == (1, "")
+    assert report.splitlines()[1].strip() in err
+
+
+def test_induce_refuses_an_invalid_endofunctor_before_inducing(
+        capsys, tmp_path, endofunctor_record):
+    doc = tmp_path / "endo.topo"
+    doc.write_text(_t0_record_line(endofunctor_record).replace(
         "obj=pt=>pt,indiscrete2=>pt;", "obj=pt=>indiscrete2,indiscrete2=>indiscrete2;") + "\n")
     code, out, err = run(capsys, "induce", "--pointed", "t0", "--order", "closure",
                          "--fibration", "t0_small", str(doc))
@@ -315,9 +351,10 @@ def test_induce_refuses_an_invalid_endofunctor_before_inducing(capsys, tmp_path)
     ("mor=id_pt=>id_pt,", "mor="),
     ("unit=pt=>id_pt,", "unit="),
 ])
-def test_endofunctor_record_with_unmapped_entries_is_a_parse_error(capsys, tmp_path, old, new):
+def test_endofunctor_record_with_unmapped_entries_is_a_parse_error(
+        capsys, tmp_path, endofunctor_record, old, new):
     doc = tmp_path / "endo.topo"
-    doc.write_text(_t0_record_line().replace(old, new) + "\n")
+    doc.write_text(_t0_record_line(endofunctor_record).replace(old, new) + "\n")
     code, out, err = run(capsys, "validate", str(doc))
     assert (code, out, err) == (2, "", "parse error: endofunctor 't0' leaves entries unassigned\n")
 
@@ -411,14 +448,9 @@ def test_induce_command(capsys):
     assert out.startswith("order closure_via_t0:")
 
 
-def test_induce_reads_an_endofunctor_record(capsys, tmp_path):
-    from topogen.harness import fileformat
-    from topogen.instances.registry import builtin_fibration, builtin_pointed
-
-    record = fileformat.endofunctor_record_of(
-        "t0", builtin_pointed("t0", builtin_fibration("t0_small")))
+def test_induce_reads_an_endofunctor_record(capsys, tmp_path, endofunctor_record):
     doc = tmp_path / "endo.topo"
-    doc.write_text(fileformat.serialize_record(record) + "\n")
+    doc.write_text(_t0_record_line(endofunctor_record) + "\n")
     argv = ("induce", "--pointed", "t0", "--order", "closure", "--fibration", "t0_small")
     code, builtin_out, _ = run(capsys, *argv)
     assert code == 0

@@ -1,22 +1,18 @@
 import pytest
 
 from topogen.constructions import (
-    CopointedEndofunctor,
+    Endofunctor,
     FamilySpec,
     FiberedFunctor,
-    PointedEndofunctor,
     check_extremality,
+    component_constraint,
     continuity_between,
-    counit_constraint,
-    induce_copointed,
-    induce_pointed,
+    induce_order,
     induced_closure,
     induced_interior,
     lift_topogenous,
-    unit_constraint,
-    validate_copointed,
+    validate_endofunctor,
     validate_fibered_functor,
-    validate_pointed,
 )
 from topogen.errors import PreconditionError
 from topogen.structures import (
@@ -28,29 +24,19 @@ from topogen.structures import (
     validate_structure,
 )
 from topogen.instances.registry import (
-    builtin_copointed,
+    builtin_endofunctor,
     builtin_fibration,
     builtin_functor,
     builtin_order,
-    builtin_pointed,
 )
 from topogen.instances.topology import closure_order, interior_order, spaces_of
 
 
-def identity_pointed(fib):
+def identity_endofunctor(fib, side):
     cat = fib.category
-    return PointedEndofunctor(
+    return Endofunctor(
         fib,
-        tuple(range(cat.n_objects)),
-        tuple(range(cat.n_morphisms)),
-        tuple(cat.identities),
-    )
-
-
-def identity_copointed(fib):
-    cat = fib.category
-    return CopointedEndofunctor(
-        fib,
+        side,
         tuple(range(cat.n_objects)),
         tuple(range(cat.n_morphisms)),
         tuple(cat.identities),
@@ -158,42 +144,43 @@ def test_discontinuity_witness_exists(fintop2):
 
 
 def test_identity_pointed_induces_same_order(fintop2):
-    p = identity_pointed(fintop2)
-    assert validate_pointed(p).ok and p.e_pointed
+    p = identity_endofunctor(fintop2, "pointed")
+    assert validate_endofunctor(p).ok and p.e_pointed
     for t in (closure_order(fintop2), interior_order(fintop2)):
-        assert induce_pointed(p, t) == t
+        assert induce_order(p, t) == t
 
 
 def test_identity_copointed_induces_same_order(fintop2):
-    q = identity_copointed(fintop2)
-    assert validate_copointed(q).ok
+    q = identity_endofunctor(fintop2, "copointed")
+    assert validate_endofunctor(q).ok
     for t in (closure_order(fintop2), interior_order(fintop2)):
-        assert induce_copointed(q, t) == t
+        assert induce_order(q, t) == t
 
 
 def test_induce_pointed_requires_e_pointing(fintop2):
     cat = fintop2.category
     # point the endofunctor with a non-surjective unit at one object
-    p = identity_pointed(fintop2)
-    unit = list(p.unit)
+    p = identity_endofunctor(fintop2, "pointed")
+    unit = list(p.components)
     empty = cat.object_index("empty")
     pt = cat.object_index("pt")
-    bad = PointedEndofunctor(
+    bad = Endofunctor(
         fintop2,
+        "pointed",
         tuple(pt if x == empty else x for x in range(cat.n_objects)),
         p.mor_map,  # not a real functor, but the E-check fires first
         tuple(cat.morphism_index("empty>pt:-") if x == empty else u
               for x, u in enumerate(unit)),
     )
     with pytest.raises(PreconditionError):
-        induce_pointed(bad, closure_order(fintop2))
+        induce_order(bad, closure_order(fintop2))
 
 
 def test_reflection_collapses_indiscrete_pairs():
     fib = builtin_fibration("t0_small")
-    p = builtin_pointed("t0", fib)
+    p = builtin_endofunctor("pointed", "t0", fib)
     t = builtin_order("closure", fib)
-    ind = induce_pointed(p, t)
+    ind = induce_order(p, t)
     x = fib.category.object_index("indiscrete2")
     lat = fib.sub[x]
     # any nonempty proper subset relates only to the whole space
@@ -204,20 +191,20 @@ def test_reflection_collapses_indiscrete_pairs():
 
 def test_discretization_order_is_inclusion():
     fib = builtin_fibration("coreflect_small")
-    q = builtin_copointed("discrete", fib)
+    q = builtin_endofunctor("copointed", "discrete", fib)
     t = builtin_order("closure", fib)
-    ind = induce_copointed(q, t)
+    ind = induce_order(q, t)
     for x, lat in enumerate(fib.sub):
         for m in range(lat.size):
             assert ind.rel[x][m] == lat.up[m]
 
 
 def test_induced_orders_validate_and_inherit_interpolation(fintop2):
-    p = builtin_pointed("t0", fintop2)
-    q = builtin_copointed("discrete", fintop2)
+    p = builtin_endofunctor("pointed", "t0", fintop2)
+    q = builtin_endofunctor("copointed", "discrete", fintop2)
     for t in (closure_order(fintop2), interior_order(fintop2)):
-        ind_p = induce_pointed(p, t)
-        ind_q = induce_copointed(q, t)
+        ind_p = induce_order(p, t)
+        ind_q = induce_order(q, t)
         assert validate_structure(ind_p).ok
         assert validate_structure(ind_q).ok
         assert is_interpolative(t)
@@ -225,20 +212,20 @@ def test_induced_orders_validate_and_inherit_interpolation(fintop2):
 
 
 def test_unit_continuity_of_induced_order(fintop2):
-    p = builtin_pointed("t0", fintop2)
+    p = builtin_endofunctor("pointed", "t0", fintop2)
     t = closure_order(fintop2)
-    ind = induce_pointed(p, t)
+    ind = induce_order(p, t)
     for x in range(fintop2.category.n_objects):
-        ok, _ = continuity_between(p.unit[x], ind, t)
+        ok, _ = continuity_between(p.components[x], ind, t)
         assert ok
 
 
 def test_counit_continuity_of_induced_order(fintop2):
-    q = builtin_copointed("discrete", fintop2)
+    q = builtin_endofunctor("copointed", "discrete", fintop2)
     t = closure_order(fintop2)
-    ind = induce_copointed(q, t)
+    ind = induce_order(q, t)
     for x in range(fintop2.category.n_objects):
-        ok, _ = continuity_between(q.counit[x], t, ind)
+        ok, _ = continuity_between(q.components[x], t, ind)
         assert ok
 
 
@@ -247,8 +234,8 @@ def test_counit_continuity_of_induced_order(fintop2):
 
 
 def test_identity_endofunctor_induces_same_operators(fintop2):
-    p = identity_pointed(fintop2)
-    q = identity_copointed(fintop2)
+    p = identity_endofunctor(fintop2, "pointed")
+    q = identity_endofunctor(fintop2, "copointed")
     tc = closure_order(fintop2)
     ti = interior_order(fintop2)
     base_c = closure_from_topogenous(tc)
@@ -266,9 +253,9 @@ def test_reflection_order_on_three_point_example(fintop3):
 
     sp = FinTopSpace(3, (0, 0b011, 0b111))
     x = fintop3.backend._object_of(sp)
-    p = builtin_pointed("t0", fintop3)
+    p = builtin_endofunctor("pointed", "t0", fintop3)
     t = builtin_order("closure", fintop3)
-    ind = induce_pointed(p, t)
+    ind = induce_order(p, t)
     lat = fintop3.sub[x]
     assert ind.rel[x][0b001] == 1 << 0b111
     c = induced_closure(p, t)
@@ -279,18 +266,18 @@ def test_reflection_order_on_three_point_example(fintop3):
 
 
 def test_induced_operators_agree_with_conversions(fintop2):
-    p = builtin_pointed("t0", fintop2)
-    q = builtin_copointed("discrete", fintop2)
+    p = builtin_endofunctor("pointed", "t0", fintop2)
+    q = builtin_endofunctor("copointed", "discrete", fintop2)
     tc = closure_order(fintop2)
     ti = interior_order(fintop2)
-    assert induced_closure(p, tc) == closure_from_topogenous(induce_pointed(p, tc))
-    assert induced_closure(q, tc) == closure_from_topogenous(induce_copointed(q, tc))
-    assert induced_interior(p, ti) == interior_from_topogenous(induce_pointed(p, ti))
-    assert induced_interior(q, ti) == interior_from_topogenous(induce_copointed(q, ti))
+    assert induced_closure(p, tc) == closure_from_topogenous(induce_order(p, tc))
+    assert induced_closure(q, tc) == closure_from_topogenous(induce_order(q, tc))
+    assert induced_interior(p, ti) == interior_from_topogenous(induce_order(p, ti))
+    assert induced_interior(q, ti) == interior_from_topogenous(induce_order(q, ti))
 
 
 def test_pointed_closure_idempotent_for_interpolative_base(fintop2):
-    p = builtin_pointed("t0", fintop2)
+    p = builtin_endofunctor("pointed", "t0", fintop2)
     t = closure_order(fintop2)
     c = induced_closure(p, t)
     assert validate_structure(c).ok
@@ -298,7 +285,7 @@ def test_pointed_closure_idempotent_for_interpolative_base(fintop2):
 
 
 def test_pointed_interior_idempotent_for_interpolative_base(fintop2):
-    p = builtin_pointed("t0", fintop2)
+    p = builtin_endofunctor("pointed", "t0", fintop2)
     t = interior_order(fintop2)
     i = induced_interior(p, t)
     assert validate_structure(i).ok
@@ -309,7 +296,7 @@ def test_pointed_interior_idempotent_for_interpolative_base(fintop2):
 def test_induced_closure_needs_meet_preservation(fintop2):
     from topogen.structures import TopogenousOrder
 
-    p = builtin_pointed("t0", fintop2)
+    p = builtin_endofunctor("pointed", "t0", fintop2)
     empty = TopogenousOrder(fintop2, tuple(tuple(0 for _ in range(lat.size)) for lat in fintop2.sub))
     with pytest.raises(PreconditionError):
         induced_closure(p, empty)
@@ -321,87 +308,87 @@ def test_induced_closure_needs_meet_preservation(fintop2):
 
 def test_extremality_family_of_one():
     fib = builtin_fibration("t0_small")
-    p = identity_pointed(fib)
+    p = identity_endofunctor(fib, "pointed")
     t = discrete_order(fib)   # the largest order: only itself can contain it
-    ind = induce_pointed(p, t)
+    ind = induce_order(p, t)
     assert ind == t
     report = check_extremality(ind, FamilySpec(
-        fib, "topogenous", unit_constraint(p, t), "least", "identity-setting"))
+        fib, "topogenous", component_constraint(p, t), "least", "identity-setting"))
     assert report.ok
     assert report.checked == 1
 
 
 def test_pointed_least_order_by_enumeration():
     fib = builtin_fibration("t0_small")
-    p = builtin_pointed("t0", fib)
+    p = builtin_endofunctor("pointed", "t0", fib)
     for kind in ("closure", "interior"):
         t = builtin_order(kind, fib)
-        ind = induce_pointed(p, t)
+        ind = induce_order(p, t)
         report = check_extremality(ind, FamilySpec(
-            fib, "topogenous", unit_constraint(p, t), "least", kind))
+            fib, "topogenous", component_constraint(p, t), "least", kind))
         assert report.ok, report.render()
         assert report.checked >= 1
 
 
 def test_copointed_largest_order_by_enumeration():
     fib = builtin_fibration("coreflect_small")
-    q = builtin_copointed("discrete", fib)
+    q = builtin_endofunctor("copointed", "discrete", fib)
     for kind in ("closure", "interior"):
         t = builtin_order(kind, fib)
-        ind = induce_copointed(q, t)
+        ind = induce_order(q, t)
         report = check_extremality(ind, FamilySpec(
-            fib, "topogenous", counit_constraint(q, t), "largest", kind))
+            fib, "topogenous", component_constraint(q, t), "largest", kind))
         assert report.ok, report.render()
 
 
 def test_closure_extremality_by_enumeration():
     fib = builtin_fibration("t0_small")
-    p = builtin_pointed("t0", fib)
+    p = builtin_endofunctor("pointed", "t0", fib)
     t = builtin_order("closure", fib)
     c = induced_closure(p, t)
     report = check_extremality(c, FamilySpec(
-        fib, "closure", unit_constraint(p, closure_from_topogenous(t)),
+        fib, "closure", component_constraint(p, closure_from_topogenous(t)),
         "largest", "pointed"))
     assert report.ok, report.render()
 
     fibc = builtin_fibration("coreflect_small")
-    q = builtin_copointed("discrete", fibc)
+    q = builtin_endofunctor("copointed", "discrete", fibc)
     tc = builtin_order("closure", fibc)
     cc = induced_closure(q, tc)
     report = check_extremality(cc, FamilySpec(
-        fibc, "closure", counit_constraint(q, closure_from_topogenous(tc)),
+        fibc, "closure", component_constraint(q, closure_from_topogenous(tc)),
         "least", "copointed"))
     assert report.ok, report.render()
 
 
 def test_interior_extremality_by_enumeration():
     fib = builtin_fibration("t0_small")
-    p = builtin_pointed("t0", fib)
+    p = builtin_endofunctor("pointed", "t0", fib)
     t = builtin_order("interior", fib)
     i = induced_interior(p, t)
     report = check_extremality(i, FamilySpec(
-        fib, "interior", unit_constraint(p, interior_from_topogenous(t)),
+        fib, "interior", component_constraint(p, interior_from_topogenous(t)),
         "least", "pointed"))
     assert report.ok, report.render()
 
     fibc = builtin_fibration("coreflect_small")
-    q = builtin_copointed("discrete", fibc)
+    q = builtin_endofunctor("copointed", "discrete", fibc)
     tc = builtin_order("interior", fibc)
     ic = induced_interior(q, tc)
     report = check_extremality(ic, FamilySpec(
-        fibc, "interior", counit_constraint(q, interior_from_topogenous(tc)),
+        fibc, "interior", component_constraint(q, interior_from_topogenous(tc)),
         "largest", "copointed"))
     assert report.ok, report.render()
 
 
 def test_extremality_detects_non_extremal_candidates():
     fib = builtin_fibration("coreflect_small")
-    q = builtin_copointed("discrete", fib)
+    q = builtin_endofunctor("copointed", "discrete", fib)
     t = builtin_order("closure", fib)
-    smaller = induce_copointed(q, t)
+    smaller = induce_order(q, t)
     # feed something that is in the family but not largest: the base order
     report = check_extremality(t, FamilySpec(
-        fib, "topogenous", counit_constraint(q, t), "largest", "bogus"))
+        fib, "topogenous", component_constraint(q, t), "largest", "bogus"))
     assert t != smaller
     # each violator is named by the first entry it has and the candidate
     # lacks, never by its text, which held a memory address
@@ -411,14 +398,14 @@ def test_extremality_detects_non_extremal_candidates():
 
 
 def test_naturality_violation_is_reported(fintop2):
-    p = builtin_pointed("t0", fintop2)
+    p = builtin_endofunctor("pointed", "t0", fintop2)
     cat = fintop2.category
     # swap the unit at discrete2 for a non-natural morphism of the same type
     x = cat.object_index("discrete2")
     other = cat.morphism_index("discrete2>discrete2:10")
-    unit = list(p.unit)
+    unit = list(p.components)
     unit[x] = other
-    bad = PointedEndofunctor(fintop2, p.obj_map, p.mor_map, tuple(unit))
-    report = validate_pointed(bad)
+    bad = Endofunctor(fintop2, "pointed", p.obj_map, p.mor_map, tuple(unit))
+    report = validate_endofunctor(bad)
     assert not report.ok
     assert any(v.law == "unit-naturality" for v in report.violations)

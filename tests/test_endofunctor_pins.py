@@ -13,13 +13,10 @@ from dataclasses import replace
 import pytest
 
 from topogen.cli import main
-from topogen.constructions import (
-    CopointedEndofunctor,
-    PointedEndofunctor,
-    validate_copointed,
-    validate_pointed,
-)
-from topogen.instances.registry import builtin_copointed, builtin_fibration, builtin_pointed
+from topogen.constructions import Endofunctor, validate_endofunctor
+from topogen.instances.registry import builtin_endofunctor, builtin_fibration
+
+BUILTIN = {"pointed": "t0", "copointed": "discrete"}
 
 # (side, fibration, start, corrupted table, at, new value, checked, violations)
 REPORTS = [
@@ -109,28 +106,26 @@ def _endofunctor(side, fib_name, start, table, at, value):
     fib = builtin_fibration(fib_name)
     cat = fib.category
     if start == "builtin":
-        endo = builtin_pointed("t0", fib) if side == "pointed" else builtin_copointed("discrete", fib)
+        endo = builtin_endofunctor(side, BUILTIN[side], fib)
     else:
-        cls = PointedEndofunctor if side == "pointed" else CopointedEndofunctor
-        endo = cls(fib, tuple(range(cat.n_objects)), tuple(range(cat.n_morphisms)),
-                   tuple(cat.identities))
+        endo = Endofunctor(fib, side, tuple(range(cat.n_objects)),
+                           tuple(range(cat.n_morphisms)), tuple(cat.identities))
     if table is None:
         return endo
-    field = {"components": "unit" if side == "pointed" else "counit"}.get(table, table)
-    entries = list(getattr(endo, field))
+    entries = list(getattr(endo, table))
     if table == "mor_map":
         entries[cat.morphism_index(at)] = cat.morphism_index(value)
     elif table == "obj_map":
         entries[cat.object_index(at)] = cat.object_index(value)
     else:
         entries[cat.object_index(at)] = cat.morphism_index(value)
-    return replace(endo, **{field: tuple(entries)})
+    return replace(endo, **{table: tuple(entries)})
 
 
 @pytest.mark.parametrize("side, fib_name, start, table, at, value, checked, violations", REPORTS)
 def test_endofunctor_reports_are_pinned(side, fib_name, start, table, at, value, checked, violations):
     endo = _endofunctor(side, fib_name, start, table, at, value)
-    report = (validate_pointed if side == "pointed" else validate_copointed)(endo)
+    report = validate_endofunctor(endo)
     assert report.subject == f"{side}-endofunctor"
     assert report.checked == checked
     assert [(v.law, v.where, v.witness) for v in report.violations] == violations

@@ -577,25 +577,27 @@ def test_group_record_roundtrip(grp_small):
         assert doc.records[0] == record
 
 
-def test_endofunctor_record_roundtrip():
-    from topogen.instances.registry import builtin_fibration, builtin_pointed, builtin_copointed
+def test_endofunctor_record_roundtrip(endofunctor_record):
+    from topogen.instances.registry import builtin_endofunctor, builtin_fibration
 
     fib = builtin_fibration("t0_small")
-    p = builtin_pointed("t0", fib)
-    record = fileformat.endofunctor_record_of("reflect", p)
+    p = builtin_endofunctor("pointed", "t0", fib)
+    record = endofunctor_record("reflect", p)
     doc = fileformat.parse_document(fileformat.serialize_record(record) + "\n")
     assert doc.records[0] == record
     resolved = fileformat.resolve_endofunctor(doc.records[0], fib)
+    assert resolved.side == "pointed"
     assert resolved.obj_map == p.obj_map
     assert resolved.mor_map == p.mor_map
-    assert resolved.unit == p.unit
+    assert resolved.components == p.components
 
     fibc = builtin_fibration("coreflect_small")
-    q = builtin_copointed("discrete", fibc)
-    record = fileformat.endofunctor_record_of("discretize", q)
+    q = builtin_endofunctor("copointed", "discrete", fibc)
+    record = endofunctor_record("discretize", q)
     doc = fileformat.parse_document(fileformat.serialize_record(record) + "\n")
     resolved = fileformat.resolve_endofunctor(doc.records[0], fibc)
-    assert resolved.counit == q.counit
+    assert resolved.side == "copointed"
+    assert resolved.components == q.components
 
 
 def test_operator_record_roundtrip(fintop2):

@@ -32,10 +32,9 @@ from topogen.instances.topology import (
     t0_quotient_classes,
 )
 from topogen.instances.registry import (
-    builtin_copointed,
+    builtin_endofunctor,
     builtin_fibration,
     builtin_order,
-    builtin_pointed,
     builtin_space,
 )
 from topogen.site import factorize
@@ -551,12 +550,12 @@ def test_t0_classes():
 
 
 def test_t0_reflection_fixes_t0_spaces(fintop2):
-    p = builtin_pointed("t0", fintop2)
+    p = builtin_endofunctor("pointed", "t0", fintop2)
     cat = fintop2.category
     for name in ("empty", "pt", "sierpinski", "discrete2"):
         x = cat.object_index(name)
         assert p.obj_map[x] == x
-        assert cat.is_identity(p.unit[x])
+        assert cat.is_identity(p.components[x])
     ind = cat.object_index("indiscrete2")
     assert cat.object_names[p.obj_map[ind]] == "pt"
 
@@ -593,19 +592,19 @@ def test_t0_reflection_matches_the_per_morphism_formula(fintop3):
         mor_map.append(cat.morphism_by_graph(obj_map[x], obj_map[y], tuple(graph)))
     p = t0_reflection(fib)
     assert p.obj_map == tuple(obj_map)
-    assert p.unit == tuple(unit)
+    assert p.components == tuple(unit)
     assert p.mor_map == tuple(mor_map)
     assert len(set(p.obj_map)) < cat.n_objects  # some spaces are not T0
 
 
 def test_discrete_coreflection_structure(fintop2):
-    q = builtin_copointed("discrete", fintop2)
+    q = builtin_endofunctor("copointed", "discrete", fintop2)
     cat = fintop2.category
     d2 = cat.object_index("discrete2")
     sier = cat.object_index("sierpinski")
     assert q.obj_map[sier] == d2
-    assert cat.is_identity(q.counit[d2])
-    counit = q.counit[sier]
+    assert cat.is_identity(q.components[d2])
+    counit = q.components[sier]
     assert cat.graphs[counit] == (0, 1)
     assert not map_predicates(fintop2, counit).open
 

@@ -6,9 +6,9 @@ four cross-object laws were merged into one table; they must not move.
 
 import pytest
 
-from topogen.constructions import continuity_between, counit_constraint, unit_constraint
+from topogen.constructions import component_constraint, continuity_between
 from topogen.harness.enumeration import KINDS, EnumerationSpec, enumerate_structures
-from topogen.instances.registry import builtin_copointed, builtin_fibration, builtin_pointed
+from topogen.instances.registry import builtin_endofunctor, builtin_fibration
 from topogen.instances.topology import closure_order
 from topogen.structures import (
     ClosureOperator,
@@ -166,16 +166,16 @@ def test_order_law_constraints_agree_with_continuity_between(name, side):
     for base in orders:
         for candidate in orders:
             if side == "pointed":
-                p = builtin_pointed("t0", fib)
-                by_constraint = unit_constraint(p, base)(candidate)
+                p = builtin_endofunctor("pointed", "t0", fib)
+                by_constraint = component_constraint(p, base)(candidate)
                 by_neighbourhood_law = all(
-                    continuity_between(u, candidate, base)[0] for u in p.unit
+                    continuity_between(u, candidate, base)[0] for u in p.components
                 )
             else:
-                q = builtin_copointed("discrete", fib)
-                by_constraint = counit_constraint(q, base)(candidate)
+                q = builtin_endofunctor("copointed", "discrete", fib)
+                by_constraint = component_constraint(q, base)(candidate)
                 by_neighbourhood_law = all(
-                    continuity_between(e, base, candidate)[0] for e in q.counit
+                    continuity_between(e, base, candidate)[0] for e in q.components
                 )
             assert by_constraint == by_neighbourhood_law
             verdicts.add(by_constraint)

@@ -98,13 +98,10 @@ def _unreferenced_src_functions():
 
 def test_every_src_function_has_a_src_caller():
     # code only the tests call belongs in the tests; the exceptions are the
-    # benchmark's traced functions, the package's public names (and their
-    # classes' methods) and endofunctor_record_of, the inverse of
-    # resolve_endofunctor
+    # benchmark's traced functions and the package's public names (and their
+    # classes' methods)
     allowed = {f"{module}.{name}" for module, name in _tracing_targets()}
-    allowed.add("harness.fileformat.endofunctor_record_of")
     unreferenced = _unreferenced_src_functions()
-    assert ("harness.fileformat", "endofunctor_record_of") in unreferenced
     stray = [
         f"{module}.{qualname}" for module, qualname in unreferenced
         if f"{module}.{qualname}" not in allowed and qualname.split(".")[0] not in topogen.__all__
