@@ -466,9 +466,11 @@ def _unions(
     else:
         unions = []
         for mask in masks:
-            union = 0
-            for p in mask_iter(mask):
-                union |= parts[p]
+            union, left = 0, mask
+            while left:
+                low = left & -left
+                union |= parts[low.bit_length() - 1]
+                left ^= low
             unions.append(union)
     if index is None:
         return tuple(unions)
