@@ -37,16 +37,39 @@ class FiberedFunctor:
     delta: tuple[tuple[int, ...], ...]
 
 
+def _functor_laws(kind: str, cat, target, obj_map, mor_map) -> tuple[list[bool], list[Violation]]:
+    """(typing per morphism, ``kind``-identity, -typing and -composition
+    violations) of the functor F given by the two maps; F(g∘f) = F g ∘ F f,
+    for typed F g and F f, holds iff F(g∘f) is typed with graph F g ∘ graph F f."""
+    violations = [
+        Violation(f"{kind}-identity", where=cat.object_names[x])
+        for x, i in enumerate(cat.identities) if mor_map[i] != target.identities[obj_map[x]]
+    ]
+    typed = [
+        (target.mor_dom[b], target.mor_cod[b]) == (obj_map[x], obj_map[y])
+        for b, x, y in zip(mor_map, cat.mor_dom, cat.mor_cod)
+    ]
+    violations += (Violation(f"{kind}-typing", where=n) for n, t in zip(cat.mor_names, typed) if not t)
+    graphs = [target.graphs[b] for b in mor_map]
+    violations += (
+        Violation(f"{kind}-composition", witness=(cat.mor_names[g], cat.mor_names[f]))
+        for g, f, h in cat.composites() if typed[g] and typed[f]
+        and not (typed[h] and graphs[h] == tuple(map(graphs[g].__getitem__, graphs[f])))
+    )
+    return typed, violations
+
+
 def validate_fibered_functor(fd: FiberedFunctor) -> Report:
-    violations = []
-    checked = 0
+    """The functor laws (``_functor_laws``), then per object the fibre
+    bijection and order isomorphism, and per typed morphism image/preimage
+    compatibility; ``checked`` counts every object, morphism and pair."""
     tot, base = fd.total, fd.base
     tcat, bcat = tot.category, base.category
+    typed, violations = _functor_laws("functor", tcat, bcat, fd.obj_map, fd.mor_map)
+    pairs = sum(len(tcat.morphisms_from[y]) for y in tcat.mor_cod)
+    checked = tcat.n_objects + tcat.n_morphisms + pairs
     for x in range(tcat.n_objects):
         fx = fd.obj_map[x]
-        checked += 1
-        if fd.mor_map[tcat.identities[x]] != bcat.identities[fx]:
-            violations.append(Violation("functor-identity", where=tcat.object_names[x]))
         lx, lfx = tot.sub[x], base.sub[fx]
         g, d = fd.gamma[x], fd.delta[x]
         if sorted(g) != list(range(lfx.size)) or sorted(d) != list(range(lx.size)):
@@ -63,13 +86,9 @@ def validate_fibered_functor(fd: FiberedFunctor) -> Report:
                         Violation("fiber-order-iso", where=tcat.object_names[x],
                                   witness=(lx.labels[m], lx.labels[n]))
                     )
-    for f in range(tcat.n_morphisms):
+    for f in filter(typed.__getitem__, range(tcat.n_morphisms)):
         bf = fd.mor_map[f]
         x, y = tcat.mor_dom[f], tcat.mor_cod[f]
-        checked += 1
-        if bcat.mor_dom[bf] != fd.obj_map[x] or bcat.mor_cod[bf] != fd.obj_map[y]:
-            violations.append(Violation("functor-typing", where=tcat.mor_names[f]))
-            continue
         gx, gy = fd.gamma[x], fd.gamma[y]
         for m in range(tot.sub[x].size):
             checked += 1
@@ -85,12 +104,6 @@ def validate_fibered_functor(fd: FiberedFunctor) -> Report:
                     Violation("preimage-compatibility", where=tcat.mor_names[f],
                               witness=(tot.sub[y].labels[n],))
                 )
-    for g, f in tcat.composable_pairs():
-        checked += 1
-        if fd.mor_map[tcat.compose(g, f)] != bcat.compose(fd.mor_map[g], fd.mor_map[f]):
-            violations.append(
-                Violation("functor-composition", witness=(tcat.mor_names[g], tcat.mor_names[f]))
-            )
     return Report("fibered-functor", checked, tuple(violations))
 
 
@@ -160,21 +173,7 @@ def validate_endofunctor(endo: Endofunctor) -> Report:
     not composed; ``checked`` counts it either way."""
     cat = endo.fib.category
     F, comps, name = endo.mor_map, endo.components, endo.component
-    violations = []
-    for x in range(cat.n_objects):
-        if F[cat.identities[x]] != cat.identities[endo.obj_map[x]]:
-            violations.append(Violation("endofunctor-identity", where=cat.object_names[x]))
-    typed = []
-    for f in range(cat.n_morphisms):
-        ends = endo.obj_map[cat.mor_dom[f]], endo.obj_map[cat.mor_cod[f]]
-        typed.append((cat.mor_dom[F[f]], cat.mor_cod[F[f]]) == ends)
-        if not typed[f]:
-            violations.append(Violation("endofunctor-typing", where=cat.mor_names[f]))
-    for g, f in cat.composable_pairs():
-        if typed[g] and typed[f] and F[cat.compose(g, f)] != cat.compose(F[g], F[f]):
-            violations.append(
-                Violation("endofunctor-composition", witness=(cat.mor_names[g], cat.mor_names[f]))
-            )
+    typed, violations = _functor_laws("endofunctor", cat, cat, endo.obj_map, F)
     comp_typed = []
     for x, c in enumerate(comps):
         comp_typed.append((cat.mor_dom[c], cat.mor_cod[c]) == endo.orient(x, endo.obj_map[x]))

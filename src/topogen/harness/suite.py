@@ -41,6 +41,7 @@ from ..reporting import Report, Violation, merge
 from ..site import (
     PullbackSquare,
     check_bcp,
+    fibre_masks,
     intern,
     validate_category,
     validate_fibration,
@@ -64,7 +65,6 @@ from ..instances.topgroups import topgrp_fibration, validate_topgroup
 from ..instances.topology import (
     enumerate_topologies,
     enumerate_topologies_via_preorders,
-    fibre_masks,
     map_predicates,
 )
 from . import fileformat

@@ -15,7 +15,7 @@ from typing import Iterator
 from ..errors import CapabilityError, DomainError, PreconditionError
 from ..lattice import FiniteLattice, mask_iter
 from ..constructions import Endofunctor
-from ..site import PullbackSquare, SubobjectFibration, concrete_category, subset_fibration
+from ..site import SubobjectFibration, concrete_category, subset_fibration
 
 
 @dataclass(frozen=True)
@@ -207,12 +207,6 @@ def preimage_mask(f: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def fibre_masks(p: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
-    """The fibre relation {(a, b) : f(a) = p(b)} of two graphs into one set,
-    as the mask of p's fibre over each f(a)."""
-    return tuple(preimage_mask(p, 1 << x) for x in f)
-
-
 class _FinTopBackend:
     """Factorization and pullback construction for space fibrations."""
 
@@ -283,12 +277,6 @@ class _FinTopBackend:
         corner = self.corners[key]
         p_prime = self._morphism_of(fib, corner, dom_f, tuple(xs))
         return self._morphism_of(fib, corner, dom_p, tuple(ys)), p_prime
-
-    def pullback(self, fib, f: int, p: int) -> PullbackSquare:
-        cat = fib.category
-        relation = fibre_masks(cat.graphs[p], cat.graphs[f])
-        f_prime, p_prime = self.pullback_legs(fib, cat.mor_dom[f], cat.mor_dom[p], relation)
-        return PullbackSquare(fib, f_prime=f_prime, p=p, p_prime=p_prime, f=f)
 
 
 def continuous_maps(

@@ -96,25 +96,25 @@ class FiniteCategory:
             raise DomainError(f"no object named {name!r}") from None
 
     def isomorphisms(self) -> frozenset[int]:
-        isos = set()
-        for f in range(self.n_morphisms):
-            x, y = self.mor_dom[f], self.mor_cod[f]
-            for g in self.morphisms_from[y]:
-                if self.mor_cod[g] != x:
-                    continue
-                if (
-                    self.compose(g, f) == self.identities[x]
-                    and self.compose(f, g) == self.identities[y]
-                ):
-                    isos.add(f)
-                    break
-        return frozenset(isos)
+        """The f whose graph is a bijection onto cod f's points and whose
+        inverse graph (dom f's points sorted by value) is a morphism back."""
+        carrier = [list(range(len(self.graphs[i]))) for i in self.identities]
+        return frozenset(
+            f for f, (x, y, graph) in enumerate(zip(self.mor_dom, self.mor_cod, self.graphs))
+            if sorted(graph) == carrier[y]
+            and (y, x, tuple(sorted(carrier[x], key=graph.__getitem__))) in self._by_graph
+        )
 
-    def composable_pairs(self):
-        """All (g, f) with cod f == dom g, in deterministic order."""
-        for f in range(self.n_morphisms):
-            for g in self.morphisms_from[self.mor_cod[f]]:
-                yield g, f
+    def composites(self):
+        """(g, f, g∘f) for every composable pair, f outer and g over the
+        morphisms out of cod f; f's graph is read once per f, and a missing
+        composite raises from ``compose``."""
+        graphs, cod, by_graph = self.graphs, self.mor_cod, self._by_graph
+        for f, x in enumerate(self.mor_dom):
+            read = _picker(graphs[f])
+            for g in self.morphisms_from[cod[f]]:
+                h = by_graph.get((x, cod[g], read(graphs[g])))
+                yield g, f, self.compose(g, f) if h is None else h
 
 
 def concrete_category(
@@ -152,14 +152,14 @@ def concrete_category(
 
 
 def validate_category(cat: FiniteCategory) -> Report:
-    """Identity typing, and identity neutrality over every composable pair.
+    """Identity typing, and identity neutrality over the walk ``composites``.
 
-    ``compose`` looks a composite up by (dom f, cod g, graph), so it always
+    The walk looks each composite up by (dom f, cod g, graph), so it always
     has the right domain and codomain, and both bracketings of h∘g∘f look up
     the key (dom f, cod h, graph h ∘ graph g ∘ graph f): associativity holds
     whenever the composites exist.  Each composite it needs is that of a
-    composable pair the pair loop composes, so a missing one has already
-    raised there.  ``checked`` still counts the composable triples.
+    composable pair the walk reaches, so a missing one has already raised
+    there.  ``checked`` still counts the composable triples.
     """
     violations = []
     checked = 0
@@ -168,9 +168,8 @@ def validate_category(cat: FiniteCategory) -> Report:
         checked += 1
         if cat.mor_dom[i] != x or cat.mor_cod[i] != x:
             violations.append(Violation("identity-endo", where=cat.object_names[x]))
-    for g, f in cat.composable_pairs():
+    for g, f, h in cat.composites():
         checked += 1
-        h = cat.compose(g, f)
         if cat.is_identity(g) and h != f:
             violations.append(Violation("identity-neutral-left", witness=(cat.mor_names[f],)))
         if cat.is_identity(f) and h != g:
@@ -280,15 +279,12 @@ def validate_fibration(fib: SubobjectFibration) -> Report:
 
     Functoriality (img(g∘f) = img g ∘ img f and pre(g∘f) = pre f ∘ pre g
     for every composable pair) is first certified per morphism: when every
-    table equals the set-level image/preimage along the morphism's graph,
-    read through ``fib.subsets``, and every composite g∘f exists as the
-    morphism with graph ``graph g ∘ graph f``, both laws hold for every pair,
-    because direct images and preimages of subsets compose along composed
-    functions.  The per-pair loop runs instead when there is no set-level
-    presentation (``subsets`` is None) or when a table or a composite fails
-    the certificate; only the loop reports violations, and it skips the
-    pairs that involve a table with a size or range fault.  ``checked``
-    counts the composable pairs either way.
+    table is the set-level image/preimage along its graph (``fib.subsets``)
+    and every composite g∘f exists, both laws hold for every pair, because
+    direct images and preimages compose.  Otherwise the walk in
+    ``_functoriality_violations`` compares the pairs that involve a table
+    off the set level and alone reports violations.  ``checked`` counts the
+    composable pairs either way.
     """
     cat = fib.category
     violations = []
@@ -509,7 +505,7 @@ def subset_fibration(
 def _functoriality_certified(fib: SubobjectFibration) -> bool:
     """True when every image/preimage table is the set-level one along its
     graph and each composite's graph belongs to a morphism with the right
-    codomain; False sends the caller to the per-pair loop."""
+    codomain; False sends the caller to ``_functoriality_violations``."""
     cat = fib.category
     graphs, dom, cod = cat.graphs, cat.mor_dom, cat.mor_cod
     if fib.subsets is None:
@@ -560,16 +556,20 @@ def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ..
 
 
 def _functoriality_violations(fib: SubobjectFibration, unusable: set[int]) -> list[Violation]:
-    """Image and preimage functoriality over every composable pair, in
-    ``composable_pairs`` order, image before preimage; a missing composite
-    raises from ``compose``.  Pairs with g, f or g∘f in ``unusable`` (tables
-    of the wrong size or with out-of-range entries) are skipped."""
+    """Image, then preimage, functoriality over the walk ``composites``, on
+    the pairs where g, f or g∘f has tables off the set-level ones (all, with
+    no ``fib.subsets``): direct images and preimages compose.  Pairs with g,
+    f or g∘f in ``unusable`` (tables of the wrong size or with out-of-range
+    entries) are skipped; a missing composite raises from the walk."""
     cat = fib.category
     img, pre, names = fib.img, fib.pre, cat.mor_names
+    off = set(range(cat.n_morphisms))
+    if fib.subsets is not None:
+        tables = zip(*set_level_tables(cat, fib.subsets))
+        off = {f for f, t in enumerate(tables) if t != (img[f], pre[f])}
     found = []
-    for g, f in cat.composable_pairs():
-        h = cat.compose(g, f)
-        if g in unusable or f in unusable or h in unusable:
+    for g, f, h in cat.composites():
+        if not (g in off or f in off or h in off) or g in unusable or f in unusable or h in unusable:
             continue
         if tuple(map(img[g].__getitem__, img[f])) != img[h]:
             found.append(Violation("image-functorial", where=f"{names[g]} o {names[f]}"))
@@ -590,14 +590,13 @@ class PullbackSquare:
 
     def __post_init__(self):
         cat = self.fib.category
-        if cat.mor_dom[self.f_prime] != cat.mor_dom[self.p_prime]:
-            raise DomainError("square corners do not align at X'")
-        if cat.mor_cod[self.f_prime] != cat.mor_dom[self.p]:
-            raise DomainError("square corners do not align at Y'")
-        if cat.mor_cod[self.p_prime] != cat.mor_dom[self.f]:
-            raise DomainError("square corners do not align at X")
-        if cat.mor_cod[self.p] != cat.mor_cod[self.f]:
-            raise DomainError("square corners do not align at Y")
+        dom, cod = cat.mor_dom, cat.mor_cod
+        for corner, one, other in (
+            ("X'", dom[self.f_prime], dom[self.p_prime]), ("Y'", cod[self.f_prime], dom[self.p]),
+            ("X", cod[self.p_prime], dom[self.f]), ("Y", cod[self.p], cod[self.f]),
+        ):
+            if one != other:
+                raise DomainError(f"square corners do not align at {corner}")
         if cat.compose(self.p, self.f_prime) != cat.compose(self.f, self.p_prime):
             raise DomainError("square does not commute")
 
@@ -651,10 +650,18 @@ def factorize(fib: SubobjectFibration, f: int) -> tuple[int, int]:
     return e, m
 
 
+def fibre_masks(p: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
+    """The fibre relation {(a, b) : f(a) = p(b)}, as the mask of p's fibre over each f(a)."""
+    return tuple(sum(1 << b for b, pb in enumerate(p) if pb == fa) for fa in f)
+
+
 def pullback(fib: SubobjectFibration, f: int, p: int) -> PullbackSquare:
     """The canonical pullback square of the cospan f: X->Y, p: Y'->Y."""
-    if not hasattr(fib.backend, "pullback"):
+    if not hasattr(fib.backend, "pullback_legs"):
         raise CapabilityError(f"fibration {fib.name} does not support pullbacks")
     if fib.cod(f) != fib.cod(p):
         raise DomainError("pullback needs a cospan: cod f == cod p")
-    return fib.backend.pullback(fib, f, p)
+    cat = fib.category
+    relation = fibre_masks(cat.graphs[p], cat.graphs[f])
+    f_prime, p_prime = fib.backend.pullback_legs(fib, cat.mor_dom[f], cat.mor_dom[p], relation)
+    return PullbackSquare(fib, f_prime=f_prime, p=p, p_prime=p_prime, f=f)

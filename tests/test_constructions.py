@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from topogen.constructions import (
@@ -15,6 +17,7 @@ from topogen.constructions import (
     validate_fibered_functor,
 )
 from topogen.errors import PreconditionError
+from topogen.reporting import Violation
 from topogen.structures import (
     closure_from_topogenous,
     discrete_order,
@@ -93,6 +96,45 @@ def test_topgrp_lift_is_topogenous_and_characterized():
                 assert lifted.holds(x, a_i, b_i) == expected
 
 
+def _reference_functor_composition(fd, typed):
+    """(pairs, functor-composition violations): F(g∘f) against the base
+    composite of F g and F f, composed per pair, for typed F g and F f."""
+    tcat, bcat, F = fd.total.category, fd.base.category, fd.mor_map
+    pairs, violations = 0, []
+    for f in range(tcat.n_morphisms):
+        for g in tcat.morphisms_from[tcat.mor_cod[f]]:
+            pairs += 1
+            if typed[g] and typed[f] and F[tcat.compose(g, f)] != bcat.compose(F[g], F[f]):
+                violations.append(
+                    Violation("functor-composition", witness=(tcat.mor_names[g], tcat.mor_names[f]))
+                )
+    return pairs, violations
+
+
+def test_mistyped_functor_map_is_reported_not_raised():
+    fd = builtin_functor("topgrp_le4")
+    tcat, bcat, tot = fd.total.category, fd.base.category, fd.total
+    # send the first non-identity map to a base map out of the same group
+    # with another codomain
+    f = next(f for f in range(tcat.n_morphisms) if not tcat.is_identity(f))
+    bf = fd.mor_map[f]
+    wrong = next(
+        b for b in bcat.morphisms_from[bcat.mor_dom[bf]] if bcat.mor_cod[b] != bcat.mor_cod[bf]
+    )
+    bad = replace(fd, mor_map=tuple(wrong if m == f else b for m, b in enumerate(fd.mor_map)))
+    report = validate_fibered_functor(bad)
+    typed = [m != f for m in range(tcat.n_morphisms)]
+    pairs, composition = _reference_functor_composition(bad, typed)
+    assert pairs == 26_755
+    good = validate_fibered_functor(fd)
+    assert good.ok and _reference_functor_composition(fd, [True] * len(typed)) == (pairs, [])
+    # f's compatibility checks are skipped; every pair is still counted
+    assert report.checked == good.checked - tot.sub_dom(f).size - tot.sub_cod(f).size
+    assert list(report.violations) == [
+        Violation("functor-typing", where=tcat.mor_names[f]), *composition,
+    ]
+
+
 def test_lift_rejects_foreign_order(grp_small):
     fd = builtin_functor("topgrp_le4")
     with pytest.raises(PreconditionError):
@@ -155,6 +197,25 @@ def test_identity_copointed_induces_same_order(fintop2):
     assert validate_endofunctor(q).ok
     for t in (closure_order(fintop2), interior_order(fintop2)):
         assert induce_order(q, t) == t
+
+
+def test_constant_copointed_endofunctor_at_empty_induces_inclusion(fintop2):
+    # every object goes to empty and every map to id_empty, with the counit
+    # the empty map into x: each counit preimage is the bottom, so the
+    # largest order making the counits continuous relates all m <= n
+    cat = fintop2.category
+    empty = cat.object_index("empty")
+    q = Endofunctor(
+        fintop2,
+        "copointed",
+        (empty,) * cat.n_objects,
+        (cat.identities[empty],) * cat.n_morphisms,
+        tuple(cat.morphism_by_graph(empty, x, ()) for x in range(cat.n_objects)),
+    )
+    report = validate_endofunctor(q)
+    assert report.ok and report.checked == 138
+    for t in (closure_order(fintop2), interior_order(fintop2)):
+        assert induce_order(q, t).rel == tuple(tuple(lat.up) for lat in fintop2.sub)
 
 
 def test_induce_pointed_requires_e_pointing(fintop2):

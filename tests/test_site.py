@@ -69,6 +69,15 @@ def test_builtin_fibrations_validate(fintop2, grp_small, disc2_loop):
         assert validate_fibration(fib).ok
 
 
+def composable_pairs(cat):
+    """Every (g, f) with cod f == dom g, f outer and g over the morphisms
+    out of cod f: the order of ``FiniteCategory.composites``, enumerated
+    without it."""
+    for f in range(cat.n_morphisms):
+        for g in cat.morphisms_from[cat.mor_cod[f]]:
+            yield g, f
+
+
 def _reference_category(cat):
     """(checked, violations) of identity typing and neutrality over every
     pair, and associativity recomputed over every composable triple."""
@@ -79,14 +88,14 @@ def _reference_category(cat):
         checked += 1
         if cat.mor_dom[i] != x or cat.mor_cod[i] != x:
             violations.append(Violation("identity-endo", where=cat.object_names[x]))
-    for g, f in cat.composable_pairs():
+    for g, f in composable_pairs(cat):
         checked += 1
         h = cat.compose(g, f)
         if cat.is_identity(g) and h != f:
             violations.append(Violation("identity-neutral-left", witness=(cat.mor_names[f],)))
         if cat.is_identity(f) and h != g:
             violations.append(Violation("identity-neutral-right", witness=(cat.mor_names[g],)))
-    for g, f in cat.composable_pairs():
+    for g, f in composable_pairs(cat):
         for h in cat.morphisms_from[cat.mor_cod[g]]:
             checked += 1
             if cat.compose(cat.compose(h, g), f) != cat.compose(h, cat.compose(g, f)):
@@ -179,7 +188,7 @@ def _reference_morphism_laws(fib):
     return checked, violations
 
 
-def _composable_pairs(cat):
+def _pair_count(cat):
     return sum(len(cat.morphisms_from[y]) for y in cat.mor_cod)
 
 
@@ -187,7 +196,7 @@ def _morphism_laws(report, cat):
     """``report``'s checked count and violations without functoriality: the
     composable pairs it counts and the ``-functorial`` violations."""
     violations = [v for v in report.violations if not v.law.endswith("-functorial")]
-    return report.checked - _composable_pairs(cat), violations
+    return report.checked - _pair_count(cat), violations
 
 
 def _assert_morphism_laws_match_reference(fib):
@@ -408,7 +417,7 @@ def _with_tables(fib, img=None, pre=None):
 def test_corrupt_composite_table_breaks_functoriality(fintop2, table, law):
     cat = fintop2.category
     g, f = next(
-        (g, f) for g, f in cat.composable_pairs()
+        (g, f) for g, f in composable_pairs(cat)
         if cat.graphs[f] and cat.compose(g, f) not in (g, f)
         and not any(cat.is_identity(m) for m in (g, f, cat.compose(g, f)))
     )
@@ -434,7 +443,7 @@ def _reference_functoriality(fib):
     img, pre, names = fib.img, fib.pre, cat.mor_names
     checked = 0
     violations = []
-    for g, f in cat.composable_pairs():
+    for g, f in composable_pairs(cat):
         checked += 1
         h = cat.compose(g, f)
         if tuple(map(img[g].__getitem__, img[f])) != img[h]:
@@ -589,6 +598,82 @@ def test_functoriality_scan_reports_a_missing_composite_like_compose(kind):
     with pytest.raises(InternalConsistencyError) as got:
         validate_category(cut)
     assert str(got.value) == str(want.value)
+
+
+# -- the composition walk and isomorphisms by graph, against compose ----------
+
+
+@pytest.mark.parametrize("name", FIBRATION_NAMES)
+def test_composites_match_compose_per_pair(name):
+    from topogen.instances.registry import builtin_fibration
+
+    cat = builtin_fibration(name).category
+    step = 13 if name == "fintop3" else 1  # every 13th f of fintop3's 11 345
+    want = (
+        (g, f, cat.compose(g, f))
+        for f in range(0, cat.n_morphisms, step) for g in cat.morphisms_from[cat.mor_cod[f]]
+    )
+    got = (triple for triple in cat.composites() if triple[1] % step == 0)
+    walked = 0
+    for pair in itertools.zip_longest(got, want):
+        assert pair[0] == pair[1]
+        walked += 1
+    if step == 1:
+        assert walked == _pair_count(cat)
+
+
+def _reference_isomorphisms(cat):
+    """The f with some g: cod f -> dom f such that g∘f and f∘g are the
+    identities, probed with ``compose``."""
+    return frozenset(
+        f for f in range(cat.n_morphisms)
+        if any(
+            cat.mor_cod[g] == cat.mor_dom[f]
+            and cat.compose(g, f) == cat.identities[cat.mor_dom[f]]
+            and cat.compose(f, g) == cat.identities[cat.mor_cod[f]]
+            for g in cat.morphisms_from[cat.mor_cod[f]]
+        )
+    )
+
+
+@pytest.mark.parametrize("name", FIBRATION_NAMES)
+def test_isomorphisms_by_graph_match_the_compose_probe(name):
+    from topogen.instances.registry import builtin_fibration
+
+    cat = builtin_fibration(name).category
+    isos = cat.isomorphisms()
+    assert isos == _reference_isomorphisms(cat)
+    assert isos >= set(cat.identities)
+
+
+def test_isomorphisms_are_the_point_swaps_on_fintop2(fintop2):
+    cat = fintop2.category
+    names = {cat.mor_names[f] for f in cat.isomorphisms() if not cat.is_identity(f)}
+    # the identity on points discrete2 -> sierpinski is a bijection whose
+    # inverse is not continuous, so it is no iso
+    assert names == {
+        "discrete2>discrete2:10", "indiscrete2>indiscrete2:10",
+        "sierpinski>sierpinski_op:10", "sierpinski_op>sierpinski:10",
+    }
+
+
+def test_composites_raise_like_compose_at_the_first_missing_composite():
+    from topogen.instances.topology import fintop_fibration
+    from topogen.instances.registry import builtin_space
+
+    fib = fintop_fibration([builtin_space("pt"), builtin_space("sierpinski")])
+    cut = _without(fib, fib.category.morphism_index("sierpinski>sierpinski:00")).category
+    composed = []
+    with pytest.raises(InternalConsistencyError) as want:
+        for g, f in composable_pairs(cut):
+            composed.append((g, f, cut.compose(g, f)))
+    walked = []
+    with pytest.raises(InternalConsistencyError) as got:
+        for triple in cut.composites():
+            walked.append(triple)
+    assert str(got.value) == str(want.value)
+    assert "not closed under composition" in str(got.value)
+    assert walked == composed
 
 
 def test_morphism_by_graph(fintop2, grp_small):
@@ -1133,7 +1218,7 @@ def test_subsets_out_of_counting_order_match_the_per_morphism_reference(fintop2)
 def _missing_composites(cat):
     """The composable pairs whose composite graph no morphism carries."""
     return [
-        (g, f) for g, f in cat.composable_pairs()
+        (g, f) for g, f in composable_pairs(cat)
         if cat.morphism_by_graph(
             cat.mor_dom[f], cat.mor_cod[g], tuple(map(cat.graphs[g].__getitem__, cat.graphs[f]))
         ) is None
