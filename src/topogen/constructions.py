@@ -5,7 +5,7 @@ induced by pointed/copointed endofunctors, with extremality verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import PreconditionError
 from .lattice import mask_iter
@@ -325,7 +325,6 @@ class FamilySpec:
     constraint: Callable      # structure -> bool, the continuity condition
     extreme: str              # "least" | "largest"
     description: str = ""
-    max_candidates: Optional[int] = None
 
 
 def check_extremality(candidate, spec: FamilySpec) -> Report:
@@ -338,9 +337,7 @@ def check_extremality(candidate, spec: FamilySpec) -> Report:
 
     if spec.extreme not in ("least", "largest"):
         raise PreconditionError(f"unknown extremality {spec.extreme!r}")
-    enum_spec = EnumerationSpec(
-        fibration=spec.fibration, kind=spec.kind, max_candidates=spec.max_candidates
-    )
+    enum_spec = EnumerationSpec(fibration=spec.fibration, kind=spec.kind)
     violations = []
     family_size = 0
     seen_candidate = False

@@ -27,10 +27,6 @@ class CapabilityError(TopogenError):
 class ResourceCapError(TopogenError):
     """An enumeration or generation budget would be exceeded."""
 
-    def __init__(self, message, partial_count=None):
-        super().__init__(message)
-        self.partial_count = partial_count
-
 
 class InternalConsistencyError(TopogenError):
     """Two provably-equivalent computations disagreed (a bug, not bad input)."""

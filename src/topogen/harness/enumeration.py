@@ -17,8 +17,8 @@ Output order is deterministic.
 
 The local candidates are memoised for the life of the process by
 ``local_candidates``'s key.  The property filter, the cross-object product,
-``max_lattice`` and the candidate budget belong to each call and never enter
-a memo.
+the lattice cap ``MAX_LATTICE`` and the candidate budget belong to each call
+and never enter a memo.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from ..structures import (
 
 DEFAULT_MAX_CANDIDATES = 1 << 24
 ENV_MAX_CANDIDATES = "TOPOGEN_MAX_CANDIDATES"
+MAX_LATTICE = 16
 
 # each enumerable kind and its structure class, which holds the kind's law
 KINDS = {
@@ -54,27 +55,22 @@ KINDS = {
 class EnumerationSpec:
     fibration: SubobjectFibration
     kind: str
-    max_lattice: int = 16
     prop_filter: Optional[str] = None   # "meet" | "join" | "interpolative"
-    max_candidates: Optional[int] = None
 
-    def budget(self) -> int:
-        """The candidate budget: ``max_candidates``, else the environment
-        variable, else the default; a positive integer or ``DomainError``."""
-        if self.max_candidates is not None:
-            value, source = self.max_candidates, "max_candidates"
-        else:
-            env = os.environ.get(ENV_MAX_CANDIDATES)
-            if not env:
-                return DEFAULT_MAX_CANDIDATES
-            source = ENV_MAX_CANDIDATES
-            try:
-                value = int(env)
-            except ValueError:
-                raise DomainError(f"{source}={env!r} is not an integer") from None
-        if value < 1:
-            raise DomainError(f"{source}={value} must be at least 1")
-        return value
+
+def _budget() -> int:
+    """The candidate budget: the environment variable, else the default; a
+    positive integer or ``DomainError``."""
+    env = os.environ.get(ENV_MAX_CANDIDATES)
+    if not env:
+        return DEFAULT_MAX_CANDIDATES
+    try:
+        value = int(env)
+    except ValueError:
+        raise DomainError(f"{ENV_MAX_CANDIDATES}={env!r} is not an integer") from None
+    if value < 1:
+        raise DomainError(f"{ENV_MAX_CANDIDATES}={value} must be at least 1")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +181,7 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
 
     Before any candidate generation, raises a usage error for a property
     filter that does not apply, a resource error for a lattice over
-    ``max_lattice``, and then a usage error for a malformed budget; a
+    ``MAX_LATTICE``, and then a usage error for a malformed budget; a
     resource error if the pruned candidate space exceeds the budget.
     """
     if spec.kind not in KINDS:
@@ -199,11 +195,10 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
     fib = spec.fibration
     cat = fib.category
     for lat in fib.sub:
-        if lat.size > spec.max_lattice:
+        if lat.size > MAX_LATTICE:
             raise ResourceCapError(
-                f"lattice of size {lat.size} exceeds enumeration cap {spec.max_lattice}"
-            )
-    budget = spec.budget()
+                f"lattice of size {lat.size} exceeds enumeration cap {MAX_LATTICE}")
+    budget = _budget()
     structure_class = KINDS[spec.kind]
 
     n_objects = cat.n_objects
@@ -212,9 +207,7 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
     for rows in local:
         total *= len(rows)
         if total > budget:
-            raise ResourceCapError(
-                f"candidate space exceeds {budget} after local pruning", total
-            )
+            raise ResourceCapError(f"candidate space exceeds {budget} after local pruning")
 
     # the laws along the morphisms between x and an earlier object
     cross = [

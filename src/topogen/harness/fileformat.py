@@ -32,6 +32,11 @@ from ..errors import FormatError
 from ..instances.groups import FinGroup
 from ..instances.registry import ORDER_KINDS
 from ..instances.topology import FinTopSpace
+from ..lattice import MAX_ELEMENTS
+
+
+# the most points whose subsets still form a ``FiniteLattice``
+MAX_POINTS = MAX_ELEMENTS.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,8 @@ def _split_top(value: str, sep: str, line: int, col: int) -> list[str]:
     return parts
 
 
-def _parse_set(token: str, line: int, col: int) -> int:
+def _parse_set(token: str, points: int, line: int, col: int) -> int:
+    """A set of the points 0..points-1, each checked before it is shifted."""
     token = token.strip()
     if not (token.startswith("{") and token.endswith("}")):
         raise FormatError(f"expected a point set, got {token!r}", line, col)
@@ -132,9 +138,14 @@ def _parse_set(token: str, line: int, col: int) -> int:
     if inner:
         for part in inner.split(","):
             try:
-                mask |= 1 << int(part)
+                point = int(part)
             except ValueError:
-                raise FormatError(f"bad point {part!r}", line, col) from None
+                point = -1
+            if point < 0:
+                raise FormatError(f"bad point {part!r}", line, col)
+            if point >= points:
+                raise FormatError(f"invalid topology: an open set names a point >= {points}", line)
+            mask |= 1 << point
     return mask
 
 
@@ -222,8 +233,10 @@ def _parse_space(name, fields, line) -> SpaceRecord:
         n = int(fields["points"])
     except ValueError:
         raise FormatError(f"bad point count {fields['points']!r}", line) from None
+    if not 0 <= n <= MAX_POINTS:
+        raise FormatError(f"point count {n} is not in 0..{MAX_POINTS}", line)
     opens = tuple(sorted(
-        _parse_set(tok, line, 0) for tok in _split_top(fields["opens"], ",", line, 0)
+        _parse_set(tok, n, line, 0) for tok in _split_top(fields["opens"], ",", line, 0)
     ))
     try:
         return SpaceRecord(name, FinTopSpace(n, opens))

@@ -72,10 +72,13 @@ from .enumeration import EnumerationSpec, enumerate_structures
 
 SCALES = ("small", "medium")
 
+# where the suite's instances are chosen: the (fibration, order kind) pairs
+# each per-order statement runs on, and per scale the (space, group)
+# fibrations the scaled checks run on
+ORDERS = (("fintop2", "closure"), ("fintop2", "interior"), ("grp_small", "grp_normal"))
+SCALED = {"small": ("fintop2", "grp_small"), "medium": ("fintop3", "grp_le8")}
 
-@lru_cache(maxsize=None)
-def _fib(name: str):
-    return registry.builtin_fibration(name)
+_fib = registry.builtin_fibration
 
 
 @lru_cache(maxsize=None)
@@ -89,13 +92,18 @@ def _classifications(fib_name: str, kind: str):
     return tuple(classify(f, t) for f in range(t.fib.category.n_morphisms))
 
 
+def _space_classifications(fib_name: str) -> dict:
+    return {kind: _classifications(fib_name, kind) for kind in ("closure", "interior")}
+
+
 # ---------------------------------------------------------------------------
 # individual checks; each returns a Report
 
 
 def check_instance_validity(scale: str) -> Report:
     reports = []
-    for name in ("disc2_loop", "fintop2", "t0_small", "coreflect_small", "grp_small"):
+    fixed = ("disc2_loop", "fintop2", "t0_small", "coreflect_small", "grp_small")
+    for name in fixed:
         fib = _fib(name)
         reports.append(validate_category(fib.category))
         reports.append(validate_fibration(fib))
@@ -119,10 +127,7 @@ def check_instance_validity(scale: str) -> Report:
         if adjoint is None or adjoint.table != fib.fstar[f]:
             mismatched.append(Violation("fstar-differs-from-right-adjoint", where=cat.mor_names[f]))
     reports.append(Report("fstar-formula", cat.n_morphisms, tuple(mismatched)))
-    if scale == "medium":
-        fib3 = _fib("fintop3")
-        reports.append(validate_fibration(fib3))
-        reports.append(validate_fibration(_fib("grp_le8")))
+    reports.extend(validate_fibration(_fib(name)) for name in SCALED[scale] if name not in fixed)
     return merge("instance-validity", reports)
 
 
@@ -131,10 +136,9 @@ def check_conversion_bijections(scale: str) -> Report:
     checked = 0
     for name in ("disc2_loop", "fintop2"):
         fib = _fib(name)
-        torders = list(enumerate_structures(EnumerationSpec(fib, "topogenous")))
-        closures = list(enumerate_structures(EnumerationSpec(fib, "closure")))
-        interiors = list(enumerate_structures(EnumerationSpec(fib, "interior")))
-        nbhds = list(enumerate_structures(EnumerationSpec(fib, "neighbourhood")))
+        torders, closures, interiors, nbhds = (
+            list(enumerate_structures(EnumerationSpec(fib, kind)))
+            for kind in ("topogenous", "closure", "interior", "neighbourhood"))
         checked += len(torders) + len(closures) + len(interiors) + len(nbhds)
         for group in (torders, closures, interiors, nbhds):
             for s in group:
@@ -144,69 +148,54 @@ def check_conversion_bijections(scale: str) -> Report:
             violations.append(Violation("duplicate-structures", where=name))
         meet = [t for t in torders if is_meet_preserving(t)]
         join = [t for t in torders if is_join_preserving(t)]
-        if len(torders) != len(nbhds):
-            violations.append(Violation(
-                "count-orders-vs-neighbourhoods", where=name,
-                witness=(str(len(torders)), str(len(nbhds)))))
-        if len(meet) != len(closures):
-            violations.append(Violation(
-                "count-meet-orders-vs-closures", where=name,
-                witness=(str(len(meet)), str(len(closures)))))
-        if len(join) != len(interiors):
-            violations.append(Violation(
-                "count-join-orders-vs-interiors", where=name,
-                witness=(str(len(join)), str(len(interiors)))))
-        if any(topogenous_from_nbhd(nbhd_from_topogenous(t)) != t for t in torders):
-            violations.append(Violation("roundtrip-order-nbhd", where=name))
-        if any(nbhd_from_topogenous(topogenous_from_nbhd(nu)) != nu for nu in nbhds):
-            violations.append(Violation("roundtrip-nbhd-order", where=name))
-        if any(topogenous_from_closure(closure_from_topogenous(t)) != t for t in meet):
-            violations.append(Violation("roundtrip-order-closure", where=name))
-        if any(closure_from_topogenous(topogenous_from_closure(c)) != c for c in closures):
-            violations.append(Violation("roundtrip-closure-order", where=name))
-        if any(topogenous_from_interior(interior_from_topogenous(t)) != t for t in join):
-            violations.append(Violation("roundtrip-order-interior", where=name))
-        if any(interior_from_topogenous(topogenous_from_interior(i)) != i for i in interiors):
-            violations.append(Violation("roundtrip-interior-order", where=name))
+        # per operator kind: its count law, its name in the round-trip laws,
+        # the orders it converts, its structures, and the two conversions
+        rows = (
+            ("count-orders-vs-neighbourhoods", "nbhd", torders, nbhds,
+             nbhd_from_topogenous, topogenous_from_nbhd),
+            ("count-meet-orders-vs-closures", "closure", meet, closures,
+             closure_from_topogenous, topogenous_from_closure),
+            ("count-join-orders-vs-interiors", "interior", join, interiors,
+             interior_from_topogenous, topogenous_from_interior),
+        )
+        for law, _, orders, others, _, _ in rows:
+            if len(orders) != len(others):
+                violations.append(Violation(
+                    law, where=name, witness=(str(len(orders)), str(len(others)))))
+        for _, other, orders, others, there, back in rows:
+            if any(back(there(t)) != t for t in orders):
+                violations.append(Violation(f"roundtrip-order-{other}", where=name))
+            if any(there(back(s)) != s for s in others):
+                violations.append(Violation(f"roundtrip-{other}-order", where=name))
     return Report("conversion-bijections", checked, tuple(violations))
 
 
-def _fintop2_orders():
-    return (("fintop2", "closure"), ("fintop2", "interior"))
+def _continuity_renderings(t) -> Report:
+    fib = t.fib
+    maps = [f for f in range(fib.category.n_morphisms) if fib.fstar[f] is not None]
+    return Report("continuity-renderings", len(maps), tuple(
+        Violation("continuity-rendering-false", where=fib.category.mor_names[f])
+        for f in maps if continuity_equivalents(f, t) != (True, True, True)))
 
 
-def check_continuity_renderings(scale: str) -> Report:
-    violations = []
-    checked = 0
-    for fib_name, kind in (*_fintop2_orders(), ("grp_small", "grp_normal")):
-        t = _order(fib_name, kind)
-        fib = t.fib
-        for f in range(fib.category.n_morphisms):
-            if fib.fstar[f] is None:
-                continue
-            checked += 1
-            forms = continuity_equivalents(f, t)
-            if forms != (True, True, True):
-                violations.append(Violation(
-                    "continuity-rendering-false", where=fib.category.mor_names[f]))
-    return Report("continuity-renderings", checked, tuple(violations))
+# per check: its statement on one order and the orders it runs on.  Each
+# statement names its function when called, so rebinding a module function
+# (as a tracer does) reaches it.
+PER_ORDER = {
+    "continuity-renderings": (_continuity_renderings, ORDERS),
+    "strict-subobject-transfer": (lambda t: merge("strict-subobject-transfer", [
+        check_strict_transfer(f, t) for f in range(t.fib.category.n_morphisms)]), ORDERS),
+    "class-calculus": (lambda t: check_class_calculus(t.fib, t), ORDERS),
+    # not on grp_small, whose preimages do not commute with joins
+    "operator-crosschecks": (lambda t: crosscheck_operator_classes(t), ORDERS[:2]),
+    "weak-finality-formulas": (lambda t: weakly_final_formulas(t), ORDERS),
+}
 
 
-def check_strict_transfer_suite(scale: str) -> Report:
-    reports = []
-    for fib_name, kind in (*_fintop2_orders(), ("grp_small", "grp_normal")):
-        t = _order(fib_name, kind)
-        for f in range(t.fib.category.n_morphisms):
-            reports.append(check_strict_transfer(f, t))
-    return merge("strict-subobject-transfer", reports)
-
-
-def check_class_calculus_suite(scale: str) -> Report:
-    reports = []
-    for fib_name, kind in (*_fintop2_orders(), ("grp_small", "grp_normal")):
-        t = _order(fib_name, kind)
-        reports.append(check_class_calculus(t.fib, t))
-    return merge("class-calculus", reports)
+def check_per_order(check_id: str, scale: str) -> Report:
+    """The check's statement on each of its orders, merged in table order."""
+    statement, orders = PER_ORDER[check_id]
+    return merge(check_id, [statement(_order(*order)) for order in orders])
 
 
 # a verdict whose violation is named by f, not by the square
@@ -356,24 +345,9 @@ def sweep_pullback_transfer(fib, classifications) -> Report:
 
 
 def check_pullback_transfer_suite(scale: str) -> Report:
-    fib_names = ("fintop2",) if scale == "small" else ("fintop2", "fintop3")
     return merge("pullback-transfer", [
-        sweep_pullback_transfer(
-            _fib(name), {kind: _classifications(name, kind) for kind in ("closure", "interior")})
-        for name in fib_names
-    ])
-
-
-def check_operator_crosschecks(scale: str) -> Report:
-    return merge("operator-crosschecks", [
-        crosscheck_operator_classes(_order(fib_name, kind)) for fib_name, kind in _fintop2_orders()
-    ])
-
-
-def check_weak_finality(scale: str) -> Report:
-    return merge("weak-finality-formulas", [
-        weakly_final_formulas(_order(fib_name, kind))
-        for fib_name, kind in (*_fintop2_orders(), ("grp_small", "grp_normal"))
+        sweep_pullback_transfer(_fib(name), _space_classifications(name))
+        for name in dict.fromkeys(("fintop2", SCALED[scale][0]))
     ])
 
 
@@ -428,69 +402,68 @@ def check_induced_order(side: str, scale: str) -> Report:
     fib_name, endo_name, extreme = _ENDOFUNCTORS[side]
     fib = _fib(fib_name)
     endo = registry.builtin_endofunctor(side, endo_name, fib)
-    violations = list(validate_endofunctor(endo).violations)
-    checked = 0
+    # the endofunctor's own faults are reported, not counted
+    reports = [Report("", 0, validate_endofunctor(endo).violations)]
     for kind in ("closure", "interior"):
         t = _order(fib_name, kind)
         ind = induce_order(endo, t)
-        v = validate_structure(ind)
-        checked += v.checked
-        violations.extend(v.violations)
+        between = []
         # each component is continuous between the induced order at x and t at Fx
         if not all(continuity_between(c, *endo.orient(ind, t))[0] for c in endo.components):
-            violations.append(Violation(f"{endo.component}-not-continuous", where=kind))
+            between.append(Violation(f"{endo.component}-not-continuous", where=kind))
         if endo.pointed and is_interpolative(t) and not is_interpolative(ind):
-            violations.append(Violation("interpolation-inheritance", where=kind))
-        r = check_extremality(ind, FamilySpec(
-            fib, "topogenous", component_constraint(endo, t), extreme,
-            f"{side}-order-{kind}"))
-        checked += r.checked
-        violations.extend(r.violations)
-    tail_checked, tail_violations = (
+            between.append(Violation("interpolation-inheritance", where=kind))
+        reports.append(_valid_and_extremal(ind, between, FamilySpec(
+            fib, "topogenous", component_constraint(endo, t), extreme, f"{side}-order-{kind}")))
+    reports.append(
         _reflection_formula(scale) if endo.pointed else _discretization_is_inclusion(endo))
-    return Report(f"{side}-induced-order", checked + tail_checked,
-                  tuple(violations + tail_violations))
+    return merge(f"{side}-induced-order", reports)
 
 
-def _reflection_formula(scale: str):
-    """The reflection's order induced from the closure order on the bigger
-    fibration is valid and has the row of the closure formula."""
-    big = "fintop2" if scale == "small" else "fintop3"
-    fib = _fib(big)
-    p = registry.builtin_endofunctor("pointed", "t0", fib)
-    t = _order(big, "closure")
-    ind = induce_order(p, t)
-    v = validate_structure(ind)
-    checked = v.checked
-    violations = list(v.violations)
-    c = closure_from_topogenous(t)
-    for x, lat in enumerate(fib.sub):
-        u = p.components[x]
-        img_u, pre_u = fib.img[u], fib.pre[u]
-        fx = p.obj_map[x]
-        for m in range(lat.size):
-            checked += 1
-            if ind.rel[x][m] != lat.up[pre_u[c.cmap[fx][img_u[m]]]]:
-                violations.append(Violation(
-                    "reflection-order-formula", where=fib.category.object_names[x],
-                    witness=(lat.labels[m],)))
-    return checked, violations
+def _valid_and_extremal(structure, between, spec: FamilySpec) -> Report:
+    """``structure``'s validity, then the ``between`` violations, then its
+    extremality in ``spec``'s family."""
+    return merge(spec.description, [
+        validate_structure(structure), Report("", 0, tuple(between)),
+        check_extremality(structure, spec)])
 
 
-def _discretization_is_inclusion(endo):
-    """Discretization turns the closure order into plain inclusion."""
-    fib = endo.fib
-    ind = induce_order(endo, _order(fib.name, "closure"))
-    checked = 0
+def _rows_match(law: str, ind, row) -> Report:
+    """Compare each row ``ind.rel[x][m]`` with the stated ``row(x, m)``."""
+    fib = ind.fib
     violations = []
     for x, lat in enumerate(fib.sub):
         for m in range(lat.size):
-            checked += 1
-            if ind.rel[x][m] != lat.up[m]:
+            if ind.rel[x][m] != row(x, m):
                 violations.append(Violation(
-                    "discretization-order-is-inclusion",
-                    where=fib.category.object_names[x], witness=(lat.labels[m],)))
-    return checked, violations
+                    law, where=fib.category.object_names[x], witness=(lat.labels[m],)))
+    return Report(law, sum(lat.size for lat in fib.sub), tuple(violations))
+
+
+def _reflection_formula(scale: str) -> Report:
+    """The reflection's order induced from the closure order on the scale's
+    space fibration is valid and has the row of the closure formula."""
+    space = SCALED[scale][0]
+    fib = _fib(space)
+    p = registry.builtin_endofunctor("pointed", "t0", fib)
+    t = _order(space, "closure")
+    ind = induce_order(p, t)
+    c = closure_from_topogenous(t)
+
+    def formula(x, m):
+        u = p.components[x]
+        return fib.sub[x].up[fib.pre[u][c.cmap[p.obj_map[x]][fib.img[u][m]]]]
+
+    return merge("reflection-order-formula", [
+        validate_structure(ind), _rows_match("reflection-order-formula", ind, formula)])
+
+
+def _discretization_is_inclusion(endo) -> Report:
+    """Discretization turns the closure order into plain inclusion."""
+    fib = endo.fib
+    ind = induce_order(endo, _order(fib.name, "closure"))
+    return _rows_match(
+        "discretization-order-is-inclusion", ind, lambda x, m: fib.sub[x].up[m])
 
 
 # per operator kind: the induced operator, the conversion from orders, and
@@ -509,43 +482,39 @@ def check_induced_operator(kind: str, scale: str) -> Report:
     its family, and (pointed side) idempotent when the order is
     interpolative and, for interiors, every unit is in E."""
     induced, convert, extremes = _INDUCED_OPERATORS[kind]
-    violations = []
-    checked = 0
+    reports = []
     for side, (fib_name, endo_name, _) in _ENDOFUNCTORS.items():
         fib = _fib(fib_name)
         endo = registry.builtin_endofunctor(side, endo_name, fib)
         t = _order(fib_name, kind)
         op = induced(endo, t)
-        v = validate_structure(op)
-        checked += v.checked
-        violations.extend(v.violations)
+        between = []
         if op != convert(induce_order(endo, t)):
-            violations.append(Violation(f"{side}-{kind}-vs-conversion"))
+            between.append(Violation(f"{side}-{kind}-vs-conversion"))
         if (
             side == "pointed"
             and is_interpolative(t)
             and (kind == "closure" or endo.e_pointed)
             and not is_idempotent(op)
         ):
-            violations.append(Violation(f"pointed-{kind}-idempotence"))
-        r = check_extremality(op, FamilySpec(
-            fib, kind, component_constraint(endo, convert(t)), extremes[side], f"{side}-{kind}"))
-        checked += r.checked
-        violations.extend(r.violations)
+            between.append(Violation(f"pointed-{kind}-idempotence"))
+        reports.append(_valid_and_extremal(op, between, FamilySpec(
+            fib, kind, component_constraint(endo, convert(t)), extremes[side], f"{side}-{kind}")))
 
     # agreement also on the larger reflection instance
     fib2 = _fib("fintop2")
     t2 = _order("fintop2", kind)
+    mismatched = []
     for side, (_, endo_name, _) in _ENDOFUNCTORS.items():
         endo = registry.builtin_endofunctor(side, endo_name, fib2)
         if induced(endo, t2) != convert(induce_order(endo, t2)):
-            violations.append(Violation(f"{side}-{kind}-vs-conversion", where="fintop2"))
-    checked += 2
-    return Report(f"induced-{kind}", checked, tuple(violations))
+            mismatched.append(Violation(f"{side}-{kind}-vs-conversion", where="fintop2"))
+    reports.append(Report("", len(_ENDOFUNCTORS), tuple(mismatched)))
+    return merge(f"induced-{kind}", reports)
 
 
 def check_top_map_classes(scale: str) -> Report:
-    name = "fintop2" if scale == "small" else "fintop3"
+    name = SCALED[scale][0]
     violations = []
     n = int(name[-1])
     counts = {k: len(enumerate_topologies(k)) for k in range(n + 1)}
@@ -556,7 +525,7 @@ def check_top_map_classes(scale: str) -> Report:
             "topology-count-enumerators-disagree",
             witness=(str(counts), str(counts_again))))
     fib = _fib(name)
-    cls = {kind: _classifications(name, kind) for kind in ("closure", "interior")}
+    cls = _space_classifications(name)
     for f in range(fib.category.n_morphisms):
         mp = map_predicates(fib, f)
         ccl, cin = cls["closure"][f], cls["interior"][f]
@@ -577,7 +546,7 @@ def check_top_map_classes(scale: str) -> Report:
 
 
 def check_grp_map_classes(scale: str) -> Report:
-    name = "grp_small" if scale == "small" else "grp_le8"
+    name = SCALED[scale][1]
     fib = _fib(name)
     t = _order(name, "grp_normal")
     violations = []
@@ -647,12 +616,12 @@ def check_format_roundtrip(scale: str) -> Report:
 CHECKS = {
     "instance-validity": check_instance_validity,
     "conversion-bijections": check_conversion_bijections,
-    "continuity-renderings": check_continuity_renderings,
-    "strict-subobject-transfer": check_strict_transfer_suite,
-    "class-calculus": check_class_calculus_suite,
+    "continuity-renderings": partial(check_per_order, "continuity-renderings"),
+    "strict-subobject-transfer": partial(check_per_order, "strict-subobject-transfer"),
+    "class-calculus": partial(check_per_order, "class-calculus"),
     "pullback-transfer": check_pullback_transfer_suite,
-    "operator-crosschecks": check_operator_crosschecks,
-    "weak-finality-formulas": check_weak_finality,
+    "operator-crosschecks": partial(check_per_order, "operator-crosschecks"),
+    "weak-finality-formulas": partial(check_per_order, "weak-finality-formulas"),
     "fibration-lift": check_fibration_lift,
     "pointed-induced-order": partial(check_induced_order, "pointed"),
     "copointed-induced-order": partial(check_induced_order, "copointed"),

@@ -242,11 +242,6 @@ class MonotoneMap:
     def __call__(self, i: int) -> int:
         return self.table[i]
 
-    def compose(self, inner: "MonotoneMap") -> "MonotoneMap":
-        if inner.target is not self.source and inner.target != self.source:
-            raise DomainError("composition mismatch between lattices")
-        return MonotoneMap(inner.source, self.target, tuple(self.table[v] for v in inner.table))
-
     @staticmethod
     def identity(lat: FiniteLattice) -> "MonotoneMap":
         return MonotoneMap(lat, lat, tuple(range(lat.size)))

@@ -139,7 +139,7 @@ def concrete_category(
         for y, cod in enumerate(names):
             for graph in homs(x, y):
                 if max_morphisms is not None and len(graphs) >= max_morphisms:
-                    raise ResourceCapError(f"more than {max_morphisms} {what}", len(graphs))
+                    raise ResourceCapError(f"more than {max_morphisms} {what}")
                 if x == y and graph == ident:
                     identities[x] = len(graphs)
                     mor_names.append(f"id_{dom}")

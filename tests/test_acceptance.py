@@ -55,11 +55,11 @@ def test_criterion_3_grp_map_classes():
 
 def test_criterion_4_morphism_calculus():
     def body(failures):
-        _collect(failures, S.check_continuity_renderings("small"))
-        _collect(failures, S.check_strict_transfer_suite("small"))
-        _collect(failures, S.check_class_calculus_suite("small"))
-        _collect(failures, S.check_operator_crosschecks("small"))
-        _collect(failures, S.check_weak_finality("small"))
+        for check_id in (
+            "continuity-renderings", "strict-subobject-transfer", "class-calculus",
+            "operator-crosschecks", "weak-finality-formulas",
+        ):
+            _collect(failures, S.CHECKS[check_id]("small"))
         _collect(failures, S.check_pullback_transfer_suite("medium"))
 
     _run(4, "morphism-calculus", body)

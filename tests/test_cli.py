@@ -137,6 +137,15 @@ def test_open_set_naming_a_point_outside_the_space_is_a_parse_error(capsys, tmp_
         assert err == "parse error: invalid topology: an open set names a point >= 2 (line 2)\n"
 
 
+def test_a_nine_point_space_is_a_parse_error(capsys, tmp_path):
+    # 8 points is the largest carrier whose subsets form a lattice
+    doc = tmp_path / "in.topo"
+    doc.write_text("space s: points=9; opens={},{0,1,2,3,4,5,6,7,8}\n")
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out) == (2, "")
+    assert err == "parse error: point count 9 is not in 0..8 (line 1)\n"
+
+
 def test_validate_mixed_file(capsys, tmp_path):
     doc = tmp_path / "in.topo"
     doc.write_text(

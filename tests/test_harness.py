@@ -231,10 +231,10 @@ def test_property_filters(disc2_loop):
     assert inters
 
 
-def test_enumeration_cap_fires_before_generation(fintop2):
-    spec = EnumerationSpec(fintop2, "topogenous", max_candidates=1)
+def test_enumeration_cap_fires_before_generation(fintop2, monkeypatch):
+    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "1")
     with pytest.raises(ResourceCapError):
-        next(iter(enumerate_structures(spec)))
+        next(iter(enumerate_structures(EnumerationSpec(fintop2, "topogenous"))))
 
 
 def test_enumeration_cap_env_override(disc2_loop, monkeypatch):
@@ -244,9 +244,9 @@ def test_enumeration_cap_env_override(disc2_loop, monkeypatch):
 
 
 def test_lattice_size_cap():
-    fib = loop_fibration(FiniteLattice.powerset(2))
+    fib = loop_fibration(FiniteLattice.powerset(5))
     with pytest.raises(ResourceCapError):
-        next(iter(enumerate_structures(EnumerationSpec(fib, "topogenous", max_lattice=2))))
+        next(iter(enumerate_structures(EnumerationSpec(fib, "topogenous"))))
 
 
 def test_unknown_kind_rejected(disc2_loop):
@@ -285,9 +285,9 @@ def test_bad_budget_rejected_before_generation(fintop2, monkeypatch, value):
 def test_lattice_cap_precedes_a_bad_budget(monkeypatch):
     _refuse_generation(monkeypatch)
     monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "abc")
-    fib = loop_fibration(FiniteLattice.powerset(2))
+    fib = loop_fibration(FiniteLattice.powerset(5))
     with pytest.raises(ResourceCapError):
-        next(iter(enumerate_structures(EnumerationSpec(fib, "topogenous", max_lattice=2))))
+        next(iter(enumerate_structures(EnumerationSpec(fib, "topogenous"))))
 
 
 def _order_law(fib, f, dom_row, cod_row):
@@ -418,18 +418,18 @@ def test_local_rows_under_the_laws_match_a_fresh_filter(name):
     # the 4-point topology with the fewest continuous self-maps (31)
     ((0, 1, 2, 3, 5, 7, 11, 15), (17, 11, 11, 17, 11, 11)),
 ], ids=["discrete4", "fewest-endomorphisms"])
-def test_four_point_spaces_enumerate_within_a_second(opens, counts):
+def test_four_point_spaces_enumerate_within_a_second(opens, counts, monkeypatch):
     # generating every law-free row of the 16-element lattice first and
     # filtering afterwards does not finish on these spaces
     from topogen.instances.topology import FinTopSpace, fintop_fibration
 
+    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "1000")
     fib = fintop_fibration([FinTopSpace(4, opens)])
     assert fib.category.n_morphisms == (256 if opens == tuple(range(16)) else 31)
     started = time.perf_counter()
     found = {
         (kind, prop): sum(1 for _ in enumerate_structures(
-            EnumerationSpec(fib, kind, prop_filter=prop, max_candidates=1000)
-        ))
+            EnumerationSpec(fib, kind, prop_filter=prop)))
         for kind, prop in (
             ("topogenous", None), ("closure", None), ("interior", None),
             ("neighbourhood", None), ("topogenous", "meet"), ("topogenous", "join"),
@@ -444,8 +444,9 @@ def test_four_point_spaces_enumerate_within_a_second(opens, counts):
 
 def test_a_warm_memo_keeps_the_budget_verdicts(fintop2, monkeypatch):
     assert list(enumerate_structures(EnumerationSpec(fintop2, "topogenous")))
+    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "1")
     with pytest.raises(ResourceCapError):
-        next(iter(enumerate_structures(EnumerationSpec(fintop2, "topogenous", max_candidates=1))))
+        next(iter(enumerate_structures(EnumerationSpec(fintop2, "topogenous"))))
     monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "abc")
     with pytest.raises(DomainError):
         next(iter(enumerate_structures(EnumerationSpec(fintop2, "topogenous"))))
@@ -487,6 +488,25 @@ def test_parse_error_positions():
     with pytest.raises(FormatError) as err:
         fileformat.parse_document("space ok: points=1; opens={},{0}\nnonsense x: a=b\n")
     assert err.value.line == 2
+
+
+def test_a_far_point_is_refused_before_it_is_shifted():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="names a point >= 2"):
+            fileformat.parse_document("space a: points=2; opens={},{0,1},{40000000}\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("points", ["9", "400000000", "-1"])
+def test_space_point_counts_outside_0_to_8_are_refused(points):
+    with pytest.raises(FormatError, match=f"point count {points} is not in 0..8"):
+        fileformat.parse_document(f"space a: points={points}; opens={{}}\n")
 
 
 def _reference_split_top(value, sep, line, col):
@@ -635,9 +655,11 @@ def test_suite_reports_match_goldens():
 def test_suite_medium_report_matches_the_benchmark_reference():
     from pathlib import Path
 
-    reference = Path(__file__).resolve().parent.parent / "benchmark" / "reference"
-    want = (reference / "suite_medium.json").read_text(encoding="utf-8")
-    assert run_suite("medium").render_json() == want
+    tests = Path(__file__).resolve().parent
+    reference = tests.parent / "benchmark" / "reference" / "suite_medium.json"
+    report = run_suite("medium")
+    assert report.render_json() == reference.read_text(encoding="utf-8")
+    assert report.render_text() == (tests / "data" / "golden_suite_medium.txt").read_text()
 
 
 def test_suite_reports_a_raising_check_as_failure(monkeypatch, capsys):
