@@ -1,6 +1,6 @@
 """Executable topogenous structures on finite concrete categories."""
 
-from .lattice import AdjointPair, FiniteLattice, MonotoneMap, check_adjunction, right_adjoint_of
+from .lattice import FiniteLattice, MonotoneMap, right_adjoint_of
 from .site import FiniteCategory, PullbackSquare, SubobjectFibration, check_bcp, factorize, pullback, validate_fibration
 from .structures import (
     ClosureOperator,
@@ -21,7 +21,7 @@ from .structures import (
 from .morphisms import classify, continuity_equivalents, strict_subobjects
 
 __all__ = [
-    "AdjointPair", "FiniteLattice", "MonotoneMap", "check_adjunction", "right_adjoint_of",
+    "FiniteLattice", "MonotoneMap", "right_adjoint_of",
     "FiniteCategory", "PullbackSquare", "SubobjectFibration", "check_bcp", "factorize",
     "pullback", "validate_fibration",
     "ClosureOperator", "InteriorOperator", "NeighbourhoodOperator", "TopogenousOrder",

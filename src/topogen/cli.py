@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from functools import lru_cache
 
 from .errors import (
@@ -24,6 +25,7 @@ from .harness import fileformat
 from .harness.enumeration import KINDS, EnumerationSpec, enumerate_structures
 from .harness.suite import CHECKS, SCALES, run_suite
 from .instances import registry
+from .instances.groups import validate_group
 from .instances.topology import fintop_fibration, is_continuous, map_predicates
 from .morphisms import classify, strict_subobjects
 from .constructions import induce_order, lift_topogenous, validate_endofunctor
@@ -123,6 +125,18 @@ class _Environment:
         return fileformat.resolve_endofunctor(rec, fib)
 
 
+_SHOWN = {True: "true", False: "false", None: "n/a"}
+
+
+def _flag_text(head: str, result) -> str:
+    """``head``, then ``  <field>=true|false|n/a`` for each flag field of the
+    dataclass ``result`` (every field but a classification's morphism id)."""
+    lines = [head]
+    lines += (f"  {f.name}={_SHOWN[getattr(result, f.name)]}"
+              for f in fields(result) if f.name != "morphism")
+    return "\n".join(lines) + "\n"
+
+
 def _emit(text: str, output):
     if output:
         with open(output, "w", encoding="utf-8") as handle:
@@ -143,36 +157,38 @@ _RESOLVERS = {
 }
 
 
+def _map_problem(rec, env):
+    """Why a map record is not a continuous map between its spaces, or None."""
+    src = env._find(fileformat.SpaceRecord, rec.source)
+    tgt = env._find(fileformat.SpaceRecord, rec.target)
+    if src is None or tgt is None:
+        return "unknown endpoint space"
+    if len(rec.graph) != src.space.n:
+        return f"malformed graph: length {len(rec.graph)}, but {rec.source} has {src.space.n} points"
+    outside = [v for v in rec.graph if not 0 <= v < tgt.space.n]
+    if outside:
+        return f"malformed graph: {outside[0]} is not a point of {rec.target}"
+    return None if is_continuous(rec.graph, src.space, tgt.space) else "not continuous"
+
+
 def _cmd_validate(args) -> int:
     env = _Environment(args.files)
     failures = 0
     for path, doc in zip(args.files, env.documents):
         for rec in doc.records:
             label = f"{path}:{type(rec).__name__[:-6].lower()} {rec.name}"
-            if isinstance(rec, (fileformat.SpaceRecord,)):
+            if isinstance(rec, fileformat.SpaceRecord):
                 print(f"ok {label}")
             elif isinstance(rec, fileformat.GroupRecord):
-                from .instances.groups import validate_group
-
                 rep = validate_group(rec.group)
                 failures += not rep.ok
                 print(("ok " if rep.ok else "FAIL ") + label)
                 if not rep.ok:
                     print(rep.render())
             elif isinstance(rec, fileformat.MapRecord):
-                src = env._find(fileformat.SpaceRecord, rec.source)
-                tgt = env._find(fileformat.SpaceRecord, rec.target)
-                if src is None or tgt is None:
-                    failures += 1
-                    print(f"FAIL {label}: unknown endpoint space")
-                    continue
-                ok = (
-                    len(rec.graph) == src.space.n
-                    and all(0 <= v < tgt.space.n for v in rec.graph)
-                    and is_continuous(rec.graph, src.space, tgt.space)
-                )
-                failures += not ok
-                print(("ok " if ok else "FAIL ") + label + ("" if ok else ": not continuous"))
+                problem = _map_problem(rec, env)
+                failures += problem is not None
+                print(f"ok {label}" if problem is None else f"FAIL {label}: {problem}")
             else:
                 resolve, validate = _RESOLVERS[type(rec)]
                 rep = validate(resolve(rec, env.fibration(rec.fibration)))
@@ -208,20 +224,7 @@ def _cmd_classify(args) -> int:
     fib = env.fibration(args.fibration)
     order = env.order(args.order, fib)
     f = env.morphism(args.map, fib)
-    cls = classify(f, order)
-    flags = {
-        "continuous": cls.continuous,
-        "strict": cls.strict,
-        "final": cls.final,
-        "costrict": cls.costrict,
-        "initial": cls.initial,
-        "weakly_final": cls.weakly_final,
-    }
-    lines = [f"morphism {fib.category.mor_names[f]}"]
-    for key, value in flags.items():
-        shown = "n/a" if value is None else ("true" if value else "false")
-        lines.append(f"  {key}={shown}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(_flag_text(f"morphism {fib.category.mor_names[f]}", classify(f, order)), args.output)
     return EXIT_OK
 
 
@@ -242,25 +245,10 @@ def _cmd_predicates(args) -> int:
     fib = env.fibration(args.fibration)
     if args.map is not None:
         f = env.morphism(args.map, fib)
-        mp = map_predicates(fib, f)
-        _emit(
-            f"map {fib.category.mor_names[f]}\n"
-            f"  open={str(mp.open).lower()}\n"
-            f"  closed={str(mp.closed).lower()}\n"
-            f"  initial_topology={str(mp.initial_topology).lower()}\n"
-            f"  hereditary_quotient={str(mp.hereditary_quotient).lower()}\n",
-            args.output,
-        )
+        _emit(_flag_text(f"map {fib.category.mor_names[f]}", map_predicates(fib, f)), args.output)
         return EXIT_OK
     order = env.order(args.order, fib)
-    preds = predicates(order)
-    _emit(
-        f"order {args.order}\n"
-        f"  meet_preserving={str(preds.meet_preserving).lower()}\n"
-        f"  join_preserving={str(preds.join_preserving).lower()}\n"
-        f"  interpolative={str(preds.interpolative).lower()}\n",
-        args.output,
-    )
+    _emit(_flag_text(f"order {args.order}", predicates(order)), args.output)
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import PreconditionError
+from .harness.enumeration import EnumerationSpec, enumerate_structures
 from .lattice import mask_iter
 from .reporting import Report, Violation
 from .site import SubobjectFibration
@@ -333,8 +334,6 @@ def check_extremality(candidate, spec: FamilySpec) -> Report:
     The report's ``checked`` field is the family size; a violator (or the
     candidate's absence from the family) shows up as a violation.
     """
-    from .harness.enumeration import EnumerationSpec, enumerate_structures
-
     if spec.extreme not in ("least", "largest"):
         raise PreconditionError(f"unknown extremality {spec.extreme!r}")
     enum_spec = EnumerationSpec(fibration=spec.fibration, kind=spec.kind)

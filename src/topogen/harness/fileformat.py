@@ -28,11 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from ..constructions import Endofunctor
 from ..errors import FormatError
 from ..instances.groups import FinGroup
-from ..instances.registry import ORDER_KINDS
+from ..instances.registry import ORDER_KINDS, builtin_order
 from ..instances.topology import FinTopSpace
-from ..lattice import MAX_ELEMENTS
+from ..lattice import MAX_ELEMENTS, mask_iter
+from ..structures import ClosureOperator, InteriorOperator, TopogenousOrder
 
 
 # the most points whose subsets still form a ``FiniteLattice``
@@ -150,14 +152,7 @@ def _parse_set(token: str, points: int, line: int, col: int) -> int:
 
 
 def _render_set(mask: int) -> str:
-    points = []
-    i = 0
-    while mask:
-        if mask & 1:
-            points.append(str(i))
-        mask >>= 1
-        i += 1
-    return "{" + ",".join(points) + "}"
+    return "{" + ",".join(map(str, mask_iter(mask))) + "}"
 
 
 def _parse_pair(token: str, line: int, col: int) -> tuple[str, str]:
@@ -422,24 +417,16 @@ def order_record_of(name: str, t) -> OrderRecord:
     fib = t.fib
     rel = []
     for x, lat in enumerate(fib.sub):
-        pairs = []
-        for m in range(lat.size):
-            row = t.table[x][m]
-            n = 0
-            while row:
-                if row & 1:
-                    pairs.append((lat.labels[m], lat.labels[n]))
-                row >>= 1
-                n += 1
-        rel.append((fib.category.object_names[x], tuple(pairs)))
+        labels = lat.labels
+        pairs = tuple(
+            (labels[m], labels[n]) for m, row in enumerate(t.table[x]) for n in mask_iter(row)
+        )
+        rel.append((fib.category.object_names[x], pairs))
     return OrderRecord(name, fib.name, "explicit", tuple(rel))
 
 
 def resolve_order(record: OrderRecord, fib) -> "object":
     """Turn an order record into a TopogenousOrder over the given fibration."""
-    from ..instances.registry import builtin_order
-    from ..structures import TopogenousOrder
-
     if record.kind != "explicit":
         return builtin_order(record.kind, fib)
     rows = [[0] * lat.size for lat in fib.sub]
@@ -455,8 +442,6 @@ def resolve_order(record: OrderRecord, fib) -> "object":
 
 
 def resolve_endofunctor(record: EndofunctorRecord, fib):
-    from ..constructions import Endofunctor
-
     cat = fib.category
     obj_map = [None] * cat.n_objects
     for a, b in record.obj:
@@ -491,8 +476,6 @@ def resolve_operator(record: OperatorRecord, fib):
     Each block maps every subobject of its object once.  A block may be left
     out only for an object with one subobject, whose one self-map is forced.
     """
-    from ..structures import ClosureOperator, InteriorOperator
-
     rows = [[0] if lat.size == 1 else [None] * lat.size for lat in fib.sub]
     for obj_name, entries in record.table:
         x = fib.category.object_index(obj_name)

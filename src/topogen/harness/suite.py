@@ -109,7 +109,7 @@ def check_instance_validity(scale: str) -> Report:
         reports.append(validate_fibration(fib))
     for g in groups_of(_fib("grp_small")):
         reports.append(validate_group(g))
-    fd = topgrp_fibration(4)
+    fd = topgrp_fibration()
     for tg in fd.total.backend.topgroups:
         reports.append(validate_topgroup(tg))
     reports.append(validate_fibration(fd.total))
@@ -353,7 +353,7 @@ def check_pullback_transfer_suite(scale: str) -> Report:
 
 def check_fibration_lift(scale: str) -> Report:
     violations = []
-    fd = topgrp_fibration(4)
+    fd = topgrp_fibration()
     t_base = registry.builtin_order("grp_normal", fd.base)
     lifted = lift_topogenous(fd, t_base)
     rep = validate_structure(lifted)
@@ -584,33 +584,25 @@ def check_grp_map_classes(scale: str) -> Report:
 
 def check_format_roundtrip(scale: str) -> Report:
     violations = []
-    docs = []
-    fib = _fib("t0_small")
-    records = [
+    t = _order("t0_small", "closure")
+    order_record = fileformat.order_record_of("tiny", t)
+    doc = fileformat.Document((
         fileformat.SpaceRecord("sier", registry.builtin_space("sierpinski")),
         fileformat.SpaceRecord("d2", registry.builtin_space("discrete2")),
         fileformat.MapRecord("collapse", "d2", "sier", (1, 1)),
         fileformat.GroupRecord("z2xz2", groups_of(_fib("grp_small"))[4]),
-        fileformat.order_record_of("tiny", _order("t0_small", "closure")),
-        fileformat.operator_record_of(
-            "cl", closure_from_topogenous(_order("t0_small", "closure")), "closure"),
-    ]
-    docs.append(fileformat.Document(tuple(records)))
-    checked = 0
-    for doc in docs:
-        checked += len(doc.records)
-        text = fileformat.serialize_document(doc)
-        back = fileformat.parse_document(text)
-        if back != doc:
-            violations.append(Violation("parse-serialize-roundtrip"))
-        if fileformat.serialize_document(back) != text:
-            violations.append(Violation("serialize-parse-roundtrip"))
-    t = _order("t0_small", "closure")
-    rec = fileformat.order_record_of("tiny", t)
-    if fileformat.resolve_order(rec, fib) != t:
+        order_record,
+        fileformat.operator_record_of("cl", closure_from_topogenous(t), "closure"),
+    ))
+    text = fileformat.serialize_document(doc)
+    back = fileformat.parse_document(text)
+    if back != doc:
+        violations.append(Violation("parse-serialize-roundtrip"))
+    if fileformat.serialize_document(back) != text:
+        violations.append(Violation("serialize-parse-roundtrip"))
+    if fileformat.resolve_order(order_record, t.fib) != t:
         violations.append(Violation("order-record-resolution"))
-    checked += 1
-    return Report("format-roundtrip", checked, tuple(violations))
+    return Report("format-roundtrip", len(doc.records) + 1, tuple(violations))
 
 
 CHECKS = {
@@ -699,27 +691,17 @@ def run_suite(scale: str = "small", targets=None) -> SuiteReport:
     entries = []
     for check_id in selected:
         fn = CHECKS.get(check_id)
-        if fn is None:
-            entries.append(CheckEntry(check_id, 0, (), ("unknown proposition id",), 0.0))
-            continue
-        started = time.perf_counter()
-        try:
-            report = fn(scale)
-            entries.append(CheckEntry(
-                check_id,
-                report.checked,
-                tuple(v.render() for v in report.violations),
-                report.skipped,
-                time.perf_counter() - started,
-            ))
-        except ResourceCapError as exc:
-            entries.append(CheckEntry(
-                check_id, 0, (), (f"resource cap: {exc}",),
-                time.perf_counter() - started,
-            ))
-        except TopogenError as exc:
-            entries.append(CheckEntry(
-                check_id, 0, (f"{type(exc).__name__}: {exc}",), (),
-                time.perf_counter() - started,
-            ))
+        checked, failures, notes, wall = 0, (), ("unknown proposition id",), 0.0
+        if fn is not None:
+            started = time.perf_counter()
+            try:
+                report = fn(scale)
+                checked, failures, notes = (
+                    report.checked, tuple(v.render() for v in report.violations), report.skipped)
+            except ResourceCapError as exc:
+                notes = (f"resource cap: {exc}",)
+            except TopogenError as exc:
+                failures, notes = (f"{type(exc).__name__}: {exc}",), ()
+            wall = time.perf_counter() - started
+        entries.append(CheckEntry(check_id, checked, failures, notes, wall))
     return SuiteReport(scale, tuple(entries))

@@ -12,6 +12,9 @@ from ..errors import CapabilityError, PreconditionError
 from ..lattice import FiniteLattice, mask_iter
 from ..reporting import Report, Violation
 from ..site import SubobjectFibration, concrete_category, subset_fibration
+from ..structures import TopogenousOrder
+
+MAX_MORPHISMS = 100_000
 
 
 @dataclass(frozen=True)
@@ -357,7 +360,7 @@ class _FinGrpBackend:
         raise CapabilityError("no catalog group is isomorphic to the image subgroup")
 
 
-def fingrp_fibration(groups, name: str = "fingrp", max_morphisms: int = 100_000) -> SubobjectFibration:
+def fingrp_fibration(groups, name: str = "fingrp") -> SubobjectFibration:
     """All homomorphisms between the given groups; subobjects are subgroup
     lattices, image/preimage the usual ones, (E, M) = (surjective, injective)."""
     groups = tuple(groups)
@@ -366,7 +369,7 @@ def fingrp_fibration(groups, name: str = "fingrp", max_morphisms: int = 100_000)
         raise PreconditionError("duplicate groups in fibration")
     category = concrete_category(
         names, [g.order for g in groups], lambda x, y: homs(groups[x], groups[y]),
-        max_morphisms, "homomorphisms",
+        MAX_MORPHISMS, "homomorphisms",
     )
     mclass = (
         f for f, graph in enumerate(category.graphs)
@@ -387,8 +390,6 @@ def groups_of(fib: SubobjectFibration) -> tuple[FinGroup, ...]:
 
 def normal_interval_order(fib: SubobjectFibration):
     """A related to B iff some normal subgroup sits between them."""
-    from ..structures import TopogenousOrder
-
     rel = []
     for g in groups_of(fib):
         subs = subgroups_of(g)

@@ -63,7 +63,7 @@ def builtin_fibration(name: str):
     if name == "grp_le8":
         return groups.fingrp_fibration(groups.catalog(), name=name)
     if name == "topgrp_le4":
-        return topgroups.topgrp_fibration(4).total
+        return topgroups.topgrp_fibration().total
     raise DomainError(
         f"unknown built-in fibration {name!r} (known: {', '.join(FIBRATION_NAMES)})"
     )
@@ -71,7 +71,7 @@ def builtin_fibration(name: str):
 
 def builtin_functor(name: str):
     if name == "topgrp_le4":
-        return topgroups.topgrp_fibration(4)
+        return topgroups.topgrp_fibration()
     raise DomainError(f"unknown built-in fibered functor {name!r}")
 
 

@@ -26,6 +26,9 @@ from .groups import (
 )
 from .topology import FinTopSpace, is_continuous, minimal_neighbourhoods
 
+# the largest group order of the topological-group fibration
+MAX_ORDER = 4
+
 
 @dataclass(frozen=True)
 class FinTopGroup:
@@ -116,15 +119,15 @@ class _TopGrpBackend:
 
 
 @lru_cache(maxsize=None)
-def topgrp_fibration(max_order: int = 4) -> FiberedFunctor:
-    """Topological groups of order <= max_order over their underlying groups.
+def topgrp_fibration() -> FiberedFunctor:
+    """Topological groups of order <= ``MAX_ORDER`` over their underlying groups.
 
     Total morphisms are the continuous homomorphisms; fibers share the
     underlying subgroup lattice, so the per-object lattice identification is
     the identity on indices.
     """
-    base_groups = tuple(g for g in catalog() if g.order <= max_order)
-    base = fingrp_fibration(base_groups, name=f"grp_le{max_order}")
+    base_groups = tuple(g for g in catalog() if g.order <= MAX_ORDER)
+    base = fingrp_fibration(base_groups, name=f"grp_le{MAX_ORDER}")
     tgs = topgroups_of(base_groups)
     base_index = {g.name: i for i, g in enumerate(base_groups)}
 
@@ -155,7 +158,7 @@ def topgrp_fibration(max_order: int = 4) -> FiberedFunctor:
     )
     total = subset_fibration(
         category, sub, [subgroups_of(tg.group) for tg in tgs], mclass,
-        backend=_TopGrpBackend(tgs), name=f"topgrp_le{max_order}",
+        backend=_TopGrpBackend(tgs), name=f"topgrp_le{MAX_ORDER}",
     )
     gamma = tuple(tuple(range(lat.size)) for lat in sub)
     return FiberedFunctor(

@@ -16,6 +16,10 @@ from ..errors import CapabilityError, DomainError, PreconditionError
 from ..lattice import FiniteLattice, mask_iter
 from ..constructions import Endofunctor
 from ..site import SubobjectFibration, concrete_category, subset_fibration
+from ..structures import TopogenousOrder
+
+# caps the fibrations built from ``spaces:`` input
+MAX_MORPHISMS = 200_000
 
 
 @dataclass(frozen=True)
@@ -332,12 +336,7 @@ def _complement_formula(img: tuple[int, ...], pre: tuple[int, ...]) -> tuple[int
     return tuple(map(full_y.__xor__, reversed(img)))
 
 
-def fintop_fibration(
-    spaces,
-    name: str = "fintop",
-    max_morphisms: int = 200_000,
-    object_names=None,
-) -> SubobjectFibration:
+def fintop_fibration(spaces, name: str = "fintop", object_names=None) -> SubobjectFibration:
     """The full subcategory on the given spaces with its surjection/embedding
     factorization; subobjects are powerset lattices, image/preimage are the
     set-theoretic ones."""
@@ -351,7 +350,7 @@ def fintop_fibration(
     nbhds = backend.nbhds
     category = concrete_category(
         names, [s.n for s in spaces], lambda x, y: continuous_maps(nbhds[x], nbhds[y]),
-        max_morphisms, "continuous maps",
+        MAX_MORPHISMS, "continuous maps",
     )
     mor_dom, mor_cod, graphs = category.mor_dom, category.mor_cod, category.graphs
 
@@ -398,8 +397,6 @@ def spaces_of(fib: SubobjectFibration) -> tuple[FinTopSpace, ...]:
 
 def closure_order(fib: SubobjectFibration):
     """m related to n iff the topological closure of m is inside n."""
-    from ..structures import TopogenousOrder
-
     spaces = spaces_of(fib)
     rel = tuple(
         tuple(fib.sub[x].up[s.closure(m)] for m in range(1 << s.n))
@@ -410,8 +407,6 @@ def closure_order(fib: SubobjectFibration):
 
 def interior_order(fib: SubobjectFibration):
     """m related to n iff m is inside the topological interior of n."""
-    from ..structures import TopogenousOrder
-
     spaces = spaces_of(fib)
     rel = []
     for x, s in enumerate(spaces):
@@ -486,50 +481,61 @@ def t0_quotient_classes(space: FinTopSpace) -> list[int]:
     return sorted(classes.values(), key=lambda m: next(mask_iter(m)))
 
 
+def _pointwise(fib: SubobjectFibration, kind: str, target, missing: str) -> Endofunctor:
+    """The ``kind`` endofunctor with F x the object of space S and F f: q_x(a)
+    |-> q_y(f(a)), where ``target`` maps the space of x to (S, point map q_x).
+    The unit x -> F x is q_x, the counit F x -> x is q_x inverted.  A missing
+    F x raises with ``missing`` formatted with the name of x."""
+    spaces = spaces_of(fib)
+    backend = fib.backend
+    cat = fib.category
+    obj_map, point_maps, components = [], [], []
+    for x, s in enumerate(spaces):
+        space, q = target(s)
+        try:
+            fx = backend._object_of(space)
+        except CapabilityError:
+            raise PreconditionError(missing.format(cat.object_names[x])) from None
+        obj_map.append(fx)
+        point_maps.append(q)
+        if kind == "pointed":
+            components.append(backend._morphism_of(fib, x, fx, q))
+        else:
+            inverse = tuple(sorted(range(s.n), key=q.__getitem__))
+            components.append(backend._morphism_of(fib, fx, x, inverse))
+    mor_map = []
+    for f, graph in enumerate(cat.graphs):
+        x, y = cat.mor_dom[f], cat.mor_cod[f]
+        qy = point_maps[y]
+        ff_graph = [0] * spaces[obj_map[x]].n
+        for a, fa in zip(point_maps[x], graph):
+            ff_graph[a] = qy[fa]
+        mor_map.append(backend._morphism_of(fib, obj_map[x], obj_map[y], tuple(ff_graph)))
+    return Endofunctor(fib, kind, tuple(obj_map), tuple(mor_map), tuple(components))
+
+
+def _t0_quotient(s: FinTopSpace) -> tuple[FinTopSpace, tuple[int, ...]]:
+    """The quotient by equal singleton closures, and each point's class."""
+    classes = t0_quotient_classes(s)
+    point_class = [0] * s.n
+    for ci, cmask in enumerate(classes):
+        for pnt in mask_iter(cmask):
+            point_class[pnt] = ci
+    q = tuple(point_class)
+    opens = tuple(v for v in range(1 << len(classes)) if s.is_open(preimage_mask(q, v)))
+    return FinTopSpace(len(classes), opens), q
+
+
 def t0_reflection(fib: SubobjectFibration) -> Endofunctor:
     """The point-identification reflection: quotient by equal singleton closures.
 
     Every object's quotient space must already be an object of the fibration.
     """
-    spaces = spaces_of(fib)
-    backend = fib.backend
-    cat = fib.category
-    obj_map = []
-    unit = []
-    class_index = []  # per object, each point's class
-    class_count = []
-    for x, s in enumerate(spaces):
-        classes = t0_quotient_classes(s)
-        point_class = [0] * s.n
-        for ci, cmask in enumerate(classes):
-            for pnt in mask_iter(cmask):
-                point_class[pnt] = ci
-        eta_graph = tuple(point_class)
-        q_opens = tuple(sorted(
-            v for v in range(1 << len(classes))
-            if s.is_open(preimage_mask(eta_graph, v))
-        ))
-        q_space = FinTopSpace(len(classes), q_opens)
-        try:
-            fx = backend._object_of(q_space)
-        except CapabilityError:
-            raise PreconditionError(
-                f"fibration is not closed under point-identification quotients "
-                f"(missing the quotient of {cat.object_names[x]})"
-            ) from None
-        obj_map.append(fx)
-        unit.append(backend._morphism_of(fib, x, fx, eta_graph))
-        class_index.append(point_class)
-        class_count.append(len(classes))
-    mor_map = []
-    for f in range(cat.n_morphisms):
-        x, y = cat.mor_dom[f], cat.mor_cod[f]
-        graph = cat.graphs[f]
-        ff_graph = [0] * class_count[x]
-        for pnt in range(spaces[x].n):
-            ff_graph[class_index[x][pnt]] = class_index[y][graph[pnt]]
-        mor_map.append(backend._morphism_of(fib, obj_map[x], obj_map[y], tuple(ff_graph)))
-    return Endofunctor(fib, "pointed", tuple(obj_map), tuple(mor_map), tuple(unit))
+    return _pointwise(
+        fib, "pointed", _t0_quotient,
+        "fibration is not closed under point-identification quotients "
+        "(missing the quotient of {})",
+    )
 
 
 def discrete_coreflection(fib: SubobjectFibration) -> Endofunctor:
@@ -537,23 +543,8 @@ def discrete_coreflection(fib: SubobjectFibration) -> Endofunctor:
 
     Every object's discretization must already be an object of the fibration.
     """
-    spaces = spaces_of(fib)
-    backend = fib.backend
-    cat = fib.category
-    obj_map = []
-    counit = []
-    for x, s in enumerate(spaces):
-        try:
-            gx = backend._object_of(discrete(s.n))
-        except CapabilityError:
-            raise PreconditionError(
-                f"fibration is not closed under discretization "
-                f"(missing the discrete space on {cat.object_names[x]})"
-            ) from None
-        obj_map.append(gx)
-        counit.append(backend._morphism_of(fib, gx, x, tuple(range(s.n))))
-    mor_map = []
-    for f in range(cat.n_morphisms):
-        x, y = cat.mor_dom[f], cat.mor_cod[f]
-        mor_map.append(backend._morphism_of(fib, obj_map[x], obj_map[y], cat.graphs[f]))
-    return Endofunctor(fib, "copointed", tuple(obj_map), tuple(mor_map), tuple(counit))
+    return _pointwise(
+        fib, "copointed", lambda s: (discrete(s.n), tuple(range(s.n))),
+        "fibration is not closed under discretization "
+        "(missing the discrete space on {})",
+    )

@@ -129,20 +129,6 @@ class FiniteLattice:
     def join(self, i: int, j: int) -> int:
         return self.join_table[i][j]
 
-    def meet_all(self, elems: Iterable[int]) -> int:
-        out = self.top
-        for e in elems:
-            self.require(e)
-            out = self.meet_table[out][e]
-        return out
-
-    def join_all(self, elems: Iterable[int]) -> int:
-        out = self.bottom
-        for e in elems:
-            self.require(e)
-            out = self.join_table[out][e]
-        return out
-
     def index_of(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -238,38 +224,6 @@ class MonotoneMap:
                         "map is not monotone",
                         witness=(self.source.labels[i], self.source.labels[j]),
                     )
-
-    def __call__(self, i: int) -> int:
-        return self.table[i]
-
-    @staticmethod
-    def identity(lat: FiniteLattice) -> "MonotoneMap":
-        return MonotoneMap(lat, lat, tuple(range(lat.size)))
-
-
-@dataclass(frozen=True)
-class AdjointPair:
-    """lower -| upper between two lattices: lower(m) <= n iff m <= upper(n)."""
-
-    lower: MonotoneMap          # L_X -> L_Y, "image"
-    upper: MonotoneMap          # L_Y -> L_X, "preimage"
-
-
-def check_adjunction(pair: AdjointPair):
-    """Exhaustively test the adjunction biconditional.
-
-    Returns (True, None) or (False, (m, n)) with the first violating pair in
-    scan order, m in the lower map's source and n in its target.
-    """
-    lo, upv = pair.lower, pair.upper
-    if lo.source != upv.target or lo.target != upv.source:
-        raise DomainError("adjoint pair lattices are mismatched")
-    lx, ly = lo.source, lo.target
-    for m in range(lx.size):
-        for n in range(ly.size):
-            if ly.leq(lo.table[m], n) != lx.leq(m, upv.table[n]):
-                return False, (m, n)
-    return True, None
 
 
 def right_adjoint_table(

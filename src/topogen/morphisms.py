@@ -273,26 +273,19 @@ def transfer_laws(
     return violated("square", map(class_flags, (c_f_prime, c_p, c_p_prime, c_f)))
 
 
-def check_pullback_transfer(sq: PullbackSquare, t: TopogenousOrder, cache=None) -> Report:
+def check_pullback_transfer(sq: PullbackSquare, t: TopogenousOrder) -> Report:
     """Ascent along an initial p' and descent along a final p, per class.
 
     The violations are those of :func:`transfer_laws` on the four
-    classifications.  ``cache`` may map morphism ids to precomputed
     classifications.  A square without the Beck-Chevalley equality raises
     ``PreconditionError``.
 
     The sweep calls :func:`transfer_laws` directly; this per-square form
-    stays public because the benchmark's tracer (``benchmark/tracing.py``,
-    ``TARGETS``) names it and ``tests/test_tooling.py``'s
-    ``test_every_traced_function_resolves`` requires every traced name to
-    resolve.
+    stays while the benchmark's tracer (``benchmark/tracing.py``) names it.
     """
     if not check_bcp(sq).bcp_equality:
         raise PreconditionError("square does not satisfy the Beck-Chevalley equality")
-    cache = cache or {}
-    c_f_prime, c_p, c_p_prime, c_f = (
-        cache.get(m) or classify(m, t) for m in (sq.f_prime, sq.p, sq.p_prime, sq.f)
-    )
+    c_f_prime, c_p, c_p_prime, c_f = (classify(m, t) for m in (sq.f_prime, sq.p, sq.p_prime, sq.f))
     checked = len(_CLASSES) * ((c_p_prime.initial is True) + bool(c_p.final))
     where = sq.name
     violations = tuple(

@@ -169,6 +169,20 @@ def test_validate_discontinuous_map(capsys, tmp_path):
     assert "not continuous" in out
 
 
+@pytest.mark.parametrize("graph, problem", [
+    ("0", "length 1, but a has 2 points"),
+    ("0,1,0", "length 3, but a has 2 points"),
+    ("0,-1", "-1 is not a point of a"),
+    ("0,400000000", "400000000 is not a point of a"),
+])
+def test_validate_names_a_malformed_graph(capsys, tmp_path, graph, problem):
+    # a is indiscrete, so every function into it is continuous
+    doc = tmp_path / "in.topo"
+    doc.write_text(f"space a: points=2; opens={{}},{{0,1}}\nmap m: from=a; to=a; graph={graph}\n")
+    code, out, _ = run(capsys, "validate", str(doc))
+    assert (code, out) == (1, f"ok {doc}:space a\nFAIL {doc}:map m: malformed graph: {problem}\n")
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     doc = tmp_path / "broken.topo"
     doc.write_text("space x points=1\n")

@@ -1,6 +1,6 @@
 import itertools
 import time
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +37,7 @@ def loop_fibration(lat, extra_pre_tables=()):
         img = []
         for m in range(lat.size):
             above = [n for n in range(lat.size) if lat.leq(m, pre[n])]
-            img.append(lat.meet_all(above))
+            img.append(reduce(lat.meet, above, lat.top))
         imgs.append(tuple(img))
     compose = {}
     for g in range(n_mor):

@@ -117,18 +117,21 @@ def test_one_point_space_category_is_a_single_identity():
     assert fib.category.mor_names == ("id_pt",)
 
 
-def test_morphism_caps_name_what_they_count():
+def test_morphism_caps_name_what_they_count(monkeypatch):
     from topogen.errors import ResourceCapError
-    from topogen.instances.groups import fingrp_fibration
-    from topogen.instances.topology import fintop_fibration
+    from topogen.instances import groups, topology
 
     # discrete2 has four continuous self-maps, z2 two endomorphisms
-    assert fintop_fibration([discrete(2)], max_morphisms=4).category.n_morphisms == 4
+    monkeypatch.setattr(topology, "MAX_MORPHISMS", 4)
+    assert topology.fintop_fibration([discrete(2)]).category.n_morphisms == 4
+    monkeypatch.setattr(topology, "MAX_MORPHISMS", 3)
     with pytest.raises(ResourceCapError, match="^more than 3 continuous maps$"):
-        fintop_fibration([discrete(2)], max_morphisms=3)
-    assert fingrp_fibration([cyclic(2)], max_morphisms=2).category.n_morphisms == 2
+        topology.fintop_fibration([discrete(2)])
+    monkeypatch.setattr(groups, "MAX_MORPHISMS", 2)
+    assert groups.fingrp_fibration([cyclic(2)]).category.n_morphisms == 2
+    monkeypatch.setattr(groups, "MAX_MORPHISMS", 1)
     with pytest.raises(ResourceCapError, match="^more than 1 homomorphisms$"):
-        fingrp_fibration([cyclic(2)], max_morphisms=1)
+        groups.fingrp_fibration([cyclic(2)])
 
 
 def test_space_validation_rejects_non_topologies():
@@ -699,7 +702,7 @@ def test_every_concrete_builder_sets_subsets(tmp_path):
         fintop_fibration([SIERPINSKI, discrete(2)]),
         _Environment([doc]).fibration("spaces:two,one"),
         fingrp_fibration(small_catalog()),
-        topgrp_fibration(4).total,
+        topgrp_fibration().total,
     ):
         assert fib.subsets is not None, fib.name
         assert [len(masks) for masks in fib.subsets] == [lat.size for lat in fib.sub]

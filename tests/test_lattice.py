@@ -1,16 +1,15 @@
 import dataclasses
 import itertools
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
 
-from topogen.errors import DomainError, PreconditionError
+from topogen.errors import PreconditionError
 from topogen.instances.registry import FIBRATION_NAMES, builtin_fibration
 from topogen.lattice import (
-    AdjointPair,
     FiniteLattice,
     MonotoneMap,
-    check_adjunction,
     mask_iter,
     right_adjoint_of,
     validate_order_candidate,
@@ -84,8 +83,7 @@ def test_powerset_meet_join_are_set_operations():
     a, b = 0b01, 0b10
     assert lat.meet(a, b) == 0
     assert lat.join(a, b) == 0b11
-    assert lat.join_all([]) == lat.bottom
-    assert lat.meet_all([]) == lat.top
+    assert (lat.bottom, lat.top) == (0, 0b11)
     assert lat.labels[0] == "{}" and lat.labels[3] == "{0,1}"
 
 
@@ -102,12 +100,6 @@ def test_powerset_in_closed_form_equals_the_validated_order(n_points):
 def test_powerset_keeps_the_lattice_size_cap():
     with pytest.raises(PreconditionError, match="exceeds cap"):
         FiniteLattice.powerset(9)
-
-
-def test_meet_all_rejects_foreign_elements():
-    lat = FiniteLattice.powerset(1)
-    with pytest.raises(DomainError):
-        lat.meet_all([5])
 
 
 def _generated_subgroup(group, seed):
@@ -172,28 +164,29 @@ def _image_preimage_pair(n_src, n_tgt, func):
             if mask >> func[x] & 1:
                 out |= 1 << x
         pre.append(out)
-    return AdjointPair(MonotoneMap(src, tgt, tuple(img)), MonotoneMap(tgt, src, tuple(pre)))
+    return MonotoneMap(src, tgt, tuple(img)), MonotoneMap(tgt, src, tuple(pre))
+
+
+def _is_adjunction(lower, upper):
+    """lower(m) <= n iff m <= upper(n), on every pair."""
+    lx, ly = lower.source, lower.target
+    return all(
+        ly.leq(lower.table[m], n) == lx.leq(m, upper.table[n])
+        for m in range(lx.size) for n in range(ly.size)
+    )
 
 
 def test_identity_adjunction():
-    lat = FiniteLattice.powerset(2)
-    pair = AdjointPair(MonotoneMap.identity(lat), MonotoneMap.identity(lat))
-    ok, witness = check_adjunction(pair)
-    assert ok and witness is None
+    lower, upper = _image_preimage_pair(2, 2, (0, 1))
+    assert lower.table == upper.table == tuple(range(4))
+    assert _is_adjunction(lower, upper)
+    # the constant map onto the top is not left adjoint to itself
+    const_top = MonotoneMap(chain(2), chain(2), (1, 1))
+    assert not _is_adjunction(const_top, const_top)
 
 
 def test_constant_map_adjunction():
-    pair = _image_preimage_pair(2, 1, (0, 0))
-    ok, _ = check_adjunction(pair)
-    assert ok
-
-
-def test_broken_pair_reports_first_witness():
-    two = chain(2)
-    const_top = MonotoneMap(two, two, (1, 1))
-    ok, witness = check_adjunction(AdjointPair(const_top, const_top))
-    assert not ok
-    assert witness == (0, 0)
+    assert _is_adjunction(*_image_preimage_pair(2, 1, (0, 0)))
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.data())
@@ -201,13 +194,12 @@ def test_function_adjunctions_preserve_joins_and_meets(n_src, n_tgt, data):
     func = tuple(
         data.draw(st.integers(0, n_tgt - 1), label=f"f({x})") for x in range(n_src)
     )
-    pair = _image_preimage_pair(n_src, n_tgt, func)
-    ok, _ = check_adjunction(pair)
-    assert ok
-    assert preserves_all_joins(pair.lower)
-    assert preserves_all_meets(pair.upper)
+    lower, upper = _image_preimage_pair(n_src, n_tgt, func)
+    assert _is_adjunction(lower, upper)
+    assert preserves_all_joins(lower)
+    assert preserves_all_meets(upper)
     # powerset preimages preserve joins, so the right adjoint always exists
-    assert right_adjoint_of(pair.upper) is not None
+    assert right_adjoint_of(upper) is not None
 
 
 def _all_monotone_maps(src, tgt):
@@ -232,19 +224,19 @@ def test_right_adjoint_exists_iff_joins_preserved():
 
 def test_right_adjoint_of_identity_preimage():
     lat = FiniteLattice.powerset(2)
-    ident = MonotoneMap.identity(lat)
+    ident = MonotoneMap(lat, lat, tuple(range(lat.size)))
     adj = right_adjoint_of(ident)
     assert adj is not None and adj.table == ident.table
 
 
 def test_right_adjoint_matches_complement_formula():
     # bijective two-point map: the adjoint is complement-image-complement
-    pair = _image_preimage_pair(2, 2, (0, 1))
-    adj = right_adjoint_of(pair.upper)
+    lower, upper = _image_preimage_pair(2, 2, (0, 1))
+    adj = right_adjoint_of(upper)
     assert adj is not None
     full = 0b11
     for a in range(4):
-        complement_formula = full & ~pair.lower.table[full & ~a]
+        complement_formula = full & ~lower.table[full & ~a]
         assert adj.table[a] == complement_formula
 
 
@@ -270,7 +262,7 @@ def _reference_right_adjoint(upper: MonotoneMap):
     table = []
     for n in range(lx.size):
         below = [p for p in range(ly.size) if lx.leq(upper.table[p], n)]
-        table.append(ly.join_all(below))
+        table.append(reduce(ly.join, below, ly.bottom))
     try:
         cand = MonotoneMap(lx, ly, tuple(table))
     except PreconditionError:

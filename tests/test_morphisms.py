@@ -562,22 +562,18 @@ def test_pullback_transfer_fails_ascent_on_forged_classes(fintop2):
                 continue
     violated = 0
     for t in (closure_order(fintop2), interior_order(fintop2)):
-        cache = {f: classify(f, t) for f in range(cat.n_morphisms)}
+        cls = [classify(f, t) for f in range(cat.n_morphisms)]
         for sq in squares:
+            c_f_prime, *rest = (cls[m] for m in (sq.f_prime, sq.p, sq.p_prime, sq.f))
+            assert transfer_laws(c_f_prime, *rest) == ()
             # f' forced into no class, so that ascent can fail
-            forged = dict(cache)
-            forged[sq.f_prime] = replace(
-                cache[sq.f_prime], strict=False, final=False, costrict=False, initial=False
-            )
-            assert check_pullback_transfer(sq, t, cache).ok
-            violated += not check_pullback_transfer(sq, t, forged).ok
+            forged = replace(c_f_prime, strict=False, final=False, costrict=False, initial=False)
+            violated += transfer_laws(forged, *rest) != ()
     assert violated > 0
 
 
-def _per_square_sweep(fib, classifications, orders):
-    """The sweep without memos: check_bcp and check_pullback_transfer per square."""
-    from topogen.reporting import Violation
-
+def _per_square_sweep(fib, classifications):
+    """The sweep without memos: check_bcp and transfer_laws per square."""
     cat = fib.category
     violations = []
     checked = skipped = 0
@@ -596,11 +592,9 @@ def _per_square_sweep(fib, classifications, orders):
                 continue
             if not bcp.bcp_equality:
                 continue
-            for kind, cls in classifications.items():
-                r = check_pullback_transfer(sq, orders[kind], dict(enumerate(cls)))
+            for cls in classifications.values():
                 laws = transfer_laws(cls[sq.f_prime], cls[sq.p], cls[sq.p_prime], cls[f])
-                assert laws == tuple(v.law for v in r.violations)
-                violations.extend(r.violations)
+                violations.extend(Violation(law, where=sq.name) for law in laws)
     return checked, tuple(violations), (f"{fib.name}: {skipped} squares beyond point budget",)
 
 
@@ -648,7 +642,7 @@ def test_memoised_sweep_matches_per_square_checks(fintop2):
         (broken, forged, {"ascent", "descent", "image"}),
         (broken_f, real, {"image"}),
     ):
-        checked, violations, skipped = _per_square_sweep(fib, classifications, orders)
+        checked, violations, skipped = _per_square_sweep(fib, classifications)
         swept = sweep_pullback_transfer(fib, classifications)
         assert (swept.checked, swept.violations, swept.skipped) == (checked, violations, skipped)
         assert checked > 400
@@ -716,8 +710,6 @@ def test_transfer_on_generated_squares(fintop2):
 
     tcl = closure_order(fintop2)
     tin = interior_order(fintop2)
-    cache_cl = {f: classify(f, tcl) for f in range(fintop2.category.n_morphisms)}
-    cache_in = {f: classify(f, tin) for f in range(fintop2.category.n_morphisms)}
     cat = fintop2.category
     count = 0
     for p in sorted(fintop2.eclass | fintop2.mclass):
@@ -727,8 +719,8 @@ def test_transfer_on_generated_squares(fintop2):
             except CapabilityError:
                 continue
             assert check_bcp(sq).bcp_equality
-            assert check_pullback_transfer(sq, tcl, cache_cl).ok
-            assert check_pullback_transfer(sq, tin, cache_in).ok
+            assert check_pullback_transfer(sq, tcl).ok
+            assert check_pullback_transfer(sq, tin).ok
             count += 1
     assert count > 400
 

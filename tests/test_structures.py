@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -263,7 +264,7 @@ def induced_relation_of_closure(t: TopogenousOrder) -> tuple[tuple[int, ...], ..
         rows = []
         for m in range(lat.size):
             related = t.rel[x][m]
-            rows.append(lat.up[lat.meet_all(mask_iter(related))] if related else 0)
+            rows.append(lat.up[reduce(lat.meet, mask_iter(related), lat.top)] if related else 0)
         out.append(tuple(rows))
     return tuple(out)
 
@@ -346,7 +347,7 @@ def _meet_witness_by_scan(t):
         for m in range(lat.size):
             related = t.rel[x][m]
             for family in range(1 << lat.size):
-                if family & ~related == 0 and not related >> lat.meet_all(mask_iter(family)) & 1:
+                if family & ~related == 0 and not related >> reduce(lat.meet, mask_iter(family), lat.top) & 1:
                     return x, m, family
     return None
 
@@ -358,7 +359,9 @@ def _join_witness_by_scan(t):
         for n in range(lat.size):
             related = sum(1 << m for m in range(lat.size) if t.rel[x][m] >> n & 1)
             for family in range(1 << lat.size):
-                if family & ~related == 0 and not t.rel[x][lat.join_all(mask_iter(family))] >> n & 1:
+                if family & ~related:
+                    continue
+                if not t.rel[x][reduce(lat.join, mask_iter(family), lat.bottom)] >> n & 1:
                     return x, n, family
     return None
 

@@ -3,8 +3,11 @@
 import ast
 import importlib
 import importlib.util
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,44 +72,85 @@ def test_readme_cli_examples_exit_zero(capsys):
         assert capsys.readouterr().out, argv
 
 
-def _unreferenced_src_functions():
-    """``(module, qualname)`` of each top-level function and method under
-    ``src/topogen`` whose name no ``src/`` module uses as a name or an
-    attribute; dunder methods are called implicitly and left out."""
-    defined, used = [], set()
+def _src_modules():
+    """``(dotted name under topogen, parsed tree)`` of each module in ``src``."""
     for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        parts = path.relative_to(SRC).with_suffix("").parts
+        yield ".".join(parts), ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _unreferenced_src_definitions():
+    """``(module, qualname)`` of each top-level function and class, and each
+    method, under ``src/topogen`` whose name no ``src/`` module but the
+    package's ``__init__`` uses as a name or an attribute; dunder methods are
+    called implicitly and left out."""
+    defined, used = [], set()
+    for module, tree in _src_modules():
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((module, node.name, node.name))
-            elif isinstance(node, ast.ClassDef):
+            if isinstance(node, ast.ClassDef):
                 defined.extend(
                     (module, f"{node.name}.{item.name}", item.name)
                     for item in node.body if isinstance(item, ast.FunctionDef)
                 )
+        if module == "__init__":
+            continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     return [
-        (module, qualname) for module, qualname, name in defined
+        f"{module}.{qualname}" for module, qualname, name in defined
         if name not in used and not (name.startswith("__") and name.endswith("__"))
     ]
 
 
 def test_every_src_function_has_a_src_caller():
-    # code only the tests call belongs in the tests; the exceptions are the
-    # benchmark's traced functions and the package's public names (and their
-    # classes' methods)
-    allowed = {f"{module}.{name}" for module, name in _tracing_targets()}
-    unreferenced = _unreferenced_src_functions()
-    stray = [
-        f"{module}.{qualname}" for module, qualname in unreferenced
-        if f"{module}.{qualname}" not in allowed and qualname.split(".")[0] not in topogen.__all__
+    # code only the tests call belongs in the tests; the one exception is a
+    # function the benchmark's tracer names while no program path calls it
+    allowed = {"morphisms.check_pullback_transfer", "site.pullback"}
+    assert allowed <= {f"{module}.{name}" for module, name in _tracing_targets()}
+    assert sorted(set(_unreferenced_src_definitions()) - allowed) == []
+
+
+def test_src_imports_only_at_module_level():
+    local = [
+        f"{module}:{inner.lineno}"
+        for module, tree in _src_modules()
+        for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.Lambda))
+        for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
-    assert stray == []
+    assert local == []
+
+
+_IMPORT_EACH_ALONE = """
+import importlib, sys
+for name in sys.argv[1:]:
+    for loaded in [m for m in sys.modules if m.split(".")[0] == "topogen"]:
+        del sys.modules[loaded]
+    try:
+        importlib.import_module(name)
+    except Exception as exc:
+        print(f"{name}: {type(exc).__name__}: {exc}")
+"""
+
+
+def test_every_module_imports_alone():
+    # with no function-local imports, every import cycle would show here
+    names = [
+        "topogen" + ("" if module == "__init__" else "." + module.removesuffix(".__init__"))
+        for module, _ in _src_modules()
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_EACH_ALONE, *names],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert len(names) == len(set(names)) > 10
 
 
 def _bench_pairs():
