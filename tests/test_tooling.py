@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-import topogen
 from topogen import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,7 +79,7 @@ def _src_modules():
 
 
 def _unreferenced_src_definitions():
-    """``(module, qualname)`` of each top-level function and class, and each
+    """``module.qualname`` of each top-level function and class, and each
     method, under ``src/topogen`` whose name no ``src/`` module but the
     package's ``__init__`` uses as a name or an attribute; dunder methods are
     called implicitly and left out."""
@@ -108,8 +107,8 @@ def _unreferenced_src_definitions():
 
 
 def test_every_src_function_has_a_src_caller():
-    # code only the tests call belongs in the tests; the one exception is a
-    # function the benchmark's tracer names while no program path calls it
+    # code only the tests call belongs in the tests; the exceptions are the
+    # functions the benchmark's tracer names while no program path calls them
     allowed = {"morphisms.check_pullback_transfer", "site.pullback"}
     assert allowed <= {f"{module}.{name}" for module, name in _tracing_targets()}
     assert sorted(set(_unreferenced_src_definitions()) - allowed) == []
