@@ -324,6 +324,15 @@ def _cmd_suite(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _file_arguments(p: argparse.ArgumentParser, fn) -> None:
+    """The arguments shared by the commands that read instance files, after
+    the command's own, and the command's handler."""
+    p.add_argument("--fibration", default="fintop2")
+    p.add_argument("-o", "--output")
+    p.add_argument("files", nargs="*")
+    p.set_defaults(fn=fn)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="topogen",
@@ -339,35 +348,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="source_kind", required=True, choices=("topogenous",))
     p.add_argument("--to", dest="target_kind", required=True, choices=tuple(_CONVERTERS))
     p.add_argument("--order", required=True)
-    p.add_argument("--fibration", default="fintop2")
-    p.add_argument("-o", "--output")
-    p.add_argument("files", nargs="*")
-    p.set_defaults(fn=_cmd_convert)
+    _file_arguments(p, _cmd_convert)
 
     p = sub.add_parser("classify", help="classify a morphism against an order")
     p.add_argument("--order", required=True)
     p.add_argument("--map", required=True)
-    p.add_argument("--fibration", default="fintop2")
-    p.add_argument("-o", "--output")
-    p.add_argument("files", nargs="*")
-    p.set_defaults(fn=_cmd_classify)
+    _file_arguments(p, _cmd_classify)
 
     p = sub.add_parser("strict-subs", help="strict subobjects of an object")
     p.add_argument("--order", required=True)
     p.add_argument("--object", required=True)
-    p.add_argument("--fibration", default="fintop2")
-    p.add_argument("-o", "--output")
-    p.add_argument("files", nargs="*")
-    p.set_defaults(fn=_cmd_strict_subs)
+    _file_arguments(p, _cmd_strict_subs)
 
     p = sub.add_parser("predicates", help="predicates of a map or an order")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--map")
     group.add_argument("--order")
-    p.add_argument("--fibration", default="fintop2")
-    p.add_argument("-o", "--output")
-    p.add_argument("files", nargs="*")
-    p.set_defaults(fn=_cmd_predicates)
+    _file_arguments(p, _cmd_predicates)
 
     p = sub.add_parser("lift", help="lift a base order along a fibered functor")
     p.add_argument("--fibration", default="topgrp_le4")
@@ -380,10 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--pointed")
     group.add_argument("--copointed")
     p.add_argument("--order", required=True)
-    p.add_argument("--fibration", default="fintop2")
-    p.add_argument("-o", "--output")
-    p.add_argument("files", nargs="*")
-    p.set_defaults(fn=_cmd_induce)
+    _file_arguments(p, _cmd_induce)
 
     p = sub.add_parser("enumerate", help="enumerate structures on a built-in fibration")
     p.add_argument("--builtin", required=True)

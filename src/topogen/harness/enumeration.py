@@ -1,19 +1,17 @@
 """Exhaustive enumeration of structures on small fibrations.
 
 Each kind states its law along a morphism once, as data (``law_along`` of
-its class in ``structures``: index pairs and two lookups).  The validator
-decides it over two whole rows in one loop (``LawAlong.holds``); the
-enumerator, which places one entry at a time, reads the same statement in
-per-entry form (``LawAlong.entries``).
+its class in ``structures``, a ``LawAlong``: index pairs and two lookups).
 Each object's candidates obey the local axioms and the kind's law along the
 object's own endomorphisms from the start: a backtracking search places one
-entry per lattice element and checks each index pair of the law as soon as
-both of its entries are placed, rather than generating every local table
-and filtering afterwards.  Then a backtracking product applies the law
-along the other morphisms incrementally, with each morphism's pairs and
-per-entry test (for a relation, over the memoised pull_f of its preimage
-table) built once per call; ``any`` stops at the first failing pair.
-Output order is deterministic.
+entry per lattice element and checks each index pair of the law, read off
+the ``LawAlong``'s fields, as soon as both of its entries are placed, rather
+than generating every local table and filtering afterwards.  Then a
+backtracking product applies the law along the other morphisms
+incrementally, each decided over two whole rows by ``LawAlong.holds``, the
+validator's reader, which stops at the first failing pair.
+Output order is deterministic: the structures come in sorted order of
+their tables.
 
 The local candidates are memoised for the life of the process by
 ``local_candidates``'s key.  The property filter, the cross-object product,
@@ -77,10 +75,9 @@ def _budget() -> int:
 # local candidate generation
 
 
-def _tables(lat: FiniteLattice, kind: str, checks) -> tuple[tuple[int, ...], ...]:
+def _tables(lat: FiniteLattice, kind: str, laws) -> tuple[tuple[int, ...], ...]:
     """Every table of ``kind`` on ``lat`` that obeys the object-local axioms
-    and each check ``(a, b, fails)``, ``fails(table[a], table[b])`` falsy;
-    sorted.
+    and each ``LawAlong`` of ``laws`` from the table to itself; sorted.
 
     A relation row lies below its element, is an up-set and is antitone in
     the element; an operator value is above (closure) or below (interior)
@@ -98,9 +95,13 @@ def _tables(lat: FiniteLattice, kind: str, checks) -> tuple[tuple[int, ...], ...
     order = sorted(range(lat.size), key=lambda e: lat.down[e].bit_count())
     position = {e: pos for pos, e in enumerate(order)}
     below = [[d for d in order[:pos] if lat.leq(d, e)] for pos, e in enumerate(order)]
+    # per position, the law's pairs (a, b) due once both entries are placed,
+    # each with its lookups: the law fails at (a, b) iff lhs[table[a]] (or
+    # table[a] itself where lhs is None) has a bit outside rhs[table[b]]
     due = [[] for _ in order]
-    for a, b, fails in checks:
-        due[max(position[a], position[b])].append((a, b, fails))
+    for law in laws:
+        for a, b in zip(law.cod_index, law.dom_index):
+            due[max(position[a], position[b])].append((a, b, law.lhs, law.rhs))
     out = []
     table, bounds = [0] * lat.size, [0] * lat.size
 
@@ -115,7 +116,10 @@ def _tables(lat: FiniteLattice, kind: str, checks) -> tuple[tuple[int, ...], ...
         for v, mask, above in values:
             if mask & ~bound == 0:
                 table[e], bounds[e] = v, above
-                if not any(fails(table[a], table[b]) for a, b, fails in due[pos]):
+                if not any(
+                    (table[a] if lhs is None else lhs[table[a]]) & ~rhs[table[b]]
+                    for a, b, lhs, rhs in due[pos]
+                ):
                     place(pos + 1)
 
     place(0)
@@ -131,7 +135,7 @@ def local_candidates(
 ) -> tuple[tuple[int, ...], ...]:
     """Object ``x``'s candidate rows for ``structure_class`` that satisfy the
     class's law along every endomorphism of ``x``: the tables of ``_tables``
-    under one check per endomorphism and pair of the law.
+    under the law along each endomorphism.
 
     Memoised on (class, lattice of x, the ``(pre[f], img[f])`` tables of x's
     endomorphisms f in order).  The key is sound: the local axioms depend
@@ -145,22 +149,18 @@ def local_candidates(
     key = (structure_class, lat, tuple((fib.pre[f], fib.img[f]) for f in endos))
     rows = _LOCAL.get(key)
     if rows is None:
-        checks = [
-            (a, b, fails)
-            for _, _, pairs, fails in _laws(structure_class, fib, endos)
-            for a, b in pairs
-        ]
-        rows = _LOCAL[key] = _tables(lat, structure_class.kind, checks)
+        laws = [law for _, _, law in _laws(structure_class, fib, endos)]
+        rows = _LOCAL[key] = _tables(lat, structure_class.kind, laws)
     return rows
 
 
 def _laws(structure_class, fib: SubobjectFibration, morphisms) -> list:
-    """``(dom, cod, pairs, fails)`` for the class's law along each of
-    ``morphisms``, in per-entry form; morphisms between the same objects
-    with equal tables have one law, listed once."""
+    """``(dom, cod, law)`` for the class's ``LawAlong`` along each of
+    ``morphisms``; morphisms between the same objects with equal tables have
+    one law, listed once."""
     distinct = {(fib.dom(f), fib.cod(f), fib.pre[f], fib.img[f]): f for f in morphisms}
     return [
-        (dx, cx, *structure_class.law_along(fib, f).entries())
+        (dx, cx, structure_class.law_along(fib, f))
         for (dx, cx, _, _), f in distinct.items()
     ]
 
@@ -229,9 +229,8 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
             return
         for rows in local[x]:
             assignment[x] = rows
-            for dx, cx, pairs, fails in cross[x]:
-                dom_row, cod_row = assignment[dx], assignment[cx]
-                if any(fails(cod_row[a], dom_row[b]) for a, b in pairs):
+            for dx, cx, law in cross[x]:
+                if not law.holds(assignment[dx], assignment[cx]):
                     break
             else:
                 yield from place(x + 1)

@@ -16,7 +16,12 @@ from ..errors import CapabilityError, DomainError, PreconditionError
 from ..lattice import FiniteLattice, mask_iter
 from ..constructions import Endofunctor
 from ..site import SubobjectFibration, concrete_category, subset_fibration
-from ..structures import TopogenousOrder
+from ..structures import (
+    ClosureOperator,
+    InteriorOperator,
+    topogenous_from_closure,
+    topogenous_from_interior,
+)
 
 # caps the fibrations built from ``spaces:`` input
 MAX_MORPHISMS = 200_000
@@ -396,28 +401,17 @@ def spaces_of(fib: SubobjectFibration) -> tuple[FinTopSpace, ...]:
 
 
 def closure_order(fib: SubobjectFibration):
-    """m related to n iff the topological closure of m is inside n."""
-    spaces = spaces_of(fib)
-    rel = tuple(
-        tuple(fib.sub[x].up[s.closure(m)] for m in range(1 << s.n))
-        for x, s in enumerate(spaces)
-    )
-    return TopogenousOrder(fib, rel)
+    """m related to n iff the topological closure of m is inside n: the
+    order of the spaces' closure operator."""
+    return topogenous_from_closure(
+        ClosureOperator(fib, tuple(s.closures for s in spaces_of(fib))))
 
 
 def interior_order(fib: SubobjectFibration):
-    """m related to n iff m is inside the topological interior of n."""
-    spaces = spaces_of(fib)
-    rel = []
-    for x, s in enumerate(spaces):
-        rows = [0] * (1 << s.n)
-        for n in range(1 << s.n):
-            i = s.interior(n)
-            for m in range(1 << s.n):
-                if m & ~i == 0:
-                    rows[m] |= 1 << n
-        rel.append(tuple(rows))
-    return TopogenousOrder(fib, tuple(rel))
+    """m related to n iff m is inside the topological interior of n: the
+    order of the spaces' interior operator."""
+    return topogenous_from_interior(InteriorOperator(fib, tuple(
+        tuple(map(s.interior, range(1 << s.n))) for s in spaces_of(fib))))
 
 
 # ---------------------------------------------------------------------------

@@ -65,15 +65,12 @@ class LawAlong:
         pairs are walked for witnesses only when the law fails."""
         if self.holds(dom_row, cod_row):
             return
-        pairs, fails = self.entries()
-        for k, (a, b) in enumerate(pairs):
-            outside = fails(cod_row[a], dom_row[b])
-            if not outside:
-                continue
-            if self.lhs is None:
-                for n in mask_iter(outside):
+        lhs, rhs = self.lhs, self.rhs
+        for k, (a, b) in enumerate(zip(self.cod_index, self.dom_index)):
+            if lhs is None:
+                for n in mask_iter(cod_row[a] & ~rhs[dom_row[b]]):
                     yield k, n
-            else:
+            elif lhs[cod_row[a]] & ~rhs[dom_row[b]]:
                 yield (k,)
 
     def checks(self, cod_row) -> int:
@@ -86,15 +83,6 @@ class LawAlong:
             return sum(map(int.bit_count, cod_row))
         return sum(map(int.bit_count, map(cod_row.__getitem__, cod_index)))
 
-    def entries(self):
-        """The law in per-entry form: the pairs (a, b) and ``fails``, where
-        ``fails(cod_row[a], dom_row[b])`` is nonzero exactly where it fails."""
-        lhs, rhs = self.lhs, self.rhs
-        pairs = tuple(zip(self.cod_index, self.dom_index))
-        if lhs is None:
-            return pairs, lambda c, d: c & ~rhs[d]
-        return pairs, lambda c, d: lhs[c] & ~rhs[d]
-
 
 @dataclass(frozen=True, eq=False)
 class _Structure:
@@ -102,14 +90,13 @@ class _Structure:
 
     Each kind states its cross-object law along f once, as data:
     ``law_along(fib, f)`` is a ``LawAlong``, the index pairs it relates and
-    the two lookups that decide each pair.  Two readers derive from it.
-    The whole-row reader ``LawAlong.holds`` decides the law between two
-    tables for the validator, ``law_holds``, the extremality constraints
-    and ``constructions.continuity_between``; only where it fails are the
-    pairs walked for witnesses, and ``witness_sides`` says which end of f
-    (0 domain, 1 codomain) each witness index lies in.  The per-entry
-    reader ``LawAlong.entries`` lets the enumerator check each pair as soon
-    as both of its entries are placed.
+    the two lookups that decide each pair.  ``LawAlong.holds`` decides the
+    law between two whole tables for the validator, ``law_holds``, the
+    extremality constraints, ``constructions.continuity_between`` and the
+    enumerator's cross-object product; only where it fails are the pairs
+    walked for witnesses, and ``witness_sides`` says which end of f (0
+    domain, 1 codomain) each witness index lies in.  The enumerator's local
+    search reads the same pairs and lookups one entry pair at a time.
 
     Two structures are equal when they are of one kind, over the same
     fibration object, with equal tables.
@@ -265,9 +252,6 @@ class TopogenousOrder(_Relation):
     @staticmethod
     def law_along(fib, f) -> LawAlong:
         return _preimage_stability(fib.pre[f])
-
-    def holds(self, x: int, m: int, n: int) -> bool:
-        return bool(self.rel[x][m] >> n & 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -93,7 +93,7 @@ def test_topgrp_lift_is_topogenous_and_characterized():
         for a_i, a in enumerate(subs):
             for b_i, b in enumerate(subs):
                 expected = any(a & ~n == 0 and n & ~b == 0 for n in normals)
-                assert lifted.holds(x, a_i, b_i) == expected
+                assert bool(lifted.rel[x][a_i] >> b_i & 1) == expected
 
 
 def _reference_functor_composition(fd, typed):

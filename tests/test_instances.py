@@ -683,7 +683,7 @@ def test_sierpinski_interior_order_rows(fintop2):
     t = builtin_order("interior", fintop2)
     x = fintop2.category.object_index("sierpinski")
     # subsets relate to the open point iff they sit inside it
-    related_to_open_point = [m for m in range(4) if t.holds(x, m, 0b10)]
+    related_to_open_point = [m for m in range(4) if t.rel[x][m] >> 0b10 & 1]
     assert related_to_open_point == [0b00, 0b10]
 
 
