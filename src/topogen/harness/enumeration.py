@@ -2,31 +2,50 @@
 
 Each kind states its law along a morphism once, as data (``law_along`` of
 its class in ``structures``, a ``LawAlong``: index pairs and two lookups).
-Each object's candidates obey the local axioms and the kind's law along the
-object's own endomorphisms from the start: a backtracking search places one
-entry per lattice element and checks each index pair of the law, read off
-the ``LawAlong``'s fields, as soon as both of its entries are placed, rather
-than generating every local table and filtering afterwards.  Then a
-backtracking product applies the law along the other morphisms
-incrementally, each decided over two whole rows by ``LawAlong.holds``, the
-validator's reader, which stops at the first failing pair.
-Output order is deterministic: the structures come in sorted order of
-their tables.
 
-The local candidates are memoised for the life of the process by
-``local_candidates``'s key.  The property filter, the cross-object product,
-the lattice cap ``MAX_LATTICE`` and the candidate budget belong to each call
-and never enter a memo.
+Topogenous orders and neighbourhood operators are relations, sets of
+entries (x, m, n) with m <= n in the lattice of x, and each of their axioms
+is a one-premise implication between entries: (x, m, n) forces (x, m', n')
+for m' <= m and n <= n', and along f: x -> y, for each index pair (a, b) of
+the kind's ``LawAlong`` and each n >= a, (y, a, n) forces (x, b, f^{-1} n).
+So the structures of such a kind are exactly the up-sets of the preorder
+"entry e forces entry e'" (G. Birkhoff, "Rings of sets", 1937).
+``orders_of`` builds that preorder once per fibration and kind: it closes
+the one-step forcings over bitmasks, drops each entry that forces a pair
+(b, f^{-1} n) with b not below f^{-1} n, merges the entries that force
+each other into classes, and counts the up-sets of the class order by
+memoised branching; the same branching builds the tables, sorted, the
+first time a call asks for them.
+
+Closure and interior operators are maps.  Each object's candidates obey the
+local axioms and the kind's law along the object's own endomorphisms from
+the start: a backtracking search places one entry per lattice element and
+checks each index pair of the law, read off the ``LawAlong``'s fields, as
+soon as both of its entries are placed.  Then a backtracking product applies
+the law along the other morphisms incrementally, each decided over two whole
+rows by ``LawAlong.holds``, the validator's reader, which stops at the first
+failing pair.
+
+Either way the structures come in sorted order of their tables.
+
+Memoised: ``orders_of``'s record (preorder, count and tables) for as long
+as its fibration lives, in a weak-keyed memo that holds tables, never a
+structure or the fibration; each lattice's entries, and ``local_candidates``
+rows by their key, for the life of the process.  The property filter, the cross-object product, the lattice cap
+``MAX_LATTICE`` and the budget belong to each call and never enter a memo.
 """
 
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import or_
 from typing import Iterator, Optional
 
 from ..errors import DomainError, PreconditionError, ResourceCapError
-from ..lattice import FiniteLattice
+from ..lattice import FiniteLattice, mask_iter
 from ..site import SubobjectFibration
 from ..structures import (
     ClosureOperator,
@@ -47,6 +66,8 @@ KINDS = {
     cls.kind: cls
     for cls in (TopogenousOrder, ClosureOperator, InteriorOperator, NeighbourhoodOperator)
 }
+# the kinds whose structures are the up-sets of a forcing preorder
+RELATIONS = (TopogenousOrder, NeighbourhoodOperator)
 
 
 @dataclass(frozen=True)
@@ -71,39 +92,199 @@ def _budget() -> int:
     return value
 
 
+def _laws(structure_class, fib: SubobjectFibration, morphisms) -> list:
+    """``(dom, cod, law)`` for the class's ``LawAlong`` along each of
+    ``morphisms``; morphisms between the same objects with equal tables have
+    one law, listed once."""
+    distinct = {(fib.dom(f), fib.cod(f), fib.pre[f], fib.img[f]): f for f in morphisms}
+    return [
+        (dx, cx, structure_class.law_along(fib, f))
+        for (dx, cx, _, _), f in distinct.items()
+    ]
+
+
 # ---------------------------------------------------------------------------
-# local candidate generation
+# relations: the up-sets of the forcing preorder
+
+
+@dataclass(frozen=True)
+class _Entries:
+    """The entries (m, n), m <= n, of one lattice, numbered m-major
+    (``pairs``); ``ids[m][n]`` numbers (m, n), and ``cone[m][n]`` is the mask
+    of the entries (m, n) forces locally, (m', n') with m' <= m and n <= n',
+    or 0 where m is not below n."""
+
+    pairs: tuple[tuple[int, int], ...]
+    ids: tuple[tuple[int, ...], ...]
+    cone: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _entries(lat: FiniteLattice) -> _Entries:
+    pairs = tuple((m, n) for m in range(lat.size) for n in mask_iter(lat.up[m]))
+    ids = [[-1] * lat.size for _ in range(lat.size)]
+    for i, (m, n) in enumerate(pairs):
+        ids[m][n] = i
+    cone = [[0] * lat.size for _ in range(lat.size)]
+    for m, n in pairs:
+        cone[m][n] = sum(
+            1 << ids[low][high] for low in mask_iter(lat.down[m]) for high in mask_iter(lat.up[n])
+        )
+    return _Entries(pairs, tuple(map(tuple, ids)), tuple(map(tuple, cone)))
+
+
+class _Forcing:
+    """The structures of a relation kind on ``lattices`` (one per object)
+    under ``laws`` (``(dom, cod, LawAlong)``): the up-sets of the preorder
+    "entry e forces entry e'", as ``count`` and, built on first use, the
+    sorted ``tables()``.
+
+    Entries are numbered object by object.  ``forced[e]`` is the mask of the
+    entries e forces in one step (e among them), and ``closed[e]`` the mask
+    of all it forces; an entry that forces one outside the order lies in no
+    structure and is dropped.  The rest fall into classes of entries forcing
+    each other, and an up-set is a choice of classes closed under forcing:
+    branching on the lowest undecided class, taking it decides every class it
+    forces, leaving it every class that forces it.
+    """
+
+    def __init__(self, lattices, laws):
+        entries = [_entries(lat) for lat in lattices]
+        # per object, its first entry number and its first row in a flat table
+        bases, offsets = [0], [0]
+        for lat, ent in zip(lattices, entries):
+            bases.append(bases[-1] + len(ent.pairs))
+            offsets.append(offsets[-1] + lat.size)
+        forced = [
+            ent.cone[m][n] << base for ent, base in zip(entries, bases) for m, n in ent.pairs
+        ]
+        outside = 0
+        for dx, cx, law in laws:
+            pre = law.rhs.pre
+            cone, cod_ids, base = entries[dx].cone, entries[cx].ids, bases[dx]
+            above = lattices[cx].above
+            for a, b in zip(law.cod_index, law.dom_index):
+                into, source = cone[b], cod_ids[a]
+                for n in above[a]:
+                    e = bases[cx] + source[n]
+                    if into[pre[n]]:
+                        forced[e] |= into[pre[n]] << base
+                    else:
+                        outside |= 1 << e
+        # the closure, entry by entry: an entry already closed contributes its
+        # closure and needs no expanding, any other its one-step forcings
+        closed = [0] * len(forced)
+        for e, reach in enumerate(forced):
+            todo = reach & ~(1 << e)
+            while todo:
+                low = todo & -todo
+                d = low.bit_length() - 1
+                if closed[d]:
+                    reach |= closed[d]
+                    todo &= ~closed[d]
+                else:
+                    todo |= forced[d] & ~reach
+                    reach |= forced[d]
+                    todo ^= low
+            closed[e] = reach
+        classes = {}
+        for e, mask in enumerate(closed):
+            if not mask & outside:
+                classes.setdefault(mask, e)
+        # per class: the classes it forces, and its rows, flat over (x, m)
+        self._above = [
+            sum(1 << d for d, rep in enumerate(classes.values()) if mask >> rep & 1)
+            for mask in classes
+        ]
+        self._below = [
+            sum(1 << c for c, above in enumerate(self._above) if above >> d & 1)
+            for d in range(len(classes))
+        ]
+        at = [(offsets[x] + m, 1 << n) for x, ent in enumerate(entries) for m, n in ent.pairs]
+        self._rows = []
+        for mask in classes:
+            flat = [0] * offsets[-1]
+            for e in mask_iter(mask):
+                i, bit = at[e]
+                flat[i] |= bit
+            self._rows.append(tuple(flat))
+        self._offsets = offsets
+        counts = {0: 1}
+
+        def count(undecided):
+            found = counts.get(undecided)
+            if found is None:
+                c = (undecided & -undecided).bit_length() - 1
+                found = counts[undecided] = (
+                    count(undecided & ~self._above[c]) + count(undecided & ~self._below[c]))
+            return found
+
+        self.count = count((1 << len(classes)) - 1)
+        self._tables = None
+
+    def tables(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        if self._tables is None:
+            above, below, class_rows, offsets = self._above, self._below, self._rows, self._offsets
+            spans = list(zip(offsets, offsets[1:]))
+            out = []
+
+            def walk(undecided, flat):
+                if not undecided:
+                    out.append(tuple(flat[lo:hi] for lo, hi in spans))
+                    return
+                c = (undecided & -undecided).bit_length() - 1
+                walk(undecided & ~above[c], tuple(map(or_, flat, class_rows[c])))
+                walk(undecided & ~below[c], flat)
+
+            walk((1 << len(above)) - 1, (0,) * offsets[-1])
+            out.sort()
+            self._tables = tuple(out)
+        return self._tables
+
+
+# orders_of's memo: per fibration, per relation class, its record
+_RECORDS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def orders_of(fib: SubobjectFibration, structure_class) -> _Forcing:
+    """The forcing record of a relation class on ``fib``, built on first use
+    from the class's law along each distinct (dom, cod, preimage, image)
+    key, and kept until ``fib`` is collected."""
+    records = _RECORDS.setdefault(fib, {})
+    record = records.get(structure_class)
+    if record is None:
+        laws = _laws(structure_class, fib, range(fib.category.n_morphisms))
+        record = records[structure_class] = _Forcing(fib.sub, laws)
+    return record
+
+
+# ---------------------------------------------------------------------------
+# operators: local candidate generation
 
 
 def _tables(lat: FiniteLattice, kind: str, laws) -> tuple[tuple[int, ...], ...]:
-    """Every table of ``kind`` on ``lat`` that obeys the object-local axioms
-    and each ``LawAlong`` of ``laws`` from the table to itself; sorted.
+    """Every table of the operator ``kind`` on ``lat`` that obeys the
+    object-local axioms and each ``LawAlong`` of ``laws`` from the table to
+    itself; sorted.
 
-    A relation row lies below its element, is an up-set and is antitone in
-    the element; an operator value is above (closure) or below (interior)
-    its element and monotone in it.  Elements are placed in order of their
-    down-set size, so each after all below it, and each check runs as soon
-    as both of its entries are placed.
+    A value is above (closure) or below (interior) its element and monotone
+    in it.  Elements are placed in order of their down-set size, so each
+    after all below it, and each check runs as soon as both of its entries
+    are placed.
     """
-    if kind in ("closure", "interior"):
-        allowed = lat.up if kind == "closure" else lat.down
-        # (value, its mask, the bound it puts on the values above it)
-        values = [(v, 1 << v, lat.up[v]) for v in range(lat.size)]
-    else:
-        allowed = lat.up
-        values = [(u, u, u) for u in lat.upsets()]
+    allowed = lat.up if kind == "closure" else lat.down
     order = sorted(range(lat.size), key=lambda e: lat.down[e].bit_count())
     position = {e: pos for pos, e in enumerate(order)}
     below = [[d for d in order[:pos] if lat.leq(d, e)] for pos, e in enumerate(order)]
     # per position, the law's pairs (a, b) due once both entries are placed,
-    # each with its lookups: the law fails at (a, b) iff lhs[table[a]] (or
-    # table[a] itself where lhs is None) has a bit outside rhs[table[b]]
+    # each with its lookups: the law fails at (a, b) iff lhs[table[a]] has a
+    # bit outside rhs[table[b]]
     due = [[] for _ in order]
     for law in laws:
         for a, b in zip(law.cod_index, law.dom_index):
             due[max(position[a], position[b])].append((a, b, law.lhs, law.rhs))
     out = []
-    table, bounds = [0] * lat.size, [0] * lat.size
+    table = [0] * lat.size
 
     def place(pos):
         if pos == lat.size:
@@ -112,15 +293,11 @@ def _tables(lat: FiniteLattice, kind: str, laws) -> tuple[tuple[int, ...], ...]:
         e = order[pos]
         bound = allowed[e]
         for d in below[pos]:
-            bound &= bounds[d]
-        for v, mask, above in values:
-            if mask & ~bound == 0:
-                table[e], bounds[e] = v, above
-                if not any(
-                    (table[a] if lhs is None else lhs[table[a]]) & ~rhs[table[b]]
-                    for a, b, lhs, rhs in due[pos]
-                ):
-                    place(pos + 1)
+            bound &= lat.up[table[d]]
+        for v in mask_iter(bound):
+            table[e] = v
+            if not any(lhs[table[a]] & ~rhs[table[b]] for a, b, lhs, rhs in due[pos]):
+                place(pos + 1)
 
     place(0)
     return tuple(sorted(out))
@@ -134,8 +311,9 @@ def local_candidates(
     structure_class, fib: SubobjectFibration, x: int
 ) -> tuple[tuple[int, ...], ...]:
     """Object ``x``'s candidate rows for ``structure_class`` that satisfy the
-    class's law along every endomorphism of ``x``: the tables of ``_tables``
-    under the law along each endomorphism.
+    class's law along every endomorphism of ``x``, sorted: the tables of
+    ``_tables`` for an operator, and for a relation those of the forcing
+    record of x alone under those laws.
 
     Memoised on (class, lattice of x, the ``(pre[f], img[f])`` tables of x's
     endomorphisms f in order).  The key is sound: the local axioms depend
@@ -150,23 +328,17 @@ def local_candidates(
     rows = _LOCAL.get(key)
     if rows is None:
         laws = [law for _, _, law in _laws(structure_class, fib, endos)]
-        rows = _LOCAL[key] = _tables(lat, structure_class.kind, laws)
+        if structure_class in RELATIONS:
+            record = _Forcing((lat,), [(0, 0, law) for law in laws])
+            rows = tuple(table for (table,) in record.tables())
+        else:
+            rows = _tables(lat, structure_class.kind, laws)
+        _LOCAL[key] = rows
     return rows
 
 
-def _laws(structure_class, fib: SubobjectFibration, morphisms) -> list:
-    """``(dom, cod, law)`` for the class's ``LawAlong`` along each of
-    ``morphisms``; morphisms between the same objects with equal tables have
-    one law, listed once."""
-    distinct = {(fib.dom(f), fib.cod(f), fib.pre[f], fib.img[f]): f for f in morphisms}
-    return [
-        (dx, cx, structure_class.law_along(fib, f))
-        for (dx, cx, _, _), f in distinct.items()
-    ]
-
-
 # ---------------------------------------------------------------------------
-# the product
+# enumeration
 
 
 _FILTERS = {
@@ -181,8 +353,9 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
 
     Before any candidate generation, raises a usage error for a property
     filter that does not apply, a resource error for a lattice over
-    ``MAX_LATTICE``, and then a usage error for a malformed budget; a
-    resource error if the pruned candidate space exceeds the budget.
+    ``MAX_LATTICE``, and then a usage error for a malformed budget.  Then a
+    resource error if the structures of a relation kind (counted before any
+    is built) or an operator kind's pruned candidate space exceed the budget.
     """
     if spec.kind not in KINDS:
         raise PreconditionError(f"unknown enumeration kind {spec.kind!r}")
@@ -200,6 +373,16 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
                 f"lattice of size {lat.size} exceeds enumeration cap {MAX_LATTICE}")
     budget = _budget()
     structure_class = KINDS[spec.kind]
+
+    if structure_class in RELATIONS:
+        record = orders_of(fib, structure_class)
+        if record.count > budget:
+            raise ResourceCapError(f"{record.count} {spec.kind} structures exceed {budget}")
+        for table in record.tables():
+            structure = structure_class(fib, table)
+            if keep is None or keep(structure):
+                yield structure
+        return
 
     n_objects = cat.n_objects
     local = [local_candidates(structure_class, fib, x) for x in range(n_objects)]
@@ -223,9 +406,7 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
 
     def place(x) -> Iterator:
         if x == n_objects:
-            structure = structure_class(fib, tuple(assignment))
-            if keep is None or keep(structure):
-                yield structure
+            yield structure_class(fib, tuple(assignment))
             return
         for rows in local[x]:
             assignment[x] = rows

@@ -139,13 +139,6 @@ class FiniteLattice:
         if not 0 <= i < len(self.labels):
             raise DomainError(f"element index {i} out of range for lattice of size {len(self.labels)}")
 
-    def upsets(self) -> tuple[int, ...]:
-        """All up-closed subsets, as masks, in increasing numeric order."""
-        found = {0}
-        for i in range(self.size):
-            found |= {m | self.up[i] for m in found}
-        return tuple(sorted(found))
-
     @staticmethod
     def from_order(labels: Iterable[str], up: Iterable[int]) -> "FiniteLattice":
         labels = tuple(labels)

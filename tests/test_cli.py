@@ -438,6 +438,14 @@ def test_enumerate_records_resolve_back(capsys):
         assert validate_structure(fileformat.resolve_order(record, fib)).ok
 
 
+def test_enumerate_fintop3_within_the_default_budget(capsys):
+    # the backtracking product's candidate space on fintop3 exceeded 2^24
+    # (exit 3); its 17 orders are counted before any is built
+    code, out, err = run(capsys, "enumerate", "--builtin", "fintop3",
+                         "--kind", "topogenous", "--count-only")
+    assert (code, out, err) == (0, "# 17 topogenous structures on fintop3\n", "")
+
+
 def test_enumeration_cap_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "1")
     code, _, err = run(capsys, "enumerate", "--builtin", "disc2_loop",

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from functools import lru_cache, reduce
 
@@ -14,13 +15,23 @@ from topogen.errors import (
 )
 from topogen.lattice import FiniteLattice, mask_iter
 from topogen.site import FiniteCategory, SubobjectFibration
-from topogen.structures import ClosureOperator, TopogenousOrder, validate_structure
+from topogen.structures import (
+    ClosureOperator,
+    TopogenousOrder,
+    is_interpolative,
+    is_join_preserving,
+    is_meet_preserving,
+    validate_structure,
+)
 from topogen.harness import fileformat
 from topogen.harness.enumeration import (
     KINDS,
+    RELATIONS,
     EnumerationSpec,
+    _laws,
     enumerate_structures,
     local_candidates,
+    orders_of,
 )
 from topogen.harness.suite import run_suite
 from topogen.instances.groups import groups_of
@@ -59,12 +70,20 @@ def loop_fibration(lat, extra_pre_tables=()):
     )
 
 
+def upsets(lat):
+    """All up-closed subsets of ``lat``, as masks, in increasing numeric order."""
+    found = {0}
+    for i in range(lat.size):
+        found |= {m | lat.up[i] for m in found}
+    return tuple(sorted(found))
+
+
 @lru_cache(maxsize=None)
 def relation_candidates(lat):
     """Every relation below the order, antitone in the first argument and
     up-closed in the second (the object-local axioms of topogenous orders
     and neighbourhood assignments), by backtracking without any law; sorted."""
-    upsets = lat.upsets()
+    upsets_of_lat = upsets(lat)
     order = sorted(range(lat.size), key=lambda e: bin(lat.down[e]).count("1"))
     out = []
     rows = [0] * lat.size
@@ -78,7 +97,7 @@ def relation_candidates(lat):
         for smaller in order[:pos]:
             if lat.leq(smaller, e):
                 bound &= rows[smaller]
-        for u in upsets:
+        for u in upsets_of_lat:
             if u & ~bound == 0:
                 rows[e] = u
                 place(pos + 1)
@@ -119,6 +138,88 @@ def candidates(lat, kind):
     if kind in ("closure", "interior"):
         return operator_candidates(lat, kind)
     return relation_candidates(lat)
+
+
+# ---------------------------------------------------------------------------
+# the backtracking oracle for the relation kinds, which the enumerator serves
+# from the up-sets of its forcing preorder
+
+
+def backtracking_rows(lat, laws):
+    """Every relation table on ``lat`` that lies below the order, is antitone
+    and up-closed, and obeys each ``LawAlong`` of ``laws`` from the table to
+    itself, by placing one up-set per element, each after all below it, and
+    checking each pair of a law as soon as both of its entries are placed;
+    sorted."""
+    order = sorted(range(lat.size), key=lambda e: lat.down[e].bit_count())
+    position = {e: pos for pos, e in enumerate(order)}
+    below = [[d for d in order[:pos] if lat.leq(d, e)] for pos, e in enumerate(order)]
+    due = [[] for _ in order]
+    for law in laws:
+        for a, b in zip(law.cod_index, law.dom_index):
+            due[max(position[a], position[b])].append((a, b, law.rhs))
+    values = upsets(lat)
+    out = []
+    table = [0] * lat.size
+
+    def place(pos):
+        if pos == lat.size:
+            out.append(tuple(table))
+            return
+        e = order[pos]
+        bound = lat.up[e]
+        for d in below[pos]:
+            bound &= table[d]
+        for u in values:
+            if u & ~bound == 0:
+                table[e] = u
+                if not any(table[a] & ~rhs[table[b]] for a, b, rhs in due[pos]):
+                    place(pos + 1)
+
+    place(0)
+    return tuple(sorted(out))
+
+
+def backtracking_local_rows(structure_class, fib, x):
+    """Object x's rows under the law along each of its endomorphisms."""
+    cat = fib.category
+    endos = [f for f in cat.morphisms_from[x] if cat.mor_cod[f] == x]
+    return backtracking_rows(fib.sub[x], [law for _, _, law in _laws(structure_class, fib, endos)])
+
+
+def backtracking_structures(fib, structure_class, keep=None):
+    """The tables of every structure of a relation class on ``fib`` that
+    ``keep`` accepts: each object's rows under its endomorphisms, then a
+    backtracking product deciding the law along each morphism between an
+    object and an earlier one; in sorted order of the tables."""
+    cat = fib.category
+    n_objects = cat.n_objects
+    local = [backtracking_local_rows(structure_class, fib, x) for x in range(n_objects)]
+    cross = [
+        _laws(structure_class, fib, (
+            f for f in range(cat.n_morphisms)
+            if (cat.mor_dom[f] == x) != (cat.mor_cod[f] == x)
+            and max(cat.mor_dom[f], cat.mor_cod[f]) == x
+        ))
+        for x in range(n_objects)
+    ]
+    assignment = [None] * n_objects
+    out = []
+
+    def place(x):
+        if x == n_objects:
+            table = tuple(assignment)
+            if keep is None or keep(structure_class(fib, table)):
+                out.append(table)
+            return
+        for rows in local[x]:
+            assignment[x] = rows
+            if all(law.holds(assignment[dx], assignment[cx]) for dx, cx, law in cross[x]):
+                place(x + 1)
+        assignment[x] = None
+
+    place(0)
+    return out
 
 
 def brute_force_topogenous_count(fib):
@@ -228,6 +329,102 @@ def test_enumeration_yields_sorted_tables_without_repeats(name):
         assert tables and tables == sorted(set(tables)), (spec.kind, spec.prop_filter)
 
 
+SMALL_FIBRATIONS = (
+    "fintop1", "fintop2", "disc2_loop", "t0_small", "coreflect_small", "grp_small", "grp_le4",
+)
+RELATION_FILTERS = {
+    None: None, "meet": is_meet_preserving, "join": is_join_preserving,
+    "interpolative": is_interpolative,
+}
+
+
+def _assert_relations_match_the_oracle(fib):
+    # tables and their order, for both relation kinds and every filter
+    for structure_class in RELATIONS:
+        record = orders_of(fib, structure_class)
+        assert len(record.tables()) == record.count
+        filters = RELATION_FILTERS if structure_class is TopogenousOrder else {None: None}
+        for prop, keep in filters.items():
+            found = [
+                s.table for s in enumerate_structures(
+                    EnumerationSpec(fib, structure_class.kind, prop_filter=prop))
+            ]
+            assert found == backtracking_structures(fib, structure_class, keep), (
+                fib.name, structure_class.kind, prop)
+
+
+@pytest.mark.parametrize("name", SMALL_FIBRATIONS)
+def test_relations_match_the_backtracking_oracle(name):
+    from topogen.instances.registry import builtin_fibration
+
+    _assert_relations_match_the_oracle(builtin_fibration(name))
+
+
+def test_relations_match_the_oracle_on_seeded_space_fibrations():
+    # shaped like the benchmark's enumerate-sweep inputs: the point, one
+    # 2-point space and two distinct 3-point spaces
+    from topogen.instances.topology import FinTopSpace, enumerate_topologies, fintop_fibration
+
+    twos, threes = enumerate_topologies(2), enumerate_topologies(3)
+    for seed in range(24):
+        rng = random.Random(seed)
+        spaces = [FinTopSpace(1, (0, 1)), rng.choice(twos), *rng.sample(threes, 2)]
+        _assert_relations_match_the_oracle(
+            fintop_fibration(spaces, name=f"seed{seed}", object_names=("p", "a", "b", "c")))
+
+
+@pytest.mark.parametrize("name, index, value", [
+    ("discrete2>pt:00", 1, 0b01),
+    # no longer monotone: (m, n) at the codomain forces a pair (b, f^{-1} n)
+    # with b not below f^{-1} n, so it lies in no structure
+    ("discrete2>discrete2:10", 3, 0b00),
+    ("discrete2>discrete2:10", 0, 0b11),
+])
+def test_relations_on_a_moved_preimage_match_the_oracle(fintop2, name, index, value):
+    f = fintop2.category.morphism_index(name)
+    pre = list(fintop2.pre)
+    moved = list(pre[f])
+    moved[index] = value
+    pre[f] = tuple(moved)
+    broken = SubobjectFibration(
+        category=fintop2.category, sub=fintop2.sub, img=fintop2.img, pre=pre,
+        eclass=fintop2.eclass, mclass=fintop2.mclass, fstar=fintop2.fstar, name="broken",
+    )
+    _assert_relations_match_the_oracle(broken)
+
+
+@pytest.mark.parametrize("name, count", [
+    ("fintop3", 17), ("grp_le8", 11_653), ("topgrp_le4", 115),
+])
+def test_relations_the_product_could_not_reach_enumerate(name, count):
+    # the backtracking product's candidate space exceeded the default budget
+    # of 2^24 on each; their relations are few
+    from topogen.instances.registry import builtin_fibration
+
+    fib = builtin_fibration(name)
+    for structure_class in RELATIONS:
+        assert orders_of(fib, structure_class).count == count
+    orders = list(enumerate_structures(EnumerationSpec(fib, "topogenous")))
+    tables = [t.rel for t in orders]
+    assert len(tables) == count and tables == sorted(set(tables))
+    assert all(validate_structure(t).ok for t in orders[:: max(1, count // 17)])
+
+
+def test_a_forcing_record_dies_with_its_fibration():
+    import gc
+    import weakref
+
+    from topogen.harness import enumeration
+
+    fib = loop_fibration(FiniteLattice.powerset(2))
+    assert list(enumerate_structures(EnumerationSpec(fib, "topogenous")))
+    assert fib in enumeration._RECORDS
+    alive = weakref.ref(fib)
+    del fib
+    gc.collect()
+    assert alive() is None
+
+
 def test_enumerated_structures_are_valid_and_count_matches(disc2_loop, fintop2):
     for fib in (disc2_loop, fintop2):
         torders = list(enumerate_structures(EnumerationSpec(fib, "topogenous")))
@@ -276,7 +473,7 @@ def _refuse_generation(monkeypatch):
     def no_generation(*args):
         raise AssertionError("candidates generated")
 
-    for name in ("_tables", "local_candidates"):
+    for name in ("_tables", "local_candidates", "orders_of", "_Forcing"):
         monkeypatch.setattr(enumeration, name, no_generation)
 
 
@@ -391,7 +588,10 @@ def test_memoised_local_rows_match_a_fresh_filter():
                     key = (structure_class, space.opens)
                     if key not in oracle:
                         oracle[key] = _fresh_local_rows(structure_class, fib, x)
-                    assert list(local_candidates(structure_class, fib, x)) == oracle[key]
+                    rows = list(local_candidates(structure_class, fib, x))
+                    if structure_class in RELATIONS:
+                        assert list(backtracking_local_rows(structure_class, fib, x)) == rows
+                    assert rows == oracle[key]
     # the endomorphisms prune differently, so the test can tell keys apart
     for structure_class in KINDS.values():
         assert oracle[structure_class, discrete.opens] != oracle[structure_class, sierpinski_like.opens]
@@ -404,7 +604,9 @@ def test_local_rows_under_the_laws_match_a_fresh_filter(name):
     # than 8 elements are too many to filter (381,944 rows for d4), so there
     # the laws along every second endomorphism are placed in the search and
     # the filter runs along all of them
-    from topogen.harness.enumeration import _laws, _tables
+    # the relation kinds' rows come from the backtracking oracle, and the
+    # enumerator's own (its forcing record on the object alone) must equal them
+    from topogen.harness.enumeration import _tables
     from topogen.instances.registry import builtin_fibration
 
     fib = builtin_fibration(name)
@@ -412,14 +614,17 @@ def test_local_rows_under_the_laws_match_a_fresh_filter(name):
     for x, lat in enumerate(fib.sub):
         endos = [f for f in cat.morphisms_from[x] if cat.mor_cod[f] == x]
         for structure_class in KINDS.values():
+            relation = structure_class in RELATIONS
             rows = list(local_candidates(structure_class, fib, x))
+            if relation:
+                assert list(backtracking_local_rows(structure_class, fib, x)) == rows
             if lat.size <= 8:
                 assert rows == _fresh_local_rows(structure_class, fib, x), cat.object_names[x]
                 continue
             laws = [law for _, _, law in _laws(structure_class, fib, endos[::2])]
             kind = structure_class.kind
             kept = [
-                r for r in _tables(lat, kind, laws)
+                r for r in (backtracking_rows(lat, laws) if relation else _tables(lat, kind, laws))
                 if _law_holds_along_all(kind, fib, endos, r)
             ]
             assert rows == kept, cat.object_names[x]

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import re
 import shlex
@@ -170,9 +171,18 @@ def test_bench_pairs_summary_and_wins():
     }
     # lower wins; a tie counts for neither side
     assert bench_pairs.change_wins([5.0, 5.0, 5.0], [4.0, 5.0, 6.0]) == 1
-    # every traced prefix selects some per-layer metric of the benchmark
+    # every traced prefix selects some per-layer metric of the benchmark, and
+    # every per-layer metric BENCHMARK.json names but the host's calibration
+    # and the tracer's own wall time starts with a traced prefix
     per_layer = [name for name, _ in _assigned(RUN, "PER_LAYER")]
     assert all(any(m.startswith(p) for m in per_layer) for p in bench_pairs.TRACED_PREFIXES)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    untraced = [
+        m["name"] for m in declared
+        if m["name"] not in ("host.calib_s", "trace.wall_s")
+        and not m["name"].startswith(bench_pairs.TRACED_PREFIXES)
+    ]
+    assert untraced == []
     assert {
         "morphisms.classify.", "harness.suite.", "harness.enumeration.",
         "structures.validate_structure.", "harness.fileformat.",
@@ -196,7 +206,7 @@ def _traced_result(classify_calls, classify_self_s, instances=9, check_wall_s=1.
         "morphisms.classify.self_s": {"value": classify_self_s, "unit": "s"},
         "harness.suite.instances": {"value": instances, "unit": "count"},
         "harness.suite.pullback-transfer.wall_s": {"value": check_wall_s, "unit": "s"},
-        "structures.predicates.calls": {"value": classify_self_s, "unit": "count"},
+        "host.calib_s": {"value": classify_self_s, "unit": "s"},
     }}
 
 

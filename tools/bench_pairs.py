@@ -21,7 +21,12 @@ change won on ``wall_ref_s`` (lower wins, ties count for neither side); and
 the traced ``site.pullback.*``, ``site.check_bcp.*``,
 ``site.validate_fibration.*``, ``site.validate_category.*``,
 ``morphisms.classify.*`` and ``harness.suite.*`` metrics (the suite's
-instance count and the wall time of its two largest checks), and the
+instance count and the wall time of its two largest checks), the E∪M sweep
+``morphisms.check_pullback_transfer.*``, the per-order statements
+``morphisms.crosscheck_operator_classes.*`` and
+``morphisms.weakly_final_formulas.*``, the order predicates and conversions
+``structures.predicates.*``, ``structures.closure_from_topogenous.*`` and
+``structures.interior_from_topogenous.*``, the
 enumeration layers ``harness.enumeration.*``, ``structures.validate_structure.*``
 and ``harness.fileformat.*`` (so ``enumerate_structures.yielded`` must repeat),
 the extremality checks ``constructions.check_extremality.*``, which the
@@ -53,7 +58,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACED_PREFIXES = (
     "site.pullback.", "site.check_bcp.", "site.validate_fibration.", "site.validate_category.",
-    "morphisms.classify.", "harness.suite.", "harness.enumeration.",
+    "morphisms.check_pullback_transfer.", "morphisms.classify.",
+    "morphisms.crosscheck_operator_classes.", "morphisms.weakly_final_formulas.",
+    "harness.suite.", "harness.enumeration.", "structures.predicates.",
+    "structures.closure_from_topogenous.", "structures.interior_from_topogenous.",
     "structures.validate_structure.", "harness.fileformat.",
     "constructions.check_extremality.", "instances.topology.fintop_fibration.", "cli.",
     "lattice.right_adjoint_of.", "instances.groups.fingrp_fibration.",
