@@ -31,8 +31,9 @@ Either way the structures come in sorted order of their tables.
 Memoised: ``orders_of``'s record (preorder, count and tables) for as long
 as its fibration lives, in a weak-keyed memo that holds tables, never a
 structure or the fibration; each lattice's entries, and ``local_candidates``
-rows by their key, for the life of the process.  The property filter, the cross-object product, the lattice cap
-``MAX_LATTICE`` and the budget belong to each call and never enter a memo.
+rows by their key, for the life of the process.  The property filter, the
+cross-object product, the lattice cap ``MAX_LATTICE`` and the budget belong
+to each call and never enter a memo.
 """
 
 from __future__ import annotations
@@ -90,17 +91,6 @@ def _budget() -> int:
     if value < 1:
         raise DomainError(f"{ENV_MAX_CANDIDATES}={value} must be at least 1")
     return value
-
-
-def _laws(structure_class, fib: SubobjectFibration, morphisms) -> list:
-    """``(dom, cod, law)`` for the class's ``LawAlong`` along each of
-    ``morphisms``; morphisms between the same objects with equal tables have
-    one law, listed once."""
-    distinct = {(fib.dom(f), fib.cod(f), fib.pre[f], fib.img[f]): f for f in morphisms}
-    return [
-        (dx, cx, structure_class.law_along(fib, f))
-        for (dx, cx, _, _), f in distinct.items()
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +325,17 @@ def local_candidates(
             rows = _tables(lat, structure_class.kind, laws)
         _LOCAL[key] = rows
     return rows
+
+
+def _laws(structure_class, fib: SubobjectFibration, morphisms) -> list:
+    """``(dom, cod, law)`` for the class's ``LawAlong`` along each of
+    ``morphisms``; morphisms between the same objects with equal tables have
+    one law, listed once."""
+    distinct = {(fib.dom(f), fib.cod(f), fib.pre[f], fib.img[f]): f for f in morphisms}
+    return [
+        (dx, cx, structure_class.law_along(fib, f))
+        for (dx, cx, _, _), f in distinct.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
