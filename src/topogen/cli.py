@@ -292,16 +292,16 @@ def _cmd_enumerate(args) -> int:
     count = 0
     lines = []
     for structure in enumerate_structures(spec):
-        name = f"{args.kind}_{count:04d}"
-        if args.kind in ("topogenous", "neighbourhood"):
-            record = fileformat.order_record_of(name, structure)
-        else:
-            record = fileformat.operator_record_of(name, structure, args.kind)
-        lines.append(fileformat.serialize_record(record))
+        if not args.count_only:
+            name = f"{args.kind}_{count:04d}"
+            if args.kind in ("topogenous", "neighbourhood"):
+                record = fileformat.order_record_of(name, structure)
+            else:
+                record = fileformat.operator_record_of(name, structure, args.kind)
+            lines.append(fileformat.serialize_record(record))
         count += 1
-    summary = f"# {count} {args.kind} structures on {args.builtin}"
-    body = summary + "\n" if args.count_only else "\n".join([*lines, summary]) + "\n"
-    _emit(body, args.output)
+    lines.append(f"# {count} {args.kind} structures on {args.builtin}")
+    _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from ..errors import CapabilityError, PreconditionError
+from ..errors import CapabilityError, DomainError, PreconditionError
 from ..lattice import FiniteLattice, mask_iter
 from ..reporting import Report, Violation
 from ..site import SubobjectFibration, concrete_category, subset_fibration
@@ -384,7 +384,7 @@ def fingrp_fibration(groups, name: str = "fingrp") -> SubobjectFibration:
 def groups_of(fib: SubobjectFibration) -> tuple[FinGroup, ...]:
     """The group of each object of a finite-group fibration."""
     if not isinstance(fib.backend, _FinGrpBackend):
-        raise PreconditionError("not a finite-group fibration")
+        raise DomainError("not a finite-group fibration")
     return fib.backend.groups
 
 

@@ -129,10 +129,15 @@ class FiniteLattice:
     def join(self, i: int, j: int) -> int:
         return self.join_table[i][j]
 
+    @cached_property
+    def _indices(self) -> dict[str, int]:
+        """Each label mapped to its first element."""
+        return {label: i for i, label in reversed(tuple(enumerate(self.labels)))}
+
     def index_of(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._indices[label]
+        except KeyError:
             raise DomainError(f"no element labelled {label!r}") from None
 
     def require(self, i: int) -> None:

@@ -6,12 +6,29 @@ the same shape (``nu[x][m]`` = mask of neighbourhoods of m) but are validated
 against their own axioms; the conversion between the two is the content of
 the order isomorphism between the conglomerates, not a representational
 accident we rely on silently.
+
+``validate_structure`` decides each kind's laws once per distinct table.  On
+first use per fibration and structure class it builds a plan: the law along
+each morphism, read once, the morphisms grouped by (dom, cod), and how many
+checks the laws make, in closed form.  A call then interns each object's
+row table and reads each object's local axioms, and each hom-set's verdict
+(its failing morphisms), off the memo by the ids of the tables they read;
+witnesses are walked only along the failing morphisms, in morphism order.
+
+Memoised: each plan, for as long as its fibration lives, in a weak-keyed
+memo that holds tables, ids and verdicts, never a structure or the
+fibration: the interned row tables, per (object, table id) its checks and
+local violations, and per (dom, cod, table ids at both) the hom-set's
+failing morphisms.  Each kind's ``law_along``, and each preimage table's
+pull, for the life of the process.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .errors import PreconditionError
@@ -30,7 +47,9 @@ class LawAlong:
     compares masks on any lattice.  A relation's law has ``lhs`` None and
     reads c itself: each element n of that mask is a check and a witness
     (k, n).  An operator's ``lhs`` maps a value to its single bit: each pair
-    is one check and a failing pair one witness (k,).
+    is one check and a failing pair one witness (k,).  So a relation's law
+    makes one check per element of each codomain row a pair reads, and an
+    operator's one per pair.
     """
 
     __slots__ = ("cod_index", "dom_index", "lhs", "rhs")
@@ -73,16 +92,6 @@ class LawAlong:
             elif lhs[cod_row[a]] & ~rhs[dom_row[b]]:
                 yield (k,)
 
-    def checks(self, cod_row) -> int:
-        """The number of checks the law makes, in closed form: one per pair,
-        or for a relation the sizes of the codomain rows it reads."""
-        cod_index = self.cod_index
-        if self.lhs is not None:
-            return len(cod_index)
-        if isinstance(cod_index, range):  # each codomain row once
-            return sum(map(int.bit_count, cod_row))
-        return sum(map(int.bit_count, map(cod_row.__getitem__, cod_index)))
-
 
 @dataclass(frozen=True, eq=False)
 class _Structure:
@@ -91,7 +100,7 @@ class _Structure:
     Each kind states its cross-object law along f once, as data:
     ``law_along(fib, f)`` is a ``LawAlong``, the index pairs it relates and
     the two lookups that decide each pair.  ``LawAlong.holds`` decides the
-    law between two whole tables for the validator, ``law_holds``, the
+    law between two whole tables for the validator's plan, ``law_holds``, the
     extremality constraints, ``constructions.continuity_between`` and the
     enumerator's cross-object product; only where it fails are the pairs
     walked for witnesses, and ``witness_sides`` says which end of f (0
@@ -196,46 +205,46 @@ class _Relation(_Structure):
                     return self.fib.category.object_names[x], lat.labels[m], lat.labels[n]
         return None
 
-    def _local_violations(self):
-        """Each row lies above its element, is antitone in the element and
-        up-closed; the number of checks and the violations, under the kind's
-        three ``local_laws`` names."""
+    def _object_violations(self, x: int):
+        """Object x's row lies above its element, is antitone in the element
+        and up-closed; the number of checks and the violations, under the
+        kind's three ``local_laws`` names."""
         above, antitone, up_closed = self.local_laws
+        lat = self.fib.sub[x]
+        where = self.fib.category.object_names[x]
+        rows = self.table[x]
         violations = []
         checked = 0
-        for x, lat in enumerate(self.fib.sub):
-            where = self.fib.category.object_names[x]
-            rows = self.table[x]
-            for m in range(lat.size):
+        for m in range(lat.size):
+            checked += 1
+            if rows[m] & ~lat.up[m]:
+                n = next(mask_iter(rows[m] & ~lat.up[m]))
+                violations.append(
+                    Violation(above, where=where, witness=(lat.labels[m], lat.labels[n]))
+                )
+        for m in range(lat.size):
+            for mp in lat.above[m]:
                 checked += 1
-                if rows[m] & ~lat.up[m]:
-                    n = next(mask_iter(rows[m] & ~lat.up[m]))
+                if rows[mp] & ~rows[m]:
+                    q = next(mask_iter(rows[mp] & ~rows[m]))
                     violations.append(
-                        Violation(above, where=where, witness=(lat.labels[m], lat.labels[n]))
+                        Violation(
+                            antitone,
+                            where=where,
+                            witness=(lat.labels[m], lat.labels[mp], lat.labels[q]),
+                        )
                     )
-            for m in range(lat.size):
-                for mp in mask_iter(lat.up[m]):
-                    checked += 1
-                    if rows[mp] & ~rows[m]:
-                        q = next(mask_iter(rows[mp] & ~rows[m]))
-                        violations.append(
-                            Violation(
-                                antitone,
-                                where=where,
-                                witness=(lat.labels[m], lat.labels[mp], lat.labels[q]),
-                            )
+            for n in mask_iter(rows[m]):
+                checked += 1
+                if lat.up[n] & ~rows[m]:
+                    q = next(mask_iter(lat.up[n] & ~rows[m]))
+                    violations.append(
+                        Violation(
+                            up_closed,
+                            where=where,
+                            witness=(lat.labels[m], lat.labels[n], lat.labels[q]),
                         )
-                for n in mask_iter(rows[m]):
-                    checked += 1
-                    if lat.up[n] & ~rows[m]:
-                        q = next(mask_iter(lat.up[n] & ~rows[m]))
-                        violations.append(
-                            Violation(
-                                up_closed,
-                                where=where,
-                                witness=(lat.labels[m], lat.labels[n], lat.labels[q]),
-                            )
-                        )
+                    )
         return checked, violations
 
 
@@ -287,27 +296,27 @@ class _Operator(_Structure):
                     return self.fib.category.object_names[x], lat.labels[m]
         return None
 
-    def _local_violations(self):
-        """Each map is extensive (closure) or contractive (interior), and
-        monotone; the number of checks and the violations, under the kind's
-        two ``local_laws`` names."""
+    def _object_violations(self, x: int):
+        """Object x's map is extensive (closure) or contractive (interior),
+        and monotone; the number of checks and the violations, under the
+        kind's two ``local_laws`` names."""
         bounded, monotone = self.local_laws
+        lat = self.fib.sub[x]
+        where = self.fib.category.object_names[x]
+        allowed = lat.up if self.kind == "closure" else lat.down
+        op = self.table[x]
         violations = []
         checked = 0
-        for x, lat in enumerate(self.fib.sub):
-            where = self.fib.category.object_names[x]
-            allowed = lat.up if self.kind == "closure" else lat.down
-            op = self.table[x]
-            for m in range(lat.size):
+        for m in range(lat.size):
+            checked += 1
+            if not allowed[m] >> op[m] & 1:
+                violations.append(Violation(bounded, where=where, witness=(lat.labels[m],)))
+            for n in lat.above[m]:
                 checked += 1
-                if not allowed[m] >> op[m] & 1:
-                    violations.append(Violation(bounded, where=where, witness=(lat.labels[m],)))
-                for n in mask_iter(lat.up[m]):
-                    checked += 1
-                    if not lat.leq(op[m], op[n]):
-                        violations.append(
-                            Violation(monotone, where=where, witness=(lat.labels[m], lat.labels[n]))
-                        )
+                if not lat.leq(op[m], op[n]):
+                    violations.append(
+                        Violation(monotone, where=where, witness=(lat.labels[m], lat.labels[n]))
+                    )
         return checked, violations
 
 
@@ -345,20 +354,85 @@ class InteriorOperator(_Operator):
 # validation
 
 
+class _Plan:
+    """One structure class's validation on one fibration.
+
+    ``laws[f]`` is the class's law along f and ``homs`` the morphisms
+    grouped by (dom, cod), in order.  The laws make ``law_checks`` checks
+    whatever the tables, one per pair of an operator's law, and a
+    relation's law reads row n of object y's table ``reads[y][n]`` times
+    over the morphisms into y, one check per element of the row: the
+    in-degree of y for a topogenous order, the image multiplicities for a
+    neighbourhood operator.  ``ids`` interns row tables; ``objects`` maps
+    (x, id) to x's checks and local violations, and ``verdicts`` maps (x,
+    y, id at x, id at y) to the failing morphisms x -> y, in order.
+    """
+
+    __slots__ = ("laws", "homs", "law_checks", "reads", "ids", "objects", "verdicts")
+
+    def __init__(self, fib: SubobjectFibration, structure_class):
+        cat = fib.category
+        self.laws = tuple(structure_class.law_along(fib, f) for f in range(cat.n_morphisms))
+        homs = {}
+        for f, ends in enumerate(zip(cat.mor_dom, cat.mor_cod)):
+            homs.setdefault(ends, []).append(f)
+        self.homs = tuple((x, y, tuple(fs)) for (x, y), fs in homs.items())
+        reads = [[0] * lat.size for lat in fib.sub]
+        self.law_checks = 0
+        for law, y in zip(self.laws, cat.mor_cod):
+            if law.lhs is None:
+                counts = reads[y]
+                for a in law.cod_index:
+                    counts[a] += 1
+            else:
+                self.law_checks += len(law.cod_index)
+        self.reads = tuple(map(tuple, reads))
+        self.ids, self.objects, self.verdicts = {}, {}, {}
+
+
+# _plan's memo: per fibration, per structure class, its plan
+_PLANS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _plan(fib: SubobjectFibration, structure_class) -> _Plan:
+    plans = _PLANS.setdefault(fib, {})
+    plan = plans.get(structure_class)
+    if plan is None:
+        plan = plans[structure_class] = _Plan(fib, structure_class)
+    return plan
+
+
 def validate_structure(s) -> Report:
     """The kind's local axioms on every object, then its law along every
-    morphism."""
+    morphism, each decided once per distinct table by the fibration's plan."""
     if not isinstance(s, _Structure):
         raise PreconditionError(f"not a known structure: {type(s).__name__}")
     fib, table = s.fib, s.table
     cat = fib.category
-    checked, violations = s._local_violations()
-    for f, (x, y) in enumerate(zip(cat.mor_dom, cat.mor_cod)):
-        law = s.law_along(fib, f)
-        dom_row, cod_row = table[x], table[y]
-        checked += law.checks(cod_row)
-        if law.holds(dom_row, cod_row):
-            continue
+    plan = _plan(fib, type(s))
+    interned, objects, verdicts, laws = plan.ids, plan.objects, plan.verdicts, plan.laws
+    ids = [interned.setdefault(rows, len(interned)) for rows in table]
+    checked = plan.law_checks
+    violations = []
+    for x in range(cat.n_objects):
+        key = (x, ids[x])
+        found = objects.get(key)
+        if found is None:
+            local, broken = s._object_violations(x)
+            along = sum(map(mul, plan.reads[x], map(int.bit_count, table[x])))
+            found = objects[key] = (local + along, tuple(broken))
+        checked += found[0]
+        violations += found[1]
+    failing = []
+    for x, y, fs in plan.homs:
+        key = (x, y, ids[x], ids[y])
+        bad = verdicts.get(key)
+        if bad is None:
+            dom_row, cod_row = table[x], table[y]
+            bad = verdicts[key] = tuple([f for f in fs if not laws[f].holds(dom_row, cod_row)])
+        failing += bad
+    for f in sorted(failing):
+        x, y = cat.mor_dom[f], cat.mor_cod[f]
         labels = (fib.sub[x].labels, fib.sub[y].labels)
         violations.extend(
             Violation(
@@ -366,7 +440,7 @@ def validate_structure(s) -> Report:
                 where=cat.mor_names[f],
                 witness=tuple(labels[side][i] for side, i in zip(s.witness_sides, witness)),
             )
-            for witness in law.witnesses(dom_row, cod_row)
+            for witness in laws[f].witnesses(table[x], table[y])
         )
     return Report(s.report_name, checked, tuple(violations))
 

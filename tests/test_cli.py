@@ -169,6 +169,18 @@ def test_validate_discontinuous_map(capsys, tmp_path):
     assert "not continuous" in out
 
 
+@pytest.mark.parametrize("fibration, kind, backend", [
+    ("fintop2", "grp_normal", "finite-group"), ("grp_small", "closure", "finite-space"),
+])
+def test_validate_a_builtin_order_on_the_wrong_fibration_is_a_usage_error(
+    capsys, tmp_path, fibration, kind, backend
+):
+    doc = tmp_path / "in.topo"
+    doc.write_text(f"order o: fibration={fibration}; kind={kind}\n")
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out, err) == (2, "", f"error: not a {backend} fibration\n")
+
+
 @pytest.mark.parametrize("graph, problem", [
     ("0", "length 1, but a has 2 points"),
     ("0,1,0", "length 3, but a has 2 points"),
@@ -422,28 +434,49 @@ def test_enumerate_count(capsys):
     assert out.strip() == "# 6 topogenous structures on disc2_loop"
 
 
-def test_enumerate_records_resolve_back(capsys):
+def test_enumerate_records_resolve_back(capsys, tmp_path):
+    # each kind's records resolve to structures that validate, by hand and
+    # under ``topogen validate``
     from topogen.harness import fileformat
     from topogen.instances.registry import builtin_fibration
     from topogen.structures import validate_structure
 
-    code, out, _ = run(capsys, "enumerate", "--builtin", "disc2_loop",
-                       "--kind", "topogenous")
-    assert code == 0
-    body = "\n".join(line for line in out.splitlines() if not line.startswith("#"))
-    doc = fileformat.parse_document(body + "\n")
-    fib = builtin_fibration("disc2_loop")
-    assert len(doc.records) == 6
-    for record in doc.records:
-        assert validate_structure(fileformat.resolve_order(record, fib)).ok
+    resolvers = {
+        "topogenous": fileformat.resolve_order,
+        "closure": fileformat.resolve_operator,
+        "interior": fileformat.resolve_operator,
+    }
+    for name in ("disc2_loop", "fintop2", "grp_small"):
+        fib = builtin_fibration(name)
+        for kind, resolve in resolvers.items():
+            code, out, _ = run(capsys, "enumerate", "--builtin", name, "--kind", kind)
+            assert code == 0
+            summary = out.splitlines()[-1]
+            count = int(summary.split()[1])
+            assert summary == f"# {count} {kind} structures on {name}" and count > 0
+            body = "\n".join(line for line in out.splitlines() if not line.startswith("#"))
+            doc = fileformat.parse_document(body + "\n")
+            assert len(doc.records) == count
+            for record in doc.records:
+                assert validate_structure(resolve(record, fib)).ok
+            path = tmp_path / f"{name}-{kind}.topo"
+            path.write_text(out)
+            code, out, err = run(capsys, "validate", str(path))
+            assert (code, err) == (0, "")
+            assert out.splitlines() == [
+                f"ok {path}:{type(record).__name__[:-6].lower()} {record.name}"
+                for record in doc.records
+            ]
 
 
 def test_enumerate_fintop3_within_the_default_budget(capsys):
-    # the backtracking product's candidate space on fintop3 exceeded 2^24
-    # (exit 3); its 17 orders are counted before any is built
-    code, out, err = run(capsys, "enumerate", "--builtin", "fintop3",
-                         "--kind", "topogenous", "--count-only")
-    assert (code, out, err) == (0, "# 17 topogenous structures on fintop3\n", "")
+    # the backtracking product's candidate space on fintop3 and on grp_le8
+    # exceeded 2^24 (exit 3); their orders are counted before any is built,
+    # and the count builds no record
+    for name, count in (("fintop3", 17), ("grp_le8", 11_653)):
+        code, out, err = run(capsys, "enumerate", "--builtin", name,
+                             "--kind", "topogenous", "--count-only")
+        assert (code, out, err) == (0, f"# {count} topogenous structures on {name}\n", "")
 
 
 def test_enumeration_cap_exit_code(capsys, monkeypatch):

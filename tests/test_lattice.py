@@ -87,6 +87,16 @@ def test_powerset_meet_join_are_set_operations():
     assert lat.labels[0] == "{}" and lat.labels[3] == "{0,1}"
 
 
+@pytest.mark.parametrize("name", FIBRATION_NAMES)
+def test_index_of_finds_each_label_and_names_an_unknown_one(name):
+    from topogen.errors import DomainError
+
+    for lat in builtin_fibration(name).sub:
+        assert [lat.index_of(label) for label in lat.labels] == list(range(lat.size))
+    with pytest.raises(DomainError, match=r"^no element labelled '\{9\}'$"):
+        lat.index_of("{9}")
+
+
 @pytest.mark.parametrize("n_points", range(5))
 def test_powerset_in_closed_form_equals_the_validated_order(n_points):
     closed = FiniteLattice.powerset(n_points)

@@ -182,18 +182,6 @@ def test_order_law_constraints_agree_with_continuity_between(name, side):
     assert verdicts == {True, False}
 
 
-# the number of checks each kind's law makes, counted pair by pair: a bit of
-# the codomain row at the pair for a relation, the pair for an operator
-REFERENCE_CHECKS = {
-    "topogenous": lambda fib, f, dom_row, cod_row: sum(r.bit_count() for r in cod_row),
-    "neighbourhood": lambda fib, f, dom_row, cod_row: sum(
-        cod_row[fib.img[f][m]].bit_count() for m in range(len(dom_row))
-    ),
-    "closure": lambda fib, f, dom_row, cod_row: len(dom_row),
-    "interior": lambda fib, f, dom_row, cod_row: len(cod_row),
-}
-
-
 # law-free rows per side and morphism: up to 50 in full (fintop2's largest
 # lattices have 48), else about 30 at an even stride (grp_small's relations
 # on z2xz2, 188 rows, and on s3, 804)
@@ -204,14 +192,15 @@ def _spread(rows):
 @pytest.mark.parametrize("kind", ["topogenous", "neighbourhood", "closure", "interior"])
 def test_laws_give_the_reference_witnesses_on_every_pair_of_candidates(kind):
     """Each class's law, stated once as data, gives the witnesses of the
-    kind's law written out on its own, in order, its verdict (``holds`` and
-    ``law_holds``) and its number of checks, for pairs of law-free
-    candidates of the domain and codomain along every morphism of fintop2
-    and of grp_small, whose subgroup lattices (3, 5 and 6 elements) are not
-    powersets."""
+    kind's law written out on its own, in order, and its verdict (``holds``
+    and ``law_holds``), for pairs of law-free candidates of the domain and
+    codomain along every morphism of fintop2 and of grp_small, whose
+    subgroup lattices (3, 5 and 6 elements) are not powersets.  The number
+    of checks is compared on whole reports, against the per-morphism
+    reference in ``test_structures``."""
     from test_harness import REFERENCE_LAWS, candidates
 
-    cls, reference, reference_checks = KINDS[kind], REFERENCE_LAWS[kind], REFERENCE_CHECKS[kind]
+    cls, reference = KINDS[kind], REFERENCE_LAWS[kind]
     for name in ("fintop2", "grp_small"):
         fib = builtin_fibration(name)
         verdicts = set()
@@ -224,7 +213,6 @@ def test_laws_give_the_reference_witnesses_on_every_pair_of_candidates(kind):
                     witnesses = list(reference(fib, f, dom_row, cod_row))
                     assert list(law.witnesses(dom_row, cod_row)) == witnesses
                     assert law.holds(dom_row, cod_row) == (not witnesses)
-                    assert law.checks(cod_row) == reference_checks(fib, f, dom_row, cod_row)
                     if x != y or dom_row == cod_row:
                         rows[x], rows[y] = dom_row, cod_row
                         assert cls(fib, tuple(rows)).law_holds(f) == (not witnesses)

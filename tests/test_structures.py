@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 from functools import reduce
 
@@ -7,7 +9,7 @@ from hypothesis import given, strategies as st
 from topogen.errors import PreconditionError
 from topogen.instances.registry import builtin_fibration
 from topogen.lattice import FiniteLattice, mask_iter
-from topogen.reporting import Violation
+from topogen.reporting import Report, Violation
 from topogen.structures import (
     ClosureOperator,
     InteriorOperator,
@@ -452,3 +454,208 @@ def test_least_failing_family_is_found_without_walking_the_families():
     with pytest.raises(PreconditionError) as excinfo:
         closure_from_topogenous(t)
     assert excinfo.value.witness == ("x", "{}", ("{0}", "{1,2,3,4,5}"))
+
+
+# ---------------------------------------------------------------------------
+# the validator's plan against the per-morphism reference
+
+
+# the number of checks each kind's law makes, counted pair by pair: a bit of
+# the codomain row at the pair for a relation, the pair for an operator
+REFERENCE_CHECKS = {
+    "topogenous": lambda fib, f, dom_row, cod_row: sum(r.bit_count() for r in cod_row),
+    "neighbourhood": lambda fib, f, dom_row, cod_row: sum(
+        cod_row[fib.img[f][m]].bit_count() for m in range(len(dom_row))
+    ),
+    "closure": lambda fib, f, dom_row, cod_row: len(dom_row),
+    "interior": lambda fib, f, dom_row, cod_row: len(cod_row),
+}
+
+
+def _reference_report(s):
+    """``validate_structure``'s report morphism by morphism: the local axioms
+    object by object, then along each morphism in order its checks counted
+    pair by pair and the law's witnesses."""
+    fib, table = s.fib, s.table
+    cat = fib.category
+    checked, violations = 0, []
+    for x in range(cat.n_objects):
+        local, broken = s._object_violations(x)
+        checked += local
+        violations += broken
+    for f, (x, y) in enumerate(zip(cat.mor_dom, cat.mor_cod)):
+        dom_row, cod_row = table[x], table[y]
+        checked += REFERENCE_CHECKS[s.kind](fib, f, dom_row, cod_row)
+        labels = (fib.sub[x].labels, fib.sub[y].labels)
+        violations += (
+            Violation(
+                s.law_name,
+                where=cat.mor_names[f],
+                witness=tuple(labels[side][i] for side, i in zip(s.witness_sides, witness)),
+            )
+            for witness in s.law_along(fib, f).witnesses(dom_row, cod_row)
+        )
+    return Report(s.report_name, checked, tuple(violations))
+
+
+def _every_structure(fib):
+    from topogen.harness.enumeration import KINDS, EnumerationSpec, enumerate_structures
+
+    for kind in KINDS:
+        yield from enumerate_structures(EnumerationSpec(fib, kind))
+
+
+def _one_entry_changed(s, rng):
+    """``s`` with one entry moved: a bit of a relation's row flipped, or an
+    operator's value replaced by another element (on a lattice that has
+    one)."""
+    table = [list(rows) for rows in s.table]
+    x = rng.choice([x for x, lat in enumerate(s.fib.sub) if lat.size > 1])
+    m = rng.randrange(len(table[x]))
+    size = s.fib.sub[x].size
+    if s.kind in ("topogenous", "neighbourhood"):
+        table[x][m] ^= 1 << rng.randrange(size)
+    else:
+        table[x][m] = rng.choice([v for v in range(size) if v != table[x][m]])
+    return type(s)(s.fib, tuple(map(tuple, table)))
+
+
+def _sweep_fibrations(count, seed):
+    """Four-object space fibrations shaped like the benchmark's sweep: the
+    point, a 2-point space and two distinct 3-point spaces, seeded."""
+    from topogen.instances.topology import enumerate_topologies, fintop_fibration
+
+    rng = random.Random(seed)
+    for i in range(count):
+        spaces = [*enumerate_topologies(1), rng.choice(enumerate_topologies(2)),
+                  *rng.sample(enumerate_topologies(3), 2)]
+        yield fintop_fibration(spaces, name=f"sweep{i}", object_names=("p", "a", "b", "c"))
+
+
+def _tables_exchanged(s):
+    """``s`` with the tables of the first two objects that share a lattice
+    and differ in ``s`` exchanged, or None."""
+    table = list(s.table)
+    for x, y in itertools.combinations(range(len(table)), 2):
+        if s.fib.sub[x] == s.fib.sub[y] and table[x] != table[y]:
+            table[x], table[y] = table[y], table[x]
+            return type(s)(s.fib, tuple(table))
+    return None
+
+
+def _assert_reports_match_the_reference(structures, rng):
+    """Each structure, it with one entry changed and it with two objects'
+    tables exchanged validate to the reference's report; returns how many
+    were invalid."""
+    invalid = 0
+    for s in structures:
+        for t in (s, _one_entry_changed(s, rng), _tables_exchanged(s)):
+            if t is not None:
+                report = validate_structure(t)
+                assert report == _reference_report(t)
+                invalid += not report.ok
+    return invalid
+
+
+def _interleaved(fib):
+    """``fib`` with its morphisms renumbered round-robin over the hom-sets,
+    so that no hom-set's morphisms are consecutive."""
+    from topogen.site import FiniteCategory, SubobjectFibration
+
+    cat = fib.category
+    ends = list(zip(cat.mor_dom, cat.mor_cod))
+    rank = [ends[:f].count(ends[f]) for f in range(cat.n_morphisms)]
+    order = sorted(range(cat.n_morphisms), key=lambda f: (rank[f], ends[f]))
+    new = {f: i for i, f in enumerate(order)}
+    category = FiniteCategory(
+        cat.object_names, [cat.mor_dom[f] for f in order], [cat.mor_cod[f] for f in order],
+        [cat.mor_names[f] for f in order], [new[i] for i in cat.identities],
+        [cat.graphs[f] for f in order],
+    )
+    return SubobjectFibration(
+        category, fib.sub, [fib.img[f] for f in order], [fib.pre[f] for f in order],
+        {new[f] for f in fib.eclass}, {new[f] for f in fib.mclass},
+        fstar=[fib.fstar[f] for f in order], name="interleaved",
+    )
+
+
+@pytest.mark.parametrize("name", [
+    "fintop1", "fintop2", "disc2_loop", "t0_small", "coreflect_small", "grp_small", "grp_le4",
+])
+def test_validation_matches_the_per_morphism_reference_on_builtins(name):
+    structures = list(_every_structure(builtin_fibration(name)))
+    assert _assert_reports_match_the_reference(structures, random.Random(name)) >= len(structures) // 2
+
+
+def test_validation_matches_the_reference_with_the_hom_sets_interleaved(fintop2):
+    # the failing morphisms of different hom-sets alternate in morphism order
+    fib = _interleaved(fintop2)
+    assert len({fib.category.mor_dom[f] for f in range(7)}) > 1
+    structures = [type(s)(fib, s.table) for s in _every_structure(fintop2)]
+    assert _assert_reports_match_the_reference(structures, random.Random(2)) > len(structures)
+
+
+def test_validation_matches_the_per_morphism_reference_on_sweep_fibrations():
+    rng = random.Random(35)
+    checked = invalid = 0
+    for fib in _sweep_fibrations(20, seed=35):
+        structures = list(_every_structure(fib))
+        invalid += _assert_reports_match_the_reference(structures, rng)
+        checked += 2 * len(structures)
+    assert checked > 1000 and checked // 3 < invalid < checked
+
+
+def test_validation_of_structures_sharing_some_tables_matches_the_reference():
+    # orders agreeing on some objects: the second reads those objects' and
+    # hom-sets' verdicts off the memo the first filled
+    from topogen.harness.enumeration import EnumerationSpec, enumerate_structures
+    from topogen.structures import _plan
+
+    fib = next(_sweep_fibrations(1, seed=7))
+    n = fib.category.n_objects
+    orders = list(enumerate_structures(EnumerationSpec(fib, "topogenous")))
+    first, second = next(
+        (a, b) for a in orders for b in orders
+        if 0 < sum(map(operator.eq, a.table, b.table)) < n
+    )
+    shared = sum(map(operator.eq, first.table, second.table))
+    plan = _plan(fib, TopogenousOrder)
+    assert validate_structure(first) == _reference_report(first)
+    seen = len(plan.objects)
+    assert validate_structure(second) == _reference_report(second)
+    assert len(plan.objects) == seen + n - shared
+    broken = _one_entry_changed(second, random.Random(1))
+    assert validate_structure(broken) == _reference_report(broken)
+
+
+def test_equal_tables_over_a_moved_preimage_match_the_reference(fintop2):
+    # the same tables over fintop2 and over fintop2 with one preimage table
+    # moved: each fibration has its own plan and verdicts
+    from test_morphisms import _moved_preimage
+
+    broken = _moved_preimage(fintop2, "pt>discrete2:0", (0, 0, 0, 1))
+    differ = 0
+    for s in _every_structure(fintop2):
+        moved = type(s)(broken, s.table)
+        assert validate_structure(s) == _reference_report(s)
+        assert validate_structure(moved) == _reference_report(moved)
+        differ += validate_structure(s) != validate_structure(moved)
+    assert differ
+
+
+def test_a_validation_plan_dies_with_its_fibration():
+    import gc
+    import weakref
+
+    from topogen import structures
+
+    gc.collect()
+    before = len(structures._PLANS)
+    fib = trivial_fibration(FiniteLattice.powerset(2))
+    assert validate_structure(discrete_order(fib)).ok
+    assert fib in structures._PLANS and len(structures._PLANS) == before + 1
+    alive = weakref.ref(fib)
+    del fib
+    gc.collect()
+    assert alive() is None
+    assert len(structures._PLANS) == before
