@@ -300,10 +300,9 @@ _LOCAL: dict = {}
 def local_candidates(
     structure_class, fib: SubobjectFibration, x: int
 ) -> tuple[tuple[int, ...], ...]:
-    """Object ``x``'s candidate rows for ``structure_class`` that satisfy the
-    class's law along every endomorphism of ``x``, sorted: the tables of
-    ``_tables`` for an operator, and for a relation those of the forcing
-    record of x alone under those laws.
+    """Object ``x``'s candidate rows for the operator class
+    ``structure_class`` that satisfy the class's law along every
+    endomorphism of ``x``: the tables of ``_tables``, sorted.
 
     Memoised on (class, lattice of x, the ``(pre[f], img[f])`` tables of x's
     endomorphisms f in order).  The key is sound: the local axioms depend
@@ -318,12 +317,7 @@ def local_candidates(
     rows = _LOCAL.get(key)
     if rows is None:
         laws = [law for _, _, law in _laws(structure_class, fib, endos)]
-        if structure_class in RELATIONS:
-            record = _Forcing((lat,), [(0, 0, law) for law in laws])
-            rows = tuple(table for (table,) in record.tables())
-        else:
-            rows = _tables(lat, structure_class.kind, laws)
-        _LOCAL[key] = rows
+        rows = _LOCAL[key] = _tables(lat, structure_class.kind, laws)
     return rows
 
 

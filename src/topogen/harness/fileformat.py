@@ -21,11 +21,25 @@ over subobject labels, ``<fib>`` is a built-in fibration name or
 ``spaces:<space>,...`` over spaces defined in the same document.  The
 serializer emits exactly this canonical form; parse and serialize are
 mutually inverse.
+
+An explicit order or an operator line in the canonical text the serializer
+writes is read in one regex match: a ``fullmatch`` over the fields, then a
+``findall`` over the blocks and one over the entries.  Canonical here means
+one space after the colon, the fields in the order above and no other
+whitespace; names and labels of ASCII letters, digits and ``_.+-``, a label
+possibly braced with commas and parenthesised parts inside, and a fibration
+such as ``spaces:a,b`` or ``spaces(p,a,b,c)``.  The patterns compile on the
+first order or operator line a process reads.  Any other spelling goes
+through the general scanner below, with the same records and the same
+``FormatError`` (message, line and column); that scanner is the only source
+of ``FormatError``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Union
 
 from ..constructions import Endofunctor
@@ -191,20 +205,22 @@ def _parse_blocks(value: str, line: int, col: int, pair_parser) -> tuple:
     return tuple(blocks)
 
 
-def _fields(rest: str, line: int) -> dict[str, str]:
+def _fields(rest: str, line: int, col: int) -> dict[str, str]:
+    """The fields of a record's text after its colon, which starts at the
+    1-based column ``col`` of its line; an error names the column where its
+    field starts."""
     out = {}
-    col = 0
     for raw in _split_top(rest, ";", line, 0):
         part = raw.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise FormatError(f"field without '=': {part!r}", line, col)
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key in out:
-            raise FormatError(f"duplicate field {key!r}", line, col)
-        out[key] = value.strip()
+        if part:
+            key, eq, value = part.partition("=")
+            key = key.strip()
+            if not eq or key in out:
+                at = col + len(raw) - len(raw.lstrip())
+                if not eq:
+                    raise FormatError(f"field without '=': {part!r}", line, at)
+                raise FormatError(f"duplicate field {key!r}", line, at)
+            out[key] = value.strip()
         col += len(raw) + 1
     return out
 
@@ -326,6 +342,55 @@ _PARSERS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# the canonical text of explicit orders and operators
+
+
+@cache
+def _canonical_patterns(kind: str) -> tuple[re.Pattern, re.Pattern, re.Pattern]:
+    """The fields, block and entry patterns of an order or operator line in
+    canonical text.
+
+    The fields pattern captures the fibration, the kind and the blocks; the
+    block pattern an object and its body; the entry pattern the two labels.
+    Every text the fields pattern accepts, the general scanner reads to the
+    record these captures give: names, labels and the fibration hold no
+    whitespace, ``;``, ``|``, ``=`` or square bracket, their other brackets
+    are balanced, and a label's commas sit inside its braces, so every
+    separator the scanner splits on is one the patterns place."""
+    word = r"[\w.+-]+"
+    inner = r"[\w.+,-]*"
+    label = rf"{word}|\{{{inner}(?:\({inner}\){inner})*\}}"
+    fibration = rf"[\w.:,+-]+(?:\({inner}\))?"
+    if kind == "order":
+        field, kinds, entry = "rel", "explicit", r"\({0},{0}\)"
+    else:
+        field, kinds, entry = "table", "closure|interior", "{0}=>{0}"
+    plain = entry.format(f"(?:{label})")
+    block = rf"{word}\[(?:{plain}(?:,{plain})*)?\]"
+    return (
+        re.compile(
+            rf" fibration=({fibration}); kind=({kinds}); {field}=({block}(?:\|{block})*)", re.ASCII
+        ),
+        re.compile(rf"({word})\[([^\]]*)\]", re.ASCII),
+        re.compile(entry.format(f"({label})"), re.ASCII),
+    )
+
+
+def _canonical_record(kind: str, name: str, rest: str):
+    """The record of an order or operator line whose text after the colon is
+    canonical, or None."""
+    fields, block, entry = _canonical_patterns(kind)
+    match = fields.fullmatch(rest)
+    if match is None:
+        return None
+    fibration, record_kind, blocks = match.groups()
+    value = tuple((obj, tuple(entry.findall(body))) for obj, body in block.findall(blocks))
+    if kind == "order":
+        return OrderRecord(name, fibration, record_kind, value)
+    return OperatorRecord(name, fibration, record_kind, value)
+
+
 def parse_document(text: str) -> Document:
     records = []
     seen = set()
@@ -345,7 +410,14 @@ def parse_document(text: str) -> Document:
         if (kind, name) in seen:
             raise FormatError(f"duplicate {kind} record {name!r}", line_no, 1)
         seen.add((kind, name))
-        records.append(_PARSERS[kind](name, _fields(rest, line_no), line_no))
+        record = None
+        if kind in ("order", "operator"):
+            record = _canonical_record(kind, name, rest)
+        if record is None:
+            # the 1-based column of rest in the unstripped line
+            col = len(raw) - len(raw.lstrip()) + len(head) + 2
+            record = _PARSERS[kind](name, _fields(rest, line_no, col), line_no)
+        records.append(record)
     return Document(tuple(records))
 
 

@@ -1,7 +1,12 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from functools import lru_cache, reduce
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +22,7 @@ from topogen.lattice import FiniteLattice, mask_iter
 from topogen.site import FiniteCategory, SubobjectFibration
 from topogen.structures import (
     ClosureOperator,
+    InteriorOperator,
     TopogenousOrder,
     is_interpolative,
     is_join_preserving,
@@ -28,6 +34,7 @@ from topogen.harness.enumeration import (
     KINDS,
     RELATIONS,
     EnumerationSpec,
+    _Forcing,
     _laws,
     enumerate_structures,
     local_candidates,
@@ -185,6 +192,23 @@ def backtracking_local_rows(structure_class, fib, x):
     cat = fib.category
     endos = [f for f in cat.morphisms_from[x] if cat.mor_cod[f] == x]
     return backtracking_rows(fib.sub[x], [law for _, _, law in _laws(structure_class, fib, endos)])
+
+
+def forcing_local_rows(structure_class, fib, x):
+    """Object x's rows of a relation class under the law along each of its
+    endomorphisms: the tables of the forcing record of x alone, sorted."""
+    cat = fib.category
+    endos = [f for f in cat.morphisms_from[x] if cat.mor_cod[f] == x]
+    laws = [(0, 0, law) for _, _, law in _laws(structure_class, fib, endos)]
+    return tuple(table for (table,) in _Forcing((fib.sub[x],), laws).tables())
+
+
+def local_rows(structure_class, fib, x):
+    """Object x's rows under its endomorphisms: the enumerator's memoised
+    rows for an operator class, the forcing record's for a relation class."""
+    if structure_class in RELATIONS:
+        return forcing_local_rows(structure_class, fib, x)
+    return local_candidates(structure_class, fib, x)
 
 
 def backtracking_structures(fib, structure_class, keep=None):
@@ -588,7 +612,7 @@ def test_memoised_local_rows_match_a_fresh_filter():
                     key = (structure_class, space.opens)
                     if key not in oracle:
                         oracle[key] = _fresh_local_rows(structure_class, fib, x)
-                    rows = list(local_candidates(structure_class, fib, x))
+                    rows = list(local_rows(structure_class, fib, x))
                     if structure_class in RELATIONS:
                         assert list(backtracking_local_rows(structure_class, fib, x)) == rows
                     assert rows == oracle[key]
@@ -615,7 +639,7 @@ def test_local_rows_under_the_laws_match_a_fresh_filter(name):
         endos = [f for f in cat.morphisms_from[x] if cat.mor_cod[f] == x]
         for structure_class in KINDS.values():
             relation = structure_class in RELATIONS
-            rows = list(local_candidates(structure_class, fib, x))
+            rows = list(local_rows(structure_class, fib, x))
             if relation:
                 assert list(backtracking_local_rows(structure_class, fib, x)) == rows
             if lat.size <= 8:
@@ -672,7 +696,7 @@ def test_a_warm_memo_keeps_the_budget_verdicts(fintop2, monkeypatch):
     first = loop_fibration(FiniteLattice.powerset(3))
     second = loop_fibration(FiniteLattice.powerset(3))
     assert first.sub[0] is not second.sub[0]
-    for structure_class in (TopogenousOrder, ClosureOperator):
+    for structure_class in (ClosureOperator, InteriorOperator):
         rows = local_candidates(structure_class, first, 0)
         assert isinstance(rows, tuple)
         assert local_candidates(structure_class, second, 0) is rows
@@ -705,6 +729,20 @@ def test_parse_error_positions():
     with pytest.raises(FormatError) as err:
         fileformat.parse_document("space ok: points=1; opens={},{0}\nnonsense x: a=b\n")
     assert err.value.line == 2
+    # a field's error names the 1-based column in its line where the field
+    # starts, empty fields counted
+    for text, column, field, message in (
+        ("space a: points=2; bad; opens={}", 20, "bad", "field without '='"),
+        ("space a: bad", 10, "bad", "field without '='"),
+        ("space a: points=2;; bad", 21, "bad", "field without '='"),
+        ("  space a:points=2;bad", 20, "bad", "field without '='"),
+        ("space a: points=1; opens={}; points=1", 30, "points=1", "duplicate field 'points'"),
+        ("order o: fibration=fintop1;kind=explicit; kind=explicit", 43, "kind", "duplicate"),
+    ):
+        assert text[column - 1:].startswith(field)
+        with pytest.raises(FormatError, match=message) as err:
+            fileformat.parse_document("# header\n" + text + "\n")
+        assert (err.value.line, err.value.column) == (2, column), text
 
 
 def test_a_far_point_is_refused_before_it_is_shifted():
@@ -845,6 +883,217 @@ def test_operator_record_roundtrip(fintop2):
     record = fileformat.operator_record_of("cl", c, "closure")
     doc = fileformat.parse_document(fileformat.serialize_record(record) + "\n")
     assert doc.records[0] == record
+
+
+# ---------------------------------------------------------------------------
+# the canonical path of order and operator lines
+
+
+def _parsed(text):
+    """The records of a document, or its FormatError as (message, line, column)."""
+    try:
+        return fileformat.parse_document(text).records
+    except FormatError as err:
+        return ("FormatError", str(err), err.line, err.column)
+
+
+def _parsed_by_the_general_scanner(text):
+    with mock.patch.object(fileformat, "_canonical_record", lambda kind, name, rest: None):
+        return _parsed(text)
+
+
+def _cli_records(fib, limit=None):
+    """The explicit order and operator records the CLI writes on ``fib``:
+    each built-in order kind that applies, as ``lift`` and ``induce`` write
+    an order, and the first ``limit`` structures of each kind, as
+    ``enumerate`` writes them."""
+    from itertools import islice
+
+    from topogen.instances.registry import ORDER_KINDS, builtin_order
+
+    records = []
+    for kind in ORDER_KINDS:
+        try:
+            records.append(fileformat.order_record_of(kind, builtin_order(kind, fib)))
+        except DomainError:
+            continue
+    for kind in ("topogenous", "neighbourhood", "closure", "interior"):
+        structures = enumerate_structures(EnumerationSpec(fib, kind))
+        for k, structure in enumerate(islice(structures, limit)):
+            name = f"{kind}_{k:04d}"
+            if kind in ("closure", "interior"):
+                records.append(fileformat.operator_record_of(name, structure, kind))
+            else:
+                records.append(fileformat.order_record_of(name, structure))
+    return records
+
+
+def _assert_read_in_one_match(records):
+    text = "".join(fileformat.serialize_record(r) + "\n" for r in records)
+    for record, line in zip(records, text.splitlines()):
+        head, _, rest = line.partition(":")
+        kind, name = head.split()
+        if kind in ("order", "operator"):
+            assert fileformat._canonical_record(kind, name, rest) == record, line
+    assert _parsed(text) == _parsed_by_the_general_scanner(text) == tuple(records)
+
+
+@pytest.mark.parametrize("name,limit", [
+    ("fintop1", None), ("fintop2", None), ("disc2_loop", None), ("t0_small", None),
+    ("coreflect_small", None), ("grp_small", None), ("grp_le4", None),
+    ("grp_le8", 40), ("topgrp_le4", 40),
+])
+def test_builtin_records_are_read_in_one_match(name, limit):
+    from topogen.instances.registry import builtin_fibration
+
+    records = _cli_records(builtin_fibration(name), limit)
+    assert any(isinstance(r, fileformat.OperatorRecord) for r in records)
+    _assert_read_in_one_match(records)
+
+
+def test_space_fibration_records_are_read_in_one_match():
+    # the CLI's ``spaces:`` fibration over a document's spaces, and the
+    # enumerate-sweep shape: a point, a 2-point and two 3-point spaces
+    from topogen.instances.topology import FinTopSpace, enumerate_topologies, fintop_fibration
+
+    sierpinski = FinTopSpace(2, (0, 2, 3))
+    three = enumerate_topologies(3)
+    spaces = [
+        fileformat.SpaceRecord("a", sierpinski), fileformat.SpaceRecord("b", three[3]),
+    ]
+    fib = fintop_fibration([r.space for r in spaces], name="spaces:a,b", object_names=("a", "b"))
+    _assert_read_in_one_match(spaces + _cli_records(fib))
+    sweep = [FinTopSpace(1, (0, 1)), sierpinski, three[1], three[-2]]
+    fib = fintop_fibration(sweep, name="spaces(p,a,b,c)", object_names=("p", "a", "b", "c"))
+    _assert_read_in_one_match(_cli_records(fib))
+
+
+# names and labels the canonical patterns accept: every label shape a
+# built-in lattice carries, and the fibrations the CLI and the benchmark name
+_CANONICAL_LABELS = ["{}", "{0}", "{0,2}", "{e,(12),(01)}", "{0.0,1.1}", "-i", "e"]
+_CANONICAL_OBJECTS = ["p", "z2xz2", "z1.n0", "sierpinski_op"]
+_CANONICAL_FIBRATIONS = ["fintop2", "spaces:a,b", "spaces(p,a,b,c)"]
+# ones they refuse: a separator the scanner splits on, a space, a comma
+# outside brackets, mixed or unbalanced brackets, nothing at all
+_SEPARATOR_LABELS = ["{a;b}", "a;b", "{a|b}", "a|b", "{a=>b}", "a=>b", "{0, 1}", "a,b", ""]
+_BRACKET_LABELS = ["(a,b)", "{0)", "(0}", "{0", "0}", "{0}}", ")(", "[0]", "{[0]}"]
+_OTHER_NAMES = ["p;q", "p|q", "p q", "p=q", "p,q", "p(q", "p)", "p[q]", "p{q}", ""]
+# perturbations after which the line stands for the same record
+_SAME_RECORD = ["none", "spaces", "empty chunk", "reordered fields"]
+# and those after which the record may change, or the line be refused
+_ANY_OUTCOME = ["object", "fibration", "duplicated field", "missing field"]
+
+
+@st.composite
+def _record_lines(draw, perturbation, label=None):
+    """(line, record): an order or operator line built from canonical
+    pieces and then perturbed, and the record the pieces stand for; the
+    perturbation "label" puts ``label`` at one place of one entry."""
+    kind = draw(st.sampled_from(["order", "operator"]))
+    labels = st.sampled_from(_CANONICAL_LABELS)
+    blocks = draw(st.lists(
+        st.tuples(
+            st.sampled_from(_CANONICAL_OBJECTS),
+            st.lists(st.tuples(labels, labels), max_size=3).map(tuple),
+        ),
+        min_size=1, max_size=3,
+    ))
+    if perturbation == "label":
+        at = draw(st.integers(0, len(blocks) - 1))
+        obj, entries = blocks[at]
+        entries = list(entries) or [draw(st.tuples(labels, labels))]
+        k, side = draw(st.integers(0, len(entries) - 1)), draw(st.integers(0, 1))
+        entry = list(entries[k])
+        entry[side] = label
+        entries[k] = tuple(entry)
+        blocks[at] = (obj, tuple(entries))
+    fibration = draw(st.sampled_from(_CANONICAL_FIBRATIONS))
+    if kind == "order":
+        record = fileformat.OrderRecord("x", fibration, "explicit", tuple(blocks))
+    else:
+        kinds = st.sampled_from(["closure", "interior"])
+        record = fileformat.OperatorRecord("x", fibration, draw(kinds), tuple(blocks))
+    line = fileformat.serialize_record(record)
+    if perturbation == "object":
+        at = draw(st.integers(0, len(blocks) - 1))
+        blocks[at] = (draw(st.sampled_from(_OTHER_NAMES)), blocks[at][1])
+    elif perturbation == "fibration":
+        fibration = draw(st.sampled_from(_OTHER_NAMES))
+    spaced = perturbation == "spaces"
+
+    def pad(text):
+        return draw(st.sampled_from(["", " ", "\t "])) + text if spaced else text
+
+    def gap():
+        # the one space the serializer writes after ':' and each ';'
+        return pad("") if spaced else " "
+
+    chunks = []
+    for obj, entries in blocks:
+        if kind == "order":
+            body = ",".join(pad("(") + pad(a) + pad(",") + pad(b) + pad(")") for a, b in entries)
+        else:
+            body = ",".join(pad(a) + pad("=>") + pad(b) for a, b in entries)
+        chunks.append(pad(obj) + pad("[") + body + pad("]"))
+    if perturbation == "empty chunk":
+        chunks.insert(draw(st.integers(0, len(chunks))), "")
+    field = "rel" if kind == "order" else "table"
+    fields = [("fibration", fibration), ("kind", record.kind), (field, "|".join(chunks))]
+    if perturbation == "reordered fields":
+        fields = draw(st.permutations(fields))
+    elif perturbation == "duplicated field":
+        fields.insert(draw(st.integers(0, 3)), draw(st.sampled_from(fields)))
+    elif perturbation == "missing field":
+        del fields[draw(st.integers(0, 2))]
+    text = pad(f"{kind} x:") + ";".join(
+        gap() + pad(key) + pad("=") + pad(value) for key, value in fields
+    ) + pad("")
+    assert text == line or perturbation != "none"
+    return text, record
+
+
+@pytest.mark.parametrize("perturbation", _SAME_RECORD + _ANY_OUTCOME)
+@given(data=st.data(), header_lines=st.integers(0, 2))
+def test_canonical_path_reads_what_the_general_scanner_reads(perturbation, data, header_lines):
+    line, record = data.draw(_record_lines(perturbation))
+    text = "# header\n" * header_lines + line + "\n"
+    general = _parsed_by_the_general_scanner(text)
+    assert _parsed(text) == general
+    if perturbation in _SAME_RECORD:
+        assert general == (record,)
+    if perturbation == "none":
+        head, _, rest = line.partition(":")
+        assert fileformat._canonical_record(*head.split(), rest) == record
+
+
+@pytest.mark.parametrize("label", _SEPARATOR_LABELS + _BRACKET_LABELS)
+@settings(max_examples=12)
+@given(data=st.data())
+def test_a_label_the_patterns_refuse_is_read_by_the_general_scanner(label, data):
+    line, _ = data.draw(_record_lines("label", label))
+    text = line + "\n"
+    assert _parsed(text) == _parsed_by_the_general_scanner(text)
+
+
+def test_space_and_map_documents_never_compile_the_canonical_patterns():
+    # a fresh process: the CLI's imports, then a document of spaces and maps
+    # alone, as a user-queries file holds, compile neither kind's patterns
+    src = str(Path(fileformat.__file__).resolve().parents[2])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    script = (
+        "import topogen.cli\n"
+        "from topogen.harness import fileformat\n"
+        "fileformat.parse_document('space s: points=2; opens={},{1},{0,1}\\n'\n"
+        "                          'map m: from=s; to=s; graph=1,1\\n')\n"
+        "print(fileformat._canonical_patterns.cache_info().currsize)\n"
+        "fileformat.parse_document('order o: fibration=fintop1; kind=explicit; rel=pt[]\\n')\n"
+        "print(fileformat._canonical_patterns.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n1\n", "")
 
 
 # ---------------------------------------------------------------------------
