@@ -120,12 +120,14 @@ class Document:
 # small scanners
 
 
-def _split_top(value: str, sep: str, line: int, col: int) -> list[str]:
-    """Split on a separator character, not a bracket, at bracket depth zero.
+def _scan_top(value: str, sep: str) -> tuple[list[str], Optional[int]]:
+    """The parts of ``value`` between separator characters at bracket depth
+    zero, and None; or, at an unbalanced bracket, the parts before it and
+    the offset of the part that holds it.
 
     Any bracket kind closes any other; a prefix that closes more than it
-    opens, or an unclosed bracket at the end, is a ``FormatError``.  Parts
-    are sliced out of ``value`` between the separators found."""
+    opens, or an unclosed bracket at the end, is unbalanced.  Parts are
+    sliced out of ``value`` between the separators found."""
     parts = []
     depth = start = 0
     for i, ch in enumerate(value):
@@ -134,14 +136,29 @@ def _split_top(value: str, sep: str, line: int, col: int) -> list[str]:
         elif ch in "}])":
             depth -= 1
             if depth < 0:
-                raise FormatError("unbalanced brackets", line, col)
+                return parts, start
         elif ch == sep and depth == 0:
             parts.append(value[start:i])
             start = i + 1
     if depth != 0:
-        raise FormatError("unbalanced brackets", line, col)
+        return parts, start
     parts.append(value[start:])
+    return parts, None
+
+
+def _split_top(value: str, sep: str, line: int, col: int) -> list[str]:
+    """``_scan_top``'s parts; an unbalanced bracket is a ``FormatError`` at
+    column ``col``."""
+    parts, unbalanced = _scan_top(value, sep)
+    if unbalanced is not None:
+        raise FormatError("unbalanced brackets", line, col)
     return parts
+
+
+def _start(text: str, col: int) -> int:
+    """The column of the first non-blank character of ``text``, which
+    starts at column ``col``."""
+    return col + len(text) - len(text.lstrip())
 
 
 def _parse_set(token: str, points: int, line: int, col: int) -> int:
@@ -205,24 +222,29 @@ def _parse_blocks(value: str, line: int, col: int, pair_parser) -> tuple:
     return tuple(blocks)
 
 
-def _fields(rest: str, line: int, col: int) -> dict[str, str]:
+def _fields(rest: str, line: int, col: int) -> tuple[dict[str, str], dict[str, int]]:
     """The fields of a record's text after its colon, which starts at the
-    1-based column ``col`` of its line; an error names the column where its
-    field starts."""
-    out = {}
-    for raw in _split_top(rest, ";", line, 0):
+    1-based column ``col`` of its line, and the column where each field
+    starts.  An error names the column where its field starts; a field with
+    an unbalanced bracket is the one holding the first such bracket."""
+    raws, unbalanced = _scan_top(rest, ";")
+    if unbalanced is not None:
+        raise FormatError("unbalanced brackets", line, _start(rest[unbalanced:], col + unbalanced))
+    out, cols = {}, {}
+    for raw in raws:
         part = raw.strip()
         if part:
             key, eq, value = part.partition("=")
             key = key.strip()
-            if not eq or key in out:
-                at = col + len(raw) - len(raw.lstrip())
-                if not eq:
-                    raise FormatError(f"field without '=': {part!r}", line, at)
+            at = _start(raw, col)
+            if not eq:
+                raise FormatError(f"field without '=': {part!r}", line, at)
+            if key in out:
                 raise FormatError(f"duplicate field {key!r}", line, at)
             out[key] = value.strip()
+            cols[key] = at
         col += len(raw) + 1
-    return out
+    return out, cols
 
 
 def _require(fields: dict, keys: tuple[str, ...], line: int) -> None:
@@ -238,7 +260,7 @@ def _require(fields: dict, keys: tuple[str, ...], line: int) -> None:
 # record parsers
 
 
-def _parse_space(name, fields, line) -> SpaceRecord:
+def _parse_space(name, fields, cols, line) -> SpaceRecord:
     _require(fields, ("points", "opens"), line)
     try:
         n = int(fields["points"])
@@ -247,7 +269,8 @@ def _parse_space(name, fields, line) -> SpaceRecord:
     if not 0 <= n <= MAX_POINTS:
         raise FormatError(f"point count {n} is not in 0..{MAX_POINTS}", line)
     opens = tuple(sorted(
-        _parse_set(tok, n, line, 0) for tok in _split_top(fields["opens"], ",", line, 0)
+        _parse_set(tok, n, line, cols["opens"])
+        for tok in _split_top(fields["opens"], ",", line, cols["opens"])
     ))
     try:
         return SpaceRecord(name, FinTopSpace(n, opens))
@@ -255,7 +278,7 @@ def _parse_space(name, fields, line) -> SpaceRecord:
         raise FormatError(f"invalid topology: {exc}", line) from None
 
 
-def _parse_group(name, fields, line) -> GroupRecord:
+def _parse_group(name, fields, cols, line) -> GroupRecord:
     _require(fields, ("elements", "identity", "table"), line)
     elems = tuple(e.strip() for e in fields["elements"].split(","))
     index = {e: i for i, e in enumerate(elems)}
@@ -278,7 +301,7 @@ def _parse_group(name, fields, line) -> GroupRecord:
     )
 
 
-def _parse_map(name, fields, line) -> MapRecord:
+def _parse_map(name, fields, cols, line) -> MapRecord:
     _require(fields, ("from", "to", "graph"), line)
     graph_text = fields["graph"]
     graph = ()
@@ -290,11 +313,11 @@ def _parse_map(name, fields, line) -> MapRecord:
     return MapRecord(name, fields["from"], fields["to"], graph)
 
 
-def _parse_order(name, fields, line) -> OrderRecord:
+def _parse_order(name, fields, cols, line) -> OrderRecord:
     kind = fields.get("kind")
     if kind == "explicit":
         _require(fields, ("fibration", "kind", "rel"), line)
-        rel = _parse_blocks(fields["rel"], line, 0, _parse_pair)
+        rel = _parse_blocks(fields["rel"], line, cols["rel"], _parse_pair)
         return OrderRecord(name, fields["fibration"], "explicit", rel)
     _require(fields, ("fibration", "kind"), line)
     if kind not in ORDER_KINDS:
@@ -304,16 +327,16 @@ def _parse_order(name, fields, line) -> OrderRecord:
     return OrderRecord(name, fields["fibration"], kind)
 
 
-def _parse_operator(name, fields, line) -> OperatorRecord:
+def _parse_operator(name, fields, cols, line) -> OperatorRecord:
     _require(fields, ("fibration", "kind", "table"), line)
     kind = fields["kind"]
     if kind not in ("closure", "interior"):
         raise FormatError(f"operator kind must be closure|interior, got {kind!r}", line)
-    table = _parse_blocks(fields["table"], line, 0, _parse_arrow)
+    table = _parse_blocks(fields["table"], line, cols["table"], _parse_arrow)
     return OperatorRecord(name, fields["fibration"], kind, table)
 
 
-def _parse_endofunctor(name, fields, line) -> EndofunctorRecord:
+def _parse_endofunctor(name, fields, cols, line) -> EndofunctorRecord:
     kind = fields.get("kind")
     if kind is not None and kind not in ("pointed", "copointed"):
         raise FormatError(f"endofunctor kind must be pointed|copointed, got {kind!r}", line)
@@ -322,8 +345,8 @@ def _parse_endofunctor(name, fields, line) -> EndofunctorRecord:
 
     def arrows(key):
         return tuple(
-            _parse_arrow(tok, line, 0)
-            for tok in _split_top(fields[key], ",", line, 0)
+            _parse_arrow(tok, line, cols[key])
+            for tok in _split_top(fields[key], ",", line, cols[key])
             if tok.strip()
         )
 
@@ -400,23 +423,23 @@ def parse_document(text: str) -> Document:
             continue
         head, sep, rest = line.partition(":")
         if not sep:
-            raise FormatError("expected 'kind name: fields'", line_no, len(line))
+            raise FormatError("expected 'kind name: fields'", line_no, _start(raw, 0) + len(line))
         head_parts = head.split()
         if len(head_parts) != 2:
-            raise FormatError(f"bad record head {head!r}", line_no, 1)
+            raise FormatError(f"bad record head {head!r}", line_no, _start(raw, 1))
         kind, name = head_parts
         if kind not in _PARSERS:
-            raise FormatError(f"unknown record kind {kind!r}", line_no, 1)
+            raise FormatError(f"unknown record kind {kind!r}", line_no, _start(raw, 1))
         if (kind, name) in seen:
-            raise FormatError(f"duplicate {kind} record {name!r}", line_no, 1)
+            raise FormatError(f"duplicate {kind} record {name!r}", line_no, _start(raw, 1))
         seen.add((kind, name))
         record = None
         if kind in ("order", "operator"):
             record = _canonical_record(kind, name, rest)
         if record is None:
-            # the 1-based column of rest in the unstripped line
-            col = len(raw) - len(raw.lstrip()) + len(head) + 2
-            record = _PARSERS[kind](name, _fields(rest, line_no, col), line_no)
+            # rest starts one column after the colon
+            col = _start(raw, 1) + len(head) + 1
+            record = _PARSERS[kind](name, *_fields(rest, line_no, col), line_no)
         records.append(record)
     return Document(tuple(records))
 

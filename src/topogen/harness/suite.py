@@ -31,7 +31,7 @@ from ..morphisms import (
     check_class_calculus,
     check_pullback_transfer,
     check_strict_transfer,
-    classify,
+    classifications,
     continuity_equivalents,
     crosscheck_operator_classes,
     weakly_final_formulas,
@@ -80,8 +80,7 @@ def _order(fib_name: str, kind: str):
 
 @lru_cache(maxsize=None)
 def _classifications(fib_name: str, kind: str):
-    t = _order(fib_name, kind)
-    return tuple(classify(f, t) for f in range(t.fib.category.n_morphisms))
+    return classifications(_order(fib_name, kind))
 
 
 def _space_classifications(fib_name: str) -> dict:
@@ -394,14 +393,12 @@ def check_top_map_classes(scale: str) -> Report:
 def check_grp_map_classes(scale: str) -> Report:
     name = SCALED[scale][1]
     fib = _fib(name)
-    t = _order(name, "grp_normal")
     violations = []
     skipped = []
     checked = 0
     strict_only = normal_only = 0
     na = 0
-    for f in range(fib.category.n_morphisms):
-        cls = classify(f, t)
+    for f, cls in enumerate(_classifications(name, "grp_normal")):
         checked += 1
         if cls.final != (f in fib.eclass):
             violations.append(Violation(

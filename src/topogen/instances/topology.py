@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterator
+from operator import and_
+from typing import Iterator, Sequence
 
 from ..errors import CapabilityError, DomainError, PreconditionError
 from ..lattice import FiniteLattice, mask_iter
@@ -216,8 +217,20 @@ def preimage_mask(f: tuple[int, ...], mask: int) -> int:
     return out
 
 
+def _mask_table(parts: Sequence[int]) -> tuple[int, ...]:
+    """Per mask over the points 0..len(parts)-1, the union of ``parts[p]``
+    over its points p.  The masks with point p are those before it, each
+    plus p, so the table doubles once per point."""
+    unions = [0]
+    for part in parts:
+        unions += [union | part for union in unions]
+    return tuple(unions)
+
+
 class _FinTopBackend:
-    """Factorization and pullback construction for space fibrations."""
+    """Factorization and pullback construction for space fibrations, and
+    the memos of ``map_predicates``.  Every memo holds masks, tuples and
+    spaces only, never the fibration."""
 
     def __init__(self, spaces: tuple[FinTopSpace, ...], max_points: int):
         self.spaces = spaces
@@ -227,6 +240,34 @@ class _FinTopBackend:
         # pullback corner object per tuple of minimal-neighbourhood masks; a
         # corner topology is built and validated only on its first miss
         self.corners: dict[tuple[int, ...], int] = {}
+        # a fibre relation's points (a_i, b_i), and per (object, coordinates)
+        # the masks of one side of the corner's neighbourhoods
+        self.points: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self.sides: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+        self.masks: dict[tuple[tuple[int, ...], int], tuple] = {}
+        self.quotients: dict[tuple[FinTopSpace, int, tuple[int, ...]], tuple[int, ...]] = {}
+
+    def mask_tables(self, graph: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The image of every subset of the domain and the preimage of every
+        subset of an ``n``-point codomain along ``graph``, indexed by mask."""
+        tables = self.masks.get((graph, n))
+        if tables is None:
+            fibres = [0] * n
+            for a, fa in enumerate(graph):
+                fibres[fa] |= 1 << a
+            tables = self.masks[graph, n] = (
+                _mask_table([1 << fa for fa in graph]), _mask_table(fibres))
+        return tables
+
+    def quotient_opens(self, space: FinTopSpace, n: int, graph: tuple[int, ...]) -> tuple[int, ...]:
+        """The opens of the quotient topology on ``n`` points along ``graph``
+        from ``space``: the sets whose preimage is open."""
+        key = (space, n, graph)
+        opens = self.quotients.get(key)
+        if opens is None:
+            pre = self.mask_tables(graph, n)[1]
+            opens = self.quotients[key] = tuple(v for v in range(1 << n) if pre[v] in space.open_set)
+        return opens
 
     def _object_of(self, space: FinTopSpace) -> int:
         try:
@@ -260,32 +301,41 @@ class _FinTopBackend:
 
     def pullback_legs(self, fib, dom_f: int, dom_p: int, relation: tuple[int, ...]):
         """(f', p') of the pullback of f along p, from dom f, dom p and the fibre
-        relation R = {(a, b) : f(a) = p(b)} as the mask of each a's points b."""
-        size = sum(map(int.bit_count, relation))
-        if size > self.max_points:
+        relation R = {(a, b) : f(a) = p(b)} as the mask of each a's points b.
+
+        The corner is R as a subspace of X x Y': point i = (a, b) has the
+        neighbourhood (U_a x V_b) & R, the points j with a_j in U_a and b_j
+        in V_b, that is the meet of one mask per side.  R's points (a_i, b_i)
+        are memoised per relation, and each side's masks per (object,
+        coordinate tuple)."""
+        points = self.points.get(relation)
+        if points is None:
+            xs, ys = [], []  # the points (a, b) of R, in lexicographic order
+            for a, bs in enumerate(relation):
+                while bs:
+                    xs.append(a)
+                    ys.append((bs & -bs).bit_length() - 1)
+                    bs &= bs - 1
+            points = self.points[relation] = (tuple(xs), tuple(ys))
+        xs, ys = points
+        if len(xs) > self.max_points:
             raise CapabilityError(
-                f"pullback carrier has {size} points, beyond this fibration's scale")
-        xs, ys = [], []  # the points (a, b) of R, in lexicographic order
-        for a, bs in enumerate(relation):
-            while bs:
-                xs.append(a)
-                ys.append((bs & -bs).bit_length() - 1)
-                bs &= bs - 1
-        # R as a subspace of X x Y': (a, b) has the neighbourhood (U_a x V_b) & R
-        key = []
-        for a, b in zip(xs, ys):
-            u, v = self.nbhds[dom_f][a], self.nbhds[dom_p][b]
-            nbhd = 0
-            for i, (c, d) in enumerate(zip(xs, ys)):
-                if u >> c & v >> d & 1:
-                    nbhd |= 1 << i
-            key.append(nbhd)
-        key = tuple(key)
+                f"pullback carrier has {len(xs)} points, beyond this fibration's scale")
+        key = tuple(map(and_, self._side_masks(dom_f, xs), self._side_masks(dom_p, ys)))
         if key not in self.corners:
             self.corners[key] = self._object_of(space_of_neighbourhoods(key))
         corner = self.corners[key]
-        p_prime = self._morphism_of(fib, corner, dom_f, tuple(xs))
-        return self._morphism_of(fib, corner, dom_p, tuple(ys)), p_prime
+        p_prime = self._morphism_of(fib, corner, dom_f, xs)
+        return self._morphism_of(fib, corner, dom_p, ys), p_prime
+
+    def _side_masks(self, x: int, coords: tuple[int, ...]) -> tuple[int, ...]:
+        """Per index i, the indices j with ``coords[j]`` in the minimal
+        neighbourhood of ``coords[i]`` in object x."""
+        masks = self.sides.get((x, coords))
+        if masks is None:
+            within = [sum(1 << j for j, c in enumerate(coords) if u >> c & 1) for u in self.nbhds[x]]
+            masks = self.sides[x, coords] = tuple(map(within.__getitem__, coords))
+        return masks
 
 
 def continuous_maps(
@@ -427,35 +477,35 @@ class MapPredicates:
 
 
 def map_predicates(fib: SubobjectFibration, f: int) -> MapPredicates:
+    """Whether f is open, closed, initial and a hereditary quotient, read on
+    the spaces and the graph alone.
+
+    Images and preimages come from the graph's mask tables (the backend's
+    ``mask_tables``), built from the graph and never from ``fib.img`` or
+    ``fib.pre``, so this oracle stays independent of the lattice tables it
+    is checked against.  f is a hereditary quotient when it is onto and each
+    restriction to the preimage of a subset A of the codomain carries the
+    quotient topology of the subspace A; the quotient opens are memoised per
+    (subspace, size of A, restricted graph).
+    """
     spaces = spaces_of(fib)
+    backend = fib.backend
     cat = fib.category
     graph = cat.graphs[f]
     dom, cod = spaces[cat.mor_dom[f]], spaces[cat.mor_cod[f]]
-
-    is_open = all(cod.is_open(image_mask(graph, u)) for u in dom.opens)
-    closed_sets_dom = [dom.full & ~u for u in dom.opens]
-    is_closed = all(
-        cod.closures[image_mask(graph, c)] == image_mask(graph, c) for c in closed_sets_dom
-    )
-    initial = all(
-        dom.closures[a] == preimage_mask(graph, cod.closures[image_mask(graph, a)])
-        for a in range(1 << dom.n)
-    )
-    surjective = image_mask(graph, dom.full) == cod.full
-    hered = surjective
-    if surjective:
+    img, pre = backend.mask_tables(graph, cod.n)
+    is_open = cod.open_set.issuperset(map(img.__getitem__, dom.opens))
+    closed_images = [img[dom.full ^ u] for u in dom.opens]
+    is_closed = list(map(cod.closures.__getitem__, closed_images)) == closed_images
+    initial = tuple(map(pre.__getitem__, map(cod.closures.__getitem__, img))) == dom.closures
+    hered = img[dom.full] == cod.full  # onto
+    if hered:
         for a_mask in range(1 << cod.n):
-            s_mask = preimage_mask(graph, a_mask)
-            sub_dom = dom.subspaces[s_mask]
-            sub_cod = cod.subspaces[a_mask]
-            dom_points = list(mask_iter(s_mask))
-            cod_points = {p: i for i, p in enumerate(mask_iter(a_mask))}
-            restricted = tuple(cod_points[graph[p]] for p in dom_points)
-            quotient_opens = tuple(sorted(
-                v for v in range(1 << sub_cod.n)
-                if sub_dom.is_open(preimage_mask(restricted, v))
-            ))
-            if quotient_opens != sub_cod.opens:
+            s_mask = pre[a_mask]
+            rank = {p: i for i, p in enumerate(mask_iter(a_mask))}
+            restricted = tuple(rank[graph[p]] for p in mask_iter(s_mask))
+            quotient = backend.quotient_opens(dom.subspaces[s_mask], len(rank), restricted)
+            if quotient != cod.subspaces[a_mask].opens:
                 hered = False
                 break
     return MapPredicates(is_open, is_closed, initial, hered)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
+from operator import and_, attrgetter, or_
 from typing import Optional
 
 from .errors import CapabilityError, DomainError, InternalConsistencyError, PreconditionError
@@ -54,7 +54,7 @@ from .structures import (
 from .site import PullbackSquare, SubobjectFibration, check_bcp, fibre_masks, intern
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MorphismClassification:
     morphism: int
     continuous: bool
@@ -76,10 +76,11 @@ def _pulled_rows(rows: tuple[int, ...], table: tuple[int, ...]) -> tuple[int, ..
     return tuple(sum(1 << n for n, k in enumerate(table) if row >> k & 1) for row in rows)
 
 
-def _weakly_final(below, up, rely) -> bool:
+def _weakly_final(below, up, rely: tuple[int, ...]) -> bool:
     # only the direction not already forced by preimage-stability: for
-    # m <= n in sub Y, f^{-1}(m) ⊏ f^{-1}(n) (bit n of below[m]) implies m ⊏ n
-    return not any(b & u & ~r for b, u, r in zip(below, up, rely))
+    # m <= n in sub Y, f^{-1}(m) ⊏ f^{-1}(n) (bit n of below[m]) implies m ⊏ n,
+    # that is, row m of rel_Y holds below[m] & up[m]
+    return tuple(map(or_, map(and_, below, up), rely)) == rely
 
 
 def classify(f: int, t: TopogenousOrder) -> MorphismClassification:
@@ -104,6 +105,50 @@ def classify(f: int, t: TopogenousOrder) -> MorphismClassification:
         # final implies weakly final
         weakly_final=final or _weakly_final(below, fib.sub_cod(f).up, rely),
     )
+
+
+def classifications(t: TopogenousOrder) -> tuple[MorphismClassification, ...]:
+    """``classify`` of every morphism, in morphism order.
+
+    The rows each class compares are memoised on what they read: per (dom,
+    pre id) px, below = px∘pre and rel_X∘pre; per (cod, img id) rel_Y∘img;
+    per (cod, f_* id, img id) qy and qy∘img, ids interning the tables.  So
+    each class flag is one tuple comparison, and continuity and weak
+    finality one comparison of rows combined by ``map``.
+    """
+    fib = t.fib
+    cat = fib.category
+    img_id, _ = intern(fib.img)
+    pre_id, _ = intern(fib.pre)
+    fstar_id, _ = intern(fib.fstar)
+    pulled, images, adjoint = {}, {}, {}
+    out = []
+    for f, (x, y) in enumerate(zip(cat.mor_dom, cat.mor_cod)):
+        relx, rely = t.rel[x], t.rel[y]
+        found = pulled.get((x, pre_id[f]))
+        if found is None:
+            pre = fib.pre[f]
+            px = _pulled_rows(relx, pre)
+            found = pulled[x, pre_id[f]] = (
+                px, tuple(map(px.__getitem__, pre)), tuple(map(relx.__getitem__, pre)))
+        px, below, relx_pre = found
+        rely_img = images.get((y, img_id[f]))
+        if rely_img is None:
+            rely_img = images[y, img_id[f]] = tuple(map(rely.__getitem__, fib.img[f]))
+        final = rely == below
+        costrict = initial = None
+        if fib.fstar[f] is not None:
+            key = (y, fstar_id[f], img_id[f])
+            found = adjoint.get(key)
+            if found is None:
+                qy = _pulled_rows(rely, fib.fstar[f])
+                found = adjoint[key] = (qy, tuple(map(qy.__getitem__, fib.img[f])))
+            costrict = found[0] == relx_pre
+            initial = found[1] == relx
+        out.append(MorphismClassification(
+            f, final or tuple(map(and_, rely, below)) == rely, rely_img == px, final,
+            costrict, initial, final or _weakly_final(below, fib.sub[y].up, rely)))
+    return tuple(out)
 
 
 def strict_subobjects(x: int, t: TopogenousOrder) -> tuple[int, ...]:
@@ -242,7 +287,7 @@ def check_class_calculus(fib: SubobjectFibration, t: TopogenousOrder) -> Report:
     key of interned fact ids; ``checked`` counts isos, pairs and morphisms."""
     cat = fib.category
     names = cat.mor_names
-    fact_id, index = intern(morphism_facts(fib, classify(f, t)) for f in range(cat.n_morphisms))
+    fact_id, index = intern(morphism_facts(fib, cls) for cls in classifications(t))
     facts = tuple(index)
     iso, pair, one = (
         lru_cache(maxsize=None)(lambda *ids, s=scope: violated(s, map(facts.__getitem__, ids)))
@@ -304,7 +349,10 @@ def check_pullback_transfer(fib: SubobjectFibration, classifications) -> Report:
     points is skipped as beyond the point budget with no backend call
     (19,114); the others read the legs off R by the backend's
     ``pullback_legs``, which looks each leg up by (dom, cod, graph), so the
-    square aligns, and refuses a corner that is not an object.  Legs
+    square aligns, and refuses a corner that is not an object.  It keeps
+    R's points per relation (medium: 75 distinct relations over 28,102
+    calls) and each side's neighbourhood masks per (object, coordinates)
+    (1,225), so a corner's key is the meet of two memoised tuples.  Legs
     certify R: p o f' = f o p' on the graphs, or ``DomainError``; every
     cospan of R commutes, as f(a) = p(b) on R.  The medium sweep checks
     672,582 squares from 28,102 relations with legs, and builds a
@@ -496,8 +544,8 @@ def crosscheck_operator_classes(t: TopogenousOrder) -> Report:
         raise PreconditionError("order preserves neither meets nor joins")
     violations = []
     checked = 0
-    for f, name in enumerate(fib.category.mor_names):
-        flags = class_flags(classify(f, t))
+    for f, (name, cls) in enumerate(zip(fib.category.mor_names, classifications(t))):
+        flags = class_flags(cls)
         for op_kind, classes_of, op in operators:
             oper = classes_of(f, op)
             for kind, flag in zip(_CLASSES, flags):

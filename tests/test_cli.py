@@ -203,6 +203,20 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("text, field, message", [
+    ("order o: fibration=fintop1; kind=explicit; rel=pt[(a)]", "rel=",
+     "pair needs two entries: '(a)'"),
+    ("space a: points=1; opens={},{0; broken", "opens=", "unbalanced brackets"),
+])
+def test_an_error_below_the_field_split_names_its_field(capsys, tmp_path, text, field, message):
+    doc = tmp_path / "broken.topo"
+    doc.write_text(text + "\n")
+    column = text.index(field) + 1
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {message} (line 1, column {column})\n"
+
+
 def test_unknown_builtin_exit_code(capsys):
     code, _, err = run(capsys, "classify", "--fibration", "nope",
                        "--order", "closure", "--map", "id_pt")

@@ -729,8 +729,8 @@ def test_parse_error_positions():
     with pytest.raises(FormatError) as err:
         fileformat.parse_document("space ok: points=1; opens={},{0}\nnonsense x: a=b\n")
     assert err.value.line == 2
-    # a field's error names the 1-based column in its line where the field
-    # starts, empty fields counted
+    # a field's error, and every error inside its value, names the 1-based
+    # column in its line where the field starts, empty fields counted
     for text, column, field, message in (
         ("space a: points=2; bad; opens={}", 20, "bad", "field without '='"),
         ("space a: bad", 10, "bad", "field without '='"),
@@ -738,6 +738,16 @@ def test_parse_error_positions():
         ("  space a:points=2;bad", 20, "bad", "field without '='"),
         ("space a: points=1; opens={}; points=1", 30, "points=1", "duplicate field 'points'"),
         ("order o: fibration=fintop1;kind=explicit; kind=explicit", 43, "kind", "duplicate"),
+        # below the field split, the column of the field
+        ("order o: fibration=fintop1; kind=explicit; rel=pt[(a)]", 44, "rel", "two entries"),
+        ("operator c: fibration=fintop1; kind=closure;table=pt[{}]", 45, "table", "'=>' entry"),
+        (" space a: points=1; opens={},[0}", 21, "opens", "expected a point set"),
+        ("space a: points=1; opens={},{0; broken", 20, "opens", "unbalanced brackets"),
+        ("space a: points=1; opens={}}; x=1", 20, "opens", "unbalanced brackets"),
+        # the record head counts columns in the unstripped line too
+        ("  spaced a b: x=1", 3, "spaced", "bad record head"),
+        ("  nonsense x: a=b", 3, "nonsense", "unknown record kind"),
+        ("  space a points=1", 18, "1", "expected 'kind name: fields'"),
     ):
         assert text[column - 1:].startswith(field)
         with pytest.raises(FormatError, match=message) as err:

@@ -523,6 +523,38 @@ def test_map_predicates_match_the_per_call_reference(fintop2, fintop3, tmp_path)
         assert {getattr(mp, field) for mp in found} == {False, True}
 
 
+def test_mask_tables_match_image_and_preimage_masks(fintop2, fintop3, tmp_path):
+    from topogen.instances.topology import image_mask, preimage_mask
+
+    for fib in (fintop2, fintop3, _seeded_spaces_fibration(tmp_path, 7)):
+        cat, spaces = fib.category, spaces_of(fib)
+        for graph, n in {(g, spaces[y].n) for g, y in zip(cat.graphs, cat.mor_cod)}:
+            img, pre = fib.backend.mask_tables(graph, n)
+            assert img == tuple(image_mask(graph, a) for a in range(1 << len(graph))), graph
+            assert pre == tuple(preimage_mask(graph, v) for v in range(1 << n)), (graph, n)
+
+
+def test_the_per_table_memos_die_with_their_fibration():
+    import gc
+    import weakref
+
+    from topogen.instances.topology import closure_order, fintop_fibration
+    from topogen.morphisms import check_pullback_transfer, classifications
+
+    fib = fintop_fibration(
+        [discrete(1), SIERPINSKI, indiscrete(2), discrete(2), FinTopSpace(3, (0, 1, 3, 7))],
+        name="memos")
+    t = closure_order(fib)
+    assert check_pullback_transfer(fib, {"closure": classifications(t)}).checked
+    assert [map_predicates(fib, f) for f in range(fib.category.n_morphisms)]
+    backend = fib.backend
+    assert backend.masks and backend.quotients and backend.points and backend.sides
+    alive = weakref.ref(fib)
+    del fib, t, backend
+    gc.collect()
+    assert alive() is None
+
+
 def test_space_tables_are_per_instance_and_invisible():
     from topogen.instances.topology import SIERPINSKI
 

@@ -14,6 +14,7 @@ from topogen.morphisms import (
     check_pullback_transfer,
     check_strict_transfer,
     class_flags,
+    classifications,
     classify,
     closure_classes,
     continuity_equivalents,
@@ -173,6 +174,48 @@ def test_classify_matches_the_per_class_deciders(fib_name, kinds):
         t = builtin_order(kind, fib)
         for f in range(fib.category.n_morphisms):
             assert classify(f, t) == _oracle_classification(t, f), (kind, f)
+
+
+def _orders_to_classify(tmp_path):
+    """Every topogenous order of the small built-ins, the suite's medium
+    orders, the built-in orders of a seeded ``spaces:`` fibration, perturbed
+    relations on fintop2, which are mostly not orders, and fintop2's orders
+    on a copy with moved image tables."""
+    from test_harness import SMALL_FIBRATIONS
+    from test_instances import _seeded_spaces_fibration
+    from topogen.harness.enumeration import orders_of
+    from topogen.site import SubobjectFibration
+
+    for name in SMALL_FIBRATIONS:
+        fib = builtin_fibration(name)
+        for rel in orders_of(fib, TopogenousOrder).tables():
+            yield TopogenousOrder(fib, rel)
+    for name, kinds in (("fintop3", ("closure", "interior")), ("grp_le8", ("grp_normal",))):
+        yield from (builtin_order(kind, builtin_fibration(name)) for kind in kinds)
+    seeded = _seeded_spaces_fibration(tmp_path, 7)
+    yield from (builtin_order(kind, seeded) for kind in ("closure", "interior", "leq"))
+    fib = builtin_fibration("fintop2")
+    yield from _perturbed_orders(fib, 100, seed=37)
+    # image tables reversed on the maps out of every other object: f_* no
+    # longer determines the image, as it does for every space fibration
+    moved = SubobjectFibration(
+        fib.category, fib.sub,
+        [img[::-1] if x % 2 else img for img, x in zip(fib.img, fib.category.mor_dom)],
+        fib.pre, fib.eclass, fib.mclass, fstar=fib.fstar, name="moved-images",
+    )
+    yield from (
+        TopogenousOrder(moved, builtin_order(kind, fib).rel) for kind in ("closure", "interior"))
+
+
+def test_classifications_match_classify_on_every_morphism(tmp_path):
+    seen = set()
+    for t in _orders_to_classify(tmp_path):
+        expected = tuple(classify(f, t) for f in range(t.fib.category.n_morphisms))
+        assert classifications(t) == expected, t.fib.name
+        for cls in expected:
+            seen.update(enumerate((cls.continuous, *class_flags(cls), cls.weakly_final)))
+    # every flag is seen holding and failing, and co-strict and initial not applicable
+    assert seen == {(k, b) for k in range(6) for b in (True, False)} | {(3, None), (4, None)}
 
 
 def _perturbed_orders(fib, n, seed):
@@ -455,7 +498,7 @@ def test_class_calculus_matches_the_reference_if_chains(monkeypatch):
         e = min(fib.eclass)
         forged[e] = replace(forged[e], final=True, weakly_final=False)
         for classes in (real, forged):
-            monkeypatch.setattr(morphisms, "classify", lambda f, t: classes[f])
+            monkeypatch.setattr(morphisms, "classifications", lambda t: tuple(classes))
             for fibration in (fib, _unstable_copy(fib)):
                 report = check_class_calculus(fibration, t)
                 expected = _reference_class_calculus(fibration, classes)
