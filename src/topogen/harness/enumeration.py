@@ -28,18 +28,18 @@ failing pair.
 
 Either way the structures come in sorted order of their tables.
 
-Memoised: ``orders_of``'s record (preorder, count and tables) for as long
-as its fibration lives, in a weak-keyed memo that holds tables, never a
-structure or the fibration; each lattice's entries, and ``local_candidates``
-rows by their key, for the life of the process.  The property filter, the
-cross-object product, the lattice cap ``MAX_LATTICE`` and the budget belong
-to each call and never enter a memo.
+Every law is read off the kind's validation plan (``structures.plan_of``),
+the one record per fibration and kind.  Memoised: ``orders_of``'s record
+(preorder, count and tables) on that plan, for as long as its fibration
+lives, holding tables, never a structure or the fibration; each lattice's
+entries, and ``local_candidates`` rows by their key, for the life of the
+process.  The property filter, the cross-object product, the lattice cap
+``MAX_LATTICE`` and the budget belong to each call and never enter a memo.
 """
 
 from __future__ import annotations
 
 import os
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import or_
@@ -56,6 +56,7 @@ from ..structures import (
     is_interpolative,
     is_join_preserving,
     is_meet_preserving,
+    plan_of,
 )
 
 DEFAULT_MAX_CANDIDATES = 1 << 24
@@ -232,20 +233,14 @@ class _Forcing:
         return self._tables
 
 
-# orders_of's memo: per fibration, per relation class, its record
-_RECORDS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def orders_of(fib: SubobjectFibration, structure_class) -> _Forcing:
     """The forcing record of a relation class on ``fib``, built on first use
-    from the class's law along each distinct (dom, cod, preimage, image)
-    key, and kept until ``fib`` is collected."""
-    records = _RECORDS.setdefault(fib, {})
-    record = records.get(structure_class)
-    if record is None:
-        laws = _laws(structure_class, fib, range(fib.category.n_morphisms))
-        record = records[structure_class] = _Forcing(fib.sub, laws)
-    return record
+    from the class's law along every morphism and kept on its plan."""
+    plan = plan_of(fib, structure_class)
+    if plan.forcing is None:
+        cat = fib.category
+        plan.forcing = _Forcing(fib.sub, zip(cat.mor_dom, cat.mor_cod, plan.laws))
+    return plan.forcing
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +311,9 @@ def local_candidates(
     key = (structure_class, lat, tuple((fib.pre[f], fib.img[f]) for f in endos))
     rows = _LOCAL.get(key)
     if rows is None:
-        laws = [law for _, _, law in _laws(structure_class, fib, endos)]
-        rows = _LOCAL[key] = _tables(lat, structure_class.kind, laws)
+        laws = plan_of(fib, structure_class).laws
+        rows = _LOCAL[key] = _tables(lat, structure_class.kind, [laws[f] for f in endos])
     return rows
-
-
-def _laws(structure_class, fib: SubobjectFibration, morphisms) -> list:
-    """``(dom, cod, law)`` for the class's ``LawAlong`` along each of
-    ``morphisms``; morphisms between the same objects with equal tables have
-    one law, listed once."""
-    distinct = {(fib.dom(f), fib.cod(f), fib.pre[f], fib.img[f]): f for f in morphisms}
-    return [
-        (dx, cx, structure_class.law_along(fib, f))
-        for (dx, cx, _, _), f in distinct.items()
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +372,10 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
             raise ResourceCapError(f"candidate space exceeds {budget} after local pruning")
 
     # the laws along the morphisms between x and an earlier object
-    cross = [
-        _laws(structure_class, fib, (
-            f
-            for f in range(cat.n_morphisms)
-            if (cat.mor_dom[f] == x) != (cat.mor_cod[f] == x)
-            and max(cat.mor_dom[f], cat.mor_cod[f]) == x
-        ))
-        for x in range(n_objects)
-    ]
+    cross = [[] for _ in range(n_objects)]
+    for dx, cx, law in zip(cat.mor_dom, cat.mor_cod, plan_of(fib, structure_class).laws):
+        if dx != cx:
+            cross[max(dx, cx)].append((dx, cx, law))
     assignment: list[Optional[tuple[int, ...]]] = [None] * n_objects
 
     def place(x) -> Iterator:

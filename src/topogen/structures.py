@@ -15,12 +15,14 @@ row table and reads each object's local axioms, and each hom-set's verdict
 (its failing morphisms), off the memo by the ids of the tables they read;
 witnesses are walked only along the failing morphisms, in morphism order.
 
-Memoised: each plan, for as long as its fibration lives, in a weak-keyed
-memo that holds tables, ids and verdicts, never a structure or the
-fibration: the interned row tables, per (object, table id) its checks and
-local violations, and per (dom, cod, table ids at both) the hom-set's
-failing morphisms.  Each kind's ``law_along``, and each preimage table's
-pull, for the life of the process.
+Memoised: each plan (``plan_of``), the one record per fibration and
+structure class, for as long as its fibration lives, in a weak-keyed memo
+that holds tables, ids and verdicts, never a structure or the fibration:
+the laws, the interned row tables, per (object, table id) its checks and
+local violations, per (dom, cod, table ids at both) the hom-set's failing
+morphisms, and the enumerator's forcing record of a relation class.  Each
+kind's ``law_along``, and each preimage table's pull, for the life of the
+process.
 """
 
 from __future__ import annotations
@@ -105,7 +107,9 @@ class _Structure:
     enumerator's cross-object product; only where it fails are the pairs
     walked for witnesses, and ``witness_sides`` says which end of f (0
     domain, 1 codomain) each witness index lies in.  The enumerator's local
-    search reads the same pairs and lookups one entry pair at a time.
+    search reads the same pairs and lookups one entry pair at a time.  The
+    validator and the enumerator read the law along each morphism off one
+    record per fibration and kind, its plan (``plan_of``).
 
     Two structures are equal when they are of one kind, over the same
     fibration object, with equal tables.
@@ -366,9 +370,11 @@ class _Plan:
     neighbourhood operator.  ``ids`` interns row tables; ``objects`` maps
     (x, id) to x's checks and local violations, and ``verdicts`` maps (x,
     y, id at x, id at y) to the failing morphisms x -> y, in order.
+    ``forcing`` is the enumerator's forcing record of a relation class,
+    None until ``orders_of`` builds it.
     """
 
-    __slots__ = ("laws", "homs", "law_checks", "reads", "ids", "objects", "verdicts")
+    __slots__ = ("laws", "homs", "law_checks", "reads", "ids", "objects", "verdicts", "forcing")
 
     def __init__(self, fib: SubobjectFibration, structure_class):
         cat = fib.category
@@ -388,13 +394,16 @@ class _Plan:
                 self.law_checks += len(law.cod_index)
         self.reads = tuple(map(tuple, reads))
         self.ids, self.objects, self.verdicts = {}, {}, {}
+        self.forcing = None
 
 
-# _plan's memo: per fibration, per structure class, its plan
+# plan_of's memo: per fibration, per structure class, its plan
 _PLANS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _plan(fib: SubobjectFibration, structure_class) -> _Plan:
+def plan_of(fib: SubobjectFibration, structure_class) -> _Plan:
+    """The one record of ``structure_class`` on ``fib``, built on first use
+    and kept until ``fib`` is collected."""
     plans = _PLANS.setdefault(fib, {})
     plan = plans.get(structure_class)
     if plan is None:
@@ -409,7 +418,7 @@ def validate_structure(s) -> Report:
         raise PreconditionError(f"not a known structure: {type(s).__name__}")
     fib, table = s.fib, s.table
     cat = fib.category
-    plan = _plan(fib, type(s))
+    plan = plan_of(fib, type(s))
     interned, objects, verdicts, laws = plan.ids, plan.objects, plan.verdicts, plan.laws
     ids = [interned.setdefault(rows, len(interned)) for rows in table]
     checked = plan.law_checks

@@ -35,7 +35,6 @@ from topogen.harness.enumeration import (
     RELATIONS,
     EnumerationSpec,
     _Forcing,
-    _laws,
     enumerate_structures,
     local_candidates,
     orders_of,
@@ -187,11 +186,17 @@ def backtracking_rows(lat, laws):
     return tuple(sorted(out))
 
 
+def laws_along(structure_class, fib, morphisms):
+    """``(dom, cod, law)`` of the class along each of ``morphisms``, one per morphism."""
+    return [(fib.dom(f), fib.cod(f), structure_class.law_along(fib, f)) for f in morphisms]
+
+
 def backtracking_local_rows(structure_class, fib, x):
     """Object x's rows under the law along each of its endomorphisms."""
     cat = fib.category
     endos = [f for f in cat.morphisms_from[x] if cat.mor_cod[f] == x]
-    return backtracking_rows(fib.sub[x], [law for _, _, law in _laws(structure_class, fib, endos)])
+    laws = [law for _, _, law in laws_along(structure_class, fib, endos)]
+    return backtracking_rows(fib.sub[x], laws)
 
 
 def forcing_local_rows(structure_class, fib, x):
@@ -199,7 +204,7 @@ def forcing_local_rows(structure_class, fib, x):
     endomorphisms: the tables of the forcing record of x alone, sorted."""
     cat = fib.category
     endos = [f for f in cat.morphisms_from[x] if cat.mor_cod[f] == x]
-    laws = [(0, 0, law) for _, _, law in _laws(structure_class, fib, endos)]
+    laws = [(0, 0, law) for _, _, law in laws_along(structure_class, fib, endos)]
     return tuple(table for (table,) in _Forcing((fib.sub[x],), laws).tables())
 
 
@@ -220,7 +225,7 @@ def backtracking_structures(fib, structure_class, keep=None):
     n_objects = cat.n_objects
     local = [backtracking_local_rows(structure_class, fib, x) for x in range(n_objects)]
     cross = [
-        _laws(structure_class, fib, (
+        laws_along(structure_class, fib, (
             f for f in range(cat.n_morphisms)
             if (cat.mor_dom[f] == x) != (cat.mor_cod[f] == x)
             and max(cat.mor_dom[f], cat.mor_cod[f]) == x
@@ -438,15 +443,54 @@ def test_a_forcing_record_dies_with_its_fibration():
     import gc
     import weakref
 
-    from topogen.harness import enumeration
+    from topogen import structures
 
     fib = loop_fibration(FiniteLattice.powerset(2))
     assert list(enumerate_structures(EnumerationSpec(fib, "topogenous")))
-    assert fib in enumeration._RECORDS
+    assert fib in structures._PLANS
     alive = weakref.ref(fib)
     del fib
     gc.collect()
     assert alive() is None
+
+
+def test_one_plan_serves_enumeration_and_validation():
+    # the laws, the validation memo and a relation kind's forcing record live
+    # on one plan per (fibration, kind), whichever path reaches it first
+    from topogen import structures
+    from topogen.instances.topology import FinTopSpace, enumerate_topologies, fintop_fibration
+    from topogen.structures import (
+        closure_from_topogenous,
+        discrete_order,
+        interior_from_topogenous,
+        nbhd_from_topogenous,
+        plan_of,
+    )
+
+    rng = random.Random(38)
+    shapes = {
+        "fintop2": [s for k in range(3) for s in enumerate_topologies(k)],
+        # the benchmark's enumerate-sweep shape
+        "sweep": [FinTopSpace(1, (0, 1)), rng.choice(enumerate_topologies(2)),
+                  *rng.sample(enumerate_topologies(3), 2)],
+    }
+    for name, spaces in shapes.items():
+        enumerated_first, validated_first = (
+            fintop_fibration(spaces, name=name) for _ in range(2))
+        order = discrete_order(validated_first)
+        for s in (order, closure_from_topogenous(order), interior_from_topogenous(order),
+                  nbhd_from_topogenous(order)):
+            assert validate_structure(s).ok
+        before = dict(structures._PLANS[validated_first])
+        for fib in (enumerated_first, validated_first):
+            for cls in KINDS.values():
+                found = list(enumerate_structures(EnumerationSpec(fib, cls.kind)))
+                assert found and all(validate_structure(s).ok for s in found)
+            assert set(structures._PLANS[fib]) == set(KINDS.values())
+            for cls in RELATIONS:
+                assert orders_of(fib, cls) is plan_of(fib, cls).forcing is not None
+        assert set(before) == set(KINDS.values())
+        assert all(structures._PLANS[validated_first][cls] is plan for cls, plan in before.items())
 
 
 def test_enumerated_structures_are_valid_and_count_matches(disc2_loop, fintop2):
@@ -645,7 +689,7 @@ def test_local_rows_under_the_laws_match_a_fresh_filter(name):
             if lat.size <= 8:
                 assert rows == _fresh_local_rows(structure_class, fib, x), cat.object_names[x]
                 continue
-            laws = [law for _, _, law in _laws(structure_class, fib, endos[::2])]
+            laws = [law for _, _, law in laws_along(structure_class, fib, endos[::2])]
             kind = structure_class.kind
             kept = [
                 r for r in (backtracking_rows(lat, laws) if relation else _tables(lat, kind, laws))

@@ -609,7 +609,7 @@ def test_validation_of_structures_sharing_some_tables_matches_the_reference():
     # orders agreeing on some objects: the second reads those objects' and
     # hom-sets' verdicts off the memo the first filled
     from topogen.harness.enumeration import EnumerationSpec, enumerate_structures
-    from topogen.structures import _plan
+    from topogen.structures import plan_of
 
     fib = next(_sweep_fibrations(1, seed=7))
     n = fib.category.n_objects
@@ -619,7 +619,7 @@ def test_validation_of_structures_sharing_some_tables_matches_the_reference():
         if 0 < sum(map(operator.eq, a.table, b.table)) < n
     )
     shared = sum(map(operator.eq, first.table, second.table))
-    plan = _plan(fib, TopogenousOrder)
+    plan = plan_of(fib, TopogenousOrder)
     assert validate_structure(first) == _reference_report(first)
     seen = len(plan.objects)
     assert validate_structure(second) == _reference_report(second)

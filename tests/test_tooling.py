@@ -125,6 +125,16 @@ def test_src_imports_only_at_module_level():
     assert local == []
 
 
+def test_one_weak_keyed_memo_per_fibration():
+    # every per-(fibration, kind) record hangs off the validation plan
+    # (structures.plan_of), so a second weak-keyed memo would fork one off
+    holders = [
+        path.relative_to(SRC).as_posix() for path in sorted(SRC.rglob("*.py"))
+        if "WeakKeyDictionary" in path.read_text(encoding="utf-8")
+    ]
+    assert holders == ["structures.py"]
+
+
 _IMPORT_EACH_ALONE = """
 import importlib, sys
 for name in sys.argv[1:]:
