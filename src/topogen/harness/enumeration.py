@@ -21,20 +21,29 @@ Closure and interior operators are maps.  Each object's candidates obey the
 local axioms and the kind's law along the object's own endomorphisms from
 the start: a backtracking search places one entry per lattice element and
 checks each index pair of the law, read off the ``LawAlong``'s fields, as
-soon as both of its entries are placed.  Then a backtracking product applies
-the law along the other morphisms incrementally, each decided over two whole
-rows by ``LawAlong.holds``, the validator's reader, which stops at the first
-failing pair.
+soon as both of its entries are placed.  Only when the product of the
+candidate counts fits the budget does a backtracking product run over the
+kind's validation plan (``structures.plan_of``), the one record per
+fibration and kind: it interns each candidate row there and rejects a
+candidate when some hom-set between its object and an earlier one has a
+failing morphism.  That verdict, the hom-set's failing morphisms for two
+interned row tables, is decided once by the plan, and validation reads the
+same one.
 
 Either way the structures come in sorted order of their tables.
 
-Every law is read off the kind's validation plan (``structures.plan_of``),
-the one record per fibration and kind.  Memoised: ``orders_of``'s record
-(preorder, count and tables) on that plan, for as long as its fibration
-lives, holding tables, never a structure or the fibration; each lattice's
-entries, and ``local_candidates`` rows by their key, for the life of the
-process.  The property filter, the cross-object product, the lattice cap
-``MAX_LATTICE`` and the budget belong to each call and never enter a memo.
+The forcing record and the product read their laws off the plan;
+``local_candidates`` reads the laws along an object's endomorphisms
+through the class's ``law_along``, the same value-memoised objects, so a
+product the budget refuses builds no plan.  Memoised: ``orders_of``'s
+record (preorder, count and tables) and the product's hom-set verdicts, on
+that plan, for as long as its fibration lives, holding tables and ids,
+never a structure or the fibration; each lattice's entries, and
+``local_candidates`` rows by their key, for the life of the process.  The
+product's decisions and the property filters' per-object verdicts are
+facts of tables, memoised where they are decided; the filter choice, the
+lattice cap ``MAX_LATTICE`` and the budget belong to each call and never
+enter a memo.
 """
 
 from __future__ import annotations
@@ -311,8 +320,8 @@ def local_candidates(
     key = (structure_class, lat, tuple((fib.pre[f], fib.img[f]) for f in endos))
     rows = _LOCAL.get(key)
     if rows is None:
-        laws = plan_of(fib, structure_class).laws
-        rows = _LOCAL[key] = _tables(lat, structure_class.kind, [laws[f] for f in endos])
+        laws = [structure_class.law_along(fib, f) for f in endos]
+        rows = _LOCAL[key] = _tables(lat, structure_class.kind, laws)
     return rows
 
 
@@ -371,24 +380,30 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
         if total > budget:
             raise ResourceCapError(f"candidate space exceeds {budget} after local pruning")
 
-    # the laws along the morphisms between x and an earlier object
+    # each object's candidates by their ids on the plan, and per object x the
+    # hom-sets between x and an earlier object, in either direction, smallest
+    # first: each is decided whole, so a candidate a small one rejects never
+    # pays for a large one
+    plan = plan_of(fib, structure_class)
+    local_ids = [[plan.intern(rows) for rows in object_rows] for object_rows in local]
     cross = [[] for _ in range(n_objects)]
-    for dx, cx, law in zip(cat.mor_dom, cat.mor_cod, plan_of(fib, structure_class).laws):
+    for dx, cx, _ in sorted(plan.homs, key=lambda hom: len(hom[2])):
         if dx != cx:
-            cross[max(dx, cx)].append((dx, cx, law))
-    assignment: list[Optional[tuple[int, ...]]] = [None] * n_objects
+            cross[max(dx, cx)].append((dx, cx))
+    verdicts, tables = plan.verdicts, plan.tables
+    ids: list[Optional[int]] = [None] * n_objects
 
     def place(x) -> Iterator:
         if x == n_objects:
-            yield structure_class(fib, tuple(assignment))
+            yield structure_class(fib, tuple([tables[i] for i in ids]))
             return
-        for rows in local[x]:
-            assignment[x] = rows
-            for dx, cx, law in cross[x]:
-                if not law.holds(assignment[dx], assignment[cx]):
+        for i in local_ids[x]:
+            ids[x] = i
+            for dx, cx in cross[x]:
+                if verdicts[dx, cx, ids[dx], ids[cx]]:
                     break
             else:
                 yield from place(x + 1)
-        assignment[x] = None
+        ids[x] = None
 
     yield from place(0)

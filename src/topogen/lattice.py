@@ -119,6 +119,13 @@ class FiniteLattice:
         return tuple(tuple(mask_iter(mask)) for mask in self.up)
 
     @cached_property
+    def row_verdicts(self) -> dict:
+        """Verdicts on row tables over this lattice (one mask per element),
+        keyed by (deciding function, rows) and filled by their callers; an
+        attribute, so a lookup never hashes the lattice."""
+        return {}
+
+    @cached_property
     def principal(self) -> dict[int, int]:
         """Each principal down-set ↓c, as a mask, mapped to c."""
         return {mask: c for c, mask in enumerate(self.down)}

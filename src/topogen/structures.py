@@ -14,6 +14,12 @@ checks the laws make, in closed form.  A call then interns each object's
 row table and reads each object's local axioms, and each hom-set's verdict
 (its failing morphisms), off the memo by the ids of the tables they read;
 witnesses are walked only along the failing morphisms, in morphism order.
+The enumerator's operator product reads the same verdicts, so a hom-set is
+decided once whichever asks first.
+
+The order predicates are per-object conditions: each object's verdict is
+decided on its row table alone and memoised on its lattice
+(``FiniteLattice.row_verdicts``), never on a plan.
 
 Memoised: each plan (``plan_of``), the one record per fibration and
 structure class, for as long as its fibration lives, in a weak-keyed memo
@@ -21,8 +27,9 @@ that holds tables, ids and verdicts, never a structure or the fibration:
 the laws, the interned row tables, per (object, table id) its checks and
 local violations, per (dom, cod, table ids at both) the hom-set's failing
 morphisms, and the enumerator's forcing record of a relation class.  Each
-kind's ``law_along``, and each preimage table's pull, for the life of the
-process.
+object's predicate verdicts, by (deciding function, rows), for as long as
+its lattice lives.  Each kind's ``law_along``, and each preimage table's
+pull, for the life of the process.
 """
 
 from __future__ import annotations
@@ -102,14 +109,15 @@ class _Structure:
     Each kind states its cross-object law along f once, as data:
     ``law_along(fib, f)`` is a ``LawAlong``, the index pairs it relates and
     the two lookups that decide each pair.  ``LawAlong.holds`` decides the
-    law between two whole tables for the validator's plan, ``law_holds``, the
-    extremality constraints, ``constructions.continuity_between`` and the
-    enumerator's cross-object product; only where it fails are the pairs
-    walked for witnesses, and ``witness_sides`` says which end of f (0
-    domain, 1 codomain) each witness index lies in.  The enumerator's local
-    search reads the same pairs and lookups one entry pair at a time.  The
-    validator and the enumerator read the law along each morphism off one
-    record per fibration and kind, its plan (``plan_of``).
+    law between two whole tables for the validator's plan, whose hom-set
+    verdicts the enumerator's operator product reads too, ``law_holds``, the
+    extremality constraints and ``constructions.continuity_between``; only
+    where it fails are the pairs walked for witnesses, and ``witness_sides``
+    says which end of f (0 domain, 1 codomain) each witness index lies in.
+    The enumerator's local search reads the same pairs and lookups one entry
+    pair at a time, through ``law_along``.  The validator and the
+    enumerator's forcing record and product read the law along each
+    morphism off one record per fibration and kind, its plan (``plan_of``).
 
     Two structures are equal when they are of one kind, over the same
     fibration object, with equal tables.
@@ -358,6 +366,25 @@ class InteriorOperator(_Operator):
 # validation
 
 
+class _Verdicts(dict):
+    """A plan's hom-set verdicts: ``verdicts[x, y, i, j]`` is the tuple of
+    morphisms x -> y, in order, whose law fails between the interned row
+    tables ``i`` at x and ``j`` at y, decided by ``LawAlong.holds`` on a
+    miss and kept."""
+
+    __slots__ = ("laws", "hom", "tables")
+
+    def __init__(self, laws, hom, tables):
+        super().__init__()
+        self.laws, self.hom, self.tables = laws, hom, tables
+
+    def __missing__(self, key) -> tuple[int, ...]:
+        x, y, i, j = key
+        dom_row, cod_row, laws = self.tables[i], self.tables[j], self.laws
+        bad = self[key] = tuple([f for f in self.hom[x, y] if not laws[f].holds(dom_row, cod_row)])
+        return bad
+
+
 class _Plan:
     """One structure class's validation on one fibration.
 
@@ -367,14 +394,17 @@ class _Plan:
     relation's law reads row n of object y's table ``reads[y][n]`` times
     over the morphisms into y, one check per element of the row: the
     in-degree of y for a topogenous order, the image multiplicities for a
-    neighbourhood operator.  ``ids`` interns row tables; ``objects`` maps
-    (x, id) to x's checks and local violations, and ``verdicts`` maps (x,
-    y, id at x, id at y) to the failing morphisms x -> y, in order.
-    ``forcing`` is the enumerator's forcing record of a relation class,
-    None until ``orders_of`` builds it.
+    neighbourhood operator.  ``intern`` numbers row tables (``ids``, and
+    back, ``tables``); ``objects`` maps (x, id) to x's checks and local
+    violations, and ``verdicts`` (x, y, id at x, id at y) to the failing
+    morphisms x -> y, the one decision of a hom-set that validation and the
+    enumerator's operator product both read.  ``forcing`` is the
+    enumerator's forcing record of a relation class, None until
+    ``orders_of`` builds it.
     """
 
-    __slots__ = ("laws", "homs", "law_checks", "reads", "ids", "objects", "verdicts", "forcing")
+    __slots__ = ("laws", "homs", "law_checks", "reads", "ids", "tables", "objects",
+                 "verdicts", "forcing")
 
     def __init__(self, fib: SubobjectFibration, structure_class):
         cat = fib.category
@@ -393,8 +423,17 @@ class _Plan:
             else:
                 self.law_checks += len(law.cod_index)
         self.reads = tuple(map(tuple, reads))
-        self.ids, self.objects, self.verdicts = {}, {}, {}
+        self.ids, self.tables, self.objects = {}, [], {}
+        self.verdicts = _Verdicts(self.laws, {(x, y): fs for x, y, fs in self.homs}, self.tables)
         self.forcing = None
+
+    def intern(self, rows) -> int:
+        """The id of the row table ``rows``, numbered on first sight."""
+        i = self.ids.get(rows)
+        if i is None:
+            i = self.ids[rows] = len(self.tables)
+            self.tables.append(rows)
+        return i
 
 
 # plan_of's memo: per fibration, per structure class, its plan
@@ -419,8 +458,8 @@ def validate_structure(s) -> Report:
     fib, table = s.fib, s.table
     cat = fib.category
     plan = plan_of(fib, type(s))
-    interned, objects, verdicts, laws = plan.ids, plan.objects, plan.verdicts, plan.laws
-    ids = [interned.setdefault(rows, len(interned)) for rows in table]
+    objects, verdicts, laws = plan.objects, plan.verdicts, plan.laws
+    ids = [plan.intern(rows) for rows in table]
     checked = plan.law_checks
     violations = []
     for x in range(cat.n_objects):
@@ -433,13 +472,8 @@ def validate_structure(s) -> Report:
         checked += found[0]
         violations += found[1]
     failing = []
-    for x, y, fs in plan.homs:
-        key = (x, y, ids[x], ids[y])
-        bad = verdicts.get(key)
-        if bad is None:
-            dom_row, cod_row = table[x], table[y]
-            bad = verdicts[key] = tuple([f for f in fs if not laws[f].holds(dom_row, cod_row)])
-        failing += bad
+    for x, y, _ in plan.homs:
+        failing += verdicts[x, y, ids[x], ids[y]]
     for f in sorted(failing):
         x, y = cat.mor_dom[f], cat.mor_cod[f]
         labels = (fib.sub[x].labels, fib.sub[y].labels)
@@ -511,32 +545,54 @@ def _sets_to_close(t: TopogenousOrder, joins: bool):
             yield lat, lat.meet_table, lat.top, rows
 
 
-def _preserves(t: TopogenousOrder, joins: bool) -> bool:
-    return all(
-        _unclosed_family(table, unit, s) is None
-        for _, table, unit, sets in _sets_to_close(t, joins)
-        for s in sets
-    )
+def _meet_closed(lat, rows) -> bool:
+    """Each set {n : m ⊏ n} of one object is closed under all meets, the
+    empty one included."""
+    return all(_unclosed_family(lat.meet_table, lat.top, s) is None for s in rows)
 
 
-def is_interpolative(t: TopogenousOrder) -> bool:
-    for rows in t.rel:
-        cols = _transpose(rows)
-        for row in rows:
-            for n in mask_iter(row):
-                if not row & cols[n]:
-                    return False
+def _join_closed(lat, rows) -> bool:
+    """Each set {m : m ⊏ n} of one object is closed under all joins, the
+    empty one included."""
+    table, unit = lat.join_table, lat.bottom
+    return all(_unclosed_family(table, unit, s) is None for s in _transpose(rows))
+
+
+def _interpolates(lat, rows) -> bool:
+    """m ⊏ n in one object gives some k with m ⊏ k ⊏ n."""
+    cols = _transpose(rows)
+    return all(row & cols[n] for row in rows for n in mask_iter(row))
+
+
+def _every_object(decide, t: TopogenousOrder) -> bool:
+    """Whether ``decide(lattice, rows)`` holds on every object of ``t``; each
+    object's verdict is a fact of its rows, memoised on its lattice."""
+    for lat, rows in zip(t.fib.sub, t.rel):
+        memo = lat.row_verdicts
+        key = (decide, rows)
+        verdict = memo.get(key)
+        if verdict is None:
+            verdict = memo[key] = decide(lat, rows)
+        if not verdict:
+            return False
     return True
 
 
+def is_interpolative(t: TopogenousOrder) -> bool:
+    """m ⊏ n gives some k with m ⊏ k ⊏ n, decided once per object row table."""
+    return _every_object(_interpolates, t)
+
+
 def is_meet_preserving(t: TopogenousOrder) -> bool:
-    """Each set {n : m ⊏ n} is closed under all meets, the empty one included."""
-    return _preserves(t, joins=False)
+    """Each set {n : m ⊏ n} is closed under all meets, the empty one
+    included; decided once per object row table."""
+    return _every_object(_meet_closed, t)
 
 
 def is_join_preserving(t: TopogenousOrder) -> bool:
-    """Each set {m : m ⊏ n} is closed under all joins, the empty one included."""
-    return _preserves(t, joins=True)
+    """Each set {m : m ⊏ n} is closed under all joins, the empty one
+    included; decided once per object row table."""
+    return _every_object(_join_closed, t)
 
 
 def predicates(t: TopogenousOrder) -> OrderPredicates:

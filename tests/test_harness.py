@@ -216,14 +216,16 @@ def local_rows(structure_class, fib, x):
     return local_candidates(structure_class, fib, x)
 
 
-def backtracking_structures(fib, structure_class, keep=None):
-    """The tables of every structure of a relation class on ``fib`` that
-    ``keep`` accepts: each object's rows under its endomorphisms, then a
-    backtracking product deciding the law along each morphism between an
-    object and an earlier one; in sorted order of the tables."""
+def backtracking_structures(fib, structure_class, keep=None, local_rows=backtracking_local_rows):
+    """The tables of every structure of ``structure_class`` on ``fib`` that
+    ``keep`` accepts: each object's rows under its endomorphisms
+    (``local_rows``, by default the relation oracle's), then a backtracking
+    product deciding the law along each morphism between an object and an
+    earlier one with ``LawAlong.holds``, no memo; in sorted order of the
+    tables."""
     cat = fib.category
     n_objects = cat.n_objects
-    local = [backtracking_local_rows(structure_class, fib, x) for x in range(n_objects)]
+    local = [local_rows(structure_class, fib, x) for x in range(n_objects)]
     cross = [
         laws_along(structure_class, fib, (
             f for f in range(cat.n_morphisms)
@@ -744,6 +746,116 @@ def test_a_warm_memo_keeps_the_budget_verdicts(fintop2, monkeypatch):
         rows = local_candidates(structure_class, first, 0)
         assert isinstance(rows, tuple)
         assert local_candidates(structure_class, second, 0) is rows
+
+
+# ---------------------------------------------------------------------------
+# the operator product and validation read one verdict per hom-set
+
+
+OPERATORS = (ClosureOperator, InteriorOperator)
+
+
+def _operator_fibration(name):
+    """A built-in, or ``sweep``: a seeded fibration shaped like the
+    benchmark's enumerate-sweep inputs, the point, one 2-point space and two
+    distinct 3-point spaces, built afresh."""
+    from topogen.instances.registry import builtin_fibration
+    from topogen.instances.topology import FinTopSpace, enumerate_topologies, fintop_fibration
+
+    if name != "sweep":
+        return builtin_fibration(name)
+    rng = random.Random(39)
+    spaces = [FinTopSpace(1, (0, 1)), rng.choice(enumerate_topologies(2)),
+              *rng.sample(enumerate_topologies(3), 2)]
+    return fintop_fibration(spaces, name="sweep", object_names=("p", "a", "b", "c"))
+
+
+def _fresh_copy(fib):
+    """``fib`` as a new fibration object, so with no plan of its own."""
+    return SubobjectFibration(
+        category=fib.category, sub=fib.sub, img=fib.img, pre=fib.pre, eclass=fib.eclass,
+        mclass=fib.mclass, fstar=fib.fstar, name=fib.name,
+    )
+
+
+def _locally_valid_and_broken(s):
+    """``s`` with one object's row replaced by another of that object's
+    candidate rows, the first such change, in object and row order, that
+    breaks the law along some morphism; None when every change keeps it."""
+    for x in range(s.fib.category.n_objects):
+        for rows in local_candidates(type(s), s.fib, x):
+            table = s.table[:x] + (rows,) + s.table[x + 1:]
+            broken = type(s)(s.fib, table)
+            if not validate_structure(broken).ok:
+                return broken
+    return None
+
+
+OPERATOR_FIBRATIONS = ("disc2_loop", "fintop2", "t0_small", "coreflect_small", "sweep")
+
+
+@pytest.mark.parametrize("name", OPERATOR_FIBRATIONS)
+def test_the_operator_product_matches_a_product_without_a_memo(name):
+    fib = _operator_fibration(name)
+    for structure_class in OPERATORS:
+        found = [
+            s.table for s in enumerate_structures(EnumerationSpec(fib, structure_class.kind))]
+        assert found, structure_class.kind
+        assert found == backtracking_structures(
+            fib, structure_class, local_rows=local_candidates), structure_class.kind
+
+
+@pytest.mark.parametrize("name", OPERATOR_FIBRATIONS)
+def test_operator_reports_match_those_on_an_empty_plan(name):
+    # the product fills the plan's hom-set verdicts; validation reads them and
+    # must report what a plan that has decided nothing reports
+    from topogen import structures
+
+    fib = _operator_fibration(name)
+    fresh = _fresh_copy(fib)
+    broken_seen = 0
+    for structure_class in OPERATORS:
+        found = list(enumerate_structures(EnumerationSpec(fib, structure_class.kind)))
+        broken = _locally_valid_and_broken(found[0])
+        broken_seen += broken is not None
+        for s in found + [broken] * (broken is not None):
+            structures._PLANS.pop(fresh, None)
+            assert validate_structure(s) == validate_structure(structure_class(fresh, s.table))
+    assert broken_seen == (0 if name == "disc2_loop" else 2)
+
+
+def test_the_product_files_every_cross_verdict_of_what_it_yields(monkeypatch):
+    # each operator the product yields had every hom-set between two distinct
+    # objects decided on its tables, under the key validation reads
+    from topogen.structures import plan_of
+
+    fib = _operator_fibration("sweep")
+    closures = list(enumerate_structures(EnumerationSpec(fib, "closure")))
+    plan = plan_of(fib, ClosureOperator)
+    cross = [(x, y) for x, y, _ in plan.homs if x != y]
+    assert closures and cross
+    for s in closures:
+        ids = [plan.ids[rows] for rows in s.table]
+        for x, y in cross:
+            assert (x, y, ids[x], ids[y]) in plan.verdicts
+            assert plan.verdicts[x, y, ids[x], ids[y]] == ()
+    # a warm plan does not bypass the budget
+    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "1")
+    with pytest.raises(ResourceCapError):
+        next(iter(enumerate_structures(EnumerationSpec(fib, "closure"))))
+
+
+def test_a_refused_operator_enumeration_builds_no_plan():
+    # fintop3's closure product bound exceeds the default budget; the local
+    # candidates read their laws along the endomorphisms without a plan
+    from topogen import structures
+    from topogen.instances.topology import enumerate_topologies, fintop_fibration
+
+    fib = fintop_fibration(
+        [s for k in range(4) for s in enumerate_topologies(k)], name="fintop3_copy")
+    with pytest.raises(ResourceCapError):
+        next(iter(enumerate_structures(EnumerationSpec(fib, "closure"))))
+    assert ClosureOperator not in structures._PLANS.get(fib, {})
 
 
 # ---------------------------------------------------------------------------

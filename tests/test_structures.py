@@ -457,6 +457,76 @@ def test_least_failing_family_is_found_without_walking_the_families():
 
 
 # ---------------------------------------------------------------------------
+# the per-object predicate memo against the per-set scan
+
+
+def _predicates_by_scan(t):
+    """Reference, with no memo: each row closed under meets and each column
+    under joins by ``_unclosed_family``, and interpolation entry by entry."""
+    from topogen.structures import OrderPredicates, _unclosed_family
+
+    meet = join = interpolative = True
+    for lat, rows in zip(t.fib.sub, t.rel):
+        cols = [sum(1 << m for m, row in enumerate(rows) if row >> n & 1) for n in range(lat.size)]
+        meet &= all(_unclosed_family(lat.meet_table, lat.top, s) is None for s in rows)
+        join &= all(_unclosed_family(lat.join_table, lat.bottom, s) is None for s in cols)
+        interpolative &= all(row & cols[n] for row in rows for n in mask_iter(row))
+    return OrderPredicates(meet, join, interpolative)
+
+
+def _assert_predicates_match_the_scan(t):
+    # the second call reads every object's verdicts off the memo
+    expected = _predicates_by_scan(t)
+    assert predicates(t) == expected
+    assert predicates(t) == expected
+    assert (is_meet_preserving(t), is_join_preserving(t), is_interpolative(t)) == (
+        expected.meet_preserving, expected.join_preserving, expected.interpolative)
+
+
+@pytest.mark.parametrize("name", [
+    "fintop1", "fintop2", "disc2_loop", "t0_small", "coreflect_small", "grp_small", "grp_le4",
+    "topgrp_le4",
+])
+def test_memoised_predicates_match_the_scan_on_every_order(name):
+    from topogen.harness.enumeration import orders_of
+
+    fib = builtin_fibration(name)
+    seen = set()
+    for rel in orders_of(fib, TopogenousOrder).tables():
+        t = TopogenousOrder(fib, rel)
+        _assert_predicates_match_the_scan(t)
+        seen.add(_predicates_by_scan(t))
+    assert len(seen) > 1
+
+
+# one fibration per powerset of at most 3 points, shared by the examples, so
+# that later examples read verdicts earlier ones filed
+_POWERSET_FIBRATIONS = {}
+
+
+@given(st.data())
+def test_memoised_predicates_match_the_scan_on_up_closed_relations(data):
+    points = data.draw(st.integers(0, 3))
+    if points not in _POWERSET_FIBRATIONS:
+        _POWERSET_FIBRATIONS[points] = trivial_fibration(FiniteLattice.powerset(points))
+    fib = _POWERSET_FIBRATIONS[points]
+    lat = fib.sub[0]
+    rows = data.draw(st.lists(
+        st.integers(0, (1 << lat.size) - 1), min_size=lat.size, max_size=lat.size))
+    # each row up-closed: the union of the up-sets of its elements
+    up_closed = tuple(reduce(operator.or_, (lat.up[n] for n in mask_iter(row)), 0) for row in rows)
+    _assert_predicates_match_the_scan(TopogenousOrder(fib, (up_closed,)))
+
+
+def test_predicates_build_no_plan():
+    from topogen import structures
+
+    fib = trivial_fibration(FiniteLattice.powerset(2))
+    predicates(discrete_order(fib))
+    assert fib not in structures._PLANS
+
+
+# ---------------------------------------------------------------------------
 # the validator's plan against the per-morphism reference
 
 
