@@ -19,6 +19,7 @@ from .structures import (
     TopogenousOrder,
     closure_from_topogenous,
     interior_from_topogenous,
+    pull_along,
 )
 
 
@@ -235,15 +236,12 @@ def induce_order(endo: Endofunctor, t: TopogenousOrder) -> TopogenousOrder:
         t_fx = t.rel[endo.obj_map[x]]
         rows = []
         for m in range(lx.size):
-            row = 0
             if endo.pointed:
+                row = 0
                 for q in mask_iter(t_fx[img_c[m]]):
                     row |= lx.up[pre_c[q]]
             else:
-                base_row = t_fx[pre_c[m]]
-                for n in mask_iter(lx.up[m]):
-                    if base_row >> pre_c[n] & 1:
-                        row |= 1 << n
+                row = lx.up[m] & pull_along(pre_c)[t_fx[pre_c[m]]]
             rows.append(row)
         rel.append(tuple(rows))
     return TopogenousOrder(fib, tuple(rel))

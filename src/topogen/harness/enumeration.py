@@ -21,29 +21,28 @@ Closure and interior operators are maps.  Each object's candidates obey the
 local axioms and the kind's law along the object's own endomorphisms from
 the start: a backtracking search places one entry per lattice element and
 checks each index pair of the law, read off the ``LawAlong``'s fields, as
-soon as both of its entries are placed.  Only when the product of the
-candidate counts fits the budget does a backtracking product run over the
-kind's validation plan (``structures.plan_of``), the one record per
-fibration and kind: it interns each candidate row there and rejects a
+soon as both of its entries are placed.  A backtracking product then runs
+over the kind's validation plan (``structures.plan_of``), the one record
+per fibration and kind: it interns each candidate row there and rejects a
 candidate when some hom-set between its object and an earlier one has a
 failing morphism.  That verdict, the hom-set's failing morphisms for two
 interned row tables, is decided once by the plan, and validation reads the
-same one.
+same one.  The budget bounds the rows the product tries (1,728 for
+fintop3's closures), so it may raise after yielding structures.
 
 Either way the structures come in sorted order of their tables.
 
 The forcing record and the product read their laws off the plan;
 ``local_candidates`` reads the laws along an object's endomorphisms
-through the class's ``law_along``, the same value-memoised objects, so a
-product the budget refuses builds no plan.  Memoised: ``orders_of``'s
-record (preorder, count and tables) and the product's hom-set verdicts, on
-that plan, for as long as its fibration lives, holding tables and ids,
-never a structure or the fibration; each lattice's entries, and
-``local_candidates`` rows by their key, for the life of the process.  The
-product's decisions and the property filters' per-object verdicts are
-facts of tables, memoised where they are decided; the filter choice, the
-lattice cap ``MAX_LATTICE`` and the budget belong to each call and never
-enter a memo.
+through the class's ``law_along``, the same value-memoised objects.
+Memoised: ``orders_of``'s record (preorder, count and tables) and the
+product's hom-set verdicts, on that plan, for as long as its fibration
+lives, holding tables and ids, never a structure or the fibration; each
+lattice's entries, and ``local_candidates`` rows by their key, for the life
+of the process.  The product's decisions and the property filters'
+per-object verdicts are facts of tables, memoised where they are decided;
+the filter choice, the lattice cap ``MAX_LATTICE`` and the budget belong to
+each call and never enter a memo.
 """
 
 from __future__ import annotations
@@ -342,8 +341,9 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
     Before any candidate generation, raises a usage error for a property
     filter that does not apply, a resource error for a lattice over
     ``MAX_LATTICE``, and then a usage error for a malformed budget.  Then a
-    resource error if the structures of a relation kind (counted before any
-    is built) or an operator kind's pruned candidate space exceed the budget.
+    resource error once a relation kind's structures, counted before any is
+    built, or the rows an operator kind's search tries exceed the budget,
+    the latter possibly after some structures were yielded.
     """
     if spec.kind not in KINDS:
         raise PreconditionError(f"unknown enumeration kind {spec.kind!r}")
@@ -374,11 +374,6 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
 
     n_objects = cat.n_objects
     local = [local_candidates(structure_class, fib, x) for x in range(n_objects)]
-    total = 1
-    for rows in local:
-        total *= len(rows)
-        if total > budget:
-            raise ResourceCapError(f"candidate space exceeds {budget} after local pruning")
 
     # each object's candidates by their ids on the plan, and per object x the
     # hom-sets between x and an earlier object, in either direction, smallest
@@ -392,11 +387,16 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
             cross[max(dx, cx)].append((dx, cx))
     verdicts, tables = plan.verdicts, plan.tables
     ids: list[Optional[int]] = [None] * n_objects
+    tried = 0
 
     def place(x) -> Iterator:
+        nonlocal tried
         if x == n_objects:
             yield structure_class(fib, tuple([tables[i] for i in ids]))
             return
+        tried += len(local_ids[x])
+        if tried > budget:
+            raise ResourceCapError(f"the {spec.kind} search tries more than {budget} candidate rows")
         for i in local_ids[x]:
             ids[x] = i
             for dx, cx in cross[x]:

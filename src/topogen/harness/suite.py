@@ -174,8 +174,7 @@ def _continuity_renderings(t) -> Report:
 # (as a tracer does) reaches it.
 PER_ORDER = {
     "continuity-renderings": (_continuity_renderings, ORDERS),
-    "strict-subobject-transfer": (lambda t: merge("strict-subobject-transfer", [
-        check_strict_transfer(f, t) for f in range(t.fib.category.n_morphisms)]), ORDERS),
+    "strict-subobject-transfer": (lambda t: check_strict_transfer(t), ORDERS),
     "class-calculus": (lambda t: check_class_calculus(t.fib, t), ORDERS),
     # not on grp_small, whose preimages do not commute with joins
     "operator-crosschecks": (lambda t: crosscheck_operator_classes(t), ORDERS[:2]),

@@ -4,8 +4,9 @@ Each class of f: X -> Y is one biconditional, "bit of rel_Y iff bit of
 rel_X", over rows m and columns n ranging over sub X or sub Y.  A column
 over Y compares bit n with bit f^{-1}(n), and a column over X compares bit
 f_*(n) with bit n.  So pulling whole rows back along the table of the
-columns (``_pulled_rows``) makes each class an equality of row tuples.  With
-px = rel_X pulled back along f^{-1} and qy = rel_Y pulled back along f_*:
+columns (``structures.pull_along``) makes each class an equality of row
+tuples.  With px = rel_X pulled back along f^{-1} and qy = rel_Y pulled
+back along f_*:
 
     class      rows  equality
     strict     X     rel_Y∘img == px
@@ -20,6 +21,10 @@ m <= n.
 The co-strict and initial rows need the right adjoint f_* of preimage, so
 those two classes are tri-state: ``None`` means "not applicable" because
 that adjoint does not exist for the morphism.
+
+One routine, ``_classifier``, decides all of a morphism's classes:
+``classify`` asks it for one map, ``classifications`` for every map of an
+order, and every per-order statement reads the latter.
 
 The calculus of the classes and their ascent and descent across pullback
 squares is one table, ``LAWS``: per scope (isos, composable pairs, single
@@ -50,6 +55,7 @@ from .structures import (
     is_interpolative,
     is_join_preserving,
     is_meet_preserving,
+    pull_along,
 )
 from .site import PullbackSquare, SubobjectFibration, check_bcp, fibre_masks, intern
 
@@ -69,86 +75,62 @@ _CLASSES = ("strict", "final", "costrict", "initial")
 class_flags = attrgetter(*_CLASSES)  # a classification's flags, in _CLASSES order
 
 
-@lru_cache(maxsize=None)
-def _pulled_rows(rows: tuple[int, ...], table: tuple[int, ...]) -> tuple[int, ...]:
-    """Each row with bit n set to bit ``table[n]`` of that row; memoised by
-    value, since many morphisms share a relation and a table."""
-    return tuple(sum(1 << n for n, k in enumerate(table) if row >> k & 1) for row in rows)
+def _classifier(t: TopogenousOrder):
+    """f ↦ its ``MorphismClassification`` under t, the one routine that
+    decides the classes.
 
+    The rows each class compares are memoised on what they read: per (dom,
+    pre) px, below = px∘pre and rel_X∘pre; per (cod, img) rel_Y∘img; per
+    (cod, f_*, img) qy and qy∘img.  So each class flag is one tuple
+    comparison, and continuity and weak finality one comparison of rows
+    combined by ``map``.
+    """
+    fib, rel = t.fib, t.rel
+    cat = fib.category
+    pulled, images, adjoint = {}, {}, {}
 
-def _weakly_final(below, up, rely: tuple[int, ...]) -> bool:
-    # only the direction not already forced by preimage-stability: for
-    # m <= n in sub Y, f^{-1}(m) ⊏ f^{-1}(n) (bit n of below[m]) implies m ⊏ n,
-    # that is, row m of rel_Y holds below[m] & up[m]
-    return tuple(map(or_, map(and_, below, up), rely)) == rely
+    def classification(f: int) -> MorphismClassification:
+        x, y = cat.mor_dom[f], cat.mor_cod[f]
+        pre, img, fstar = fib.pre[f], fib.img[f], fib.fstar[f]
+        relx, rely = rel[x], rel[y]
+        found = pulled.get((x, pre))
+        if found is None:
+            px = tuple(map(pull_along(pre).__getitem__, relx))
+            found = pulled[x, pre] = (
+                px, tuple(map(px.__getitem__, pre)), tuple(map(relx.__getitem__, pre)))
+        px, below, relx_pre = found
+        rely_img = images.get((y, img))
+        if rely_img is None:
+            rely_img = images[y, img] = tuple(map(rely.__getitem__, img))
+        final = rely == below
+        costrict = initial = None
+        if fstar is not None:
+            found = adjoint.get((y, fstar, img))
+            if found is None:
+                qy = tuple(map(pull_along(fstar).__getitem__, rely))
+                found = adjoint[y, fstar, img] = (qy, tuple(map(qy.__getitem__, img)))
+            costrict, initial = found[0] == relx_pre, found[1] == relx
+        # final implies continuous and weakly final; weak finality is the
+        # direction preimage stability does not force: for m <= n in sub Y,
+        # f^{-1}(m) ⊏ f^{-1}(n) implies m ⊏ n, so row m of rel_Y holds
+        # below[m] & up[m]
+        return MorphismClassification(
+            f, final or tuple(map(and_, rely, below)) == rely, rely_img == px, final,
+            costrict, initial,
+            final or tuple(map(or_, map(and_, below, fib.sub[y].up), rely)) == rely)
+
+    return classification
 
 
 def classify(f: int, t: TopogenousOrder) -> MorphismClassification:
-    fib = t.fib
-    img, pre, fstar = fib.img[f], fib.pre[f], fib.fstar[f]
-    relx, rely = t.rel[fib.dom(f)], t.rel[fib.cod(f)]
-    px = _pulled_rows(relx, pre)
-    below = tuple(map(px.__getitem__, pre))
-    final = rely == below
-    costrict = initial = None
-    if fstar is not None:
-        qy = _pulled_rows(rely, fstar)
-        costrict = qy == tuple(map(relx.__getitem__, pre))
-        initial = tuple(map(qy.__getitem__, img)) == relx
-    return MorphismClassification(
-        morphism=f,
-        continuous=not any(r & ~b for r, b in zip(rely, below)),
-        strict=tuple(map(rely.__getitem__, img)) == px,
-        final=final,
-        costrict=costrict,
-        initial=initial,
-        # final implies weakly final
-        weakly_final=final or _weakly_final(below, fib.sub_cod(f).up, rely),
-    )
+    """The classes of the one morphism f under t."""
+    return _classifier(t)(f)
 
 
 def classifications(t: TopogenousOrder) -> tuple[MorphismClassification, ...]:
-    """``classify`` of every morphism, in morphism order.
-
-    The rows each class compares are memoised on what they read: per (dom,
-    pre id) px, below = px∘pre and rel_X∘pre; per (cod, img id) rel_Y∘img;
-    per (cod, f_* id, img id) qy and qy∘img, ids interning the tables.  So
-    each class flag is one tuple comparison, and continuity and weak
-    finality one comparison of rows combined by ``map``.
-    """
-    fib = t.fib
-    cat = fib.category
-    img_id, _ = intern(fib.img)
-    pre_id, _ = intern(fib.pre)
-    fstar_id, _ = intern(fib.fstar)
-    pulled, images, adjoint = {}, {}, {}
-    out = []
-    for f, (x, y) in enumerate(zip(cat.mor_dom, cat.mor_cod)):
-        relx, rely = t.rel[x], t.rel[y]
-        found = pulled.get((x, pre_id[f]))
-        if found is None:
-            pre = fib.pre[f]
-            px = _pulled_rows(relx, pre)
-            found = pulled[x, pre_id[f]] = (
-                px, tuple(map(px.__getitem__, pre)), tuple(map(relx.__getitem__, pre)))
-        px, below, relx_pre = found
-        rely_img = images.get((y, img_id[f]))
-        if rely_img is None:
-            rely_img = images[y, img_id[f]] = tuple(map(rely.__getitem__, fib.img[f]))
-        final = rely == below
-        costrict = initial = None
-        if fib.fstar[f] is not None:
-            key = (y, fstar_id[f], img_id[f])
-            found = adjoint.get(key)
-            if found is None:
-                qy = _pulled_rows(rely, fib.fstar[f])
-                found = adjoint[key] = (qy, tuple(map(qy.__getitem__, fib.img[f])))
-            costrict = found[0] == relx_pre
-            initial = found[1] == relx
-        out.append(MorphismClassification(
-            f, final or tuple(map(and_, rely, below)) == rely, rely_img == px, final,
-            costrict, initial, final or _weakly_final(below, fib.sub[y].up, rely)))
-    return tuple(out)
+    """The classes of every morphism under t, in morphism order, from one
+    classifier's row memos."""
+    return tuple(map(_classifier(t), range(t.fib.category.n_morphisms)))
 
 
 def strict_subobjects(x: int, t: TopogenousOrder) -> tuple[int, ...]:
@@ -169,7 +151,7 @@ def continuity_equivalents(f: int, t: TopogenousOrder) -> tuple[bool, bool, bool
             f"{fib.category.mor_names[f]}: preimage has no right adjoint"
         )
     relx, rely = t.rel[fib.dom(f)], t.rel[fib.cod(f)]
-    qy = _pulled_rows(rely, fib.fstar[f])
+    qy = tuple(map(pull_along(fib.fstar[f]).__getitem__, rely))
     form1 = t.law_holds(f)
     form2 = not any(a & ~b for a, b in zip(qy, map(relx.__getitem__, fib.pre[f])))
     form3 = not any(a & ~b for a, b in zip(map(qy.__getitem__, fib.img[f]), relx))
@@ -185,39 +167,33 @@ def continuity_equivalents(f: int, t: TopogenousOrder) -> tuple[bool, bool, bool
 # transfer of strict subobjects
 
 
-def check_strict_transfer(f: int, t: TopogenousOrder) -> Report:
-    """Strict subobjects against final/initial morphisms.
+def check_strict_transfer(t: TopogenousOrder) -> Report:
+    """Strict subobjects against the final and initial morphisms of t.
 
     For a final f, n is strict in the codomain iff its preimage is strict;
     for an interpolative order and initial f, every strict subobject of the
     domain is a preimage.
     """
     fib = t.fib
-    cat = fib.category
-    name = cat.mor_names[f]
-    pre = fib.pre[f]
     violations = []
     checked = 0
-    cls = classify(f, t)
-    ly, lx = fib.sub_cod(f), fib.sub_dom(f)
-    if cls.final:
-        x, y = fib.dom(f), fib.cod(f)
-        for n in range(ly.size):
-            checked += 1
-            if (t.rel[y][n] >> n & 1) != (t.rel[x][pre[n]] >> pre[n] & 1):
-                violations.append(
-                    Violation("final-strictness-transfer", where=name, witness=(ly.labels[n],))
-                )
-    if cls.initial and is_interpolative(t):
-        x = fib.dom(f)
-        preimages = set(pre)
-        for m in strict_subobjects(x, t):
-            checked += 1
-            if m not in preimages:
-                violations.append(
-                    Violation("initial-strict-is-preimage", where=name, witness=(lx.labels[m],))
-                )
-    return Report(f"strict-transfer {name}", checked, tuple(violations))
+    for f, (name, cls) in enumerate(zip(fib.category.mor_names, classifications(t))):
+        x, y, pre = fib.dom(f), fib.cod(f), fib.pre[f]
+        if cls.final:
+            for n, label in enumerate(fib.sub[y].labels):
+                checked += 1
+                if (t.rel[y][n] >> n & 1) != (t.rel[x][pre[n]] >> pre[n] & 1):
+                    violations.append(
+                        Violation("final-strictness-transfer", where=name, witness=(label,)))
+        if cls.initial and is_interpolative(t):
+            preimages = set(pre)
+            for m in strict_subobjects(x, t):
+                checked += 1
+                if m not in preimages:
+                    violations.append(Violation(
+                        "initial-strict-is-preimage", where=name,
+                        witness=(fib.sub[x].labels[m],)))
+    return Report(f"strict-transfer {fib.name}", checked, tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +548,7 @@ def weakly_final_formulas(t: TopogenousOrder) -> Report:
     i = interior_from_topogenous(t) if is_join_preserving(t) else None
     violations = []
     checked = 0
-    for f, name in enumerate(fib.category.mor_names):
+    for f, (name, cls) in enumerate(zip(fib.category.mor_names, classifications(t))):
         x, y = fib.dom(f), fib.cod(f)
         img, pre, fstar = fib.img[f], fib.pre[f], fib.fstar[f]
         if c is None and (i is None or fstar is None):
@@ -581,20 +557,18 @@ def weakly_final_formulas(t: TopogenousOrder) -> Report:
                 "join-preserving order with the right adjoint of preimage"
             )
         ly = fib.sub[y]
-        px = _pulled_rows(t.rel[x], pre)
-        wf = _weakly_final(map(px.__getitem__, pre), ly.up, t.rel[y])
         if c is not None:
             formula = all(
                 c.cmap[y][m] == ly.join(m, img[c.cmap[x][pre[m]]]) for m in range(ly.size)
             )
             checked += ly.size
-            if formula != wf:
+            if formula != cls.weakly_final:
                 violations.append(Violation("closure-formula-vs-weak-finality", where=name))
         if i is not None and fstar is not None:
             formula = all(
                 i.imap[y][m] == ly.meet(m, fstar[i.imap[x][pre[m]]]) for m in range(ly.size)
             )
             checked += ly.size
-            if formula != wf:
+            if formula != cls.weakly_final:
                 violations.append(Violation("interior-formula-vs-weak-finality", where=name))
     return Report(f"weak-finality {fib.name}", checked, tuple(violations))

@@ -159,7 +159,7 @@ class _Pull(dict):
 
 
 @lru_cache(maxsize=None)
-def _pull_along(pre: tuple[int, ...]) -> _Pull:
+def pull_along(pre: tuple[int, ...]) -> _Pull:
     """The one pull_f of each preimage table, memoised by value."""
     return _Pull(pre)
 
@@ -176,14 +176,14 @@ _BITS = tuple(1 << i for i in range(MAX_ELEMENTS))
 def _preimage_stability(pre) -> LawAlong:
     """m ⊏ n downstairs gives f^{-1}(m) ⊏ f^{-1}(n): pairs (m, f^{-1}(m)),
     witnesses (m, n)."""
-    return LawAlong(range(len(pre)), pre, None, _pull_along(pre))
+    return LawAlong(range(len(pre)), pre, None, pull_along(pre))
 
 
 @lru_cache(maxsize=None)
 def _continuity(img, pre) -> LawAlong:
     """n a neighbourhood of f(m) gives f^{-1}(n) a neighbourhood of m: pairs
     (f(m), m), witnesses (m, n)."""
-    return LawAlong(img, range(len(img)), None, _pull_along(pre))
+    return LawAlong(img, range(len(img)), None, pull_along(pre))
 
 
 @lru_cache(maxsize=None)

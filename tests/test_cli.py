@@ -493,6 +493,23 @@ def test_enumerate_fintop3_within_the_default_budget(capsys):
         assert (code, out, err) == (0, f"# {count} topogenous structures on {name}\n", "")
 
 
+def test_enumerate_fintop3_closures_within_the_default_budget(capsys):
+    # the search tries 1,728 candidate rows, though the product of the
+    # per-object candidate counts is about 2^80
+    code, out, err = run(capsys, "enumerate", "--builtin", "fintop3",
+                         "--kind", "closure", "--count-only")
+    assert (code, out, err) == (0, "# 11 closure structures on fintop3\n", "")
+
+
+def test_a_refused_operator_search_prints_nothing(capsys, monkeypatch):
+    # fintop2's closure search tries 72 rows and yields some closures before
+    # the 71st is passed; the command buffers its records
+    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "71")
+    code, out, err = run(capsys, "enumerate", "--builtin", "fintop2", "--kind", "closure")
+    assert (code, out) == (3, "")
+    assert err == "resource cap: the closure search tries more than 71 candidate rows\n"
+
+
 def test_enumeration_cap_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "1")
     code, _, err = run(capsys, "enumerate", "--builtin", "disc2_loop",

@@ -845,17 +845,52 @@ def test_the_product_files_every_cross_verdict_of_what_it_yields(monkeypatch):
         next(iter(enumerate_structures(EnumerationSpec(fib, "closure"))))
 
 
-def test_a_refused_operator_enumeration_builds_no_plan():
-    # fintop3's closure product bound exceeds the default budget; the local
-    # candidates read their laws along the endomorphisms without a plan
-    from topogen import structures
-    from topogen.instances.topology import enumerate_topologies, fintop_fibration
+def test_fintop3_operators_are_its_preserving_orders(fintop3):
+    # the product of fintop3's closure candidate counts is about 2^80, far
+    # beyond the default budget; the search itself tries 1,728 rows
+    from topogen.structures import closure_from_topogenous, interior_from_topogenous
 
-    fib = fintop_fibration(
-        [s for k in range(4) for s in enumerate_topologies(k)], name="fintop3_copy")
-    with pytest.raises(ResourceCapError):
-        next(iter(enumerate_structures(EnumerationSpec(fib, "closure"))))
-    assert ClosureOperator not in structures._PLANS.get(fib, {})
+    for kind, prop, convert in (
+        ("closure", "meet", closure_from_topogenous),
+        ("interior", "join", interior_from_topogenous),
+    ):
+        operators = list(enumerate_structures(EnumerationSpec(fintop3, kind)))
+        orders = list(enumerate_structures(EnumerationSpec(fintop3, "topogenous", prop_filter=prop)))
+        assert len(operators) == len(orders) == 11
+        assert set(map(convert, orders)) == set(operators)
+        assert all(validate_structure(s).ok for s in operators)
+
+
+def _rows_tried(fib, structure_class):
+    """The candidate rows the operator product tries: each object's
+    candidates once per choice on the objects before it that every law
+    between those objects accepts."""
+    cat = fib.category
+    laws = [(cat.mor_dom[f], cat.mor_cod[f], structure_class.law_along(fib, f))
+            for f in range(cat.n_morphisms)]
+    tried, prefixes = 0, [()]
+    for x in range(cat.n_objects):
+        rows = local_candidates(structure_class, fib, x)
+        tried += len(prefixes) * len(rows)
+        prefixes = [
+            (*prefix, row) for prefix in prefixes for row in rows
+            if all(law.holds((*prefix, row)[d], (*prefix, row)[c])
+                   for d, c, law in laws if max(d, c) == x)
+        ]
+    return tried
+
+
+def test_the_operator_budget_counts_the_rows_tried(fintop2, monkeypatch):
+    tried = _rows_tried(fintop2, ClosureOperator)
+    assert tried == 72
+    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", str(tried - 1))
+    yielded = []
+    with pytest.raises(ResourceCapError, match=f"more than {tried - 1} candidate rows"):
+        yielded.extend(enumerate_structures(EnumerationSpec(fintop2, "closure")))
+    # the refusal comes after the generator has yielded 6 of the 7 closures
+    assert len(yielded) == 6
+    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", str(tried))
+    assert len(list(enumerate_structures(EnumerationSpec(fintop2, "closure")))) == 7
 
 
 # ---------------------------------------------------------------------------

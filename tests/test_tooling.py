@@ -142,6 +142,16 @@ def test_the_enumerator_decides_no_law_itself():
     assert ".holds(" not in text
 
 
+def test_one_routine_builds_every_classification():
+    # morphisms._classifier decides the four classes; a second constructor
+    # call would be a second classifier
+    calls = [
+        path.relative_to(SRC).as_posix() for path in sorted(SRC.rglob("*.py"))
+        for _ in range(path.read_text(encoding="utf-8").count("MorphismClassification("))
+    ]
+    assert calls == ["morphisms.py"]
+
+
 _IMPORT_EACH_ALONE = """
 import importlib, sys
 for name in sys.argv[1:]:
