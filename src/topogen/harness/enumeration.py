@@ -17,32 +17,24 @@ each other into classes, and counts the up-sets of the class order by
 memoised branching; the same branching builds the tables, sorted, the
 first time a call asks for them.
 
-Closure and interior operators are maps.  Each object's candidates obey the
-local axioms and the kind's law along the object's own endomorphisms from
-the start: a backtracking search places one entry per lattice element and
-checks each index pair of the law, read off the ``LawAlong``'s fields, as
-soon as both of its entries are placed.  A backtracking product then runs
-over the kind's validation plan (``structures.plan_of``), the one record
-per fibration and kind: it interns each candidate row there and rejects a
-candidate when some hom-set between its object and an earlier one has a
-failing morphism.  That verdict, the hom-set's failing morphisms for two
-interned row tables, is decided once by the plan, and validation reads the
-same one.  The budget bounds the rows the product tries (1,728 for
-fintop3's closures), so it may raise after yielding structures.
+Closure and interior operators are the topogenous orders that preserve
+meets and joins, read through a conversion (Á. Császár, *Foundations of
+General Topology*, 1963): their enumeration filters the tables of the
+topogenous forcing record with ``is_meet_preserving`` or
+``is_join_preserving`` and converts the orders it keeps.
 
-Either way the structures come in sorted order of their tables.
+Every kind's structures come in sorted order of their tables, and the
+budget bounds the structures a kind reads, the topogenous orders for an
+operator kind, counted before any is built.
 
-The forcing record and the product read their laws off the plan;
-``local_candidates`` reads the laws along an object's endomorphisms
-through the class's ``law_along``, the same value-memoised objects.
-Memoised: ``orders_of``'s record (preorder, count and tables) and the
-product's hom-set verdicts, on that plan, for as long as its fibration
-lives, holding tables and ids, never a structure or the fibration; each
-lattice's entries, and ``local_candidates`` rows by their key, for the life
-of the process.  The product's decisions and the property filters'
-per-object verdicts are facts of tables, memoised where they are decided;
-the filter choice, the lattice cap ``MAX_LATTICE`` and the budget belong to
-each call and never enter a memo.
+The forcing record reads its laws off the kind's validation plan
+(``structures.plan_of``), the one record per fibration and kind.
+Memoised: ``orders_of``'s record (preorder, count and tables) on that plan,
+for as long as its fibration lives, holding tables, never a structure or
+the fibration; each lattice's entries for the life of the process.  The
+property filters' per-object verdicts are facts of tables, memoised where
+they are decided; the filter choice, the lattice cap ``MAX_LATTICE`` and
+the budget belong to each call and never enter a memo.
 """
 
 from __future__ import annotations
@@ -61,6 +53,8 @@ from ..structures import (
     InteriorOperator,
     NeighbourhoodOperator,
     TopogenousOrder,
+    closure_from_topogenous,
+    interior_from_topogenous,
     is_interpolative,
     is_join_preserving,
     is_meet_preserving,
@@ -252,79 +246,6 @@ def orders_of(fib: SubobjectFibration, structure_class) -> _Forcing:
 
 
 # ---------------------------------------------------------------------------
-# operators: local candidate generation
-
-
-def _tables(lat: FiniteLattice, kind: str, laws) -> tuple[tuple[int, ...], ...]:
-    """Every table of the operator ``kind`` on ``lat`` that obeys the
-    object-local axioms and each ``LawAlong`` of ``laws`` from the table to
-    itself; sorted.
-
-    A value is above (closure) or below (interior) its element and monotone
-    in it.  Elements are placed in order of their down-set size, so each
-    after all below it, and each check runs as soon as both of its entries
-    are placed.
-    """
-    allowed = lat.up if kind == "closure" else lat.down
-    order = sorted(range(lat.size), key=lambda e: lat.down[e].bit_count())
-    position = {e: pos for pos, e in enumerate(order)}
-    below = [[d for d in order[:pos] if lat.leq(d, e)] for pos, e in enumerate(order)]
-    # per position, the law's pairs (a, b) due once both entries are placed,
-    # each with its lookups: the law fails at (a, b) iff lhs[table[a]] has a
-    # bit outside rhs[table[b]]
-    due = [[] for _ in order]
-    for law in laws:
-        for a, b in zip(law.cod_index, law.dom_index):
-            due[max(position[a], position[b])].append((a, b, law.lhs, law.rhs))
-    out = []
-    table = [0] * lat.size
-
-    def place(pos):
-        if pos == lat.size:
-            out.append(tuple(table))
-            return
-        e = order[pos]
-        bound = allowed[e]
-        for d in below[pos]:
-            bound &= lat.up[table[d]]
-        for v in mask_iter(bound):
-            table[e] = v
-            if not any(lhs[table[a]] & ~rhs[table[b]] for a, b, lhs, rhs in due[pos]):
-                place(pos + 1)
-
-    place(0)
-    return tuple(sorted(out))
-
-
-# local_candidates' memo; it holds lattices and tables, never a fibration
-_LOCAL: dict = {}
-
-
-def local_candidates(
-    structure_class, fib: SubobjectFibration, x: int
-) -> tuple[tuple[int, ...], ...]:
-    """Object ``x``'s candidate rows for the operator class
-    ``structure_class`` that satisfy the class's law along every
-    endomorphism of ``x``: the tables of ``_tables``, sorted.
-
-    Memoised on (class, lattice of x, the ``(pre[f], img[f])`` tables of x's
-    endomorphisms f in order).  The key is sound: the local axioms depend
-    only on the class and the lattice, and the law along an endomorphism f
-    reads ``fib`` only through ``pre[f]``, ``img[f]`` and ``sub_cod(f)``/
-    ``sub_dom(f)``, which for an endomorphism are x's own lattice.
-    """
-    lat = fib.sub[x]
-    cat = fib.category
-    endos = [f for f in cat.morphisms_from[x] if cat.mor_cod[f] == x]
-    key = (structure_class, lat, tuple((fib.pre[f], fib.img[f]) for f in endos))
-    rows = _LOCAL.get(key)
-    if rows is None:
-        laws = [structure_class.law_along(fib, f) for f in endos]
-        rows = _LOCAL[key] = _tables(lat, structure_class.kind, laws)
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # enumeration
 
 
@@ -335,15 +256,22 @@ _FILTERS = {
 }
 
 
+# per operator class: the topogenous orders it is read from, and the conversion
+_CONVERSIONS = {
+    ClosureOperator: (is_meet_preserving, closure_from_topogenous),
+    InteriorOperator: (is_join_preserving, interior_from_topogenous),
+}
+
+
 def enumerate_structures(spec: EnumerationSpec) -> Iterator:
     """Yield every structure of the requested kind exactly once.
 
     Before any candidate generation, raises a usage error for a property
     filter that does not apply, a resource error for a lattice over
     ``MAX_LATTICE``, and then a usage error for a malformed budget.  Then a
-    resource error once a relation kind's structures, counted before any is
-    built, or the rows an operator kind's search tries exceed the budget,
-    the latter possibly after some structures were yielded.
+    resource error, before any structure is built, when the structures the
+    kind reads exceed the budget: a relation kind's own, an operator kind's
+    topogenous orders.
     """
     if spec.kind not in KINDS:
         raise PreconditionError(f"unknown enumeration kind {spec.kind!r}")
@@ -352,58 +280,26 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
             raise DomainError("property filters apply to topogenous enumeration")
         if spec.prop_filter not in _FILTERS:
             raise DomainError(f"unknown property filter {spec.prop_filter!r}")
-    keep = _FILTERS.get(spec.prop_filter)
     fib = spec.fibration
-    cat = fib.category
     for lat in fib.sub:
         if lat.size > MAX_LATTICE:
             raise ResourceCapError(
                 f"lattice of size {lat.size} exceeds enumeration cap {MAX_LATTICE}")
     budget = _budget()
     structure_class = KINDS[spec.kind]
-
     if structure_class in RELATIONS:
-        record = orders_of(fib, structure_class)
-        if record.count > budget:
-            raise ResourceCapError(f"{record.count} {spec.kind} structures exceed {budget}")
-        for table in record.tables():
-            structure = structure_class(fib, table)
-            if keep is None or keep(structure):
-                yield structure
-        return
+        source, keep, convert = structure_class, _FILTERS.get(spec.prop_filter), None
+    else:
+        source, (keep, convert) = TopogenousOrder, _CONVERSIONS[structure_class]
 
-    n_objects = cat.n_objects
-    local = [local_candidates(structure_class, fib, x) for x in range(n_objects)]
-
-    # each object's candidates by their ids on the plan, and per object x the
-    # hom-sets between x and an earlier object, in either direction, smallest
-    # first: each is decided whole, so a candidate a small one rejects never
-    # pays for a large one
-    plan = plan_of(fib, structure_class)
-    local_ids = [[plan.intern(rows) for rows in object_rows] for object_rows in local]
-    cross = [[] for _ in range(n_objects)]
-    for dx, cx, _ in sorted(plan.homs, key=lambda hom: len(hom[2])):
-        if dx != cx:
-            cross[max(dx, cx)].append((dx, cx))
-    verdicts, tables = plan.verdicts, plan.tables
-    ids: list[Optional[int]] = [None] * n_objects
-    tried = 0
-
-    def place(x) -> Iterator:
-        nonlocal tried
-        if x == n_objects:
-            yield structure_class(fib, tuple([tables[i] for i in ids]))
-            return
-        tried += len(local_ids[x])
-        if tried > budget:
-            raise ResourceCapError(f"the {spec.kind} search tries more than {budget} candidate rows")
-        for i in local_ids[x]:
-            ids[x] = i
-            for dx, cx in cross[x]:
-                if verdicts[dx, cx, ids[dx], ids[cx]]:
-                    break
-            else:
-                yield from place(x + 1)
-        ids[x] = None
-
-    yield from place(0)
+    record = orders_of(fib, source)
+    if record.count > budget:
+        raise ResourceCapError(f"{record.count} {source.kind} structures exceed {budget}")
+    found = (source(fib, table) for table in record.tables())
+    if keep is not None:
+        found = filter(keep, found)
+    if convert is None:
+        yield from found
+    else:
+        # a conversion need not keep the order of the tables
+        yield from sorted(map(convert, found), key=lambda s: s.table)

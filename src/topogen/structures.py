@@ -14,8 +14,6 @@ checks the laws make, in closed form.  A call then interns each object's
 row table and reads each object's local axioms, and each hom-set's verdict
 (its failing morphisms), off the memo by the ids of the tables they read;
 witnesses are walked only along the failing morphisms, in morphism order.
-The enumerator's operator product reads the same verdicts, so a hom-set is
-decided once whichever asks first.
 
 The order predicates are per-object conditions: each object's verdict is
 decided on its row table alone and memoised on its lattice
@@ -109,15 +107,13 @@ class _Structure:
     Each kind states its cross-object law along f once, as data:
     ``law_along(fib, f)`` is a ``LawAlong``, the index pairs it relates and
     the two lookups that decide each pair.  ``LawAlong.holds`` decides the
-    law between two whole tables for the validator's plan, whose hom-set
-    verdicts the enumerator's operator product reads too, ``law_holds``, the
-    extremality constraints and ``constructions.continuity_between``; only
-    where it fails are the pairs walked for witnesses, and ``witness_sides``
-    says which end of f (0 domain, 1 codomain) each witness index lies in.
-    The enumerator's local search reads the same pairs and lookups one entry
-    pair at a time, through ``law_along``.  The validator and the
-    enumerator's forcing record and product read the law along each
-    morphism off one record per fibration and kind, its plan (``plan_of``).
+    law between two whole tables for the validator's plan, ``law_holds``,
+    the extremality constraints and ``constructions.continuity_between``;
+    only where it fails are the pairs walked for witnesses, and
+    ``witness_sides`` says which end of f (0 domain, 1 codomain) each
+    witness index lies in.  The validator and the enumerator's forcing
+    record read the law along each morphism off one record per fibration
+    and kind, its plan (``plan_of``).
 
     Two structures are equal when they are of one kind, over the same
     fibration object, with equal tables.
@@ -397,8 +393,7 @@ class _Plan:
     neighbourhood operator.  ``intern`` numbers row tables (``ids``, and
     back, ``tables``); ``objects`` maps (x, id) to x's checks and local
     violations, and ``verdicts`` (x, y, id at x, id at y) to the failing
-    morphisms x -> y, the one decision of a hom-set that validation and the
-    enumerator's operator product both read.  ``forcing`` is the
+    morphisms x -> y, the one decision of a hom-set.  ``forcing`` is the
     enumerator's forcing record of a relation class, None until
     ``orders_of`` builds it.
     """

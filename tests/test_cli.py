@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -494,20 +495,55 @@ def test_enumerate_fintop3_within_the_default_budget(capsys):
 
 
 def test_enumerate_fintop3_closures_within_the_default_budget(capsys):
-    # the search tries 1,728 candidate rows, though the product of the
-    # per-object candidate counts is about 2^80
+    # the closures are read from fintop3's 17 orders, though the product of
+    # the per-object candidate counts is about 2^80
     code, out, err = run(capsys, "enumerate", "--builtin", "fintop3",
                          "--kind", "closure", "--count-only")
     assert (code, out, err) == (0, "# 11 closure structures on fintop3\n", "")
 
 
+# the sha256 of `topogen enumerate --builtin <name> --kind <kind>` stdout,
+# recorded from a per-object operator search, so the conversion of orders
+# must reproduce that search's bytes; the record names <kind>_NNNN pin the
+# order of the structures too
+OPERATOR_RECORDS = {
+    ("fintop1", "closure"): "764297e4df55f319c9f4a558b62a9ec37cf1b65e3be3cd9213e4cd29941f8291",
+    ("fintop1", "interior"): "96872303d7d190e0446cfee7057dec5e8a551111f49df4a57bd019e0066bfa5a",
+    ("fintop2", "closure"): "34fc58844cbd19311d6c03c4181c3d79ccc44330bbd6de6e2f9cf9fb26e28769",
+    ("fintop2", "interior"): "a69533dd34665b5ac7c9becaa488b8d133d362c78ef02fe7dfdb4bed99a0ffc7",
+    ("fintop3", "closure"): "4ad5484515b9d881396328f5f9a196969ebce0e512969ed29032060ad491b8e3",
+    ("fintop3", "interior"): "f0ffb3ed4be95e7a3d5c28f4bd510f5bedb91e4281bfa0103a2d109614ee541c",
+    ("disc2_loop", "closure"): "3382994422502259ce894a23875514ed60cdc9e1841567e841fc57f1d1625d1b",
+    ("disc2_loop", "interior"): "635d8de3ed800c686ee5a6e208fa13bbad8054aac5737fb0f321005508af1751",
+    ("t0_small", "closure"): "8d116c3322fcaac5067696081cbdfbf9c645d40af6e9aa44fc9bf9262f43dfde",
+    ("t0_small", "interior"): "69bf8e7fdb3e211bf5605bfa4fdee12143048c8e4a6f435df66d1864b446f473",
+    ("coreflect_small", "closure"): "366fbaabbf780ae6a5b5e6946a9a45a573b2b0571c81c9679a294af289967744",
+    ("coreflect_small", "interior"): "a5cde94584c22af955037e3cb904a1e71abed60a825c98fbd9e6b24dbffc765d",
+    ("grp_small", "closure"): "d0f7c777a1cb7b3e615da2fe94920eb0e084a0ac8152970b9118c13be21f7818",
+    ("grp_small", "interior"): "28b89a8e6d7520c5a03ad3b4daaa4862c1a42ecf0db989d8ea17a3160d2647bd",
+    ("grp_le4", "closure"): "6dedc2069fca09da49d85a799c4f19ea5c79a57bae3aeee2de26a401cebd47d3",
+    ("grp_le4", "interior"): "c1301a16c83739493abc13f756c012682c00e855a340934829629a1300317e9f",
+    ("grp_le8", "closure"): "366b2c8a371c76f89056258d1e4fa840b78668972cc4dc9a91654d2730f565d5",
+    ("grp_le8", "interior"): "a926e68db8301405962966466fbfe4f1b705f2afa2311635edc904fc369b00c1",
+    ("topgrp_le4", "closure"): "1081b6584dbe29562eb3918544e25cb707aeb3b4769c3239d997903e68861e79",
+    ("topgrp_le4", "interior"): "9eba34a934d6b593f027de240650e4a5bcad5f47a1b31e7daf9dd675a6adc46b",
+}
+
+
+@pytest.mark.parametrize("name, kind", OPERATOR_RECORDS)
+def test_enumerated_operator_records_keep_their_bytes(capsys, name, kind):
+    code, out, err = run(capsys, "enumerate", "--builtin", name, "--kind", kind)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == OPERATOR_RECORDS[name, kind]
+
+
 def test_a_refused_operator_search_prints_nothing(capsys, monkeypatch):
-    # fintop2's closure search tries 72 rows and yields some closures before
-    # the 71st is passed; the command buffers its records
-    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "71")
+    # fintop2's closures are read from its 11 topogenous orders, counted
+    # before any structure is built
+    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "10")
     code, out, err = run(capsys, "enumerate", "--builtin", "fintop2", "--kind", "closure")
     assert (code, out) == (3, "")
-    assert err == "resource cap: the closure search tries more than 71 candidate rows\n"
+    assert err == "resource cap: 11 topogenous structures exceed 10\n"
 
 
 def test_enumeration_cap_exit_code(capsys, monkeypatch):

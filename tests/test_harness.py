@@ -36,7 +36,6 @@ from topogen.harness.enumeration import (
     EnumerationSpec,
     _Forcing,
     enumerate_structures,
-    local_candidates,
     orders_of,
 )
 from topogen.harness.suite import run_suite
@@ -208,21 +207,13 @@ def forcing_local_rows(structure_class, fib, x):
     return tuple(table for (table,) in _Forcing((fib.sub[x],), laws).tables())
 
 
-def local_rows(structure_class, fib, x):
-    """Object x's rows under its endomorphisms: the enumerator's memoised
-    rows for an operator class, the forcing record's for a relation class."""
-    if structure_class in RELATIONS:
-        return forcing_local_rows(structure_class, fib, x)
-    return local_candidates(structure_class, fib, x)
-
-
 def backtracking_structures(fib, structure_class, keep=None, local_rows=backtracking_local_rows):
     """The tables of every structure of ``structure_class`` on ``fib`` that
     ``keep`` accepts: each object's rows under its endomorphisms
-    (``local_rows``, by default the relation oracle's), then a backtracking
-    product deciding the law along each morphism between an object and an
-    earlier one with ``LawAlong.holds``, no memo; in sorted order of the
-    tables."""
+    (``local_rows``, by default the relation oracle's; ``_fresh_local_rows``
+    for an operator class), then a backtracking product deciding the law
+    along each morphism between an object and an earlier one with
+    ``LawAlong.holds``, no memo; in sorted order of the tables."""
     cat = fib.category
     n_objects = cat.n_objects
     local = [local_rows(structure_class, fib, x) for x in range(n_objects)]
@@ -543,7 +534,7 @@ def _refuse_generation(monkeypatch):
     def no_generation(*args):
         raise AssertionError("candidates generated")
 
-    for name in ("_tables", "local_candidates", "orders_of", "_Forcing"):
+    for name in ("orders_of", "_Forcing"):
         monkeypatch.setattr(enumeration, name, no_generation)
 
 
@@ -643,8 +634,8 @@ def _fresh_local_rows(structure_class, fib, x):
 
 def test_memoised_local_rows_match_a_fresh_filter():
     # all these fibrations share the 3-point powerset lattice, but not the
-    # endomorphisms of their objects: a memo keyed on less than (kind, lattice,
-    # endomorphism tables) hands some object another object's rows
+    # endomorphisms of their objects: the forcing record, whose entries are
+    # memoised per lattice, must read each object's endomorphisms afresh
     from topogen.instances.topology import FinTopSpace, enumerate_topologies, fintop_fibration
 
     discrete = FinTopSpace(3, tuple(range(8)))
@@ -654,16 +645,15 @@ def test_memoised_local_rows_match_a_fresh_filter():
         for c in enumerate_topologies(3):
             fib = fintop_fibration([a, c], object_names=("a", "c"))
             for x, space in enumerate((a, c)):
-                for structure_class in KINDS.values():
+                for structure_class in RELATIONS:
                     key = (structure_class, space.opens)
                     if key not in oracle:
                         oracle[key] = _fresh_local_rows(structure_class, fib, x)
-                    rows = list(local_rows(structure_class, fib, x))
-                    if structure_class in RELATIONS:
-                        assert list(backtracking_local_rows(structure_class, fib, x)) == rows
+                    rows = list(forcing_local_rows(structure_class, fib, x))
+                    assert list(backtracking_local_rows(structure_class, fib, x)) == rows
                     assert rows == oracle[key]
     # the endomorphisms prune differently, so the test can tell keys apart
-    for structure_class in KINDS.values():
+    for structure_class in RELATIONS:
         assert oracle[structure_class, discrete.opens] != oracle[structure_class, sierpinski_like.opens]
 
 
@@ -676,25 +666,22 @@ def test_local_rows_under_the_laws_match_a_fresh_filter(name):
     # the filter runs along all of them
     # the relation kinds' rows come from the backtracking oracle, and the
     # enumerator's own (its forcing record on the object alone) must equal them
-    from topogen.harness.enumeration import _tables
     from topogen.instances.registry import builtin_fibration
 
     fib = builtin_fibration(name)
     cat = fib.category
     for x, lat in enumerate(fib.sub):
         endos = [f for f in cat.morphisms_from[x] if cat.mor_cod[f] == x]
-        for structure_class in KINDS.values():
-            relation = structure_class in RELATIONS
-            rows = list(local_rows(structure_class, fib, x))
-            if relation:
-                assert list(backtracking_local_rows(structure_class, fib, x)) == rows
+        for structure_class in RELATIONS:
+            rows = list(forcing_local_rows(structure_class, fib, x))
+            assert list(backtracking_local_rows(structure_class, fib, x)) == rows
             if lat.size <= 8:
                 assert rows == _fresh_local_rows(structure_class, fib, x), cat.object_names[x]
                 continue
             laws = [law for _, _, law in laws_along(structure_class, fib, endos[::2])]
             kind = structure_class.kind
             kept = [
-                r for r in (backtracking_rows(lat, laws) if relation else _tables(lat, kind, laws))
+                r for r in backtracking_rows(lat, laws)
                 if _law_holds_along_all(kind, fib, endos, r)
             ]
             assert rows == kept, cat.object_names[x]
@@ -730,26 +717,19 @@ def test_four_point_spaces_enumerate_within_a_second(opens, counts, monkeypatch)
 
 
 def test_a_warm_memo_keeps_the_budget_verdicts(fintop2, monkeypatch):
-    assert list(enumerate_structures(EnumerationSpec(fintop2, "topogenous")))
-    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "1")
-    with pytest.raises(ResourceCapError):
-        next(iter(enumerate_structures(EnumerationSpec(fintop2, "topogenous"))))
-    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "abc")
-    with pytest.raises(DomainError):
-        next(iter(enumerate_structures(EnumerationSpec(fintop2, "topogenous"))))
-    # the local memo is keyed by the values of the lattice and the tables,
-    # not by the identity of the fibration
-    first = loop_fibration(FiniteLattice.powerset(3))
-    second = loop_fibration(FiniteLattice.powerset(3))
-    assert first.sub[0] is not second.sub[0]
-    for structure_class in (ClosureOperator, InteriorOperator):
-        rows = local_candidates(structure_class, first, 0)
-        assert isinstance(rows, tuple)
-        assert local_candidates(structure_class, second, 0) is rows
+    # every kind, operators too, is refused once the forcing record it reads
+    # is built and counted
+    for kind in KINDS:
+        assert list(enumerate_structures(EnumerationSpec(fintop2, kind)))
+    for value, error in (("1", ResourceCapError), ("abc", DomainError)):
+        monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", value)
+        for kind in KINDS:
+            with pytest.raises(error):
+                next(iter(enumerate_structures(EnumerationSpec(fintop2, kind))))
 
 
 # ---------------------------------------------------------------------------
-# the operator product and validation read one verdict per hom-set
+# operators against the backtracking product, and validation on a warm plan
 
 
 OPERATORS = (ClosureOperator, InteriorOperator)
@@ -783,7 +763,7 @@ def _locally_valid_and_broken(s):
     candidate rows, the first such change, in object and row order, that
     breaks the law along some morphism; None when every change keeps it."""
     for x in range(s.fib.category.n_objects):
-        for rows in local_candidates(type(s), s.fib, x):
+        for rows in _fresh_local_rows(type(s), s.fib, x):
             table = s.table[:x] + (rows,) + s.table[x + 1:]
             broken = type(s)(s.fib, table)
             if not validate_structure(broken).ok:
@@ -794,20 +774,35 @@ def _locally_valid_and_broken(s):
 OPERATOR_FIBRATIONS = ("disc2_loop", "fintop2", "t0_small", "coreflect_small", "sweep")
 
 
-@pytest.mark.parametrize("name", OPERATOR_FIBRATIONS)
+@pytest.mark.parametrize("name", OPERATOR_FIBRATIONS + ("grp_small", "grp_le4", "topgrp_le4"))
 def test_the_operator_product_matches_a_product_without_a_memo(name):
+    # the enumerator converts the preserving orders; the oracle is a product
+    # of each object's law-free rows under its endomorphisms, deciding every
+    # other morphism's law with no memo and no order
     fib = _operator_fibration(name)
     for structure_class in OPERATORS:
         found = [
             s.table for s in enumerate_structures(EnumerationSpec(fib, structure_class.kind))]
         assert found, structure_class.kind
         assert found == backtracking_structures(
-            fib, structure_class, local_rows=local_candidates), structure_class.kind
+            fib, structure_class, local_rows=_fresh_local_rows), structure_class.kind
+
+
+def test_the_suite_operators_are_the_enumerated_ones():
+    # conversion-bijections reads its operators from a search of its own
+    from topogen.harness.suite import _operators
+    from topogen.instances.registry import builtin_fibration
+
+    for name in ("disc2_loop", "fintop2"):
+        fib = builtin_fibration(name)
+        for structure_class in OPERATORS:
+            assert _operators(fib, structure_class) == list(
+                enumerate_structures(EnumerationSpec(fib, structure_class.kind)))
 
 
 @pytest.mark.parametrize("name", OPERATOR_FIBRATIONS)
 def test_operator_reports_match_those_on_an_empty_plan(name):
-    # the product fills the plan's hom-set verdicts; validation reads them and
+    # validation fills the plan's hom-set verdicts structure by structure and
     # must report what a plan that has decided nothing reports
     from topogen import structures
 
@@ -824,30 +819,9 @@ def test_operator_reports_match_those_on_an_empty_plan(name):
     assert broken_seen == (0 if name == "disc2_loop" else 2)
 
 
-def test_the_product_files_every_cross_verdict_of_what_it_yields(monkeypatch):
-    # each operator the product yields had every hom-set between two distinct
-    # objects decided on its tables, under the key validation reads
-    from topogen.structures import plan_of
-
-    fib = _operator_fibration("sweep")
-    closures = list(enumerate_structures(EnumerationSpec(fib, "closure")))
-    plan = plan_of(fib, ClosureOperator)
-    cross = [(x, y) for x, y, _ in plan.homs if x != y]
-    assert closures and cross
-    for s in closures:
-        ids = [plan.ids[rows] for rows in s.table]
-        for x, y in cross:
-            assert (x, y, ids[x], ids[y]) in plan.verdicts
-            assert plan.verdicts[x, y, ids[x], ids[y]] == ()
-    # a warm plan does not bypass the budget
-    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "1")
-    with pytest.raises(ResourceCapError):
-        next(iter(enumerate_structures(EnumerationSpec(fib, "closure"))))
-
-
 def test_fintop3_operators_are_its_preserving_orders(fintop3):
     # the product of fintop3's closure candidate counts is about 2^80, far
-    # beyond the default budget; the search itself tries 1,728 rows
+    # beyond the oracle; its 17 orders give 11 closures and 11 interiors
     from topogen.structures import closure_from_topogenous, interior_from_topogenous
 
     for kind, prop, convert in (
@@ -861,35 +835,16 @@ def test_fintop3_operators_are_its_preserving_orders(fintop3):
         assert all(validate_structure(s).ok for s in operators)
 
 
-def _rows_tried(fib, structure_class):
-    """The candidate rows the operator product tries: each object's
-    candidates once per choice on the objects before it that every law
-    between those objects accepts."""
-    cat = fib.category
-    laws = [(cat.mor_dom[f], cat.mor_cod[f], structure_class.law_along(fib, f))
-            for f in range(cat.n_morphisms)]
-    tried, prefixes = 0, [()]
-    for x in range(cat.n_objects):
-        rows = local_candidates(structure_class, fib, x)
-        tried += len(prefixes) * len(rows)
-        prefixes = [
-            (*prefix, row) for prefix in prefixes for row in rows
-            if all(law.holds((*prefix, row)[d], (*prefix, row)[c])
-                   for d, c, law in laws if max(d, c) == x)
-        ]
-    return tried
-
-
-def test_the_operator_budget_counts_the_rows_tried(fintop2, monkeypatch):
-    tried = _rows_tried(fintop2, ClosureOperator)
-    assert tried == 72
-    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", str(tried - 1))
+def test_the_operator_budget_counts_the_orders(fintop2, monkeypatch):
+    # fintop2's closures are read from its 11 topogenous orders, counted
+    # before any structure is built
+    assert orders_of(fintop2, TopogenousOrder).count == 11
+    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "10")
     yielded = []
-    with pytest.raises(ResourceCapError, match=f"more than {tried - 1} candidate rows"):
+    with pytest.raises(ResourceCapError, match="11 topogenous structures exceed 10"):
         yielded.extend(enumerate_structures(EnumerationSpec(fintop2, "closure")))
-    # the refusal comes after the generator has yielded 6 of the 7 closures
-    assert len(yielded) == 6
-    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", str(tried))
+    assert yielded == []
+    monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "11")
     assert len(list(enumerate_structures(EnumerationSpec(fintop2, "closure")))) == 7
 
 

@@ -136,8 +136,8 @@ def test_one_weak_keyed_memo_per_fibration():
 
 
 def test_the_enumerator_decides_no_law_itself():
-    # the operator product reads each hom-set's verdict off the validation
-    # plan (structures.plan_of), so a law decided here would fork from it
+    # the forcing record reads its laws off the validation plan
+    # (structures.plan_of), so a law decided here would fork from it
     text = (SRC / "harness" / "enumeration.py").read_text(encoding="utf-8")
     assert ".holds(" not in text
 
