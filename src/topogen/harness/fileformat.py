@@ -400,23 +400,38 @@ def _canonical_patterns(kind: str) -> tuple[re.Pattern, re.Pattern, re.Pattern]:
     )
 
 
-def _canonical_record(kind: str, name: str, rest: str):
+def _canonical_record(kind: str, name: str, rest: str, bodies: dict):
     """The record of an order or operator line whose text after the colon is
-    canonical, or None."""
+    canonical, or None.
+
+    ``bodies`` maps each block body already read in the document to its
+    entries, which every block repeating that body shares.  Only the empty
+    body reads as both an order's and an operator's, to no entries, so the
+    two kinds can share one map."""
     fields, block, entry = _canonical_patterns(kind)
     match = fields.fullmatch(rest)
     if match is None:
         return None
     fibration, record_kind, blocks = match.groups()
-    value = tuple((obj, tuple(entry.findall(body))) for obj, body in block.findall(blocks))
+    value = []
+    for obj, body in block.findall(blocks):
+        entries = bodies.get(body)
+        if entries is None:
+            entries = bodies[body] = tuple(entry.findall(body))
+        value.append((obj, entries))
+    value = tuple(value)
     if kind == "order":
         return OrderRecord(name, fibration, record_kind, value)
     return OperatorRecord(name, fibration, record_kind, value)
 
 
 def parse_document(text: str) -> Document:
+    """The records of ``text``, one per line.  Each distinct block body of
+    the canonical order and operator lines is read once per document, and
+    the records repeating it share its entries."""
     records = []
     seen = set()
+    bodies = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -435,7 +450,7 @@ def parse_document(text: str) -> Document:
         seen.add((kind, name))
         record = None
         if kind in ("order", "operator"):
-            record = _canonical_record(kind, name, rest)
+            record = _canonical_record(kind, name, rest, bodies)
         if record is None:
             # rest starts one column after the colon
             col = _start(raw, 1) + len(head) + 1
@@ -506,18 +521,23 @@ def serialize_document(doc: Document) -> str:
 # resolution against built-ins
 
 
+def _label_pairs(lat, rows) -> tuple[tuple[str, str], ...]:
+    """One object's block of an explicit order record: the label pairs
+    (m, n) with m ⊏ n, m-major."""
+    labels = lat.labels
+    return tuple((labels[m], labels[n]) for m, row in enumerate(rows) for n in mask_iter(row))
+
+
 def order_record_of(name: str, t) -> OrderRecord:
     """Serialize a topogenous order, or the relation table of a neighbourhood
-    operator, as an explicit record (over its fibration's name)."""
+    operator, as an explicit record (over its fibration's name).  Each
+    object's block is built once per (lattice, rows) and shared by every
+    record that repeats it."""
     fib = t.fib
-    rel = []
-    for x, lat in enumerate(fib.sub):
-        labels = lat.labels
-        pairs = tuple(
-            (labels[m], labels[n]) for m, row in enumerate(t.table[x]) for n in mask_iter(row)
-        )
-        rel.append((fib.category.object_names[x], pairs))
-    return OrderRecord(name, fib.name, "explicit", tuple(rel))
+    return OrderRecord(name, fib.name, "explicit", tuple(
+        (obj, lat.row_fact(_label_pairs, rows))
+        for obj, lat, rows in zip(fib.category.object_names, fib.sub, t.table)
+    ))
 
 
 def resolve_order(record: OrderRecord, fib) -> "object":
@@ -552,16 +572,23 @@ def resolve_endofunctor(record: EndofunctorRecord, fib):
     return Endofunctor(fib, record.kind, tuple(obj_map), tuple(mor_map), tuple(components))
 
 
+def _label_arrows(lat, row) -> tuple[tuple[str, str], ...]:
+    """One object's block of an operator record: each label and the label
+    of its value."""
+    labels = lat.labels
+    return tuple((labels[m], labels[row[m]]) for m in range(lat.size))
+
+
 def operator_record_of(name: str, op, kind: str) -> OperatorRecord:
+    """Serialize a closure or interior operator as a record (over its
+    fibration's name); each object's block is built once per (lattice,
+    row) and shared by every record that repeats it."""
     fib = op.fib
     tables = op.cmap if kind == "closure" else op.imap
-    blocks = []
-    for x, lat in enumerate(fib.sub):
-        entries = tuple(
-            (lat.labels[m], lat.labels[tables[x][m]]) for m in range(lat.size)
-        )
-        blocks.append((fib.category.object_names[x], entries))
-    return OperatorRecord(name, fib.name, kind, tuple(blocks))
+    return OperatorRecord(name, fib.name, kind, tuple(
+        (obj, lat.row_fact(_label_arrows, row))
+        for obj, lat, row in zip(fib.category.object_names, fib.sub, tables)
+    ))
 
 
 def resolve_operator(record: OperatorRecord, fib):

@@ -120,10 +120,20 @@ class FiniteLattice:
 
     @cached_property
     def row_verdicts(self) -> dict:
-        """Verdicts on row tables over this lattice (one mask per element),
-        keyed by (deciding function, rows) and filled by their callers; an
-        attribute, so a lookup never hashes the lattice."""
+        """Facts of row tables over this lattice (one entry per element),
+        keyed by (the function that computes them, rows) and filled by
+        ``row_fact``; an attribute, so a lookup never hashes the lattice."""
         return {}
+
+    def row_fact(self, compute, rows):
+        """``compute(self, rows)``, never None, computed once per row table
+        and kept for as long as the lattice lives."""
+        memo = self.row_verdicts
+        key = (compute, rows)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = compute(self, rows)
+        return found
 
     @cached_property
     def principal(self) -> dict[int, int]:

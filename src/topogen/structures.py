@@ -17,7 +17,10 @@ witnesses are walked only along the failing morphisms, in morphism order.
 
 The order predicates are per-object conditions: each object's verdict is
 decided on its row table alone and memoised on its lattice
-(``FiniteLattice.row_verdicts``), never on a plan.
+(``FiniteLattice.row_fact``), never on a plan.  Meet and join preservation
+read whether one per-object fold succeeds, and the conversions to closure
+and interior operators read that fold's value, so a row table is folded
+once for both.
 
 Memoised: each plan (``plan_of``), the one record per fibration and
 structure class, for as long as its fibration lives, in a weak-keyed memo
@@ -25,16 +28,16 @@ that holds tables, ids and verdicts, never a structure or the fibration:
 the laws, the interned row tables, per (object, table id) its checks and
 local violations, per (dom, cod, table ids at both) the hom-set's failing
 morphisms, and the enumerator's forcing record of a relation class.  Each
-object's predicate verdicts, by (deciding function, rows), for as long as
-its lattice lives.  Each kind's ``law_along``, and each preimage table's
-pull, for the life of the process.
+object's predicate verdicts and folds, by (deciding function, rows), for
+as long as its lattice lives.  Each kind's ``law_along``, and each
+preimage table's pull, for the life of the process.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from operator import mul
 from typing import Mapping, Optional, Sequence
 
@@ -530,27 +533,32 @@ def _transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def _sets_to_close(t: TopogenousOrder, joins: bool):
-    """Per object: its lattice, the operation and unit to close under, and the
-    sets to close: the rows {n : m ⊏ n} under meets, or the columns under joins."""
-    for lat, rows in zip(t.fib.sub, t.rel):
-        if joins:
-            yield lat, lat.join_table, lat.bottom, _transpose(rows)
-        else:
-            yield lat, lat.meet_table, lat.top, rows
+def _fold(table, unit: int, sets):
+    """The per-object fold: (the fold under ``table`` of each set of
+    ``sets``, None) when each set holds the folds of its families; else
+    (None, (m, family)) for the first set m that does not and its least
+    unclosed family."""
+    for m, s in enumerate(sets):
+        family = _unclosed_family(table, unit, s)
+        if family is not None:
+            return None, (m, family)
+    folds = []
+    for s in sets:
+        fold = unit
+        for h in mask_iter(s):
+            fold = table[fold][h]
+        folds.append(fold)
+    return tuple(folds), None
 
 
-def _meet_closed(lat, rows) -> bool:
-    """Each set {n : m ⊏ n} of one object is closed under all meets, the
-    empty one included."""
-    return all(_unclosed_family(lat.meet_table, lat.top, s) is None for s in rows)
+def _meet_folds(lat, rows):
+    """``_fold`` of one object's rows {n : m ⊏ n} under meets."""
+    return _fold(lat.meet_table, lat.top, rows)
 
 
-def _join_closed(lat, rows) -> bool:
-    """Each set {m : m ⊏ n} of one object is closed under all joins, the
-    empty one included."""
-    table, unit = lat.join_table, lat.bottom
-    return all(_unclosed_family(table, unit, s) is None for s in _transpose(rows))
+def _join_folds(lat, rows):
+    """``_fold`` of one object's columns {m : m ⊏ n} under joins."""
+    return _fold(lat.join_table, lat.bottom, _transpose(rows))
 
 
 def _interpolates(lat, rows) -> bool:
@@ -559,35 +567,24 @@ def _interpolates(lat, rows) -> bool:
     return all(row & cols[n] for row in rows for n in mask_iter(row))
 
 
-def _every_object(decide, t: TopogenousOrder) -> bool:
-    """Whether ``decide(lattice, rows)`` holds on every object of ``t``; each
-    object's verdict is a fact of its rows, memoised on its lattice."""
-    for lat, rows in zip(t.fib.sub, t.rel):
-        memo = lat.row_verdicts
-        key = (decide, rows)
-        verdict = memo.get(key)
-        if verdict is None:
-            verdict = memo[key] = decide(lat, rows)
-        if not verdict:
-            return False
-    return True
-
-
 def is_interpolative(t: TopogenousOrder) -> bool:
-    """m ⊏ n gives some k with m ⊏ k ⊏ n, decided once per object row table."""
-    return _every_object(_interpolates, t)
+    """m ⊏ n gives some k with m ⊏ k ⊏ n, decided once per object row table
+    and memoised on its lattice."""
+    return all(lat.row_fact(_interpolates, rows) for lat, rows in zip(t.fib.sub, t.rel))
 
 
 def is_meet_preserving(t: TopogenousOrder) -> bool:
     """Each set {n : m ⊏ n} is closed under all meets, the empty one
-    included; decided once per object row table."""
-    return _every_object(_meet_closed, t)
+    included: whether each object's fold succeeds.  The fold is computed
+    once per (lattice, rows) and shared with ``closure_from_topogenous``."""
+    return all(lat.row_fact(_meet_folds, rows)[1] is None for lat, rows in zip(t.fib.sub, t.rel))
 
 
 def is_join_preserving(t: TopogenousOrder) -> bool:
     """Each set {m : m ⊏ n} is closed under all joins, the empty one
-    included; decided once per object row table."""
-    return _every_object(_join_closed, t)
+    included: whether each object's fold succeeds.  The fold is computed
+    once per (lattice, rows) and shared with ``interior_from_topogenous``."""
+    return all(lat.row_fact(_join_folds, rows)[1] is None for lat, rows in zip(t.fib.sub, t.rel))
 
 
 def predicates(t: TopogenousOrder) -> OrderPredicates:
@@ -614,26 +611,26 @@ def topogenous_from_nbhd(nu: NeighbourhoodOperator) -> TopogenousOrder:
 
 
 def _folds(t: TopogenousOrder, joins: bool) -> tuple[tuple[int, ...], ...]:
-    """Per object, the meet of each row (or the join of each column) of t.
+    """Per object, the meet of each row (or the join of each column) of t:
+    each object's fold, read off the memo its predicate shares.
 
     Raises when a row (column) is not closed under meets (joins), with the
     object, its element and the least failing family as witness."""
+    compute = _join_folds if joins else _meet_folds
     out = []
-    for x, (lat, table, unit, sets) in enumerate(_sets_to_close(t, joins)):
-        folds = []
-        for m, s in enumerate(sets):
-            family = _unclosed_family(table, unit, s)
-            if family is not None:
-                raise PreconditionError(
-                    f"order is not {'join' if joins else 'meet'}-preserving",
-                    witness=(
-                        t.fib.category.object_names[x],
-                        lat.labels[m],
-                        tuple(lat.labels[i] for i in mask_iter(family)),
-                    ),
-                )
-            folds.append(reduce(lambda acc, i: table[acc][i], mask_iter(s), unit))
-        out.append(tuple(folds))
+    for x, (lat, rows) in enumerate(zip(t.fib.sub, t.rel)):
+        folds, unclosed = lat.row_fact(compute, rows)
+        if unclosed is not None:
+            m, family = unclosed
+            raise PreconditionError(
+                f"order is not {'join' if joins else 'meet'}-preserving",
+                witness=(
+                    t.fib.category.object_names[x],
+                    lat.labels[m],
+                    tuple(lat.labels[i] for i in mask_iter(family)),
+                ),
+            )
+        out.append(folds)
     return tuple(out)
 
 

@@ -1054,7 +1054,7 @@ def _parsed(text):
 
 
 def _parsed_by_the_general_scanner(text):
-    with mock.patch.object(fileformat, "_canonical_record", lambda kind, name, rest: None):
+    with mock.patch.object(fileformat, "_canonical_record", lambda kind, name, rest, bodies: None):
         return _parsed(text)
 
 
@@ -1090,7 +1090,7 @@ def _assert_read_in_one_match(records):
         head, _, rest = line.partition(":")
         kind, name = head.split()
         if kind in ("order", "operator"):
-            assert fileformat._canonical_record(kind, name, rest) == record, line
+            assert fileformat._canonical_record(kind, name, rest, {}) == record, line
     assert _parsed(text) == _parsed_by_the_general_scanner(text) == tuple(records)
 
 
@@ -1105,6 +1105,37 @@ def test_builtin_records_are_read_in_one_match(name, limit):
     records = _cli_records(builtin_fibration(name), limit)
     assert any(isinstance(r, fileformat.OperatorRecord) for r in records)
     _assert_read_in_one_match(records)
+
+
+def _sharing_a_block(structures):
+    """Two of ``structures`` that agree on some object of more than two
+    subobjects, with a nonzero entry there, and that object."""
+    for s, r in itertools.combinations(structures, 2):
+        for x, (a, b) in enumerate(zip(s.table, r.table)):
+            if a == b and len(a) > 2 and any(a):
+                return s, r, x
+    raise AssertionError("no two structures agree on an object")
+
+
+def test_records_repeating_a_block_share_its_entries(fintop2):
+    orders = list(enumerate_structures(EnumerationSpec(fintop2, "topogenous")))
+    closures = list(enumerate_structures(EnumerationSpec(fintop2, "closure")))
+    s, r, x = _sharing_a_block(orders)
+    c, d, y = _sharing_a_block(closures)
+    records = [
+        fileformat.order_record_of("s", s), fileformat.order_record_of("r", r),
+        fileformat.operator_record_of("c", c, "closure"),
+        fileformat.operator_record_of("d", d, "closure"),
+    ]
+    # built once per (lattice, rows)
+    assert records[0].rel[x][1] is records[1].rel[x][1]
+    assert records[2].table[y][1] is records[3].table[y][1]
+    # read once per document
+    text = fileformat.serialize_document(fileformat.Document(tuple(records)))
+    back = fileformat.parse_document(text).records
+    assert back == tuple(records) == _parsed_by_the_general_scanner(text)
+    assert back[0].rel[x][1] is back[1].rel[x][1]
+    assert back[2].table[y][1] is back[3].table[y][1]
 
 
 def test_space_fibration_records_are_read_in_one_match():
@@ -1219,7 +1250,7 @@ def test_canonical_path_reads_what_the_general_scanner_reads(perturbation, data,
         assert general == (record,)
     if perturbation == "none":
         head, _, rest = line.partition(":")
-        assert fileformat._canonical_record(*head.split(), rest) == record
+        assert fileformat._canonical_record(*head.split(), rest, {}) == record
 
 
 @pytest.mark.parametrize("label", _SEPARATOR_LABELS + _BRACKET_LABELS)

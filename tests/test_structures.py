@@ -527,6 +527,114 @@ def test_predicates_build_no_plan():
 
 
 # ---------------------------------------------------------------------------
+# the per-object fold the predicates and the conversions share, against an
+# unmemoised fold
+
+
+_FOLD_BUILTINS = [
+    "fintop1", "fintop2", "disc2_loop", "t0_small", "coreflect_small", "grp_small", "grp_le4",
+    "fintop3", "topgrp_le4",
+]
+
+
+def _fold_by_brute_force(lat, rows, joins):
+    """Reference, with no memo: one object's meet of each row (join of each
+    column), member by member, and whether every such set holds the unit
+    and the meet (join) of each two of its members."""
+    if joins:
+        table, unit = lat.join_table, lat.bottom
+        sets = [sum(1 << m for m, row in enumerate(rows) if row >> n & 1) for n in range(lat.size)]
+    else:
+        table, unit, sets = lat.meet_table, lat.top, rows
+    closed = all(
+        s >> unit & 1 and all(s >> table[a][b] & 1 for a in mask_iter(s) for b in mask_iter(s))
+        for s in sets
+    )
+    return tuple(reduce(lambda acc, i: table[acc][i], mask_iter(s), unit) for s in sets), closed
+
+
+def _first_unclosed_by_scan(lat, rows, joins):
+    """Reference: the first row (column) m that ``_unclosed_family`` finds
+    not closed, and its family, or None."""
+    from topogen.structures import _unclosed_family
+
+    table, unit = (lat.join_table, lat.bottom) if joins else (lat.meet_table, lat.top)
+    cols = [sum(1 << m for m, row in enumerate(rows) if row >> n & 1) for n in range(lat.size)]
+    for m, s in enumerate(cols if joins else rows):
+        family = _unclosed_family(table, unit, s)
+        if family is not None:
+            return m, family
+    return None
+
+
+@pytest.mark.parametrize("name", _FOLD_BUILTINS)
+def test_the_shared_fold_matches_an_unmemoised_fold_on_every_order(name):
+    from topogen.harness.enumeration import orders_of
+    from topogen.structures import _join_folds, _meet_folds
+
+    fib = builtin_fibration(name)
+    closed_and_not = set()
+    for rel in orders_of(fib, TopogenousOrder).tables():
+        t = TopogenousOrder(fib, rel)
+        for joins, compute in ((False, _meet_folds), (True, _join_folds)):
+            for lat, rows in zip(fib.sub, rel):
+                folds, unclosed = lat.row_fact(compute, rows)
+                expected, closed = _fold_by_brute_force(lat, rows, joins)
+                closed_and_not.add(closed)
+                assert unclosed == _first_unclosed_by_scan(lat, rows, joins)
+                assert (unclosed is None) == closed
+                assert folds == (expected if closed else None)
+        _assert_predicates_match_the_scan(t)
+    assert closed_and_not == {True, False}
+
+
+def _converted_in_turn(fib, predicates_first):
+    """Per topogenous order of ``fib``, with every lattice's memo emptied
+    first: its meet and join preservation, and its closure and interior
+    tables or conversion witnesses; the predicates are asked before or after
+    the conversions."""
+    from topogen.harness.enumeration import orders_of
+
+    for lat in fib.sub:
+        lat.row_verdicts.clear()
+    out = []
+    for rel in orders_of(fib, TopogenousOrder).tables():
+        t = TopogenousOrder(fib, rel)
+        if predicates_first:
+            preserving = (is_meet_preserving(t), is_join_preserving(t))
+        converted = []
+        for convert in (closure_from_topogenous, interior_from_topogenous):
+            try:
+                converted.append(convert(t).table)
+            except PreconditionError as exc:
+                converted.append((str(exc), exc.witness))
+        if not predicates_first:
+            preserving = (is_meet_preserving(t), is_join_preserving(t))
+        out.append((preserving, *converted))
+    return out
+
+
+@pytest.mark.parametrize("name", _FOLD_BUILTINS)
+def test_predicates_first_and_conversions_first_agree(name):
+    fib = builtin_fibration(name)
+    first = _converted_in_turn(fib, predicates_first=True)
+    assert _converted_in_turn(fib, predicates_first=False) == first
+    for (meet, join), closure, interior in first:
+        assert meet == isinstance(closure[0], tuple)
+        assert join == isinstance(interior[0], tuple)
+    if name == "fintop2":
+        # topogenous_0000, _0003 and _0004 of ``topogen enumerate``
+        assert first[0][1:] == (
+            ("order is not meet-preserving", ("empty", "{}", ())),
+            ("order is not join-preserving", ("empty", "{}", ())),
+        )
+        assert first[3][0] == (True, False)
+        assert first[3][2] == ("order is not join-preserving", ("pt", "{}", ()))
+        assert first[4][0] == (False, True)
+        assert first[4][1] == ("order is not meet-preserving", ("pt", "{0}", ()))
+
+
+# ---------------------------------------------------------------------------
 # the validator's plan against the per-morphism reference
 
 

@@ -152,6 +152,19 @@ def test_one_routine_builds_every_classification():
     assert calls == ["morphisms.py"]
 
 
+def test_one_fold_finds_every_unclosed_family():
+    # structures._fold is the per-object fold that the order predicates and
+    # the conversions share; a second caller would decide a row table again
+    callers = [
+        f"{module}.{node.name}"
+        for module, tree in _src_modules()
+        for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_unclosed_family"
+    ]
+    assert callers == ["structures._fold"]
+
+
 _IMPORT_EACH_ALONE = """
 import importlib, sys
 for name in sys.argv[1:]:
