@@ -22,20 +22,14 @@ from .errors import (
     TopogenError,
 )
 from .harness import fileformat
-from .harness.enumeration import KINDS, EnumerationSpec, enumerate_structures
+from .harness.enumeration import FILTERS, EnumerationSpec, enumerate_structures
 from .harness.suite import CHECKS, SCALES, run_suite
 from .instances import registry
 from .instances.groups import validate_group
 from .instances.topology import fintop_fibration, is_continuous, map_predicates
 from .morphisms import classify, strict_subobjects
 from .constructions import induce_order, lift_topogenous, validate_endofunctor
-from .structures import (
-    closure_from_topogenous,
-    interior_from_topogenous,
-    nbhd_from_topogenous,
-    predicates,
-    validate_structure,
-)
+from .structures import CORRESPONDENCE, KINDS, RELATIONS, predicates, validate_structure
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -199,22 +193,15 @@ def _cmd_validate(args) -> int:
     return EXIT_FAILURE if failures else EXIT_OK
 
 
-_CONVERTERS = {
-    "closure": closure_from_topogenous,
-    "interior": interior_from_topogenous,
-    "neighbourhood": nbhd_from_topogenous,
-}
-
-
 def _cmd_convert(args) -> int:
     env = _Environment(args.files)
     fib = env.fibration(args.fibration)
     order = env.order(args.order, fib)
-    result = _CONVERTERS[args.target_kind](order)
-    if args.target_kind == "neighbourhood":
-        record = fileformat.order_record_of(f"{args.order}_as_nbhd", result)
-    else:
-        record = fileformat.operator_record_of(f"{args.order}_{args.target_kind}", result, args.target_kind)
+    _, convert, _ = CORRESPONDENCE[KINDS[args.target_kind]]
+    result = convert(order)
+    # an explicit order record does not state its kind, so its name does
+    suffix = "as_nbhd" if isinstance(result, RELATIONS) else args.target_kind
+    record = fileformat.record_of(f"{args.order}_{suffix}", result)
     _emit(fileformat.serialize_record(record) + "\n", args.output)
     return EXIT_OK
 
@@ -293,11 +280,7 @@ def _cmd_enumerate(args) -> int:
     lines = []
     for structure in enumerate_structures(spec):
         if not args.count_only:
-            name = f"{args.kind}_{count:04d}"
-            if args.kind in ("topogenous", "neighbourhood"):
-                record = fileformat.order_record_of(name, structure)
-            else:
-                record = fileformat.operator_record_of(name, structure, args.kind)
+            record = fileformat.record_of(f"{args.kind}_{count:04d}", structure)
             lines.append(fileformat.serialize_record(record))
         count += 1
     lines.append(f"# {count} {args.kind} structures on {args.builtin}")
@@ -346,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert between structure kinds")
     p.add_argument("--from", dest="source_kind", required=True, choices=("topogenous",))
-    p.add_argument("--to", dest="target_kind", required=True, choices=tuple(_CONVERTERS))
+    p.add_argument("--to", dest="target_kind", required=True,
+                   choices=tuple(cls.kind for cls in CORRESPONDENCE))
     p.add_argument("--order", required=True)
     _file_arguments(p, _cmd_convert)
 
@@ -382,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate structures on a built-in fibration")
     p.add_argument("--builtin", required=True)
     p.add_argument("--kind", required=True, choices=tuple(KINDS))
-    p.add_argument("--filter", choices=("meet", "join", "interpolative"))
+    p.add_argument("--filter", choices=tuple(FILTERS))
     p.add_argument("--count-only", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_enumerate)

@@ -17,11 +17,10 @@ each other into classes, and counts the up-sets of the class order by
 memoised branching; the same branching builds the tables, sorted, the
 first time a call asks for them.
 
-Closure and interior operators are the topogenous orders that preserve
-meets and joins, read through a conversion (Á. Császár, *Foundations of
-General Topology*, 1963): their enumeration filters the tables of the
-topogenous forcing record with ``is_meet_preserving`` or
-``is_join_preserving`` and converts the orders it keeps.
+Closure and interior operators are the topogenous orders their kind's
+``structures.CORRESPONDENCE`` picks (meet or join preservation): their
+enumeration filters the tables of the topogenous forcing record with that
+predicate and converts the orders it keeps.
 
 Every kind's structures come in sorted order of their tables, and the
 budget bounds the structures a kind reads, the topogenous orders for an
@@ -49,12 +48,10 @@ from ..errors import DomainError, PreconditionError, ResourceCapError
 from ..lattice import FiniteLattice, mask_iter
 from ..site import SubobjectFibration
 from ..structures import (
-    ClosureOperator,
-    InteriorOperator,
-    NeighbourhoodOperator,
+    CORRESPONDENCE,
+    KINDS,
+    RELATIONS,
     TopogenousOrder,
-    closure_from_topogenous,
-    interior_from_topogenous,
     is_interpolative,
     is_join_preserving,
     is_meet_preserving,
@@ -64,14 +61,6 @@ from ..structures import (
 DEFAULT_MAX_CANDIDATES = 1 << 24
 ENV_MAX_CANDIDATES = "TOPOGEN_MAX_CANDIDATES"
 MAX_LATTICE = 16
-
-# each enumerable kind and its structure class, which holds the kind's law
-KINDS = {
-    cls.kind: cls
-    for cls in (TopogenousOrder, ClosureOperator, InteriorOperator, NeighbourhoodOperator)
-}
-# the kinds whose structures are the up-sets of a forcing preorder
-RELATIONS = (TopogenousOrder, NeighbourhoodOperator)
 
 
 @dataclass(frozen=True)
@@ -249,17 +238,11 @@ def orders_of(fib: SubobjectFibration, structure_class) -> _Forcing:
 # enumeration
 
 
-_FILTERS = {
+# the property filters of topogenous enumeration, by name
+FILTERS = {
     "meet": is_meet_preserving,
     "join": is_join_preserving,
     "interpolative": is_interpolative,
-}
-
-
-# per operator class: the topogenous orders it is read from, and the conversion
-_CONVERSIONS = {
-    ClosureOperator: (is_meet_preserving, closure_from_topogenous),
-    InteriorOperator: (is_join_preserving, interior_from_topogenous),
 }
 
 
@@ -273,12 +256,13 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
     kind reads exceed the budget: a relation kind's own, an operator kind's
     topogenous orders.
     """
-    if spec.kind not in KINDS:
+    structure_class = KINDS.get(spec.kind)
+    if structure_class is None:
         raise PreconditionError(f"unknown enumeration kind {spec.kind!r}")
     if spec.prop_filter is not None:
-        if spec.kind != "topogenous":
+        if structure_class is not TopogenousOrder:
             raise DomainError("property filters apply to topogenous enumeration")
-        if spec.prop_filter not in _FILTERS:
+        if spec.prop_filter not in FILTERS:
             raise DomainError(f"unknown property filter {spec.prop_filter!r}")
     fib = spec.fibration
     for lat in fib.sub:
@@ -286,11 +270,10 @@ def enumerate_structures(spec: EnumerationSpec) -> Iterator:
             raise ResourceCapError(
                 f"lattice of size {lat.size} exceeds enumeration cap {MAX_LATTICE}")
     budget = _budget()
-    structure_class = KINDS[spec.kind]
     if structure_class in RELATIONS:
-        source, keep, convert = structure_class, _FILTERS.get(spec.prop_filter), None
+        source, keep, convert = structure_class, FILTERS.get(spec.prop_filter), None
     else:
-        source, (keep, convert) = TopogenousOrder, _CONVERSIONS[structure_class]
+        source, (keep, convert, _) = TopogenousOrder, CORRESPONDENCE[structure_class]
 
     record = orders_of(fib, source)
     if record.count > budget:

@@ -48,11 +48,13 @@ from ..instances.groups import FinGroup
 from ..instances.registry import ORDER_KINDS, builtin_order
 from ..instances.topology import FinTopSpace
 from ..lattice import MAX_ELEMENTS, mask_iter
-from ..structures import ClosureOperator, InteriorOperator, TopogenousOrder
+from ..structures import KINDS, RELATIONS, TopogenousOrder
 
 
 # the most points whose subsets still form a ``FiniteLattice``
 MAX_POINTS = MAX_ELEMENTS.bit_length() - 1
+# the kinds an operator record may name
+_OPERATOR_KINDS = tuple(kind for kind, cls in KINDS.items() if cls not in RELATIONS)
 
 
 @dataclass(frozen=True)
@@ -247,6 +249,15 @@ def _fields(rest: str, line: int, col: int) -> tuple[dict[str, str], dict[str, i
     return out, cols
 
 
+def _once(names, problem: str, *where) -> None:
+    """A ``FormatError`` naming the first name that ``names`` repeats."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise FormatError(f"{problem} {name!r}", *where)
+        seen.add(name)
+
+
 def _require(fields: dict, keys: tuple[str, ...], line: int) -> None:
     for k in keys:
         if k not in fields:
@@ -281,6 +292,7 @@ def _parse_space(name, fields, cols, line) -> SpaceRecord:
 def _parse_group(name, fields, cols, line) -> GroupRecord:
     _require(fields, ("elements", "identity", "table"), line)
     elems = tuple(e.strip() for e in fields["elements"].split(","))
+    _once(elems, f"group {name!r} repeats element", line)
     index = {e: i for i, e in enumerate(elems)}
     if fields["identity"] not in index:
         raise FormatError(f"identity {fields['identity']!r} not an element", line)
@@ -330,8 +342,8 @@ def _parse_order(name, fields, cols, line) -> OrderRecord:
 def _parse_operator(name, fields, cols, line) -> OperatorRecord:
     _require(fields, ("fibration", "kind", "table"), line)
     kind = fields["kind"]
-    if kind not in ("closure", "interior"):
-        raise FormatError(f"operator kind must be closure|interior, got {kind!r}", line)
+    if kind not in _OPERATOR_KINDS:
+        raise FormatError(f"operator kind must be {'|'.join(_OPERATOR_KINDS)}, got {kind!r}", line)
     table = _parse_blocks(fields["table"], line, cols["table"], _parse_arrow)
     return OperatorRecord(name, fields["fibration"], kind, table)
 
@@ -388,7 +400,7 @@ def _canonical_patterns(kind: str) -> tuple[re.Pattern, re.Pattern, re.Pattern]:
     if kind == "order":
         field, kinds, entry = "rel", "explicit", r"\({0},{0}\)"
     else:
-        field, kinds, entry = "table", "closure|interior", "{0}=>{0}"
+        field, kinds, entry = "table", "|".join(_OPERATOR_KINDS), "{0}=>{0}"
     plain = entry.format(f"(?:{label})")
     block = rf"{word}\[(?:{plain}(?:,{plain})*)?\]"
     return (
@@ -528,22 +540,24 @@ def _label_pairs(lat, rows) -> tuple[tuple[str, str], ...]:
     return tuple((labels[m], labels[n]) for m, row in enumerate(rows) for n in mask_iter(row))
 
 
+def _blocks(s, block) -> tuple:
+    """Each object's name and its ``block``, built once per (lattice, rows)."""
+    fib = s.fib
+    return tuple((obj, lat.row_fact(block, rows))
+                 for obj, lat, rows in zip(fib.category.object_names, fib.sub, s.table))
+
+
 def order_record_of(name: str, t) -> OrderRecord:
     """Serialize a topogenous order, or the relation table of a neighbourhood
-    operator, as an explicit record (over its fibration's name).  Each
-    object's block is built once per (lattice, rows) and shared by every
-    record that repeats it."""
-    fib = t.fib
-    return OrderRecord(name, fib.name, "explicit", tuple(
-        (obj, lat.row_fact(_label_pairs, rows))
-        for obj, lat, rows in zip(fib.category.object_names, fib.sub, t.table)
-    ))
+    operator, as an explicit record (over its fibration's name)."""
+    return OrderRecord(name, t.fib.name, "explicit", _blocks(t, _label_pairs))
 
 
 def resolve_order(record: OrderRecord, fib) -> "object":
     """Turn an order record into a TopogenousOrder over the given fibration."""
     if record.kind != "explicit":
         return builtin_order(record.kind, fib)
+    _once((obj for obj, _ in record.rel), f"order {record.name!r} repeats the block of")
     rows = [[0] * lat.size for lat in fib.sub]
     by_name = {n: i for i, n in enumerate(fib.category.object_names)}
     for obj_name, pairs in record.rel:
@@ -557,7 +571,10 @@ def resolve_order(record: OrderRecord, fib) -> "object":
 
 
 def resolve_endofunctor(record: EndofunctorRecord, fib):
+    """Turn an endofunctor record into an Endofunctor over the given fibration."""
     cat = fib.category
+    for entries in (record.obj, record.mor, record.components):
+        _once((a for a, _ in entries), f"endofunctor {record.name!r} repeats the entry of")
     obj_map = [None] * cat.n_objects
     for a, b in record.obj:
         obj_map[cat.object_index(a)] = cat.object_index(b)
@@ -580,15 +597,16 @@ def _label_arrows(lat, row) -> tuple[tuple[str, str], ...]:
 
 
 def operator_record_of(name: str, op, kind: str) -> OperatorRecord:
-    """Serialize a closure or interior operator as a record (over its
-    fibration's name); each object's block is built once per (lattice,
-    row) and shared by every record that repeats it."""
-    fib = op.fib
-    tables = op.cmap if kind == "closure" else op.imap
-    return OperatorRecord(name, fib.name, kind, tuple(
-        (obj, lat.row_fact(_label_arrows, row))
-        for obj, lat, row in zip(fib.category.object_names, fib.sub, tables)
-    ))
+    """Serialize a closure or interior operator as a record of ``kind``
+    (over its fibration's name)."""
+    return OperatorRecord(name, op.fib.name, kind, _blocks(op, _label_arrows))
+
+
+def record_of(name: str, s) -> Union[OrderRecord, OperatorRecord]:
+    """A relation's record as an explicit order, an operator's of its kind."""
+    if isinstance(s, RELATIONS):
+        return order_record_of(name, s)
+    return operator_record_of(name, s, s.kind)
 
 
 def resolve_operator(record: OperatorRecord, fib):
@@ -598,6 +616,7 @@ def resolve_operator(record: OperatorRecord, fib):
     Each block maps every subobject of its object once.  A block may be left
     out only for an object with one subobject, whose one self-map is forced.
     """
+    _once((obj for obj, _ in record.table), f"operator {record.name!r} repeats the block of")
     rows = [[0] if lat.size == 1 else [None] * lat.size for lat in fib.sub]
     for obj_name, entries in record.table:
         x = fib.category.object_index(obj_name)
@@ -607,9 +626,9 @@ def resolve_operator(record: OperatorRecord, fib):
                 f"operator {record.name!r} has {len(entries)} entries for {obj_name!r}, "
                 f"expected {lat.size}"
             )
+        _once((a for a, _ in entries), f"operator {record.name!r} at {obj_name!r} repeats the label")
         for a, b in entries:
             rows[x][lat.index_of(a)] = lat.index_of(b)
     if any(v is None for row in rows for v in row):
         raise FormatError(f"operator {record.name!r} leaves entries unassigned")
-    cls = ClosureOperator if record.kind == "closure" else InteriorOperator
-    return cls(fib, tuple(map(tuple, rows)))
+    return KINDS[record.kind](fib, tuple(map(tuple, rows)))

@@ -40,18 +40,15 @@ from ..morphisms import (
 from ..reporting import Report, Violation, merge
 from ..site import validate_category, validate_fibration
 from ..structures import (
+    CORRESPONDENCE,
+    KINDS,
     ClosureOperator,
     InteriorOperator,
+    NeighbourhoodOperator,
     closure_from_topogenous,
     interior_from_topogenous,
     is_idempotent,
     is_interpolative,
-    is_join_preserving,
-    is_meet_preserving,
-    nbhd_from_topogenous,
-    topogenous_from_closure,
-    topogenous_from_interior,
-    topogenous_from_nbhd,
     validate_structure,
 )
 from ..instances import registry
@@ -127,8 +124,8 @@ def check_instance_validity(scale: str) -> Report:
 
 def _operators(fib, structure_class) -> list:
     """Every closure or interior operator on ``fib``, found without its
-    topogenous orders: per object, each monotone table of values above
-    (closure) or below (interior) their elements that obeys the law along
+    topogenous orders: per object, each monotone table of values within the
+    class's ``bound`` (above or below their elements) that obeys the law along
     the object's endomorphisms, then each choice of one table per object
     that obeys the law along every other morphism; in sorted order of the
     tables.  It lists every monotone table of a lattice, so it serves only
@@ -138,10 +135,9 @@ def _operators(fib, structure_class) -> list:
             for f in range(cat.n_morphisms)]
     local = []
     for x, lat in enumerate(fib.sub):
-        allowed = lat.up if structure_class.kind == "closure" else lat.down
         endos = [law for d, c, law in laws if d == c == x]
         local.append([
-            row for row in itertools.product(*(mask_iter(bound) for bound in allowed))
+            row for row in itertools.product(*map(mask_iter, structure_class.bound(lat)))
             if all(lat.leq(row[m], row[n]) for m in range(lat.size) for n in lat.above[m])
             and all(law.holds(row, row) for law in endos)
         ])
@@ -174,24 +170,23 @@ def check_conversion_bijections(scale: str) -> Report:
                     violations.append(Violation("enumerated-structure-invalid", where=name))
         if len({t.rel for t in torders}) != len(torders):
             violations.append(Violation("duplicate-structures", where=name))
-        meet = [t for t in torders if is_meet_preserving(t)]
-        join = [t for t in torders if is_join_preserving(t)]
-        # per operator kind: its count law, its name in the round-trip laws,
-        # the orders it converts, its structures, and the two conversions
+        # per non-topogenous kind: its count law, its name in the round-trip
+        # laws, its class (whose correspondence is read) and its structures
         rows = (
-            ("count-orders-vs-neighbourhoods", "nbhd", torders, nbhds,
-             nbhd_from_topogenous, topogenous_from_nbhd),
-            ("count-meet-orders-vs-closures", "closure", meet, closures,
-             closure_from_topogenous, topogenous_from_closure),
-            ("count-join-orders-vs-interiors", "interior", join, interiors,
-             interior_from_topogenous, topogenous_from_interior),
+            ("count-orders-vs-neighbourhoods", "nbhd", NeighbourhoodOperator, nbhds),
+            ("count-meet-orders-vs-closures", "closure", ClosureOperator, closures),
+            ("count-join-orders-vs-interiors", "interior", InteriorOperator, interiors),
         )
-        for law, _, orders, others, _, _ in rows:
+        picked = {cls: [t for t in torders if picks is None or picks(t)]
+                  for cls, (picks, _, _) in CORRESPONDENCE.items()}
+        for law, _, cls, others in rows:
+            orders = picked[cls]
             if len(orders) != len(others):
                 violations.append(Violation(
                     law, where=name, witness=(str(len(orders)), str(len(others)))))
-        for _, other, orders, others, there, back in rows:
-            if any(back(there(t)) != t for t in orders):
+        for _, other, cls, others in rows:
+            _, there, back = CORRESPONDENCE[cls]
+            if any(back(there(t)) != t for t in picked[cls]):
                 violations.append(Violation(f"roundtrip-order-{other}", where=name))
             if any(there(back(s)) != s for s in others):
                 violations.append(Violation(f"roundtrip-{other}-order", where=name))
@@ -347,13 +342,11 @@ def _discretization_is_inclusion(endo) -> Report:
         "discretization-order-is-inclusion", ind, lambda x, m: fib.sub[x].up[m])
 
 
-# per operator kind: the induced operator, the conversion from orders, and
-# per side the extreme the operator must be
+# per operator kind: the induced operator, per side the extreme the
+# operator must be, and whether its pointed idempotence needs every unit in E
 _INDUCED_OPERATORS = {
-    "closure": (induced_closure, closure_from_topogenous,
-                {"pointed": "largest", "copointed": "least"}),
-    "interior": (induced_interior, interior_from_topogenous,
-                 {"pointed": "least", "copointed": "largest"}),
+    "closure": (induced_closure, {"pointed": "largest", "copointed": "least"}, False),
+    "interior": (induced_interior, {"pointed": "least", "copointed": "largest"}, True),
 }
 
 
@@ -362,7 +355,8 @@ def check_induced_operator(kind: str, scale: str) -> Report:
     endofunctor: valid, equal to the converted induced order, extremal in
     its family, and (pointed side) idempotent when the order is
     interpolative and, for interiors, every unit is in E."""
-    induced, convert, extremes = _INDUCED_OPERATORS[kind]
+    induced, extremes, needs_e_units = _INDUCED_OPERATORS[kind]
+    _, convert, _ = CORRESPONDENCE[KINDS[kind]]
     reports = []
     for side, (fib_name, endo_name, _) in _ENDOFUNCTORS.items():
         fib = _fib(fib_name)
@@ -375,7 +369,7 @@ def check_induced_operator(kind: str, scale: str) -> Report:
         if (
             side == "pointed"
             and is_interpolative(t)
-            and (kind == "closure" or endo.e_pointed)
+            and (not needs_e_units or endo.e_pointed)
             and not is_idempotent(op)
         ):
             between.append(Violation(f"pointed-{kind}-idempotence"))

@@ -75,19 +75,16 @@ def builtin_functor(name: str):
     raise DomainError(f"unknown built-in fibered functor {name!r}")
 
 
-ORDER_KINDS = ("closure", "interior", "grp_normal", "leq")
+# each built-in order kind and the order it builds on a fibration
+_ORDERS = {"closure": closure_order, "interior": interior_order,
+           "grp_normal": groups.normal_interval_order, "leq": discrete_order}
+ORDER_KINDS = tuple(_ORDERS)
 
 
 def builtin_order(kind: str, fib) -> TopogenousOrder:
-    if kind == "closure":
-        return closure_order(fib)
-    if kind == "interior":
-        return interior_order(fib)
-    if kind == "grp_normal":
-        return groups.normal_interval_order(fib)
-    if kind == "leq":
-        return discrete_order(fib)
-    raise DomainError(f"unknown order kind {kind!r} (one of {ORDER_KINDS})")
+    if kind not in _ORDERS:
+        raise DomainError(f"unknown order kind {kind!r} (one of {ORDER_KINDS})")
+    return _ORDERS[kind](fib)
 
 
 ENDOFUNCTORS = {

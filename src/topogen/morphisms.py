@@ -47,14 +47,11 @@ from typing import Optional
 from .errors import CapabilityError, DomainError, InternalConsistencyError, PreconditionError
 from .reporting import Report, Violation
 from .structures import (
+    CORRESPONDENCE,
     ClosureOperator,
     InteriorOperator,
     TopogenousOrder,
-    closure_from_topogenous,
-    interior_from_topogenous,
     is_interpolative,
-    is_join_preserving,
-    is_meet_preserving,
     pull_along,
 )
 from .site import PullbackSquare, SubobjectFibration, check_bcp, fibre_masks, intern
@@ -500,6 +497,12 @@ def interior_classes(f: int, i: InteriorOperator) -> dict[str, Optional[bool]]:
     return out
 
 
+def _converted(t: TopogenousOrder, structure_class):
+    """t's operator of ``structure_class``, or None if its orders exclude t."""
+    picks, convert, _ = CORRESPONDENCE[structure_class]
+    return convert(t) if picks(t) else None
+
+
 def crosscheck_operator_classes(t: TopogenousOrder) -> Report:
     """Order-relative classes of every morphism against the associated
     operators' classes, each operator converted once.
@@ -512,10 +515,10 @@ def crosscheck_operator_classes(t: TopogenousOrder) -> Report:
     if not fib.preimage_join_commuting():
         raise PreconditionError("preimages do not commute with joins in this fibration")
     operators = []
-    if is_meet_preserving(t):
-        operators.append(("closure", closure_classes, closure_from_topogenous(t)))
-    if is_join_preserving(t):
-        operators.append(("interior", interior_classes, interior_from_topogenous(t)))
+    for cls, classes_of in ((ClosureOperator, closure_classes), (InteriorOperator, interior_classes)):
+        op = _converted(t, cls)
+        if op is not None:
+            operators.append((cls.kind, classes_of, op))
     if not operators:
         raise PreconditionError("order preserves neither meets nor joins")
     violations = []
@@ -544,8 +547,7 @@ def weakly_final_formulas(t: TopogenousOrder) -> Report:
     final iff i(m) = m ^ f_*(i(f^{-1}(m))).
     """
     fib = t.fib
-    c = closure_from_topogenous(t) if is_meet_preserving(t) else None
-    i = interior_from_topogenous(t) if is_join_preserving(t) else None
+    c, i = _converted(t, ClosureOperator), _converted(t, InteriorOperator)
     violations = []
     checked = 0
     for f, (name, cls) in enumerate(zip(fib.category.mor_names, classifications(t))):

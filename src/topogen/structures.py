@@ -15,6 +15,9 @@ row table and reads each object's local axioms, and each hom-set's verdict
 (its failing morphisms), off the memo by the ids of the tables they read;
 witnesses are walked only along the failing morphisms, in morphism order.
 
+Each kind's correspondence with the topogenous orders (Á. Császár, 1963),
+its predicate and conversions both ways, is stated once: ``CORRESPONDENCE``.
+
 The order predicates are per-object conditions: each object's verdict is
 decided on its row table alone and memoised on its lattice
 (``FiniteLattice.row_fact``), never on a plan.  Meet and join preservation
@@ -38,7 +41,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import attrgetter, mul
 from typing import Mapping, Optional, Sequence
 
 from .errors import PreconditionError
@@ -308,13 +311,13 @@ class _Operator(_Structure):
         return None
 
     def _object_violations(self, x: int):
-        """Object x's map is extensive (closure) or contractive (interior),
-        and monotone; the number of checks and the violations, under the
+        """Object x's map takes each element within the kind's ``bound`` and
+        is monotone; the number of checks and the violations, under the
         kind's two ``local_laws`` names."""
         bounded, monotone = self.local_laws
         lat = self.fib.sub[x]
         where = self.fib.category.object_names[x]
-        allowed = lat.up if self.kind == "closure" else lat.down
+        allowed = self.bound(lat)
         op = self.table[x]
         violations = []
         checked = 0
@@ -340,6 +343,7 @@ class ClosureOperator(_Operator):
     local_laws = ("extensive", "monotone")
     law_name = "image-continuity"
     witness_sides = (0,)
+    bound = attrgetter("up")            # per lattice, the values each element may take
 
     @staticmethod
     def law_along(fib, f) -> LawAlong:
@@ -355,6 +359,7 @@ class InteriorOperator(_Operator):
     local_laws = ("contractive", "monotone")
     law_name = "preimage-continuity"
     witness_sides = (1,)
+    bound = attrgetter("down")
 
     @staticmethod
     def law_along(fib, f) -> LawAlong:
@@ -639,13 +644,14 @@ def closure_from_topogenous(t: TopogenousOrder) -> ClosureOperator:
     return ClosureOperator(t.fib, _folds(t, joins=False))
 
 
+def _bounds(op) -> tuple[tuple[int, ...], ...]:
+    """Per object, the ``bound`` of each of ``op``'s values."""
+    return tuple(tuple(map(op.bound(lat).__getitem__, row)) for lat, row in zip(op.fib.sub, op.table))
+
+
 def topogenous_from_closure(c: ClosureOperator) -> TopogenousOrder:
-    """m ⊏ n iff c(m) <= n."""
-    rel = tuple(
-        tuple(lat.up[c.cmap[x][m]] for m in range(lat.size))
-        for x, lat in enumerate(c.fib.sub)
-    )
-    return TopogenousOrder(c.fib, rel)
+    """m ⊏ n iff c(m) <= n: row m is the bound of c(m)."""
+    return TopogenousOrder(c.fib, _bounds(c))
 
 
 def interior_from_topogenous(t: TopogenousOrder) -> InteriorOperator:
@@ -654,12 +660,25 @@ def interior_from_topogenous(t: TopogenousOrder) -> InteriorOperator:
 
 
 def topogenous_from_interior(i: InteriorOperator) -> TopogenousOrder:
-    """m ⊏ n iff m <= i(n)."""
-    rel = tuple(
-        _transpose(tuple(lat.down[i.imap[x][n]] for n in range(lat.size)))
-        for x, lat in enumerate(i.fib.sub)
-    )
-    return TopogenousOrder(i.fib, rel)
+    """m ⊏ n iff m <= i(n): column n is the bound of i(n)."""
+    return TopogenousOrder(i.fib, tuple(map(_transpose, _bounds(i))))
+
+
+# each non-topogenous class: the predicate that picks its orders (None: all
+# orders), and its conversions from and to orders.  A conversion from orders
+# names its function when called, so rebinding it (as a tracer does) reaches
+# it.
+CORRESPONDENCE = {
+    ClosureOperator: (is_meet_preserving, lambda t: closure_from_topogenous(t),
+                      topogenous_from_closure),
+    InteriorOperator: (is_join_preserving, lambda t: interior_from_topogenous(t),
+                       topogenous_from_interior),
+    NeighbourhoodOperator: (None, lambda t: nbhd_from_topogenous(t), topogenous_from_nbhd),
+}
+# each kind's name and its structure class, which holds the kind's law
+KINDS = {cls.kind: cls for cls in (TopogenousOrder, *CORRESPONDENCE)}
+# the kinds whose tables are relations, a mask of elements per element
+RELATIONS = (TopogenousOrder, NeighbourhoodOperator)
 
 
 def is_idempotent(op) -> bool:

@@ -412,7 +412,7 @@ def test_endofunctor_record_with_unmapped_entries_is_a_parse_error(
 @pytest.mark.parametrize("fib,table,error", [
     ("fintop1", "pt[{}=>{0}]", "operator 'c' has 1 entries for 'pt', expected 2"),
     ("fintop1", "pt[{}=>{},{0}=>{0},{}=>{}]", "operator 'c' has 3 entries for 'pt', expected 2"),
-    ("fintop1", "pt[{}=>{},{}=>{0}]", "operator 'c' leaves entries unassigned"),
+    ("fintop1", "pt[{}=>{},{}=>{0}]", "operator 'c' at 'pt' repeats the label '{}'"),
     ("fintop2", "empty[{}=>{}]", "operator 'c' leaves entries unassigned"),
 ])
 def test_operator_table_of_the_wrong_size_is_a_parse_error(capsys, tmp_path, fib, table, error):
@@ -420,6 +420,64 @@ def test_operator_table_of_the_wrong_size_is_a_parse_error(capsys, tmp_path, fib
     doc.write_text(f"operator c: fibration={fib}; kind=interior; table={table}\n")
     code, out, err = run(capsys, "validate", str(doc))
     assert (code, out, err) == (2, "", f"parse error: {error}\n")
+
+
+# each record spelled canonically, and with the blanks that send it through
+# the general scanner
+SPELLINGS = [lambda line: line, lambda line: line.replace("; ", " ;  ")]
+
+OPERATOR_TWICE = [
+    ("table=a[{}=>{},{0}=>{0,1},{1}=>{1},{0,1}=>{0,1}]|a[{}=>{},{0}=>{0},{1}=>{1},{0,1}=>{0,1}]",
+     "operator 'c' repeats the block of 'a'"),
+    ("table=a[{}=>{},{0}=>{0,1},{0}=>{0},{0,1}=>{0,1}]",
+     "operator 'c' at 'a' repeats the label '{0}'"),
+]
+
+
+@pytest.mark.parametrize("spell", SPELLINGS, ids=["canonical", "scanned"])
+@pytest.mark.parametrize("table, error", OPERATOR_TWICE, ids=["block", "label"])
+def test_an_operator_record_stating_a_block_or_label_twice_is_a_parse_error(
+        capsys, tmp_path, spell, table, error):
+    doc = tmp_path / "in.topo"
+    doc.write_text("space a: points=2; opens={},{1},{0,1}\n"
+                   + spell(f"operator c: fibration=spaces:a; kind=closure; {table}") + "\n")
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out, err) == (2, f"ok {doc}:space a\n", f"parse error: {error}\n")
+
+
+@pytest.mark.parametrize("spell", SPELLINGS, ids=["canonical", "scanned"])
+@pytest.mark.parametrize("argv", [
+    ("validate",),
+    ("convert", "--from", "topogenous", "--to", "closure", "--order", "o", "--fibration", "fintop1"),
+], ids=["validate", "convert"])
+def test_an_order_record_with_two_blocks_for_one_object_is_a_parse_error(
+        capsys, tmp_path, spell, argv):
+    doc = tmp_path / "in.topo"
+    doc.write_text(spell("order o: fibration=fintop1; kind=explicit; "
+                         "rel=pt[({},{}),({},{0}),({0},{0})]|pt[({},{0})]") + "\n")
+    code, out, err = run(capsys, *argv, str(doc))
+    assert (code, out, err) == (2, "", "parse error: order 'o' repeats the block of 'pt'\n")
+
+
+@pytest.mark.parametrize("old, new, twice", [
+    ("obj=pt=>pt,", "obj=pt=>pt,pt=>pt,", "pt"),
+    ("mor=id_pt=>id_pt,", "mor=id_pt=>id_pt,id_pt=>id_pt,", "id_pt"),
+    ("unit=pt=>id_pt,", "unit=pt=>id_pt,pt=>id_pt,", "pt"),
+], ids=["obj", "mor", "unit"])
+def test_an_endofunctor_record_mapping_an_entry_twice_is_a_parse_error(
+        capsys, tmp_path, endofunctor_record, old, new, twice):
+    doc = tmp_path / "endo.topo"
+    doc.write_text(_t0_record_line(endofunctor_record).replace(old, new) + "\n")
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out, err) == (
+        2, "", f"parse error: endofunctor 't0' repeats the entry of {twice!r}\n")
+
+
+def test_a_group_record_listing_an_element_twice_is_a_parse_error(capsys, tmp_path):
+    doc = tmp_path / "in.topo"
+    doc.write_text("group g: elements=e,e; identity=e; table=e,e|e,e\n")
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out, err) == (2, "", "parse error: group 'g' repeats element 'e' (line 1)\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -535,6 +593,67 @@ def test_enumerated_operator_records_keep_their_bytes(capsys, name, kind):
     code, out, err = run(capsys, "enumerate", "--builtin", name, "--kind", kind)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == OPERATOR_RECORDS[name, kind]
+
+
+# per target kind, for each of fintop2's 11 enumerated topogenous orders in
+# turn, what `topogen convert` gives: its exit code, the sha256 of its
+# stdout, and its stderr; an order the target's correspondence does not
+# pick is refused with the least unclosed family as witness
+CONVERTED = {
+    "closure": (
+        (1, "", "failure: order is not meet-preserving\nwitness: ('empty', '{}', ())\n"),
+        (1, "", "failure: order is not meet-preserving\nwitness: ('pt', '{}', ())\n"),
+        (1, "", "failure: order is not meet-preserving\nwitness: ('pt', '{0}', ())\n"),
+        (0, "873649591f5b744250900389a0b02ed9997437e207fc21c9d20d62411f749806", ""),
+        (1, "", "failure: order is not meet-preserving\nwitness: ('pt', '{0}', ())\n"),
+        (0, "6d7e05c3899b591c2c684f6dfcaa26023c5aaacd7940f7eab7248e028e9584e6", ""),
+        (0, "8d6bb11967bf7dffb6b466dabad9a0afdd9dfbd1260b4c48a46dbec7bef08d94", ""),
+        (0, "629a8fcce31eb16dfc9419ce45341f3c6c195ab142e08ea8944aca1e9b412f87", ""),
+        (0, "7b8aa340799c9663774a2fd73b6123131bc15687a021c12246be2f75ba35467f", ""),
+        (0, "f708079a3e69904f133384f6b75ec42e4b7ba62a18e67dde939e2d0851a6f620", ""),
+        (0, "7faae3f0aa89489a39cdd60199cccb5e77363f37bda8af76622fa2acb2df6914", ""),
+    ),
+    "interior": (
+        (1, "", "failure: order is not join-preserving\nwitness: ('empty', '{}', ())\n"),
+        (1, "", "failure: order is not join-preserving\nwitness: ('pt', '{}', ())\n"),
+        (1, "", "failure: order is not join-preserving\nwitness: ('pt', '{}', ())\n"),
+        (1, "", "failure: order is not join-preserving\nwitness: ('pt', '{}', ())\n"),
+        (0, "8b2d31ced4d7590a8ef4185fa5badf501ccc88d2450344e70e666dab9f422a4a", ""),
+        (0, "295d384b152665c5a36ef1b3c300095f7e3c4d6add60efc6091e94a10d47e657", ""),
+        (0, "f6f1c8c28a30c7a6eb9f46c94797cde1075d90c4668ad03a284d9cea82814bda", ""),
+        (0, "1526ed36a539a144fc73e7163e1b7aa878d5ae2fd8a58f05dcf5a4528281a573", ""),
+        (0, "af7278c9380759fea43ce82271ce8fb7a1dcac31943f784eadf55a38fd611572", ""),
+        (0, "54185d81550a5166949d276a955da4bfcae23db1040eace453240b2b29470f14", ""),
+        (0, "763377e37c1f47429a92e9e9be819851b24f700083ea2415f808a982f9dfb8d7", ""),
+    ),
+    "neighbourhood": (
+        (0, "dd8c863a1d87496fbb89b0c15cd64e76ff300ee1fe60e9a4cf25e2a4806491c9", ""),
+        (0, "25121af8b710dbc527db25ad5ab351f13ed4f780bc7a58c4a05c3153564d66a1", ""),
+        (0, "8c9c0c2b38a0d0139f9a2811ed11a86d4c73514dc448df28f37230b17741ef1b", ""),
+        (0, "6e510a8743890630086e663794368a912fce68135acd4e8539377bfa1c7649bd", ""),
+        (0, "761d33cfaf9afdae6b0dde00cd4df06a6532562f0c81e121046a734b38d99186", ""),
+        (0, "ce866d9b46215f1687183e2052311edec7ef4daaa83fc0e7c378634ecc5289ec", ""),
+        (0, "e6589bae2df4f3fef188d837ae53cb52822c4c9cf743d6fbddfa7dfec41805d0", ""),
+        (0, "90fa404db57d4c34e49a9e374049c52455cb58e68248e8c3417942b87f94198f", ""),
+        (0, "719aa0e883e94343dfb2f061b8ddcf8e4132002bdf7d304d7c2dc3bd0be79b1b", ""),
+        (0, "0572c44c14deb12f5b3e18cde3722a859a3759ea90456a32ccd82a6746ff114a", ""),
+        (0, "da3e245d42a8ae0f12cb755d64d0beba3caf3966ce30508b1ab53c079f99e575", ""),
+    ),
+}
+
+
+@pytest.mark.parametrize("target", CONVERTED)
+def test_converting_each_enumerated_order_keeps_its_bytes(capsys, tmp_path, target):
+    orders = tmp_path / "orders.topo"
+    code, _, err = run(capsys, "enumerate", "--builtin", "fintop2", "--kind", "topogenous",
+                       "-o", str(orders))
+    assert (code, err) == (0, "")
+    found = []
+    for k in range(len(CONVERTED[target])):
+        code, out, err = run(capsys, "convert", "--from", "topogenous", "--to", target,
+                             "--order", f"topogenous_{k:04d}", str(orders))
+        found.append((code, hashlib.sha256(out.encode()).hexdigest() if out else "", err))
+    assert tuple(found) == CONVERTED[target]
 
 
 def test_a_refused_operator_search_prints_nothing(capsys, monkeypatch):

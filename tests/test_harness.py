@@ -21,6 +21,8 @@ from topogen.errors import (
 from topogen.lattice import FiniteLattice, mask_iter
 from topogen.site import FiniteCategory, SubobjectFibration
 from topogen.structures import (
+    KINDS,
+    RELATIONS,
     ClosureOperator,
     InteriorOperator,
     TopogenousOrder,
@@ -31,8 +33,6 @@ from topogen.structures import (
 )
 from topogen.harness import fileformat
 from topogen.harness.enumeration import (
-    KINDS,
-    RELATIONS,
     EnumerationSpec,
     _Forcing,
     enumerate_structures,

@@ -7,10 +7,11 @@ four cross-object laws were merged into one table; they must not move.
 import pytest
 
 from topogen.constructions import component_constraint, continuity_between
-from topogen.harness.enumeration import KINDS, EnumerationSpec, enumerate_structures
+from topogen.harness.enumeration import EnumerationSpec, enumerate_structures
 from topogen.instances.registry import builtin_endofunctor, builtin_fibration
 from topogen.instances.topology import closure_order
 from topogen.structures import (
+    KINDS,
     ClosureOperator,
     InteriorOperator,
     NeighbourhoodOperator,

@@ -11,6 +11,7 @@ from topogen.instances.registry import builtin_fibration
 from topogen.lattice import FiniteLattice, mask_iter
 from topogen.reporting import Report, Violation
 from topogen.structures import (
+    KINDS,
     ClosureOperator,
     InteriorOperator,
     TopogenousOrder,
@@ -677,7 +678,7 @@ def _reference_report(s):
 
 
 def _every_structure(fib):
-    from topogen.harness.enumeration import KINDS, EnumerationSpec, enumerate_structures
+    from topogen.harness.enumeration import EnumerationSpec, enumerate_structures
 
     for kind in KINDS:
         yield from enumerate_structures(EnumerationSpec(fib, kind))

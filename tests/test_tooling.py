@@ -165,6 +165,39 @@ def test_one_fold_finds_every_unclosed_family():
     assert callers == ["structures._fold"]
 
 
+# the structure kinds' names, the order predicates that pick the closures'
+# and the interiors' orders, and the conversions to and from orders
+_KIND_NAMES = {"topogenous", "closure", "interior", "neighbourhood"}
+_PRESERVATION = {"is_meet_preserving", "is_join_preserving"}
+_CONVERSION = re.compile(r"\w+_from_topogenous|topogenous_from_\w+")
+
+
+def test_each_kinds_correspondence_is_stated_once():
+    # structures.CORRESPONDENCE pairs each kind's predicate with its
+    # conversions, and structures.KINDS maps its name to its class; a module
+    # that names both a predicate and a conversion, or compares against a
+    # kind's name, would restate them
+    pairings, branches = [], []
+    for module, tree in _src_modules():
+        if module == "structures":
+            continue
+        names = {
+            getattr(node, "id", None) or getattr(node, "attr", None)
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        if names & _PRESERVATION and any(_CONVERSION.fullmatch(name) for name in names):
+            pairings.append(module)
+        branches += [
+            f"{module}:{node.lineno}"
+            for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            if _KIND_NAMES & {
+                leaf.value for side in (node.left, *node.comparators)
+                for leaf in ast.walk(side) if isinstance(leaf, ast.Constant)
+            }
+        ]
+    assert (pairings, branches) == ([], [])
+
+
 _IMPORT_EACH_ALONE = """
 import importlib, sys
 for name in sys.argv[1:]:
