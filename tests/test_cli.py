@@ -685,10 +685,13 @@ def test_bad_candidate_budget_is_a_usage_error(capsys, monkeypatch, value):
 
 
 def test_lift_command(capsys):
-    code, out, _ = run(capsys, "lift", "--fibration", "topgrp_le4",
-                       "--order", "grp_normal")
-    assert code == 0
+    code, out, err = run(capsys, "lift", "--fibration", "topgrp_le4",
+                         "--order", "grp_normal")
+    assert (code, err) == (0, "")
     assert out.startswith("order grp_normal_lifted:")
+    # every object's lifted block, byte for byte
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "288937c394f7dc1895ae72b3d43e4da9e8c0fd0503b41def2971d406a19ddb91")
 
 
 def test_induce_command(capsys):
