@@ -43,7 +43,7 @@ from functools import cache
 from typing import Optional, Union
 
 from ..constructions import Endofunctor
-from ..errors import FormatError
+from ..errors import DomainError, FormatError
 from ..instances.groups import FinGroup
 from ..instances.registry import ORDER_KINDS, builtin_order
 from ..instances.topology import FinTopSpace
@@ -553,17 +553,23 @@ def order_record_of(name: str, t) -> OrderRecord:
     return OrderRecord(name, t.fib.name, "explicit", _blocks(t, _label_pairs))
 
 
+def _block_object(fib, kind: str, record: str, obj_name: str) -> int:
+    """The index of the object that a block of the ``kind`` record named
+    ``record`` is for."""
+    try:
+        return fib.category.object_index(obj_name)
+    except DomainError:
+        raise FormatError(f"{kind} {record!r} names unknown object {obj_name!r}") from None
+
+
 def resolve_order(record: OrderRecord, fib) -> "object":
     """Turn an order record into a TopogenousOrder over the given fibration."""
     if record.kind != "explicit":
         return builtin_order(record.kind, fib)
     _once((obj for obj, _ in record.rel), f"order {record.name!r} repeats the block of")
     rows = [[0] * lat.size for lat in fib.sub]
-    by_name = {n: i for i, n in enumerate(fib.category.object_names)}
     for obj_name, pairs in record.rel:
-        if obj_name not in by_name:
-            raise FormatError(f"order names unknown object {obj_name!r}")
-        x = by_name[obj_name]
+        x = _block_object(fib, "order", record.name, obj_name)
         lat = fib.sub[x]
         for a, b in pairs:
             rows[x][lat.index_of(a)] |= 1 << lat.index_of(b)
@@ -619,7 +625,7 @@ def resolve_operator(record: OperatorRecord, fib):
     _once((obj for obj, _ in record.table), f"operator {record.name!r} repeats the block of")
     rows = [[0] if lat.size == 1 else [None] * lat.size for lat in fib.sub]
     for obj_name, entries in record.table:
-        x = fib.category.object_index(obj_name)
+        x = _block_object(fib, "operator", record.name, obj_name)
         lat = fib.sub[x]
         if len(entries) != lat.size:
             raise FormatError(

@@ -242,18 +242,16 @@ def check_fibration_lift(scale: str) -> Report:
     for x in range(fd.total.category.n_objects):
         fx = fd.obj_map[x]
         lat = fd.total.sub[x]
-        g = fd.gamma[x]
-        base_lat = fd.base.sub[fx]
         for m in range(lat.size):
             for n in range(lat.size):
                 checked += 1
                 want = bool(lifted.rel[x][m] >> n & 1)
-                if base_lat.leq(c_base.cmap[fx][g[m]], g[n]) != want:
+                if lat.leq(c_base.cmap[fx][m], n) != want:
                     violations.append(Violation(
                         "lift-closure-characterization",
                         where=fd.total.category.object_names[x],
                         witness=(lat.labels[m], lat.labels[n])))
-                if base_lat.leq(g[m], i_base.imap[fx][g[n]]) != want:
+                if lat.leq(m, i_base.imap[fx][n]) != want:
                     violations.append(Violation(
                         "lift-interior-characterization",
                         where=fd.total.category.object_names[x],

@@ -21,7 +21,6 @@ from .groups import (
     fingrp_fibration,
     homs,
     normal_subgroups,
-    subgroup_lattice,
     subgroups_of,
 )
 from .topology import FinTopSpace, is_continuous, minimal_neighbourhoods
@@ -122,9 +121,8 @@ class _TopGrpBackend:
 def topgrp_fibration() -> FiberedFunctor:
     """Topological groups of order <= ``MAX_ORDER`` over their underlying groups.
 
-    Total morphisms are the continuous homomorphisms; fibers share the
-    underlying subgroup lattice, so the per-object lattice identification is
-    the identity on indices.
+    Total morphisms are the continuous homomorphisms; each object's
+    subgroups, and their lattice, are its underlying group's in the base.
     """
     base_groups = tuple(g for g in catalog() if g.order <= MAX_ORDER)
     base = fingrp_fibration(base_groups, name=f"grp_le{MAX_ORDER}")
@@ -142,7 +140,6 @@ def topgrp_fibration() -> FiberedFunctor:
         [tg.name for tg in tgs], [tg.group.order for tg in tgs], continuous_homs
     )
     mor_dom, mor_cod, graphs = category.mor_dom, category.mor_cod, category.graphs
-    sub = [subgroup_lattice(tg.group) for tg in tgs]
     obj_map = tuple(base_index[tg.group.name] for tg in tgs)
     mor_map = tuple(
         base.category.morphism_by_graph(obj_map[mor_dom[f]], obj_map[mor_cod[f]], graph)
@@ -157,15 +154,7 @@ def topgrp_fibration() -> FiberedFunctor:
         == sum(1 << x for x, gx in enumerate(graphs[f]) if open_sub[mor_cod[f]] >> gx & 1)
     )
     total = subset_fibration(
-        category, sub, [subgroups_of(tg.group) for tg in tgs], mclass,
-        backend=_TopGrpBackend(tgs), name=f"topgrp_le{MAX_ORDER}",
+        category, [base.sub[fx] for fx in obj_map], [base.subsets[fx] for fx in obj_map],
+        mclass, backend=_TopGrpBackend(tgs), name=f"topgrp_le{MAX_ORDER}",
     )
-    gamma = tuple(tuple(range(lat.size)) for lat in sub)
-    return FiberedFunctor(
-        total=total,
-        base=base,
-        obj_map=obj_map,
-        mor_map=mor_map,
-        gamma=gamma,
-        delta=gamma,
-    )
+    return FiberedFunctor(total=total, base=base, obj_map=obj_map, mor_map=mor_map)

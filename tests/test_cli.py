@@ -445,6 +445,20 @@ def test_an_operator_record_stating_a_block_or_label_twice_is_a_parse_error(
     assert (code, out, err) == (2, f"ok {doc}:space a\n", f"parse error: {error}\n")
 
 
+@pytest.mark.parametrize("record, error", [
+    ("order o: fibration=spaces:a; kind=explicit; rel=nope[({},{})]",
+     "order 'o' names unknown object 'nope'"),
+    ("operator c: fibration=spaces:a; kind=closure; table=nope[{}=>{}]",
+     "operator 'c' names unknown object 'nope'"),
+], ids=["order", "operator"])
+def test_a_block_for_an_unknown_object_is_a_parse_error_naming_the_record(
+        capsys, tmp_path, record, error):
+    doc = tmp_path / "in.topo"
+    doc.write_text("space a: points=1; opens={},{0}\n" + record + "\n")
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out, err) == (2, f"ok {doc}:space a\n", f"parse error: {error}\n")
+
+
 @pytest.mark.parametrize("spell", SPELLINGS, ids=["canonical", "scanned"])
 @pytest.mark.parametrize("argv", [
     ("validate",),

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ from topogen.constructions import (
     validate_fibered_functor,
 )
 from topogen.errors import PreconditionError
+from topogen.lattice import FiniteLattice
 from topogen.reporting import Violation
 from topogen.structures import (
     closure_from_topogenous,
@@ -48,12 +50,10 @@ def identity_endofunctor(fib, side):
 
 def identity_functor(fib):
     cat = fib.category
-    gamma = tuple(tuple(range(lat.size)) for lat in fib.sub)
     return FiberedFunctor(
         total=fib, base=fib,
         obj_map=tuple(range(cat.n_objects)),
         mor_map=tuple(range(cat.n_morphisms)),
-        gamma=gamma, delta=gamma,
     )
 
 
@@ -75,6 +75,63 @@ def test_topgrp_functor_validates():
 
     for tg in fd.total.backend.topgroups:
         assert validate_topgroup(tg).ok
+
+
+def test_topgrp_fibres_are_the_base_lattices():
+    fd = builtin_functor("topgrp_le4")
+    assert all(lat is fd.base.sub[fx] for lat, fx in zip(fd.total.sub, fd.obj_map))
+
+
+def _with_total(fd, **tables):
+    """``fd`` over a copy of its total fibration with the given attributes
+    (``sub``, ``img`` or ``pre``) replaced."""
+    total = copy.copy(fd.total)
+    for name, value in tables.items():
+        setattr(total, name, tuple(value))
+    return replace(fd, total=total)
+
+
+def _with_entry(tables, f, m, size):
+    """``tables`` with entry m of f's table moved to the next of ``size``
+    elements."""
+    row = list(tables[f])
+    row[m] = (row[m] + 1) % size
+    return [tuple(row) if g == f else t for g, t in enumerate(tables)]
+
+
+def test_a_fibre_that_is_not_the_base_lattice_is_reported():
+    fd = builtin_functor("topgrp_le4")
+    tot = fd.total
+    good = validate_fibered_functor(fd)
+    # the dual of a lattice with two elements or more has the same size and
+    # comparable pairs, but another order on the same indices
+    x = next(x for x, lat in enumerate(tot.sub) if lat.size > 1)
+    lat = tot.sub[x]
+    dual = FiniteLattice.from_order(lat.labels, lat.down)
+    bad = _with_total(fd, sub=(dual if y == x else s for y, s in enumerate(tot.sub)))
+    report = validate_fibered_functor(bad)
+    assert report.checked == good.checked
+    assert list(report.violations) == [
+        Violation("fiber-order", where=tot.category.object_names[x])]
+
+
+@pytest.mark.parametrize("table, law", [
+    ("img", "image-compatibility"),
+    ("pre", "preimage-compatibility"),
+])
+def test_a_table_that_is_not_the_base_table_is_reported(table, law):
+    fd = builtin_functor("topgrp_le4")
+    tot = fd.total
+    good = validate_fibered_functor(fd)
+    # the table runs from the domain's lattice (image) or the codomain's
+    # (preimage) to the other one, which needs two elements to move into
+    source, target = (tot.sub_dom, tot.sub_cod) if table == "img" else (tot.sub_cod, tot.sub_dom)
+    f = next(f for f in range(tot.category.n_morphisms) if target(f).size > 1)
+    bad = _with_total(fd, **{table: _with_entry(getattr(tot, table), f, 0, target(f).size)})
+    report = validate_fibered_functor(bad)
+    assert report.checked == good.checked
+    assert list(report.violations) == [
+        Violation(law, where=tot.category.mor_names[f], witness=(source(f).labels[0],))]
 
 
 def test_topgrp_lift_is_topogenous_and_characterized():

@@ -125,6 +125,31 @@ def test_src_imports_only_at_module_level():
     assert local == []
 
 
+def _unused_imports(tree):
+    """Each name a module imports and neither reads nor lists in ``__all__``;
+    ``from __future__`` imports are directives, not names."""
+    imported = {
+        alias.asname or alias.name.split(".")[0]: node.lineno
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            used |= set(ast.literal_eval(node.value))
+    return sorted(f"{name}:{line}" for name, line in imported.items() if name not in used)
+
+
+def test_src_imports_only_names_it_uses():
+    # a name imported and never read is a leftover of deleted code
+    unused = {
+        module: names for module, tree in _src_modules() if (names := _unused_imports(tree))
+    }
+    assert unused == {}
+
+
 def test_one_weak_keyed_memo_per_fibration():
     # every per-(fibration, kind) record hangs off the validation plan
     # (structures.plan_of), so a second weak-keyed memo would fork one off
