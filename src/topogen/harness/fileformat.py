@@ -23,14 +23,15 @@ serializer emits exactly this canonical form; parse and serialize are
 mutually inverse.
 
 An explicit order or an operator line in the canonical text the serializer
-writes is read in one regex match: a ``fullmatch`` over the fields, then a
-``findall`` over the blocks and one over the entries.  Canonical here means
-one space after the colon, the fields in the order above and no other
-whitespace; names and labels of ASCII letters, digits and ``_.+-``, a label
-possibly braced with commas and parenthesised parts inside, and a fibration
-such as ``spaces:a,b`` or ``spaces(p,a,b,c)``.  The patterns compile on the
-first order or operator line a process reads.  Any other spelling goes
-through the general scanner below, with the same records and the same
+writes is read piece by piece: a head pattern over the fields up to the
+blocks, a split into blocks, and one ``findall`` over the entries of each
+distinct body (see ``_canonical_record``).  Canonical here means one space
+after the colon, the fields in the order above and no other whitespace;
+names and labels of ASCII letters, digits and ``_.+-``, a label possibly
+braced with commas and parenthesised parts inside, and a fibration such as
+``spaces:a,b`` or ``spaces(p,a,b,c)``.  The patterns compile on the first
+order or operator line a process reads.  Any other spelling goes through
+the general scanner below, with the same records and the same
 ``FormatError`` (message, line and column); that scanner is the only source
 of ``FormatError``.
 """
@@ -381,34 +382,38 @@ _PARSERS = {
 # the canonical text of explicit orders and operators
 
 
+def _body(entries, kind: str) -> str:
+    """The canonical body of an order's or an operator's block with
+    ``entries``."""
+    if kind == "order":
+        return ",".join([f"({a},{b})" for a, b in entries])
+    return ",".join([f"{a}=>{b}" for a, b in entries])
+
+
 @cache
 def _canonical_patterns(kind: str) -> tuple[re.Pattern, re.Pattern, re.Pattern]:
-    """The fields, block and entry patterns of an order or operator line in
-    canonical text.
+    """The head, object name and entry patterns of an order or operator
+    line in canonical text.
 
-    The fields pattern captures the fibration, the kind and the blocks; the
-    block pattern an object and its body; the entry pattern the two labels.
-    Every text the fields pattern accepts, the general scanner reads to the
-    record these captures give: names, labels and the fibration hold no
-    whitespace, ``;``, ``|``, ``=`` or square bracket, their other brackets
-    are balanced, and a label's commas sit inside its braces, so every
-    separator the scanner splits on is one the patterns place."""
+    The head pattern, matched at the start of the text after the colon,
+    captures the fibration and the kind and ends at the ``rel=`` or
+    ``table=`` that opens the blocks.  That end is the only one it can
+    have: the fibration's characters run up to its one parenthesised part
+    or to the ``;`` after it, and the kind is a word of a closed list.  The
+    entry pattern captures an entry's two labels, each a name or a braced
+    label whose commas and balanced parentheses sit inside its braces."""
     word = r"[\w.+-]+"
     inner = r"[\w.+,-]*"
-    label = rf"{word}|\{{{inner}(?:\({inner}\){inner})*\}}"
+    label = rf"({word}|\{{{inner}(?:\({inner}\){inner})*\}})"
     fibration = rf"[\w.:,+-]+(?:\({inner}\))?"
     if kind == "order":
-        field, kinds, entry = "rel", "explicit", r"\({0},{0}\)"
+        field, kinds, entry = "rel", "explicit", rf"\({label},{label}\)"
     else:
-        field, kinds, entry = "table", "|".join(_OPERATOR_KINDS), "{0}=>{0}"
-    plain = entry.format(f"(?:{label})")
-    block = rf"{word}\[(?:{plain}(?:,{plain})*)?\]"
+        field, kinds, entry = "table", "|".join(_OPERATOR_KINDS), f"{label}=>{label}"
     return (
-        re.compile(
-            rf" fibration=({fibration}); kind=({kinds}); {field}=({block}(?:\|{block})*)", re.ASCII
-        ),
-        re.compile(rf"({word})\[([^\]]*)\]", re.ASCII),
-        re.compile(entry.format(f"({label})"), re.ASCII),
+        re.compile(rf" fibration=({fibration}); kind=({kinds}); {field}=", re.ASCII),
+        re.compile(word, re.ASCII),
+        re.compile(entry, re.ASCII),
     )
 
 
@@ -416,20 +421,44 @@ def _canonical_record(kind: str, name: str, rest: str, bodies: dict):
     """The record of an order or operator line whose text after the colon is
     canonical, or None.
 
-    ``bodies`` maps each block body already read in the document to its
-    entries, which every block repeating that body shares.  Only the empty
-    body reads as both an order's and an operator's, to no entries, so the
-    two kinds can share one map."""
-    fields, block, entry = _canonical_patterns(kind)
-    match = fields.fullmatch(rest)
+    The text is read piece by piece: the head pattern, then each
+    ``|``-separated block as an object name, ``[``, a body and a final
+    ``]``.  A body is accepted when the entries ``findall`` reads from it,
+    written back in canonical form and joined by commas, give the body
+    again.  Only a comma-separated list of canonical entries does that, and
+    from such a list ``findall`` reads exactly its entries, since a plain
+    label ends at the first character outside its class and a braced one at
+    its first ``}``.  So the lines accepted are the head followed by
+    ``name[entries]`` blocks joined by ``|``, nothing more and nothing less.
+
+    The general scanner reads each such line to the same record.  No name,
+    label or fibration holds whitespace, ``;``, ``|``, ``=`` or a square
+    bracket, and their other brackets balance, so the scanner splits the
+    fields at each ``; ``, the blocks at each ``|`` and a body at the
+    commas between its entries, and an entry at its one ``=>`` or at the
+    comma between its labels: every split falls where a piece ends here.
+
+    ``bodies`` maps each block body already read for this kind in the
+    document to its entries, which every block repeating that body shares.
+    A body read for one kind says nothing of the other's, so each kind
+    keeps its own map."""
+    head, word, entry = _canonical_patterns(kind)
+    match = head.match(rest)
     if match is None:
         return None
-    fibration, record_kind, blocks = match.groups()
+    fibration, record_kind = match.groups()
     value = []
-    for obj, body in block.findall(blocks):
+    for block in rest[match.end():].split("|"):
+        obj, bracket, body = block.partition("[")
+        if not (bracket and body.endswith("]") and word.fullmatch(obj)):
+            return None
+        body = body[:-1]
         entries = bodies.get(body)
         if entries is None:
-            entries = bodies[body] = tuple(entry.findall(body))
+            entries = tuple(entry.findall(body))
+            if _body(entries, kind) != body:
+                return None
+            bodies[body] = entries
         value.append((obj, entries))
     value = tuple(value)
     if kind == "order":
@@ -439,11 +468,11 @@ def _canonical_record(kind: str, name: str, rest: str, bodies: dict):
 
 def parse_document(text: str) -> Document:
     """The records of ``text``, one per line.  Each distinct block body of
-    the canonical order and operator lines is read once per document, and
-    the records repeating it share its entries."""
+    the canonical order lines, and of the canonical operator lines, is read
+    once per document, and the records repeating it share its entries."""
     records = []
     seen = set()
-    bodies = {}
+    bodies = {"order": {}, "operator": {}}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -462,7 +491,7 @@ def parse_document(text: str) -> Document:
         seen.add((kind, name))
         record = None
         if kind in ("order", "operator"):
-            record = _canonical_record(kind, name, rest, bodies)
+            record = _canonical_record(kind, name, rest, bodies[kind])
         if record is None:
             # rest starts one column after the colon
             col = _start(raw, 1) + len(head) + 1
@@ -475,18 +504,22 @@ def parse_document(text: str) -> Document:
 # serialization
 
 
-def _render_blocks(blocks, arrow: bool) -> str:
+def _render_blocks(blocks, kind: str, bodies: dict) -> str:
+    """``obj[body]|...`` of an order or operator record; ``bodies[kind]``
+    maps each entries tuple already written for ``kind`` to its body."""
+    written = bodies[kind]
     chunks = []
     for obj, entries in blocks:
-        if arrow:
-            body = ",".join(f"{a}=>{b}" for a, b in entries)
-        else:
-            body = ",".join(f"({a},{b})" for a, b in entries)
+        body = written.get(entries)
+        if body is None:
+            body = written[entries] = _body(entries, kind)
         chunks.append(f"{obj}[{body}]")
     return "|".join(chunks)
 
 
-def serialize_record(r: Record) -> str:
+def _record_line(r: Record, bodies: dict) -> str:
+    """``r``'s line; ``bodies`` holds the block bodies already written (see
+    ``_render_blocks``)."""
     if isinstance(r, SpaceRecord):
         opens = ",".join(_render_set(m) for m in r.space.opens)
         return f"space {r.name}: points={r.space.n}; opens={opens}"
@@ -504,13 +537,13 @@ def serialize_record(r: Record) -> str:
         if r.kind == "explicit":
             return (
                 f"order {r.name}: fibration={r.fibration}; kind=explicit; "
-                f"rel={_render_blocks(r.rel, arrow=False)}"
+                f"rel={_render_blocks(r.rel, 'order', bodies)}"
             )
         return f"order {r.name}: fibration={r.fibration}; kind={r.kind}"
     if isinstance(r, OperatorRecord):
         return (
             f"operator {r.name}: fibration={r.fibration}; kind={r.kind}; "
-            f"table={_render_blocks(r.table, arrow=True)}"
+            f"table={_render_blocks(r.table, 'operator', bodies)}"
         )
     if isinstance(r, EndofunctorRecord):
         comp_key = "unit" if r.kind == "pointed" else "counit"
@@ -525,8 +558,16 @@ def serialize_record(r: Record) -> str:
     raise FormatError(f"cannot serialize {type(r).__name__}")
 
 
+def serialize_record(r: Record) -> str:
+    return _record_line(r, {"order": {}, "operator": {}})
+
+
 def serialize_document(doc: Document) -> str:
-    return "\n".join(serialize_record(r) for r in doc.records) + "\n"
+    """The document's text: each record's line, with each distinct block
+    entries tuple of its order records, and of its operator records,
+    written once."""
+    bodies = {"order": {}, "operator": {}}
+    return "\n".join([_record_line(r, bodies) for r in doc.records]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -553,13 +594,17 @@ def order_record_of(name: str, t) -> OrderRecord:
     return OrderRecord(name, t.fib.name, "explicit", _blocks(t, _label_pairs))
 
 
-def _block_object(fib, kind: str, record: str, obj_name: str) -> int:
-    """The index of the object that a block of the ``kind`` record named
-    ``record`` is for."""
-    try:
-        return fib.category.object_index(obj_name)
-    except DomainError:
-        raise FormatError(f"{kind} {record!r} names unknown object {obj_name!r}") from None
+def _resolver(index, what: str, where: str):
+    """``index``, a lookup of names, with a name it does not know a
+    ``FormatError`` saying that ``where`` names an unknown ``what``."""
+
+    def resolve(name: str) -> int:
+        try:
+            return index(name)
+        except DomainError:
+            raise FormatError(f"{where} names unknown {what} {name!r}") from None
+
+    return resolve
 
 
 def resolve_order(record: OrderRecord, fib) -> "object":
@@ -568,30 +613,35 @@ def resolve_order(record: OrderRecord, fib) -> "object":
         return builtin_order(record.kind, fib)
     _once((obj for obj, _ in record.rel), f"order {record.name!r} repeats the block of")
     rows = [[0] * lat.size for lat in fib.sub]
+    where = f"order {record.name!r}"
+    block_object = _resolver(fib.category.object_index, "object", where)
     for obj_name, pairs in record.rel:
-        x = _block_object(fib, "order", record.name, obj_name)
-        lat = fib.sub[x]
+        x = block_object(obj_name)
+        label = _resolver(fib.sub[x].index_of, "label", f"{where} at {obj_name!r}")
         for a, b in pairs:
-            rows[x][lat.index_of(a)] |= 1 << lat.index_of(b)
+            rows[x][label(a)] |= 1 << label(b)
     return TopogenousOrder(fib, tuple(tuple(r) for r in rows))
 
 
 def resolve_endofunctor(record: EndofunctorRecord, fib):
     """Turn an endofunctor record into an Endofunctor over the given fibration."""
     cat = fib.category
+    where = f"endofunctor {record.name!r}"
     for entries in (record.obj, record.mor, record.components):
-        _once((a for a, _ in entries), f"endofunctor {record.name!r} repeats the entry of")
+        _once((a for a, _ in entries), f"{where} repeats the entry of")
+    obj = _resolver(cat.object_index, "object", where)
+    mor = _resolver(cat.morphism_index, "morphism", where)
     obj_map = [None] * cat.n_objects
     for a, b in record.obj:
-        obj_map[cat.object_index(a)] = cat.object_index(b)
+        obj_map[obj(a)] = obj(b)
     mor_map = [None] * cat.n_morphisms
     for a, b in record.mor:
-        mor_map[cat.morphism_index(a)] = cat.morphism_index(b)
+        mor_map[mor(a)] = mor(b)
     components = [None] * cat.n_objects
     for a, b in record.components:
-        components[cat.object_index(a)] = cat.morphism_index(b)
+        components[obj(a)] = mor(b)
     if any(v is None for v in (*obj_map, *mor_map, *components)):
-        raise FormatError(f"endofunctor {record.name!r} leaves entries unassigned")
+        raise FormatError(f"{where} leaves entries unassigned")
     return Endofunctor(fib, record.kind, tuple(obj_map), tuple(mor_map), tuple(components))
 
 
@@ -624,17 +674,19 @@ def resolve_operator(record: OperatorRecord, fib):
     """
     _once((obj for obj, _ in record.table), f"operator {record.name!r} repeats the block of")
     rows = [[0] if lat.size == 1 else [None] * lat.size for lat in fib.sub]
+    where = f"operator {record.name!r}"
+    block_object = _resolver(fib.category.object_index, "object", where)
     for obj_name, entries in record.table:
-        x = _block_object(fib, "operator", record.name, obj_name)
+        x = block_object(obj_name)
         lat = fib.sub[x]
         if len(entries) != lat.size:
             raise FormatError(
-                f"operator {record.name!r} has {len(entries)} entries for {obj_name!r}, "
-                f"expected {lat.size}"
+                f"{where} has {len(entries)} entries for {obj_name!r}, expected {lat.size}"
             )
-        _once((a for a, _ in entries), f"operator {record.name!r} at {obj_name!r} repeats the label")
+        _once((a for a, _ in entries), f"{where} at {obj_name!r} repeats the label")
+        label = _resolver(lat.index_of, "label", f"{where} at {obj_name!r}")
         for a, b in entries:
-            rows[x][lat.index_of(a)] = lat.index_of(b)
+            rows[x][label(a)] = label(b)
     if any(v is None for row in rows for v in row):
-        raise FormatError(f"operator {record.name!r} leaves entries unassigned")
+        raise FormatError(f"{where} leaves entries unassigned")
     return KINDS[record.kind](fib, tuple(map(tuple, rows)))

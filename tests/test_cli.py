@@ -460,6 +460,34 @@ def test_a_block_for_an_unknown_object_is_a_parse_error_naming_the_record(
 
 
 @pytest.mark.parametrize("spell", SPELLINGS, ids=["canonical", "scanned"])
+@pytest.mark.parametrize("record, error", [
+    ("order o: fibration=fintop1; kind=explicit; rel=pt[({},nope)]",
+     "order 'o' at 'pt' names unknown label 'nope'"),
+    ("operator c: fibration=fintop1; kind=closure; table=pt[{}=>{},nope=>{0}]",
+     "operator 'c' at 'pt' names unknown label 'nope'"),
+], ids=["order", "operator"])
+def test_an_unknown_label_in_a_block_is_a_parse_error_naming_the_record(
+        capsys, tmp_path, spell, record, error):
+    doc = tmp_path / "in.topo"
+    doc.write_text(spell(record) + "\n")
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out, err) == (2, "", f"parse error: {error}\n")
+
+
+@pytest.mark.parametrize("old, new, unknown", [
+    ("obj=pt=>pt,", "obj=nope=>pt,", "object 'nope'"),
+    ("mor=id_pt=>id_pt,", "mor=nope=>id_pt,", "morphism 'nope'"),
+    ("unit=pt=>id_pt,", "unit=pt=>nope,", "morphism 'nope'"),
+], ids=["obj", "mor", "unit"])
+def test_an_unknown_name_in_an_endofunctor_record_is_a_parse_error_naming_the_record(
+        capsys, tmp_path, endofunctor_record, old, new, unknown):
+    doc = tmp_path / "endo.topo"
+    doc.write_text(_t0_record_line(endofunctor_record).replace(old, new, 1) + "\n")
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out, err) == (2, "", f"parse error: endofunctor 't0' names unknown {unknown}\n")
+
+
+@pytest.mark.parametrize("spell", SPELLINGS, ids=["canonical", "scanned"])
 @pytest.mark.parametrize("argv", [
     ("validate",),
     ("convert", "--from", "topogenous", "--to", "closure", "--order", "o", "--fibration", "fintop1"),

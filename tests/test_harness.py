@@ -1107,6 +1107,20 @@ def test_builtin_records_are_read_in_one_match(name, limit):
     _assert_read_in_one_match(records)
 
 
+@pytest.mark.parametrize("name,limit", [("fintop2", None), ("grp_small", None), ("topgrp_le4", 40)])
+def test_a_document_is_its_records_lines(name, limit):
+    # the document writes each repeated block body once, to the same bytes
+    # that each record's own line holds
+    from topogen.instances.registry import builtin_fibration
+
+    records = _cli_records(builtin_fibration(name), limit)
+    blocks = [b for r in records for b in (r.rel if isinstance(r, fileformat.OrderRecord) else r.table)]
+    assert len({entries for _, entries in blocks}) < len(blocks)
+    doc = fileformat.Document(tuple(records))
+    assert fileformat.serialize_document(doc) == "".join(
+        fileformat.serialize_record(r) + "\n" for r in doc.records)
+
+
 def _sharing_a_block(structures):
     """Two of ``structures`` that agree on some object of more than two
     subobjects, with a nonzero entry there, and that object."""
@@ -1260,6 +1274,55 @@ def test_a_label_the_patterns_refuse_is_read_by_the_general_scanner(label, data)
     line, _ = data.draw(_record_lines("label", label))
     text = line + "\n"
     assert _parsed(text) == _parsed_by_the_general_scanner(text)
+
+
+# the text after "rel=" or "table=" of lines that break one piece of a
+# canonical line: a block's closing bracket, a square bracket in a body, the
+# separators between blocks, an object's name
+_ORDER_HEAD = "order o: fibration=fintop1; kind=explicit; rel="
+_OPERATOR_HEAD = "operator c: fibration=fintop1; kind=closure; table="
+_BROKEN_PIECES = {
+    "no closing bracket": [
+        (_ORDER_HEAD, "pt[({},{}),({},{0})"), (_ORDER_HEAD, "pt[({},{})|pt[]"),
+        (_OPERATOR_HEAD, "pt[{}=>{},{0}=>{0}"), (_OPERATOR_HEAD, "pt[{}=>{}|pt[{0}=>{0}]"),
+    ],
+    "bracket in a body": [
+        (_ORDER_HEAD, "pt[({},{}),({},{0})]]"), (_ORDER_HEAD, "pt[[({},{}),({},{0})]"),
+        (_ORDER_HEAD, "pt[({},{}),[({},{0})]]"), (_ORDER_HEAD, "pt[({},[0])]"),
+        (_OPERATOR_HEAD, "pt[{}=>{}],{0}=>{0}]"), (_OPERATOR_HEAD, "pt[{}=>{},{0}=>[{0}]]"),
+        (_OPERATOR_HEAD, "pt[[]]"), (_OPERATOR_HEAD, "pt[]]"),
+    ],
+    "outer separator": [
+        (_ORDER_HEAD, "|pt[({},{})]"), (_ORDER_HEAD, "pt[({},{})]|"), (_ORDER_HEAD, "pt[]||pt[]"),
+        (_OPERATOR_HEAD, "|pt[{}=>{}]"), (_OPERATOR_HEAD, "pt[{}=>{}]|"), (_OPERATOR_HEAD, "|"),
+    ],
+    "empty object": [
+        (_ORDER_HEAD, "[({},{})]"), (_ORDER_HEAD, "pt[({},{})]|[]"),
+        (_OPERATOR_HEAD, "[{}=>{}]"), (_OPERATOR_HEAD, "[]|pt[{}=>{}]"),
+    ],
+}
+
+
+@pytest.mark.parametrize("piece", sorted(_BROKEN_PIECES))
+def test_a_line_breaking_one_piece_is_read_by_the_general_scanner(piece):
+    for head, blocks in _BROKEN_PIECES[piece]:
+        line = head + blocks
+        kind, name = line.partition(":")[0].split()
+        assert fileformat._canonical_record(kind, name, line.partition(":")[2], {}) is None, line
+        assert _parsed(line + "\n") == _parsed_by_the_general_scanner(line + "\n"), line
+
+
+@pytest.mark.parametrize("body", ["({},{}),({},{0}),({0},{0})", "{}=>{},{0}=>{0}"])
+@pytest.mark.parametrize("first", ["order", "operator"])
+def test_a_body_read_for_one_kind_is_not_reused_for_the_other(body, first):
+    # the same body text on an order and an operator line of one document;
+    # it is canonical for one kind only, whichever line comes first
+    lines = {"order": _ORDER_HEAD + f"pt[{body}]", "operator": _OPERATOR_HEAD + f"pt[{body}]"}
+    second = "operator" if first == "order" else "order"
+    text = lines[first] + "\n" + lines[second] + "\n"
+    parsed = _parsed(text)
+    assert parsed == _parsed_by_the_general_scanner(text)
+    assert parsed[0] == "FormatError"
 
 
 def test_space_and_map_documents_never_compile_the_canonical_patterns():

@@ -235,8 +235,9 @@ for name in sys.argv[1:]:
 """
 
 
-def test_every_module_imports_alone():
-    # with no function-local imports, every import cycle would show here
+def _run_on_src_modules(script, *args):
+    """``script`` run in a fresh process on ``src``, with ``args`` and then
+    every module's dotted name as its arguments, and the modules' names."""
     names = [
         "topogen" + ("" if module == "__init__" else "." + module.removesuffix(".__init__"))
         for module, _ in _src_modules()
@@ -244,11 +245,43 @@ def test_every_module_imports_alone():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_EACH_ALONE, *names],
+        [sys.executable, "-c", script, *args, *names],
         capture_output=True, text=True, env=env, check=False,
     )
+    return proc, names
+
+
+def test_every_module_imports_alone():
+    # with no function-local imports, every import cycle would show here
+    proc, names = _run_on_src_modules(_IMPORT_EACH_ALONE)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
     assert len(names) == len(set(names)) > 10
+
+
+_COMPILES_AT_IMPORT = """
+import importlib, re, sys
+src, names = sys.argv[1], sys.argv[2:]
+compile_, callers = re.compile, []
+
+def compile(pattern, flags=0):
+    callers.append(sys._getframe(1).f_code.co_filename)
+    return compile_(pattern, flags)
+
+re.compile = compile
+for name in names:
+    importlib.import_module(name)
+print(sorted({c for c in callers if c.startswith(src)}))
+importlib.import_module("topogen.harness.fileformat")._canonical_patterns("order")
+print(sum(c.startswith(src) for c in callers) > 0)
+"""
+
+
+def test_no_src_pattern_compiles_at_import():
+    # a pattern compiled at import would cost every process, the ones that
+    # read only spaces and maps too; src compiles its patterns on first use
+    proc, _ = _run_on_src_modules(_COMPILES_AT_IMPORT, str(SRC))
+    # none at import, and the hook sees a compile made later
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\nTrue\n", "")
 
 
 def _bench_pairs():
