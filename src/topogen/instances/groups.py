@@ -371,13 +371,16 @@ def fingrp_fibration(groups, name: str = "fingrp") -> SubobjectFibration:
         names, [g.order for g in groups], lambda x, y: homs(groups[x], groups[y]),
         MAX_MORPHISMS, "homomorphisms",
     )
-    mclass = (
-        f for f, graph in enumerate(category.graphs)
-        if len(set(graph)) == groups[category.mor_dom[f]].order
-    )
+
+    def injective(cat):
+        """The injective homomorphisms."""
+        for f, (x, graph) in enumerate(zip(cat.mor_dom, cat.graphs)):
+            if len(set(graph)) == groups[x].order:
+                yield f
+
     return subset_fibration(
         category, [subgroup_lattice(g) for g in groups], [subgroups_of(g) for g in groups],
-        mclass, backend=_FinGrpBackend(groups), name=name,
+        injective(category), backend=_FinGrpBackend(groups), name=name,
     )
 
 

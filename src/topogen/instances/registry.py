@@ -47,6 +47,18 @@ def builtin_space(name: str) -> FinTopSpace:
 
 @lru_cache(maxsize=None)
 def builtin_fibration(name: str):
+    """The built-in fibration ``name``, built once per process.
+
+    Its maps are tabulated before it is cached, since every consumer of a
+    built-in reads them: a process pays for them where it first asks for
+    the fibration, as a set-up that builds the built-ins does.
+    """
+    fib = _untabulated_builtin(name)
+    fib.img  # the first read of a morphism field tabulates the maps
+    return fib
+
+
+def _untabulated_builtin(name: str):
     if name in ("fintop1", "fintop2", "fintop3"):
         return fintop_upto(int(name[-1]))
     if name == "disc2_loop":

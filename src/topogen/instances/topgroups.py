@@ -145,16 +145,18 @@ def topgrp_fibration() -> FiberedFunctor:
         base.category.morphism_by_graph(obj_map[mor_dom[f]], obj_map[mor_cod[f]], graph)
         for f, graph in enumerate(graphs)
     )
-    # initial monos: injective and the domain's open subgroup is the pulled-back one
     open_sub = [open_subgroup_mask(tg) for tg in tgs]
-    mclass = (
-        f for f in range(category.n_morphisms)
-        if len(set(graphs[f])) == tgs[mor_dom[f]].group.order
-        and open_sub[mor_dom[f]]
-        == sum(1 << x for x, gx in enumerate(graphs[f]) if open_sub[mor_cod[f]] >> gx & 1)
-    )
+
+    def initial_monos(cat):
+        """Injective maps whose domain's open subgroup is the pulled-back one."""
+        for f, (x, y, graph) in enumerate(zip(cat.mor_dom, cat.mor_cod, cat.graphs)):
+            if len(set(graph)) == tgs[x].group.order and open_sub[x] == sum(
+                1 << a for a, ga in enumerate(graph) if open_sub[y] >> ga & 1
+            ):
+                yield f
+
     total = subset_fibration(
         category, [base.sub[fx] for fx in obj_map], [base.subsets[fx] for fx in obj_map],
-        mclass, backend=_TopGrpBackend(tgs), name=f"topgrp_le{MAX_ORDER}",
+        initial_monos(category), backend=_TopGrpBackend(tgs), name=f"topgrp_le{MAX_ORDER}",
     )
     return FiberedFunctor(total=total, base=base, obj_map=obj_map, mor_map=mor_map)

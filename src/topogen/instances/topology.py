@@ -407,7 +407,6 @@ def fintop_fibration(spaces, name: str = "fintop", object_names=None) -> Subobje
         names, [s.n for s in spaces], lambda x, y: continuous_maps(nbhds[x], nbhds[y]),
         MAX_MORPHISMS, "continuous maps",
     )
-    mor_dom, mor_cod, graphs = category.mor_dom, category.mor_cod, category.graphs
 
     lattices = {}
     sub = []
@@ -416,16 +415,17 @@ def fintop_fibration(spaces, name: str = "fintop", object_names=None) -> Subobje
             lattices[s.n] = FiniteLattice.powerset(s.n)
         sub.append(lattices[s.n])
 
-    # embeddings: injective and the domain topology is exactly the pulled-back one
-    mclass = (
-        m for m in range(category.n_morphisms)
-        if len(set(graphs[m])) == spaces[mor_dom[m]].n
-        and spaces[mor_dom[m]].open_set
-        == {preimage_mask(graphs[m], o) for o in spaces[mor_cod[m]].opens}
-    )
+    def embeddings(cat):
+        """Injective maps whose domain topology is exactly the pulled-back one."""
+        for m, (x, y, graph) in enumerate(zip(cat.mor_dom, cat.mor_cod, cat.graphs)):
+            if len(set(graph)) == spaces[x].n and spaces[x].open_set == {
+                preimage_mask(graph, o) for o in spaces[y].opens
+            }:
+                yield m
+
     # right adjoint of preimage: the complement formula, verified generically
     return subset_fibration(
-        category, sub, [tuple(range(1 << s.n)) for s in spaces], mclass,
+        category, sub, [tuple(range(1 << s.n)) for s in spaces], embeddings(category),
         fstar_formula=_complement_formula, backend=backend, name=name,
     )
 

@@ -17,6 +17,31 @@ from .lattice import FiniteLattice, MonotoneMap, mask_iter, right_adjoint_table
 from .reporting import Report, Violation
 
 
+class _TabulatedOnFirstRead:
+    """Mixin of the untabulated twin of a plain slotted class ``_plain``.
+
+    The twin sets at once the fields no morphism enters, and holds in the
+    slot ``_tabulate`` a function returning the arguments of ``_plain``'s
+    ``__init__``.  The first read of a field named in ``_deferred`` calls
+    it, fills every slot through that ``__init__`` and makes the object a
+    ``_plain``, whose attribute reads CPython specialises: it does not on a
+    class with ``__getattr__``, a ``property`` or a ``cached_property``.  An
+    error raised while tabulating propagates as itself, and the object
+    stays untabulated, so the next read raises again.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name not in self._deferred:
+            raise AttributeError(f"{self._plain.__name__!r} object has no attribute {name!r}")
+        plain = self._plain
+        plain.__init__(self, *self._tabulate())
+        self.__class__ = plain
+        del self._tabulate
+        return getattr(self, name)
+
+
 class FiniteCategory:
     """A finite category with explicitly tabulated morphisms.
 
@@ -24,7 +49,16 @@ class FiniteCategory:
     graph ``graph g ∘ graph f`` from dom f to cod g.  Any finite category is
     concrete this way: send f to post-composition on the morphisms into its
     domain (its left Cayley representation).
+
+    ``concrete_category`` returns an untabulated twin, which enumerates the
+    morphisms on the first read of a morphism field (``_TabulatedOnFirstRead``);
+    the slot ``_tabulate`` serves only the twin and is unset here.
     """
+
+    __slots__ = (
+        "object_names", "mor_dom", "mor_cod", "mor_names", "identities", "graphs",
+        "_by_graph", "_name_index", "morphisms_from", "morphisms_to", "_tabulate", "__weakref__",
+    )
 
     def __init__(
         self,
@@ -129,26 +163,50 @@ def concrete_category(
 
     The identity of x is the graph ``(0, ..., sizes[x] - 1)``, named
     ``id_<x>``; any other morphism is named ``<x>><y>:<graph digits>``
-    (``-`` for the empty graph).  More than ``max_morphisms`` morphisms
-    raise ``ResourceCapError`` ("more than <max_morphisms> <what>").
+    (``-`` for the empty graph).  The objects are set at once; ``homs`` is
+    enumerated, and the morphisms named and indexed, on the first read of a
+    morphism field, so a caller that reads only objects never enumerates a
+    hom-set.  More than ``max_morphisms`` morphisms raise
+    ``ResourceCapError`` ("more than <max_morphisms> <what>") from that read,
+    and from every read after it.
     """
-    mor_dom, mor_cod, graphs, mor_names = [], [], [], []
-    identities = [-1] * len(names)
-    for x, dom in enumerate(names):
-        ident = tuple(range(sizes[x]))
-        for y, cod in enumerate(names):
-            for graph in homs(x, y):
-                if max_morphisms is not None and len(graphs) >= max_morphisms:
-                    raise ResourceCapError(f"more than {max_morphisms} {what}")
-                if x == y and graph == ident:
-                    identities[x] = len(graphs)
-                    mor_names.append(f"id_{dom}")
-                else:
-                    mor_names.append(f"{dom}>{cod}:" + ("".join(map(str, graph)) or "-"))
-                mor_dom.append(x)
-                mor_cod.append(y)
-                graphs.append(graph)
-    return FiniteCategory(names, mor_dom, mor_cod, mor_names, identities, graphs=graphs)
+
+    def tabulate():
+        mor_dom, mor_cod, graphs, mor_names = [], [], [], []
+        identities = [-1] * len(names)
+        for x, dom in enumerate(names):
+            ident = tuple(range(sizes[x]))
+            for y, cod in enumerate(names):
+                for graph in homs(x, y):
+                    if max_morphisms is not None and len(graphs) >= max_morphisms:
+                        raise ResourceCapError(f"more than {max_morphisms} {what}")
+                    if x == y and graph == ident:
+                        identities[x] = len(graphs)
+                        mor_names.append(f"id_{dom}")
+                    else:
+                        mor_names.append(f"{dom}>{cod}:" + ("".join(map(str, graph)) or "-"))
+                    mor_dom.append(x)
+                    mor_cod.append(y)
+                    graphs.append(graph)
+        return names, mor_dom, mor_cod, mor_names, identities, graphs
+
+    return _UntabulatedCategory(names, tabulate)
+
+
+class _UntabulatedCategory(_TabulatedOnFirstRead, FiniteCategory):
+    """A ``FiniteCategory`` whose objects are set and whose morphisms are
+    tabulated on first read."""
+
+    __slots__ = ()
+    _plain = FiniteCategory
+    _deferred = frozenset((
+        "mor_dom", "mor_cod", "mor_names", "identities", "graphs",
+        "_by_graph", "_name_index", "morphisms_from", "morphisms_to",
+    ))
+
+    def __init__(self, object_names: Sequence[str], tabulate):
+        self.object_names = tuple(object_names)
+        self._tabulate = tabulate
 
 
 def validate_category(cat: FiniteCategory) -> Report:
@@ -188,7 +246,16 @@ class SubobjectFibration:
     element when subobjects are subsets of the object's finite carrier and
     image/preimage are meant to be the set-level ones along the morphism
     graphs; it is None for any other presentation.
+
+    ``subset_fibration`` returns an untabulated twin, which computes the
+    morphism fields on their first read (``_TabulatedOnFirstRead``); the
+    slot ``_tabulate`` serves only the twin and is unset here.
     """
+
+    __slots__ = (
+        "category", "sub", "img", "pre", "eclass", "mclass", "e_pullback_stable",
+        "backend", "name", "subsets", "fstar", "_tabulate", "__weakref__",
+    )
 
     def __init__(
         self,
@@ -491,15 +558,41 @@ def subset_fibration(
     preimage; without it the right adjoints are computed generically.  The
     tables, the formula's adjoint and surjectivity are computed once per
     (subsets of dom, subsets of cod, graph) key and shared by its morphisms.
+
+    The lattices and subsets are set at once; the tables, E, M and the
+    right adjoints are computed on the first read of one of them, which
+    tabulates ``category`` first.  ``mclass`` is iterated then, once, so a
+    generator over the category's morphisms reads them only then.
     """
-    key_ids, (img, pre, fstar, onto) = _key_facts(category, subsets, fstar_formula)
-    pick = _picker(key_ids)
-    return SubobjectFibration(
-        category, sub, pick(img), pick(pre),
-        frozenset(f for f, k in enumerate(key_ids) if onto[k]), mclass,
-        fstar=pick(fstar) if fstar_formula is not None else None,
-        backend=backend, name=name, subsets=subsets,
-    )
+
+    def tabulate():
+        key_ids, (img, pre, fstar, onto) = _key_facts(category, subsets, fstar_formula)
+        pick = _picker(key_ids)
+        return (
+            category, sub, pick(img), pick(pre),
+            frozenset(f for f, k in enumerate(key_ids) if onto[k]), mclass, True,
+            pick(fstar) if fstar_formula is not None else None, backend, name, subsets,
+        )
+
+    return _UntabulatedFibration(category, sub, backend, name, subsets, tabulate)
+
+
+class _UntabulatedFibration(_TabulatedOnFirstRead, SubobjectFibration):
+    """A ``SubobjectFibration`` whose category, lattices and subsets are set
+    and whose morphism fields are tabulated on first read."""
+
+    __slots__ = ()
+    _plain = SubobjectFibration
+    _deferred = frozenset(("img", "pre", "eclass", "mclass", "fstar"))
+
+    def __init__(self, category, sub, backend, name, subsets, tabulate):
+        self.category = category
+        self.sub = tuple(sub)
+        self.e_pullback_stable = True
+        self.backend = backend
+        self.name = name
+        self.subsets = tuple(subsets)
+        self._tabulate = tabulate
 
 
 def _functoriality_certified(fib: SubobjectFibration) -> bool:

@@ -938,3 +938,57 @@ def test_validate_builds_each_named_fibration_once(capsys, tmp_path, monkeypatch
     assert len(built) == 21
     code, out, _ = memoised
     assert code == 0 and out.count("ok ") == 24
+
+
+_THREE_SPACES = (
+    "space a: points=2; opens={},{0},{0,1}\n"
+    "space b: points=1; opens={},{0}\n"
+    "space c: points=3; opens={},{2},{1,2},{0,1,2}\n"
+    "map m: from=b; to=a; graph=0\n"
+    "order o: fibration=spaces:a,b,c; kind=closure\n"
+)
+# the commands that read only objects, orders and lattices
+_MAP_FREE = [
+    ("predicates", "--order", "closure"),
+    ("convert", "--from", "topogenous", "--to", "interior", "--order", "interior"),
+    ("strict-subs", "--order", "closure", "--object", "c"),
+]
+_CLASSIFY = ("classify", "--order", "closure", "--map", "m")
+
+
+def test_only_commands_that_read_a_map_enumerate_hom_sets(capsys, tmp_path, monkeypatch):
+    from topogen.instances import topology
+
+    doc = tmp_path / "three.topo"
+    doc.write_text(_THREE_SPACES)
+    calls = []
+    continuous_maps = topology.continuous_maps
+    monkeypatch.setattr(
+        topology, "continuous_maps", lambda *ends: calls.append(ends) or continuous_maps(*ends)
+    )
+    counted = []
+    for argv in (*_MAP_FREE, _CLASSIFY, ("validate",)):
+        calls.clear()
+        fibration = ("--fibration", "spaces:a,b,c") if argv != ("validate",) else ()
+        code, _, _ = run(capsys, *argv, *fibration, str(doc))
+        counted.append((argv[0], code, len(calls)))
+    # classify and validate enumerate each of the 3 x 3 hom-sets once
+    assert counted == [
+        ("predicates", 0, 0), ("convert", 0, 0), ("strict-subs", 0, 0),
+        ("classify", 0, 9), ("validate", 0, 9),
+    ]
+
+
+def test_a_morphism_cap_stops_only_the_commands_that_read_a_map(capsys, tmp_path, monkeypatch):
+    from topogen.instances import topology
+
+    doc = tmp_path / "three.topo"
+    doc.write_text(_THREE_SPACES)
+    argvs = [(*argv, "--fibration", "spaces:a,b,c", str(doc)) for argv in (*_MAP_FREE, _CLASSIFY)]
+    uncapped = [run(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in uncapped] == [0, 0, 0, 0]
+    n_maps = cli._Environment([doc]).fibration("spaces:a,b,c").category.n_morphisms
+    monkeypatch.setattr(topology, "MAX_MORPHISMS", n_maps - 1)
+    capped = [run(capsys, *argv) for argv in argvs]
+    assert capped[:3] == uncapped[:3]
+    assert capped[3] == (3, "", f"resource cap: more than {n_maps - 1} continuous maps\n")

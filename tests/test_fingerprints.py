@@ -1,4 +1,6 @@
-"""Every built-in fibration's tables are pinned by a sha256.
+"""Every built-in fibration's tables are pinned by a sha256, and so are those
+of fibrations built by ``fintop_fibration`` directly, whose tables are
+computed on their first read.
 
 A faster construction must build the same category, lattices, tables and
 classes.  Regenerate the recorded hashes only when a table is meant to
@@ -11,9 +13,19 @@ from pathlib import Path
 
 import pytest
 
-from topogen.instances.registry import FIBRATION_NAMES, builtin_fibration
+from topogen.instances.registry import FIBRATION_NAMES, builtin_fibration, builtin_order
+from topogen.instances.topology import enumerate_topologies, fintop_fibration
+from topogen.site import FiniteCategory, SubobjectFibration
+from topogen.structures import predicates
 
 RECORD = Path(__file__).parent / "data" / "fibration_fingerprints.json"
+# recorded name -> the spaces fintop_fibration is built on
+DIRECT = {
+    "fintop_fibration:fintop2": lambda: [*enumerate_topologies(0), *enumerate_topologies(1),
+                                         *enumerate_topologies(2)],
+    "fintop_fibration:t4_50,t4_100,t4_300": lambda: [enumerate_topologies(4)[i]
+                                                     for i in (50, 100, 300)],
+}
 
 
 def fingerprint(fib) -> str:
@@ -33,6 +45,30 @@ def test_builtin_fibration_tables_match_the_record(name):
     assert fingerprint(builtin_fibration(name)) == recorded[name]
 
 
+def test_a_builtin_is_tabulated_before_it_is_cached():
+    # every consumer of a built-in reads its maps, so a set-up that builds
+    # the built-ins pays for them
+    fib = builtin_fibration.__wrapped__("disc2_loop")
+    assert type(fib) is SubobjectFibration and type(fib.category) is FiniteCategory
+
+
+@pytest.mark.parametrize("name", DIRECT)
+def test_tables_tabulated_after_an_object_only_read_match_the_record(name):
+    recorded = json.loads(RECORD.read_text(encoding="utf-8"))
+    fib = fintop_fibration(DIRECT[name](), name=name)
+    predicates(builtin_order("closure", fib))
+    # the closure order and its predicates read no map, and only a morphism
+    # field's name tabulates
+    for obj in (fib, fib.category):
+        with pytest.raises(AttributeError, match="no attribute 'n_maps'"):
+            obj.n_maps
+    assert type(fib) is not SubobjectFibration and type(fib.category) is not FiniteCategory
+    assert fingerprint(fib) == recorded[name]
+    # the first read of a map left plain objects behind
+    assert type(fib) is SubobjectFibration and type(fib.category) is FiniteCategory
+
+
 if __name__ == "__main__":
     hashes = {name: fingerprint(builtin_fibration(name)) for name in FIBRATION_NAMES}
+    hashes.update({name: fingerprint(fintop_fibration(spaces())) for name, spaces in DIRECT.items()})
     RECORD.write_text(json.dumps(hashes, indent=2) + "\n", encoding="utf-8")

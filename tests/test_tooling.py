@@ -3,12 +3,14 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -190,6 +192,33 @@ def test_one_fold_finds_every_unclosed_family():
     assert callers == ["structures._fold"]
 
 
+# per plain class, the fields concrete_category and subset_fibration
+# tabulate on first read
+_MORPHISM_FIELDS = {
+    "FiniteCategory": (
+        "mor_dom", "mor_cod", "mor_names", "identities", "graphs",
+        "_by_graph", "_name_index", "morphisms_from", "morphisms_to",
+    ),
+    "SubobjectFibration": ("img", "pre", "eclass", "mclass", "fstar"),
+}
+
+
+@pytest.mark.parametrize("name", _MORPHISM_FIELDS)
+def test_the_plain_fibration_classes_keep_specialised_attribute_reads(name):
+    # CPython 3.11 specialises no attribute read on a class with __getattr__,
+    # and none of a property or cached_property: each made every read of
+    # these classes about 3x slower; only their untabulated twins may
+    # tabulate on read
+    from topogen import site
+
+    cls = getattr(site, name)
+    assert "__slots__" in vars(cls)
+    assert not any("__getattr__" in vars(klass) for klass in cls.__mro__)
+    for field in _MORPHISM_FIELDS[name]:
+        found = inspect.getattr_static(cls, field)
+        assert isinstance(found, types.MemberDescriptorType) and found.__objclass__ is cls, field
+
+
 # the structure kinds' names, the order predicates that pick the closures'
 # and the interiors' orders, and the conversions to and from orders
 _KIND_NAMES = {"topogenous", "closure", "interior", "neighbourhood"}
@@ -302,6 +331,7 @@ def test_bench_pairs_summary_and_wins():
     }
     # lower wins; a tie counts for neither side
     assert bench_pairs.change_wins([5.0, 5.0, 5.0], [4.0, 5.0, 6.0]) == 1
+    assert bench_pairs.change_wins([5.0, 5.0, 5.0], [4.0, 6.0, 7.0], "higher") == 2
     # every traced prefix selects some per-layer metric of the benchmark, and
     # every per-layer metric BENCHMARK.json names but the host's calibration
     # and the tracer's own wall time starts with a traced prefix
@@ -329,6 +359,39 @@ def test_bench_pairs_summary_and_wins():
         for ms in (31.0, 12.5, 20.0)
     ]
     assert bench_pairs.traced_metrics(runs) == {"cli.main.calls": 20, "cli.convert.p50_ms": 20.0}
+
+
+def test_bench_pairs_checks_every_end_to_end_metric_against_its_bound():
+    bench_pairs = _bench_pairs()
+    summary = bench_pairs.summary
+    entry = {
+        "parent": {"wall_ref_s": summary([1.0, 1.0, 1.0]), "peak_rss_mb": summary([10.0] * 3),
+                   "success_rate": summary([1.0, 1.0, 1.0])},
+        "change": {"wall_ref_s": summary([0.5, 1.2, 0.9]), "peak_rss_mb": summary([11.5] * 3),
+                   "success_rate": summary([0.9, 1.0, 1.0])},
+    }
+    metrics = [
+        {"name": "wall_ref_s", "better": "lower", "bound": 0.24},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+        {"name": "success_rate", "better": "higher", "bound": 0.01},
+    ]
+    checks = bench_pairs.end_to_end(entry, metrics)
+    assert checks["wall_ref_s"] == {
+        "better": "lower", "change_wins": "2/3", "relative_change": pytest.approx(-0.1),
+        "bound": 0.24, "beyond_bound": False,
+    }
+    # 15% more memory is past a 10% bound
+    assert checks["peak_rss_mb"]["relative_change"] == pytest.approx(0.15)
+    assert checks["peak_rss_mb"]["beyond_bound"] and checks["peak_rss_mb"]["change_wins"] == "0/3"
+    # a higher-is-better metric is worse when it falls; its median did not
+    assert checks["success_rate"]["change_wins"] == "0/3"
+    assert checks["success_rate"]["relative_change"] == 0.0
+    assert not checks["success_rate"]["beyond_bound"]
+    entry["change"]["success_rate"] = summary([0.9, 0.9, 1.0])
+    assert bench_pairs.end_to_end(entry, metrics)["success_rate"]["beyond_bound"]
+    # every end-to-end metric the benchmark declares has a direction it reads
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    assert {m["better"] for m in declared} <= {"lower", "higher"}
 
 
 def _traced_result(classify_calls, classify_self_s, instances=9, check_wall_s=1.0):

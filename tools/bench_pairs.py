@@ -16,9 +16,13 @@ per-command median latency, and each count, which must read the same in
 every run or the command fails.
 
 The JSON written to ``--out`` holds, per workload and side, every run's
-end-to-end metrics with their median, quartiles and IQR; the pairs the
-change won on ``wall_ref_s`` (lower wins, ties count for neither side); and
-the traced ``site.pullback.*``, ``site.check_bcp.*``,
+end-to-end metrics with their median, quartiles and IQR; per workload and
+end-to-end metric of ``BENCHMARK.json`` (``end_to_end``), the pairs the
+change won in the metric's ``better`` direction (ties count for neither
+side) and the change's relative median shift, (change median − parent
+median) / parent median, next to the metric's ``bound``, with a
+``beyond bound`` line printed for each metric worse by more than its bound;
+and the traced ``site.pullback.*``, ``site.check_bcp.*``,
 ``site.validate_fibration.*``, ``site.validate_category.*``,
 ``morphisms.classify.*`` and ``harness.suite.*`` metrics (the suite's
 instance count and the wall time of its two largest checks), the E∪M sweep
@@ -91,9 +95,33 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
-def change_wins(parent: list[float], change: list[float]) -> int:
-    """Pairs in which the change's value is strictly lower."""
+def change_wins(parent: list[float], change: list[float], better: str = "lower") -> int:
+    """Pairs in which the change's value is strictly better: lower, or
+    higher when ``better`` is ``"higher"``."""
+    if better == "higher":
+        return sum(c > p for p, c in zip(parent, change))
     return sum(c < p for p, c in zip(parent, change))
+
+
+def end_to_end(entry: dict, metrics: list[dict]) -> dict:
+    """Per end-to-end metric of ``BENCHMARK.json``: the change's wins in its
+    ``better`` direction, its relative median shift (change − parent) /
+    parent, its ``bound``, and whether it is worse than the parent by more
+    than the bound.  The benchmark's end-to-end medians are never 0."""
+    checks = {}
+    for metric in metrics:
+        name, better, bound = metric["name"], metric["better"], metric["bound"]
+        parent, change = entry["parent"][name], entry["change"][name]
+        shift = (change["median"] - parent["median"]) / parent["median"]
+        wins = change_wins(parent["runs"], change["runs"], better)
+        checks[name] = {
+            "better": better,
+            "change_wins": f"{wins}/{len(parent['runs'])}",
+            "relative_change": shift,
+            "bound": bound,
+            "beyond_bound": (shift if better == "lower" else -shift) > bound,
+        }
+    return checks
 
 
 def traced_metrics(results: list[dict]) -> dict:
@@ -158,15 +186,18 @@ def main(argv=None) -> int:
             }
             entry[side]["failed_ops"] = sum(r["failed"] for r in results)
             entry[side]["traced"] = traced_metrics(traced[side])
-        parent_wall = entry["parent"]["wall_ref_s"]["runs"]
-        change_wall = entry["change"]["wall_ref_s"]["runs"]
-        entry["wall_ref_s_change_wins"] = f"{change_wins(parent_wall, change_wall)}/{len(SEEDS)}"
+        entry["end_to_end"] = end_to_end(entry, config["end_to_end"])
         report["workloads"][workload] = entry
-        print(f"{workload}: wall_ref_s parent median={entry['parent']['wall_ref_s']['median']:.4f} "
-              f"iqr={entry['parent']['wall_ref_s']['iqr']:.4f}, change "
-              f"median={entry['change']['wall_ref_s']['median']:.4f} "
-              f"iqr={entry['change']['wall_ref_s']['iqr']:.4f}, change wins "
-              f"{entry['wall_ref_s_change_wins']}", flush=True)
+        for name, check in entry["end_to_end"].items():
+            print(f"{workload}: {name} parent median={entry['parent'][name]['median']:.4f} "
+                  f"iqr={entry['parent'][name]['iqr']:.4f}, change "
+                  f"median={entry['change'][name]['median']:.4f} "
+                  f"iqr={entry['change'][name]['iqr']:.4f}, shift "
+                  f"{check['relative_change']:+.3f} (bound {check['bound']}), change wins "
+                  f"{check['change_wins']} ({check['better']} is better)", flush=True)
+            if check["beyond_bound"]:
+                print(f"beyond bound: {workload} {name} shift {check['relative_change']:+.3f} "
+                      f"against bound {check['bound']}", flush=True)
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 
