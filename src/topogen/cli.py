@@ -26,8 +26,8 @@ from .harness.enumeration import FILTERS, EnumerationSpec, enumerate_structures
 from .harness.suite import CHECKS, SCALES, run_suite
 from .instances import registry
 from .instances.groups import validate_group
-from .instances.topology import fintop_fibration, is_continuous, map_predicates
-from .morphisms import classify, strict_subobjects
+from .instances.topology import fintop_fibration, is_continuous, map_predicates_by_graph
+from .morphisms import classify_map, strict_subobjects
 from .constructions import induce_order, lift_topogenous, validate_endofunctor
 from .structures import CORRESPONDENCE, KINDS, RELATIONS, predicates, validate_structure
 
@@ -91,20 +91,25 @@ class _Environment:
             raise PreconditionError(f"order {name!r} is not topogenous")
         return order
 
-    def morphism(self, name: str, fib) -> int:
+    def morphism(self, name: str, fib):
+        """(name shown, dom, cod, graph) of the named map: a file map is
+        checked against its own hom-set only (``morphism_name``), a name
+        without a file map is looked up among the fibration's morphisms."""
+        cat = fib.category
         rec = self._find(fileformat.MapRecord, name)
-        if rec is not None:
-            cat = fib.category
-            if name in cat.mor_names:
-                print(f"warning: file map {name!r} overrides a fibration morphism",
-                      file=sys.stderr)
-            dom = cat.object_index(rec.source)
-            cod = cat.object_index(rec.target)
-            f = cat.morphism_by_graph(dom, cod, rec.graph)
-            if f is None:
-                raise DomainError(f"map {name!r} is not a morphism of the fibration")
-            return f
-        return fib.category.morphism_index(name)
+        if rec is None:
+            f = cat.morphism_index(name)
+            return name, cat.mor_dom[f], cat.mor_cod[f], cat.graphs[f]
+        # ``concrete_name`` gives no other name a fibration morphism
+        if (name.startswith("id_") or ">" in name) and name in cat.mor_names:
+            print(f"warning: file map {name!r} overrides a fibration morphism",
+                  file=sys.stderr)
+        dom = cat.object_index(rec.source)
+        cod = cat.object_index(rec.target)
+        shown = cat.morphism_name(dom, cod, rec.graph)
+        if shown is None:
+            raise DomainError(f"map {name!r} is not a morphism of the fibration")
+        return shown, dom, cod, rec.graph
 
     def endofunctor(self, side: str, name: str, fib):
         """The ``side`` ("pointed" or "copointed") endofunctor ``name``."""
@@ -210,8 +215,8 @@ def _cmd_classify(args) -> int:
     env = _Environment(args.files)
     fib = env.fibration(args.fibration)
     order = env.order(args.order, fib)
-    f = env.morphism(args.map, fib)
-    _emit(_flag_text(f"morphism {fib.category.mor_names[f]}", classify(f, order)), args.output)
+    shown, x, y, graph = env.morphism(args.map, fib)
+    _emit(_flag_text(f"morphism {shown}", classify_map(order, x, y, graph)), args.output)
     return EXIT_OK
 
 
@@ -231,8 +236,8 @@ def _cmd_predicates(args) -> int:
     env = _Environment(args.files)
     fib = env.fibration(args.fibration)
     if args.map is not None:
-        f = env.morphism(args.map, fib)
-        _emit(_flag_text(f"map {fib.category.mor_names[f]}", map_predicates(fib, f)), args.output)
+        shown, x, y, graph = env.morphism(args.map, fib)
+        _emit(_flag_text(f"map {shown}", map_predicates_by_graph(fib, x, y, graph)), args.output)
         return EXIT_OK
     order = env.order(args.order, fib)
     _emit(_flag_text(f"order {args.order}", predicates(order)), args.output)

@@ -477,22 +477,28 @@ class MapPredicates:
 
 
 def map_predicates(fib: SubobjectFibration, f: int) -> MapPredicates:
-    """Whether f is open, closed, initial and a hereditary quotient, read on
-    the spaces and the graph alone.
+    """``map_predicates_by_graph`` of the morphism f."""
+    cat = fib.category
+    return map_predicates_by_graph(fib, cat.mor_dom[f], cat.mor_cod[f], cat.graphs[f])
+
+
+def map_predicates_by_graph(
+    fib: SubobjectFibration, x: int, y: int, graph: tuple[int, ...]
+) -> MapPredicates:
+    """Whether the map x -> y with this graph is open, closed, initial and a
+    hereditary quotient, read on the spaces and the graph alone.
 
     Images and preimages come from the graph's mask tables (the backend's
     ``mask_tables``), built from the graph and never from ``fib.img`` or
     ``fib.pre``, so this oracle stays independent of the lattice tables it
-    is checked against.  f is a hereditary quotient when it is onto and each
+    is checked against.  A map is a hereditary quotient when it is onto and each
     restriction to the preimage of a subset A of the codomain carries the
     quotient topology of the subspace A; the quotient opens are memoised per
     (subspace, size of A, restricted graph).
     """
     spaces = spaces_of(fib)
     backend = fib.backend
-    cat = fib.category
-    graph = cat.graphs[f]
-    dom, cod = spaces[cat.mor_dom[f]], spaces[cat.mor_cod[f]]
+    dom, cod = spaces[x], spaces[y]
     img, pre = backend.mask_tables(graph, cod.n)
     is_open = cod.open_set.issuperset(map(img.__getitem__, dom.opens))
     closed_images = [img[dom.full ^ u] for u in dom.opens]

@@ -22,9 +22,10 @@ The co-strict and initial rows need the right adjoint f_* of preimage, so
 those two classes are tri-state: ``None`` means "not applicable" because
 that adjoint does not exist for the morphism.
 
-One routine, ``_classifier``, decides all of a morphism's classes:
-``classify`` asks it for one map, ``classifications`` for every map of an
-order, and every per-order statement reads the latter.
+One routine, ``_classifier``, decides all of a map's classes from its
+domain, codomain and tables: ``classify`` asks it for one morphism,
+``classify_map`` for one map given by its graph, ``classifications`` for
+every morphism of an order, and every per-order statement reads the latter.
 
 The calculus of the classes and their ascent and descent across pullback
 squares is one table, ``LAWS``: per scope (isos, composable pairs, single
@@ -59,7 +60,7 @@ from .site import PullbackSquare, SubobjectFibration, check_bcp, fibre_masks, in
 
 @dataclass(frozen=True, slots=True)
 class MorphismClassification:
-    morphism: int
+    morphism: Optional[int]  # None for a map classified by its graph (``classify_map``)
     continuous: bool
     strict: bool
     final: bool
@@ -73,8 +74,9 @@ class_flags = attrgetter(*_CLASSES)  # a classification's flags, in _CLASSES ord
 
 
 def _classifier(t: TopogenousOrder):
-    """f ↦ its ``MorphismClassification`` under t, the one routine that
-    decides the classes.
+    """(f, x, y, pre, img, fstar) ↦ the ``MorphismClassification`` under t
+    of the map f: x -> y with these tables, the one routine that decides
+    the classes.
 
     The rows each class compares are memoised on what they read: per (dom,
     pre) px, below = px∘pre and rel_X∘pre; per (cod, img) rel_Y∘img; per
@@ -83,12 +85,9 @@ def _classifier(t: TopogenousOrder):
     combined by ``map``.
     """
     fib, rel = t.fib, t.rel
-    cat = fib.category
     pulled, images, adjoint = {}, {}, {}
 
-    def classification(f: int) -> MorphismClassification:
-        x, y = cat.mor_dom[f], cat.mor_cod[f]
-        pre, img, fstar = fib.pre[f], fib.img[f], fib.fstar[f]
+    def classification(f, x, y, pre, img, fstar) -> MorphismClassification:
         relx, rely = rel[x], rel[y]
         found = pulled.get((x, pre))
         if found is None:
@@ -121,13 +120,26 @@ def _classifier(t: TopogenousOrder):
 
 def classify(f: int, t: TopogenousOrder) -> MorphismClassification:
     """The classes of the one morphism f under t."""
-    return _classifier(t)(f)
+    fib = t.fib
+    cat = fib.category
+    return _classifier(t)(f, cat.mor_dom[f], cat.mor_cod[f], fib.pre[f], fib.img[f], fib.fstar[f])
+
+
+def classify_map(t: TopogenousOrder, x: int, y: int, graph: tuple[int, ...]) -> MorphismClassification:
+    """The classes under t of the morphism x -> y with this graph, read off
+    its own tables (``tables_by_graph``): on a fibration that tabulates on
+    first read, no other map is tabulated.  Its ``morphism`` is None."""
+    img, pre, fstar = t.fib.tables_by_graph(x, y, graph)
+    return _classifier(t)(None, x, y, pre, img, fstar)
 
 
 def classifications(t: TopogenousOrder) -> tuple[MorphismClassification, ...]:
     """The classes of every morphism under t, in morphism order, from one
     classifier's row memos."""
-    return tuple(map(_classifier(t), range(t.fib.category.n_morphisms)))
+    fib = t.fib
+    cat = fib.category
+    return tuple(map(
+        _classifier(t), range(cat.n_morphisms), cat.mor_dom, cat.mor_cod, fib.pre, fib.img, fib.fstar))
 
 
 def strict_subobjects(x: int, t: TopogenousOrder) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ two morphism classes of a proper factorization system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -22,12 +23,14 @@ class _TabulatedOnFirstRead:
 
     The twin sets at once the fields no morphism enters, and holds in the
     slot ``_tabulate`` a function returning the arguments of ``_plain``'s
-    ``__init__``.  The first read of a field named in ``_deferred`` calls
-    it, fills every slot through that ``__init__`` and makes the object a
-    ``_plain``, whose attribute reads CPython specialises: it does not on a
-    class with ``__getattr__``, a ``property`` or a ``cached_property``.  An
-    error raised while tabulating propagates as itself, and the object
-    stays untabulated, so the next read raises again.
+    ``__init__``, and in the other slots of ``_inputs`` what it needs to
+    answer for one map without tabulating.  The first read of a field named
+    in ``_deferred`` calls ``_tabulate``, fills every slot through that
+    ``__init__``, unsets ``_inputs`` and makes the object a ``_plain``,
+    whose attribute reads CPython specialises: it does not on a class with
+    ``__getattr__``, a ``property`` or a ``cached_property``.  An error
+    raised while tabulating propagates as itself, and the object stays
+    untabulated, so the next read raises again.
     """
 
     __slots__ = ()
@@ -35,10 +38,11 @@ class _TabulatedOnFirstRead:
     def __getattr__(self, name):
         if name not in self._deferred:
             raise AttributeError(f"{self._plain.__name__!r} object has no attribute {name!r}")
-        plain = self._plain
+        plain, inputs = self._plain, self._inputs
         plain.__init__(self, *self._tabulate())
         self.__class__ = plain
-        del self._tabulate
+        for slot in inputs:
+            delattr(self, slot)
         return getattr(self, name)
 
 
@@ -52,12 +56,13 @@ class FiniteCategory:
 
     ``concrete_category`` returns an untabulated twin, which enumerates the
     morphisms on the first read of a morphism field (``_TabulatedOnFirstRead``);
-    the slot ``_tabulate`` serves only the twin and is unset here.
+    the slots ``_tabulate`` and ``_homs`` serve only the twin and are unset here.
     """
 
     __slots__ = (
         "object_names", "mor_dom", "mor_cod", "mor_names", "identities", "graphs",
-        "_by_graph", "_name_index", "morphisms_from", "morphisms_to", "_tabulate", "__weakref__",
+        "_by_graph", "_name_index", "morphisms_from", "morphisms_to", "_tabulate", "_homs",
+        "__weakref__",
     )
 
     def __init__(
@@ -117,6 +122,12 @@ class FiniteCategory:
         """The morphism dom -> cod with this function graph, or None."""
         return self._by_graph.get((dom, cod, graph))
 
+    def morphism_name(self, dom: int, cod: int, graph: tuple[int, ...]) -> Optional[str]:
+        """The name of the morphism dom -> cod with this function graph, or
+        None when there is none."""
+        f = self._by_graph.get((dom, cod, graph))
+        return None if f is None else self.mor_names[f]
+
     def morphism_index(self, name: str) -> int:
         try:
             return self._name_index[name]
@@ -151,6 +162,15 @@ class FiniteCategory:
                 yield g, f, self.compose(g, f) if h is None else h
 
 
+def concrete_name(names: Sequence[str], x: int, y: int, graph: tuple[int, ...]) -> str:
+    """The name ``concrete_category`` gives the morphism x -> y with this
+    graph: ``id_<x>`` for the identity graph ``(0, ..., n - 1)`` of x, and
+    ``<x>><y>:<graph digits>`` otherwise (``-`` for the empty graph)."""
+    if x == y and graph == tuple(range(len(graph))):
+        return f"id_{names[x]}"
+    return f"{names[x]}>{names[y]}:" + ("".join(map(str, graph)) or "-")
+
+
 def concrete_category(
     names: Sequence[str],
     sizes: Sequence[int],
@@ -159,54 +179,63 @@ def concrete_category(
     what: str = "maps",
 ) -> FiniteCategory:
     """The category on the named objects whose morphisms x -> y are the
-    function graphs ``homs(x, y)`` yields, in (x, y) order.
+    function graphs ``homs(x, y)`` yields, in (x, y) order, each named by
+    ``concrete_name``; the identity of x is the graph ``(0, ..., sizes[x] - 1)``.
 
-    The identity of x is the graph ``(0, ..., sizes[x] - 1)``, named
-    ``id_<x>``; any other morphism is named ``<x>><y>:<graph digits>``
-    (``-`` for the empty graph).  The objects are set at once; ``homs`` is
-    enumerated, and the morphisms named and indexed, on the first read of a
-    morphism field, so a caller that reads only objects never enumerates a
-    hom-set.  More than ``max_morphisms`` morphisms raise
-    ``ResourceCapError`` ("more than <max_morphisms> <what>") from that read,
-    and from every read after it.
+    The objects are set at once; ``homs`` is enumerated, and the morphisms
+    named and indexed, on the first read of a morphism field, so a caller
+    that reads only objects never enumerates a hom-set, and
+    ``morphism_name`` enumerates only the hom-set it asks about.  More than
+    ``max_morphisms`` graphs enumerated at once raise ``ResourceCapError``
+    ("more than <max_morphisms> <what>") from that read, and from every
+    read after it.
     """
 
+    def capped(graphs):
+        for count, graph in enumerate(graphs):
+            if max_morphisms is not None and count >= max_morphisms:
+                raise ResourceCapError(f"more than {max_morphisms} {what}")
+            yield graph
+
     def tabulate():
-        mor_dom, mor_cod, graphs, mor_names = [], [], [], []
+        mor_dom, mor_cod, graphs = [], [], []
         identities = [-1] * len(names)
-        for x, dom in enumerate(names):
-            ident = tuple(range(sizes[x]))
-            for y, cod in enumerate(names):
-                for graph in homs(x, y):
-                    if max_morphisms is not None and len(graphs) >= max_morphisms:
-                        raise ResourceCapError(f"more than {max_morphisms} {what}")
-                    if x == y and graph == ident:
-                        identities[x] = len(graphs)
-                        mor_names.append(f"id_{dom}")
-                    else:
-                        mor_names.append(f"{dom}>{cod}:" + ("".join(map(str, graph)) or "-"))
-                    mor_dom.append(x)
-                    mor_cod.append(y)
-                    graphs.append(graph)
+        idents = [tuple(range(n)) for n in sizes]
+        pairs = [(x, y) for x in range(len(names)) for y in range(len(names))]
+        for x, y, graph in capped((x, y, graph) for x, y in pairs for graph in homs(x, y)):
+            if x == y and graph == idents[x]:
+                identities[x] = len(graphs)
+            mor_dom.append(x)
+            mor_cod.append(y)
+            graphs.append(graph)
+        mor_names = list(map(partial(concrete_name, names), mor_dom, mor_cod, graphs))
         return names, mor_dom, mor_cod, mor_names, identities, graphs
 
-    return _UntabulatedCategory(names, tabulate)
+    return _UntabulatedCategory(names, tabulate, lambda x, y: capped(homs(x, y)))
 
 
 class _UntabulatedCategory(_TabulatedOnFirstRead, FiniteCategory):
     """A ``FiniteCategory`` whose objects are set and whose morphisms are
-    tabulated on first read."""
+    tabulated on first read; it answers ``morphism_name`` from the one
+    hom-set, ``_homs``, it asks about."""
 
     __slots__ = ()
     _plain = FiniteCategory
+    _inputs = ("_tabulate", "_homs")
     _deferred = frozenset((
         "mor_dom", "mor_cod", "mor_names", "identities", "graphs",
         "_by_graph", "_name_index", "morphisms_from", "morphisms_to",
     ))
 
-    def __init__(self, object_names: Sequence[str], tabulate):
+    def __init__(self, object_names: Sequence[str], tabulate, homs):
         self.object_names = tuple(object_names)
         self._tabulate = tabulate
+        self._homs = homs
+
+    def morphism_name(self, dom: int, cod: int, graph: tuple[int, ...]) -> Optional[str]:
+        if graph in self._homs(dom, cod):
+            return concrete_name(self.object_names, dom, cod, graph)
+        return None
 
 
 def validate_category(cat: FiniteCategory) -> Report:
@@ -249,12 +278,13 @@ class SubobjectFibration:
 
     ``subset_fibration`` returns an untabulated twin, which computes the
     morphism fields on their first read (``_TabulatedOnFirstRead``); the
-    slot ``_tabulate`` serves only the twin and is unset here.
+    slots ``_tabulate`` and ``_fstar_formula`` serve only the twin and are
+    unset here.
     """
 
     __slots__ = (
         "category", "sub", "img", "pre", "eclass", "mclass", "e_pullback_stable",
-        "backend", "name", "subsets", "fstar", "_tabulate", "__weakref__",
+        "backend", "name", "subsets", "fstar", "_tabulate", "_fstar_formula", "__weakref__",
     )
 
     def __init__(
@@ -285,23 +315,18 @@ class SubobjectFibration:
             lattices, _ = intern(map(id, self.sub))
             covers = {k: _order_of(lat)[0] for k, lat in dict(zip(lattices, self.sub)).items()}
             fstar = [
-                self._right_adjoint(f, covers[lattices[y]]) for f, y in enumerate(category.mor_cod)
+                _preimage_right_adjoint(self.sub[y], self.sub[x], table, covers[lattices[y]])
+                for x, y, table in zip(category.mor_dom, category.mor_cod, self.pre)
             ]
         self.fstar = tuple(fstar)
 
-    def _right_adjoint(self, f: int, covers: tuple[tuple[int, int], ...]) -> Optional[tuple[int, ...]]:
-        """The right adjoint of f's preimage table, once the table is checked
-        for size, range and monotonicity on ``covers``, the covering pairs of
-        its source; a table that fails raises from ``pre_map`` with its witness."""
-        source, target, table = self.sub_cod(f), self.sub_dom(f), self.pre[f]
-        up = target.up
-        if not (
-            len(table) == source.size
-            and 0 <= min(table) and max(table) < len(up)
-            and all(up[table[i]] >> table[j] & 1 for i, j in covers)
-        ):
-            self.pre_map(f)
-        return right_adjoint_table(source, target, table)
+    def tables_by_graph(self, dom: int, cod: int, graph: tuple[int, ...]):
+        """(image, preimage, f_*) tables of the morphism dom -> cod with this
+        function graph, which must exist."""
+        f = self.category.morphism_by_graph(dom, cod, graph)
+        if f is None:
+            raise DomainError("no morphism with this graph")
+        return self.img[f], self.pre[f], self.fstar[f]
 
     # -- object/morphism helpers -------------------------------------------
     def dom(self, f: int) -> int:
@@ -331,6 +356,24 @@ def intern(tables) -> tuple[list[int], dict]:
     """
     index: dict = {}
     return [index.setdefault(t, len(index)) for t in tables], index
+
+
+def _preimage_right_adjoint(
+    source: FiniteLattice, target: FiniteLattice, table: tuple[int, ...],
+    covers: tuple[tuple[int, int], ...],
+) -> Optional[tuple[int, ...]]:
+    """The right adjoint of a preimage table from ``source`` (sub cod) to
+    ``target`` (sub dom), once the table is checked for size, range and
+    monotonicity on ``covers``, the covering pairs of ``source``; a table
+    that fails raises from ``MonotoneMap`` with its witness."""
+    up = target.up
+    if not (
+        len(table) == source.size
+        and 0 <= min(table) and max(table) < len(up)
+        and all(up[table[i]] >> table[j] & 1 for i, j in covers)
+    ):
+        MonotoneMap(source, target, table)
+    return right_adjoint_table(source, target, table)
 
 
 def validate_fibration(fib: SubobjectFibration) -> Report:
@@ -484,33 +527,44 @@ def set_level_tables(
 def _key_facts(cat: FiniteCategory, subsets: Sequence[tuple[int, ...]], fstar_formula=None):
     """(key id per morphism, and per key its image table, preimage table,
     ``fstar_formula`` adjoint or None, and surjectivity), for the keys
-    (subsets and carrier size of dom f and of cod f, graph) in order of
-    first occurrence."""
-    sizes = [len(cat.graphs[i]) for i in cat.identities]
-    set_ids, set_index = intern(zip(subsets, sizes))
-    # per distinct subset list: its masks and the index of each mask, both
-    # None when it is every subset of the carrier in counting order
-    masks, index, carrier = [], [], []
-    for listed, n in set_index:
-        powerset = len(listed) == 1 << n and listed == tuple(range(1 << n))
-        masks.append(None if powerset else listed)
-        index.append(None if powerset else {mask: i for i, mask in enumerate(listed)})
-        carrier.append(n)
+    (subsets of dom f, subsets of cod f, graph) in order of first
+    occurrence; each key's facts are ``_key_tables``'."""
+    set_ids, set_index = intern(subsets)
+    plans = list(map(_subset_plan, set_index))
     key_ids, key_index = intern(zip(
         map(set_ids.__getitem__, cat.mor_dom), map(set_ids.__getitem__, cat.mor_cod), cat.graphs,
     ))
-    img, pre, fstar, onto = [], [], [], []
+    facts = ([], [], [], [])
     for sx, sy, graph in key_index:
-        fibres = [0] * carrier[sy]
-        for e, ge in enumerate(graph):
-            fibres[ge] |= 1 << e
-        image = _unions(masks[sx], [1 << ge for ge in graph], index[sy])
-        preimage = _unions(masks[sy], fibres, index[sx])
-        img.append(image)
-        pre.append(preimage)
-        fstar.append(None if fstar_formula is None else fstar_formula(image, preimage))
-        onto.append(all(fibres))
-    return key_ids, (img, pre, fstar, onto)
+        for column, fact in zip(facts, _key_tables(plans[sx], plans[sy], graph, fstar_formula)):
+            column.append(fact)
+    return key_ids, facts
+
+
+def _subset_plan(listed: tuple[int, ...]):
+    """(masks, the index of each mask, carrier size) of a subset list, the
+    masks and index None when it is every subset of the carrier in
+    counting order.  The carrier is the largest mask's points: the top
+    subobject is the whole object."""
+    n = max(listed, default=0).bit_length()
+    if len(listed) == 1 << n and listed == tuple(range(1 << n)):
+        return None, None, n
+    return listed, {mask: i for i, mask in enumerate(listed)}, n
+
+
+def _key_tables(plan_x, plan_y, graph: tuple[int, ...], fstar_formula=None):
+    """(image table, preimage table, ``fstar_formula`` adjoint or None, and
+    surjectivity) of the key (subsets of x, subsets of y, graph), the
+    subsets given by their ``_subset_plan``."""
+    masks_x, index_x, _ = plan_x
+    masks_y, index_y, n_y = plan_y
+    fibres = [0] * n_y
+    for e, ge in enumerate(graph):
+        fibres[ge] |= 1 << e
+    image = _unions(masks_x, [1 << ge for ge in graph], index_y)
+    preimage = _unions(masks_y, fibres, index_x)
+    fstar = None if fstar_formula is None else fstar_formula(image, preimage)
+    return image, preimage, fstar, all(fibres)
 
 
 def _unions(
@@ -574,18 +628,20 @@ def subset_fibration(
             pick(fstar) if fstar_formula is not None else None, backend, name, subsets,
         )
 
-    return _UntabulatedFibration(category, sub, backend, name, subsets, tabulate)
+    return _UntabulatedFibration(category, sub, backend, name, subsets, tabulate, fstar_formula)
 
 
 class _UntabulatedFibration(_TabulatedOnFirstRead, SubobjectFibration):
     """A ``SubobjectFibration`` whose category, lattices and subsets are set
-    and whose morphism fields are tabulated on first read."""
+    and whose morphism fields are tabulated on first read; it answers
+    ``tables_by_graph`` from the one key it asks about."""
 
     __slots__ = ()
     _plain = SubobjectFibration
+    _inputs = ("_tabulate", "_fstar_formula")
     _deferred = frozenset(("img", "pre", "eclass", "mclass", "fstar"))
 
-    def __init__(self, category, sub, backend, name, subsets, tabulate):
+    def __init__(self, category, sub, backend, name, subsets, tabulate, fstar_formula):
         self.category = category
         self.sub = tuple(sub)
         self.e_pullback_stable = True
@@ -593,6 +649,19 @@ class _UntabulatedFibration(_TabulatedOnFirstRead, SubobjectFibration):
         self.name = name
         self.subsets = tuple(subsets)
         self._tabulate = tabulate
+        self._fstar_formula = fstar_formula
+
+    def tables_by_graph(self, dom: int, cod: int, graph: tuple[int, ...]):
+        """The key's tables (``_key_tables``), and without ``fstar_formula``
+        the checked generic adjoint of its preimage table, as ``__init__``
+        computes it; the graph is not looked up."""
+        formula = self._fstar_formula
+        plan_x, plan_y = _subset_plan(self.subsets[dom]), _subset_plan(self.subsets[cod])
+        img, pre, fstar, _ = _key_tables(plan_x, plan_y, graph, formula)
+        if formula is None:
+            source = self.sub[cod]
+            fstar = _preimage_right_adjoint(source, self.sub[dom], pre, _order_of(source)[0])
+        return img, pre, fstar
 
 
 def _functoriality_certified(fib: SubobjectFibration) -> bool:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from topogen import cli
 from topogen.cli import main
 from topogen.instances.topology import FinTopSpace
+from topogen.site import SubobjectFibration
 
 
 def run(capsys, *argv):
@@ -804,6 +806,8 @@ def test_suite_byte_identical_outputs(capsys, tmp_path):
 
 
 def test_file_order_overrides_builtin_with_warning(capsys, tmp_path):
+    from topogen.harness import fileformat
+
     doc = tmp_path / "in.topo"
     doc.write_text(
         "space two: points=2; opens={},{0},{0,1}\n"
@@ -817,14 +821,22 @@ def test_file_order_overrides_builtin_with_warning(capsys, tmp_path):
     doc.write_text(
         "space two: points=2; opens={},{0},{0,1}\n"
         "map id_two: from=two; to=two; graph=0,1\n"
+        "map two>two: from=two; to=two; graph=1,1\n"
         "map loop: from=two; to=two; graph=0,0\n"
     )
-    for name, warned in (("id_two", True), ("loop", False)):
+    for name, warned in (("id_two", True), ("two>two", False), ("loop", False)):
         code, out, err = run(capsys, "classify", "--order", "closure", "--map", name,
                              "--fibration", "spaces:two", str(doc))
         assert code == 0
-        assert ("warning: file map 'id_two' overrides a fibration morphism" in err) == warned
+        assert ("warning: file map" in err) == warned
+        assert err == (f"warning: file map {name!r} overrides a fibration morphism\n" if warned else "")
         assert "strict=" in out
+    # a record's name ends at its first ':', so only a document built in
+    # memory names a map like the fibration's two>two:00
+    env = cli._Environment([doc])
+    env.documents.append(fileformat.Document((fileformat.MapRecord("two>two:00", "two", "two", (1, 1)),)))
+    assert env.morphism("two>two:00", env.fibration("spaces:two")) == ("two>two:11", 0, 0, (1, 1))
+    assert capsys.readouterr().err == "warning: file map 'two>two:00' overrides a fibration morphism\n"
 
 
 # {0} relates to {} although {0} is not below {}: not a topogenous order
@@ -953,7 +965,13 @@ _MAP_FREE = [
     ("convert", "--from", "topogenous", "--to", "interior", "--order", "interior"),
     ("strict-subs", "--order", "closure", "--object", "c"),
 ]
-_CLASSIFY = ("classify", "--order", "closure", "--map", "m")
+# the commands that read one file map
+_ONE_MAP = [
+    ("classify", "--order", "closure", "--map", "m"),
+    ("predicates", "--map", "m"),
+]
+# a morphism given by name is looked up among every map
+_BY_NAME = ("classify", "--order", "closure", "--map", "id_a")
 
 
 def test_only_commands_that_read_a_map_enumerate_hom_sets(capsys, tmp_path, monkeypatch):
@@ -966,16 +984,26 @@ def test_only_commands_that_read_a_map_enumerate_hom_sets(capsys, tmp_path, monk
     monkeypatch.setattr(
         topology, "continuous_maps", lambda *ends: calls.append(ends) or continuous_maps(*ends)
     )
+    built = []
+    build = cli._Environment._build_fibration
+    monkeypatch.setattr(
+        cli._Environment, "_build_fibration", lambda env, name: built.append(build(env, name)) or built[-1]
+    )
     counted = []
-    for argv in (*_MAP_FREE, _CLASSIFY, ("validate",)):
+    for argv in (*_MAP_FREE, *_ONE_MAP, _BY_NAME, ("validate",)):
         calls.clear()
+        built.clear()
         fibration = ("--fibration", "spaces:a,b,c") if argv != ("validate",) else ()
         code, _, _ = run(capsys, *argv, *fibration, str(doc))
-        counted.append((argv[0], code, len(calls)))
-    # classify and validate enumerate each of the 3 x 3 hom-sets once
+        tabulated = any(type(fib) is SubobjectFibration for fib in built)
+        counted.append((argv[0], code, len(calls), tabulated))
+    # a file map is checked against its one hom-set b -> a; a morphism named
+    # without a file map, and validate, enumerate each of the 3 x 3 hom-sets
+    # once; only validate tabulates the fibration's tables
     assert counted == [
-        ("predicates", 0, 0), ("convert", 0, 0), ("strict-subs", 0, 0),
-        ("classify", 0, 9), ("validate", 0, 9),
+        ("predicates", 0, 0, False), ("convert", 0, 0, False), ("strict-subs", 0, 0, False),
+        ("classify", 0, 1, False), ("predicates", 0, 1, False),
+        ("classify", 0, 9, False), ("validate", 0, 9, True),
     ]
 
 
@@ -984,11 +1012,65 @@ def test_a_morphism_cap_stops_only_the_commands_that_read_a_map(capsys, tmp_path
 
     doc = tmp_path / "three.topo"
     doc.write_text(_THREE_SPACES)
-    argvs = [(*argv, "--fibration", "spaces:a,b,c", str(doc)) for argv in (*_MAP_FREE, _CLASSIFY)]
+    argvs = [
+        (*argv, "--fibration", "spaces:a,b,c", str(doc)) for argv in (*_MAP_FREE, *_ONE_MAP, _BY_NAME)
+    ]
     uncapped = [run(capsys, *argv) for argv in argvs]
-    assert [code for code, _, _ in uncapped] == [0, 0, 0, 0]
+    assert [code for code, _, _ in uncapped] == [0] * 6
     n_maps = cli._Environment([doc]).fibration("spaces:a,b,c").category.n_morphisms
     monkeypatch.setattr(topology, "MAX_MORPHISMS", n_maps - 1)
     capped = [run(capsys, *argv) for argv in argvs]
-    assert capped[:3] == uncapped[:3]
-    assert capped[3] == (3, "", f"resource cap: more than {n_maps - 1} continuous maps\n")
+    # a file map reads one hom-set, far below the cap
+    assert capped[:5] == uncapped[:5]
+    assert capped[5] == (3, "", f"resource cap: more than {n_maps - 1} continuous maps\n")
+
+
+PINNED_DOCUMENT = Path(__file__).parent / "data" / "three_spaces.topo"
+PINNED_RUNS = Path(__file__).parent / "data" / "map_commands.json"
+
+
+def _map_command_runs(run_one):
+    """[argv without the document, exit code, stdout, stderr] of classify
+    under both built-in orders and predicates --map, for every map record of
+    ``PINNED_DOCUMENT``, each run by ``run_one(argv)``."""
+    from topogen.harness import fileformat
+
+    doc = fileformat.parse_document(PINNED_DOCUMENT.read_text(encoding="utf-8"))
+    runs = []
+    for rec in doc.records:
+        if not isinstance(rec, fileformat.MapRecord):
+            continue
+        for argv in (
+            ("classify", "--order", "closure", "--map", rec.name),
+            ("classify", "--order", "interior", "--map", rec.name),
+            ("predicates", "--map", rec.name),
+        ):
+            argv = [*argv, "--fibration", "spaces:s0,s1,s2"]
+            runs.append([argv, *run_one([*argv, str(PINNED_DOCUMENT)])])
+    return runs
+
+
+def test_map_commands_keep_their_output_on_every_map_of_a_file(capsys):
+    # recorded when every map command tabulated the whole fibration; the
+    # maps bad (not continuous) and short (a 2-point graph) are no morphisms
+    runs = _map_command_runs(lambda argv: run(capsys, *argv))
+    assert runs == json.loads(PINNED_RUNS.read_text(encoding="utf-8"))
+    refused = {argv[argv.index("--map") + 1] for argv, code, _, _ in runs if code == 2}
+    assert refused == {"bad", "short"}
+    assert all(err.endswith("is not a morphism of the fibration\n")
+               for _, code, _, err in runs if code == 2)
+
+
+if __name__ == "__main__":
+    # regenerate only when the output of a map command is meant to change:
+    # PYTHONPATH=src python tests/test_cli.py
+    import contextlib
+    import io
+
+    def _captured(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    PINNED_RUNS.write_text(json.dumps(_map_command_runs(_captured), indent=1) + "\n", encoding="utf-8")

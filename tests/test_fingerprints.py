@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from topogen.instances.registry import FIBRATION_NAMES, builtin_fibration, builtin_order
-from topogen.instances.topology import enumerate_topologies, fintop_fibration
+from topogen.instances.topology import enumerate_topologies, fintop_fibration, spaces_of
+from topogen.morphisms import classify_map
 from topogen.site import FiniteCategory, SubobjectFibration
 from topogen.structures import predicates
 
@@ -56,9 +57,15 @@ def test_a_builtin_is_tabulated_before_it_is_cached():
 def test_tables_tabulated_after_an_object_only_read_match_the_record(name):
     recorded = json.loads(RECORD.read_text(encoding="utf-8"))
     fib = fintop_fibration(DIRECT[name](), name=name)
-    predicates(builtin_order("closure", fib))
-    # the closure order and its predicates read no map, and only a morphism
-    # field's name tabulates
+    order = builtin_order("closure", fib)
+    predicates(order)
+    # one map is classified from its own hom-set and tables
+    last = len(fib.sub) - 1
+    identity = tuple(range(spaces_of(fib)[last].n))
+    assert fib.category.morphism_name(last, last, identity).startswith("id_")
+    assert classify_map(order, last, last, identity).strict
+    # the closure order, its predicates and the one-map classification read
+    # no other map, and only a morphism field's name tabulates
     for obj in (fib, fib.category):
         with pytest.raises(AttributeError, match="no attribute 'n_maps'"):
             obj.n_maps

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from dataclasses import replace
@@ -16,6 +17,7 @@ from topogen.morphisms import (
     class_flags,
     classifications,
     classify,
+    classify_map,
     closure_classes,
     continuity_equivalents,
     crosscheck_operator_classes,
@@ -218,6 +220,60 @@ def test_classifications_match_the_oracle_on_every_morphism(tmp_path):
             seen.update(enumerate((cls.continuous, *class_flags(cls), cls.weakly_final)))
     # every flag is seen holding and failing, and co-strict and initial not applicable
     assert seen == {(k, b) for k in range(6) for b in (True, False)} | {(3, None), (4, None)}
+
+
+def _untabulated_twin(name):
+    """A fresh built-in ``name`` whose maps are not yet tabulated."""
+    from topogen.instances import registry, topology
+
+    if name == "fintop2":  # fintop_upto keeps the tabulated one
+        return topology.fintop_upto.__wrapped__(2)
+    return registry._untabulated_builtin(name)
+
+
+def _assert_one_map_path_matches(fib, twin, orders):
+    """For every map of ``fib`` and every order, ``classify_map`` on the
+    tabulated ``fib`` and on its untabulated ``twin`` equals the map's entry
+    of ``classifications``; each of the twin's hom-sets names its maps as
+    ``fib`` does, and no other graph; the twin stays untabulated."""
+    from topogen.site import FiniteCategory, SubobjectFibration
+
+    cat = fib.category
+    maps = list(zip(cat.mor_dom, cat.mor_cod, cat.graphs))
+    sizes = [len(cat.graphs[i]) for i in cat.identities]
+    for x, y in itertools.product(range(cat.n_objects), repeat=2):
+        for graph in itertools.product(range(sizes[y]), repeat=sizes[x]):
+            assert twin.category.morphism_name(x, y, graph) == cat.morphism_name(x, y, graph)
+    for t in orders:
+        on_twin = TopogenousOrder(twin, t.rel)
+        for cls, (x, y, graph) in zip(classifications(t), maps):
+            expected = replace(cls, morphism=None)
+            assert classify_map(t, x, y, graph) == expected
+            assert classify_map(on_twin, x, y, graph) == expected, (fib.name, x, y, graph)
+    assert type(twin) is not SubobjectFibration and type(twin.category) is not FiniteCategory
+
+
+@pytest.mark.parametrize("name, n_orders", [
+    ("fintop2", 11), ("grp_small", 31), ("t0_small", 6), ("disc2_loop", 6), ("coreflect_small", 9),
+])
+def test_one_map_classification_matches_every_order(name, n_orders):
+    from topogen.harness.enumeration import orders_of
+
+    fib = builtin_fibration(name)
+    orders = [TopogenousOrder(fib, rel) for rel in orders_of(fib, TopogenousOrder).tables()]
+    assert len(orders) == n_orders
+    _assert_one_map_path_matches(fib, _untabulated_twin(name), orders)
+    if name == "grp_small":  # the generic f_* is missing on some maps
+        assert any(cls.initial is None for cls in classifications(orders[0]))
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_one_map_classification_matches_on_three_space_files(tmp_path, seed):
+    from test_instances import _seeded_spaces_fibration
+
+    fib = _seeded_spaces_fibration(tmp_path, seed)
+    orders = [builtin_order(kind, fib) for kind in ("closure", "interior")]
+    _assert_one_map_path_matches(fib, _seeded_spaces_fibration(tmp_path, seed), orders)
 
 
 def _perturbed_orders(fib, n, seed):
