@@ -28,6 +28,7 @@ from .instances import registry
 from .instances.groups import validate_group
 from .instances.topology import fintop_fibration, is_continuous, map_predicates_by_graph
 from .morphisms import classify_map, strict_subobjects
+from .site import concrete_keys
 from .constructions import induce_order, lift_topogenous, validate_endofunctor
 from .structures import CORRESPONDENCE, KINDS, RELATIONS, predicates, validate_structure
 
@@ -92,12 +93,16 @@ class _Environment:
         return order
 
     def morphism(self, name: str, fib):
-        """(name shown, dom, cod, graph) of the named map: a file map is
-        checked against its own hom-set only (``morphism_name``), a name
-        without a file map is looked up among the fibration's morphisms."""
+        """(name shown, dom, cod, graph) of the named map: a file map, and a
+        name that ``concrete_keys`` reads as exactly one key, are checked
+        against their own hom-set only (``morphism_name``); any other name
+        is looked up among the fibration's morphisms."""
         cat = fib.category
         rec = self._find(fileformat.MapRecord, name)
         if rec is None:
+            keys = concrete_keys(cat, name)
+            if len(keys) == 1 and cat.morphism_name(*keys[0]) == name:
+                return (name, *keys[0])
             f = cat.morphism_index(name)
             return name, cat.mor_dom[f], cat.mor_cod[f], cat.graphs[f]
         # ``concrete_name`` gives no other name a fibration morphism

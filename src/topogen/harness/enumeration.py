@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import or_
 from typing import Iterator, Optional
 
@@ -101,16 +100,18 @@ class _Entries:
     cone: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=None)
-def _entries(lat: FiniteLattice) -> _Entries:
-    pairs = tuple((m, n) for m in range(lat.size) for n in mask_iter(lat.up[m]))
+def _entries(lat: FiniteLattice, up: tuple[int, ...]) -> _Entries:
+    """The entries of ``lat``, whose order has the rows ``up``; read through
+    ``lat.row_fact``, so they are built once per lattice, kept on it, and
+    found without hashing it."""
+    pairs = tuple((m, n) for m in range(lat.size) for n in mask_iter(up[m]))
     ids = [[-1] * lat.size for _ in range(lat.size)]
     for i, (m, n) in enumerate(pairs):
         ids[m][n] = i
     cone = [[0] * lat.size for _ in range(lat.size)]
     for m, n in pairs:
         cone[m][n] = sum(
-            1 << ids[low][high] for low in mask_iter(lat.down[m]) for high in mask_iter(lat.up[n])
+            1 << ids[low][high] for low in mask_iter(lat.down[m]) for high in mask_iter(up[n])
         )
     return _Entries(pairs, tuple(map(tuple, ids)), tuple(map(tuple, cone)))
 
@@ -131,7 +132,7 @@ class _Forcing:
     """
 
     def __init__(self, lattices, laws):
-        entries = [_entries(lat) for lat in lattices]
+        entries = [lat.row_fact(_entries, lat.up) for lat in lattices]
         # per object, its first entry number and its first row in a flat table
         bases, offsets = [0], [0]
         for lat, ent in zip(lattices, entries):

@@ -10,7 +10,7 @@ these masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, PreconditionError
@@ -127,7 +127,8 @@ class FiniteLattice:
 
     def row_fact(self, compute, rows):
         """``compute(self, rows)``, never None, computed once per row table
-        and kept for as long as the lattice lives."""
+        and kept for as long as the lattice lives: for a ``powerset``
+        lattice, the whole process."""
         memo = self.row_verdicts
         key = (compute, rows)
         found = memo.get(key)
@@ -198,9 +199,12 @@ class FiniteLattice:
         )
 
     @staticmethod
+    @cache
     def powerset(n_points: int) -> "FiniteLattice":
         """Powerset of n points; element index == subset bitmask, so the order
-        is inclusion, meet is ``&`` and join is ``|``."""
+        is inclusion, meet is ``&`` and join is ``|``.  Built once per
+        process for each n, so every fibration on n-point objects shares it
+        and the row facts memoised on it."""
         size = 1 << n_points
         if size > MAX_ELEMENTS:
             raise PreconditionError(f"lattice size {size} exceeds cap {MAX_ELEMENTS}")

@@ -56,13 +56,14 @@ class FiniteCategory:
 
     ``concrete_category`` returns an untabulated twin, which enumerates the
     morphisms on the first read of a morphism field (``_TabulatedOnFirstRead``);
-    the slots ``_tabulate`` and ``_homs`` serve only the twin and are unset here.
+    the slots ``_tabulate``, ``_homs`` and ``_sizes`` serve only the twin and
+    are unset here.
     """
 
     __slots__ = (
         "object_names", "mor_dom", "mor_cod", "mor_names", "identities", "graphs",
         "_by_graph", "_name_index", "morphisms_from", "morphisms_to", "_tabulate", "_homs",
-        "__weakref__",
+        "_sizes", "__weakref__",
     )
 
     def __init__(
@@ -122,6 +123,10 @@ class FiniteCategory:
         """The morphism dom -> cod with this function graph, or None."""
         return self._by_graph.get((dom, cod, graph))
 
+    def identity_graph(self, x: int) -> tuple[int, ...]:
+        """The graph of x's identity, ``(0, ..., n - 1)`` on its n points."""
+        return self.graphs[self.identities[x]]
+
     def morphism_name(self, dom: int, cod: int, graph: tuple[int, ...]) -> Optional[str]:
         """The name of the morphism dom -> cod with this function graph, or
         None when there is none."""
@@ -171,6 +176,26 @@ def concrete_name(names: Sequence[str], x: int, y: int, graph: tuple[int, ...]) 
     return f"{names[x]}>{names[y]}:" + ("".join(map(str, graph)) or "-")
 
 
+def concrete_keys(cat: FiniteCategory, name: str) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Each (dom, cod, graph) of ``cat`` that ``concrete_name`` could turn
+    into ``name``, each digit read as one point; none is checked to be a
+    morphism.  Reads only objects and identity graphs, so it enumerates no
+    hom-set of an untabulated category."""
+    index = {object_name: x for x, object_name in enumerate(cat.object_names)}
+    keys = []
+    if name.startswith("id_") and name[3:] in index:
+        x = index[name[3:]]
+        keys.append((x, x, cat.identity_graph(x)))
+    ends, colon, digits = name.rpartition(":")
+    if colon and (digits == "-" or digits.isascii() and digits.isdigit()):
+        graph = () if digits == "-" else tuple(map(int, digits))
+        for x, source in enumerate(cat.object_names):
+            target = ends[len(source) + 1:]
+            if ends.startswith(source + ">") and target in index:
+                keys.append((x, index[target], graph))
+    return keys
+
+
 def concrete_category(
     names: Sequence[str],
     sizes: Sequence[int],
@@ -211,26 +236,31 @@ def concrete_category(
         mor_names = list(map(partial(concrete_name, names), mor_dom, mor_cod, graphs))
         return names, mor_dom, mor_cod, mor_names, identities, graphs
 
-    return _UntabulatedCategory(names, tabulate, lambda x, y: capped(homs(x, y)))
+    return _UntabulatedCategory(names, tabulate, lambda x, y: capped(homs(x, y)), sizes)
 
 
 class _UntabulatedCategory(_TabulatedOnFirstRead, FiniteCategory):
     """A ``FiniteCategory`` whose objects are set and whose morphisms are
     tabulated on first read; it answers ``morphism_name`` from the one
-    hom-set, ``_homs``, it asks about."""
+    hom-set, ``_homs``, it asks about, and ``identity_graph`` from the
+    objects' point counts, ``_sizes``."""
 
     __slots__ = ()
     _plain = FiniteCategory
-    _inputs = ("_tabulate", "_homs")
+    _inputs = ("_tabulate", "_homs", "_sizes")
     _deferred = frozenset((
         "mor_dom", "mor_cod", "mor_names", "identities", "graphs",
         "_by_graph", "_name_index", "morphisms_from", "morphisms_to",
     ))
 
-    def __init__(self, object_names: Sequence[str], tabulate, homs):
+    def __init__(self, object_names: Sequence[str], tabulate, homs, sizes):
         self.object_names = tuple(object_names)
         self._tabulate = tabulate
         self._homs = homs
+        self._sizes = tuple(sizes)
+
+    def identity_graph(self, x: int) -> tuple[int, ...]:
+        return tuple(range(self._sizes[x]))
 
     def morphism_name(self, dom: int, cod: int, graph: tuple[int, ...]) -> Optional[str]:
         if graph in self._homs(dom, cod):

@@ -644,14 +644,16 @@ def closure_from_topogenous(t: TopogenousOrder) -> ClosureOperator:
     return ClosureOperator(t.fib, _folds(t, joins=False))
 
 
-def _bounds(op) -> tuple[tuple[int, ...], ...]:
-    """Per object, the ``bound`` of each of ``op``'s values."""
-    return tuple(tuple(map(op.bound(lat).__getitem__, row)) for lat, row in zip(op.fib.sub, op.table))
+def _closure_rows(lat, cmap):
+    """One object's rows {n : c(m) <= n} from its closure values."""
+    return tuple(map(lat.up.__getitem__, cmap))
 
 
 def topogenous_from_closure(c: ClosureOperator) -> TopogenousOrder:
-    """m ⊏ n iff c(m) <= n: row m is the bound of c(m)."""
-    return TopogenousOrder(c.fib, _bounds(c))
+    """m ⊏ n iff c(m) <= n: row m is the up-set of c(m), computed once per
+    (lattice, closure row) and memoised on the lattice."""
+    return TopogenousOrder(c.fib, tuple(
+        lat.row_fact(_closure_rows, row) for lat, row in zip(c.fib.sub, c.cmap)))
 
 
 def interior_from_topogenous(t: TopogenousOrder) -> InteriorOperator:
@@ -659,9 +661,17 @@ def interior_from_topogenous(t: TopogenousOrder) -> InteriorOperator:
     return InteriorOperator(t.fib, _folds(t, joins=True))
 
 
+def _interior_rows(lat, imap):
+    """One object's rows {n : m <= i(n)}: the transpose of its columns, the
+    down-sets of its interior values."""
+    return _transpose(tuple(map(lat.down.__getitem__, imap)))
+
+
 def topogenous_from_interior(i: InteriorOperator) -> TopogenousOrder:
-    """m ⊏ n iff m <= i(n): column n is the bound of i(n)."""
-    return TopogenousOrder(i.fib, tuple(map(_transpose, _bounds(i))))
+    """m ⊏ n iff m <= i(n): column n is the down-set of i(n), computed once
+    per (lattice, interior row) and memoised on the lattice."""
+    return TopogenousOrder(i.fib, tuple(
+        lat.row_fact(_interior_rows, row) for lat, row in zip(i.fib.sub, i.imap)))
 
 
 # each non-topogenous class: the predicate that picks its orders (None: all

@@ -970,7 +970,7 @@ _ONE_MAP = [
     ("classify", "--order", "closure", "--map", "m"),
     ("predicates", "--map", "m"),
 ]
-# a morphism given by name is looked up among every map
+# a morphism given by its concrete name is looked up in its own hom-set
 _BY_NAME = ("classify", "--order", "closure", "--map", "id_a")
 
 
@@ -997,13 +997,13 @@ def test_only_commands_that_read_a_map_enumerate_hom_sets(capsys, tmp_path, monk
         code, _, _ = run(capsys, *argv, *fibration, str(doc))
         tabulated = any(type(fib) is SubobjectFibration for fib in built)
         counted.append((argv[0], code, len(calls), tabulated))
-    # a file map is checked against its one hom-set b -> a; a morphism named
-    # without a file map, and validate, enumerate each of the 3 x 3 hom-sets
-    # once; only validate tabulates the fibration's tables
+    # a file map is checked against its one hom-set b -> a, and id_a against
+    # a -> a; validate enumerates each of the 3 x 3 hom-sets once, and only
+    # validate tabulates the fibration's tables
     assert counted == [
         ("predicates", 0, 0, False), ("convert", 0, 0, False), ("strict-subs", 0, 0, False),
         ("classify", 0, 1, False), ("predicates", 0, 1, False),
-        ("classify", 0, 9, False), ("validate", 0, 9, True),
+        ("classify", 0, 1, False), ("validate", 0, 9, True),
     ]
 
 
@@ -1014,15 +1014,18 @@ def test_a_morphism_cap_stops_only_the_commands_that_read_a_map(capsys, tmp_path
     doc.write_text(_THREE_SPACES)
     argvs = [
         (*argv, "--fibration", "spaces:a,b,c", str(doc)) for argv in (*_MAP_FREE, *_ONE_MAP, _BY_NAME)
-    ]
+    ] + [("validate", str(doc))]
     uncapped = [run(capsys, *argv) for argv in argvs]
-    assert [code for code, _, _ in uncapped] == [0] * 6
+    assert [code for code, _, _ in uncapped] == [0] * 7
     n_maps = cli._Environment([doc]).fibration("spaces:a,b,c").category.n_morphisms
     monkeypatch.setattr(topology, "MAX_MORPHISMS", n_maps - 1)
     capped = [run(capsys, *argv) for argv in argvs]
-    # a file map reads one hom-set, far below the cap
-    assert capped[:5] == uncapped[:5]
-    assert capped[5] == (3, "", f"resource cap: more than {n_maps - 1} continuous maps\n")
+    # a file map, or a concrete name, reads one hom-set, far below the cap
+    assert capped[:6] == uncapped[:6]
+    # validate tabulates every map when it reaches the order record
+    code, out, err = capped[6]
+    assert (code, err) == (3, f"resource cap: more than {n_maps - 1} continuous maps\n")
+    assert uncapped[6][1].startswith(out) and "order o" not in out
 
 
 PINNED_DOCUMENT = Path(__file__).parent / "data" / "three_spaces.topo"
@@ -1061,9 +1064,67 @@ def test_map_commands_keep_their_output_on_every_map_of_a_file(capsys):
                for _, code, _, err in runs if code == 2)
 
 
+PINNED_ORDER_RUNS = Path(__file__).parent / "data" / "order_commands.json"
+
+
+def _order_command_runs(run_one):
+    """[argv without the document, exit code, stdout, stderr] of
+    ``predicates --order`` and of ``convert`` to each kind, for the closure
+    and interior orders of ``PINNED_DOCUMENT``, each run by ``run_one(argv)``."""
+    runs = []
+    for order in ("closure", "interior"):
+        argvs = [("predicates", "--order", order)] + [
+            ("convert", "--from", "topogenous", "--to", kind, "--order", order)
+            for kind in ("closure", "interior", "neighbourhood")
+        ]
+        for argv in argvs:
+            argv = [*argv, "--fibration", "spaces:s0,s1,s2"]
+            runs.append([argv, *run_one([*argv, str(PINNED_DOCUMENT)])])
+    return runs
+
+
+def test_order_commands_keep_their_output_on_a_file(capsys):
+    # recorded when the closure and interior orders were built with a fresh
+    # lattice per fibration and without row facts
+    runs = _order_command_runs(lambda argv: run(capsys, *argv))
+    assert runs == json.loads(PINNED_ORDER_RUNS.read_text(encoding="utf-8"))
+    assert [code for _, code, _, _ in runs] == [0] * 8
+
+
+def test_a_concrete_name_reads_only_its_own_hom_set(capsys, tmp_path, monkeypatch):
+    # every morphism of the file's fibration, named without a file map,
+    # resolves as the tabulated fibration names it, and no name tabulates it
+    from topogen.instances import topology
+    from topogen.site import FiniteCategory
+
+    spaces = tmp_path / "spaces.topo"
+    spaces.write_text("".join(
+        line for line in PINNED_DOCUMENT.read_text(encoding="utf-8").splitlines(keepends=True)
+        if line.startswith("space ")))
+    env = cli._Environment([spaces])
+    cat = env.fibration("spaces:s0,s1,s2").category
+    tabulated = cli._Environment([PINNED_DOCUMENT]).fibration("spaces:s0,s1,s2").category
+    calls = []
+    continuous_maps = topology.continuous_maps
+    monkeypatch.setattr(
+        topology, "continuous_maps", lambda *ends: calls.append(ends) or continuous_maps(*ends)
+    )
+    for f, name in enumerate(tabulated.mor_names):
+        calls.clear()
+        key = (tabulated.mor_dom[f], tabulated.mor_cod[f], tabulated.graphs[f])
+        assert env.morphism(name, env.fibration("spaces:s0,s1,s2")) == (name, *key)
+        assert len(calls) == 1
+    assert type(cat) is not FiniteCategory
+    # names that read as no morphism keep the lookup among every map
+    for name in ("s0>s1:0123", "s0>s1:01", "s0>s9:0000", "id_s9", "s0>s1:-", "nosuch"):
+        code, out, err = run(capsys, "classify", "--order", "closure", "--map", name,
+                             "--fibration", "spaces:s0,s1,s2", str(PINNED_DOCUMENT))
+        assert (code, out, err) == (2, "", f"error: no morphism named {name!r}\n"), name
+
+
 if __name__ == "__main__":
-    # regenerate only when the output of a map command is meant to change:
-    # PYTHONPATH=src python tests/test_cli.py
+    # regenerate only when the output of a map or order command is meant to
+    # change: PYTHONPATH=src python tests/test_cli.py
     import contextlib
     import io
 
@@ -1074,3 +1135,5 @@ if __name__ == "__main__":
         return code, out.getvalue(), err.getvalue()
 
     PINNED_RUNS.write_text(json.dumps(_map_command_runs(_captured), indent=1) + "\n", encoding="utf-8")
+    PINNED_ORDER_RUNS.write_text(
+        json.dumps(_order_command_runs(_captured), indent=1) + "\n", encoding="utf-8")

@@ -1249,3 +1249,21 @@ def test_closure_certificate_matches_the_pair_oracle_on_every_cut(name):
     # f that is not surjective, so g∘f reads g on a proper restriction only
     assert shapes["closed"] and shapes["f never onto"] and shapes["f onto"]
 
+
+
+def test_concrete_keys_read_every_split_of_a_name():
+    # object names holding ">" make "a>b>b:0" two keys, which the CLI leaves
+    # to the lookup among every morphism
+    names = ("a", "b", "a>b", "b>b")
+    sizes = (1, 1, 1, 2)
+    cat = site.concrete_category(
+        names, sizes, lambda x, y: itertools.product(range(sizes[y]), repeat=sizes[x]))
+    assert site.concrete_keys(cat, "a>b>b:0") == [(0, 3, (0,)), (2, 1, (0,))]
+    assert site.concrete_keys(cat, "id_b>b") == [(3, 3, (0, 1))]
+    assert site.concrete_keys(cat, "a>b:-") == [(0, 1, ())]
+    for unread in ("a>b", "a>b:x", "a>c:0", "id_c", "a>b:²", ""):
+        assert site.concrete_keys(cat, unread) == [], unread
+    # read before and after the category tabulates its morphisms
+    assert type(cat) is not FiniteCategory
+    assert cat.n_morphisms and type(cat) is FiniteCategory
+    assert site.concrete_keys(cat, "id_b>b") == [(3, 3, (0, 1))]

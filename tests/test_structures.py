@@ -2,6 +2,7 @@ import itertools
 import operator
 import random
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -838,3 +839,84 @@ def test_a_validation_plan_dies_with_its_fibration():
     gc.collect()
     assert alive() is None
     assert len(structures._PLANS) == before
+
+
+# ---------------------------------------------------------------------------
+# operator-to-order conversions: one row fact per (lattice, operator row),
+# shared by every fibration over the same powerset
+
+
+_THREE_SPACES = Path(__file__).parent / "data" / "three_spaces.topo"
+
+
+def _three_space_fibration():
+    """A fresh ``spaces:s0,s1,s2`` fibration of the pinned file of three
+    4-point spaces."""
+    from topogen.harness import fileformat
+    from topogen.instances.topology import fintop_fibration
+
+    doc = fileformat.parse_document(_THREE_SPACES.read_text(encoding="utf-8"))
+    records = [doc.find(fileformat.SpaceRecord, name) for name in ("s0", "s1", "s2")]
+    return fintop_fibration([r.space for r in records], name="spaces:s0,s1,s2",
+                            object_names=[r.name for r in records])
+
+
+def _rows_by_bounds(op):
+    """Reference, with no memo: per object, row m of the order is the bound
+    of op(m) (a closure's up-set); an interior's bounds are its columns."""
+    rows = tuple(tuple(map(op.bound(lat).__getitem__, row)) for lat, row in zip(op.fib.sub, op.table))
+    if isinstance(op, ClosureOperator):
+        return rows
+    return tuple(
+        tuple(sum(1 << m for m, col in enumerate(cols) if col >> n & 1) for n in range(len(cols)))
+        for cols in rows
+    )
+
+
+def test_fintop_builds_share_their_powerset_lattices():
+    first, second = _three_space_fibration(), _three_space_fibration()
+    assert first is not second
+    assert all(a is b for a, b in zip(first.sub, second.sub))
+    assert first.sub[0] is FiniteLattice.powerset(4)
+    assert builtin_fibration("fintop2").sub[-1] is FiniteLattice.powerset(2)
+
+
+def test_a_conversion_row_fact_is_a_memo_hit_in_the_next_build(monkeypatch):
+    from topogen import structures
+
+    calls = []
+    for compute in ("_closure_rows", "_interior_rows"):
+        real = getattr(structures, compute)
+        monkeypatch.setattr(structures, compute,
+                            lambda lat, row, real=real: calls.append(row) or real(lat, row))
+    counts, orders = [], []
+    for _ in range(2):
+        calls.clear()
+        fib = _three_space_fibration()
+        orders.append([order(fib).rel for order in (closure_order, interior_order)])
+        counts.append(len(calls))
+    # three spaces, each with its own closure and interior rows
+    assert counts == [6, 0]
+    assert orders[0] == orders[1]
+
+
+@pytest.mark.parametrize("name", ["fintop2", "t0_small", "disc2_loop", "coreflect_small", "file"])
+def test_conversions_to_orders_match_the_bound_formula(name):
+    from topogen.harness.enumeration import EnumerationSpec, enumerate_structures
+
+    if name == "file":
+        fib = _three_space_fibration()
+        spaces = spaces_of(fib)
+        operators = [ClosureOperator(fib, tuple(s.closures for s in spaces)),
+                     InteriorOperator(fib, tuple(tuple(map(s.interior, range(1 << s.n)))
+                                                 for s in spaces))]
+    else:
+        fib = builtin_fibration(name)
+        operators = [op for kind in ("closure", "interior")
+                     for op in enumerate_structures(EnumerationSpec(fib, kind))]
+    kinds = set()
+    for op in operators:
+        convert = topogenous_from_closure if isinstance(op, ClosureOperator) else topogenous_from_interior
+        assert convert(op).rel == _rows_by_bounds(op)
+        kinds.add(type(op))
+    assert kinds == {ClosureOperator, InteriorOperator}

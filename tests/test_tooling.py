@@ -117,6 +117,20 @@ def test_every_src_function_has_a_src_caller():
     assert sorted(set(_unreferenced_src_definitions()) - allowed) == []
 
 
+def test_only_the_lattice_module_constructs_lattices():
+    # every other module takes its lattices from FiniteLattice.powerset, one
+    # per point count and process, or from_order, so the row facts memoised
+    # on a powerset are shared by every fibration over it
+    direct = [
+        f"{module}:{node.lineno}"
+        for module, tree in _src_modules() if module != "lattice"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "FiniteLattice" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert direct == []
+
+
 def test_src_imports_only_at_module_level():
     local = [
         f"{module}:{inner.lineno}"
