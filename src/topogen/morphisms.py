@@ -33,19 +33,23 @@ morphisms, pullback squares), laws (id, premises, conclusion) over (role,
 fact) pairs.  A law is violated where every premise is True and its
 conclusion is False, so a flag that is None neither fires a law nor fails
 one.  ``check_class_calculus`` decides the table once per key of interned
-fact ids.  ``check_pullback_transfer`` sweeps every pullback square along
-E or M once, deciding the Beck-Chevalley condition and the square laws
-(``transfer_laws``) once per key of interned tables and flags.
+fact ids.  ``check_pullback_transfer`` counts every pullback square along
+E or M, visiting one cospan per isomorphism class of its corners where
+that is exact, and decides the Beck-Chevalley condition and the square
+laws (``transfer_laws``) once per key of interned tables and flags.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from operator import and_, attrgetter, or_
 from typing import Optional
 
 from .errors import CapabilityError, DomainError, InternalConsistencyError, PreconditionError
+from .lattice import mask_iter
 from .reporting import Report, Violation
 from .structures import (
     CORRESPONDENCE,
@@ -313,6 +317,116 @@ _BUDGET, _NO_CORNER = "beyond point budget", "whose pullback corner is not an ob
 _NO_BCP = "without the Beck-Chevalley equality"
 
 
+def _inverse(table: tuple[int, ...], size: int) -> Optional[tuple[int, ...]]:
+    """The inverse of ``table`` if it is a bijection onto range(size), else None."""
+    if sorted(table) != list(range(size)):
+        return None
+    return tuple(sorted(range(size), key=table.__getitem__))
+
+
+def _class_weights(fib: SubobjectFibration, img_id, pre_id, flag_id) -> tuple[int, ...]:
+    """Per object, the size of its isomorphism class at the class's
+    representative and 0 at its other objects, when the E∪M sweep may count
+    pullback squares by the classes of their corners; 1 per object, that is
+    singleton classes, when it may not.
+
+    A class's representative is its least object index, and ι_A: rep A -> A
+    the least-index iso, the identity at a representative.  A map f: X -> Y
+    is transported to f~ = ι_Y^-1 ∘ f ∘ ι_X, and U_A = img ι_A.  With
+    ``flag_id`` the interned class flags of each map in every order, the
+    classes are used when
+
+    - H1: f~ is in E∪M exactly when f is;
+    - H2: f~ has the flags of f, and g∘α those of g, for every map g between
+      representatives and non-identity automorphism α of dom g;
+    - H3: each U_A is an order isomorphism, img f~ = U_Y^-1 ∘ img f ∘ U_X and
+      pre f~ = U_X^-1 ∘ pre f ∘ U_Y; each img α is a bijection, with
+      img(g∘α) = img g ∘ img α and pre(g∘α) = (img α)^-1 ∘ pre g;
+    - H4: the isos out of each representative A have |A|! distinct graphs:
+      |class A|·|Aut A| = |A|!, and each relabelling of A is one object.
+    """
+    cat = fib.category
+    n = cat.n_objects
+    ones = (1,) * n
+    dom, cod, graphs, by_graph = cat.mor_dom, cat.mor_cod, cat.graphs, cat.morphism_by_graph
+    img, pre, sub = fib.img, fib.pre, fib.sub
+    isos = sorted(cat.isomorphisms())
+    rep, iota = list(range(n)), list(cat.identities)
+    for u in isos:
+        if dom[u] < rep[cod[u]]:
+            rep[cod[u]], iota[cod[u]] = dom[u], u
+    if any(rep[dom[u]] != rep[cod[u]] for u in isos):
+        return ones
+    relabellings, automorphisms = [[] for _ in rep], [[] for _ in rep]
+    for u in isos:
+        if rep[dom[u]] == dom[u]:
+            relabellings[dom[u]].append(graphs[u])
+            if cod[u] == dom[u] and u != cat.identities[dom[u]]:
+                automorphisms[dom[u]].append(u)
+    if any(
+        not len(relabellings[a]) == len(set(relabellings[a])) == factorial(len(graphs[i]))
+        for a, i in enumerate(cat.identities) if rep[a] == a
+    ):
+        return ones
+    # H3's U_A and U_A^-1, and the inverse graph of each ι_A
+    u_tables, u_inverses, unlabel = [], [], []
+    for a, r in enumerate(rep):
+        table = inverse = tuple(range(sub[a].size))
+        if r != a:
+            table, source, target = img[iota[a]], sub[r], sub[a]
+            inverse = _inverse(table, target.size)
+            if inverse is None or source.size != target.size or any(
+                target.up[table[i]] != sum(1 << table[j] for j in mask_iter(up))
+                for i, up in enumerate(source.up)
+            ):
+                return ones
+        u_tables.append(table)
+        u_inverses.append(inverse)
+        unlabel.append(_inverse(graphs[iota[a]], len(graphs[iota[a]])))
+    labels = [graphs[u] for u in iota]
+    # H1-H3 on each map off the representatives, the tables decided once
+    # per (table ids of f and f~, ids of U_X and U_Y)
+    em = fib.eclass | fib.mclass
+    u_id, _ = intern(u_tables)
+    agree = {}
+    for f, x, y, graph in zip(range(len(graphs)), dom, cod, graphs):
+        rx, ry = rep[x], rep[y]
+        if rx == x and ry == y:
+            continue
+        moved = by_graph(rx, ry, tuple(map(unlabel[y].__getitem__, map(graph.__getitem__, labels[x]))))
+        if moved is None or (moved in em) != (f in em) or flag_id[moved] != flag_id[f]:
+            return ones
+        key = (img_id[f], pre_id[f], img_id[moved], pre_id[moved], u_id[x], u_id[y])
+        if key not in agree:
+            agree[key] = img[moved] == tuple(map(
+                u_inverses[y].__getitem__, map(img[f].__getitem__, u_tables[x]))
+            ) and pre[moved] == tuple(map(
+                u_inverses[x].__getitem__, map(pre[f].__getitem__, u_tables[y])))
+        if not agree[key]:
+            return ones
+    for r, alphas in enumerate(automorphisms):
+        for alpha in alphas:
+            v = img[alpha]
+            v_inverse = _inverse(v, sub[r].size)
+            if v_inverse is None:
+                return ones
+            for g in cat.morphisms_from[r]:
+                s = cod[g]
+                if rep[s] != s:
+                    continue
+                h = by_graph(r, s, tuple(map(graphs[g].__getitem__, graphs[alpha])))
+                if h is None or flag_id[h] != flag_id[g]:
+                    return ones
+                key = (img_id[g], pre_id[g], img_id[h], pre_id[h], alpha)
+                if key not in agree:
+                    agree[key] = img[h] == tuple(map(img[g].__getitem__, v)) and pre[h] == tuple(
+                        map(v_inverse.__getitem__, pre[g]))
+                if not agree[key]:
+                    return ones
+    sizes = Counter(rep)
+    return tuple(sizes[a] if r == a else 0 for a, r in enumerate(rep))
+
+
 def check_pullback_transfer(fib: SubobjectFibration, classifications) -> Report:
     """Beck-Chevalley and pullback transfer over every pullback along E or M.
 
@@ -321,7 +435,29 @@ def check_pullback_transfer(fib: SubobjectFibration, classifications) -> Report:
     pullback square p o f' = f o p', in sweep order: a square without the
     image-preimage inequality is a violation named by f, and one with it
     but without the Beck-Chevalley equality reads no transfer law and is
-    counted in a note, not in ``checked``.
+    counted in a note, not in ``checked``.  The report's ``counts`` are the
+    sweep's own: classes, cospans visited, distinct fibre relations,
+    ``pullback_legs`` calls, verdict misses and ``check_bcp`` calls.
+
+    Classes.  Whether a square is checked, skipped or failing is a
+    categorical fact, unchanged when the cospan's corners X, Y', Y are
+    replaced by isomorphic objects.  So the sweep visits only the cospans
+    whose three corners are their isomorphism classes' least object indices,
+    and counts each as |[X]|·|[Y']|·|[Y]| squares: (p, f) ↦ (ι_Y^-1∘p∘ι_Y',
+    ι_Y^-1∘f∘ι_X) sends every cospan onto these, that many to one.  The
+    weighting is exact under the hypotheses H1-H4 of ``_class_weights``,
+    checked on every call before the sweep.  A transported cospan's legs
+    are the representative's legs transported and composed with an
+    automorphism of the corner, so the four flags agree (H1, H2); the
+    Beck-Chevalley inequality and equality carry over along the order
+    isomorphisms U_A (H3); a corner is an object exactly when its
+    relabelling is (H4); and the budget reads |R| alone.  Where H fails (a
+    flag or table that isos move, a sliced E∪M, a catalog without every
+    relabelling of its spaces) the classes are singletons; where the classes
+    meet a violation, the sweep starts again with singleton classes.  Either
+    way every failing square is named, in sweep order.  Medium: 48,132
+    cospans visited over 19 classes (fintop2 288 of 521, fintop3 47,844 of
+    725,672).
 
     Legs.  The pullback of f: X->Y along p: Y'->Y is the fibre product of
     the graphs with the subspace topology of X x Y', so its legs f', p'
@@ -330,19 +466,18 @@ def check_pullback_transfer(fib: SubobjectFibration, classifications) -> Report:
     graph of p keeps a row of relation ids, indexed by graph id of f and
     filled on first use (``fibre_masks``; medium: 776 fills).  Within a
     block of consecutive p with one domain, legs are looked up by relation
-    id and dom f.  A miss (medium: 47,216) over the backend's ``max_points``
+    id and dom f.  A miss (medium: 5,533) over the backend's ``max_points``
     points is skipped as beyond the point budget with no backend call
-    (19,114); the others read the legs off R by the backend's
+    (1,935); the others read the legs off R by the backend's
     ``pullback_legs``, which looks each leg up by (dom, cod, graph), so the
     square aligns, and refuses a corner that is not an object.  It keeps
-    R's points per relation (medium: 75 distinct relations over 28,102
+    R's points per relation (medium: 75 distinct relations over 3,598
     calls) and each side's neighbourhood masks per (object, coordinates)
-    (1,225), so a corner's key is the meet of two memoised tuples.  Legs
+    (435), so a corner's key is the meet of two memoised tuples.  Legs
     certify R: p o f' = f o p' on the graphs, or ``DomainError``; every
-    cospan of R commutes, as f(a) = p(b) on R.  The medium sweep checks
-    672,582 squares from 28,102 relations with legs, and builds a
-    ``PullbackSquare`` only for ``check_bcp`` on a memo miss and to name a
-    violation.
+    cospan of R commutes, as f(a) = p(b) on R.  The medium sweep counts
+    672,582 checked squares, and builds a ``PullbackSquare`` only for
+    ``check_bcp`` on a memo miss and to name a violation.
 
     Verdicts.  ``check_bcp`` reads four tables (img p', pre f', img p,
     pre f) and the lattices of cod f' and cod p', and ``transfer_laws`` the
@@ -353,13 +488,13 @@ def check_pullback_transfer(fib: SubobjectFibration, classifications) -> Report:
     flags); and its f side (pre f and its flags).  The relation memo stores
     the leg side premultiplied by the number of f sides, so a cospan costs
     one addition and one lookup in the verdict memo of its p side, kept for
-    the whole sweep (+0.35 MB of suite-medium peak RSS); ``check_bcp``
-    and ``transfer_laws`` run, memoised on their own keys, only on a
-    verdict miss (medium: 24,635 verdicts, 814 ``check_bcp`` calls).
-    Lattices are keyed by identity: objects of one size share one.
+    the whole sweep; ``check_bcp`` and ``transfer_laws`` run, memoised on
+    their own keys, only on a verdict miss (medium: 9,793 verdicts, 814
+    ``check_bcp`` calls).  Lattices are keyed by identity: objects of one
+    size share one.
     """
     cat = fib.category
-    names = cat.mor_names
+    names, dom, cod = cat.mor_names, cat.mor_dom, cat.mor_cod
     img_id, _ = intern(fib.img)
     pre_id, _ = intern(fib.pre)
     sub_id, _ = intern(map(id, fib.sub))
@@ -368,10 +503,11 @@ def check_pullback_transfer(fib: SubobjectFibration, classifications) -> Report:
     flag_id, _ = intern(tuple(class_flags(cls[f]) for cls in classes) for f in range(len(names)))
     f_side, f_sides = intern(zip(pre_id, flag_id))
     p_side, _ = intern(zip(img_id, flag_id))
-    leg_sides, bcps, transfers = {}, {}, {}
+    leg_sides, bcps, transfers, by_p_side = {}, {}, {}, {}
     # relation ids x n_objects, per graph id of p and graph id of f
     rows, n_objects = [None] * len(graph_ids), cat.n_objects
     relation_ids, masks = {}, []  # masks[id] is None beyond the point budget
+    counts = dict.fromkeys(("cospans", "legs", "verdicts"), 0)
 
     def relation_key(p, f):
         relation = fibre_masks(cat.graphs[p], cat.graphs[f])
@@ -381,21 +517,28 @@ def check_pullback_transfer(fib: SubobjectFibration, classifications) -> Report:
             masks.append(relation if within else None)
         return relation_ids[relation] * n_objects
 
-    def leg_base(f, p, f_prime, p_prime):
+    def legs_of(f, p, relation):
+        """(f', p', leg side id times the number of f sides), or _NO_CORNER."""
+        counts["legs"] += 1
+        try:
+            f_prime, p_prime = fib.backend.pullback_legs(fib, dom[f], dom[p], relation)
+        except CapabilityError:
+            return _NO_CORNER
         # certify R: p o f' = f o p', read on the graphs at each corner point
         p_after_f_prime = map(cat.graphs[p].__getitem__, cat.graphs[f_prime])
         if list(p_after_f_prime) != list(map(cat.graphs[f].__getitem__, cat.graphs[p_prime])):
             raise DomainError(f"pullback legs of {names[f]} and {names[p]} do not commute")
         side = (
-            img_id[p_prime], pre_id[f_prime], sub_id[cat.mor_cod[f_prime]],
-            sub_id[cat.mor_cod[p_prime]], flag_id[f_prime], flag_id[p_prime],
+            img_id[p_prime], pre_id[f_prime], sub_id[cod[f_prime]], sub_id[cod[p_prime]],
+            flag_id[f_prime], flag_id[p_prime],
         )
-        return leg_sides.setdefault(side, len(leg_sides)) * len(f_sides)
+        return f_prime, p_prime, leg_sides.setdefault(side, len(leg_sides)) * len(f_sides)
 
     def verdict(f, p, f_prime, p_prime):
+        counts["verdicts"] += 1
         key = (
             img_id[p_prime], pre_id[f_prime], img_id[p], pre_id[f],
-            sub_id[cat.mor_cod[f_prime]], sub_id[cat.mor_cod[p_prime]],
+            sub_id[cod[f_prime]], sub_id[cod[p_prime]],
         )
         bcp = bcps.get(key)
         if bcp is None:
@@ -411,59 +554,70 @@ def check_pullback_transfer(fib: SubobjectFibration, classifications) -> Report:
                 for law in transfer_laws(cls[f_prime], cls[p], cls[p_prime], cls[f]))
         return transfers[key]
 
-    violations = []
-    checked, skips = 0, dict.fromkeys((_BUDGET, _NO_CORNER, _NO_BCP), 0)
-    block, by_p_side = None, {}
-    for p in sorted(fib.eclass | fib.mclass):
-        if cat.mor_dom[p] != block:
-            block, by_relation = cat.mor_dom[p], {}
-        row = rows[graph_id[p]]
-        if row is None:
-            row = rows[graph_id[p]] = [None] * len(graph_ids)
-        verdicts = by_p_side.setdefault(p_side[p], {})
-        for f in cat.morphisms_to[cat.mor_cod[p]]:
-            key = row[graph_id[f]]
-            if key is None:
-                key = row[graph_id[f]] = relation_key(p, f)
-            key += cat.mor_dom[f]
-            legs = by_relation.get(key, _MISSING)
-            if legs is _MISSING:
-                relation = masks[key // n_objects]
-                if relation is None:
-                    legs = _BUDGET
-                else:
-                    try:
-                        f_prime, p_prime = fib.backend.pullback_legs(
-                            fib, cat.mor_dom[f], block, relation)
-                    except CapabilityError:
-                        legs = _NO_CORNER
-                    else:
-                        legs = (f_prime, p_prime, leg_base(f, p, f_prime, p_prime))
-                by_relation[key] = legs
-            if type(legs) is str:
-                skips[legs] += 1
+    def sweep(weights):
+        """(checked, violations, skipped squares per cause) over the cospans
+        whose corners have nonzero ``weights``, each counted as the product
+        of its corners' weights; None at the first violation when some
+        weight is not 1."""
+        by_class = any(w != 1 for w in weights)
+        violations = []
+        checked, skips = 0, dict.fromkeys((_BUDGET, _NO_CORNER, _NO_BCP), 0)
+        block, ends = None, {}
+        for p in sorted(fib.eclass | fib.mclass):
+            y = cod[p]
+            w_p = weights[dom[p]] * weights[y]
+            if not w_p:
                 continue
-            f_prime, p_prime, base = legs
-            key = base + f_side[f]
-            found = verdicts.get(key)
-            if found is None:
-                found = verdicts[key] = verdict(f, p, f_prime, p_prime)
-            if not found:  # nearly every square: checked, nothing violated
+            if dom[p] != block:
+                block, by_relation = dom[p], {}
+            row = rows[graph_id[p]]
+            if row is None:
+                row = rows[graph_id[p]] = [None] * len(graph_ids)
+            verdicts = by_p_side.setdefault(p_side[p], {})
+            into = ends.get(y)
+            if into is None:
+                into = ends[y] = [(f, weights[dom[f]]) for f in cat.morphisms_to[y] if weights[dom[f]]]
+            counts["cospans"] += len(into)
+            for f, w_f in into:
+                key = row[graph_id[f]]
+                if key is None:
+                    key = row[graph_id[f]] = relation_key(p, f)
+                key += dom[f]
+                legs = by_relation.get(key, _MISSING)
+                if legs is _MISSING:
+                    relation = masks[key // n_objects]
+                    legs = by_relation[key] = _BUDGET if relation is None else legs_of(f, p, relation)
+                if type(legs) is str:
+                    skips[legs] += w_p * w_f
+                    continue
+                f_prime, p_prime, base = legs
+                key = base + f_side[f]
+                found = verdicts.get(key)
+                if found is None:
+                    found = verdicts[key] = verdict(f, p, f_prime, p_prime)
+                if not found:  # nearly every square: checked, nothing violated
+                    checked += w_p * w_f
+                    continue
+                if found is _NO_BCP:
+                    skips[found] += w_p * w_f
+                    continue
+                if by_class:
+                    return None
                 checked += 1
-                continue
-            if found is _NO_BCP:
-                skips[found] += 1
-                continue
-            checked += 1
-            if found is _INEQUALITY:
-                violations.append(Violation(
-                    "image-preimage-inequality", where=f"{fib.name}:{names[f]}"))
-            else:
-                where = PullbackSquare(fib, f_prime, p, p_prime, f).name
-                violations.extend(Violation(law, where=where) for law in found)
-    skipped = tuple(f"{fib.name}: {n} squares {cause}" for cause, n in skips.items() if n)
-    return Report(f"pullback-transfer {fib.name}", checked, tuple(violations), skipped)
+                if found is _INEQUALITY:
+                    violations.append(Violation(
+                        "image-preimage-inequality", where=f"{fib.name}:{names[f]}"))
+                else:
+                    where = PullbackSquare(fib, f_prime, p, p_prime, f).name
+                    violations.extend(Violation(law, where=where) for law in found)
+        return checked, violations, skips
 
+    weights = _class_weights(fib, img_id, pre_id, flag_id)
+    checked, violations, skips = sweep(weights) or sweep((1,) * n_objects)
+    skipped = tuple(f"{fib.name}: {n} squares {cause}" for cause, n in skips.items() if n)
+    counts.update(
+        classes=sum(map(bool, weights)), relations=len(masks), check_bcp=len(bcps))
+    return Report(f"pullback-transfer {fib.name}", checked, tuple(violations), skipped, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ bare boolean; counterexample forensics is the whole point of this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,16 @@ class Violation:
 
 @dataclass(frozen=True)
 class Report:
-    """Outcome of validating one structure or checking one statement."""
+    """Outcome of validating one structure or checking one statement.
+
+    ``counts`` holds a check's deterministic counters of its own work, by
+    name; they are neither compared, rendered nor merged."""
 
     subject: str
     checked: int = 0
     violations: tuple[Violation, ...] = ()
     skipped: tuple[str, ...] = ()
+    counts: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:

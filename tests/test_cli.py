@@ -1005,6 +1005,15 @@ def test_only_commands_that_read_a_map_enumerate_hom_sets(capsys, tmp_path, monk
         ("classify", 0, 1, False), ("predicates", 0, 1, False),
         ("classify", 0, 1, False), ("validate", 0, 9, True),
     ]
+    # a file map named like a fibration morphism: the override warning
+    # reads the one hom-set s1 -> s1 its name could come from, and the map
+    # is checked in its own, the same one; no other hom-set is enumerated
+    calls.clear()
+    code, out, err = run(capsys, "classify", "--order", "closure", "--map", "id_s1",
+                         "--fibration", "spaces:s0,s1,s2", str(PINNED_DOCUMENT))
+    assert (code, err) == (0, "warning: file map 'id_s1' overrides a fibration morphism\n")
+    assert out.startswith("morphism id_s1\n") and len(calls) == 2
+    assert len(set(calls)) == 1
 
 
 def test_a_morphism_cap_stops_only_the_commands_that_read_a_map(capsys, tmp_path, monkeypatch):

@@ -32,6 +32,7 @@ from topogen.instances.topology import (
     t0_quotient_classes,
 )
 from topogen.instances.registry import (
+    FIBRATION_NAMES,
     builtin_endofunctor,
     builtin_fibration,
     builtin_order,
@@ -792,3 +793,20 @@ def test_set_level_tables_and_e_match_a_brute_force_oracle(tmp_path, name):
         if set(graph) == set(cat.graphs[cat.identities[cat.mor_cod[f]]])
     }
     assert fib.eclass == surjective
+
+
+@pytest.mark.parametrize("name", FIBRATION_NAMES)
+def test_isos_lie_in_e_and_m_and_e_and_m_are_closed_under_isos(name):
+    # the standing (E, M) hypothesis the pullback sweep's counting by
+    # isomorphism classes rests on: an iso is in E and in M, and composing
+    # with an iso on either side keeps a map in E, or out of it, and in M
+    fib = builtin_fibration(name)
+    cat = fib.category
+    isos = cat.isomorphisms()
+    assert isos and isos <= fib.eclass & fib.mclass
+    side = {f: (f in fib.eclass, f in fib.mclass) for f in range(cat.n_morphisms)}
+    for u in isos:
+        for f in cat.morphisms_to[cat.mor_dom[u]]:
+            assert side[cat.compose(u, f)] == side[f], (cat.mor_names[u], cat.mor_names[f])
+        for g in cat.morphisms_from[cat.mor_cod[u]]:
+            assert side[cat.compose(g, u)] == side[g], (cat.mor_names[g], cat.mor_names[u])

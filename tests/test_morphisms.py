@@ -29,7 +29,7 @@ from topogen.morphisms import (
 )
 from topogen.lattice import mask_iter
 from topogen.reporting import Report, Violation
-from topogen.site import PullbackSquare, check_bcp, pullback
+from topogen.site import PullbackSquare, SubobjectFibration, check_bcp, pullback
 from topogen.structures import TopogenousOrder, closure_from_topogenous, validate_structure
 from topogen.instances.topology import closure_order, interior_order, map_predicates
 from topogen.instances.registry import builtin_fibration, builtin_order
@@ -840,11 +840,43 @@ def _fibre_relation(cat, f, p):
     return frozenset((a, b) for a, x in enumerate(gf) for b, y in enumerate(gp) if x == y)
 
 
+def _homeomorphism_classes(fib):
+    """Per object of a finite-space fibration, the least object index whose
+    space is a relabelling of its own, and the number of relabellings that
+    fix its space, by brute force over the point permutations."""
+    from topogen.instances.topology import spaces_of
+
+    spaces = spaces_of(fib)
+    rep, aut = [], []
+    for s in spaces:
+        relabellings = [
+            tuple(sorted(sum(1 << perm[p] for p in mask_iter(o)) for o in s.opens))
+            for perm in itertools.permutations(range(s.n))
+        ]
+        rep.append(next(b for b, t in enumerate(spaces) if t.n == s.n and t.opens in relabellings))
+        aut.append(relabellings.count(s.opens))
+    return rep, aut
+
+
+def _representative_cospans(fib):
+    """The cospans (f, p) of the sweep whose three corners are their
+    classes' least object indices, in sweep order."""
+    cat = fib.category
+    rep, _ = _homeomorphism_classes(fib)
+    first = [rep[x] == x for x in range(cat.n_objects)]
+    return [
+        (f, p) for p in _sweep_order(fib) if first[cat.mor_dom[p]] and first[cat.mor_cod[p]]
+        for f in cat.morphisms_to[cat.mor_cod[p]] if first[cat.mor_dom[f]]
+    ]
+
+
 def test_sweep_builds_each_pullback_relation_once(fintop2, monkeypatch):
     import topogen.morphisms as morphisms
 
     cat = fintop2.category
-    cospans = [(f, p) for p in _sweep_order(fintop2) for f in cat.morphisms_to[cat.mor_cod[p]]]
+    # the sweep visits the 288 of the 521 cospans whose corners represent
+    # their homeomorphism classes, and counts the others
+    cospans = _representative_cospans(fintop2)
     shapes = {(cat.mor_dom[p], cat.graphs[p], cat.mor_dom[f], cat.graphs[f]) for f, p in cospans}
     relations = {(cat.mor_dom[p], cat.mor_dom[f], _fibre_relation(cat, f, p)) for f, p in cospans}
     counts = {"legs": 0, "bcp": 0, "square": 0}
@@ -876,11 +908,13 @@ def test_sweep_builds_each_pullback_relation_once(fintop2, monkeypatch):
     # with no backend call
     budget = fintop2.backend.max_points
     over = {r for r in relations if len(r[2]) > budget}
-    assert len(relations) == 121 and len(over) == 16 and len(shapes) == 233
-    assert counts["legs"] == len(relations) - len(over) == 105
+    assert len(cospans) == report.counts["cospans"] == 288
+    assert len(relations) == 77 and len(over) == 9 and len(shapes) == 150
+    assert counts["legs"] == report.counts["legs"] == len(relations) - len(over) == 68
     # legs are read off the relation: one square per Beck-Chevalley memo
     # miss, none per built pullback or per cospan
-    assert counts["square"] == counts["bcp"] < report.checked == 505
+    assert counts["square"] == counts["bcp"] == report.counts["check_bcp"] < len(cospans)
+    assert report.checked == 505
 
 
 def test_sweep_without_orders_checks_beck_chevalley_alone(fintop2):
@@ -893,7 +927,8 @@ def test_memoised_legs_match_fresh_pullbacks(fintop2, fintop3, monkeypatch):
     from topogen.site import BcpResult, SubobjectFibration
 
     # every square has the Beck-Chevalley equality and breaks one probe law,
-    # so the sweep names the square [f',p,p',f] of each cospan it checks
+    # so the sweep visits every cospan with singleton classes and names the
+    # square [f',p,p',f] of each cospan it checks
     monkeypatch.setattr(morphisms, "check_bcp", lambda sq: BcpResult(True, True))
     monkeypatch.setattr(morphisms, "transfer_laws", lambda *classes: ("probe",))
     for fib, ps in ((fintop2, _sweep_order(fintop2)), (fintop3, _sweep_order(fintop3)[::13])):
@@ -934,8 +969,10 @@ def test_sweep_reads_each_relation_from_its_graph_pair(fintop2, fintop3, monkeyp
     import topogen.morphisms as morphisms
     from topogen.site import BcpResult, SubobjectFibration
 
-    # every checked square breaks one probe law, so the sweep names the
-    # square [f',p,p',f] of each cospan it checks
+    # every checked square breaks one probe law, so the sweep leaves the
+    # classes at the first violation, visits every cospan with singleton
+    # classes, and names the square [f',p,p',f] of each cospan it checks;
+    # its relation rows serve both passes
     monkeypatch.setattr(morphisms, "check_bcp", lambda sq: BcpResult(True, True))
     monkeypatch.setattr(morphisms, "transfer_laws", lambda *classes: ("probe",))
     fills = Counter()
@@ -1028,3 +1065,185 @@ def test_sweep_refuses_legs_that_do_not_commute(fintop2, monkeypatch):
     monkeypatch.setattr(fintop2.backend, "pullback_legs", constant_p_prime)
     with pytest.raises(DomainError, match="do not commute"):
         check_pullback_transfer(fintop2, classifications)
+
+
+# ---------------------------------------------------------------------------
+# the sweep counts squares by the isomorphism classes of their corners
+
+
+@pytest.mark.parametrize("name, n_classes", [("fintop1", 2), ("fintop2", 5), ("fintop3", 14)])
+def test_isomorphism_classes_of_the_space_catalogs(name, n_classes):
+    from math import factorial
+
+    fib = builtin_fibration(name)
+    cat = fib.category
+    rep, aut = _homeomorphism_classes(fib)
+    isos = cat.isomorphisms()
+    # the category's isos are the homeomorphisms, and every relabelling of
+    # a space is exactly one object: |class|·|Aut| = n!
+    ends = Counter((cat.mor_dom[u], cat.mor_cod[u]) for u in isos)
+    assert set(ends) == {(a, b) for a, r in enumerate(rep) for b, s in enumerate(rep) if r == s}
+    assert [ends[a, a] for a in range(cat.n_objects)] == aut
+    sizes = Counter(rep)
+    assert len(sizes) == n_classes
+    assert all(sizes[r] * aut[r] == factorial(len(cat.identity_graph(r))) for r in sizes)
+
+
+def _singleton_classes(monkeypatch):
+    """Send the sweep to singleton classes, as when its hypothesis fails."""
+    import topogen.morphisms as morphisms
+
+    monkeypatch.setattr(morphisms, "_class_weights", lambda fib, *ids: (1,) * fib.category.n_objects)
+
+
+def _both_classifications(fib):
+    return {kind: classifications(order(fib))
+            for kind, order in (("closure", closure_order), ("interior", interior_order))}
+
+
+def test_representative_sweep_equals_singleton_classes_on_fintop2(fintop2, monkeypatch):
+    both = _both_classifications(fintop2)
+    report = check_pullback_transfer(fintop2, both)
+    _singleton_classes(monkeypatch)
+    exhaustive = check_pullback_transfer(fintop2, both)
+    assert (report.checked, report.violations, report.skipped) == (
+        exhaustive.checked, exhaustive.violations, exhaustive.skipped)
+    assert (report.counts["classes"], report.counts["cospans"]) == (5, 288)
+    assert (exhaustive.counts["classes"], exhaustive.counts["cospans"]) == (6, 521)
+
+
+def test_sweep_counters_on_fintop3_and_singleton_classes(fintop3, monkeypatch):
+    import topogen.morphisms as morphisms
+
+    both = _both_classifications(fintop3)
+    calls = Counter()
+    legs, bcp = fintop3.backend.pullback_legs, morphisms.check_bcp
+    monkeypatch.setattr(fintop3.backend, "pullback_legs",
+                        lambda *args: calls.update(("legs",)) or legs(*args))
+    monkeypatch.setattr(morphisms, "check_bcp", lambda sq: calls.update(("bcp",)) or bcp(sq))
+    report = check_pullback_transfer(fintop3, both)
+    # the deterministic counters of the sweep over the 14 classes: a change
+    # to the sweep moves them here
+    assert report.counts == {
+        "classes": 14, "cospans": 47_844, "relations": 101, "legs": 3_530,
+        "verdicts": 9_597, "check_bcp": 770,
+    }
+    assert len(_representative_cospans(fintop3)) == report.counts["cospans"]
+    assert (calls["legs"], calls["bcp"]) == (report.counts["legs"], report.counts["check_bcp"])
+    assert report.ok and report.checked == 672_077
+    assert report.skipped == ("fintop3: 53595 squares beyond point budget",)
+    _singleton_classes(monkeypatch)
+    exhaustive = check_pullback_transfer(fintop3, both)
+    assert (exhaustive.checked, exhaustive.violations, exhaustive.skipped) == (
+        report.checked, report.violations, report.skipped)
+    assert (exhaustive.counts["classes"], exhaustive.counts["cospans"]) == (35, 725_672)
+
+
+def _with_flags(real, forge):
+    """Each order's classifications, with ``forge(c)`` for the flags of c."""
+    return {kind: tuple(forge(c) for c in cls) for kind, cls in real.items()}
+
+
+def test_representative_sweep_matches_per_square_checks_on_iso_invariant_flags(fintop2):
+    cat = fintop2.category
+    real = _both_classifications(fintop2)
+    into_two = {f for f, y in enumerate(cat.mor_cod) if len(cat.identity_graph(y)) == 2}
+    # flags that composing with isos keeps: the maps into a 2-point space
+    # forced into no class, so that ascent fails; every map forced into
+    # every class, so that nothing fails
+    no_class = _with_flags(real, lambda c: replace(
+        c, strict=False, final=False, costrict=False, initial=False)
+        if c.morphism in into_two else c)
+    every_class = _with_flags(real, lambda c: replace(
+        c, strict=True, final=True, costrict=True, initial=True))
+    # one preimage table moved on a map between representatives, whose
+    # twin under the swap of discrete2 keeps its table
+    broken = _moved_preimage(fintop2, "pt>discrete2:0", (0, 0, 0, 1))
+    for fib, classes, found in (
+        (fintop2, no_class, {"ascent"}),
+        (fintop2, every_class, set()),
+        (broken, real, {"image"}),
+    ):
+        checked, violations, skipped = _per_square_sweep(fib, classes)
+        report = check_pullback_transfer(fib, classes)
+        # the classes are taken first; a violation sends the sweep over
+        # every cospan, so each failing square is named in sweep order
+        assert report.counts["classes"] == 5
+        assert (report.checked, report.violations, report.skipped) == (checked, violations, skipped)
+        assert {v.law.split("-")[0] for v in violations} == found
+
+
+def _space_fibration(names):
+    from topogen.instances.topology import (
+        SIERPINSKI, SIERPINSKI_OP, discrete, enumerate_topologies, fintop_fibration,
+    )
+
+    named = {"sierpinski": SIERPINSKI, "sierpinski_op": SIERPINSKI_OP, "discrete2": discrete(2),
+             "discrete3": discrete(3), "pt": discrete(1)}
+    t3 = enumerate_topologies(3)
+    return fintop_fibration([named[n] if n in named else t3[int(n[3:])] for n in names.split()])
+
+
+def test_representative_sweep_on_a_relabelling_closed_catalog_in_any_order(monkeypatch):
+    # t3_01 and its five relabellings, both Sierpinski spaces, discrete2 and
+    # pt, out of order; some pullback corners are not objects
+    fib = _space_fibration(
+        "discrete2 sierpinski_op t3_15 t3_07 t3_01 t3_12 t3_02 t3_04 pt sierpinski")
+    rep, aut = _homeomorphism_classes(fib)
+    assert len(set(rep)) == 4 and sorted(aut) == [1] * 9 + [2]
+    classes = _both_classifications(fib)
+    report = check_pullback_transfer(fib, classes)
+    assert report.counts["classes"] == 4 and report.counts["cospans"] < report.checked
+    _singleton_classes(monkeypatch)
+    exhaustive = check_pullback_transfer(fib, classes)
+    assert (report.checked, report.violations, report.skipped) == (
+        exhaustive.checked, exhaustive.violations, exhaustive.skipped)
+    assert report.skipped == (
+        "fintop: 1917 squares beyond point budget",
+        "fintop: 1212 squares whose pullback corner is not an object",
+    )
+
+
+def _skipped_total(skipped):
+    return sum(int(note.split(": ")[1].split()[0]) for note in skipped if "Beck-Chevalley" not in note)
+
+
+def test_inputs_off_the_hypothesis_take_singleton_classes(fintop2, fintop3):
+    cat = fintop2.category
+    real = _both_classifications(fintop2)
+    # flags that composing with isos changes: every fifth map in no class
+    fifth = _with_flags(real, lambda c: replace(
+        c, strict=False, final=False, costrict=False, initial=False)
+        if c.morphism % 5 == 2 else c)
+    # one map between singleton classes with its strictness flipped, but
+    # not its composite with the swap of its domain discrete2
+    swapped = cat.morphism_index("discrete2>indiscrete2:01")
+    assert cat.compose(swapped, cat.morphism_index("discrete2>discrete2:10")) != swapped
+    one_map = _with_flags(real, lambda c: replace(c, strict=not c.strict) if c.morphism == swapped else c)
+    # one preimage table moved on a map out of sierpinski, which is not
+    # its class's first object
+    broken = _moved_preimage(fintop2, "sierpinski>indiscrete2:00", (0, 0, 0, 3))
+    # E∪M cut to every 13th map, so that some transported maps leave it
+    ps = frozenset(_sweep_order(fintop3)[::13])
+    sliced = SubobjectFibration(
+        fintop3.category, fintop3.sub, fintop3.img, fintop3.pre, ps, frozenset(),
+        fstar=fintop3.fstar, backend=fintop3.backend, name="sliced")
+    # catalogs without every relabelling of their spaces; in the second,
+    # the Sierpinski class has both its members
+    partial = _space_fibration("sierpinski discrete2 discrete3")
+    unclosed = _space_fibration("sierpinski sierpinski_op t3_01")
+    for fib, classes in (
+        (fintop2, fifth), (fintop2, one_map), (broken, real),
+        (sliced, _closure_classifications(fintop3)),
+        (partial, _both_classifications(partial)), (unclosed, _both_classifications(unclosed)),
+    ):
+        report = check_pullback_transfer(fib, classes)
+        assert report.counts["classes"] == fib.category.n_objects, fib.name
+        if fib.category.n_objects == 3:
+            checked, violations, skipped = _per_square_sweep(fib, classes)
+            assert (report.checked, report.violations) == (checked, violations)
+            assert _skipped_total(report.skipped) == _skipped_total(skipped)
+    assert check_pullback_transfer(unclosed, _both_classifications(unclosed)).skipped == (
+        "fintop: 56 squares beyond point budget",
+        "fintop: 22 squares whose pullback corner is not an object",
+    )

@@ -420,7 +420,7 @@ def _traced_result(classify_calls, classify_self_s, instances=9, check_wall_s=1.
 
 def test_bench_pairs_traced_metrics_take_median_times_and_equal_counts():
     bench_pairs = _bench_pairs()
-    assert bench_pairs.TRACED_RUNS >= 3
+    assert bench_pairs.TRACED_RUNS >= 5
     runs = [
         _traced_result(7, 0.3, check_wall_s=2.0),
         _traced_result(7, 0.1, check_wall_s=1.5),

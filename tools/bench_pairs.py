@@ -9,9 +9,9 @@ Each checkout is a directory holding ``benchmark/run.py`` and ``src/``.  For
 each of ten pairs (seeds 1 to 10) every workload of ``BENCHMARK.json`` runs
 once on each side with ``--trace 0`` for the benchmark's ``run_seconds``;
 even pairs run the parent first, odd pairs the change first, so host drift
-hits both sides alike.  Then ``TRACED_RUNS`` traced runs per side and
-workload (``--trace 1``, seed 1, sides alternating the same way) give the
-per-layer metrics: the median of each self time, check wall time and
+hits both sides alike.  Then ``TRACED_RUNS`` (five) traced runs per side
+and workload (``--trace 1``, seed 1, sides alternating the same way) give
+the per-layer metrics: the median of each self time, check wall time and
 per-command median latency, and each count, which must read the same in
 every run or the command fails.
 
@@ -43,7 +43,8 @@ and the CLI layer ``cli.*`` (``cli.main``'s calls and self time, and each
 command's median latency ``cli.<command>.p50_ms``).
 The pullback sweep over E and M reads its legs off fibre relations and
 builds no ``site.pullback``, so ``site.pullback.*`` reads 0 on suite-medium;
-its layer evidence is ``harness.suite.pullback-transfer.wall_s``.
+its layer evidence is ``morphisms.check_pullback_transfer.self_s`` and
+``harness.suite.pullback-transfer.wall_s``.
 Standard library only.
 """
 
@@ -72,8 +73,9 @@ TRACED_PREFIXES = (
     "instances.registry.builtin_fibration.", "instances.topology.map_predicates.",
 )
 SEEDS = list(range(1, 11))
-# one traced run cannot tell a self time from host noise
-TRACED_RUNS = 3
+# one traced run cannot tell a self time from host noise, and three leave
+# a layer's median self time at the mercy of one slow run
+TRACED_RUNS = 5
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
