@@ -105,11 +105,9 @@ class _Environment:
                 return (name, *keys[0])
             f = cat.morphism_index(name)
             return name, cat.mor_dom[f], cat.mor_cod[f], cat.graphs[f]
-        # ``concrete_name`` gives no other name a fibration morphism, and
-        # each key it could come from is checked in its own hom-set
-        if (name.startswith("id_") or ">" in name) and any(
-            cat.morphism_name(*key) == name for key in concrete_keys(cat, name)
-        ):
+        # each key ``concrete_name`` could turn into the name is checked in
+        # its own hom-set; any other name has no key
+        if any(cat.morphism_name(*key) == name for key in concrete_keys(cat, name)):
             print(f"warning: file map {name!r} overrides a fibration morphism",
                   file=sys.stderr)
         dom = cat.object_index(rec.source)

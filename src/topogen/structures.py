@@ -15,6 +15,14 @@ row table and reads each object's local axioms, and each hom-set's verdict
 (its failing morphisms), off the memo by the ids of the tables they read;
 witnesses are walked only along the failing morphisms, in morphism order.
 
+A relation kind's structures are the up-sets of one preorder on the
+entries (x, m, n), m <= n (G. Birkhoff, "Rings of sets", 1937): (x, m, n)
+forces (x, m', n') for m' <= m and n <= n', and along f: x -> y, for each
+index pair (a, b) of the kind's ``LawAlong`` and each n >= a, (y, a, n)
+forces (x, b, f^{-1} n).  The kind's plan builds that order space, an
+``OrderSpace``, from its own laws on first read (``plan.orders``); no other
+module reads a ``LawAlong``'s index pairs or lookups, or a plan's laws.
+
 Each kind's correspondence with the topogenous orders (Á. Császár, 1963),
 its predicate and conversions both ways, is stated once: ``CORRESPONDENCE``.
 
@@ -30,10 +38,10 @@ structure class, for as long as its fibration lives, in a weak-keyed memo
 that holds tables, ids and verdicts, never a structure or the fibration:
 the laws, the interned row tables, per (object, table id) its checks and
 local violations, per (dom, cod, table ids at both) the hom-set's failing
-morphisms, and the enumerator's forcing record of a relation class.  Each
-object's predicate verdicts and folds, by (deciding function, rows), for
-as long as its lattice lives.  Each kind's ``law_along``, and each
-preimage table's pull, for the life of the process.
+morphisms, and a relation class's order space.  Each object's predicate
+verdicts and folds, by (deciding function, rows), and each lattice's
+entries, for as long as its lattice lives.  Each kind's ``law_along``, and
+each preimage table's pull, for the life of the process.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter, mul
+from operator import attrgetter, mul, or_
 from typing import Mapping, Optional, Sequence
 
 from .errors import PreconditionError
@@ -117,9 +125,9 @@ class _Structure:
     the extremality constraints and ``constructions.continuity_between``;
     only where it fails are the pairs walked for witnesses, and
     ``witness_sides`` says which end of f (0 domain, 1 codomain) each
-    witness index lies in.  The validator and the enumerator's forcing
-    record read the law along each morphism off one record per fibration
-    and kind, its plan (``plan_of``).
+    witness index lies in.  The validator and the order space read the
+    law along each morphism off one record per fibration and kind, its
+    plan (``plan_of``).
 
     Two structures are equal when they are of one kind, over the same
     fibration object, with equal tables.
@@ -401,13 +409,12 @@ class _Plan:
     neighbourhood operator.  ``intern`` numbers row tables (``ids``, and
     back, ``tables``); ``objects`` maps (x, id) to x's checks and local
     violations, and ``verdicts`` (x, y, id at x, id at y) to the failing
-    morphisms x -> y, the one decision of a hom-set.  ``forcing`` is the
-    enumerator's forcing record of a relation class, None until
-    ``orders_of`` builds it.
+    morphisms x -> y, the one decision of a hom-set.  ``orders`` is a
+    relation class's order space, built from ``laws`` on first read.
     """
 
     __slots__ = ("laws", "homs", "law_checks", "reads", "ids", "tables", "objects",
-                 "verdicts", "forcing")
+                 "verdicts", "_lattices", "_orders")
 
     def __init__(self, fib: SubobjectFibration, structure_class):
         cat = fib.category
@@ -428,7 +435,16 @@ class _Plan:
         self.reads = tuple(map(tuple, reads))
         self.ids, self.tables, self.objects = {}, [], {}
         self.verdicts = _Verdicts(self.laws, {(x, y): fs for x, y, fs in self.homs}, self.tables)
-        self.forcing = None
+        self._lattices, self._orders = fib.sub, None
+
+    @property
+    def orders(self) -> "OrderSpace":
+        """The order space of a relation class, built on first read."""
+        if self._orders is None:
+            laws = self.laws
+            self._orders = OrderSpace(
+                self._lattices, [(x, y, laws[f]) for x, y, fs in self.homs for f in fs])
+        return self._orders
 
     def intern(self, rows) -> int:
         """The id of the row table ``rows``, numbered on first sight."""
@@ -489,6 +505,159 @@ def validate_structure(s) -> Report:
             for witness in laws[f].witnesses(table[x], table[y])
         )
     return Report(s.report_name, checked, tuple(violations))
+
+
+# ---------------------------------------------------------------------------
+# order spaces: the up-sets of the forcing preorder
+
+
+@dataclass(frozen=True)
+class _Entries:
+    """The entries (m, n), m <= n, of one lattice, numbered m-major
+    (``pairs``); ``ids[m][n]`` numbers (m, n), and ``cone[m][n]`` is the mask
+    of the entries (m, n) forces locally, (m', n') with m' <= m and n <= n',
+    or 0 where m is not below n."""
+
+    pairs: tuple[tuple[int, int], ...]
+    ids: tuple[tuple[int, ...], ...]
+    cone: tuple[tuple[int, ...], ...]
+
+
+def _entries(lat, up: tuple[int, ...]) -> _Entries:
+    """The entries of ``lat``, whose order has the rows ``up``; read through
+    ``lat.row_fact``, so they are built once per lattice, kept on it, and
+    found without hashing it."""
+    pairs = tuple((m, n) for m in range(lat.size) for n in mask_iter(up[m]))
+    ids = [[-1] * lat.size for _ in range(lat.size)]
+    for i, (m, n) in enumerate(pairs):
+        ids[m][n] = i
+    cone = [[0] * lat.size for _ in range(lat.size)]
+    for m, n in pairs:
+        cone[m][n] = sum(
+            1 << ids[low][high] for low in mask_iter(lat.down[m]) for high in mask_iter(up[n])
+        )
+    return _Entries(pairs, tuple(map(tuple, ids)), tuple(map(tuple, cone)))
+
+
+class OrderSpace:
+    """The structures of a relation kind on ``lattices`` (one per object)
+    under ``laws`` (``(dom, cod, LawAlong)``): the up-sets of the preorder
+    "entry e forces entry e'".
+
+    ``entries`` numbers the entries (x, m, n), object by object.  An entry
+    that forces, in any number of steps, a pair outside the order (on an
+    invalid fibration) lies in no structure, and ``outside`` is the mask of
+    those.  The rest fall into classes of entries forcing each other:
+    ``representatives[c]`` is class c's least entry, ``above[c]`` the mask
+    of the classes c forces (c among them), ``below[c]`` of those that force
+    c, and ``rows[c]`` the rows of the least structure holding c, flat over
+    (x, m), object x's from ``offsets[x]`` to ``offsets[x + 1]``.  A
+    structure is an up-set of classes, the union of their rows: ``count``
+    counts them by branching on the lowest undecided class, memoised by the
+    undecided classes (taking it decides every class it forces, leaving it
+    every class that forces it), and ``tables()`` walks the same branching
+    once, sorted, on first call.
+    """
+
+    __slots__ = ("entries", "outside", "representatives", "above", "below", "rows",
+                 "offsets", "count", "_tables")
+
+    def __init__(self, lattices, laws):
+        by_object = [lat.row_fact(_entries, lat.up) for lat in lattices]
+        # per object, its first entry number and its first row in a flat table
+        bases, offsets = [0], [0]
+        for lat, ent in zip(lattices, by_object):
+            bases.append(bases[-1] + len(ent.pairs))
+            offsets.append(offsets[-1] + lat.size)
+        self.entries = tuple((x, m, n) for x, ent in enumerate(by_object) for m, n in ent.pairs)
+        forced = [
+            ent.cone[m][n] << base for ent, base in zip(by_object, bases) for m, n in ent.pairs
+        ]
+        beyond = 0
+        for dx, cx, law in laws:
+            pre = law.rhs.pre
+            cone, cod_ids, base = by_object[dx].cone, by_object[cx].ids, bases[dx]
+            above = lattices[cx].above
+            for a, b in zip(law.cod_index, law.dom_index):
+                into, source = cone[b], cod_ids[a]
+                for n in above[a]:
+                    e = bases[cx] + source[n]
+                    if into[pre[n]]:
+                        forced[e] |= into[pre[n]] << base
+                    else:
+                        beyond |= 1 << e
+        # the closure, entry by entry: an entry already closed contributes its
+        # closure and needs no expanding, any other its one-step forcings
+        closed = [0] * len(forced)
+        for e, reach in enumerate(forced):
+            todo = reach & ~(1 << e)
+            while todo:
+                low = todo & -todo
+                d = low.bit_length() - 1
+                if closed[d]:
+                    reach |= closed[d]
+                    todo &= ~closed[d]
+                else:
+                    todo |= forced[d] & ~reach
+                    reach |= forced[d]
+                    todo ^= low
+            closed[e] = reach
+        classes, outside = {}, 0
+        for e, mask in enumerate(closed):
+            if mask & beyond:
+                outside |= 1 << e
+            else:
+                classes.setdefault(mask, e)
+        self.outside = outside
+        self.representatives = tuple(self.entries[e] for e in classes.values())
+        self.above = tuple(
+            sum(1 << d for d, rep in enumerate(classes.values()) if mask >> rep & 1)
+            for mask in classes
+        )
+        self.below = tuple(
+            sum(1 << c for c, above in enumerate(self.above) if above >> d & 1)
+            for d in range(len(classes))
+        )
+        at = [(offsets[x] + m, 1 << n) for x, m, n in self.entries]
+        rows = []
+        for mask in classes:
+            flat = [0] * offsets[-1]
+            for e in mask_iter(mask):
+                i, bit = at[e]
+                flat[i] |= bit
+            rows.append(tuple(flat))
+        self.rows, self.offsets = tuple(rows), tuple(offsets)
+        above, below, counts = self.above, self.below, {0: 1}
+
+        def count(undecided):
+            found = counts.get(undecided)
+            if found is None:
+                c = (undecided & -undecided).bit_length() - 1
+                found = counts[undecided] = (
+                    count(undecided & ~above[c]) + count(undecided & ~below[c]))
+            return found
+
+        self.count = count((1 << len(classes)) - 1)
+        self._tables = None
+
+    def tables(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        if self._tables is None:
+            above, below, class_rows, offsets = self.above, self.below, self.rows, self.offsets
+            spans = list(zip(offsets, offsets[1:]))
+            out = []
+
+            def walk(undecided, flat):
+                if not undecided:
+                    out.append(tuple(flat[lo:hi] for lo, hi in spans))
+                    return
+                c = (undecided & -undecided).bit_length() - 1
+                walk(undecided & ~above[c], tuple(map(or_, flat, class_rows[c])))
+                walk(undecided & ~below[c], flat)
+
+            walk((1 << len(above)) - 1, (0,) * offsets[-1])
+            out.sort()
+            self._tables = tuple(out)
+        return self._tables
 
 
 # ---------------------------------------------------------------------------

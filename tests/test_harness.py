@@ -25,19 +25,16 @@ from topogen.structures import (
     RELATIONS,
     ClosureOperator,
     InteriorOperator,
+    OrderSpace,
     TopogenousOrder,
     is_interpolative,
     is_join_preserving,
     is_meet_preserving,
+    plan_of,
     validate_structure,
 )
 from topogen.harness import fileformat
-from topogen.harness.enumeration import (
-    EnumerationSpec,
-    _Forcing,
-    enumerate_structures,
-    orders_of,
-)
+from topogen.harness.enumeration import EnumerationSpec, enumerate_structures
 from topogen.harness.suite import run_suite
 from topogen.instances.groups import groups_of
 
@@ -200,11 +197,11 @@ def backtracking_local_rows(structure_class, fib, x):
 
 def forcing_local_rows(structure_class, fib, x):
     """Object x's rows of a relation class under the law along each of its
-    endomorphisms: the tables of the forcing record of x alone, sorted."""
+    endomorphisms: the tables of the order space of x alone, sorted."""
     cat = fib.category
     endos = [f for f in cat.morphisms_from[x] if cat.mor_cod[f] == x]
     laws = [(0, 0, law) for _, _, law in laws_along(structure_class, fib, endos)]
-    return tuple(table for (table,) in _Forcing((fib.sub[x],), laws).tables())
+    return tuple(table for (table,) in OrderSpace((fib.sub[x],), laws).tables())
 
 
 def backtracking_structures(fib, structure_class, keep=None, local_rows=backtracking_local_rows):
@@ -363,7 +360,7 @@ RELATION_FILTERS = {
 def _assert_relations_match_the_oracle(fib):
     # tables and their order, for both relation kinds and every filter
     for structure_class in RELATIONS:
-        record = orders_of(fib, structure_class)
+        record = plan_of(fib, structure_class).orders
         assert len(record.tables()) == record.count
         filters = RELATION_FILTERS if structure_class is TopogenousOrder else {None: None}
         for prop, keep in filters.items():
@@ -403,16 +400,83 @@ def test_relations_match_the_oracle_on_seeded_space_fibrations():
     ("discrete2>discrete2:10", 0, 0b11),
 ])
 def test_relations_on_a_moved_preimage_match_the_oracle(fintop2, name, index, value):
-    f = fintop2.category.morphism_index(name)
-    pre = list(fintop2.pre)
+    _assert_relations_match_the_oracle(_moved_preimage(fintop2, name, index, value))
+
+
+def _moved_preimage(fib, name, index, value):
+    """``fib`` with entry ``index`` of the preimage table of ``name`` set to
+    ``value``."""
+    f = fib.category.morphism_index(name)
+    pre = list(fib.pre)
     moved = list(pre[f])
     moved[index] = value
     pre[f] = tuple(moved)
-    broken = SubobjectFibration(
-        category=fintop2.category, sub=fintop2.sub, img=fintop2.img, pre=pre,
-        eclass=fintop2.eclass, mclass=fintop2.mclass, fstar=fintop2.fstar, name="broken",
+    return SubobjectFibration(
+        category=fib.category, sub=fib.sub, img=fib.img, pre=pre,
+        eclass=fib.eclass, mclass=fib.mclass, fstar=fib.fstar, name="broken",
     )
-    _assert_relations_match_the_oracle(broken)
+
+
+def _assert_the_order_space_round_trips(fib):
+    for structure_class in RELATIONS:
+        space = plan_of(fib, structure_class).orders
+        spans = list(zip(space.offsets, space.offsets[1:]))
+
+        def table_of(classes):
+            flat = [0] * space.offsets[-1]
+            for c in mask_iter(classes):
+                flat = [a | b for a, b in zip(flat, space.rows[c])]
+            return tuple(tuple(flat[lo:hi]) for lo, hi in spans)
+
+        # the entry numbering covers every entry (x, m, n), m <= n, once
+        assert sorted(space.entries) == [
+            (x, m, n) for x, lat in enumerate(fib.sub)
+            for m in range(lat.size) for n in mask_iter(lat.up[m])]
+        tables = space.tables()
+        # each table is the union of the classes whose representatives it holds
+        for table in tables:
+            held = sum(1 << c for c, (x, m, n) in enumerate(space.representatives)
+                       if table[x][m] >> n & 1)
+            assert table_of(held) == table
+        # the up-sets of the class order, as the unions of the principal
+        # up-sets above[c], give distinct tables, count of them, all of them
+        upsets = {0}
+        for above in space.above:
+            upsets |= {s | above for s in upsets}
+        assert all(space.above[c] & ~s == 0 for s in upsets for c in mask_iter(s))
+        # below is the transpose of above
+        k = range(len(space.above))
+        assert [[space.below[d] >> c & 1 for d in k] for c in k] == [
+            [space.above[c] >> d & 1 for d in k] for c in k]
+        rebuilt = sorted(map(table_of, upsets))
+        assert len(upsets) == space.count == len(set(rebuilt)) and tuple(rebuilt) == tables
+        # outside: exactly the entries that lie in no order
+        held = {(x, m, n) for table in tables for x, rows in enumerate(table)
+                for m, row in enumerate(rows) for n in mask_iter(row)}
+        assert {space.entries[e] for e in mask_iter(space.outside)} == set(space.entries) - held
+
+
+@pytest.mark.parametrize("name", (*SMALL_FIBRATIONS, "topgrp_le4"))
+def test_the_order_space_round_trips_on_the_small_builtins(name):
+    from topogen.instances.registry import builtin_fibration
+
+    fib = builtin_fibration(name)
+    _assert_the_order_space_round_trips(fib)
+    # on a fibration, the discrete order holds every entry
+    assert all(plan_of(fib, cls).orders.outside == 0 for cls in RELATIONS)
+
+
+def test_the_order_space_round_trips_on_moved_preimages(fintop2):
+    dropping = set()
+    for name, index, value in (
+        ("discrete2>pt:00", 1, 0b01), ("discrete2>discrete2:10", 3, 0b00),
+        ("discrete2>discrete2:10", 0, 0b11),
+    ):
+        broken = _moved_preimage(fintop2, name, index, value)
+        _assert_the_order_space_round_trips(broken)
+        dropping |= {cls for cls in RELATIONS if plan_of(broken, cls).orders.outside}
+    # each kind drops entries on some of them, so that outside is not empty
+    assert dropping == set(RELATIONS)
 
 
 @pytest.mark.parametrize("name, count", [
@@ -425,7 +489,7 @@ def test_relations_the_product_could_not_reach_enumerate(name, count):
 
     fib = builtin_fibration(name)
     for structure_class in RELATIONS:
-        assert orders_of(fib, structure_class).count == count
+        assert plan_of(fib, structure_class).orders.count == count
     orders = list(enumerate_structures(EnumerationSpec(fib, "topogenous")))
     tables = [t.rel for t in orders]
     assert len(tables) == count and tables == sorted(set(tables))
@@ -440,7 +504,8 @@ def test_a_forcing_record_dies_with_its_fibration():
 
     fib = loop_fibration(FiniteLattice.powerset(2))
     assert list(enumerate_structures(EnumerationSpec(fib, "topogenous")))
-    assert fib in structures._PLANS
+    # the enumeration built the order space on the kind's plan
+    assert structures._PLANS[fib][TopogenousOrder]._orders is not None
     alive = weakref.ref(fib)
     del fib
     gc.collect()
@@ -448,7 +513,7 @@ def test_a_forcing_record_dies_with_its_fibration():
 
 
 def test_one_plan_serves_enumeration_and_validation():
-    # the laws, the validation memo and a relation kind's forcing record live
+    # the laws, the validation memo and a relation kind's order space live
     # on one plan per (fibration, kind), whichever path reaches it first
     from topogen import structures
     from topogen.instances.topology import FinTopSpace, enumerate_topologies, fintop_fibration
@@ -457,7 +522,6 @@ def test_one_plan_serves_enumeration_and_validation():
         discrete_order,
         interior_from_topogenous,
         nbhd_from_topogenous,
-        plan_of,
     )
 
     rng = random.Random(38)
@@ -481,7 +545,8 @@ def test_one_plan_serves_enumeration_and_validation():
                 assert found and all(validate_structure(s).ok for s in found)
             assert set(structures._PLANS[fib]) == set(KINDS.values())
             for cls in RELATIONS:
-                assert orders_of(fib, cls) is plan_of(fib, cls).forcing is not None
+                plan = plan_of(fib, cls)
+                assert plan._orders is not None and plan.orders is plan._orders
         assert set(before) == set(KINDS.values())
         assert all(structures._PLANS[validated_first][cls] is plan for cls, plan in before.items())
 
@@ -529,13 +594,15 @@ def test_unknown_kind_rejected(disc2_loop):
 
 
 def _refuse_generation(monkeypatch):
-    import topogen.harness.enumeration as enumeration
+    # the order space is read off the kind's plan, which builds it on first
+    # read; a record the plan already holds must be refused too
+    from topogen import structures
 
     def no_generation(*args):
         raise AssertionError("candidates generated")
 
-    for name in ("orders_of", "_Forcing"):
-        monkeypatch.setattr(enumeration, name, no_generation)
+    monkeypatch.setattr(structures, "OrderSpace", no_generation)
+    monkeypatch.setattr(structures._Plan, "orders", property(no_generation))
 
 
 @pytest.mark.parametrize("kind,prop", [
@@ -634,7 +701,7 @@ def _fresh_local_rows(structure_class, fib, x):
 
 def test_memoised_local_rows_match_a_fresh_filter():
     # all these fibrations share the 3-point powerset lattice, but not the
-    # endomorphisms of their objects: the forcing record, whose entries are
+    # endomorphisms of their objects: the order space, whose entries are
     # memoised per lattice, must read each object's endomorphisms afresh
     from topogen.instances.topology import FinTopSpace, enumerate_topologies, fintop_fibration
 
@@ -665,7 +732,7 @@ def test_local_rows_under_the_laws_match_a_fresh_filter(name):
     # the laws along every second endomorphism are placed in the search and
     # the filter runs along all of them
     # the relation kinds' rows come from the backtracking oracle, and the
-    # enumerator's own (its forcing record on the object alone) must equal them
+    # enumerator's own (the order space of the object alone) must equal them
     from topogen.instances.registry import builtin_fibration
 
     fib = builtin_fibration(name)
@@ -717,7 +784,7 @@ def test_four_point_spaces_enumerate_within_a_second(opens, counts, monkeypatch)
 
 
 def test_a_warm_memo_keeps_the_budget_verdicts(fintop2, monkeypatch):
-    # every kind, operators too, is refused once the forcing record it reads
+    # every kind, operators too, is refused once the order space it reads
     # is built and counted
     for kind in KINDS:
         assert list(enumerate_structures(EnumerationSpec(fintop2, kind)))
@@ -838,7 +905,7 @@ def test_fintop3_operators_are_its_preserving_orders(fintop3):
 def test_the_operator_budget_counts_the_orders(fintop2, monkeypatch):
     # fintop2's closures are read from its 11 topogenous orders, counted
     # before any structure is built
-    assert orders_of(fintop2, TopogenousOrder).count == 11
+    assert plan_of(fintop2, TopogenousOrder).orders.count == 11
     monkeypatch.setenv("TOPOGEN_MAX_CANDIDATES", "10")
     yielded = []
     with pytest.raises(ResourceCapError, match="11 topogenous structures exceed 10"):

@@ -24,6 +24,7 @@ from topogen.structures import (
     is_join_preserving,
     is_meet_preserving,
     nbhd_from_topogenous,
+    plan_of,
     predicates,
     topogenous_from_closure,
     topogenous_from_interior,
@@ -490,11 +491,9 @@ def _assert_predicates_match_the_scan(t):
     "topgrp_le4",
 ])
 def test_memoised_predicates_match_the_scan_on_every_order(name):
-    from topogen.harness.enumeration import orders_of
-
     fib = builtin_fibration(name)
     seen = set()
-    for rel in orders_of(fib, TopogenousOrder).tables():
+    for rel in plan_of(fib, TopogenousOrder).orders.tables():
         t = TopogenousOrder(fib, rel)
         _assert_predicates_match_the_scan(t)
         seen.add(_predicates_by_scan(t))
@@ -571,12 +570,11 @@ def _first_unclosed_by_scan(lat, rows, joins):
 
 @pytest.mark.parametrize("name", _FOLD_BUILTINS)
 def test_the_shared_fold_matches_an_unmemoised_fold_on_every_order(name):
-    from topogen.harness.enumeration import orders_of
     from topogen.structures import _join_folds, _meet_folds
 
     fib = builtin_fibration(name)
     closed_and_not = set()
-    for rel in orders_of(fib, TopogenousOrder).tables():
+    for rel in plan_of(fib, TopogenousOrder).orders.tables():
         t = TopogenousOrder(fib, rel)
         for joins, compute in ((False, _meet_folds), (True, _join_folds)):
             for lat, rows in zip(fib.sub, rel):
@@ -595,12 +593,10 @@ def _converted_in_turn(fib, predicates_first):
     first: its meet and join preservation, and its closure and interior
     tables or conversion witnesses; the predicates are asked before or after
     the conversions."""
-    from topogen.harness.enumeration import orders_of
-
     for lat in fib.sub:
         lat.row_verdicts.clear()
     out = []
-    for rel in orders_of(fib, TopogenousOrder).tables():
+    for rel in plan_of(fib, TopogenousOrder).orders.tables():
         t = TopogenousOrder(fib, rel)
         if predicates_first:
             preserving = (is_meet_preserving(t), is_join_preserving(t))
@@ -789,7 +785,6 @@ def test_validation_of_structures_sharing_some_tables_matches_the_reference():
     # orders agreeing on some objects: the second reads those objects' and
     # hom-sets' verdicts off the memo the first filled
     from topogen.harness.enumeration import EnumerationSpec, enumerate_structures
-    from topogen.structures import plan_of
 
     fib = next(_sweep_fibrations(1, seed=7))
     n = fib.category.n_objects

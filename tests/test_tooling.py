@@ -177,10 +177,19 @@ def test_one_weak_keyed_memo_per_fibration():
 
 
 def test_the_enumerator_decides_no_law_itself():
-    # the forcing record reads its laws off the validation plan
-    # (structures.plan_of), so a law decided here would fork from it
+    # the kind's plan (structures.plan_of) builds its order space from its
+    # own laws, so a law decided here, or a law's pairs or lookups or a
+    # plan's laws read outside structures.py, would fork from it
     text = (SRC / "harness" / "enumeration.py").read_text(encoding="utf-8")
     assert ".holds(" not in text
+    internals = {"rhs", "lhs", "cod_index", "dom_index", "laws"}
+    readers = [
+        f"{module}:{node.lineno}"
+        for module, tree in _src_modules() if module != "structures"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in internals
+    ]
+    assert readers == []
 
 
 def test_one_routine_builds_every_classification():
