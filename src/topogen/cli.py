@@ -134,11 +134,10 @@ _SHOWN = {True: "true", False: "false", None: "n/a"}
 
 
 def _flag_text(head: str, result) -> str:
-    """``head``, then ``  <field>=true|false|n/a`` for each flag field of the
-    dataclass ``result`` (every field but a classification's morphism id)."""
+    """``head``, then ``  <field>=true|false|n/a`` for each field of the
+    dataclass of flags ``result``."""
     lines = [head]
-    lines += (f"  {f.name}={_SHOWN[getattr(result, f.name)]}"
-              for f in fields(result) if f.name != "morphism")
+    lines += (f"  {f.name}={_SHOWN[getattr(result, f.name)]}" for f in fields(result))
     return "\n".join(lines) + "\n"
 
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import factorial
 from operator import and_, attrgetter, or_
 from typing import Optional
@@ -64,7 +65,9 @@ from .site import PullbackSquare, SubobjectFibration, check_bcp, fibre_masks, in
 
 @dataclass(frozen=True, slots=True)
 class MorphismClassification:
-    morphism: Optional[int]  # None for a map classified by its graph (``classify_map``)
+    """A map's flags under an order: a value, shared by every map with
+    these flags (``_RECORDS``)."""
+
     continuous: bool
     strict: bool
     final: bool
@@ -76,11 +79,18 @@ class MorphismClassification:
 _CLASSES = ("strict", "final", "costrict", "initial")
 class_flags = attrgetter(*_CLASSES)  # a classification's flags, in _CLASSES order
 
+# the one record per flag tuple, in field order, that ``_classifier`` returns
+_TWO, _THREE = (False, True), (None, False, True)
+_RECORDS = {
+    flags: MorphismClassification(*flags)
+    for flags in product(_TWO, _TWO, _TWO, _THREE, _THREE, _TWO)
+}
+
 
 def _classifier(t: TopogenousOrder):
-    """(f, x, y, pre, img, fstar) ↦ the ``MorphismClassification`` under t
-    of the map f: x -> y with these tables, the one routine that decides
-    the classes.
+    """(x, y, pre, img, fstar) ↦ the ``MorphismClassification`` under t of
+    a map x -> y with these tables, the one routine that decides the
+    classes; the record is the shared one of its flags (``_RECORDS``).
 
     The rows each class compares are memoised on what they read: per (dom,
     pre) px, below = px∘pre and rel_X∘pre; per (cod, img) rel_Y∘img; per
@@ -91,7 +101,7 @@ def _classifier(t: TopogenousOrder):
     fib, rel = t.fib, t.rel
     pulled, images, adjoint = {}, {}, {}
 
-    def classification(f, x, y, pre, img, fstar) -> MorphismClassification:
+    def classification(x, y, pre, img, fstar) -> MorphismClassification:
         relx, rely = rel[x], rel[y]
         found = pulled.get((x, pre))
         if found is None:
@@ -114,10 +124,10 @@ def _classifier(t: TopogenousOrder):
         # direction preimage stability does not force: for m <= n in sub Y,
         # f^{-1}(m) ⊏ f^{-1}(n) implies m ⊏ n, so row m of rel_Y holds
         # below[m] & up[m]
-        return MorphismClassification(
-            f, final or tuple(map(and_, rely, below)) == rely, rely_img == px, final,
+        return _RECORDS[
+            final or tuple(map(and_, rely, below)) == rely, rely_img == px, final,
             costrict, initial,
-            final or tuple(map(or_, map(and_, below, fib.sub[y].up), rely)) == rely)
+            final or tuple(map(or_, map(and_, below, fib.sub[y].up), rely)) == rely]
 
     return classification
 
@@ -126,15 +136,15 @@ def classify(f: int, t: TopogenousOrder) -> MorphismClassification:
     """The classes of the one morphism f under t."""
     fib = t.fib
     cat = fib.category
-    return _classifier(t)(f, cat.mor_dom[f], cat.mor_cod[f], fib.pre[f], fib.img[f], fib.fstar[f])
+    return _classifier(t)(cat.mor_dom[f], cat.mor_cod[f], fib.pre[f], fib.img[f], fib.fstar[f])
 
 
 def classify_map(t: TopogenousOrder, x: int, y: int, graph: tuple[int, ...]) -> MorphismClassification:
     """The classes under t of the morphism x -> y with this graph, read off
     its own tables (``tables_by_graph``): on a fibration that tabulates on
-    first read, no other map is tabulated.  Its ``morphism`` is None."""
+    first read, no other map is tabulated.  The record is ``classify``'s."""
     img, pre, fstar = t.fib.tables_by_graph(x, y, graph)
-    return _classifier(t)(None, x, y, pre, img, fstar)
+    return _classifier(t)(x, y, pre, img, fstar)
 
 
 def classifications(t: TopogenousOrder) -> tuple[MorphismClassification, ...]:
@@ -142,8 +152,7 @@ def classifications(t: TopogenousOrder) -> tuple[MorphismClassification, ...]:
     classifier's row memos."""
     fib = t.fib
     cat = fib.category
-    return tuple(map(
-        _classifier(t), range(cat.n_morphisms), cat.mor_dom, cat.mor_cod, fib.pre, fib.img, fib.fstar))
+    return tuple(map(_classifier(t), cat.mor_dom, cat.mor_cod, fib.pre, fib.img, fib.fstar))
 
 
 def strict_subobjects(x: int, t: TopogenousOrder) -> tuple[int, ...]:
@@ -217,10 +226,10 @@ def check_strict_transfer(t: TopogenousOrder) -> Report:
 FACTS = (*_CLASSES, "weakly_final", "m", "e", "raw_e", "identity")
 
 
-def morphism_facts(fib: SubobjectFibration, cls: MorphismClassification) -> tuple:
-    """f's class flags, weak finality, f in M, f in E where E is
+def morphism_facts(fib: SubobjectFibration, f: int, cls: MorphismClassification) -> tuple:
+    """f's class flags (``cls``), weak finality, f in M, f in E where E is
     pullback-stable, f in E, and whether f is an identity."""
-    f, in_e = cls.morphism, cls.morphism in fib.eclass
+    in_e = f in fib.eclass
     return (*class_flags(cls), cls.weakly_final, f in fib.mclass,
             in_e and fib.e_pullback_stable, in_e, fib.category.is_identity(f))
 
@@ -276,7 +285,8 @@ def check_class_calculus(fib: SubobjectFibration, t: TopogenousOrder) -> Report:
     key of interned fact ids; ``checked`` counts isos, pairs and morphisms."""
     cat = fib.category
     names = cat.mor_names
-    fact_id, index = intern(morphism_facts(fib, cls) for cls in classifications(t))
+    fact_id, index = intern(
+        morphism_facts(fib, f, cls) for f, cls in enumerate(classifications(t)))
     facts = tuple(index)
     iso, pair, one = (
         lru_cache(maxsize=None)(lambda *ids, s=scope: violated(s, map(facts.__getitem__, ids)))

@@ -8,6 +8,7 @@ two morphism classes of a proper factorization system.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
@@ -57,13 +58,14 @@ class FiniteCategory:
     ``concrete_category`` returns an untabulated twin, which enumerates the
     morphisms on the first read of a morphism field (``_TabulatedOnFirstRead``);
     the slots ``_tabulate``, ``_homs`` and ``_sizes`` serve only the twin and
-    are unset here.
+    are unset here.  The slot ``_set_level`` holds ``_key_facts``' memo once
+    it is set.
     """
 
     __slots__ = (
         "object_names", "mor_dom", "mor_cod", "mor_names", "identities", "graphs",
         "_by_graph", "_name_index", "morphisms_from", "morphisms_to", "_tabulate", "_homs",
-        "_sizes", "__weakref__",
+        "_sizes", "_set_level", "__weakref__",
     )
 
     def __init__(
@@ -421,14 +423,16 @@ def validate_fibration(fib: SubobjectFibration) -> Report:
     for every composable pair) is first certified per morphism: when every
     table is the set-level image/preimage along its graph (``fib.subsets``)
     and every composite g∘f exists, both laws hold for every pair, because
-    direct images and preimages compose.  Otherwise the walk in
+    direct images and preimages compose.  Otherwise
     ``_functoriality_violations`` compares the pairs that involve a table
     off the set level and alone reports violations.  ``checked`` counts the
-    composable pairs either way.
+    composable pairs either way.  The report's ``counts`` are the closure
+    certificate's (``_composition_closed``), 0 where it did not run.
     """
     cat = fib.category
     violations = []
     checked = 0
+    counts = dict.fromkeys(_CLOSURE_COUNTS, 0)
     lattices, _ = intern(map(id, fib.sub))
     orders = {x: _order_of(lat) for x, lat in dict(zip(lattices, fib.sub)).items()}
     laws: dict = {}
@@ -457,9 +461,9 @@ def validate_fibration(fib: SubobjectFibration) -> Report:
         if fib.img[i] != ident or fib.pre[i] != ident:
             violations.append(Violation("identity-adjoints", where=cat.object_names[x]))
     checked += sum(len(cat.morphisms_from[y]) for y in cat.mor_cod)
-    if not _functoriality_certified(fib):
+    if not _functoriality_certified(fib, counts):
         violations.extend(_functoriality_violations(fib, unusable))
-    return Report(f"fibration {fib.name}", checked, tuple(violations))
+    return Report(f"fibration {fib.name}", checked, tuple(violations), counts=counts)
 
 
 def _order_of(lat: FiniteLattice) -> tuple[tuple[tuple[int, int], ...], int]:
@@ -546,29 +550,40 @@ def set_level_tables(
     of f's image table is the index of the image of subset i of dom f among
     the subsets of cod f, or -1 where that set is not one of them, and
     likewise for preimages.  The tables depend only on (subsets of dom f,
-    subsets of cod f, graph), so they are computed once per such key
-    (``_key_facts``) and shared by the morphisms with that key.
+    subsets of cod f, graph), so they are computed once per such key and
+    shared by the morphisms with that key, and once per (category, subsets)
+    (``_key_facts``): ``subset_fibration``'s tabulation computed them, and
+    its tables are these table objects.
     """
-    key_ids, (img, pre, _, _) = _key_facts(cat, subsets)
+    key_ids, (img, pre, _) = _key_facts(cat, subsets)
     pick = _picker(key_ids)
     return pick(img), pick(pre)
 
 
-def _key_facts(cat: FiniteCategory, subsets: Sequence[tuple[int, ...]], fstar_formula=None):
-    """(key id per morphism, and per key its image table, preimage table,
-    ``fstar_formula`` adjoint or None, and surjectivity), for the keys
-    (subsets of dom f, subsets of cod f, graph) in order of first
-    occurrence; each key's facts are ``_key_tables``'."""
-    set_ids, set_index = intern(subsets)
-    plans = list(map(_subset_plan, set_index))
-    key_ids, key_index = intern(zip(
-        map(set_ids.__getitem__, cat.mor_dom), map(set_ids.__getitem__, cat.mor_cod), cat.graphs,
-    ))
-    facts = ([], [], [], [])
-    for sx, sy, graph in key_index:
-        for column, fact in zip(facts, _key_tables(plans[sx], plans[sy], graph, fstar_formula)):
-            column.append(fact)
-    return key_ids, facts
+def _key_facts(cat: FiniteCategory, subsets: Sequence[tuple[int, ...]]):
+    """(key id per morphism, and per key its image table, preimage table and
+    surjectivity), for the keys (subsets of dom f, subsets of cod f, graph)
+    in order of first occurrence; each key's facts are ``_key_tables``'.
+    Computed once per (category, subsets), and kept on the category, in its
+    slot ``_set_level``, by subsets."""
+    subsets = tuple(subsets)
+    memo = getattr(cat, "_set_level", None)
+    if memo is None:
+        memo = cat._set_level = {}
+    found = memo.get(subsets)
+    if found is None:
+        set_ids, set_index = intern(subsets)
+        plans = list(map(_subset_plan, set_index))
+        key_ids, key_index = intern(zip(
+            map(set_ids.__getitem__, cat.mor_dom), map(set_ids.__getitem__, cat.mor_cod),
+            cat.graphs,
+        ))
+        facts = ([], [], [])
+        for sx, sy, graph in key_index:
+            for column, fact in zip(facts, _key_tables(plans[sx], plans[sy], graph)):
+                column.append(fact)
+        found = memo[subsets] = key_ids, facts
+    return found
 
 
 def _subset_plan(listed: tuple[int, ...]):
@@ -582,10 +597,9 @@ def _subset_plan(listed: tuple[int, ...]):
     return listed, {mask: i for i, mask in enumerate(listed)}, n
 
 
-def _key_tables(plan_x, plan_y, graph: tuple[int, ...], fstar_formula=None):
-    """(image table, preimage table, ``fstar_formula`` adjoint or None, and
-    surjectivity) of the key (subsets of x, subsets of y, graph), the
-    subsets given by their ``_subset_plan``."""
+def _key_tables(plan_x, plan_y, graph: tuple[int, ...]):
+    """(image table, preimage table, and surjectivity) of the key (subsets
+    of x, subsets of y, graph), the subsets given by their ``_subset_plan``."""
     masks_x, index_x, _ = plan_x
     masks_y, index_y, n_y = plan_y
     fibres = [0] * n_y
@@ -593,8 +607,7 @@ def _key_tables(plan_x, plan_y, graph: tuple[int, ...], fstar_formula=None):
         fibres[ge] |= 1 << e
     image = _unions(masks_x, [1 << ge for ge in graph], index_y)
     preimage = _unions(masks_y, fibres, index_x)
-    fstar = None if fstar_formula is None else fstar_formula(image, preimage)
-    return image, preimage, fstar, all(fibres)
+    return image, preimage, all(fibres)
 
 
 def _unions(
@@ -641,7 +654,9 @@ def subset_fibration(
     maps a morphism's image and preimage tables to the right adjoint of its
     preimage; without it the right adjoints are computed generically.  The
     tables, the formula's adjoint and surjectivity are computed once per
-    (subsets of dom, subsets of cod, graph) key and shared by its morphisms.
+    (subsets of dom, subsets of cod, graph) key and shared by its morphisms;
+    the tables and surjectivity are ``set_level_tables``' own, shared with
+    it through ``_key_facts``.
 
     The lattices and subsets are set at once; the tables, E, M and the
     right adjoints are computed on the first read of one of them, which
@@ -649,13 +664,16 @@ def subset_fibration(
     generator over the category's morphisms reads them only then.
     """
 
+    subsets = tuple(subsets)
+
     def tabulate():
-        key_ids, (img, pre, fstar, onto) = _key_facts(category, subsets, fstar_formula)
+        key_ids, (img, pre, onto) = _key_facts(category, subsets)
         pick = _picker(key_ids)
         return (
             category, sub, pick(img), pick(pre),
             frozenset(f for f, k in enumerate(key_ids) if onto[k]), mclass, True,
-            pick(fstar) if fstar_formula is not None else None, backend, name, subsets,
+            None if fstar_formula is None else pick(list(map(fstar_formula, img, pre))),
+            backend, name, subsets,
         )
 
     return _UntabulatedFibration(category, sub, backend, name, subsets, tabulate, fstar_formula)
@@ -685,57 +703,73 @@ class _UntabulatedFibration(_TabulatedOnFirstRead, SubobjectFibration):
         """The key's tables (``_key_tables``), and without ``fstar_formula``
         the checked generic adjoint of its preimage table, as ``__init__``
         computes it; the graph is not looked up."""
-        formula = self._fstar_formula
         plan_x, plan_y = _subset_plan(self.subsets[dom]), _subset_plan(self.subsets[cod])
-        img, pre, fstar, _ = _key_tables(plan_x, plan_y, graph, formula)
-        if formula is None:
-            source = self.sub[cod]
-            fstar = _preimage_right_adjoint(source, self.sub[dom], pre, _order_of(source)[0])
-        return img, pre, fstar
+        img, pre, _ = _key_tables(plan_x, plan_y, graph)
+        if self._fstar_formula is not None:
+            return img, pre, self._fstar_formula(img, pre)
+        source = self.sub[cod]
+        return img, pre, _preimage_right_adjoint(source, self.sub[dom], pre, _order_of(source)[0])
 
 
-def _functoriality_certified(fib: SubobjectFibration) -> bool:
+def _functoriality_certified(fib: SubobjectFibration, counts: Optional[dict] = None) -> bool:
     """True when every image/preimage table is the set-level one along its
-    graph and each composite's graph belongs to a morphism with the right
-    codomain; False sends the caller to ``_functoriality_violations``."""
-    cat = fib.category
-    graphs, dom, cod = cat.graphs, cat.mor_dom, cat.mor_cod
+    graph (``set_level_tables``, memoised per category and subsets, so a
+    fibration tabulated by ``subset_fibration`` is compared against its own
+    table objects) and the category is closed under composition
+    (``_composition_closed``, which fills ``counts``); False sends the
+    caller to ``_functoriality_violations``."""
     if fib.subsets is None:
         return False
-    img, pre = set_level_tables(cat, fib.subsets)
-    if tuple(img) != fib.img or tuple(pre) != fib.pre:
-        return False
-    # closure under composition: g∘f reads g only on the image S of f, so per
-    # object y the graphs into y are grouped by image, and each distinct
-    # restriction g|S of the graphs out of y (their codomains unioned) is
-    # composed once with each graph into y with image S; every such codomain
-    # needs a morphism with the composed graph from every domain of f
+    img, pre = set_level_tables(fib.category, fib.subsets)
+    return img == fib.img and pre == fib.pre and _composition_closed(fib.category, counts)
+
+
+# the closure certificate's counters, in ``Report.counts``
+_CLOSURE_COUNTS = ("domain_graphs", "merged_restrictions", "lookups")
+
+
+def _composition_closed(cat: FiniteCategory, counts: Optional[dict] = None) -> bool:
+    """True when each composable pair's composite graph belongs to a
+    morphism with the right domain and codomain, that is, when ``compose``
+    never raises.
+
+    g∘f reads g only on the image S of f.  So per object x and distinct
+    graph γ out of x, with Y the codomains that carry γ from x, the graphs
+    out of every y in Y are restricted to S and merged, their codomains
+    ORed as bitmasks, and each merged restriction r is composed with γ once:
+    every codomain of r needs a morphism from x with the graph r∘γ.  The
+    restrictions are memoised per (y, S), the merges per (Y, S).  ``counts``
+    receives the (x, γ) pairs, the restrictions over all merges and the
+    lookups, up to the first (x, γ) that fails.
+    """
+    counts = {} if counts is None else counts
+    counts.update(dict.fromkeys(_CLOSURE_COUNTS, 0))
     cods: list[dict] = [{} for _ in range(cat.n_objects)]
-    for h, graph in enumerate(graphs):
-        cods[dom[h]].setdefault(graph, set()).add(cod[h])
-    missing: frozenset = frozenset()
-    for y in range(cat.n_objects):
-        outs: dict = {}
-        for g in cat.morphisms_from[y]:
-            outs.setdefault(graphs[g], set()).add(cod[g])
-        by_image: dict = {}
-        for f in cat.morphisms_to[y]:
-            graph = graphs[f]
-            by_image.setdefault(frozenset(graph), {}).setdefault(graph, []).append(cods[dom[f]])
-        for image, ins in by_image.items():
-            points = sorted(image)
-            restrict = _picker(points)
-            restrictions: dict = {}
-            for graph_g, targets in outs.items():
-                restrictions.setdefault(restrict(graph_g), set()).update(targets)
+    for x, graph, y in zip(cat.mor_dom, cat.graphs, cat.mor_cod):
+        cods[x][graph] = cods[x].get(graph, 0) | 1 << y
+    restricted, merged = {}, {}
+    for reached in cods:
+        for graph, ys in reached.items():
+            points = tuple(sorted(set(graph)))
+            merge = merged.get((ys, points))
+            if merge is None:
+                merge = {}
+                for y in mask_iter(ys):
+                    if (y, points) not in restricted:
+                        restrict, one = _picker(points), restricted.setdefault((y, points), {})
+                        for key, targets in zip(map(restrict, cods[y]), cods[y].values()):
+                            one[key] = one.get(key, 0) | targets
+                    for key, targets in restricted[y, points].items():
+                        merge[key] = merge.get(key, 0) | targets
+                merge = merged[ys, points] = tuple(merge.items())
+                counts["merged_restrictions"] += len(merge)
             position = {v: k for k, v in enumerate(points)}
-            for graph_f, sources in ins.items():
-                compose = _picker([position[v] for v in graph_f])
-                for restricted, targets in restrictions.items():
-                    composed = compose(restricted)
-                    for reached in sources:
-                        if not targets <= reached.get(composed, missing):
-                            return False
+            compose = _picker([position[v] for v in graph])
+            counts["domain_graphs"] += 1
+            counts["lookups"] += len(merge)
+            for restriction, targets in merge:
+                if targets & ~reached.get(compose(restriction), 0):
+                    return False
     return True
 
 
@@ -748,26 +782,51 @@ def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ..
 
 
 def _functoriality_violations(fib: SubobjectFibration, unusable: set[int]) -> list[Violation]:
-    """Image, then preimage, functoriality over the walk ``composites``, on
-    the pairs where g, f or g∘f has tables off the set-level ones (all, with
-    no ``fib.subsets``): direct images and preimages compose.  Pairs with g,
-    f or g∘f in ``unusable`` (tables of the wrong size or with out-of-range
-    entries) are skipped; a missing composite raises from the walk."""
+    """Image, then preimage, functoriality on the composable pairs in the
+    order of the walk ``composites``, those where g, f or g∘f has tables
+    off the set-level ones (all, with no ``fib.subsets``): direct images
+    and preimages compose.  Pairs with g, f or g∘f in ``unusable`` (tables
+    of the wrong size or with out-of-range entries) are skipped.  A missing
+    composite raises as the walk does, at its first such pair, before any
+    pair is compared."""
     cat = fib.category
     img, pre, names = fib.img, fib.pre, cat.mor_names
-    off = set(range(cat.n_morphisms))
-    if fib.subsets is not None:
+    if fib.subsets is None:
+        triples = cat.composites()
+    else:
+        if not _composition_closed(cat):
+            deque(cat.composites(), 0)  # raises at the walk's first missing composite
         tables = zip(*set_level_tables(cat, fib.subsets))
-        off = {f for f, t in enumerate(tables) if t != (img[f], pre[f])}
+        triples = _triples_through(cat, [f for f, t in enumerate(tables) if t != (img[f], pre[f])])
     found = []
-    for g, f, h in cat.composites():
-        if not (g in off or f in off or h in off) or g in unusable or f in unusable or h in unusable:
+    for g, f, h in triples:
+        if g in unusable or f in unusable or h in unusable:
             continue
         if tuple(map(img[g].__getitem__, img[f])) != img[h]:
             found.append(Violation("image-functorial", where=f"{names[g]} o {names[f]}"))
         if tuple(map(pre[f].__getitem__, pre[g])) != pre[h]:
             found.append(Violation("preimage-functorial", where=f"{names[g]} o {names[f]}"))
     return found
+
+
+def _triples_through(cat: FiniteCategory, through: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(g, f, g∘f) for the composable pairs in which g, f or g∘f is one of
+    ``through``, in the order of ``composites``; the category must be closed
+    under composition.  A pair with m = g∘f has f out of dom m and g from
+    cod f to cod m."""
+    dom, cod, out = cat.mor_dom, cat.mor_cod, cat.morphisms_from
+    homs: dict = {}
+    for g, ends in enumerate(zip(dom, cod)):
+        homs.setdefault(ends, []).append(g)
+    pairs = set()
+    for m in through:
+        pairs.update((m, g) for g in out[cod[m]])
+        pairs.update((f, m) for f in cat.morphisms_to[dom[m]])
+        pairs.update(
+            (f, g) for f in out[dom[m]] for g in homs.get((cod[f], cod[m]), ())
+            if cat.compose(g, f) == m
+        )
+    return [(g, f, cat.compose(g, f)) for f, g in sorted(pairs)]
 
 
 @dataclass(frozen=True)

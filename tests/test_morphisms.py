@@ -156,7 +156,6 @@ def _is_weakly_final(t: TopogenousOrder, f: int) -> bool:
 def _oracle_classification(t, f):
     has_fstar = t.fib.fstar[f] is not None
     return MorphismClassification(
-        morphism=f,
         continuous=t.law_holds(f),
         strict=_is_strict(t, f),
         final=_is_final(t, f),
@@ -223,6 +222,27 @@ def test_classifications_match_the_oracle_on_every_morphism(tmp_path):
     assert seen == {(k, b) for k in range(6) for b in (True, False)} | {(3, None), (4, None)}
 
 
+def test_every_classification_is_the_shared_record_of_its_flags():
+    # a classification is a value: classifications, classify and
+    # classify_map return the one record of its flags, equal to the oracle's
+    from test_harness import SMALL_FIBRATIONS
+
+    records, flags = set(), set()
+    for name in SMALL_FIBRATIONS:
+        fib = builtin_fibration(name)
+        cat = fib.category
+        maps = list(zip(cat.mor_dom, cat.mor_cod, cat.graphs))
+        for rel in plan_of(fib, TopogenousOrder).orders.tables():
+            t = TopogenousOrder(fib, rel)
+            for f, (cls, (x, y, graph)) in enumerate(zip(classifications(t), maps)):
+                assert cls is classify(f, t) is classify_map(t, x, y, graph), (name, f)
+                assert cls == _oracle_classification(t, f), (name, f)
+                records.add(id(cls))
+                flags.add(cls)
+    # one record per flag tuple seen
+    assert len(records) == len(flags) > 2
+
+
 def _untabulated_twin(name):
     """A fresh built-in ``name`` whose maps are not yet tabulated."""
     from topogen.instances import registry, topology
@@ -247,10 +267,9 @@ def _assert_one_map_path_matches(fib, twin, orders):
             assert twin.category.morphism_name(x, y, graph) == cat.morphism_name(x, y, graph)
     for t in orders:
         on_twin = TopogenousOrder(twin, t.rel)
-        for cls, (x, y, graph) in zip(classifications(t), maps):
-            expected = replace(cls, morphism=None)
-            assert classify_map(t, x, y, graph) == expected
-            assert classify_map(on_twin, x, y, graph) == expected, (fib.name, x, y, graph)
+        for expected, (x, y, graph) in zip(classifications(t), maps):
+            assert classify_map(t, x, y, graph) is expected
+            assert classify_map(on_twin, x, y, graph) is expected, (fib.name, x, y, graph)
     assert type(twin) is not SubobjectFibration and type(twin.category) is not FiniteCategory
 
 
@@ -517,13 +536,13 @@ def _forged(classifications):
     """Each class flag flipped on its own stride of morphisms, and co-strict
     and initial made not applicable on every seventh."""
     out = []
-    for c in classifications:
+    for f, c in enumerate(classifications):
         flips = {
             k: not v for stride, (k, v) in enumerate(zip(_CLASSES, class_flags(c)), 3)
-            if c.morphism % stride == 1 and v is not None
+            if f % stride == 1 and v is not None
         }
         c = replace(c, **flips)
-        if c.morphism % 7 == 2:
+        if f % 7 == 2:
             c = replace(c, costrict=None, initial=None)
         out.append(c)
     return out
@@ -566,7 +585,7 @@ def test_class_calculus_matches_the_reference_if_chains(monkeypatch):
 def test_transfer_laws_match_the_reference_on_every_flag_combination():
     from itertools import product
 
-    base = MorphismClassification(0, True, True, True, True, True, True)
+    base = MorphismClassification(True, True, True, True, True, True)
     roles = [
         replace(base, strict=s, final=f, costrict=c, initial=i)
         for s, f in product((True, False), repeat=2)
@@ -596,7 +615,7 @@ def test_every_class_calculus_law_has_premises_that_hold():
         fib = builtin_fibration(fib_name)
         t = builtin_order(kind, fib)
         cat = fib.category
-        facts = [morphism_facts(fib, classify(f, t)) for f in range(cat.n_morphisms)]
+        facts = [morphism_facts(fib, f, classify(f, t)) for f in range(cat.n_morphisms)]
         hits += _premise_hits("iso", ([facts[f]] for f in cat.isomorphisms()))
         hits += _premise_hits("pair", (
             [facts[f], facts[g], facts[cat.compose(g, f)]] for g, f in composable_pairs(cat)))
@@ -718,8 +737,8 @@ def test_memoised_sweep_matches_per_square_checks(fintop2):
     forged = {
         kind: tuple(
             replace(c, strict=False, final=False, costrict=False, initial=False)
-            if c.morphism % 5 == 2 else c
-            for c in cls
+            if f % 5 == 2 else c
+            for f, c in enumerate(cls)
         )
         for kind, cls in real.items()
     }
@@ -735,8 +754,8 @@ def test_memoised_sweep_matches_per_square_checks(fintop2):
     promoted = {
         kind: tuple(
             replace(c, strict=True, final=True, costrict=True, initial=True)
-            if c.morphism % 5 == 2 else c
-            for c in cls
+            if f % 5 == 2 else c
+            for f, c in enumerate(cls)
         )
         for kind, cls in real.items()
     }
@@ -1146,8 +1165,9 @@ def test_sweep_counters_on_fintop3_and_singleton_classes(fintop3, monkeypatch):
 
 
 def _with_flags(real, forge):
-    """Each order's classifications, with ``forge(c)`` for the flags of c."""
-    return {kind: tuple(forge(c) for c in cls) for kind, cls in real.items()}
+    """Each order's classifications, with ``forge(f, c)`` for the flags c of
+    morphism f."""
+    return {kind: tuple(map(forge, range(len(cls)), cls)) for kind, cls in real.items()}
 
 
 def test_representative_sweep_matches_per_square_checks_on_iso_invariant_flags(fintop2):
@@ -1157,10 +1177,10 @@ def test_representative_sweep_matches_per_square_checks_on_iso_invariant_flags(f
     # flags that composing with isos keeps: the maps into a 2-point space
     # forced into no class, so that ascent fails; every map forced into
     # every class, so that nothing fails
-    no_class = _with_flags(real, lambda c: replace(
+    no_class = _with_flags(real, lambda f, c: replace(
         c, strict=False, final=False, costrict=False, initial=False)
-        if c.morphism in into_two else c)
-    every_class = _with_flags(real, lambda c: replace(
+        if f in into_two else c)
+    every_class = _with_flags(real, lambda f, c: replace(
         c, strict=True, final=True, costrict=True, initial=True))
     # one preimage table moved on a map between representatives, whose
     # twin under the swap of discrete2 keeps its table
@@ -1217,14 +1237,14 @@ def test_inputs_off_the_hypothesis_take_singleton_classes(fintop2, fintop3):
     cat = fintop2.category
     real = _both_classifications(fintop2)
     # flags that composing with isos changes: every fifth map in no class
-    fifth = _with_flags(real, lambda c: replace(
+    fifth = _with_flags(real, lambda f, c: replace(
         c, strict=False, final=False, costrict=False, initial=False)
-        if c.morphism % 5 == 2 else c)
+        if f % 5 == 2 else c)
     # one map between singleton classes with its strictness flipped, but
     # not its composite with the swap of its domain discrete2
     swapped = cat.morphism_index("discrete2>indiscrete2:01")
     assert cat.compose(swapped, cat.morphism_index("discrete2>discrete2:10")) != swapped
-    one_map = _with_flags(real, lambda c: replace(c, strict=not c.strict) if c.morphism == swapped else c)
+    one_map = _with_flags(real, lambda f, c: replace(c, strict=not c.strict) if f == swapped else c)
     # one preimage table moved on a map out of sierpinski, which is not
     # its class's first object
     broken = _moved_preimage(fintop2, "sierpinski>indiscrete2:00", (0, 0, 0, 3))

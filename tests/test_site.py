@@ -549,6 +549,79 @@ def test_functoriality_scan_matches_reference_on_corrupted_tables(fintop2):
     assert len({v.law for v in got}) == 2
 
 
+def _reference_violations(fib, unusable):
+    """The pair walk of ``site._functoriality_violations`` over every pair of
+    ``composites``: compared where g, f or g∘f has tables off the set-level
+    ones (every pair without ``subsets``) and none is in ``unusable``."""
+    cat = fib.category
+    img, pre, names = fib.img, fib.pre, cat.mor_names
+    off = set(range(cat.n_morphisms))
+    if fib.subsets is not None:
+        tables = zip(*site.set_level_tables(cat, fib.subsets))
+        off = {f for f, t in enumerate(tables) if t != (img[f], pre[f])}
+    found = []
+    for g, f, h in cat.composites():
+        if not (g in off or f in off or h in off) or g in unusable or f in unusable or h in unusable:
+            continue
+        if tuple(map(img[g].__getitem__, img[f])) != img[h]:
+            found.append(Violation("image-functorial", where=f"{names[g]} o {names[f]}"))
+        if tuple(map(pre[f].__getitem__, pre[g])) != pre[h]:
+            found.append(Violation("preimage-functorial", where=f"{names[g]} o {names[f]}"))
+    return found
+
+
+def _walk_outcome(walk, fib, unusable=frozenset()):
+    """The walk's violations, or the message of the error it raises."""
+    try:
+        return walk(fib, unusable)
+    except InternalConsistencyError as error:
+        return str(error)
+
+
+def _moved_last_entry(fib, table, m):
+    """``fib`` with the last entry of morphism m's ``table`` moved to another
+    element of its lattice, or None when that lattice has one element."""
+    size = len(fib.pre[m] if table == "img" else fib.img[m])
+    row = getattr(fib, table)[m]
+    return _corrupt(fib, table, m, -1, (row[-1] + 1) % size) if size > 1 else None
+
+
+@pytest.mark.parametrize("name", ["fintop2", "grp_small"])
+def test_functoriality_violations_match_the_full_walk(name):
+    from topogen.instances.registry import builtin_fibration
+
+    fib = builtin_fibration(name)
+    cat = fib.category
+    found = 0
+    # one table moved at a time, on every third morphism
+    for m in range(0, cat.n_morphisms, 3):
+        for table in ("img", "pre"):
+            moved = _moved_last_entry(fib, table, m)
+            if moved is not None:
+                want = _walk_outcome(_reference_violations, moved)
+                assert _walk_outcome(site._functoriality_violations, moved) == want
+                found += len(want)
+    # a table of the wrong size, skipped with every pair through it
+    plain = next(m for m in range(cat.n_morphisms) if not cat.is_identity(m))
+    short = _with_tables(fib, img=[t[:-1] if m == plain else t for m, t in enumerate(fib.img)])
+    want = _walk_outcome(_reference_violations, short, {plain})
+    assert _walk_outcome(site._functoriality_violations, short, {plain}) == want
+    # every single-morphism cut, one table moved too: a cut that is not
+    # closed raises the walk's first missing composite
+    raised = 0
+    for drop in range(cat.n_morphisms):
+        if cat.is_identity(drop):
+            continue
+        cut = _without(fib, drop)
+        for case in (cut, _moved_last_entry(cut, "img", drop % cut.category.n_morphisms)):
+            if case is not None:
+                want = _walk_outcome(_reference_violations, case)
+                assert _walk_outcome(site._functoriality_violations, case) == want
+                raised += isinstance(want, str)
+    assert found and raised
+    assert _walk_outcome(site._functoriality_violations, fib) == []
+
+
 def _without(fib, drop, keep_subsets=True):
     """The fibration on the category left after dropping morphism ``drop``,
     with the other morphisms' tables; set-level subsets only if kept."""
@@ -1019,8 +1092,32 @@ def test_certificate_rejects_one_corrupted_preimage_entry(fintop3):
             target = f
         seen.add(key)
     assert site._functoriality_certified(fintop3)
+    # the set-level tables are memoised per category, and fintop3's tables
+    # are the memo's own objects; the corrupted copy shares the category
+    assert subsets in cat._set_level
+    assert site.set_level_tables(cat, subsets)[1][target] is fintop3.pre[target]
     # the preimage of the whole codomain becomes empty
-    assert not site._functoriality_certified(_corrupt(fintop3, "pre", target, -1, 0))
+    bad = _corrupt(fintop3, "pre", target, -1, 0)
+    assert bad.category is cat and bad.subsets == subsets
+    assert not site._functoriality_certified(bad)
+
+
+def test_the_set_level_tables_go_with_their_category():
+    import gc
+    import weakref
+
+    from topogen.instances.topology import SIERPINSKI, discrete, fintop_fibration
+
+    # the memo is the category's own: no module-level table keeps an entry
+    # (or, keyed by id(), hands it to a later category at the same address)
+    fib = fintop_fibration([discrete(2), SIERPINSKI], name="collected")
+    assert validate_fibration(fib).ok
+    cat = fib.category
+    assert list(cat._set_level) == [fib.subsets]
+    gone = weakref.ref(cat)
+    del fib, cat
+    gc.collect()
+    assert gone() is None
 
 
 def test_functoriality_exhaustive_at_scale(monkeypatch, fintop3):
@@ -1028,8 +1125,14 @@ def test_functoriality_exhaustive_at_scale(monkeypatch, fintop3):
 
     # both are certified per morphism: the per-pair scan never runs
     monkeypatch.setattr(site, "_functoriality_violations", _scan_must_not_run)
-    assert validate_fibration(fintop3).ok
-    assert validate_fibration(builtin_fibration("grp_le8")).ok
+    report = validate_fibration(fintop3)
+    assert report.ok
+    # (x, γ) pairs, restrictions over all (Y, S) merges, and lookups
+    assert report.counts == {"domain_graphs": 823, "merged_restrictions": 901, "lookups": 9919}
+    report = validate_fibration(builtin_fibration("grp_le8"))
+    assert report.ok
+    assert report.counts == {
+        "domain_graphs": 934, "merged_restrictions": 1458, "lookups": 121_556}
 
 
 def _reference_certified(fib):
@@ -1248,6 +1351,42 @@ def test_closure_certificate_matches_the_pair_oracle_on_every_cut(name):
     # cuts that stay closed, and cuts whose every missing composite has an
     # f that is not surjective, so g∘f reads g on a proper restriction only
     assert shapes["closed"] and shapes["f never onto"] and shapes["f onto"]
+
+
+def test_closure_certificate_matches_the_pair_oracle_on_every_topgrp_le4_cut():
+    # the oracle alone: walking every composable pair of each of the 525
+    # cuts for its missing composites would take seconds
+    from topogen.instances.registry import builtin_fibration
+
+    fib = builtin_fibration("topgrp_le4")
+    cat = fib.category
+    verdicts = collections.Counter()
+    for drop in range(cat.n_morphisms):
+        if not cat.is_identity(drop):
+            cut = _without(fib, drop)
+            want = _reference_certified(cut)
+            assert site._functoriality_certified(cut) == want, cat.mor_names[drop]
+            verdicts[want] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_closure_certificate_merges_the_codomains_that_share_a_graph(fintop2):
+    # without discrete2>sierpinski_op:01, the composite of the swap (1, 0)
+    # of discrete2 with discrete2>sierpinski_op:10 has no morphism.  The
+    # graph (1, 0) out of discrete2 lands in four codomains Y, and the maps
+    # out of them with the restriction (1, 0) reach sierpinski_op from
+    # some, but not from indiscrete2, the last: only the codomains merged
+    # over all of Y show the missing composite
+    cut = _without(fintop2, fintop2.category.morphism_index("discrete2>sierpinski_op:01"))
+    cat = cut.category
+    x, target = cat.object_index("discrete2"), cat.object_index("sierpinski_op")
+    swap = (1, 0)
+    ys = sorted({cat.mor_cod[f] for f in cat.morphisms_from[x] if cat.graphs[f] == swap})
+    reach = {y: {cat.mor_cod[g] for g in cat.morphisms_from[y] if cat.graphs[g] == swap} for y in ys}
+    assert len(ys) == 4 and target in reach[ys[0]] and target not in reach[ys[-1]]
+    assert cat.morphism_by_graph(x, target, (0, 1)) is None
+    assert _missing_composites(cat)
+    assert site._functoriality_certified(cut) is _reference_certified(cut) is False
 
 
 
