@@ -1,27 +1,21 @@
 """Lifting orders along functors whose fibres are their base's, and the
-structures induced by pointed/copointed endofunctors, with extremality
-verification.
+structures induced by pointed/copointed endofunctors: the induced order
+(``induce_order``), the induced closure or interior operator, one dual
+routine over the operator class (``induced_operator``), and their
+extremality among the structures of their kind that make every component
+continuous, by full enumeration (``check_extremality``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import PreconditionError
 from .harness.enumeration import EnumerationSpec, enumerate_structures
 from .lattice import mask_iter
 from .reporting import Report, Violation
 from .site import SubobjectFibration
-from .structures import (
-    ClosureOperator,
-    InteriorOperator,
-    NeighbourhoodOperator,
-    TopogenousOrder,
-    closure_from_topogenous,
-    interior_from_topogenous,
-    pull_along,
-)
+from .structures import CORRESPONDENCE, NeighbourhoodOperator, TopogenousOrder, pull_along
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +63,7 @@ def validate_fibered_functor(fd: FiberedFunctor) -> Report:
     pairs = sum(len(tcat.morphisms_from[y]) for y in tcat.mor_cod)
     checked = tcat.n_objects + tcat.n_morphisms + pairs
     for x, lx in enumerate(tot.sub):
-        checked += lx.size + sum(map(int.bit_count, lx.up))
+        checked += lx.size + lx.comparable_pairs
         if lx.up != base.sub[fd.obj_map[x]].up:
             violations.append(Violation("fiber-order", where=tcat.object_names[x]))
     for f in filter(typed.__getitem__, range(tcat.n_morphisms)):
@@ -214,104 +208,72 @@ def induce_order(endo: Endofunctor, t: TopogenousOrder) -> TopogenousOrder:
 # induced operators
 
 
-def induced_closure(endo: Endofunctor, t: TopogenousOrder) -> ClosureOperator:
-    """Closure induced by a (co)pointed endofunctor from a meet-preserving order."""
+def induced_operator(endo: Endofunctor, t: TopogenousOrder, structure_class):
+    """The closure or interior operator induced along the components from
+    t, which must convert to ``structure_class`` (``CORRESPONDENCE``: meet-
+    or join-preserving).  With o that conversion of t and A_c the class's
+    ``adjoint`` of the component c (its image for closures, the right
+    adjoint of its preimage for interiors, which must exist), the value at
+    m is pre_c(o(A_c m)) along a unit, and combine(m, A_c(o(pre_c m))) along
+    a counit, combine the class's ``combine`` (join for closures, meet for
+    interiors)."""
     fib = t.fib
-    base = closure_from_topogenous(t)  # raises with witness if not meet-preserving
-    cmap = []
+    o = CORRESPONDENCE[structure_class][1](t).table  # raises with witness if t does not convert
+    adjoints = structure_class.adjoint(fib)
+    table = []
     for x, lx in enumerate(fib.sub):
         c = endo.components[x]
-        img_c, pre_c = fib.img[c], fib.pre[c]
-        c_fx = base.cmap[endo.obj_map[x]]
-        if endo.pointed:
-            cmap.append(tuple(pre_c[c_fx[img_c[m]]] for m in range(lx.size)))
-        else:
-            cmap.append(tuple(lx.join(m, img_c[c_fx[pre_c[m]]]) for m in range(lx.size)))
-    return ClosureOperator(fib, tuple(cmap))
-
-
-def induced_interior(endo: Endofunctor, t: TopogenousOrder) -> InteriorOperator:
-    """Interior induced by a (co)pointed endofunctor from a join-preserving order.
-
-    Both sides compose with the right adjoint of the component's preimage,
-    which must exist (a precondition error names the failing component).
-    """
-    fib = t.fib
-    base = interior_from_topogenous(t)
-    imap = []
-    for x, lx in enumerate(fib.sub):
-        c = endo.components[x]
-        star = fib.fstar[c]
-        if star is None:
+        adj, pre_c, o_fx = adjoints[c], fib.pre[c], o[endo.obj_map[x]]
+        if adj is None:
             raise PreconditionError(
                 f"{endo.component} at {fib.category.object_names[x]} "
                 f"has no right adjoint of preimage"
             )
-        pre_c = fib.pre[c]
-        i_fx = base.imap[endo.obj_map[x]]
         if endo.pointed:
-            imap.append(tuple(pre_c[i_fx[star[m]]] for m in range(lx.size)))
+            table.append(tuple(pre_c[o_fx[adj[m]]] for m in range(lx.size)))
         else:
-            imap.append(tuple(lx.meet(m, star[i_fx[pre_c[m]]]) for m in range(lx.size)))
-    return InteriorOperator(fib, tuple(imap))
-
-
-# ---------------------------------------------------------------------------
-# continuity constraints for the extremality families
-
-
-def component_constraint(endo: Endofunctor, base) -> Callable:
-    """Each component obeys the law of ``base``'s kind between the
-    candidate's table at x and ``base``'s table at Fx: from the first to the
-    second for a unit x -> Fx, the other way for a counit Fx -> x."""
-    laws = [
-        (x, base.table[fx], base.law_along(endo.fib, c))
-        for x, (c, fx) in enumerate(zip(endo.components, endo.obj_map))
-    ]
-
-    def ok(candidate) -> bool:
-        return all(law.holds(*endo.orient(candidate.table[x], row)) for x, row, law in laws)
-    return ok
+            combine = structure_class.combine(lx)
+            table.append(tuple(combine[m][adj[o_fx[pre_c[m]]]] for m in range(lx.size)))
+    return structure_class(fib, tuple(table))
 
 
 # ---------------------------------------------------------------------------
 # extremality
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """What to enumerate and what the candidate must be extremal in."""
-
-    fibration: SubobjectFibration
-    kind: str                 # "topogenous" | "closure" | "interior"
-    constraint: Callable      # structure -> bool, the continuity condition
-    extreme: str              # "least" | "largest"
-    description: str = ""
-
-
-def check_extremality(candidate, spec: FamilySpec) -> Report:
-    """Enumerate the full family and verify the candidate is extremal in it.
+def check_extremality(
+    candidate, endo: Endofunctor, base, extreme: str, description: str = ""
+) -> Report:
+    """Enumerate the family of ``candidate``'s kind on ``endo``'s fibration
+    whose members obey ``base``'s law along each component, between the
+    member's table at x and ``base``'s at Fx (from the first to the second
+    along a unit x -> Fx, the other way along a counit), and verify the
+    candidate is its ``extreme`` ("least" or "largest") member.
 
     The report's ``checked`` field is the family size; a violator (or the
     candidate's absence from the family) shows up as a violation.
     """
-    if spec.extreme not in ("least", "largest"):
-        raise PreconditionError(f"unknown extremality {spec.extreme!r}")
-    enum_spec = EnumerationSpec(fibration=spec.fibration, kind=spec.kind)
+    if extreme not in ("least", "largest"):
+        raise PreconditionError(f"unknown extremality {extreme!r}")
+    fib = endo.fib
+    laws = [
+        (x, base.table[fx], base.law_along(fib, c))
+        for x, (c, fx) in enumerate(zip(endo.components, endo.obj_map))
+    ]
     violations = []
     family_size = 0
     seen_candidate = False
-    for member in enumerate_structures(enum_spec):
-        if not spec.constraint(member):
+    for member in enumerate_structures(EnumerationSpec(fibration=fib, kind=candidate.kind)):
+        if not all(law.holds(*endo.orient(member.table[x], row)) for x, row, law in laws):
             continue
         family_size += 1
         if member == candidate:
             seen_candidate = True
             continue
-        lower, upper = (candidate, member) if spec.extreme == "least" else (member, candidate)
+        lower, upper = (candidate, member) if extreme == "least" else (member, candidate)
         excess = lower.first_excess(upper)
         if excess is not None:
-            violations.append(Violation(f"not-{spec.extreme}", where=spec.description, witness=excess))
+            violations.append(Violation(f"not-{extreme}", where=description, witness=excess))
     if not seen_candidate:
-        violations.append(Violation("candidate-not-in-family", where=spec.description))
-    return Report(f"extremality {spec.description}", family_size, tuple(violations))
+        violations.append(Violation("candidate-not-in-family", where=description))
+    return Report(f"extremality {description}", family_size, tuple(violations))

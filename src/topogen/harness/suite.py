@@ -15,13 +15,10 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from ..constructions import (
-    FamilySpec,
     check_extremality,
-    component_constraint,
     continuity_between,
     induce_order,
-    induced_closure,
-    induced_interior,
+    induced_operator,
     lift_topogenous,
     validate_endofunctor,
     validate_fibered_functor,
@@ -287,19 +284,18 @@ def check_induced_order(side: str, scale: str) -> Report:
             between.append(Violation(f"{endo.component}-not-continuous", where=kind))
         if endo.pointed and is_interpolative(t) and not is_interpolative(ind):
             between.append(Violation("interpolation-inheritance", where=kind))
-        reports.append(_valid_and_extremal(ind, between, FamilySpec(
-            fib, "topogenous", component_constraint(endo, t), extreme, f"{side}-order-{kind}")))
+        reports.append(_valid_and_extremal(ind, between, endo, t, extreme, f"{side}-order-{kind}"))
     reports.append(
         _reflection_formula(scale) if endo.pointed else _discretization_is_inclusion(endo))
     return merge(f"{side}-induced-order", reports)
 
 
-def _valid_and_extremal(structure, between, spec: FamilySpec) -> Report:
+def _valid_and_extremal(structure, between, endo, base, extreme, description) -> Report:
     """``structure``'s validity, then the ``between`` violations, then its
-    extremality in ``spec``'s family."""
-    return merge(spec.description, [
+    extremality in the family of ``endo`` and ``base`` (``check_extremality``)."""
+    return merge(description, [
         validate_structure(structure), Report("", 0, tuple(between)),
-        check_extremality(structure, spec)])
+        check_extremality(structure, endo, base, extreme, description)])
 
 
 def _rows_match(law: str, ind, row) -> Report:
@@ -340,11 +336,11 @@ def _discretization_is_inclusion(endo) -> Report:
         "discretization-order-is-inclusion", ind, lambda x, m: fib.sub[x].up[m])
 
 
-# per operator kind: the induced operator, per side the extreme the
-# operator must be, and whether its pointed idempotence needs every unit in E
+# per operator kind: per side the extreme the induced operator must be, and
+# whether its pointed idempotence needs every unit in E
 _INDUCED_OPERATORS = {
-    "closure": (induced_closure, {"pointed": "largest", "copointed": "least"}, False),
-    "interior": (induced_interior, {"pointed": "least", "copointed": "largest"}, True),
+    "closure": ({"pointed": "largest", "copointed": "least"}, False),
+    "interior": ({"pointed": "least", "copointed": "largest"}, True),
 }
 
 
@@ -353,14 +349,15 @@ def check_induced_operator(kind: str, scale: str) -> Report:
     endofunctor: valid, equal to the converted induced order, extremal in
     its family, and (pointed side) idempotent when the order is
     interpolative and, for interiors, every unit is in E."""
-    induced, extremes, needs_e_units = _INDUCED_OPERATORS[kind]
-    _, convert, _ = CORRESPONDENCE[KINDS[kind]]
+    extremes, needs_e_units = _INDUCED_OPERATORS[kind]
+    structure_class = KINDS[kind]
+    _, convert, _ = CORRESPONDENCE[structure_class]
     reports = []
     for side, (fib_name, endo_name, _) in _ENDOFUNCTORS.items():
         fib = _fib(fib_name)
         endo = registry.builtin_endofunctor(side, endo_name, fib)
         t = _order(fib_name, kind)
-        op = induced(endo, t)
+        op = induced_operator(endo, t, structure_class)
         between = []
         if op != convert(induce_order(endo, t)):
             between.append(Violation(f"{side}-{kind}-vs-conversion"))
@@ -371,8 +368,8 @@ def check_induced_operator(kind: str, scale: str) -> Report:
             and not is_idempotent(op)
         ):
             between.append(Violation(f"pointed-{kind}-idempotence"))
-        reports.append(_valid_and_extremal(op, between, FamilySpec(
-            fib, kind, component_constraint(endo, convert(t)), extremes[side], f"{side}-{kind}")))
+        reports.append(_valid_and_extremal(
+            op, between, endo, convert(t), extremes[side], f"{side}-{kind}"))
 
     # agreement also on the larger reflection instance
     fib2 = _fib("fintop2")
@@ -380,7 +377,7 @@ def check_induced_operator(kind: str, scale: str) -> Report:
     mismatched = []
     for side, (_, endo_name, _) in _ENDOFUNCTORS.items():
         endo = registry.builtin_endofunctor(side, endo_name, fib2)
-        if induced(endo, t2) != convert(induce_order(endo, t2)):
+        if induced_operator(endo, t2, structure_class) != convert(induce_order(endo, t2)):
             mismatched.append(Violation(f"{side}-{kind}-vs-conversion", where="fintop2"))
     reports.append(Report("", len(_ENDOFUNCTORS), tuple(mismatched)))
     return merge(f"induced-{kind}", reports)

@@ -430,7 +430,6 @@ def fintop_fibration(spaces, name: str = "fintop", object_names=None) -> Subobje
     )
 
 
-@lru_cache(maxsize=None)
 def fintop_upto(n: int) -> SubobjectFibration:
     """All labelled topologies on at most n points (including the empty space)."""
     spaces = []

@@ -119,6 +119,24 @@ class FiniteLattice:
         return tuple(tuple(mask_iter(mask)) for mask in self.up)
 
     @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """The covering pairs (i, j): i below j with nothing strictly
+        between.  A map out of a finite order is monotone iff it is on
+        these pairs."""
+        covers = []
+        for i, above in enumerate(self.up):
+            strictly = above & ~(1 << i)
+            for j in mask_iter(strictly):
+                if not strictly & self.down[j] & ~(1 << j):
+                    covers.append((i, j))
+        return tuple(covers)
+
+    @cached_property
+    def comparable_pairs(self) -> int:
+        """The number of pairs (i, j) with i <= j, equal ones included."""
+        return sum(map(int.bit_count, self.up))
+
+    @cached_property
     def row_verdicts(self) -> dict:
         """Facts of row tables over this lattice (one entry per element),
         keyed by (the function that computes them, rows) and filled by

@@ -343,11 +343,9 @@ class SubobjectFibration:
         self.backend = backend
         self.name = name
         self.subsets = tuple(subsets) if subsets is not None else None
-        if fstar is None:  # covering pairs found once per lattice (``_order_of``)
-            lattices, _ = intern(map(id, self.sub))
-            covers = {k: _order_of(lat)[0] for k, lat in dict(zip(lattices, self.sub)).items()}
+        if fstar is None:
             fstar = [
-                _preimage_right_adjoint(self.sub[y], self.sub[x], table, covers[lattices[y]])
+                _preimage_right_adjoint(self.sub[y], self.sub[x], table)
                 for x, y, table in zip(category.mor_dom, category.mor_cod, self.pre)
             ]
         self.fstar = tuple(fstar)
@@ -392,17 +390,16 @@ def intern(tables) -> tuple[list[int], dict]:
 
 def _preimage_right_adjoint(
     source: FiniteLattice, target: FiniteLattice, table: tuple[int, ...],
-    covers: tuple[tuple[int, int], ...],
 ) -> Optional[tuple[int, ...]]:
     """The right adjoint of a preimage table from ``source`` (sub cod) to
     ``target`` (sub dom), once the table is checked for size, range and
-    monotonicity on ``covers``, the covering pairs of ``source``; a table
-    that fails raises from ``MonotoneMap`` with its witness."""
+    monotonicity on the covering pairs of ``source``; a table that fails
+    raises from ``MonotoneMap`` with its witness."""
     up = target.up
     if not (
         len(table) == source.size
         and 0 <= min(table) and max(table) < len(up)
-        and all(up[table[i]] >> table[j] & 1 for i, j in covers)
+        and all(up[table[i]] >> table[j] & 1 for i, j in source.covers)
     ):
         MonotoneMap(source, target, table)
     return right_adjoint_table(source, target, table)
@@ -416,8 +413,8 @@ def validate_fibration(fib: SubobjectFibration) -> Report:
     E.  They run once per distinct such key; each fault is reported under
     every morphism with that key, in morphism order, and ``checked`` counts
     every morphism's checks.  Monotonicity is tested on the covering pairs
-    of each lattice (``_order_of``, once per lattice), which on a finite
-    order implies it on every comparable pair.
+    of each lattice (``FiniteLattice.covers``), which on a finite order
+    implies it on every comparable pair.
 
     Functoriality (img(g∘f) = img g ∘ img f and pre(g∘f) = pre f ∘ pre g
     for every composable pair) is first certified per morphism: when every
@@ -433,20 +430,16 @@ def validate_fibration(fib: SubobjectFibration) -> Report:
     violations = []
     checked = 0
     counts = dict.fromkeys(_CLOSURE_COUNTS, 0)
-    lattices, _ = intern(map(id, fib.sub))
-    orders = {x: _order_of(lat) for x, lat in dict(zip(lattices, fib.sub)).items()}
     laws: dict = {}
     unusable = set()
     for f in range(cat.n_morphisms):
-        x, y = cat.mor_dom[f], cat.mor_cod[f]
+        lx, ly = fib.sub[cat.mor_dom[f]], fib.sub[cat.mor_cod[f]]
         key = (
-            lattices[x], lattices[y], fib.img[f], fib.pre[f],
+            id(lx), id(ly), fib.img[f], fib.pre[f],
             f in fib.mclass, f in fib.eclass and fib.e_pullback_stable,
         )
         if key not in laws:
-            laws[key] = _morphism_laws(
-                fib.sub[x], fib.sub[y], orders[key[0]], orders[key[1]], *key[2:]
-            )
+            laws[key] = _morphism_laws(lx, ly, *key[2:])
         count, faults = laws[key]
         checked += count
         name = cat.mor_names[f]
@@ -466,29 +459,18 @@ def validate_fibration(fib: SubobjectFibration) -> Report:
     return Report(f"fibration {fib.name}", checked, tuple(violations), counts=counts)
 
 
-def _order_of(lat: FiniteLattice) -> tuple[tuple[tuple[int, int], ...], int]:
-    """(covering pairs (i, j), i below j with nothing strictly between, and
-    the number of comparable pairs (i, j), i <= j, equal ones included)."""
-    covers = []
-    for i, above in enumerate(lat.up):
-        strictly = above & ~(1 << i)
-        for j in mask_iter(strictly):
-            if not strictly & lat.down[j] & ~(1 << j):
-                covers.append((i, j))
-    return tuple(covers), sum(map(int.bit_count, lat.up))
-
-
 def _morphism_laws(
-    lx: FiniteLattice, ly: FiniteLattice, order_x: tuple, order_y: tuple,
+    lx: FiniteLattice, ly: FiniteLattice,
     img: tuple[int, ...], pre: tuple[int, ...], in_m: bool, in_e: bool,
 ) -> tuple[int, list[tuple[str, tuple[str, ...]]]]:
     """(checks made, faults as (law, witness)) of one morphism's tables:
     table size and range, image/preimage monotonicity, the adjunction, the
     M-section when ``in_m`` and the E-retraction when ``in_e``.  A size or
     range fault is the only one reported, since the laws would index out of
-    the tables or lattices.  ``order_x`` and ``order_y`` are the lattices'
-    ``_order_of``: a map is monotone iff it is on the covering pairs, and
-    one that is not is scanned over every comparable pair for its faults."""
+    the tables or lattices.  A map is monotone iff it is on the covering
+    pairs (``FiniteLattice.covers``), and one that is not is scanned over
+    every comparable pair for its faults; monotonicity counts one check per
+    comparable pair of each lattice."""
     if len(img) != lx.size or len(pre) != ly.size:
         return 0, [("table-size", ())]
     for what, table, source, target in (("img", img, lx, ly), ("pre", pre, ly, lx)):
@@ -496,11 +478,11 @@ def _morphism_laws(
             if not 0 <= v < target.size:
                 return 0, [("table-range", (f"{what}[{source.labels[i]}]={v}",))]
     faults = []
-    checked = order_x[1] + order_y[1]
     up_x, up_y = lx.up, ly.up
+    checked = lx.comparable_pairs + ly.comparable_pairs
     if not (
-        all(up_y[img[i]] >> img[j] & 1 for i, j in order_x[0])
-        and all(up_x[pre[i]] >> pre[j] & 1 for i, j in order_y[0])
+        all(up_y[img[i]] >> img[j] & 1 for i, j in lx.covers)
+        and all(up_x[pre[i]] >> pre[j] & 1 for i, j in ly.covers)
     ):
         for i in range(lx.size):
             for j in mask_iter(up_x[i]):
@@ -707,8 +689,7 @@ class _UntabulatedFibration(_TabulatedOnFirstRead, SubobjectFibration):
         img, pre, _ = _key_tables(plan_x, plan_y, graph)
         if self._fstar_formula is not None:
             return img, pre, self._fstar_formula(img, pre)
-        source = self.sub[cod]
-        return img, pre, _preimage_right_adjoint(source, self.sub[dom], pre, _order_of(source)[0])
+        return img, pre, _preimage_right_adjoint(self.sub[cod], self.sub[dom], pre)
 
 
 def _functoriality_certified(fib: SubobjectFibration, counts: Optional[dict] = None) -> bool:

@@ -306,7 +306,11 @@ class _Operator(_Structure):
 
     Its law along f is one order comparison per index pair, ``lhs`` the
     single bit of one side's value and ``rhs`` the mask of values it may
-    take against the other side's.
+    take against the other side's.  Each class states its dual data once:
+    ``bound``, per lattice, the mask of values each element may take;
+    ``adjoint``, per fibration, the table of each morphism that
+    ``constructions.induced_operator`` composes with; ``combine``, per
+    lattice, the table that folds a counit's value into its element.
     """
 
     def first_excess(self, other: "_Operator"):
@@ -351,7 +355,9 @@ class ClosureOperator(_Operator):
     local_laws = ("extensive", "monotone")
     law_name = "image-continuity"
     witness_sides = (0,)
-    bound = attrgetter("up")            # per lattice, the values each element may take
+    bound = attrgetter("up")
+    adjoint = attrgetter("img")
+    combine = attrgetter("join_table")
 
     @staticmethod
     def law_along(fib, f) -> LawAlong:
@@ -368,6 +374,8 @@ class InteriorOperator(_Operator):
     law_name = "preimage-continuity"
     witness_sides = (1,)
     bound = attrgetter("down")
+    adjoint = attrgetter("fstar")
+    combine = attrgetter("meet_table")
 
     @staticmethod
     def law_along(fib, f) -> LawAlong:

@@ -5,22 +5,24 @@ import pytest
 
 from topogen.constructions import (
     Endofunctor,
-    FamilySpec,
     FiberedFunctor,
     check_extremality,
-    component_constraint,
     continuity_between,
     induce_order,
-    induced_closure,
-    induced_interior,
+    induced_operator,
     lift_topogenous,
     validate_endofunctor,
     validate_fibered_functor,
 )
 from topogen.errors import PreconditionError
+from topogen.harness.enumeration import EnumerationSpec, enumerate_structures
 from topogen.lattice import FiniteLattice
 from topogen.reporting import Violation
 from topogen.structures import (
+    CORRESPONDENCE,
+    ClosureOperator,
+    InteriorOperator,
+    TopogenousOrder,
     closure_from_topogenous,
     discrete_order,
     interior_from_topogenous,
@@ -358,10 +360,10 @@ def test_identity_endofunctor_induces_same_operators(fintop2):
     ti = interior_order(fintop2)
     base_c = closure_from_topogenous(tc)
     base_i = interior_from_topogenous(ti)
-    assert induced_closure(p, tc) == base_c
-    assert induced_closure(q, tc) == base_c
-    assert induced_interior(p, ti) == base_i
-    assert induced_interior(q, ti) == base_i
+    assert induced_operator(p, tc, ClosureOperator) == base_c
+    assert induced_operator(q, tc, ClosureOperator) == base_c
+    assert induced_operator(p, ti, InteriorOperator) == base_i
+    assert induced_operator(q, ti, InteriorOperator) == base_i
 
 
 def test_reflection_order_on_three_point_example(fintop3):
@@ -376,7 +378,7 @@ def test_reflection_order_on_three_point_example(fintop3):
     ind = induce_order(p, t)
     lat = fintop3.sub[x]
     assert ind.rel[x][0b001] == 1 << 0b111
-    c = induced_closure(p, t)
+    c = induced_operator(p, t, ClosureOperator)
     assert c.cmap[x][0b001] == 0b111
     # the quotient itself is a two-point space with one open point
     quotient = spaces_of(fintop3)[p.obj_map[x]]
@@ -388,16 +390,100 @@ def test_induced_operators_agree_with_conversions(fintop2):
     q = builtin_endofunctor("copointed", "discrete", fintop2)
     tc = closure_order(fintop2)
     ti = interior_order(fintop2)
-    assert induced_closure(p, tc) == closure_from_topogenous(induce_order(p, tc))
-    assert induced_closure(q, tc) == closure_from_topogenous(induce_order(q, tc))
-    assert induced_interior(p, ti) == interior_from_topogenous(induce_order(p, ti))
-    assert induced_interior(q, ti) == interior_from_topogenous(induce_order(q, ti))
+    for endo in (p, q):
+        assert induced_operator(endo, tc, ClosureOperator) == \
+            closure_from_topogenous(induce_order(endo, tc))
+        assert induced_operator(endo, ti, InteriorOperator) == \
+            interior_from_topogenous(induce_order(endo, ti))
+
+
+def _reference_closure(endo, t):
+    """The closure induced from a meet-preserving order, written out:
+    u^{-1}(c(u m)) along a unit u, m ∨ e(c(e^{-1} m)) along a counit e."""
+    fib = t.fib
+    base = closure_from_topogenous(t)
+    cmap = []
+    for x, lx in enumerate(fib.sub):
+        c = endo.components[x]
+        img_c, pre_c = fib.img[c], fib.pre[c]
+        c_fx = base.cmap[endo.obj_map[x]]
+        if endo.pointed:
+            cmap.append(tuple(pre_c[c_fx[img_c[m]]] for m in range(lx.size)))
+        else:
+            cmap.append(tuple(lx.join(m, img_c[c_fx[pre_c[m]]]) for m in range(lx.size)))
+    return ClosureOperator(fib, tuple(cmap))
+
+
+def _reference_interior(endo, t):
+    """The interior induced from a join-preserving order, written out:
+    u^{-1}(i(u_* m)) along a unit u, m ∧ e_*(i(e^{-1} m)) along a counit e,
+    with f_* the right adjoint of f^{-1}."""
+    fib = t.fib
+    base = interior_from_topogenous(t)
+    imap = []
+    for x, lx in enumerate(fib.sub):
+        c = endo.components[x]
+        star, pre_c = fib.fstar[c], fib.pre[c]
+        i_fx = base.imap[endo.obj_map[x]]
+        if endo.pointed:
+            imap.append(tuple(pre_c[i_fx[star[m]]] for m in range(lx.size)))
+        else:
+            imap.append(tuple(lx.meet(m, star[i_fx[pre_c[m]]]) for m in range(lx.size)))
+    return InteriorOperator(fib, tuple(imap))
+
+
+_REFERENCES = {ClosureOperator: ("meet", _reference_closure),
+               InteriorOperator: ("join", _reference_interior)}
+_ENDOFUNCTOR_NAMES = {"pointed": "t0", "copointed": "discrete"}
+
+
+@pytest.mark.parametrize("name,sides,cases", [
+    ("fintop1", ("pointed", "copointed"), 8),
+    ("t0_small", ("pointed",), 6),
+    ("coreflect_small", ("pointed", "copointed"), 24),
+    ("disc2_loop", ("pointed", "copointed"), 12),
+    ("fintop2", ("pointed", "copointed"), 28),
+    ("fintop3", ("pointed", "copointed"), 44),
+])
+def test_induced_operator_matches_the_reference_formulas(name, sides, cases):
+    """On every meet-preserving (closure) and join-preserving (interior)
+    order, under each built-in endofunctor the fibration is closed under,
+    ``induced_operator`` equals its kind's formula written out on its own
+    and the conversion of the induced order."""
+    fib = builtin_fibration(name)
+    endos = [builtin_endofunctor(side, _ENDOFUNCTOR_NAMES[side], fib) for side in sides]
+    seen = 0
+    for structure_class, (prop, reference) in _REFERENCES.items():
+        convert = CORRESPONDENCE[structure_class][1]
+        for t in enumerate_structures(EnumerationSpec(fib, "topogenous", prop_filter=prop)):
+            for endo in endos:
+                op = induced_operator(endo, t, structure_class)
+                assert op == reference(endo, t), (structure_class.kind, endo.side)
+                assert op == convert(induce_order(endo, t)), (structure_class.kind, endo.side)
+                seen += 1
+    assert seen == cases
+
+
+def test_induced_interior_needs_the_right_adjoint_of_each_unit_preimage(fintop2):
+    p = builtin_endofunctor("pointed", "t0", fintop2)
+    x = fintop2.category.object_index("indiscrete2")
+    unit = p.components[x]
+    fib = copy.copy(fintop2)
+    fib.fstar = tuple(None if f == unit else star for f, star in enumerate(fintop2.fstar))
+    t = TopogenousOrder(fib, interior_order(fintop2).rel)
+    p_copy = replace(p, fib=fib)
+    with pytest.raises(PreconditionError, match="unit at indiscrete2 has no right adjoint"):
+        induced_operator(p_copy, t, InteriorOperator)
+    # the closure reads images, which every unit has
+    tc = closure_order(fintop2)
+    assert induced_operator(p_copy, TopogenousOrder(fib, tc.rel), ClosureOperator).cmap == \
+        induced_operator(p, tc, ClosureOperator).cmap
 
 
 def test_pointed_closure_idempotent_for_interpolative_base(fintop2):
     p = builtin_endofunctor("pointed", "t0", fintop2)
     t = closure_order(fintop2)
-    c = induced_closure(p, t)
+    c = induced_operator(p, t, ClosureOperator)
     assert validate_structure(c).ok
     assert is_idempotent(c)
 
@@ -405,19 +491,17 @@ def test_pointed_closure_idempotent_for_interpolative_base(fintop2):
 def test_pointed_interior_idempotent_for_interpolative_base(fintop2):
     p = builtin_endofunctor("pointed", "t0", fintop2)
     t = interior_order(fintop2)
-    i = induced_interior(p, t)
+    i = induced_operator(p, t, InteriorOperator)
     assert validate_structure(i).ok
     assert p.e_pointed
     assert is_idempotent(i)
 
 
 def test_induced_closure_needs_meet_preservation(fintop2):
-    from topogen.structures import TopogenousOrder
-
     p = builtin_endofunctor("pointed", "t0", fintop2)
     empty = TopogenousOrder(fintop2, tuple(tuple(0 for _ in range(lat.size)) for lat in fintop2.sub))
     with pytest.raises(PreconditionError):
-        induced_closure(p, empty)
+        induced_operator(p, empty, ClosureOperator)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +514,7 @@ def test_extremality_family_of_one():
     t = discrete_order(fib)   # the largest order: only itself can contain it
     ind = induce_order(p, t)
     assert ind == t
-    report = check_extremality(ind, FamilySpec(
-        fib, "topogenous", component_constraint(p, t), "least", "identity-setting"))
+    report = check_extremality(ind, p, t, "least", "identity-setting")
     assert report.ok
     assert report.checked == 1
 
@@ -442,8 +525,7 @@ def test_pointed_least_order_by_enumeration():
     for kind in ("closure", "interior"):
         t = builtin_order(kind, fib)
         ind = induce_order(p, t)
-        report = check_extremality(ind, FamilySpec(
-            fib, "topogenous", component_constraint(p, t), "least", kind))
+        report = check_extremality(ind, p, t, "least", kind)
         assert report.ok, report.render()
         assert report.checked >= 1
 
@@ -454,8 +536,7 @@ def test_copointed_largest_order_by_enumeration():
     for kind in ("closure", "interior"):
         t = builtin_order(kind, fib)
         ind = induce_order(q, t)
-        report = check_extremality(ind, FamilySpec(
-            fib, "topogenous", component_constraint(q, t), "largest", kind))
+        report = check_extremality(ind, q, t, "largest", kind)
         assert report.ok, report.render()
 
 
@@ -463,19 +544,15 @@ def test_closure_extremality_by_enumeration():
     fib = builtin_fibration("t0_small")
     p = builtin_endofunctor("pointed", "t0", fib)
     t = builtin_order("closure", fib)
-    c = induced_closure(p, t)
-    report = check_extremality(c, FamilySpec(
-        fib, "closure", component_constraint(p, closure_from_topogenous(t)),
-        "largest", "pointed"))
+    c = induced_operator(p, t, ClosureOperator)
+    report = check_extremality(c, p, closure_from_topogenous(t), "largest", "pointed")
     assert report.ok, report.render()
 
     fibc = builtin_fibration("coreflect_small")
     q = builtin_endofunctor("copointed", "discrete", fibc)
     tc = builtin_order("closure", fibc)
-    cc = induced_closure(q, tc)
-    report = check_extremality(cc, FamilySpec(
-        fibc, "closure", component_constraint(q, closure_from_topogenous(tc)),
-        "least", "copointed"))
+    cc = induced_operator(q, tc, ClosureOperator)
+    report = check_extremality(cc, q, closure_from_topogenous(tc), "least", "copointed")
     assert report.ok, report.render()
 
 
@@ -483,19 +560,15 @@ def test_interior_extremality_by_enumeration():
     fib = builtin_fibration("t0_small")
     p = builtin_endofunctor("pointed", "t0", fib)
     t = builtin_order("interior", fib)
-    i = induced_interior(p, t)
-    report = check_extremality(i, FamilySpec(
-        fib, "interior", component_constraint(p, interior_from_topogenous(t)),
-        "least", "pointed"))
+    i = induced_operator(p, t, InteriorOperator)
+    report = check_extremality(i, p, interior_from_topogenous(t), "least", "pointed")
     assert report.ok, report.render()
 
     fibc = builtin_fibration("coreflect_small")
     q = builtin_endofunctor("copointed", "discrete", fibc)
     tc = builtin_order("interior", fibc)
-    ic = induced_interior(q, tc)
-    report = check_extremality(ic, FamilySpec(
-        fibc, "interior", component_constraint(q, interior_from_topogenous(tc)),
-        "largest", "copointed"))
+    ic = induced_operator(q, tc, InteriorOperator)
+    report = check_extremality(ic, q, interior_from_topogenous(tc), "largest", "copointed")
     assert report.ok, report.render()
 
 
@@ -505,8 +578,7 @@ def test_extremality_detects_non_extremal_candidates():
     t = builtin_order("closure", fib)
     smaller = induce_order(q, t)
     # feed something that is in the family but not largest: the base order
-    report = check_extremality(t, FamilySpec(
-        fib, "topogenous", component_constraint(q, t), "largest", "bogus"))
+    report = check_extremality(t, q, t, "largest", "bogus")
     assert t != smaller
     # each violator is named by the first entry it has and the candidate
     # lacks, never by its text, which held a memory address

@@ -6,7 +6,7 @@ four cross-object laws were merged into one table; they must not move.
 
 import pytest
 
-from topogen.constructions import component_constraint, continuity_between
+from topogen.constructions import continuity_between
 from topogen.harness.enumeration import EnumerationSpec, enumerate_structures
 from topogen.instances.registry import builtin_endofunctor, builtin_fibration
 from topogen.instances.topology import closure_order
@@ -154,6 +154,22 @@ def test_enumeration_counts_are_pinned(name, kind, prop, count):
     assert sum(1 for _ in enumerate_structures(spec)) == count
 
 
+def _component_constraint(endo, base):
+    """Each component obeys the law of ``base``'s kind between the
+    candidate's table at x and ``base``'s table at Fx: from the first to the
+    second for a unit x -> Fx, the other way for a counit Fx -> x.  The
+    membership test ``constructions.check_extremality`` applies to each
+    member of its family."""
+    laws = [
+        (x, base.table[fx], base.law_along(endo.fib, c))
+        for x, (c, fx) in enumerate(zip(endo.components, endo.obj_map))
+    ]
+
+    def ok(candidate) -> bool:
+        return all(law.holds(*endo.orient(candidate.table[x], row)) for x, row, law in laws)
+    return ok
+
+
 @pytest.mark.parametrize("name,side", [
     ("t0_small", "pointed"), ("coreflect_small", "pointed"), ("coreflect_small", "copointed"),
 ])
@@ -168,13 +184,13 @@ def test_order_law_constraints_agree_with_continuity_between(name, side):
         for candidate in orders:
             if side == "pointed":
                 p = builtin_endofunctor("pointed", "t0", fib)
-                by_constraint = component_constraint(p, base)(candidate)
+                by_constraint = _component_constraint(p, base)(candidate)
                 by_neighbourhood_law = all(
                     continuity_between(u, candidate, base)[0] for u in p.components
                 )
             else:
                 q = builtin_endofunctor("copointed", "discrete", fib)
-                by_constraint = component_constraint(q, base)(candidate)
+                by_constraint = _component_constraint(q, base)(candidate)
                 by_neighbourhood_law = all(
                     continuity_between(e, base, candidate)[0] for e in q.components
                 )

@@ -245,10 +245,8 @@ def test_every_classification_is_the_shared_record_of_its_flags():
 
 def _untabulated_twin(name):
     """A fresh built-in ``name`` whose maps are not yet tabulated."""
-    from topogen.instances import registry, topology
+    from topogen.instances import registry
 
-    if name == "fintop2":  # fintop_upto keeps the tabulated one
-        return topology.fintop_upto.__wrapped__(2)
     return registry._untabulated_builtin(name)
 
 
