@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 from ..errors import CapabilityError, DomainError, PreconditionError
 from ..lattice import FiniteLattice, mask_iter
 from ..constructions import Endofunctor
-from ..site import SubobjectFibration, concrete_category, subset_fibration
+from ..site import SubobjectFibration, concrete_category, iso_classes, subset_fibration
 from ..structures import (
     ClosureOperator,
     InteriorOperator,
@@ -479,6 +479,23 @@ def map_predicates(fib: SubobjectFibration, f: int) -> MapPredicates:
     """``map_predicates_by_graph`` of the morphism f."""
     cat = fib.category
     return map_predicates_by_graph(fib, cat.mor_dom[f], cat.mor_cod[f], cat.graphs[f])
+
+
+def predicate_transport(fib: SubobjectFibration) -> tuple[int, ...]:
+    """Per morphism f, the morphism whose ``map_predicates`` are f's: f~ of
+    ``site.iso_classes`` when each ι_A's graph carries the opens of rep A
+    onto the opens of A, f itself otherwise.  Then each ι_A is a
+    homeomorphism, and being open, closed, initial or a hereditary quotient,
+    read on the spaces and the graph alone, moves along it."""
+    spaces = spaces_of(fib)
+    classes = iso_classes(fib.category)
+    graphs = fib.category.graphs
+    if all(
+        {image_mask(graphs[i], u) for u in spaces[r].opens} == spaces[a].open_set
+        for a, (r, i) in enumerate(zip(classes.rep, classes.iota)) if r != a
+    ):
+        return classes.moved
+    return tuple(range(len(classes.moved)))
 
 
 def map_predicates_by_graph(

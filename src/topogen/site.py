@@ -59,13 +59,13 @@ class FiniteCategory:
     morphisms on the first read of a morphism field (``_TabulatedOnFirstRead``);
     the slots ``_tabulate``, ``_homs`` and ``_sizes`` serve only the twin and
     are unset here.  The slot ``_set_level`` holds ``_key_facts``' memo once
-    it is set.
+    it is set, and ``_iso_classes`` the record ``iso_classes`` once read.
     """
 
     __slots__ = (
         "object_names", "mor_dom", "mor_cod", "mor_names", "identities", "graphs",
         "_by_graph", "_name_index", "morphisms_from", "morphisms_to", "_tabulate", "_homs",
-        "_sizes", "_set_level", "__weakref__",
+        "_sizes", "_set_level", "_iso_classes", "__weakref__",
     )
 
     def __init__(
@@ -270,6 +270,76 @@ class _UntabulatedCategory(_TabulatedOnFirstRead, FiniteCategory):
         return None
 
 
+@dataclass(frozen=True, slots=True)
+class IsoClasses:
+    """A category's objects up to isomorphism, and each map moved to the
+    representatives of its ends (``iso_classes``).
+
+    - ``isomorphisms``: ``FiniteCategory.isomorphisms()``;
+    - ``rep``: per object A, its class's representative rep A, the class's
+      least object index;
+    - ``iota``: per object A, the least-index isomorphism ι_A: rep A -> A,
+      the identity at a representative;
+    - ``automorphisms``: per object, its automorphisms other than the
+      identity, in index order;
+    - ``moved``: per map f: X -> Y, the index of f~ = ι_Y^-1 ∘ f ∘ ι_X, a
+      map between representatives; f~ = f exactly when f is one;
+    - ``representative_maps``: the number of distinct f~, the maps between
+      representatives.
+
+    Where the isomorphisms do not fall into classes, or some f~ is not a
+    morphism, the classes are singletons: rep A = A and f~ = f.
+    """
+
+    isomorphisms: frozenset[int]
+    rep: tuple[int, ...]
+    iota: tuple[int, ...]
+    automorphisms: tuple[tuple[int, ...], ...]
+    moved: tuple[int, ...]
+    representative_maps: int
+
+
+def iso_classes(cat: FiniteCategory) -> IsoClasses:
+    """``cat``'s ``IsoClasses``, computed on first read and kept in its slot
+    ``_iso_classes``; the one place representatives are chosen."""
+    found = getattr(cat, "_iso_classes", None)
+    if found is None:
+        found = cat._iso_classes = _iso_classes(cat)
+    return found
+
+
+def _iso_classes(cat: FiniteCategory) -> IsoClasses:
+    n = cat.n_objects
+    dom, cod, graphs = cat.mor_dom, cat.mor_cod, cat.graphs
+    isos = cat.isomorphisms()
+    rep, iota = list(range(n)), list(cat.identities)
+    automorphisms: list[list[int]] = [[] for _ in rep]
+    for u in sorted(isos):
+        if dom[u] < rep[cod[u]]:
+            rep[cod[u]], iota[cod[u]] = dom[u], u
+        if dom[u] == cod[u] and u != cat.identities[dom[u]]:
+            automorphisms[dom[u]].append(u)
+    automorphisms = tuple(map(tuple, automorphisms))
+    singletons = IsoClasses(
+        isos, tuple(range(n)), cat.identities, automorphisms, tuple(range(len(dom))), len(dom))
+    if any(rep[dom[u]] != rep[cod[u]] for u in isos):
+        return singletons
+    # f~'s graph: ι_X's graph, then f's, then ι_Y's inverse graph
+    labels = [graphs[u] for u in iota]
+    unlabel = [tuple(sorted(range(len(label)), key=label.__getitem__)) for label in labels]
+    moved, by_graph, between = [], cat._by_graph.get, 0
+    for f, (x, y, graph) in enumerate(zip(dom, cod, graphs)):
+        rx, ry = rep[x], rep[y]
+        if rx == x and ry == y:
+            between += 1
+        else:
+            f = by_graph((rx, ry, tuple(map(unlabel[y].__getitem__, map(graph.__getitem__, labels[x])))))
+            if f is None:
+                return singletons
+        moved.append(f)
+    return IsoClasses(isos, tuple(rep), tuple(iota), automorphisms, tuple(moved), between)
+
+
 def validate_category(cat: FiniteCategory) -> Report:
     """Identity typing, and identity neutrality over the walk ``composites``.
 
@@ -311,12 +381,14 @@ class SubobjectFibration:
     ``subset_fibration`` returns an untabulated twin, which computes the
     morphism fields on their first read (``_TabulatedOnFirstRead``); the
     slots ``_tabulate`` and ``_fstar_formula`` serve only the twin and are
-    unset here.
+    unset here.  The slot ``_transport`` holds ``lattice_transport``'s
+    verdict once read.
     """
 
     __slots__ = (
         "category", "sub", "img", "pre", "eclass", "mclass", "e_pullback_stable",
-        "backend", "name", "subsets", "fstar", "_tabulate", "_fstar_formula", "__weakref__",
+        "backend", "name", "subsets", "fstar", "_tabulate", "_fstar_formula", "_transport",
+        "__weakref__",
     )
 
     def __init__(
@@ -386,6 +458,81 @@ def intern(tables) -> tuple[list[int], dict]:
     """
     index: dict = {}
     return [index.setdefault(t, len(index)) for t in tables], index
+
+
+def inverse_table(table: Sequence[int], size: int) -> Optional[tuple[int, ...]]:
+    """The inverse of ``table`` if it is a bijection onto range(size), else None."""
+    if sorted(table) != list(range(size)):
+        return None
+    return tuple(sorted(range(size), key=table.__getitem__))
+
+
+def carry_rows(rows: Sequence[int], table: Sequence[int]) -> tuple[int, ...]:
+    """The bitmask rows of a relation carried along the bijection ``table``:
+    row table[i] holds bit table[j] exactly when row i holds bit j."""
+    carried = [0] * len(rows)
+    for i, row in enumerate(rows):
+        carried[table[i]] = sum(1 << table[j] for j in mask_iter(row))
+    return tuple(carried)
+
+
+_UNREAD = object()
+
+
+def lattice_transport(fib: SubobjectFibration) -> Optional[tuple[tuple[int, ...], ...]]:
+    """Per object A, the table of U_A = img ι_A (``iso_classes``), the
+    identity at a representative, when the fibration is carried along them:
+
+    - each U_A is a lattice isomorphism sub(rep A) -> sub A, a bijection
+      carrying the order of sub(rep A) onto that of sub A;
+    - every map f: X -> Y has the tables of f~ carried along them:
+      img f~ = U_Y^-1 ∘ img f ∘ U_X, pre f~ = U_X^-1 ∘ pre f ∘ U_Y, and
+      f~_* = U_Y^-1 ∘ f_* ∘ U_X, or both are None.
+
+    None otherwise.  Then whatever is read off the lattices and the tables
+    of f is what is read at f~, carried along the U.  Computed once per
+    fibration and kept in its slot ``_transport``; the tables of f and f~
+    are compared once per (their table objects, U_X, U_Y).
+    """
+    found = getattr(fib, "_transport", _UNREAD)
+    if found is _UNREAD:
+        found = fib._transport = _lattice_transport(fib)
+    return found
+
+
+def _lattice_transport(fib: SubobjectFibration) -> Optional[tuple[tuple[int, ...], ...]]:
+    classes = iso_classes(fib.category)
+    img, pre, fstar, sub = fib.img, fib.pre, fib.fstar, fib.sub
+    units, inverses = [], []
+    for a, (r, i) in enumerate(zip(classes.rep, classes.iota)):
+        unit = inverse = tuple(range(sub[a].size))
+        if r != a:
+            unit = img[i]
+            inverse = inverse_table(unit, sub[a].size)
+            if inverse is None or sub[r].size != sub[a].size or carry_rows(sub[r].up, unit) != sub[a].up:
+                return None
+        units.append(unit)
+        inverses.append(inverse)
+    unit_id, _ = intern(units)
+
+    def carried(table, x, y):
+        """table: sub X -> sub Y as a table sub(rep X) -> sub(rep Y)."""
+        return tuple(map(inverses[y].__getitem__, map(table.__getitem__, units[x])))
+
+    # one map per distinct (table objects of f and f~, U_X, U_Y)
+    ids = [list(map(id, column)) for column in (img, pre, fstar)]
+    keys = zip(
+        *ids, *(map(column.__getitem__, classes.moved) for column in ids),
+        map(unit_id.__getitem__, fib.category.mor_dom), map(unit_id.__getitem__, fib.category.mor_cod))
+    for f in dict(zip(keys, range(len(classes.moved)))).values():
+        g, x, y = classes.moved[f], fib.category.mor_dom[f], fib.category.mor_cod[f]
+        if not (
+            img[g] == carried(img[f], x, y) and pre[g] == carried(pre[f], y, x)
+            and (fstar[f] is None) == (fstar[g] is None)
+            and (fstar[f] is None or fstar[g] == carried(fstar[f], x, y))
+        ):
+            return None
+    return tuple(units)
 
 
 def _preimage_right_adjoint(

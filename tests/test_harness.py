@@ -1445,6 +1445,21 @@ def test_suite_medium_report_matches_the_benchmark_reference():
     assert report.render_text() == (tests / "data" / "golden_suite_medium.txt").read_text()
 
 
+@pytest.mark.parametrize("scale, checked, maps, between", [
+    ("small", 75, 69, 44), ("medium", 11_380, 11_345, 1_476),
+])
+def test_top_map_classes_reads_each_maps_predicates_off_its_representative(
+        scale, checked, maps, between):
+    # map_predicates runs once per map between class representatives; the
+    # counts stay out of the rendered report
+    from topogen.harness.suite import check_top_map_classes
+
+    report = check_top_map_classes(scale)
+    assert report.ok and report.checked == checked
+    assert report.counts == {"maps": maps, "representative_maps": between}
+    assert "representative" not in report.render() and str(maps) not in report.render()
+
+
 def test_suite_reports_a_raising_check_as_failure(monkeypatch, capsys):
     from topogen.cli import main
     from topogen.harness import suite

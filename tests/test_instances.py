@@ -529,6 +529,36 @@ def test_map_predicates_match_the_per_call_reference(fintop2, fintop3, tmp_path)
         assert {getattr(mp, field) for mp in found} == {False, True}
 
 
+def test_transported_map_predicates_equal_every_maps_own(fintop2, fintop3):
+    from topogen.instances.topology import predicate_transport
+    from topogen.site import iso_classes
+
+    for fib in (fintop2, fintop3):
+        moved = predicate_transport(fib)
+        assert moved is iso_classes(fib.category).moved
+        direct = [map_predicates(fib, f) for f in range(fib.category.n_morphisms)]
+        assert [map_predicates(fib, g) for g in moved] == direct, fib.name
+
+
+def test_predicates_off_a_homeomorphism_are_read_map_by_map(fintop2):
+    # the space of sierpinski, not its class's representative, swapped for
+    # the discrete one under the same category: its least iso from
+    # sierpinski_op no longer carries opens onto opens
+    from topogen.instances.topology import _FinTopBackend, predicate_transport
+    from topogen.site import SubobjectFibration, iso_classes
+
+    cat = fintop2.category
+    a = cat.object_index("sierpinski")
+    spaces = list(spaces_of(fintop2))
+    spaces[a] = discrete(2)
+    forged = SubobjectFibration(
+        cat, fintop2.sub, fintop2.img, fintop2.pre, fintop2.eclass, fintop2.mclass,
+        fstar=fintop2.fstar, backend=_FinTopBackend(tuple(spaces), 2), name="forged")
+    assert predicate_transport(forged) == tuple(range(cat.n_morphisms))
+    direct = [map_predicates(forged, f) for f in range(cat.n_morphisms)]
+    assert [direct[g] for g in iso_classes(cat).moved] != direct
+
+
 def test_mask_tables_match_image_and_preimage_masks(fintop2, fintop3, tmp_path):
     from topogen.instances.topology import image_mask, preimage_mask
 

@@ -1269,3 +1269,154 @@ def test_inputs_off_the_hypothesis_take_singleton_classes(fintop2, fintop3):
         "fintop: 56 squares beyond point budget",
         "fintop: 22 squares whose pullback corner is not an object",
     )
+
+
+# ---------------------------------------------------------------------------
+# classifications decided once per isomorphism class of a map's ends
+
+
+def _per_map_classifications(t):
+    """Every morphism's classes from a fresh classifier, one call per map."""
+    from topogen.morphisms import _classifier
+
+    fib = t.fib
+    cat = fib.category
+    return tuple(map(_classifier(t), cat.mor_dom, cat.mor_cod, fib.pre, fib.img, fib.fstar))
+
+
+def _transported_orders(name):
+    """The enumerated orders of the built-in ``name``; a fixed stride of
+    grp_le8's 11,653."""
+    fib = builtin_fibration(name)
+    tables = plan_of(fib, TopogenousOrder).orders.tables()
+    return [TopogenousOrder(fib, rel) for rel in (tables[::1000] if name == "grp_le8" else tables)]
+
+
+@pytest.mark.parametrize("name, n_orders", [
+    ("fintop1", 6), ("fintop2", 11), ("disc2_loop", 6), ("t0_small", 6), ("coreflect_small", 9),
+    ("grp_small", 31), ("grp_le4", 15), ("topgrp_le4", 115), ("fintop3", 17), ("grp_le8", 12),
+])
+def test_transported_classifications_equal_the_per_map_classifier(name, n_orders):
+    from topogen.morphisms import class_transport
+    from topogen.site import iso_classes
+
+    orders = _transported_orders(name)
+    assert len(orders) == n_orders
+    moved = iso_classes(orders[0].fib.category).moved
+    for t in orders:
+        assert classifications(t) == _per_map_classifications(t), name
+        # the fibration and every order are carried along the isos, so each
+        # map reads the classes of its map between representatives
+        assert class_transport(t) is moved, name
+
+
+@pytest.mark.parametrize("name, between, maps", [
+    ("fintop2", 44, 69), ("fintop3", 1_476, 11_345), ("topgrp_le4", 318, 538),
+    ("grp_le8", 1_852, 1_852),
+])
+def test_the_record_counts_the_maps_between_representatives(name, between, maps):
+    from topogen.site import iso_classes
+
+    cat = builtin_fibration(name).category
+    classes = iso_classes(cat)
+    assert (classes.representative_maps, cat.n_morphisms) == (between, maps)
+    assert classes.representative_maps == len(set(classes.moved))
+    assert iso_classes(cat) is classes
+
+
+@pytest.mark.parametrize("name", ["fintop2", "fintop3", "topgrp_le4"])
+def test_the_record_moves_each_map_along_the_least_isos(name):
+    from topogen.site import iso_classes
+
+    cat = builtin_fibration(name).category
+    classes = iso_classes(cat)
+    isos = classes.isomorphisms
+    assert isos == cat.isomorphisms()
+    inverse = {u: v for u in isos for v in isos if cat.mor_dom[v] == cat.mor_cod[u]
+               and cat.compose(v, u) == cat.identities[cat.mor_dom[u]]}
+    for a, (r, i) in enumerate(zip(classes.rep, classes.iota)):
+        into = sorted(u for u in isos if cat.mor_cod[u] == a)
+        assert (r, i) == (cat.mor_dom[into[0]], into[0])
+        assert classes.automorphisms[a] == tuple(
+            u for u in into if cat.mor_dom[u] == a and u != cat.identities[a])
+    if name != "topgrp_le4":
+        assert list(classes.rep) == _homeomorphism_classes(builtin_fibration(name))[0]
+    for f, g in enumerate(classes.moved):
+        x, y = cat.mor_dom[f], cat.mor_cod[f]
+        expected = cat.compose(inverse[classes.iota[y]], cat.compose(f, classes.iota[x]))
+        assert g == expected, (name, cat.mor_names[f])
+
+
+def _fallback(t):
+    """Assert that t's classifications are the per-map classifier's, read
+    with every map its own representative."""
+    from topogen.morphisms import class_transport
+
+    assert class_transport(t) == tuple(range(t.fib.category.n_morphisms))
+    assert classifications(t) == _per_map_classifications(t)
+
+
+def test_an_order_off_transport_is_classified_map_by_map(fintop2):
+    from topogen.site import iso_classes
+
+    cat = fintop2.category
+    classes = iso_classes(cat)
+    t = closure_order(fintop2)
+    a = cat.object_index("sierpinski")
+    assert classes.rep[a] != a
+    # one row of the non-representative object moved: {0} ⊏ {0} dropped
+    rel = list(t.rel)
+    rel[a] = (rel[a][0], rel[a][1] & ~0b10, *rel[a][2:])
+    moved = TopogenousOrder(fintop2, tuple(rel))
+    _fallback(moved)
+    # read through f~, some map would take classes that are not its own
+    expected = _per_map_classifications(moved)
+    assert tuple(map(expected.__getitem__, classes.moved)) != expected
+
+
+def test_a_fibration_off_transport_is_classified_map_by_map(fintop2):
+    from topogen.site import iso_classes, lattice_transport
+
+    cat = fintop2.category
+    classes = iso_classes(cat)
+    assert lattice_transport(fintop2) is not None
+    # one preimage table moved on a map out of sierpinski, which is not its
+    # class's representative
+    broken = _moved_preimage(fintop2, "sierpinski>indiscrete2:00", (0, 0, 0, 3))
+    # f_* dropped on one map into sierpinski, its image and preimage kept
+    f = cat.morphism_index("discrete2>sierpinski:01")
+    assert classes.moved[f] != f and fintop2.fstar[f] is not None
+    no_adjoint = SubobjectFibration(
+        cat, fintop2.sub, fintop2.img, fintop2.pre, fintop2.eclass, fintop2.mclass,
+        fstar=[None if g == f else table for g, table in enumerate(fintop2.fstar)],
+        backend=fintop2.backend, name="no-adjoint")
+    for fib in (broken, no_adjoint):
+        assert lattice_transport(fib) is None, fib.name
+        for order in (closure_order, interior_order):
+            t = TopogenousOrder(fib, order(fintop2).rel)
+            _fallback(t)
+            expected = _per_map_classifications(t)
+            assert tuple(map(expected.__getitem__, classes.moved)) != expected, fib.name
+
+
+def test_a_catalog_without_every_relabelling_is_classified_map_by_map():
+    from topogen.site import iso_classes
+
+    fib = _space_fibration("sierpinski discrete2 discrete3")
+    classes = iso_classes(fib.category)
+    assert classes.representative_maps == fib.category.n_morphisms
+    assert any(classes.automorphisms)
+    for order in (closure_order, interior_order):
+        _fallback(order(fib))
+
+
+def test_one_map_classification_builds_no_record():
+    # classify and classify_map, the CLI's paths, decide one map from its
+    # own tables and never read the isomorphism classes
+    twin = _untabulated_twin("fintop2")
+    t = TopogenousOrder(twin, closure_order(builtin_fibration("fintop2")).rel)
+    classify_map(t, 2, 4, (0, 1))
+    fib = _space_fibration("sierpinski discrete2 pt")
+    classify(fib.category.n_morphisms - 1, closure_order(fib))
+    for cat in (twin.category, fib.category):
+        assert getattr(cat, "_iso_classes", None) is None

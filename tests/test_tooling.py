@@ -202,6 +202,29 @@ def test_one_routine_builds_every_classification():
     assert calls == ["morphisms.py"]
 
 
+def _chooses_representatives(node):
+    """A call of ``isomorphisms()``, or a store into a table named ``rep``
+    or ``iota``: the least-index scan over the isos."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", None) == "isomorphisms"
+    return (
+        isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+        and getattr(node.value, "id", None) in {"rep", "iota"})
+
+
+def test_one_routine_chooses_the_class_representatives():
+    # site.iso_classes is the one record of the isos, the representatives,
+    # the isos ι_A and each map's f~; the pullback sweep, the class calculus
+    # and both transports read it, and a second scan would fork from it
+    choosers = {
+        f"{module}.{node.name}"
+        for module, tree in _src_modules()
+        for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        if any(map(_chooses_representatives, ast.walk(node)))
+    }
+    assert choosers == {"site._iso_classes"}
+
+
 def test_one_fold_finds_every_unclosed_family():
     # structures._fold is the per-object fold that the order predicates and
     # the conversions share; a second caller would decide a row table again
