@@ -397,14 +397,17 @@ def check_top_map_classes(scale: str) -> Report:
             witness=(str(counts), str(counts_again))))
     fib = _fib(name)
     cls = _space_classifications(name)
-    # each map's predicates are those of its map between class representatives
+    # each map's predicates are those of its map between class representatives,
+    # and its verdicts are decided once per (that map, closure record,
+    # interior record)
     moved = predicate_transport(fib)
     predicates = {f: map_predicates(fib, f) for f in sorted(set(moved))}
-    for f, g in enumerate(moved):
-        mp = predicates[g]
-        ccl, cin = cls["closure"][f], cls["interior"][f]
-        checked += 1
-        pairs = (
+    closures, interiors = cls["closure"], cls["interior"]
+    keys = list(zip(moved, map(id, closures), map(id, interiors)))
+    failed = {}
+    for key, f in dict(zip(keys, range(len(keys)))).items():
+        mp, ccl, cin = predicates[key[0]], closures[f], interiors[f]
+        failed[key] = [label for label, a, b in (
             ("open-vs-closure-costrict", mp.open, ccl.costrict),
             ("open-vs-interior-strict", mp.open, cin.strict),
             ("closed-vs-closure-strict", mp.closed, ccl.strict),
@@ -412,10 +415,12 @@ def check_top_map_classes(scale: str) -> Report:
             ("initial-vs-interior-initial", mp.initial_topology, cin.initial),
             ("hq-vs-closure-final", mp.hereditary_quotient, ccl.final),
             ("hq-vs-interior-final", mp.hereditary_quotient, cin.final),
-        )
-        for label, a, b in pairs:
-            if a != b:
-                violations.append(Violation(label, where=fib.category.mor_names[f]))
+        ) if a != b]
+    if any(failed.values()):
+        names = fib.category.mor_names
+        violations += (
+            Violation(label, where=names[f]) for f, key in enumerate(keys) for label in failed[key])
+    checked += len(keys)
     counts = {"maps": len(moved), "representative_maps": len(predicates)}
     return Report("top-map-classes", checked, tuple(violations), counts=counts)
 

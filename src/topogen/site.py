@@ -8,7 +8,7 @@ two morphism classes of a proper factorization system.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
@@ -492,7 +492,9 @@ def lattice_transport(fib: SubobjectFibration) -> Optional[tuple[tuple[int, ...]
     None otherwise.  Then whatever is read off the lattices and the tables
     of f is what is read at f~, carried along the U.  Computed once per
     fibration and kept in its slot ``_transport``; the tables of f and f~
-    are compared once per (their table objects, U_X, U_Y).
+    are compared once per (their table objects, U_X, U_Y).  When every
+    object is its own representative, every f~ is f and every U_A the
+    identity, so nothing is compared.
     """
     found = getattr(fib, "_transport", _UNREAD)
     if found is _UNREAD:
@@ -503,6 +505,9 @@ def lattice_transport(fib: SubobjectFibration) -> Optional[tuple[tuple[int, ...]
 def _lattice_transport(fib: SubobjectFibration) -> Optional[tuple[tuple[int, ...], ...]]:
     classes = iso_classes(fib.category)
     img, pre, fstar, sub = fib.img, fib.pre, fib.fstar, fib.sub
+    if classes.rep == tuple(range(len(sub))):
+        # every f~ is f, and a table carried along identities is itself
+        return tuple(tuple(range(lat.size)) for lat in sub)
     units, inverses = [], []
     for a, (r, i) in enumerate(zip(classes.rep, classes.iota)):
         unit = inverse = tuple(range(sub[a].size))
@@ -555,55 +560,115 @@ def _preimage_right_adjoint(
 def validate_fibration(fib: SubobjectFibration) -> Report:
     """Exhaustive invariant scan; reports all violations with witnesses.
 
-    The per-morphism laws (``_morphism_laws``) read only the two lattices,
-    the two tables, and membership in M and, when E is pullback-stable, in
-    E.  They run once per distinct such key; each fault is reported under
-    every morphism with that key, in morphism order, and ``checked`` counts
-    every morphism's checks.  Monotonicity is tested on the covering pairs
-    of each lattice (``FiniteLattice.covers``), which on a finite order
-    implies it on every comparable pair.
+    The per-morphism laws (``_morphism_laws``: table size and range,
+    image/preimage monotonicity, the adjunction, the M-section and, when E
+    is pullback-stable, the E-retraction) are first certified for the
+    whole fibration (``_law_certificate``).  It holds when every table is
+    the set-level image/preimage along its graph (``fib.subsets``), each
+    lattice is its distinct listed subsets ordered by inclusion, no image
+    or preimage of a listed subset is missing from the list, every map in
+    M has an injective graph and, when E is pullback-stable, every map in
+    E is onto.  Then no law can fail: direct image and preimage are
+    monotone, f(A) ⊆ B iff A ⊆ f^-1(B), f^-1 f(A) = A for injective f and
+    f f^-1(B) = B for onto f; and ``checked`` is the closed sum of the
+    checks the scan would count.  Otherwise the laws run once per distinct
+    key (the two lattices, the two tables, membership in M and in a
+    pullback-stable E); each fault is reported under every morphism with
+    that key, in morphism order, and ``checked`` counts every morphism's
+    checks.  Monotonicity is tested on the covering pairs of each lattice
+    (``FiniteLattice.covers``), which on a finite order implies it on every
+    comparable pair.
 
     Functoriality (img(g∘f) = img g ∘ img f and pre(g∘f) = pre f ∘ pre g
-    for every composable pair) is first certified per morphism: when every
-    table is the set-level image/preimage along its graph (``fib.subsets``)
-    and every composite g∘f exists, both laws hold for every pair, because
-    direct images and preimages compose.  Otherwise
+    for every composable pair) is certified likewise: when every table is
+    the set-level one and every composite g∘f exists, both laws hold for
+    every pair, because direct images and preimages compose.  Otherwise
     ``_functoriality_violations`` compares the pairs that involve a table
     off the set level and alone reports violations.  ``checked`` counts the
-    composable pairs either way.  The report's ``counts`` are the closure
-    certificate's (``_composition_closed``), 0 where it did not run.
+    composable pairs either way.
+
+    The report's ``counts`` are the closure certificate's
+    (``composition_closed``), 0 where it did not run, ``laws_certified``
+    (1 when the law certificate held, else 0) and ``law_keys_scanned``,
+    the keys ``_morphism_laws`` ran on.
     """
     cat = fib.category
     violations = []
-    checked = 0
     counts = dict.fromkeys(_CLOSURE_COUNTS, 0)
+    set_level = _set_level_keys(fib)
+    checked = None if set_level is None else _law_certificate(fib, *set_level)
+    certified = checked is not None
     laws: dict = {}
     unusable = set()
-    for f in range(cat.n_morphisms):
-        lx, ly = fib.sub[cat.mor_dom[f]], fib.sub[cat.mor_cod[f]]
-        key = (
-            id(lx), id(ly), fib.img[f], fib.pre[f],
-            f in fib.mclass, f in fib.eclass and fib.e_pullback_stable,
-        )
-        if key not in laws:
-            laws[key] = _morphism_laws(lx, ly, *key[2:])
-        count, faults = laws[key]
-        checked += count
-        name = cat.mor_names[f]
-        for law, witness in faults:
-            if law.startswith("table-"):
-                unusable.add(f)
-            violations.append(Violation(law, where=name, witness=witness))
+    if not certified:
+        checked = 0
+        for f in range(cat.n_morphisms):
+            lx, ly = fib.sub[cat.mor_dom[f]], fib.sub[cat.mor_cod[f]]
+            key = (
+                id(lx), id(ly), fib.img[f], fib.pre[f],
+                f in fib.mclass, f in fib.eclass and fib.e_pullback_stable,
+            )
+            if key not in laws:
+                laws[key] = _morphism_laws(lx, ly, *key[2:])
+            count, faults = laws[key]
+            checked += count
+            name = cat.mor_names[f]
+            for law, witness in faults:
+                if law.startswith("table-"):
+                    unusable.add(f)
+                violations.append(Violation(law, where=name, witness=witness))
+    counts.update(laws_certified=int(certified), law_keys_scanned=len(laws))
     for x in range(cat.n_objects):
         i = cat.identities[x]
         checked += 1
         ident = tuple(range(fib.sub[x].size))
         if fib.img[i] != ident or fib.pre[i] != ident:
             violations.append(Violation("identity-adjoints", where=cat.object_names[x]))
-    checked += sum(len(cat.morphisms_from[y]) for y in cat.mor_cod)
+    checked += sum(map(len, map(cat.morphisms_from.__getitem__, cat.mor_cod)))
     if not _functoriality_certified(fib, counts):
         violations.extend(_functoriality_violations(fib, unusable))
     return Report(f"fibration {fib.name}", checked, tuple(violations), counts=counts)
+
+
+def _law_certificate(fib: SubobjectFibration, key_ids: Sequence[int], facts) -> Optional[int]:
+    """The number of checks ``_morphism_laws`` counts over every morphism of
+    ``fib`` when none can fail, else None; ``key_ids`` and ``facts`` are
+    ``_key_facts``' for a fibration whose tables are the set-level ones.
+
+    No law fails when each lattice is its listed subsets, distinct and
+    ordered by inclusion (checked once per distinct (lattice, subsets)),
+    no key's table has a -1 entry, every map in M has an injective graph,
+    and, when E is pullback-stable, every map in E is onto.  A map then
+    counts the comparable pairs of both lattices and |sub dom|·|sub cod|
+    adjunction checks, summed per (dom, cod), plus |sub dom| in M and
+    |sub cod| in a pullback-stable E.
+    """
+    cat, sub = fib.category, fib.sub
+    img, pre, onto = facts
+    e = fib.eclass if fib.e_pullback_stable else frozenset()
+    lattices = {(id(lat), masks): lat for lat, masks in zip(sub, fib.subsets)}
+    if not (
+        all(_ordered_by_inclusion(lat, masks) for (_, masks), lat in lattices.items())
+        and not any(-1 in table for column in (img, pre) for table in column)
+        and all(len(set(g)) == len(g) for g in set(map(cat.graphs.__getitem__, fib.mclass)))
+        and all(map(onto.__getitem__, map(key_ids.__getitem__, e)))
+    ):
+        return None
+    sizes = [lat.size for lat in sub]
+    pairs = [lat.comparable_pairs for lat in sub]
+    checked = sum(
+        n * (pairs[x] + pairs[y] + sizes[x] * sizes[y])
+        for (x, y), n in Counter(zip(cat.mor_dom, cat.mor_cod)).items()
+    )
+    checked += sum(map(sizes.__getitem__, map(cat.mor_dom.__getitem__, fib.mclass)))
+    return checked + sum(map(sizes.__getitem__, map(cat.mor_cod.__getitem__, e)))
+
+
+def _ordered_by_inclusion(lat: FiniteLattice, masks: Sequence[int]) -> bool:
+    """Whether ``lat``'s elements are the distinct ``masks``, element i
+    below element j exactly when mask i is inside mask j."""
+    return lat.size == len(masks) == len(set(masks)) and lat.up == tuple(
+        sum(1 << j for j, t in enumerate(masks) if s & ~t == 0) for s in masks)
 
 
 def _morphism_laws(
@@ -839,24 +904,31 @@ class _UntabulatedFibration(_TabulatedOnFirstRead, SubobjectFibration):
         return img, pre, _preimage_right_adjoint(self.sub[cod], self.sub[dom], pre)
 
 
-def _functoriality_certified(fib: SubobjectFibration, counts: Optional[dict] = None) -> bool:
-    """True when every image/preimage table is the set-level one along its
-    graph (``set_level_tables``, memoised per category and subsets, so a
-    fibration tabulated by ``subset_fibration`` is compared against its own
-    table objects) and the category is closed under composition
-    (``_composition_closed``, which fills ``counts``); False sends the
-    caller to ``_functoriality_violations``."""
+def _set_level_keys(fib: SubobjectFibration):
+    """``_key_facts`` of ``fib``'s category and subsets when every image and
+    preimage table is the set-level one along its graph, else None.  The
+    facts are memoised per category and subsets, so a fibration tabulated
+    by ``subset_fibration`` is compared against its own table objects."""
     if fib.subsets is None:
-        return False
-    img, pre = set_level_tables(fib.category, fib.subsets)
-    return img == fib.img and pre == fib.pre and _composition_closed(fib.category, counts)
+        return None
+    key_ids, facts = _key_facts(fib.category, fib.subsets)
+    pick = _picker(key_ids)
+    return (key_ids, facts) if pick(facts[0]) == fib.img and pick(facts[1]) == fib.pre else None
+
+
+def _functoriality_certified(fib: SubobjectFibration, counts: Optional[dict] = None) -> bool:
+    """``validate_fibration``'s functoriality certificate: True when every
+    table is the set-level one (``_set_level_keys``) and the category is
+    closed under composition (``composition_closed``, which fills
+    ``counts``); False sends the caller to ``_functoriality_violations``."""
+    return _set_level_keys(fib) is not None and composition_closed(fib.category, counts)
 
 
 # the closure certificate's counters, in ``Report.counts``
 _CLOSURE_COUNTS = ("domain_graphs", "merged_restrictions", "lookups")
 
 
-def _composition_closed(cat: FiniteCategory, counts: Optional[dict] = None) -> bool:
+def composition_closed(cat: FiniteCategory, counts: Optional[dict] = None) -> bool:
     """True when each composable pair's composite graph belongs to a
     morphism with the right domain and codomain, that is, when ``compose``
     never raises.
@@ -922,7 +994,7 @@ def _functoriality_violations(fib: SubobjectFibration, unusable: set[int]) -> li
     if fib.subsets is None:
         triples = cat.composites()
     else:
-        if not _composition_closed(cat):
+        if not composition_closed(cat):
             deque(cat.composites(), 0)  # raises at the walk's first missing composite
         tables = zip(*set_level_tables(cat, fib.subsets))
         triples = _triples_through(cat, [f for f, t in enumerate(tables) if t != (img[f], pre[f])])

@@ -72,7 +72,11 @@ def test_identity_lift_is_identity(grp_small):
 
 def test_topgrp_functor_validates():
     fd = builtin_functor("topgrp_le4")
-    assert validate_fibered_functor(fd).ok
+    report = validate_fibered_functor(fd)
+    assert report.ok
+    # the composition law is certified: no pair is walked
+    assert report.counts == {"composition_certified": 1, "pairs_walked": 0}
+    assert "certified" not in report.render()
     from topogen.instances.topgroups import validate_topgroup
 
     for tg in fd.total.backend.topgroups:
@@ -192,6 +196,32 @@ def test_mistyped_functor_map_is_reported_not_raised():
     assert list(report.violations) == [
         Violation("functor-typing", where=tcat.mor_names[f]), *composition,
     ]
+    assert report.counts == {"composition_certified": 0, "pairs_walked": pairs}
+
+
+def test_a_map_sent_to_another_graph_goes_through_the_pair_walk():
+    from topogen.constructions import _functor_laws
+
+    fd = builtin_functor("topgrp_le4")
+    tcat, bcat = fd.total.category, fd.base.category
+    # send a map to another homomorphism of its base hom-set: still typed,
+    # but no longer with its own graph
+    f, other = next(
+        (f, b) for f, bf in enumerate(fd.mor_map) if not tcat.is_identity(f)
+        for b in bcat.morphisms_from[bcat.mor_dom[bf]]
+        if bcat.mor_cod[b] == bcat.mor_cod[bf] and bcat.graphs[b] != bcat.graphs[bf]
+    )
+    bad = replace(fd, mor_map=tuple(other if m == f else b for m, b in enumerate(fd.mor_map)))
+    report = validate_fibered_functor(bad)
+    typed, want = _functor_laws("functor", tcat, bcat, bad.obj_map, bad.mor_map)
+    assert all(typed) and want
+    assert {v.law for v in want} == {"functor-composition"}
+    # the walk's violations, then f's tables against its new image's
+    assert list(report.violations[:len(want)]) == want
+    assert {(v.law[-len("compatibility"):], v.where) for v in report.violations[len(want):]} == {
+        ("compatibility", tcat.mor_names[f])}
+    assert report.counts == {"composition_certified": 0, "pairs_walked": 26_755}
+    assert report.checked == validate_fibered_functor(fd).checked
 
 
 def test_lift_rejects_foreign_order(grp_small):

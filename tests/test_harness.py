@@ -1460,6 +1460,44 @@ def test_top_map_classes_reads_each_maps_predicates_off_its_representative(
     assert "representative" not in report.render() and str(maps) not in report.render()
 
 
+@pytest.mark.parametrize("scale", ["small", "medium"])
+def test_top_map_classes_names_each_maps_failed_verdicts_in_map_order(monkeypatch, scale):
+    # `open` flipped on every odd representative map: each map that reads
+    # such a map fails the open comparisons, reported under its own name in
+    # map order, though the verdicts are decided once per record triple
+    from dataclasses import replace
+
+    from topogen.harness import suite
+    from topogen.instances.topology import map_predicates, predicate_transport
+    from topogen.reporting import Violation
+
+    def flipped(fib, f):
+        found = map_predicates(fib, f)
+        return replace(found, open=not found.open) if f % 2 else found
+
+    monkeypatch.setattr(suite, "map_predicates", flipped)
+    report = suite.check_top_map_classes(scale)
+    name = suite.SCALED[scale][0]
+    fib = suite._fib(name)
+    cls = suite._space_classifications(name)
+    want = []
+    for f, g in enumerate(predicate_transport(fib)):
+        mp, ccl, cin = flipped(fib, g), cls["closure"][f], cls["interior"][f]
+        for label, a, b in (
+            ("open-vs-closure-costrict", mp.open, ccl.costrict),
+            ("open-vs-interior-strict", mp.open, cin.strict),
+            ("closed-vs-closure-strict", mp.closed, ccl.strict),
+            ("initial-vs-closure-initial", mp.initial_topology, ccl.initial),
+            ("initial-vs-interior-initial", mp.initial_topology, cin.initial),
+            ("hq-vs-closure-final", mp.hereditary_quotient, ccl.final),
+            ("hq-vs-interior-final", mp.hereditary_quotient, cin.final),
+        ):
+            if a != b:
+                want.append(Violation(label, where=fib.category.mor_names[f]))
+    assert want and list(report.violations) == want
+    assert report.checked == {"small": 75, "medium": 11_380}[scale]
+
+
 def test_suite_reports_a_raising_check_as_failure(monkeypatch, capsys):
     from topogen.cli import main
     from topogen.harness import suite

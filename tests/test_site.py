@@ -200,8 +200,14 @@ def _morphism_laws(report, cat):
 
 
 def _assert_morphism_laws_match_reference(fib):
-    got = _morphism_laws(validate_fibration(fib), fib.category)
+    """``validate_fibration``'s per-morphism laws equal the oracle's; a
+    fibration that breaks one went through the per-key scan, and one that
+    breaks none (every one passed here) was certified without it."""
+    report = validate_fibration(fib)
+    got = _morphism_laws(report, fib.category)
     assert got == _reference_morphism_laws(fib)
+    certified, scanned = report.counts["laws_certified"], report.counts["law_keys_scanned"]
+    assert (certified, scanned > 0) == ((0, True) if got[1] else (1, False))
     return tuple(got[1])
 
 
@@ -256,6 +262,52 @@ def test_per_key_laws_report_a_non_mono_added_to_m(fintop2):
     assert {(v.law, v.where) for v in violations} == {("m-preimage-section", cat.mor_names[const])}
 
 
+def test_a_lattice_not_ordered_by_inclusion_goes_through_the_scan(fintop2):
+    # discrete2's lattice reversed: the subsets and set-level tables are
+    # kept, but a subset now lies below the subsets inside it
+    cat = fintop2.category
+    x = cat.object_index("discrete2")
+    dual = FiniteLattice.from_order(fintop2.sub[x].labels, fintop2.sub[x].down)
+    bad = SubobjectFibration(
+        cat, [dual if y == x else lat for y, lat in enumerate(fintop2.sub)], fintop2.img,
+        fintop2.pre, eclass=fintop2.eclass, mclass=fintop2.mclass, fstar=fintop2.fstar,
+        name="reversed", subsets=fintop2.subsets,
+    )
+    violations = _assert_morphism_laws_match_reference(bad)
+    assert {v.law for v in violations} >= {"image-monotone", "preimage-monotone"}
+
+
+def test_subsets_not_closed_under_images_go_through_the_scan(fintop2):
+    # discrete2 keeps only its empty and whole subsets, ordered by
+    # inclusion; the image of a point in it is missing from the list
+    cat = fintop2.category
+    x = cat.object_index("discrete2")
+    subsets = [(0b00, 0b11) if y == x else masks for y, masks in enumerate(fintop2.subsets)]
+    sub = [FiniteLattice.powerset(1) if y == x else lat for y, lat in enumerate(fintop2.sub)]
+    img, pre = site.set_level_tables(cat, subsets)
+    assert any(-1 in table for table in img)
+    bad = SubobjectFibration(
+        cat, sub, img, pre, eclass=fintop2.eclass, mclass=fintop2.mclass,
+        fstar=[None] * cat.n_morphisms, name="coarse", subsets=subsets,
+    )
+    violations = _assert_morphism_laws_match_reference(bad)
+    assert {v.law for v in violations} == {"table-range"}
+    assert cat.mor_names[cat.morphism_by_graph(cat.object_index("pt"), x, (0,))] in {
+        v.where for v in violations}
+
+
+def test_an_e_map_that_is_not_onto_goes_through_the_scan(fintop2):
+    cat = fintop2.category
+    into = cat.morphism_index("pt>discrete2:0")
+    assert into not in fintop2.eclass
+    bad = SubobjectFibration(
+        cat, fintop2.sub, fintop2.img, fintop2.pre, eclass=fintop2.eclass | {into},
+        mclass=fintop2.mclass, fstar=fintop2.fstar, name="broken", subsets=fintop2.subsets,
+    )
+    violations = _assert_morphism_laws_match_reference(bad)
+    assert {(v.law, v.where) for v in violations} == {("e-image-retraction", "pt>discrete2:0")}
+
+
 @pytest.mark.parametrize(
     "law, row",
     [("table-size", lambda row: row[:2]), ("table-range", lambda row: (*row[:-1], 7))],
@@ -274,6 +326,7 @@ def test_a_malformed_table_is_reported_not_raised(fintop2, law, row):
     report = validate_fibration(bad)
     assert [(v.law, v.where) for v in report.violations] == [(law, cat.mor_names[target])]
     assert _morphism_laws(report, cat) == _reference_morphism_laws(bad)
+    assert report.counts["laws_certified"] == 0 and report.counts["law_keys_scanned"] > 0
 
 
 def test_corrupt_image_table_is_reported(fintop2):
@@ -1127,12 +1180,16 @@ def test_functoriality_exhaustive_at_scale(monkeypatch, fintop3):
     monkeypatch.setattr(site, "_functoriality_violations", _scan_must_not_run)
     report = validate_fibration(fintop3)
     assert report.ok
-    # (x, γ) pairs, restrictions over all (Y, S) merges, and lookups
-    assert report.counts == {"domain_graphs": 823, "merged_restrictions": 901, "lookups": 9919}
+    # (x, γ) pairs, restrictions over all (Y, S) merges, and lookups; the
+    # per-morphism laws are certified, no key scanned
+    assert report.counts == {
+        "domain_graphs": 823, "merged_restrictions": 901, "lookups": 9919,
+        "laws_certified": 1, "law_keys_scanned": 0}
     report = validate_fibration(builtin_fibration("grp_le8"))
     assert report.ok
     assert report.counts == {
-        "domain_graphs": 934, "merged_restrictions": 1458, "lookups": 121_556}
+        "domain_graphs": 934, "merged_restrictions": 1458, "lookups": 121_556,
+        "laws_certified": 1, "law_keys_scanned": 0}
 
 
 def _reference_certified(fib):
