@@ -8,7 +8,7 @@ two morphism classes of a proper factorization system.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
@@ -560,42 +560,44 @@ def _preimage_right_adjoint(
 def validate_fibration(fib: SubobjectFibration) -> Report:
     """Exhaustive invariant scan; reports all violations with witnesses.
 
+    Each family of laws is either certified for the whole fibration or
+    scanned plainly, with nothing in between.  Both certificates need every
+    table to be the set-level image/preimage along its graph
+    (``fib.subsets``, compared through ``_set_level_keys``).
+
     The per-morphism laws (``_morphism_laws``: table size and range,
     image/preimage monotonicity, the adjunction, the M-section and, when E
-    is pullback-stable, the E-retraction) are first certified for the
-    whole fibration (``_law_certificate``).  It holds when every table is
-    the set-level image/preimage along its graph (``fib.subsets``), each
-    lattice is its distinct listed subsets ordered by inclusion, no image
-    or preimage of a listed subset is missing from the list, every map in
-    M has an injective graph and, when E is pullback-stable, every map in
-    E is onto.  Then no law can fail: direct image and preimage are
+    is pullback-stable, the E-retraction) hold for the whole fibration
+    (``_law_certificate``) when, besides the set-level tables, each lattice
+    is its distinct listed subsets ordered by inclusion, no image or
+    preimage of a listed subset is missing from the list, every map in M
+    has an injective graph and, when E is pullback-stable, every map in E
+    is onto.  Then no law can fail: direct image and preimage are
     monotone, f(A) ⊆ B iff A ⊆ f^-1(B), f^-1 f(A) = A for injective f and
     f f^-1(B) = B for onto f; and ``checked`` is the closed sum of the
     checks the scan would count.  Otherwise the laws run once per distinct
     key (the two lattices, the two tables, membership in M and in a
     pullback-stable E); each fault is reported under every morphism with
     that key, in morphism order, and ``checked`` counts every morphism's
-    checks.  Monotonicity is tested on the covering pairs of each lattice
-    (``FiniteLattice.covers``), which on a finite order implies it on every
-    comparable pair.
+    checks.
 
     Functoriality (img(g∘f) = img g ∘ img f and pre(g∘f) = pre f ∘ pre g
-    for every composable pair) is certified likewise: when every table is
-    the set-level one and every composite g∘f exists, both laws hold for
-    every pair, because direct images and preimages compose.  Otherwise
-    ``_functoriality_violations`` compares the pairs that involve a table
-    off the set level and alone reports violations.  ``checked`` counts the
+    for every composable pair) holds when every table is the set-level one
+    and every composite g∘f exists, because direct images and preimages
+    compose.  Otherwise ``_functoriality_violations`` walks every
+    composable pair and alone reports violations.  ``checked`` counts the
     composable pairs either way.
 
     The report's ``counts`` are the closure certificate's
     (``composition_closed``), 0 where it did not run, ``laws_certified``
-    (1 when the law certificate held, else 0) and ``law_keys_scanned``,
-    the keys ``_morphism_laws`` ran on.
+    and ``functoriality_certified`` (1 when that certificate held, else 0)
+    and ``law_keys_scanned``, the keys ``_morphism_laws`` ran on.
     """
     cat = fib.category
     violations = []
     counts = dict.fromkeys(_CLOSURE_COUNTS, 0)
     set_level = _set_level_keys(fib)
+    walk = set_level is None or not composition_closed(cat, counts)
     checked = None if set_level is None else _law_certificate(fib, *set_level)
     certified = checked is not None
     laws: dict = {}
@@ -617,7 +619,10 @@ def validate_fibration(fib: SubobjectFibration) -> Report:
                 if law.startswith("table-"):
                     unusable.add(f)
                 violations.append(Violation(law, where=name, witness=witness))
-    counts.update(laws_certified=int(certified), law_keys_scanned=len(laws))
+    counts.update(
+        laws_certified=int(certified), functoriality_certified=int(not walk),
+        law_keys_scanned=len(laws),
+    )
     for x in range(cat.n_objects):
         i = cat.identities[x]
         checked += 1
@@ -625,7 +630,7 @@ def validate_fibration(fib: SubobjectFibration) -> Report:
         if fib.img[i] != ident or fib.pre[i] != ident:
             violations.append(Violation("identity-adjoints", where=cat.object_names[x]))
     checked += sum(map(len, map(cat.morphisms_from.__getitem__, cat.mor_cod)))
-    if not _functoriality_certified(fib, counts):
+    if walk:
         violations.extend(_functoriality_violations(fib, unusable))
     return Report(f"fibration {fib.name}", checked, tuple(violations), counts=counts)
 
@@ -676,13 +681,12 @@ def _morphism_laws(
     img: tuple[int, ...], pre: tuple[int, ...], in_m: bool, in_e: bool,
 ) -> tuple[int, list[tuple[str, tuple[str, ...]]]]:
     """(checks made, faults as (law, witness)) of one morphism's tables:
-    table size and range, image/preimage monotonicity, the adjunction, the
-    M-section when ``in_m`` and the E-retraction when ``in_e``.  A size or
-    range fault is the only one reported, since the laws would index out of
-    the tables or lattices.  A map is monotone iff it is on the covering
-    pairs (``FiniteLattice.covers``), and one that is not is scanned over
-    every comparable pair for its faults; monotonicity counts one check per
-    comparable pair of each lattice."""
+    table size and range, image/preimage monotonicity on every comparable
+    pair, the adjunction up to its first mismatch, the M-section when
+    ``in_m`` and the E-retraction when ``in_e``.  A size or range fault is
+    the only one reported, since the laws would index out of the tables or
+    lattices.  Monotonicity counts one check per comparable pair of each
+    lattice, the adjunction one per (m, n) pair it compares."""
     if len(img) != lx.size or len(pre) != ly.size:
         return 0, [("table-size", ())]
     for what, table, source, target in (("img", img, lx, ly), ("pre", pre, ly, lx)):
@@ -692,36 +696,23 @@ def _morphism_laws(
     faults = []
     up_x, up_y = lx.up, ly.up
     checked = lx.comparable_pairs + ly.comparable_pairs
-    if not (
-        all(up_y[img[i]] >> img[j] & 1 for i, j in lx.covers)
-        and all(up_x[pre[i]] >> pre[j] & 1 for i, j in ly.covers)
-    ):
-        for i in range(lx.size):
-            for j in mask_iter(up_x[i]):
-                if not ly.leq(img[i], img[j]):
-                    faults.append(("image-monotone", (lx.labels[i], lx.labels[j])))
-        for i in range(ly.size):
-            for j in mask_iter(up_y[i]):
-                if not lx.leq(pre[i], pre[j]):
-                    faults.append(("preimage-monotone", (ly.labels[i], ly.labels[j])))
-    # between monotone maps, img ⊣ pre iff the unit m <= pre img m and the
-    # counit img pre n <= n hold; the (m, n) scan finds the first mismatch
-    if (
-        not faults
-        and all(lx.leq(m, pre[img[m]]) for m in range(lx.size))
-        and all(ly.leq(img[pre[n]], n) for n in range(ly.size))
-    ):
-        checked += lx.size * ly.size
-    else:
-        for m in range(lx.size):
-            for n in range(ly.size):
-                checked += 1
-                if ly.leq(img[m], n) != lx.leq(m, pre[n]):
-                    faults.append(("adjunction", (lx.labels[m], ly.labels[n])))
-                    break
-            else:
-                continue
-            break
+    for i in range(lx.size):
+        for j in mask_iter(up_x[i]):
+            if not ly.leq(img[i], img[j]):
+                faults.append(("image-monotone", (lx.labels[i], lx.labels[j])))
+    for i in range(ly.size):
+        for j in mask_iter(up_y[i]):
+            if not lx.leq(pre[i], pre[j]):
+                faults.append(("preimage-monotone", (ly.labels[i], ly.labels[j])))
+    for m in range(lx.size):
+        for n in range(ly.size):
+            checked += 1
+            if ly.leq(img[m], n) != lx.leq(m, pre[n]):
+                faults.append(("adjunction", (lx.labels[m], ly.labels[n])))
+                break
+        else:
+            continue
+        break
     if in_m:
         for m in range(lx.size):
             checked += 1
@@ -747,7 +738,8 @@ def set_level_tables(
     subsets of cod f, graph), so they are computed once per such key and
     shared by the morphisms with that key, and once per (category, subsets)
     (``_key_facts``): ``subset_fibration``'s tabulation computed them, and
-    its tables are these table objects.
+    its tables are these table objects.  ``validate_fibration`` certifies
+    a fibration's laws only when its tables equal these.
     """
     key_ids, (img, pre, _) = _key_facts(cat, subsets)
     pick = _picker(key_ids)
@@ -850,7 +842,9 @@ def subset_fibration(
     tables, the formula's adjoint and surjectivity are computed once per
     (subsets of dom, subsets of cod, graph) key and shared by its morphisms;
     the tables and surjectivity are ``set_level_tables``' own, shared with
-    it through ``_key_facts``.
+    it through ``_key_facts``, so ``validate_fibration`` certifies such a
+    fibration's laws without scanning them, and its functoriality when
+    ``category`` is closed under composition.
 
     The lattices and subsets are set at once; the tables, E, M and the
     right adjoints are computed on the first read of one of them, which
@@ -906,22 +900,13 @@ class _UntabulatedFibration(_TabulatedOnFirstRead, SubobjectFibration):
 
 def _set_level_keys(fib: SubobjectFibration):
     """``_key_facts`` of ``fib``'s category and subsets when every image and
-    preimage table is the set-level one along its graph, else None.  The
-    facts are memoised per category and subsets, so a fibration tabulated
-    by ``subset_fibration`` is compared against its own table objects."""
-    if fib.subsets is None:
+    preimage table is the set-level one along its graph
+    (``set_level_tables``), else None.  The facts are memoised per category
+    and subsets, so a fibration tabulated by ``subset_fibration`` is
+    compared against its own table objects."""
+    if fib.subsets is None or set_level_tables(fib.category, fib.subsets) != (fib.img, fib.pre):
         return None
-    key_ids, facts = _key_facts(fib.category, fib.subsets)
-    pick = _picker(key_ids)
-    return (key_ids, facts) if pick(facts[0]) == fib.img and pick(facts[1]) == fib.pre else None
-
-
-def _functoriality_certified(fib: SubobjectFibration, counts: Optional[dict] = None) -> bool:
-    """``validate_fibration``'s functoriality certificate: True when every
-    table is the set-level one (``_set_level_keys``) and the category is
-    closed under composition (``composition_closed``, which fills
-    ``counts``); False sends the caller to ``_functoriality_violations``."""
-    return _set_level_keys(fib) is not None and composition_closed(fib.category, counts)
+    return _key_facts(fib.category, fib.subsets)
 
 
 # the closure certificate's counters, in ``Report.counts``
@@ -982,24 +967,13 @@ def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ..
 
 
 def _functoriality_violations(fib: SubobjectFibration, unusable: set[int]) -> list[Violation]:
-    """Image, then preimage, functoriality on the composable pairs in the
-    order of the walk ``composites``, those where g, f or g∘f has tables
-    off the set-level ones (all, with no ``fib.subsets``): direct images
-    and preimages compose.  Pairs with g, f or g∘f in ``unusable`` (tables
-    of the wrong size or with out-of-range entries) are skipped.  A missing
-    composite raises as the walk does, at its first such pair, before any
-    pair is compared."""
-    cat = fib.category
-    img, pre, names = fib.img, fib.pre, cat.mor_names
-    if fib.subsets is None:
-        triples = cat.composites()
-    else:
-        if not composition_closed(cat):
-            deque(cat.composites(), 0)  # raises at the walk's first missing composite
-        tables = zip(*set_level_tables(cat, fib.subsets))
-        triples = _triples_through(cat, [f for f, t in enumerate(tables) if t != (img[f], pre[f])])
+    """Image, then preimage, functoriality on every composable pair, in the
+    order of the walk ``composites``.  Pairs with g, f or g∘f in
+    ``unusable`` (tables of the wrong size or with out-of-range entries)
+    are skipped.  A missing composite raises as the walk does."""
+    img, pre, names = fib.img, fib.pre, fib.category.mor_names
     found = []
-    for g, f, h in triples:
+    for g, f, h in fib.category.composites():
         if g in unusable or f in unusable or h in unusable:
             continue
         if tuple(map(img[g].__getitem__, img[f])) != img[h]:
@@ -1007,26 +981,6 @@ def _functoriality_violations(fib: SubobjectFibration, unusable: set[int]) -> li
         if tuple(map(pre[f].__getitem__, pre[g])) != pre[h]:
             found.append(Violation("preimage-functorial", where=f"{names[g]} o {names[f]}"))
     return found
-
-
-def _triples_through(cat: FiniteCategory, through: Sequence[int]) -> list[tuple[int, int, int]]:
-    """(g, f, g∘f) for the composable pairs in which g, f or g∘f is one of
-    ``through``, in the order of ``composites``; the category must be closed
-    under composition.  A pair with m = g∘f has f out of dom m and g from
-    cod f to cod m."""
-    dom, cod, out = cat.mor_dom, cat.mor_cod, cat.morphisms_from
-    homs: dict = {}
-    for g, ends in enumerate(zip(dom, cod)):
-        homs.setdefault(ends, []).append(g)
-    pairs = set()
-    for m in through:
-        pairs.update((m, g) for g in out[cod[m]])
-        pairs.update((f, m) for f in cat.morphisms_to[dom[m]])
-        pairs.update(
-            (f, g) for f in out[dom[m]] for g in homs.get((cod[f], cod[m]), ())
-            if cat.compose(g, f) == m
-        )
-    return [(g, f, cat.compose(g, f)) for f, g in sorted(pairs)]
 
 
 @dataclass(frozen=True)

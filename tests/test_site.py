@@ -372,8 +372,9 @@ def _unit_and_counit(lx, ly, img, pre):
 
 def test_adjunction_by_unit_and_counit_matches_the_scan_oracle(fintop2):
     # monotone tables of one morphism between 2-point spaces that break only
-    # the unit or only the counit must reach the (m, n) scan, with its first
-    # mismatch as witness and its count of checks
+    # the unit or only the counit: between monotone maps each breaks the
+    # adjunction, and the (m, n) scan must name its first mismatch as
+    # witness and count its checks up to it
     cat = fintop2.category
     target = next(
         f for f in range(cat.n_morphisms)
@@ -452,7 +453,8 @@ def _assert_rejected_as_a_monotone_map(fib, f, moved, error):
     assert getattr(got.value, "witness", None) == getattr(expected.value, "witness", None)
 
 
-def _with_tables(fib, img=None, pre=None):
+def _with_tables(fib, img=None, pre=None, keep_subsets=True):
+    """``fib`` with the given tables; set-level subsets only if kept."""
     return SubobjectFibration(
         category=fib.category,
         sub=fib.sub,
@@ -462,7 +464,7 @@ def _with_tables(fib, img=None, pre=None):
         mclass=fib.mclass,
         fstar=fib.fstar,
         name="broken",
-        subsets=fib.subsets,
+        subsets=fib.subsets if keep_subsets else None,
     )
 
 
@@ -481,6 +483,7 @@ def test_corrupt_composite_table_breaks_functoriality(fintop2, table, law):
     broken[-1] = 0
     tables[h] = tuple(broken)
     report = validate_fibration(_with_tables(fintop2, **{table: tables}))
+    assert report.counts["functoriality_certified"] == 0
     hits = [v.where for v in report.violations if v.law.endswith("-functorial")]
     assert f"{cat.mor_names[g]} o {cat.mor_names[f]}" in hits
     assert all(v.law == law for v in report.violations if v.law.endswith("-functorial"))
@@ -548,6 +551,23 @@ def test_intact_fibrations_are_certified_without_the_scan(monkeypatch, name):
     assert _assert_functoriality_matches_reference(fib) == []
 
 
+@pytest.mark.parametrize(
+    "name", ["fintop2", "grp_small", "disc2_loop", "t0_small", "coreflect_small", "topgrp_le4"],
+)
+def test_the_plain_scan_and_walk_give_the_certified_report(name):
+    from topogen.instances.registry import builtin_fibration
+
+    # without subsets nothing is certified: the per-key laws are scanned
+    # and every composable pair is walked, to the same count and verdict
+    fib = builtin_fibration(name)
+    certified = validate_fibration(fib)
+    assert certified.counts["laws_certified"] == 1 == certified.counts["functoriality_certified"]
+    plain = validate_fibration(_with_tables(fib, keep_subsets=False))
+    assert (plain.checked, plain.violations) == (certified.checked, ())
+    assert plain.counts["laws_certified"] == 0 == plain.counts["functoriality_certified"]
+    assert plain.counts["law_keys_scanned"] > 0
+
+
 def test_functorial_tables_off_the_set_level_ones_go_through_the_scan(monkeypatch, fintop2):
     # relabel discrete2's subobjects by the lattice automorphism swapping {0}
     # and {1}: every table is conjugated, so no pair law breaks, yet the
@@ -574,7 +594,8 @@ def test_functorial_tables_off_the_set_level_ones_go_through_the_scan(monkeypatc
     )
     assert _assert_functoriality_matches_reference(relabelled) == []
     assert scanned == ["broken"]
-    assert validate_fibration(relabelled).ok
+    report = validate_fibration(relabelled)
+    assert report.ok and report.counts["functoriality_certified"] == 0
 
 
 def test_functoriality_scan_matches_reference_on_corrupted_tables(fintop2):
@@ -603,9 +624,11 @@ def test_functoriality_scan_matches_reference_on_corrupted_tables(fintop2):
 
 
 def _reference_violations(fib, unusable):
-    """The pair walk of ``site._functoriality_violations`` over every pair of
-    ``composites``: compared where g, f or g∘f has tables off the set-level
-    ones (every pair without ``subsets``) and none is in ``unusable``."""
+    """The pairs of ``composites`` compared only where g, f or g∘f has
+    tables off the set-level ones (every pair without ``subsets``) and none
+    is in ``unusable``: pairs of set-level tables compose as direct images
+    and preimages do, so ``site._functoriality_violations``, which compares
+    every pair, must report exactly these."""
     cat = fib.category
     img, pre, names = fib.img, fib.pre, cat.mor_names
     off = set(range(cat.n_morphisms))
@@ -1144,7 +1167,8 @@ def test_certificate_rejects_one_corrupted_preimage_entry(fintop3):
         if key in seen and fintop3.pre[f][-1] != 0:
             target = f
         seen.add(key)
-    assert site._functoriality_certified(fintop3)
+    assert site._set_level_keys(fintop3) is not None and _reference_set_level(fintop3)
+    assert site.composition_closed(cat) == _reference_closed(cat) is True
     # the set-level tables are memoised per category, and fintop3's tables
     # are the memo's own objects; the corrupted copy shares the category
     assert subsets in cat._set_level
@@ -1152,7 +1176,7 @@ def test_certificate_rejects_one_corrupted_preimage_entry(fintop3):
     # the preimage of the whole codomain becomes empty
     bad = _corrupt(fintop3, "pre", target, -1, 0)
     assert bad.category is cat and bad.subsets == subsets
-    assert not site._functoriality_certified(bad)
+    assert site._set_level_keys(bad) is None and not _reference_set_level(bad)
 
 
 def test_the_set_level_tables_go_with_their_category():
@@ -1184,26 +1208,28 @@ def test_functoriality_exhaustive_at_scale(monkeypatch, fintop3):
     # per-morphism laws are certified, no key scanned
     assert report.counts == {
         "domain_graphs": 823, "merged_restrictions": 901, "lookups": 9919,
-        "laws_certified": 1, "law_keys_scanned": 0}
+        "laws_certified": 1, "functoriality_certified": 1, "law_keys_scanned": 0}
     report = validate_fibration(builtin_fibration("grp_le8"))
     assert report.ok
     assert report.counts == {
         "domain_graphs": 934, "merged_restrictions": 1458, "lookups": 121_556,
-        "laws_certified": 1, "law_keys_scanned": 0}
+        "laws_certified": 1, "functoriality_certified": 1, "law_keys_scanned": 0}
 
 
-def _reference_certified(fib):
-    """``site._functoriality_certified`` with closure under composition
-    checked per (graph into y, graph out of y) pair: every codomain of a
-    graph out of y needs a morphism with the composed graph from every
-    domain of a graph into y."""
-    cat = fib.category
-    graphs, dom, cod = cat.graphs, cat.mor_dom, cat.mor_cod
+def _reference_set_level(fib):
+    """The set-level half of ``validate_fibration``'s functoriality
+    certificate: ``fib`` has subsets, and every table is the set-level one."""
     if fib.subsets is None:
         return False
-    img, pre = site.set_level_tables(cat, fib.subsets)
-    if tuple(img) != fib.img or tuple(pre) != fib.pre:
-        return False
+    img, pre = site.set_level_tables(fib.category, fib.subsets)
+    return tuple(img) == fib.img and tuple(pre) == fib.pre
+
+
+def _reference_closed(cat):
+    """The closure half: ``site.composition_closed`` checked per (graph into
+    y, graph out of y) pair, where every codomain of a graph out of y needs
+    a morphism with the composed graph from every domain of a graph into y."""
+    graphs, dom, cod = cat.graphs, cat.mor_dom, cat.mor_cod
     cods = [{} for _ in range(cat.n_objects)]
     for h, graph in enumerate(graphs):
         cods[dom[h]].setdefault(graph, set()).add(cod[h])
@@ -1228,7 +1254,8 @@ def test_closure_by_image_restriction_matches_the_pair_oracle(name):
     from topogen.instances.registry import builtin_fibration
 
     fib = builtin_fibration(name)
-    assert site._functoriality_certified(fib) == _reference_certified(fib) is True
+    assert site.composition_closed(fib.category) == _reference_closed(fib.category) is True
+    assert (site._set_level_keys(fib) is not None) == _reference_set_level(fib) is True
 
 
 # -- the per-morphism subset fibration, kept as the reference ------------------
@@ -1396,8 +1423,10 @@ def test_closure_certificate_matches_the_pair_oracle_on_every_cut(name):
         if cat.is_identity(drop):
             continue
         cut = _without(fib, drop)
-        want = _reference_certified(cut)
-        assert site._functoriality_certified(cut) == want, cat.mor_names[drop]
+        want = _reference_closed(cut.category)
+        assert site.composition_closed(cut.category) == want, cat.mor_names[drop]
+        # a cut keeps the set-level tables of the morphisms it keeps
+        assert (site._set_level_keys(cut) is not None) == _reference_set_level(cut) is True
         # classify the cut by the factors f of its missing composites g∘f
         missing = _missing_composites(cut.category)
         assert want == (not missing)
@@ -1421,8 +1450,9 @@ def test_closure_certificate_matches_the_pair_oracle_on_every_topgrp_le4_cut():
     for drop in range(cat.n_morphisms):
         if not cat.is_identity(drop):
             cut = _without(fib, drop)
-            want = _reference_certified(cut)
-            assert site._functoriality_certified(cut) == want, cat.mor_names[drop]
+            want = _reference_closed(cut.category)
+            assert site.composition_closed(cut.category) == want, cat.mor_names[drop]
+            assert (site._set_level_keys(cut) is not None) == _reference_set_level(cut) is True
             verdicts[want] += 1
     assert verdicts[True] and verdicts[False]
 
@@ -1443,7 +1473,8 @@ def test_closure_certificate_merges_the_codomains_that_share_a_graph(fintop2):
     assert len(ys) == 4 and target in reach[ys[0]] and target not in reach[ys[-1]]
     assert cat.morphism_by_graph(x, target, (0, 1)) is None
     assert _missing_composites(cat)
-    assert site._functoriality_certified(cut) is _reference_certified(cut) is False
+    assert site.composition_closed(cat) is _reference_closed(cat) is False
+    assert (site._set_level_keys(cut) is not None) is _reference_set_level(cut) is True
 
 
 
