@@ -49,7 +49,7 @@ from ..structures import (
     validate_structure,
 )
 from ..instances import registry
-from ..instances.groups import groups_of, preserves_normal_subgroups, validate_group
+from ..instances.groups import groups_of, normal_preservation, validate_group
 from ..instances.topgroups import topgrp_fibration, validate_topgroup
 from ..instances.topology import (
     enumerate_topologies,
@@ -433,12 +433,13 @@ def check_grp_map_classes(scale: str) -> Report:
     checked = 0
     strict_only = normal_only = 0
     na = 0
+    preserving = normal_preservation(fib)
     for f, cls in enumerate(_classifications(name, "grp_normal")):
         checked += 1
         if cls.final != (f in fib.eclass):
             violations.append(Violation(
                 "final-vs-surjective", where=fib.category.mor_names[f]))
-        pres = preserves_normal_subgroups(fib, f)
+        pres = preserving[f]
         # a documented finding, not a failure: count each direction separately
         if cls.strict and not pres:
             strict_only += 1

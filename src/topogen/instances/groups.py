@@ -408,16 +408,17 @@ def normal_interval_order(fib: SubobjectFibration):
     return TopogenousOrder(fib, tuple(rel))
 
 
-def preserves_normal_subgroups(fib: SubobjectFibration, f: int) -> bool:
-    """Set-level check: images of normal subgroups are normal."""
-    groups = groups_of(fib)
+def normal_preservation(fib: SubobjectFibration) -> tuple[bool, ...]:
+    """Per map f, whether f sends every normal subgroup of dom f onto a
+    normal subgroup of cod f, read off the image tables: f(N) is
+    ``fib.img[f][k]`` for N at index k of ``fib.subsets`` of dom f, which
+    is the set-level image wherever ``validate_fibration`` certifies it."""
+    normal = [
+        frozenset(k for k, mask in enumerate(subsets) if is_normal(g, mask))
+        for g, subsets in zip(groups_of(fib), fib.subsets)
+    ]
     cat = fib.category
-    graph = cat.graphs[f]
-    gx, gy = groups[cat.mor_dom[f]], groups[cat.mor_cod[f]]
-    for nmask in normal_subgroups(gx):
-        out = 0
-        for e in mask_iter(nmask):
-            out |= 1 << graph[e]
-        if not is_normal(gy, out):
-            return False
-    return True
+    return tuple(
+        normal[y].issuperset(map(img.__getitem__, normal[x]))
+        for x, y, img in zip(cat.mor_dom, cat.mor_cod, fib.img)
+    )

@@ -59,13 +59,14 @@ class FiniteCategory:
     morphisms on the first read of a morphism field (``_TabulatedOnFirstRead``);
     the slots ``_tabulate``, ``_homs`` and ``_sizes`` serve only the twin and
     are unset here.  The slot ``_set_level`` holds ``_key_facts``' memo once
-    it is set, and ``_iso_classes`` the record ``iso_classes`` once read.
+    it is set, ``_iso_classes`` the record ``iso_classes`` once read, and
+    ``_closure`` the verdict and counters of ``composition_closed``.
     """
 
     __slots__ = (
         "object_names", "mor_dom", "mor_cod", "mor_names", "identities", "graphs",
         "_by_graph", "_name_index", "morphisms_from", "morphisms_to", "_tabulate", "_homs",
-        "_sizes", "_set_level", "_iso_classes", "__weakref__",
+        "_sizes", "_set_level", "_iso_classes", "_closure", "__weakref__",
     )
 
     def __init__(
@@ -910,32 +911,67 @@ def _set_level_keys(fib: SubobjectFibration):
 
 
 # the closure certificate's counters, in ``Report.counts``
-_CLOSURE_COUNTS = ("domain_graphs", "merged_restrictions", "lookups")
+_CLOSURE_COUNTS = ("domain_graphs", "orbits", "merged_restrictions", "lookups")
 
 
 def composition_closed(cat: FiniteCategory, counts: Optional[dict] = None) -> bool:
     """True when each composable pair's composite graph belongs to a
     morphism with the right domain and codomain, that is, when ``compose``
-    never raises.
+    never raises.  The verdict and its counters (``_closure_certificate``)
+    are computed on first read and kept in the slot ``_closure``; ``counts``
+    receives the counters."""
+    found = getattr(cat, "_closure", None)
+    if found is None:
+        found = cat._closure = _closure_certificate(cat)
+    if counts is not None:
+        counts.update(found[1])
+    return found[0]
+
+
+def _closure_certificate(cat: FiniteCategory) -> tuple[bool, dict]:
+    """``composition_closed``'s verdict and counters.
 
     g∘f reads g only on the image S of f.  So per object x and distinct
     graph γ out of x, with Y the codomains that carry γ from x, the graphs
     out of every y in Y are restricted to S and merged, their codomains
-    ORed as bitmasks, and each merged restriction r is composed with γ once:
+    ORed as bitmasks, and each merged restriction r is composed with γ:
     every codomain of r needs a morphism from x with the graph r∘γ.  The
-    restrictions are memoised per (y, S), the merges per (Y, S).  ``counts``
-    receives the (x, γ) pairs, the restrictions over all merges and the
-    lookups, up to the first (x, γ) that fails.
+    restrictions are memoised per (y, S), the merges per (Y, S).
+
+    That step runs once per orbit of the graphs out of x under the letters
+    of x (``_permutation_letters``), permutation graphs of endomorphisms of
+    x.  Each γ out of x and letter a first need γ∘a out of x with every
+    codomain of γ; then a permutes the graphs out of x, Y and S are the
+    same along an orbit, and r∘γ₀∘w, for γ₀ the orbit's first graph and w
+    a word in the letters, has every codomain of r by induction on w.
+    ``counts`` holds the (x, γ) pairs and orbits checked, the restrictions
+    over all merges and the lookups, up to the first failure.
     """
-    counts = {} if counts is None else counts
-    counts.update(dict.fromkeys(_CLOSURE_COUNTS, 0))
+    counts = dict.fromkeys(_CLOSURE_COUNTS, 0)
     cods: list[dict] = [{} for _ in range(cat.n_objects)]
     for x, graph, y in zip(cat.mor_dom, cat.graphs, cat.mor_cod):
         cods[x][graph] = cods[x].get(graph, 0) | 1 << y
     restricted, merged = {}, {}
-    for reached in cods:
-        for graph, ys in reached.items():
-            points = tuple(sorted(set(graph)))
+    for x, reached in enumerate(cods):
+        letters, seen = _permutation_letters(x, reached), set()
+        for start, ys in reached.items():
+            if start in seen:
+                continue
+            seen.add(start)
+            orbit = [start]
+            for graph in orbit:
+                here = reached[graph]
+                for letter in letters:
+                    moved = letter(graph)
+                    if here & ~reached.get(moved, 0):
+                        return False, counts
+                    if moved not in seen:
+                        seen.add(moved)
+                        orbit.append(moved)
+            counts["domain_graphs"] += len(orbit)
+            counts["orbits"] += 1
+            counts["lookups"] += len(orbit) * len(letters)
+            points = tuple(sorted(set(start)))
             merge = merged.get((ys, points))
             if merge is None:
                 merge = {}
@@ -949,13 +985,33 @@ def composition_closed(cat: FiniteCategory, counts: Optional[dict] = None) -> bo
                 merge = merged[ys, points] = tuple(merge.items())
                 counts["merged_restrictions"] += len(merge)
             position = {v: k for k, v in enumerate(points)}
-            compose = _picker([position[v] for v in graph])
-            counts["domain_graphs"] += 1
+            compose = _picker([position[v] for v in start])
             counts["lookups"] += len(merge)
             for restriction, targets in merge:
                 if targets & ~reached.get(compose(restriction), 0):
-                    return False
-    return True
+                    return False, counts
+    return True, counts
+
+
+def _permutation_letters(x: int, reached: dict) -> list[Callable]:
+    """Pickers of a generating set of the group that the permutation graphs
+    among ``reached``, the graphs out of x with their codomain masks, that
+    reach x generate under tuple composition.  A graph is kept, in
+    ``reached``'s order, when those kept before it do not generate it."""
+    letters: list[tuple[int, ...]] = []
+    group: set = set()
+    for graph, ys in reached.items():
+        # a permutation, and not the identity
+        if ys >> x & 1 and graph not in group and sorted(graph) == [*range(len(graph))] != [*graph]:
+            letters.append(graph)
+            group, words = set(letters), list(letters)
+            for p in words:
+                for letter in letters:
+                    word = tuple(map(p.__getitem__, letter))
+                    if word not in group:
+                        group.add(word)
+                        words.append(word)
+    return list(map(_picker, letters))
 
 
 def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:

@@ -157,14 +157,29 @@ class _Structure:
 
 class _Pull(dict):
     """pull_f for one preimage table ``pre``: the mask S maps to
-    {n : pre[n] ∈ S}; filled on first use."""
+    {n : pre[n] ∈ S}, filled on first use as the union of the fibres
+    {n : pre[n] = p} over the values p in S.  ``fibres`` holds the fibre of
+    each p up to the largest value (0 where p is no value), ``values`` the
+    values as a mask."""
+
+    __slots__ = ("pre", "fibres", "values")
 
     def __init__(self, pre: tuple[int, ...]):
         super().__init__()
         self.pre = pre
+        self.values = sum(1 << p for p in set(pre))
+        fibres = [0] * (max(pre, default=-1) + 1)
+        for n, p in enumerate(pre):
+            fibres[p] |= 1 << n
+        self.fibres = tuple(fibres)
 
     def __missing__(self, s: int) -> int:
-        pulled = self[s] = sum(1 << n for n, p in enumerate(self.pre) if s >> p & 1)
+        fibres, pulled, rest = self.fibres, 0, s & self.values
+        while rest:
+            low = rest & -rest
+            pulled |= fibres[low.bit_length() - 1]
+            rest ^= low
+        self[s] = pulled
         return pulled
 
 

@@ -83,6 +83,27 @@ def test_topgrp_functor_validates():
         assert validate_topgroup(tg).ok
 
 
+def test_the_total_category_is_certified_closed_once(monkeypatch):
+    from topogen import site
+    from topogen.instances.topgroups import topgrp_fibration
+    from topogen.site import validate_fibration
+
+    # a fresh functor: the built-in one may carry its verdict already
+    fd = topgrp_fibration.__wrapped__()
+    seen = []
+    certificate = site._closure_certificate
+    monkeypatch.setattr(site, "_closure_certificate", lambda cat: seen.append(cat) or certificate(cat))
+    fibration, functor = validate_fibration(fd.total), validate_fibered_functor(fd)
+    assert fibration.ok and functor.ok
+    # the functor reads the verdict its total category keeps
+    assert len(seen) == 1 and seen[0] is fd.total.category
+    assert fibration.counts["functoriality_certified"] == 1
+    assert functor.counts == {"composition_certified": 1, "pairs_walked": 0}
+    counts = {}
+    assert site.composition_closed(fd.total.category, counts) and len(seen) == 1
+    assert counts == {key: fibration.counts[key] for key in site._CLOSURE_COUNTS}
+
+
 def test_topgrp_fibres_are_the_base_lattices():
     fd = builtin_functor("topgrp_le4")
     assert all(lat is fd.base.sub[fx] for lat, fx in zip(fd.total.sub, fd.obj_map))

@@ -10,8 +10,8 @@ from topogen.instances.groups import (
     groups_of,
     homs,
     is_normal,
+    normal_preservation,
     normal_subgroups,
-    preserves_normal_subgroups,
     subgroup_label,
     subgroups_of,
     symmetric3,
@@ -38,6 +38,7 @@ from topogen.instances.registry import (
     builtin_order,
     builtin_space,
 )
+from topogen.lattice import mask_iter
 from topogen.site import factorize
 
 
@@ -334,7 +335,38 @@ def test_sign_map_exists_and_preserves_normals(grp_small):
         if cat.mor_dom[f] == s3 and cat.mor_cod[f] == z2 and len(set(cat.graphs[f])) == 2
     ]
     assert len(signs) == 1
-    assert preserves_normal_subgroups(grp_small, signs[0])
+    assert _preserves_normal_subgroups(grp_small, signs[0])
+    assert normal_preservation(grp_small)[signs[0]]
+
+
+def _preserves_normal_subgroups(fib, f):
+    """Set-level: the image of each normal subgroup of dom f is normal in
+    cod f."""
+    groups = groups_of(fib)
+    cat = fib.category
+    graph = cat.graphs[f]
+    gx, gy = groups[cat.mor_dom[f]], groups[cat.mor_cod[f]]
+    for nmask in normal_subgroups(gx):
+        out = 0
+        for e in mask_iter(nmask):
+            out |= 1 << graph[e]
+        if not is_normal(gy, out):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["grp_small", "grp_le4", "grp_le8"])
+def test_normal_preservation_off_the_image_tables_matches_the_set_level_check(name):
+    fib = builtin_fibration(name)
+    cat = fib.category
+    preserving = normal_preservation(fib)
+    assert len(preserving) == cat.n_morphisms
+    for f in range(cat.n_morphisms):
+        assert preserving[f] == _preserves_normal_subgroups(fib, f), cat.mor_names[f]
+    # both verdicts occur, except on grp_le4, whose groups are all abelian:
+    # there every subgroup is normal, and so is every image
+    assert 0 < sum(preserving) <= cat.n_morphisms
+    assert (sum(preserving) == cat.n_morphisms) == (name == "grp_le4")
 
 
 def _normal_by_conjugation(g, mask):
@@ -361,7 +393,7 @@ def test_preserves_normal_subgroups_matches_an_uncached_loop():
                     if n >> e & 1:
                         image |= 1 << graph[e]
                 expected = expected and _normal_by_conjugation(gy, image)
-        assert preserves_normal_subgroups(fib, f) == expected, cat.mor_names[f]
+        assert _preserves_normal_subgroups(fib, f) == expected, cat.mor_names[f]
         preserving += expected
     # both verdicts occur
     assert 0 < preserving < cat.n_morphisms

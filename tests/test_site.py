@@ -1204,15 +1204,17 @@ def test_functoriality_exhaustive_at_scale(monkeypatch, fintop3):
     monkeypatch.setattr(site, "_functoriality_violations", _scan_must_not_run)
     report = validate_fibration(fintop3)
     assert report.ok
-    # (x, γ) pairs, restrictions over all (Y, S) merges, and lookups; the
-    # per-morphism laws are certified, no key scanned
+    # (x, γ) pairs, their orbits under the permutation letters, restrictions
+    # over all (Y, S) merges, and lookups; the per-morphism laws are
+    # certified, no key scanned
     assert report.counts == {
-        "domain_graphs": 823, "merged_restrictions": 901, "lookups": 9919,
+        "domain_graphs": 823, "orbits": 648, "merged_restrictions": 901, "lookups": 7885,
         "laws_certified": 1, "functoriality_certified": 1, "law_keys_scanned": 0}
+    # C2^3's 168 automorphisms fold its 512 graphs out into few orbits
     report = validate_fibration(builtin_fibration("grp_le8"))
     assert report.ok
     assert report.counts == {
-        "domain_graphs": 934, "merged_restrictions": 1458, "lookups": 121_556,
+        "domain_graphs": 934, "orbits": 194, "merged_restrictions": 1458, "lookups": 9502,
         "laws_certified": 1, "functoriality_certified": 1, "law_keys_scanned": 0}
 
 
@@ -1412,7 +1414,7 @@ def _missing_composites(cat):
     ]
 
 
-@pytest.mark.parametrize("name", ["fintop2", "grp_small"])
+@pytest.mark.parametrize("name", ["fintop2", "grp_small", "grp_le4"])
 def test_closure_certificate_matches_the_pair_oracle_on_every_cut(name):
     from topogen.instances.registry import builtin_fibration
 
@@ -1455,6 +1457,46 @@ def test_closure_certificate_matches_the_pair_oracle_on_every_topgrp_le4_cut():
             assert (site._set_level_keys(cut) is not None) == _reference_set_level(cut) is True
             verdicts[want] += 1
     assert verdicts[True] and verdicts[False]
+
+
+def test_closure_orbits_run_over_permutation_letters_only():
+    # x has two points, its identity and the constant endomap c = (0, 0);
+    # c also goes to y, and y's map q to z has no composite q∘c from x.
+    # The orbit of the identity under c would hold c, with the identity's
+    # image and codomains, and hide the pair (q, c): only permutations
+    # keep an orbit's image and codomains
+    cat = FiniteCategory(
+        ("x", "y", "z"), (0, 0, 0, 1, 1, 2), (0, 0, 1, 1, 2, 2),
+        ("id_x", "c", "p", "id_y", "q", "id_z"), (0, 3, 5),
+        ((0, 1), (0, 0), (0, 0), (0,), (0,), (0,)),
+    )
+    assert _missing_composites(cat) == [(4, 2)]
+    assert site.composition_closed(cat) is _reference_closed(cat) is False
+
+
+@pytest.mark.parametrize("name", ["grp_le4", "grp_le8", "fintop3"])
+def test_permutation_letters_generate_every_automorphism(name):
+    from topogen.instances.registry import builtin_fibration
+
+    # each object's letters generate, by tuple composition, the graphs of
+    # all its automorphisms; more letters than generators may be kept
+    cat = builtin_fibration(name).category
+    automorphisms = site.iso_classes(cat).automorphisms
+    sizes = []
+    for x in range(cat.n_objects):
+        reached = {}
+        for f in cat.morphisms_from[x]:
+            reached[cat.graphs[f]] = reached.get(cat.graphs[f], 0) | 1 << cat.mor_cod[f]
+        letters = site._permutation_letters(x, reached)
+        words, frontier = set(), {cat.graphs[cat.identities[x]]}
+        while frontier:
+            words |= frontier
+            frontier = {letter(word) for word in frontier for letter in letters} - words
+        assert words == {cat.graphs[u] for u in (cat.identities[x], *automorphisms[x])}
+        sizes.append(len(words))
+    if name == "grp_le8":
+        # GL(3, 2), the automorphisms of C2^3
+        assert max(sizes) == 168
 
 
 def test_closure_certificate_merges_the_codomains_that_share_a_graph(fintop2):

@@ -26,6 +26,7 @@ from topogen.structures import (
     nbhd_from_topogenous,
     plan_of,
     predicates,
+    pull_along,
     topogenous_from_closure,
     topogenous_from_interior,
     topogenous_from_nbhd,
@@ -915,3 +916,36 @@ def test_conversions_to_orders_match_the_bound_formula(name):
         assert convert(op).rel == _rows_by_bounds(op)
         kinds.add(type(op))
     assert kinds == {ClosureOperator, InteriorOperator}
+
+
+def _assert_pulls_by_definition(table, size):
+    """pull_along(table) on every mask S over ``size`` values, from a fresh
+    pull and from the memoised one, is {n : table[n] ∈ S}."""
+    fresh, memoised = pull_along.__wrapped__(table), pull_along(table)
+    for s in range(1 << size):
+        want = sum(1 << n for n, p in enumerate(table) if s >> p & 1)
+        assert fresh[s] == memoised[s] == want, (table, s)
+
+
+@pytest.mark.parametrize("name", ["fintop2", "grp_small", "grp_le4"])
+def test_pull_along_unions_the_fibres_of_every_preimage_and_right_adjoint_table(name):
+    fib = builtin_fibration(name)
+    cat = fib.category
+    tables = set()
+    for f in range(cat.n_morphisms):
+        tables.add((fib.pre[f], fib.sub_dom(f).size))
+        if fib.fstar[f] is not None:
+            tables.add((fib.fstar[f], fib.sub_cod(f).size))
+    # some value of a table's range is not taken, and some is taken twice
+    assert any(len(set(t)) < len(t) for t, _ in tables)
+    assert any(len(set(t)) < size for t, size in tables)
+    for table, size in tables:
+        _assert_pulls_by_definition(table, size)
+
+
+@pytest.mark.parametrize("table", [(), (0,), (2, 2, 0), (3, 0, 3, 3), (1, 4, 1, 0, 4)])
+def test_pull_along_unions_the_fibres_of_hand_tables(table):
+    # repeated values, unused values below the largest, and masks S with
+    # bits above it
+    _assert_pulls_by_definition(table, max(table, default=0) + 2)
+
