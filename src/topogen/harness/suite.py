@@ -35,7 +35,7 @@ from ..morphisms import (
     weakly_final_formulas,
 )
 from ..reporting import Report, Violation, merge
-from ..site import validate_category, validate_fibration
+from ..site import iso_classes, validate_category, validate_fibration
 from ..structures import (
     CORRESPONDENCE,
     KINDS,
@@ -397,9 +397,9 @@ def check_top_map_classes(scale: str) -> Report:
             witness=(str(counts), str(counts_again))))
     fib = _fib(name)
     cls = _space_classifications(name)
-    # each map's predicates are those of its map between class representatives,
-    # and its verdicts are decided once per (that map, closure record,
-    # interior record)
+    # each map's predicates are those of the head of its orbit between class
+    # representatives, and its verdicts are decided once per (that head,
+    # closure record, interior record)
     moved = predicate_transport(fib)
     predicates = {f: map_predicates(fib, f) for f in sorted(set(moved))}
     closures, interiors = cls["closure"], cls["interior"]
@@ -421,7 +421,9 @@ def check_top_map_classes(scale: str) -> Report:
         violations += (
             Violation(label, where=names[f]) for f, key in enumerate(keys) for label in failed[key])
     checked += len(keys)
-    counts = {"maps": len(moved), "representative_maps": len(predicates)}
+    counts = {
+        "maps": len(moved), "representative_maps": iso_classes(fib.category).representative_maps,
+        "orbit_maps": len(predicates)}
     return Report("top-map-classes", checked, tuple(violations), counts=counts)
 
 

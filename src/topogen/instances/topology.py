@@ -16,7 +16,9 @@ from typing import Iterator, Sequence
 from ..errors import CapabilityError, DomainError, PreconditionError
 from ..lattice import FiniteLattice, mask_iter
 from ..constructions import Endofunctor
-from ..site import SubobjectFibration, concrete_category, iso_classes, subset_fibration
+from ..site import (
+    SubobjectFibration, automorphism_orbits, concrete_category, iso_classes, subset_fibration,
+)
 from ..structures import (
     ClosureOperator,
     InteriorOperator,
@@ -482,20 +484,29 @@ def map_predicates(fib: SubobjectFibration, f: int) -> MapPredicates:
 
 
 def predicate_transport(fib: SubobjectFibration) -> tuple[int, ...]:
-    """Per morphism f, the morphism whose ``map_predicates`` are f's: f~ of
-    ``site.iso_classes`` when each ι_A's graph carries the opens of rep A
-    onto the opens of A, f itself otherwise.  Then each ι_A is a
-    homeomorphism, and being open, closed, initial or a hereditary quotient,
-    read on the spaces and the graph alone, moves along it."""
+    """Per morphism f, the morphism whose ``map_predicates`` are f's.
+    Being open, closed, initial or a hereditary quotient is read on the
+    spaces and the graph alone, so it moves along homeomorphisms at either
+    end.  f reads f~ of ``site.iso_classes`` when each ι_A's graph carries
+    the opens of rep A onto the opens of A, and the head of f~'s orbit
+    (``site.automorphism_orbits``) when besides each letter's graph carries
+    the opens of its object onto themselves; f itself otherwise."""
     spaces = spaces_of(fib)
-    classes = iso_classes(fib.category)
-    graphs = fib.category.graphs
-    if all(
-        {image_mask(graphs[i], u) for u in spaces[r].opens} == spaces[a].open_set
-        for a, (r, i) in enumerate(zip(classes.rep, classes.iota)) if r != a
-    ):
-        return classes.moved
-    return tuple(range(len(classes.moved)))
+    cat = fib.category
+    classes = iso_classes(cat)
+
+    def homeomorphic(u, source, target):
+        opens = {image_mask(cat.graphs[u], v) for v in spaces[source].opens}
+        return opens == spaces[target].open_set
+
+    isos = zip(classes.rep, classes.iota)
+    if not all(homeomorphic(i, r, a) for a, (r, i) in enumerate(isos) if r != a):
+        return tuple(range(len(classes.moved)))
+    orbits = automorphism_orbits(cat)
+    if orbits.letters is not None and all(
+            homeomorphic(u, x, x) for x, letters in enumerate(orbits.letters) for u in letters):
+        return orbits.head
+    return classes.moved
 
 
 def map_predicates_by_graph(

@@ -28,16 +28,19 @@ domain, codomain and tables: ``classify`` asks it for one morphism,
 every morphism of an order, and every per-order statement reads the latter.
 
 The classes are categorical, so they do not change when a map's ends are
-replaced by isomorphic objects.  ``classifications`` decides each map
-f: X -> Y through f~ = ι_Y^-1 ∘ f ∘ ι_X, with ι_A: rep A -> A the
-least-index iso from A's class representative (``site.iso_classes``),
-once per f~: 1,476 of fintop3's 11,345 maps.  It does so only where that is
-exact, checked on every call (``class_transport``): the fibration is
-carried along the lattice isomorphisms U_A = img ι_A, image, preimage and
-f_* tables alike (``site.lattice_transport``, once per fibration), and so
-is the order, rel_A being rel_{rep A} carried along U_A.  Elsewhere every
-map is classified on its own.  ``classify`` and ``classify_map`` read no
-classes.
+replaced by isomorphic objects, or when it is composed with automorphisms
+of its ends.  ``classifications`` decides each map f: X -> Y through
+f~ = ι_Y^-1 ∘ f ∘ ι_X, with ι_A: rep A -> A the least-index iso from A's
+class representative (``site.iso_classes``), and through the head of f~'s
+orbit under Aut(rep X) × Aut(rep Y) (``site.automorphism_orbits``), once
+per head: 661 of fintop3's 11,345 maps, 394 of grp_le8's 1,852.  It does
+so only where that is exact, checked on every call (``class_transport``):
+the fibration is carried along the lattice isomorphisms U_A = img ι_A,
+image, preimage and f_* tables alike (``site.lattice_transport``, once per
+fibration), and along the letters of each Aut(rep A)
+(``site.orbit_transport``), and so is the order.  Where only the first
+holds, f reads f~; elsewhere every map is classified on its own.
+``classify`` and ``classify_map`` read no classes.
 
 The calculus of the classes and their ascent and descent across pullback
 squares is one table, ``LAWS``: per scope (isos, composable pairs, single
@@ -56,7 +59,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import factorial
 from operator import and_, attrgetter, or_
 from typing import Optional
@@ -74,13 +77,14 @@ from .structures import (
 from .site import (
     PullbackSquare,
     SubobjectFibration,
+    automorphism_orbits,
     carry_rows,
     check_bcp,
     fibre_masks,
     intern,
-    inverse_table,
     iso_classes,
     lattice_transport,
+    orbit_transport,
 )
 
 
@@ -169,29 +173,45 @@ def classify_map(t: TopogenousOrder, x: int, y: int, graph: tuple[int, ...]) -> 
 
 
 def class_transport(t: TopogenousOrder) -> tuple[int, ...]:
-    """Per morphism f, the morphism whose classes under t are f's: f~ of
-    ``site.iso_classes`` when the fibration is carried along the lattice
-    isomorphisms U_A = img ι_A (``site.lattice_transport``) and so is t,
-    rel_A being rel_{rep A} carried along U_A at each object A; f itself
-    otherwise.  Then every row ``_classifier`` compares at f is the row it
-    compares at f~, carried along U_X or U_Y, so the flags agree."""
+    """Per morphism f, the morphism whose classes under t are f's.
+
+    - When the fibration is carried along the lattice isomorphisms
+      U_A = img ι_A (``site.lattice_transport``) and so is t, rel_A being
+      rel_{rep A} carried along U_A at each object A, every row
+      ``_classifier`` compares at f is the row it compares at f~
+      (``site.iso_classes``), carried along U_X or U_Y, so the flags agree.
+    - When besides the fibration is carried along the letters of each
+      representative (``site.orbit_transport``) and so is t, rel_X carried
+      along each letter's V = img a being rel_X, each step of the orbit
+      walk carries the rows along V or W as well: f reads the head of f~'s
+      orbit (``site.automorphism_orbits``).
+
+    f~ where only the first holds, f itself where neither does."""
     fib = t.fib
-    classes = iso_classes(fib.category)
+    cat = fib.category
+    classes = iso_classes(cat)
     units = lattice_transport(fib)
-    if units is not None and all(
-        carry_rows(t.rel[r], units[a]) == t.rel[a] for a, r in enumerate(classes.rep) if r != a
+    if units is None or any(
+        carry_rows(t.rel[r], units[a]) != t.rel[a] for a, r in enumerate(classes.rep) if r != a
     ):
-        return classes.moved
-    return tuple(range(len(classes.moved)))
+        return tuple(range(len(classes.moved)))
+    orbits = automorphism_orbits(cat)
+    if orbit_transport(fib) and all(
+        carry_rows(t.rel[x], fib.img[a]) == t.rel[x]
+        for x, letters in enumerate(orbits.letters) for a in letters
+    ):
+        return orbits.head
+    return classes.moved
 
 
 def classifications(t: TopogenousOrder) -> tuple[MorphismClassification, ...]:
     """The classes of every morphism under t, in morphism order.  One
     classifier, from its row memos, decides each distinct map of
     ``class_transport(t)`` once, and every morphism f reads the record of
-    its map: f~ where the fibration's tables and t are carried along the
-    isos ι_A, which ``class_transport`` checks on every call, f itself
-    where they are not."""
+    its map: the head of f~'s orbit where the fibration's tables and t are
+    carried along the isos ι_A and the letters, f~ where only along the
+    ι_A, which ``class_transport`` checks on every call, f itself where
+    they are not."""
     fib = t.fib
     cat = fib.category
     moved = class_transport(t)
@@ -373,32 +393,41 @@ _BUDGET, _NO_CORNER = "beyond point budget", "whose pullback corner is not an ob
 _NO_BCP = "without the Beck-Chevalley equality"
 
 
-def _class_weights(fib: SubobjectFibration, img_id, pre_id, flag_id) -> tuple[int, ...]:
-    """Per object, the size of its isomorphism class at the class's
-    representative and 0 at its other objects, when the E∪M sweep may count
-    pullback squares by the classes of their corners; 1 per object, that is
-    singleton classes, when it may not.
+def _class_weights(fib: SubobjectFibration, flag_id) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(per object, per map) weights of the E∪M sweep.  Per object, the size
+    of its isomorphism class at the class's representative and 0 at its
+    other objects; per map p, the size of its orbit under the automorphisms
+    of its ends (``site.automorphism_orbits``) at the orbit's head and 0 at
+    its other maps, when the sweep may count pullback squares by the
+    classes of their corners and the orbit of p; 1 everywhere, that is
+    singleton classes and orbits, when it may not.
 
     The classes, each representative rep A, the isos ι_A: rep A -> A and
     each map's f~ = ι_Y^-1 ∘ f ∘ ι_X are ``site.iso_classes``'.  With
     ``flag_id`` the interned class flags of each map in every order, the
-    classes are used when
+    weights are used when
 
-    - H1: f~ is in E∪M exactly when f is;
-    - H2: f~ has the flags of f, and g∘α those of g, for every map g between
-      representatives and non-identity automorphism α of dom g;
+    - H1: f~ is in E∪M exactly when f is, and so is each composite of a
+      move of the orbit walk, m∘a or b∘m for a letter a of dom m or b of
+      cod m, exactly when m is;
+    - H2: f~ and each such composite have the flags of f and of m;
     - H3: the fibration is carried along the U_A = img ι_A
-      (``site.lattice_transport``); each img α is a bijection, with
-      img(g∘α) = img g ∘ img α and pre(g∘α) = (img α)^-1 ∘ pre g;
+      (``site.lattice_transport``) and along the letters
+      (``site.orbit_transport``): each img α of an automorphism α of a
+      representative is a lattice automorphism, img(g∘α) = img g ∘ img α,
+      pre(g∘α) = (img α)^-1 ∘ pre g, img(α∘g) = img α ∘ img g and
+      pre(α∘g) = pre g ∘ (img α)^-1;
     - H4: the isos out of each representative A have |A|! distinct graphs:
       |class A|·|Aut A| = |A|!, and each relabelling of A is one object.
+
+    The letters generate each Aut A, so H1 and H2 along the moves give them
+    for every automorphism at either end.
     """
     cat = fib.category
-    ones = (1,) * cat.n_objects
+    ones = ((1,) * cat.n_objects, (1,) * cat.n_morphisms)
     classes = iso_classes(cat)
     rep, moved = classes.rep, classes.moved
-    dom, cod, graphs, by_graph = cat.mor_dom, cat.mor_cod, cat.graphs, cat.morphism_by_graph
-    img, pre, sub = fib.img, fib.pre, fib.sub
+    dom, graphs = cat.mor_dom, cat.graphs
     relabellings = [[] for _ in rep]
     for u in classes.isomorphisms:
         if rep[dom[u]] == dom[u]:
@@ -406,37 +435,20 @@ def _class_weights(fib: SubobjectFibration, img_id, pre_id, flag_id) -> tuple[in
     if any(
         not len(relabellings[a]) == len(set(relabellings[a])) == factorial(len(graphs[i]))
         for a, i in enumerate(cat.identities) if rep[a] == a
-    ) or lattice_transport(fib) is None:
+    ) or lattice_transport(fib) is None or not orbit_transport(fib):
         return ones
     em = fib.eclass | fib.mclass
     if any(flag_id[g] != flag_id[f] or (g in em) != (f in em) for f, g in enumerate(moved) if g != f):
         return ones
-    # H2 and H3 along each automorphism α of a representative, the tables
-    # decided once per (table ids of g and g∘α, α)
-    agree = {}
-    for r, alphas in enumerate(classes.automorphisms):
-        if rep[r] != r:
-            continue
-        for alpha in alphas:
-            v = img[alpha]
-            v_inverse = inverse_table(v, sub[r].size)
-            if v_inverse is None:
+    orbits = automorphism_orbits(cat)
+    for _, maps, composites in (*orbits.precomposed, *orbits.postcomposed):
+        for fact in (flag_id.__getitem__, em.__contains__):
+            if list(map(fact, maps)) != list(map(fact, composites)):
                 return ones
-            for g in cat.morphisms_from[r]:
-                s = cod[g]
-                if rep[s] != s:
-                    continue
-                h = by_graph(r, s, tuple(map(graphs[g].__getitem__, graphs[alpha])))
-                if h is None or flag_id[h] != flag_id[g]:
-                    return ones
-                key = (img_id[g], pre_id[g], img_id[h], pre_id[h], alpha)
-                if key not in agree:
-                    agree[key] = img[h] == tuple(map(img[g].__getitem__, v)) and pre[h] == tuple(
-                        map(v_inverse.__getitem__, pre[g]))
-                if not agree[key]:
-                    return ones
     sizes = Counter(rep)
-    return tuple(sizes[a] if r == a else 0 for a, r in enumerate(rep))
+    return (
+        tuple(sizes[a] if r == a else 0 for a, r in enumerate(rep)),
+        tuple(n if h == f else 0 for f, (h, n) in enumerate(zip(orbits.head, orbits.size))))
 
 
 def check_pullback_transfer(fib: SubobjectFibration, classifications) -> Report:
@@ -448,42 +460,47 @@ def check_pullback_transfer(fib: SubobjectFibration, classifications) -> Report:
     image-preimage inequality is a violation named by f, and one with it
     but without the Beck-Chevalley equality reads no transfer law and is
     counted in a note, not in ``checked``.  The report's ``counts`` are the
-    sweep's own: classes, cospans visited, distinct fibre relations,
-    ``pullback_legs`` calls, verdict misses and ``check_bcp`` calls.
+    sweep's own: classes, p visited (``p_orbits``), cospans visited,
+    distinct fibre relations, ``pullback_legs`` calls, verdict misses and
+    ``check_bcp`` calls.
 
     Classes.  Whether a square is checked, skipped or failing is a
     categorical fact, unchanged when the cospan's corners X, Y', Y are
-    replaced by isomorphic objects.  So the sweep visits only the cospans
-    whose three corners are their isomorphism classes' least object indices,
-    and counts each as |[X]|·|[Y']|·|[Y]| squares: (p, f) ↦ (ι_Y^-1∘p∘ι_Y',
-    ι_Y^-1∘f∘ι_X) sends every cospan onto these, that many to one.  The
-    weighting is exact under the hypotheses H1-H4 of ``_class_weights``,
-    checked on every call before the sweep.  A transported cospan's legs
-    are the representative's legs transported and composed with an
-    automorphism of the corner, so the four flags agree (H1, H2); the
+    replaced by isomorphic objects, and when p is composed with
+    automorphisms of Y' and Y.  So the sweep visits only the cospans whose
+    three corners are their isomorphism classes' least object indices and
+    whose p is the head of its orbit under Aut Y' × Aut Y
+    (``site.automorphism_orbits``), and counts each as |[X]|·|[Y']|·|[Y]|
+    times the orbit's size: (p, f) ↦ (ι_Y^-1∘p∘ι_Y', ι_Y^-1∘f∘ι_X) sends
+    every cospan onto those between representatives, and (β∘p∘α, f) ↦
+    (p, β^-1∘f) those onto the head's, |orbit| to one.  The weighting is
+    exact under the hypotheses H1-H4 of ``_class_weights``, checked on
+    every call before the sweep.  A transported cospan's legs are the
+    representative's legs transported and composed with automorphisms of
+    the corner and of Y', so the four flags agree (H1, H2); the
     Beck-Chevalley inequality and equality carry over along the order
-    isomorphisms U_A (H3); a corner is an object exactly when its
+    isomorphisms U_A and img α (H3); a corner is an object exactly when its
     relabelling is (H4); and the budget reads |R| alone.  Where H fails (a
-    flag or table that isos move, a sliced E∪M, a catalog without every
-    relabelling of its spaces) the classes are singletons; where the classes
-    meet a violation, the sweep starts again with singleton classes.  Either
-    way every failing square is named, in sweep order.  Medium: 48,132
-    cospans visited over 19 classes (fintop2 288 of 521, fintop3 47,844 of
-    725,672).
+    flag or table that isos or automorphisms move, a sliced E∪M, a catalog
+    without every relabelling of its spaces) the classes and orbits are
+    singletons; where they meet a violation, the sweep starts again with
+    singletons.  Either way every failing square is named, in sweep order.
+    Medium: 17,340 cospans visited over 19 classes and 173 orbits of p
+    (fintop2 194 of 521, fintop3 17,146 of 725,672).
 
     Legs.  The pullback of f: X->Y along p: Y'->Y is the fibre product of
     the graphs with the subspace topology of X x Y', so its legs f', p'
     depend on dom f, dom p and the fibre relation R = {(a, b) : f(a) = p(b)}
     alone, and R on graph p and graph f alone.  Graphs are interned; each
     graph of p keeps a row of relation ids, indexed by graph id of f and
-    filled on first use (``fibre_masks``; medium: 776 fills).  Within a
+    filled on first use (``fibre_masks``; medium: 554 fills).  Within a
     block of consecutive p with one domain, legs are looked up by relation
-    id and dom f.  A miss (medium: 5,533) over the backend's ``max_points``
+    id and dom f.  A miss (medium: 4,928) over the backend's ``max_points``
     points is skipped as beyond the point budget with no backend call
-    (1,935); the others read the legs off R by the backend's
+    (1,409); the others read the legs off R by the backend's
     ``pullback_legs``, which looks each leg up by (dom, cod, graph), so the
     square aligns, and refuses a corner that is not an object.  It keeps
-    R's points per relation (medium: 75 distinct relations over 3,598
+    R's points per relation (medium: 87 distinct relations over 3,519
     calls) and each side's neighbourhood masks per (object, coordinates)
     (435), so a corner's key is the meet of two memoised tuples.  Legs
     certify R: p o f' = f o p' on the graphs, or ``DomainError``; every
@@ -493,7 +510,8 @@ def check_pullback_transfer(fib: SubobjectFibration, classifications) -> Report:
 
     Verdicts.  ``check_bcp`` reads four tables (img p', pre f', img p,
     pre f) and the lattices of cod f' and cod p', and ``transfer_laws`` the
-    flags of f', p, p' and f in every order, interned as one id per map.
+    flags of f', p, p' and f in every order, interned as one id per map
+    (the empty tuple keeps one id for every map when there is no order).
     So a cospan's whole verdict is a function of three ids interned over
     the sweep: its leg side (img p', pre f', both lattices, and the flags
     of f' and p'), read once per relation miss; its p side (img p and its
@@ -501,7 +519,7 @@ def check_pullback_transfer(fib: SubobjectFibration, classifications) -> Report:
     the leg side premultiplied by the number of f sides, so a cospan costs
     one addition and one lookup in the verdict memo of its p side, kept for
     the whole sweep; ``check_bcp`` and ``transfer_laws`` run, memoised on
-    their own keys, only on a verdict miss (medium: 9,793 verdicts, 814
+    their own keys, only on a verdict miss (medium: 4,003 verdicts, 585
     ``check_bcp`` calls).  Lattices are keyed by identity: objects of one
     size share one.
     """
@@ -512,14 +530,14 @@ def check_pullback_transfer(fib: SubobjectFibration, classifications) -> Report:
     sub_id, _ = intern(map(id, fib.sub))
     graph_id, graph_ids = intern(cat.graphs)
     classes = list(classifications.values())
-    flag_id, _ = intern(tuple(class_flags(cls[f]) for cls in classes) for f in range(len(names)))
+    flag_id, _ = intern(zip(repeat((), len(names)), *(map(class_flags, cls) for cls in classes)))
     f_side, f_sides = intern(zip(pre_id, flag_id))
     p_side, _ = intern(zip(img_id, flag_id))
     leg_sides, bcps, transfers, by_p_side = {}, {}, {}, {}
     # relation ids x n_objects, per graph id of p and graph id of f
     rows, n_objects = [None] * len(graph_ids), cat.n_objects
     relation_ids, masks = {}, []  # masks[id] is None beyond the point budget
-    counts = dict.fromkeys(("cospans", "legs", "verdicts"), 0)
+    counts = dict.fromkeys(("p_orbits", "cospans", "legs", "verdicts"), 0)
 
     def relation_key(p, f):
         relation = fibre_masks(cat.graphs[p], cat.graphs[f])
@@ -566,20 +584,21 @@ def check_pullback_transfer(fib: SubobjectFibration, classifications) -> Report:
                 for law in transfer_laws(cls[f_prime], cls[p], cls[p_prime], cls[f]))
         return transfers[key]
 
-    def sweep(weights):
+    def sweep(weights, orbit_weights):
         """(checked, violations, skipped squares per cause) over the cospans
-        whose corners have nonzero ``weights``, each counted as the product
-        of its corners' weights; None at the first violation when some
-        weight is not 1."""
-        by_class = any(w != 1 for w in weights)
+        whose corners and p have nonzero ``weights`` and ``orbit_weights``,
+        each counted as the product of its corners' weights and p's; None at
+        the first violation when some weight is not 1."""
+        by_class = {*weights, *orbit_weights} != {1}
         violations = []
         checked, skips = 0, dict.fromkeys((_BUDGET, _NO_CORNER, _NO_BCP), 0)
         block, ends = None, {}
         for p in sorted(fib.eclass | fib.mclass):
             y = cod[p]
-            w_p = weights[dom[p]] * weights[y]
+            w_p = weights[dom[p]] * weights[y] * orbit_weights[p]
             if not w_p:
                 continue
+            counts["p_orbits"] += 1
             if dom[p] != block:
                 block, by_relation = dom[p], {}
             row = rows[graph_id[p]]
@@ -624,11 +643,11 @@ def check_pullback_transfer(fib: SubobjectFibration, classifications) -> Report:
                     violations.extend(Violation(law, where=where) for law in found)
         return checked, violations, skips
 
-    weights = _class_weights(fib, img_id, pre_id, flag_id)
-    checked, violations, skips = sweep(weights) or sweep((1,) * n_objects)
+    weights = _class_weights(fib, flag_id)
+    checked, violations, skips = sweep(*weights) or sweep((1,) * n_objects, (1,) * len(names))
     skipped = tuple(f"{fib.name}: {n} squares {cause}" for cause, n in skips.items() if n)
     counts.update(
-        classes=sum(map(bool, weights)), relations=len(masks), check_bcp=len(bcps))
+        classes=sum(map(bool, weights[0])), relations=len(masks), check_bcp=len(bcps))
     return Report(f"pullback-transfer {fib.name}", checked, tuple(violations), skipped, counts)
 
 

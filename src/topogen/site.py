@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -59,14 +60,15 @@ class FiniteCategory:
     morphisms on the first read of a morphism field (``_TabulatedOnFirstRead``);
     the slots ``_tabulate``, ``_homs`` and ``_sizes`` serve only the twin and
     are unset here.  The slot ``_set_level`` holds ``_key_facts``' memo once
-    it is set, ``_iso_classes`` the record ``iso_classes`` once read, and
-    ``_closure`` the verdict and counters of ``composition_closed``.
+    it is set, ``_iso_classes`` and ``_orbits`` the records ``iso_classes``
+    and ``automorphism_orbits`` once read, and ``_closure`` the verdict and
+    counters of ``composition_closed``.
     """
 
     __slots__ = (
         "object_names", "mor_dom", "mor_cod", "mor_names", "identities", "graphs",
         "_by_graph", "_name_index", "morphisms_from", "morphisms_to", "_tabulate", "_homs",
-        "_sizes", "_set_level", "_iso_classes", "_closure", "__weakref__",
+        "_sizes", "_set_level", "_iso_classes", "_orbits", "_closure", "__weakref__",
     )
 
     def __init__(
@@ -281,8 +283,6 @@ class IsoClasses:
       least object index;
     - ``iota``: per object A, the least-index isomorphism ι_A: rep A -> A,
       the identity at a representative;
-    - ``automorphisms``: per object, its automorphisms other than the
-      identity, in index order;
     - ``moved``: per map f: X -> Y, the index of f~ = ι_Y^-1 ∘ f ∘ ι_X, a
       map between representatives; f~ = f exactly when f is one;
     - ``representative_maps``: the number of distinct f~, the maps between
@@ -295,7 +295,6 @@ class IsoClasses:
     isomorphisms: frozenset[int]
     rep: tuple[int, ...]
     iota: tuple[int, ...]
-    automorphisms: tuple[tuple[int, ...], ...]
     moved: tuple[int, ...]
     representative_maps: int
 
@@ -314,15 +313,10 @@ def _iso_classes(cat: FiniteCategory) -> IsoClasses:
     dom, cod, graphs = cat.mor_dom, cat.mor_cod, cat.graphs
     isos = cat.isomorphisms()
     rep, iota = list(range(n)), list(cat.identities)
-    automorphisms: list[list[int]] = [[] for _ in rep]
     for u in sorted(isos):
         if dom[u] < rep[cod[u]]:
             rep[cod[u]], iota[cod[u]] = dom[u], u
-        if dom[u] == cod[u] and u != cat.identities[dom[u]]:
-            automorphisms[dom[u]].append(u)
-    automorphisms = tuple(map(tuple, automorphisms))
-    singletons = IsoClasses(
-        isos, tuple(range(n)), cat.identities, automorphisms, tuple(range(len(dom))), len(dom))
+    singletons = IsoClasses(isos, tuple(range(n)), cat.identities, tuple(range(len(dom))), len(dom))
     if any(rep[dom[u]] != rep[cod[u]] for u in isos):
         return singletons
     # f~'s graph: ι_X's graph, then f's, then ι_Y's inverse graph
@@ -338,7 +332,93 @@ def _iso_classes(cat: FiniteCategory) -> IsoClasses:
             if f is None:
                 return singletons
         moved.append(f)
-    return IsoClasses(isos, tuple(rep), tuple(iota), automorphisms, tuple(moved), between)
+    return IsoClasses(isos, tuple(rep), tuple(iota), tuple(moved), between)
+
+
+@dataclass(frozen=True, slots=True)
+class AutomorphismOrbits:
+    """Each map between representatives up to the automorphisms of its ends
+    (``automorphism_orbits``).
+
+    - ``letters``: per representative, the automorphisms whose graphs are
+      its letters (``_permutation_letters``), in index order; () elsewhere;
+    - ``precomposed`` and ``postcomposed``: the orbit walk's moves, one per
+      hom-set between representatives and letter, as (letter, the maps of
+      the hom-set in index order, their composites with the letter): m∘a
+      for a letter a of the domain, b∘m for a letter b of the codomain;
+    - ``head``: per map f, the least map of the orbit of f~ (``iso_classes``)
+      under Aut(rep X) × Aut(rep Y);
+    - ``size``: per map f, the number of maps in that orbit;
+    - ``heads``: the number of orbits.
+
+    Where some composite of a move is not a morphism, every orbit is a
+    singleton, head f = f~, and ``letters`` and the moves are None.
+    """
+
+    letters: Optional[tuple[tuple[int, ...], ...]]
+    precomposed: Optional[tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]]
+    postcomposed: Optional[tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]]
+    head: tuple[int, ...]
+    size: tuple[int, ...]
+    heads: int
+
+
+def automorphism_orbits(cat: FiniteCategory) -> AutomorphismOrbits:
+    """``cat``'s ``AutomorphismOrbits``, computed on first read and kept in
+    its slot ``_orbits``; the one place orbits are walked."""
+    found = getattr(cat, "_orbits", None)
+    if found is None:
+        found = cat._orbits = _automorphism_orbits(cat)
+    return found
+
+
+def _automorphism_orbits(cat: FiniteCategory) -> AutomorphismOrbits:
+    classes = iso_classes(cat)
+    moved, rep = classes.moved, classes.rep
+    dom, cod, graphs, by_graph = cat.mor_dom, cat.mor_cod, cat.graphs, cat._by_graph
+    singletons = AutomorphismOrbits(
+        None, None, None, moved, (1,) * len(moved), classes.representative_maps)
+    letters = tuple(
+        tuple(by_graph[x, x, graph] for graph in _permutation_letters(cat, x)) if r == x else ()
+        for x, r in enumerate(rep))
+    homs: dict[tuple[int, int], list[int]] = {}
+    for f in sorted(set(moved)):
+        homs.setdefault((dom[f], cod[f]), []).append(f)
+    head, size = {}, {}
+    precomposed, postcomposed = [], []
+    for (x, y), maps in homs.items():
+        # each letter as a move of positions in the hom-set x -> y
+        hom_graphs = list(map(graphs.__getitem__, maps))
+        position = dict(zip(hom_graphs, range(len(maps)))).get
+        moves = [
+            (precomposed, a, list(map(position, map(_picker(graphs[a]), hom_graphs))))
+            for a in letters[x]]
+        reads = list(map(_picker, hom_graphs)) if letters[y] else ()
+        moves += [
+            (postcomposed, b, [position(read(graphs[b])) for read in reads]) for b in letters[y]]
+        maps = tuple(maps)
+        for walk, letter, targets in moves:
+            if None in targets:
+                return singletons
+            walk.append((letter, maps, tuple(map(maps.__getitem__, targets))))
+        # in index order, a map not yet reached is the least of its orbit
+        reached = [False] * len(maps)
+        for start, first in enumerate(maps):
+            if reached[start]:
+                continue
+            reached[start], orbit = True, [start]
+            for k in orbit:
+                for _, _, targets in moves:
+                    j = targets[k]
+                    if not reached[j]:
+                        reached[j] = True
+                        orbit.append(j)
+            head.update(dict.fromkeys(map(maps.__getitem__, orbit), first))
+            size[first] = len(orbit)
+    heads = tuple(map(head.__getitem__, moved))
+    return AutomorphismOrbits(
+        letters, tuple(precomposed), tuple(postcomposed), heads,
+        tuple(map(size.__getitem__, heads)), len(size))
 
 
 def validate_category(cat: FiniteCategory) -> Report:
@@ -382,14 +462,14 @@ class SubobjectFibration:
     ``subset_fibration`` returns an untabulated twin, which computes the
     morphism fields on their first read (``_TabulatedOnFirstRead``); the
     slots ``_tabulate`` and ``_fstar_formula`` serve only the twin and are
-    unset here.  The slot ``_transport`` holds ``lattice_transport``'s
-    verdict once read.
+    unset here.  The slots ``_transport`` and ``_orbits_carried`` hold
+    ``lattice_transport``'s and ``orbit_transport``'s verdicts once read.
     """
 
     __slots__ = (
         "category", "sub", "img", "pre", "eclass", "mclass", "e_pullback_stable",
         "backend", "name", "subsets", "fstar", "_tabulate", "_fstar_formula", "_transport",
-        "__weakref__",
+        "_orbits_carried", "__weakref__",
     )
 
     def __init__(
@@ -539,6 +619,69 @@ def _lattice_transport(fib: SubobjectFibration) -> Optional[tuple[tuple[int, ...
         ):
             return None
     return tuple(units)
+
+
+def orbit_transport(fib: SubobjectFibration) -> bool:
+    """Whether the fibration is carried along the letters of
+    ``automorphism_orbits``:
+
+    - at each representative X with letters, img id_X is the identity
+      table and each letter's V = img a is a lattice automorphism of sub X,
+      a bijection carrying its order onto itself;
+    - every image and preimage table is the set-level one along its graph
+      (``_set_level_keys``), none with a -1 entry;
+    - every step of the orbit walk carries f_* along V: m'_* = m_* ∘ V for
+      m' = m∘a, and m'_* = W ∘ m_* for m' = b∘m with W = img b, or both
+      are None.
+
+    Then the set-level tables are carried too: a letter permutes the points
+    of X and, V being a bijection, the listed subsets, so img(m∘a) =
+    img m ∘ V and pre(m∘a) = V^-1 ∘ pre m, and img(b∘m) = W ∘ img m and
+    pre(b∘m) = pre m ∘ W^-1.  So every map of an orbit has its head's
+    tables carried along lattice automorphisms, and img is a homomorphism
+    from each Aut X onto them, img w being the product of its letters'
+    V.  False where the orbits are singletons for a missing composite.
+    Computed once per fibration and kept in its slot ``_orbits_carried``;
+    each step's f_* is compared once per (table objects, V).
+    """
+    found = getattr(fib, "_orbits_carried", None)
+    if found is None:
+        found = fib._orbits_carried = _orbit_transport(fib)
+    return found
+
+
+def _orbit_transport(fib: SubobjectFibration) -> bool:
+    cat = fib.category
+    orbits = automorphism_orbits(cat)
+    set_level = _set_level_keys(fib)
+    if orbits.letters is None or set_level is None or any(
+            -1 in table for column in set_level[1][:2] for table in column):
+        return False
+    img, fstar, sub = fib.img, fib.fstar, fib.sub
+    for x, letters in enumerate(orbits.letters):
+        if letters and img[cat.identities[x]] != tuple(range(sub[x].size)):
+            return False
+        for v in map(img.__getitem__, letters):
+            if inverse_table(v, sub[x].size) is None or carry_rows(sub[x].up, v) != sub[x].up:
+                return False
+    for moves, after in ((orbits.precomposed, False), (orbits.postcomposed, True)):
+        seen = set()
+        for a, maps, composites in moves:
+            known = list(map(fstar.__getitem__, maps))
+            moved = list(map(fstar.__getitem__, composites))
+            if not (any(known) or any(moved)):
+                continue
+            v = img[a]
+            # each distinct pair of f_* table objects along the move, once per V
+            keys = zip(map(id, known), map(id, moved), repeat(id(v)))
+            for key, (s, t) in dict(zip(keys, zip(known, moved))).items():
+                if s is None is t or key in seen:
+                    continue
+                if s is None or t is None or t != tuple(
+                        map(v.__getitem__, s) if after else map(s.__getitem__, v)):
+                    return False
+                seen.add(key)
+    return True
 
 
 def _preimage_right_adjoint(
@@ -953,7 +1096,7 @@ def _closure_certificate(cat: FiniteCategory) -> tuple[bool, dict]:
         cods[x][graph] = cods[x].get(graph, 0) | 1 << y
     restricted, merged = {}, {}
     for x, reached in enumerate(cods):
-        letters, seen = _permutation_letters(x, reached), set()
+        letters, seen = list(map(_picker, _permutation_letters(cat, x))), set()
         for start, ys in reached.items():
             if start in seen:
                 continue
@@ -993,25 +1136,35 @@ def _closure_certificate(cat: FiniteCategory) -> tuple[bool, dict]:
     return True, counts
 
 
-def _permutation_letters(x: int, reached: dict) -> list[Callable]:
-    """Pickers of a generating set of the group that the permutation graphs
-    among ``reached``, the graphs out of x with their codomain masks, that
-    reach x generate under tuple composition.  A graph is kept, in
-    ``reached``'s order, when those kept before it do not generate it."""
+def _permutation_letters(cat: FiniteCategory, x: int) -> list[tuple[int, ...]]:
+    """The graphs of a generating set of the group that the permutation
+    graphs of x's endomorphisms generate under tuple composition.  Each is
+    kept, in morphism order, when those kept before it do not generate it;
+    then each kept graph is dropped, first to last, when those kept after
+    it generate it, so the group stays the same at every drop."""
+    cod, graphs = cat.mor_cod, cat.graphs
     letters: list[tuple[int, ...]] = []
     group: set = set()
-    for graph, ys in reached.items():
+    for f in cat.morphisms_from[x]:
+        graph = graphs[f]
         # a permutation, and not the identity
-        if ys >> x & 1 and graph not in group and sorted(graph) == [*range(len(graph))] != [*graph]:
+        if cod[f] == x and graph not in group and sorted(graph) == [*range(len(graph))] != [*graph]:
             letters.append(graph)
-            group, words = set(letters), list(letters)
-            for p in words:
-                for letter in letters:
-                    word = tuple(map(p.__getitem__, letter))
-                    if word not in group:
-                        group.add(word)
-                        words.append(word)
-    return list(map(_picker, letters))
+            group = _generated(letters)
+    return [letter for i, letter in enumerate(letters) if letter not in _generated(letters[i + 1:])]
+
+
+def _generated(letters: Sequence[tuple[int, ...]]) -> set:
+    """The words in ``letters`` under tuple composition, as a set of tuples;
+    a letter permutes two points or more, so it reads through ``itemgetter``."""
+    group, words, reads = set(letters), list(letters), [itemgetter(*letter) for letter in letters]
+    for p in words:
+        for read in reads:
+            word = read(p)
+            if word not in group:
+                group.add(word)
+                words.append(word)
+    return group
 
 
 def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:

@@ -1445,19 +1445,21 @@ def test_suite_medium_report_matches_the_benchmark_reference():
     assert report.render_text() == (tests / "data" / "golden_suite_medium.txt").read_text()
 
 
-@pytest.mark.parametrize("scale, checked, maps, between", [
-    ("small", 75, 69, 44), ("medium", 11_380, 11_345, 1_476),
+@pytest.mark.parametrize("scale, checked, maps, between, heads", [
+    ("small", 75, 69, 44, 31), ("medium", 11_380, 11_345, 1_476, 661),
 ])
 def test_top_map_classes_reads_each_maps_predicates_off_its_representative(
-        scale, checked, maps, between):
-    # map_predicates runs once per map between class representatives; the
-    # counts stay out of the rendered report
+        scale, checked, maps, between, heads):
+    # map_predicates runs once per orbit of the maps between class
+    # representatives under the automorphisms of their ends; the counts
+    # stay out of the rendered report
     from topogen.harness.suite import check_top_map_classes
 
     report = check_top_map_classes(scale)
     assert report.ok and report.checked == checked
-    assert report.counts == {"maps": maps, "representative_maps": between}
+    assert report.counts == {"maps": maps, "representative_maps": between, "orbit_maps": heads}
     assert "representative" not in report.render() and str(maps) not in report.render()
+    assert "orbit" not in report.render()
 
 
 @pytest.mark.parametrize("scale", ["small", "medium"])

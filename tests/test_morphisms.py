@@ -881,14 +881,33 @@ def _homeomorphism_classes(fib):
     return rep, aut
 
 
+def _orbit_head(fib, p):
+    """Whether p is the least index among the maps β∘p∘α, for α and β
+    homeomorphisms of its ends, by brute force over the point permutations."""
+    from topogen.instances.topology import spaces_of
+
+    cat, spaces = fib.category, spaces_of(fib)
+    x, y, graph = cat.mor_dom[p], cat.mor_cod[p], cat.graphs[p]
+
+    def homeomorphisms(s):
+        return [perm for perm in itertools.permutations(range(s.n)) if tuple(sorted(
+            sum(1 << perm[q] for q in mask_iter(o)) for o in s.opens)) == s.opens]
+
+    return p == min(
+        cat.morphism_by_graph(x, y, tuple(beta[graph[alpha[i]]] for i in range(len(graph))))
+        for alpha in homeomorphisms(spaces[x]) for beta in homeomorphisms(spaces[y]))
+
+
 def _representative_cospans(fib):
     """The cospans (f, p) of the sweep whose three corners are their
-    classes' least object indices, in sweep order."""
+    classes' least object indices and whose p heads its orbit under the
+    homeomorphisms of its ends, in sweep order."""
     cat = fib.category
     rep, _ = _homeomorphism_classes(fib)
     first = [rep[x] == x for x in range(cat.n_objects)]
     return [
-        (f, p) for p in _sweep_order(fib) if first[cat.mor_dom[p]] and first[cat.mor_cod[p]]
+        (f, p) for p in _sweep_order(fib)
+        if first[cat.mor_dom[p]] and first[cat.mor_cod[p]] and _orbit_head(fib, p)
         for f in cat.morphisms_to[cat.mor_cod[p]] if first[cat.mor_dom[f]]
     ]
 
@@ -897,8 +916,9 @@ def test_sweep_builds_each_pullback_relation_once(fintop2, monkeypatch):
     import topogen.morphisms as morphisms
 
     cat = fintop2.category
-    # the sweep visits the 288 of the 521 cospans whose corners represent
-    # their homeomorphism classes, and counts the others
+    # the sweep visits the 194 of the 521 cospans whose corners represent
+    # their homeomorphism classes and whose p heads its orbit under the
+    # homeomorphisms of its ends, and counts the others
     cospans = _representative_cospans(fintop2)
     shapes = {(cat.mor_dom[p], cat.graphs[p], cat.mor_dom[f], cat.graphs[f]) for f, p in cospans}
     relations = {(cat.mor_dom[p], cat.mor_dom[f], _fibre_relation(cat, f, p)) for f, p in cospans}
@@ -931,8 +951,8 @@ def test_sweep_builds_each_pullback_relation_once(fintop2, monkeypatch):
     # with no backend call
     budget = fintop2.backend.max_points
     over = {r for r in relations if len(r[2]) > budget}
-    assert len(cospans) == report.counts["cospans"] == 288
-    assert len(relations) == 77 and len(over) == 9 and len(shapes) == 150
+    assert len(cospans) == report.counts["cospans"] == 194
+    assert len(relations) == 77 and len(over) == 9 and len(shapes) == 102
     assert counts["legs"] == report.counts["legs"] == len(relations) - len(over) == 68
     # legs are read off the relation: one square per Beck-Chevalley memo
     # miss, none per built pullback or per cospan
@@ -1116,7 +1136,8 @@ def _singleton_classes(monkeypatch):
     """Send the sweep to singleton classes, as when its hypothesis fails."""
     import topogen.morphisms as morphisms
 
-    monkeypatch.setattr(morphisms, "_class_weights", lambda fib, *ids: (1,) * fib.category.n_objects)
+    monkeypatch.setattr(morphisms, "_class_weights", lambda fib, *ids: (
+        (1,) * fib.category.n_objects, (1,) * fib.category.n_morphisms))
 
 
 def _both_classifications(fib):
@@ -1131,7 +1152,8 @@ def test_representative_sweep_equals_singleton_classes_on_fintop2(fintop2, monke
     exhaustive = check_pullback_transfer(fintop2, both)
     assert (report.checked, report.violations, report.skipped) == (
         exhaustive.checked, exhaustive.violations, exhaustive.skipped)
-    assert (report.counts["classes"], report.counts["cospans"]) == (5, 288)
+    assert (report.counts["classes"], report.counts["p_orbits"], report.counts["cospans"]) == (
+        5, 19, 194)
     assert (exhaustive.counts["classes"], exhaustive.counts["cospans"]) == (6, 521)
 
 
@@ -1145,11 +1167,11 @@ def test_sweep_counters_on_fintop3_and_singleton_classes(fintop3, monkeypatch):
                         lambda *args: calls.update(("legs",)) or legs(*args))
     monkeypatch.setattr(morphisms, "check_bcp", lambda sq: calls.update(("bcp",)) or bcp(sq))
     report = check_pullback_transfer(fintop3, both)
-    # the deterministic counters of the sweep over the 14 classes: a change
-    # to the sweep moves them here
+    # the deterministic counters of the sweep over the 14 classes and the
+    # 154 orbits of p: a change to the sweep moves them here
     assert report.counts == {
-        "classes": 14, "cospans": 47_844, "relations": 101, "legs": 3_530,
-        "verdicts": 9_597, "check_bcp": 770,
+        "classes": 14, "p_orbits": 154, "cospans": 17_146, "relations": 101, "legs": 3_451,
+        "verdicts": 3_874, "check_bcp": 548,
     }
     assert len(_representative_cospans(fintop3)) == report.counts["cospans"]
     assert (calls["legs"], calls["bcp"]) == (report.counts["legs"], report.counts["check_bcp"])
@@ -1191,10 +1213,37 @@ def test_representative_sweep_matches_per_square_checks_on_iso_invariant_flags(f
         checked, violations, skipped = _per_square_sweep(fib, classes)
         report = check_pullback_transfer(fib, classes)
         # the classes are taken first; a violation sends the sweep over
-        # every cospan, so each failing square is named in sweep order
-        assert report.counts["classes"] == 5
+        # every cospan, so each failing square is named in sweep order.  The
+        # moved table is off the set-level ones, which the letters'
+        # hypothesis needs, so that sweep takes singleton classes at once
+        assert report.counts["classes"] == (6 if fib is broken else 5)
         assert (report.checked, report.violations, report.skipped) == (checked, violations, skipped)
         assert {v.law.split("-")[0] for v in violations} == found
+
+
+@pytest.mark.parametrize("point", [0, 1])
+def test_flags_that_postcomposition_moves_take_singleton_classes(fintop2, monkeypatch, point):
+    cat = fintop2.category
+    real = _both_classifications(fintop2)
+    # the maps into discrete2 constant at one point forced into no class:
+    # isos between classes and automorphisms of the domain keep them, but
+    # the swap of discrete2 after them does not.  At point 1 the orbits'
+    # heads, constant at point 0, keep their flags, and an orbit sweep
+    # would meet no violation
+    d2 = cat.object_index("discrete2")
+    constant = {f for f, (y, graph) in enumerate(zip(cat.mor_cod, cat.graphs))
+                if y == d2 and set(graph) == {point}}
+    forged = _with_flags(real, lambda f, c: replace(
+        c, strict=False, final=False, costrict=False, initial=False) if f in constant else c)
+    report = check_pullback_transfer(fintop2, forged)
+    assert report.counts["classes"] == cat.n_objects
+    assert report.counts["p_orbits"] == len(fintop2.eclass | fintop2.mclass)
+    assert not report.ok
+    assert (report.checked, report.violations, report.skipped) == _per_square_sweep(fintop2, forged)
+    _singleton_classes(monkeypatch)
+    exhaustive = check_pullback_transfer(fintop2, forged)
+    assert (report.checked, report.violations, report.skipped) == (
+        exhaustive.checked, exhaustive.violations, exhaustive.skipped)
 
 
 def _space_fibration(names):
@@ -1218,6 +1267,11 @@ def test_representative_sweep_on_a_relabelling_closed_catalog_in_any_order(monke
     classes = _both_classifications(fib)
     report = check_pullback_transfer(fib, classes)
     assert report.counts["classes"] == 4 and report.counts["cospans"] < report.checked
+    # the swap of discrete2 folds the maps p between representatives
+    cat = fib.category
+    between = [p for p in fib.eclass | fib.mclass
+               if rep[cat.mor_dom[p]] == cat.mor_dom[p] and rep[cat.mor_cod[p]] == cat.mor_cod[p]]
+    assert report.counts["p_orbits"] < len(between)
     _singleton_classes(monkeypatch)
     exhaustive = check_pullback_transfer(fib, classes)
     assert (report.checked, report.violations, report.skipped) == (
@@ -1298,16 +1352,17 @@ def _transported_orders(name):
 ])
 def test_transported_classifications_equal_the_per_map_classifier(name, n_orders):
     from topogen.morphisms import class_transport
-    from topogen.site import iso_classes
+    from topogen.site import automorphism_orbits
 
     orders = _transported_orders(name)
     assert len(orders) == n_orders
-    moved = iso_classes(orders[0].fib.category).moved
+    head = automorphism_orbits(orders[0].fib.category).head
     for t in orders:
         assert classifications(t) == _per_map_classifications(t), name
-        # the fibration and every order are carried along the isos, so each
-        # map reads the classes of its map between representatives
-        assert class_transport(t) is moved, name
+        # the fibration and every order are carried along the isos and the
+        # letters, so each map reads the classes of the head of the orbit of
+        # its map between representatives
+        assert class_transport(t) is head, name
 
 
 @pytest.mark.parametrize("name, between, maps", [
@@ -1337,8 +1392,6 @@ def test_the_record_moves_each_map_along_the_least_isos(name):
     for a, (r, i) in enumerate(zip(classes.rep, classes.iota)):
         into = sorted(u for u in isos if cat.mor_cod[u] == a)
         assert (r, i) == (cat.mor_dom[into[0]], into[0])
-        assert classes.automorphisms[a] == tuple(
-            u for u in into if cat.mor_dom[u] == a and u != cat.identities[a])
     if name != "topgrp_le4":
         assert list(classes.rep) == _homeomorphism_classes(builtin_fibration(name))[0]
     for f, g in enumerate(classes.moved):
@@ -1399,15 +1452,64 @@ def test_a_fibration_off_transport_is_classified_map_by_map(fintop2):
             assert tuple(map(expected.__getitem__, classes.moved)) != expected, fib.name
 
 
-def test_a_catalog_without_every_relabelling_is_classified_map_by_map():
+def _reads_f_tilde(t):
+    """Assert that t's classifications are the per-map classifier's, read
+    through f~ and not through the heads of the orbits, which would give
+    some map classes that are not its own."""
+    from topogen.morphisms import class_transport
+    from topogen.site import automorphism_orbits, iso_classes
+
+    cat = t.fib.category
+    assert class_transport(t) is iso_classes(cat).moved
+    expected = _per_map_classifications(t)
+    assert classifications(t) == expected
+    assert tuple(map(expected.__getitem__, automorphism_orbits(cat).head)) != expected
+
+
+def test_an_order_off_the_letters_reads_f_tilde(fintop2):
     from topogen.site import iso_classes
 
+    cat = fintop2.category
+    a = cat.object_index("discrete2")
+    assert iso_classes(cat).rep[a] == a
+    # {0} ⊏ {0} dropped at discrete2, and not {1} ⊏ {1}: its swap moves it
+    t = closure_order(fintop2)
+    rel = list(t.rel)
+    rel[a] = (rel[a][0], rel[a][1] & ~0b10, *rel[a][2:])
+    _reads_f_tilde(TopogenousOrder(fintop2, tuple(rel)))
+
+
+def test_a_fibration_off_the_letters_reads_f_tilde(fintop2):
+    from topogen.site import lattice_transport, orbit_transport
+
+    # f_* dropped on one map between representatives, and not on its twin
+    # under the swap of discrete2
+    cat = fintop2.category
+    f = cat.morphism_index("discrete2>indiscrete2:01")
+    forged = SubobjectFibration(
+        cat, fintop2.sub, fintop2.img, fintop2.pre, fintop2.eclass, fintop2.mclass,
+        fstar=[None if g == f else table for g, table in enumerate(fintop2.fstar)],
+        backend=fintop2.backend, name="forged-fstar", subsets=fintop2.subsets)
+    assert lattice_transport(forged) is not None and not orbit_transport(forged)
+    _reads_f_tilde(TopogenousOrder(forged, closure_order(fintop2).rel))
+
+
+def test_a_catalog_without_every_relabelling_is_classified_per_automorphism_orbit():
+    from topogen.morphisms import class_transport
+    from topogen.site import automorphism_orbits, iso_classes
+
+    # every object is its own class, but discrete2 and discrete3 have
+    # automorphisms: each map reads the head of its orbit under them
     fib = _space_fibration("sierpinski discrete2 discrete3")
     classes = iso_classes(fib.category)
     assert classes.representative_maps == fib.category.n_morphisms
-    assert any(classes.automorphisms)
+    orbits = automorphism_orbits(fib.category)
+    assert any(orbits.letters)
+    assert orbits.heads < fib.category.n_morphisms
     for order in (closure_order, interior_order):
-        _fallback(order(fib))
+        t = order(fib)
+        assert class_transport(t) is orbits.head
+        assert classifications(t) == _per_map_classifications(t)
 
 
 def test_one_map_classification_builds_no_record():

@@ -1214,7 +1214,7 @@ def test_functoriality_exhaustive_at_scale(monkeypatch, fintop3):
     report = validate_fibration(builtin_fibration("grp_le8"))
     assert report.ok
     assert report.counts == {
-        "domain_graphs": 934, "orbits": 194, "merged_restrictions": 1458, "lookups": 9502,
+        "domain_graphs": 934, "orbits": 194, "merged_restrictions": 1458, "lookups": 8383,
         "laws_certified": 1, "functoriality_certified": 1, "law_keys_scanned": 0}
 
 
@@ -1481,22 +1481,34 @@ def test_permutation_letters_generate_every_automorphism(name):
     # each object's letters generate, by tuple composition, the graphs of
     # all its automorphisms; more letters than generators may be kept
     cat = builtin_fibration(name).category
-    automorphisms = site.iso_classes(cat).automorphisms
+    automorphisms = _automorphisms(cat)
     sizes = []
     for x in range(cat.n_objects):
-        reached = {}
-        for f in cat.morphisms_from[x]:
-            reached[cat.graphs[f]] = reached.get(cat.graphs[f], 0) | 1 << cat.mor_cod[f]
-        letters = site._permutation_letters(x, reached)
+        letters = site._permutation_letters(cat, x)
         words, frontier = set(), {cat.graphs[cat.identities[x]]}
         while frontier:
             words |= frontier
-            frontier = {letter(word) for word in frontier for letter in letters} - words
-        assert words == {cat.graphs[u] for u in (cat.identities[x], *automorphisms[x])}
-        sizes.append(len(words))
+            frontier = {
+                tuple(word[i] for i in letter) for word in frontier for letter in letters} - words
+        assert words == {cat.graphs[u] for u in automorphisms[x]}
+        # no letter is a word in the letters kept after it
+        for i, letter in enumerate(letters):
+            assert letter not in _words(letters[i + 1:]), (name, x)
+        sizes.append((len(words), len(letters)))
     if name == "grp_le8":
-        # GL(3, 2), the automorphisms of C2^3
-        assert max(sizes) == 168
+        # GL(3, 2), the automorphisms of C2^3, from 3 letters of the 5
+        # that the kept-before rule alone keeps
+        assert max(sizes) == (168, 3)
+
+
+def _words(letters):
+    """Every nonempty word in ``letters`` under tuple composition."""
+    words, frontier = set(), set(letters)
+    while frontier:
+        words |= frontier
+        frontier = {
+            tuple(word[i] for i in letter) for word in frontier for letter in letters} - words
+    return words
 
 
 def test_closure_certificate_merges_the_codomains_that_share_a_graph(fintop2):
@@ -1536,3 +1548,104 @@ def test_concrete_keys_read_every_split_of_a_name():
     assert type(cat) is not FiniteCategory
     assert cat.n_morphisms and type(cat) is FiniteCategory
     assert site.concrete_keys(cat, "id_b>b") == [(3, 3, (0, 1))]
+
+
+# ---------------------------------------------------------------------------
+# each map between representatives up to the automorphisms of its ends
+
+
+def _automorphisms(cat):
+    """Per object x, the isos x -> x, the identity among them."""
+    found = [[] for _ in range(cat.n_objects)]
+    for u in sorted(cat.isomorphisms()):
+        if cat.mor_dom[u] == cat.mor_cod[u]:
+            found[cat.mor_dom[u]].append(u)
+    return found
+
+
+def _orbit_by_every_automorphism(cat, automorphisms, g):
+    """The maps β∘g∘α for α, β automorphisms of the ends of g, reached by
+    composing with every automorphism (not only the letters) until none is
+    new."""
+    before, after = automorphisms[cat.mor_dom[g]], automorphisms[cat.mor_cod[g]]
+    orbit, frontier = set(), {g}
+    while frontier:
+        orbit |= frontier
+        frontier = {cat.compose(m, a) for m in frontier for a in before} | {
+            cat.compose(b, m) for m in frontier for b in after}
+        frontier -= orbit
+    return orbit
+
+
+def _topgrp_total():
+    from topogen.instances.topgroups import topgrp_fibration
+
+    return topgrp_fibration().total
+
+
+@pytest.mark.parametrize("name, heads, between", [
+    ("fintop2", 31, 44), ("grp_small", 57, 102), ("grp_le4", 37, 60), ("topgrp_le4", 201, 318),
+    ("fintop3", 661, 1_476), ("grp_le8", 394, 1_852),
+])
+def test_orbit_heads_are_the_least_maps_of_every_automorphism_orbit(name, heads, between):
+    from topogen.instances.registry import builtin_fibration
+
+    # the counts do not depend on which letters generate each Aut A
+    fib = _topgrp_total() if name == "topgrp_le4" else builtin_fibration(name)
+    cat = fib.category
+    classes, orbits = site.iso_classes(cat), site.automorphism_orbits(cat)
+    assert (orbits.heads, classes.representative_maps) == (heads, between)
+    assert site.automorphism_orbits(cat) is orbits and len(set(orbits.head)) == heads
+    assert site.orbit_transport(fib)
+    found, automorphisms = {}, _automorphisms(cat)
+    for g in sorted(set(classes.moved)):
+        if g not in found:
+            orbit = _orbit_by_every_automorphism(cat, automorphisms, g)
+            found.update(dict.fromkeys(orbit, (min(orbit), len(orbit))))
+    for f, g in enumerate(classes.moved):
+        assert (orbits.head[f], orbits.size[f]) == found[g], (name, cat.mor_names[f])
+    # the moves are the letters' steps: m∘a and b∘m, each a morphism
+    for moves, before in ((orbits.precomposed, True), (orbits.postcomposed, False)):
+        for a, maps, composites in moves:
+            assert a in orbits.letters[cat.mor_dom[maps[0]] if before else cat.mor_cod[maps[0]]]
+            for m, h in zip(maps, composites):
+                assert h == (cat.compose(m, a) if before else cat.compose(a, m))
+
+
+def test_a_missing_composite_leaves_singleton_orbits(fintop2):
+    # without discrete2>indiscrete2:10, the swap of discrete2 moves
+    # discrete2>indiscrete2:01 to no morphism
+    cat = fintop2.category
+    cut = _without(fintop2, cat.morphism_index("discrete2>indiscrete2:10"))
+    classes, orbits = site.iso_classes(cut.category), site.automorphism_orbits(cut.category)
+    assert any(site.automorphism_orbits(fintop2.category).letters)
+    assert orbits.letters is orbits.precomposed is orbits.postcomposed is None
+    assert orbits.head is classes.moved and set(orbits.size) == {1}
+    assert orbits.heads == classes.representative_maps
+    assert not site.orbit_transport(cut)
+    assert site.orbit_transport(fintop2)
+
+
+def test_orbit_transport_needs_set_level_tables_and_lattice_automorphisms(fintop2):
+    cat = fintop2.category
+    swap = cat.morphism_index("discrete2>discrete2:10")
+    assert swap in site.automorphism_orbits(cat).letters[cat.mor_dom[swap]]
+    # the same tables without their subsets, and one letter's image table
+    # made the identity: neither certifies the letters
+    plain = _with_tables(fintop2, keep_subsets=False)
+    img = list(fintop2.img)
+    img[swap] = tuple(range(len(img[swap])))
+    moved = _with_tables(fintop2, img=img, keep_subsets=False)
+    for fib in (plain, moved):
+        assert site.lattice_transport(fib) is not None
+        assert not site.orbit_transport(fib), fib.name
+    # f_* moved on one map between representatives, off its twin under
+    # the swap of discrete2; the isos between classes do not see it
+    f = cat.morphism_index("discrete2>indiscrete2:01")
+    fstar = list(fintop2.fstar)
+    fstar[f] = tuple(reversed(fstar[f]))
+    forged = SubobjectFibration(
+        cat, fintop2.sub, fintop2.img, fintop2.pre, fintop2.eclass, fintop2.mclass,
+        fstar=fstar, name="forged-fstar", subsets=fintop2.subsets)
+    assert site.lattice_transport(forged) is not None
+    assert not site.orbit_transport(forged)

@@ -949,3 +949,102 @@ def test_pull_along_unions_the_fibres_of_hand_tables(table):
     # bits above it
     _assert_pulls_by_definition(table, max(table, default=0) + 2)
 
+
+
+# ---------------------------------------------------------------------------
+# validation on the hom-sets between class representatives
+
+
+def _fresh(fib):
+    """A copy of ``fib`` with its tables, so its plan starts empty."""
+    from topogen.site import SubobjectFibration
+
+    return SubobjectFibration(
+        fib.category, fib.sub, fib.img, fib.pre, fib.eclass, fib.mclass, fstar=fib.fstar,
+        backend=fib.backend, name=fib.name, subsets=fib.subsets)
+
+
+def _decided_homs(s):
+    """The hom-sets (dom, cod) whose verdicts validating ``s`` decided."""
+    return {(x, y) for x, y, _, _ in plan_of(s.fib, type(s)).verdicts}
+
+
+def _representative(fib):
+    from topogen.site import iso_classes
+
+    rep = iso_classes(fib.category).rep
+    return lambda x: rep[x] == x
+
+
+@pytest.mark.parametrize("name", ["fintop2", "fintop3"])
+def test_a_carried_structure_is_decided_on_the_hom_sets_between_representatives(name):
+    fib = _fresh(builtin_fibration(name))
+    first = _representative(fib)
+    t = closure_order(fib)
+    for s in (t, closure_from_topogenous(t), interior_order(fib), nbhd_from_topogenous(t)):
+        report = validate_structure(s)
+        assert report.ok and report == _reference_report(s), s.kind
+        homs = _decided_homs(s)
+        assert homs and all(first(x) and first(y) for x, y in homs), s.kind
+    assert not all(map(first, range(fib.category.n_objects)))
+
+
+def _sierpinski_moved(fib, s, rows):
+    """``s`` with the table of sierpinski, not its class's representative,
+    replaced by ``rows``."""
+    x = fib.category.object_index("sierpinski")
+    assert not _representative(fib)(x)
+    return type(s)(fib, (*s.table[:x], tuple(rows), *s.table[x + 1:]))
+
+
+def _failing_off_representatives(fib, t):
+    """t with the first one-bit flip in the rows of sierpinski that breaks
+    preimage stability along some map and no local axiom."""
+    x = fib.category.object_index("sierpinski")
+    for m, bit in itertools.product(range(fib.sub[x].size), range(fib.sub[x].size)):
+        rows = list(t.rel[x])
+        rows[m] ^= 1 << bit
+        s = _sierpinski_moved(fib, t, rows)
+        if {v.law for v in _reference_report(s).violations} == {"preimage-stability"}:
+            return s
+    raise AssertionError("no such flip")
+
+
+def test_tables_off_the_isos_walk_every_hom_set():
+    # the table of a non-representative object moved, so not carried along
+    # its iso, and every hom-set is decided: an order that fails only along
+    # maps out of or into that object, none between representatives, and a
+    # closure operator that is the identity there
+    fib = _fresh(builtin_fibration("fintop2"))
+    first = _representative(fib)
+    cat = fib.category
+    x = cat.object_index("sierpinski")
+    t = closure_order(fib)
+    between = {cat.mor_names[f] for f in range(cat.n_morphisms)
+               if first(cat.mor_dom[f]) and first(cat.mor_cod[f])}
+    for s in (_failing_off_representatives(fib, t),
+              _sierpinski_moved(fib, closure_from_topogenous(t), range(fib.sub[x].size))):
+        report = validate_structure(s)
+        assert report == _reference_report(s) and not report.ok, s.kind
+        assert not any(v.where in between for v in report.violations), s.kind
+        assert not all(first(x) and first(y) for x, y in _decided_homs(s)), s.kind
+
+
+def test_a_failure_between_representatives_walks_every_hom_set():
+    # discrete2 is its own class, so a moved row there keeps the table
+    # carried along the isos; the failing hom-sets between representatives
+    # send the validation over every hom-set, which names the failing maps
+    # out of the other objects too
+    fib = _fresh(builtin_fibration("fintop2"))
+    first = _representative(fib)
+    cat = fib.category
+    x = cat.object_index("discrete2")
+    t = discrete_order(fib)
+    rows = list(t.rel[x])
+    rows[0] &= ~(1 << 1)  # {} ⊏ {0} dropped
+    s = TopogenousOrder(fib, (*t.rel[:x], tuple(rows), *t.rel[x + 1:]))
+    report = validate_structure(s)
+    assert report == _reference_report(s)
+    failing = {cat.morphism_index(v.where) for v in report.violations if v.law == s.law_name}
+    assert any(first(cat.mor_dom[f]) and first(cat.mor_cod[f]) for f in failing)
+    assert not all(first(cat.mor_dom[f]) and first(cat.mor_cod[f]) for f in failing)

@@ -225,6 +225,30 @@ def test_one_routine_chooses_the_class_representatives():
     assert choosers == {"site._iso_classes"}
 
 
+def _calls(node, name):
+    """Whether ``node`` holds a call of the function or class ``name``."""
+    return any(
+        isinstance(call, ast.Call) and name in (
+            getattr(call.func, "id", None), getattr(call.func, "attr", None))
+        for call in ast.walk(node))
+
+
+def test_one_routine_builds_the_automorphism_orbits():
+    # site.automorphism_orbits is the one record of each map's orbit under
+    # the automorphisms of its ends; the class and predicate transports and
+    # the pullback sweep read it, and a second walk would fork from it.  Its
+    # letters are the closure certificate's, from one routine
+    functions = [
+        (f"{module}.{node.name}", node)
+        for module, tree in _src_modules()
+        for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    ]
+    builders = {name for name, node in functions if _calls(node, "AutomorphismOrbits")}
+    assert builders == {"site._automorphism_orbits"}
+    readers = {name for name, node in functions if _calls(node, "_permutation_letters")}
+    assert readers == {"site._automorphism_orbits", "site._closure_certificate"}
+
+
 def test_one_fold_finds_every_unclosed_family():
     # structures._fold is the per-object fold that the order predicates and
     # the conversions share; a second caller would decide a row table again
