@@ -35,7 +35,7 @@ from ..morphisms import (
     weakly_final_formulas,
 )
 from ..reporting import Report, Violation, merge
-from ..site import iso_classes, validate_category, validate_fibration
+from ..site import symmetry, validate_category, validate_fibration
 from ..structures import (
     CORRESPONDENCE,
     KINDS,
@@ -422,7 +422,7 @@ def check_top_map_classes(scale: str) -> Report:
             Violation(label, where=names[f]) for f, key in enumerate(keys) for label in failed[key])
     checked += len(keys)
     counts = {
-        "maps": len(moved), "representative_maps": iso_classes(fib.category).representative_maps,
+        "maps": len(moved), "representative_maps": len(set(symmetry(fib.category).moved)),
         "orbit_maps": len(predicates)}
     return Report("top-map-classes", checked, tuple(violations), counts=counts)
 

@@ -17,7 +17,7 @@ from ..errors import CapabilityError, DomainError, PreconditionError
 from ..lattice import FiniteLattice, mask_iter
 from ..constructions import Endofunctor
 from ..site import (
-    SubobjectFibration, automorphism_orbits, concrete_category, iso_classes, subset_fibration,
+    SubobjectFibration, concrete_category, stand_ins, subset_fibration,
 )
 from ..structures import (
     ClosureOperator,
@@ -483,30 +483,21 @@ def map_predicates(fib: SubobjectFibration, f: int) -> MapPredicates:
     return map_predicates_by_graph(fib, cat.mor_dom[f], cat.mor_cod[f], cat.graphs[f])
 
 
-def predicate_transport(fib: SubobjectFibration) -> tuple[int, ...]:
+def predicate_transport(fib: SubobjectFibration) -> Sequence[int]:
     """Per morphism f, the morphism whose ``map_predicates`` are f's.
     Being open, closed, initial or a hereditary quotient is read on the
     spaces and the graph alone, so it moves along homeomorphisms at either
-    end.  f reads f~ of ``site.iso_classes`` when each ι_A's graph carries
-    the opens of rep A onto the opens of A, and the head of f~'s orbit
-    (``site.automorphism_orbits``) when besides each letter's graph carries
-    the opens of its object onto themselves; f itself otherwise."""
+    end: f reads the head of its orbit (``site.stand_ins``) when the graph
+    of each generator of the category's symmetry carries the opens of its
+    source onto the opens of its target, f itself otherwise."""
     spaces = spaces_of(fib)
-    cat = fib.category
-    classes = iso_classes(cat)
+    graphs = fib.category.graphs
 
     def homeomorphic(u, source, target):
-        opens = {image_mask(cat.graphs[u], v) for v in spaces[source].opens}
+        opens = {image_mask(graphs[u], v) for v in spaces[source].opens}
         return opens == spaces[target].open_set
 
-    isos = zip(classes.rep, classes.iota)
-    if not all(homeomorphic(i, r, a) for a, (r, i) in enumerate(isos) if r != a):
-        return tuple(range(len(classes.moved)))
-    orbits = automorphism_orbits(cat)
-    if orbits.letters is not None and all(
-            homeomorphic(u, x, x) for x, letters in enumerate(orbits.letters) for u in letters):
-        return orbits.head
-    return classes.moved
+    return stand_ins(fib.category, homeomorphic)
 
 
 def map_predicates_by_graph(

@@ -29,17 +29,15 @@ every morphism of an order, and every per-order statement reads the latter.
 
 The classes are categorical, so they do not change when a map's ends are
 replaced by isomorphic objects, or when it is composed with automorphisms
-of its ends.  ``classifications`` decides each map f: X -> Y through
+of its ends.  ``classifications`` decides each map f: X -> Y once per
+head of its orbit (``site.symmetry``): the least map reached from
 f~ = ι_Y^-1 ∘ f ∘ ι_X, with ι_A: rep A -> A the least-index iso from A's
-class representative (``site.iso_classes``), and through the head of f~'s
-orbit under Aut(rep X) × Aut(rep Y) (``site.automorphism_orbits``), once
-per head: 661 of fintop3's 11,345 maps, 394 of grp_le8's 1,852.  It does
-so only where that is exact, checked on every call (``class_transport``):
-the fibration is carried along the lattice isomorphisms U_A = img ι_A,
-image, preimage and f_* tables alike (``site.lattice_transport``, once per
-fibration), and along the letters of each Aut(rep A)
-(``site.orbit_transport``), and so is the order.  Where only the first
-holds, f reads f~; elsewhere every map is classified on its own.
+class representative, by composing with automorphisms of rep X and rep Y;
+661 of fintop3's 11,345 maps, 394 of grp_le8's 1,852.  It does so only
+where that is exact, checked on every call (``class_transport``): the
+fibration's tables are carried along every ι_A and every letter of each
+Aut(rep A) (``site.carried``, once per fibration), and so is the order.
+Elsewhere every map is classified on its own (``site.stand_ins``).
 ``classify`` and ``classify_map`` read no classes.
 
 The calculus of the classes and their ascent and descent across pullback
@@ -62,7 +60,7 @@ from functools import lru_cache
 from itertools import product, repeat
 from math import factorial
 from operator import and_, attrgetter, or_
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import CapabilityError, DomainError, InternalConsistencyError, PreconditionError
 from .reporting import Report, Violation
@@ -77,14 +75,13 @@ from .structures import (
 from .site import (
     PullbackSquare,
     SubobjectFibration,
-    automorphism_orbits,
+    carried,
     carry_rows,
     check_bcp,
     fibre_masks,
     intern,
-    iso_classes,
-    lattice_transport,
-    orbit_transport,
+    stand_ins,
+    symmetry,
 )
 
 
@@ -172,46 +169,25 @@ def classify_map(t: TopogenousOrder, x: int, y: int, graph: tuple[int, ...]) -> 
     return _classifier(t)(x, y, pre, img, fstar)
 
 
-def class_transport(t: TopogenousOrder) -> tuple[int, ...]:
-    """Per morphism f, the morphism whose classes under t are f's.
-
-    - When the fibration is carried along the lattice isomorphisms
-      U_A = img ι_A (``site.lattice_transport``) and so is t, rel_A being
-      rel_{rep A} carried along U_A at each object A, every row
-      ``_classifier`` compares at f is the row it compares at f~
-      (``site.iso_classes``), carried along U_X or U_Y, so the flags agree.
-    - When besides the fibration is carried along the letters of each
-      representative (``site.orbit_transport``) and so is t, rel_X carried
-      along each letter's V = img a being rel_X, each step of the orbit
-      walk carries the rows along V or W as well: f reads the head of f~'s
-      orbit (``site.automorphism_orbits``).
-
-    f~ where only the first holds, f itself where neither does."""
+def class_transport(t: TopogenousOrder) -> Sequence[int]:
+    """Per morphism f, the morphism whose classes under t are f's: the head
+    of f's orbit (``site.stand_ins``) where the fibration is carried along
+    the generators of its category's symmetry (``site.carried``) and so is
+    t, rel_A carried along each generator's image table being rel_B at its
+    target B; f itself otherwise.  Then every row ``_classifier`` compares
+    at f is the row it compares at the head, carried, so the flags agree."""
     fib = t.fib
-    cat = fib.category
-    classes = iso_classes(cat)
-    units = lattice_transport(fib)
-    if units is None or any(
-        carry_rows(t.rel[r], units[a]) != t.rel[a] for a, r in enumerate(classes.rep) if r != a
-    ):
-        return tuple(range(len(classes.moved)))
-    orbits = automorphism_orbits(cat)
-    if orbit_transport(fib) and all(
-        carry_rows(t.rel[x], fib.img[a]) == t.rel[x]
-        for x, letters in enumerate(orbits.letters) for a in letters
-    ):
-        return orbits.head
-    return classes.moved
+    return stand_ins(
+        fib.category, lambda u, x, y: carried(fib) and carry_rows(t.rel[x], fib.img[u]) == t.rel[y])
 
 
 def classifications(t: TopogenousOrder) -> tuple[MorphismClassification, ...]:
     """The classes of every morphism under t, in morphism order.  One
     classifier, from its row memos, decides each distinct map of
     ``class_transport(t)`` once, and every morphism f reads the record of
-    its map: the head of f~'s orbit where the fibration's tables and t are
-    carried along the isos ι_A and the letters, f~ where only along the
-    ι_A, which ``class_transport`` checks on every call, f itself where
-    they are not."""
+    its map: the head of its orbit where the fibration's tables and t are
+    carried along the isos ι_A and the letters, which ``class_transport``
+    checks on every call, f itself where they are not."""
     fib = t.fib
     cat = fib.category
     moved = class_transport(t)
@@ -358,7 +334,7 @@ def check_class_calculus(fib: SubobjectFibration, t: TopogenousOrder) -> Report:
         lru_cache(maxsize=None)(lambda *ids, s=scope: violated(s, map(facts.__getitem__, ids)))
         for scope in ("iso", "pair", "morphism")
     )
-    isos = iso_classes(cat).isomorphisms
+    isos = symmetry(cat).isomorphisms
     violations = [Violation(law, where=names[f]) for f in isos for law in iso(fact_id[f])]
     violations += (
         Violation(law, witness=(names[g], names[f]))
@@ -397,26 +373,25 @@ def _class_weights(fib: SubobjectFibration, flag_id) -> tuple[tuple[int, ...], t
     """(per object, per map) weights of the E∪M sweep.  Per object, the size
     of its isomorphism class at the class's representative and 0 at its
     other objects; per map p, the size of its orbit under the automorphisms
-    of its ends (``site.automorphism_orbits``) at the orbit's head and 0 at
-    its other maps, when the sweep may count pullback squares by the
-    classes of their corners and the orbit of p; 1 everywhere, that is
-    singleton classes and orbits, when it may not.
+    of its ends at the orbit's head and 0 at its other maps, when the sweep
+    may count pullback squares by the classes of their corners and the
+    orbit of p; 1 everywhere, that is singleton classes and orbits, when it
+    may not.
 
-    The classes, each representative rep A, the isos ι_A: rep A -> A and
-    each map's f~ = ι_Y^-1 ∘ f ∘ ι_X are ``site.iso_classes``'.  With
-    ``flag_id`` the interned class flags of each map in every order, the
-    weights are used when
+    The classes, each representative rep A, the isos ι_A: rep A -> A, each
+    map's f~ = ι_Y^-1 ∘ f ∘ ι_X, the orbit walk's moves and each orbit's
+    head and size are ``site.symmetry``'s.  With ``flag_id`` the interned
+    class flags of each map in every order, the weights are used when
 
     - H1: f~ is in E∪M exactly when f is, and so is each composite of a
       move of the orbit walk, m∘a or b∘m for a letter a of dom m or b of
       cod m, exactly when m is;
     - H2: f~ and each such composite have the flags of f and of m;
-    - H3: the fibration is carried along the U_A = img ι_A
-      (``site.lattice_transport``) and along the letters
-      (``site.orbit_transport``): each img α of an automorphism α of a
-      representative is a lattice automorphism, img(g∘α) = img g ∘ img α,
-      pre(g∘α) = (img α)^-1 ∘ pre g, img(α∘g) = img α ∘ img g and
-      pre(α∘g) = pre g ∘ (img α)^-1;
+    - H3: the fibration is carried along the U_A = img ι_A and the letters
+      (``site.carried``): each img α of an isomorphism α between objects
+      of one class is a lattice isomorphism,
+      img(g∘α) = img g ∘ img α, pre(g∘α) = (img α)^-1 ∘ pre g,
+      img(α∘g) = img α ∘ img g and pre(α∘g) = pre g ∘ (img α)^-1;
     - H4: the isos out of each representative A have |A|! distinct graphs:
       |class A|·|Aut A| = |A|!, and each relabelling of A is one object.
 
@@ -425,30 +400,29 @@ def _class_weights(fib: SubobjectFibration, flag_id) -> tuple[tuple[int, ...], t
     """
     cat = fib.category
     ones = ((1,) * cat.n_objects, (1,) * cat.n_morphisms)
-    classes = iso_classes(cat)
-    rep, moved = classes.rep, classes.moved
+    sym = symmetry(cat)
+    rep, moved = sym.rep, sym.moved
     dom, graphs = cat.mor_dom, cat.graphs
     relabellings = [[] for _ in rep]
-    for u in classes.isomorphisms:
+    for u in sym.isomorphisms:
         if rep[dom[u]] == dom[u]:
             relabellings[dom[u]].append(graphs[u])
     if any(
         not len(relabellings[a]) == len(set(relabellings[a])) == factorial(len(graphs[i]))
         for a, i in enumerate(cat.identities) if rep[a] == a
-    ) or lattice_transport(fib) is None or not orbit_transport(fib):
+    ) or not carried(fib):
         return ones
     em = fib.eclass | fib.mclass
     if any(flag_id[g] != flag_id[f] or (g in em) != (f in em) for f, g in enumerate(moved) if g != f):
         return ones
-    orbits = automorphism_orbits(cat)
-    for _, maps, composites in (*orbits.precomposed, *orbits.postcomposed):
+    for _, _, maps, composites in sym.moves:
         for fact in (flag_id.__getitem__, em.__contains__):
             if list(map(fact, maps)) != list(map(fact, composites)):
                 return ones
     sizes = Counter(rep)
     return (
         tuple(sizes[a] if r == a else 0 for a, r in enumerate(rep)),
-        tuple(n if h == f else 0 for f, (h, n) in enumerate(zip(orbits.head, orbits.size))))
+        tuple(n if h == f else 0 for f, (h, n) in enumerate(zip(sym.head, sym.size))))
 
 
 def check_pullback_transfer(fib: SubobjectFibration, classifications) -> Report:
@@ -470,7 +444,7 @@ def check_pullback_transfer(fib: SubobjectFibration, classifications) -> Report:
     automorphisms of Y' and Y.  So the sweep visits only the cospans whose
     three corners are their isomorphism classes' least object indices and
     whose p is the head of its orbit under Aut Y' × Aut Y
-    (``site.automorphism_orbits``), and counts each as |[X]|·|[Y']|·|[Y]|
+    (``site.symmetry``), and counts each as |[X]|·|[Y']|·|[Y]|
     times the orbit's size: (p, f) ↦ (ι_Y^-1∘p∘ι_Y', ι_Y^-1∘f∘ι_X) sends
     every cospan onto those between representatives, and (β∘p∘α, f) ↦
     (p, β^-1∘f) those onto the head's, |orbit| to one.  The weighting is

@@ -60,15 +60,14 @@ class FiniteCategory:
     morphisms on the first read of a morphism field (``_TabulatedOnFirstRead``);
     the slots ``_tabulate``, ``_homs`` and ``_sizes`` serve only the twin and
     are unset here.  The slot ``_set_level`` holds ``_key_facts``' memo once
-    it is set, ``_iso_classes`` and ``_orbits`` the records ``iso_classes``
-    and ``automorphism_orbits`` once read, and ``_closure`` the verdict and
-    counters of ``composition_closed``.
+    it is set, ``_symmetry`` the record ``symmetry`` once read, and
+    ``_closure`` the verdict and counters of ``composition_closed``.
     """
 
     __slots__ = (
         "object_names", "mor_dom", "mor_cod", "mor_names", "identities", "graphs",
         "_by_graph", "_name_index", "morphisms_from", "morphisms_to", "_tabulate", "_homs",
-        "_sizes", "_set_level", "_iso_classes", "_orbits", "_closure", "__weakref__",
+        "_sizes", "_set_level", "_symmetry", "_closure", "__weakref__",
     )
 
     def __init__(
@@ -274,9 +273,9 @@ class _UntabulatedCategory(_TabulatedOnFirstRead, FiniteCategory):
 
 
 @dataclass(frozen=True, slots=True)
-class IsoClasses:
-    """A category's objects up to isomorphism, and each map moved to the
-    representatives of its ends (``iso_classes``).
+class Symmetry:
+    """A category's objects up to isomorphism, and each map up to the
+    isomorphisms and automorphisms of its ends (``symmetry``).
 
     - ``isomorphisms``: ``FiniteCategory.isomorphisms()``;
     - ``rep``: per object A, its class's representative rep A, the class's
@@ -285,30 +284,54 @@ class IsoClasses:
       the identity at a representative;
     - ``moved``: per map f: X -> Y, the index of f~ = ι_Y^-1 ∘ f ∘ ι_X, a
       map between representatives; f~ = f exactly when f is one;
-    - ``representative_maps``: the number of distinct f~, the maps between
-      representatives.
+    - ``letters``: per representative, the automorphisms whose graphs are
+      its letters (``_permutation_letters``), in index order; () elsewhere;
+    - ``moves``: the orbit walk's steps, one per hom-set between
+      representatives and letter, as (letter, after, the maps of the
+      hom-set in index order, their composites with the letter): m∘a for a
+      letter a of the domain, b∘m (``after``) for a letter b of the codomain;
+    - ``head``: per map f, the least map of the orbit of f~ under
+      Aut(rep X) × Aut(rep Y);
+    - ``size``: per map f, the number of maps in that orbit.
 
     Where the isomorphisms do not fall into classes, or some f~ is not a
-    morphism, the classes are singletons: rep A = A and f~ = f.
+    morphism, the classes are singletons: rep A = A and f~ = f.  Where some
+    composite of a move is not a morphism, so are the orbits: there are no
+    letters and no moves, and head f = f~.
     """
 
     isomorphisms: frozenset[int]
     rep: tuple[int, ...]
     iota: tuple[int, ...]
     moved: tuple[int, ...]
-    representative_maps: int
+    letters: tuple[tuple[int, ...], ...]
+    moves: tuple[tuple[int, bool, tuple[int, ...], tuple[int, ...]], ...]
+    head: tuple[int, ...]
+    size: tuple[int, ...]
+
+    def generators(self):
+        """(u, source, target) for each ι_A off a representative, then each
+        letter: f reaches f~ along the ι_A, and its head along words in the
+        letters."""
+        for a, (r, u) in enumerate(zip(self.rep, self.iota)):
+            if r != a:
+                yield u, r, a
+        for x, letters in enumerate(self.letters):
+            for a in letters:
+                yield a, x, x
 
 
-def iso_classes(cat: FiniteCategory) -> IsoClasses:
-    """``cat``'s ``IsoClasses``, computed on first read and kept in its slot
-    ``_iso_classes``; the one place representatives are chosen."""
-    found = getattr(cat, "_iso_classes", None)
+def symmetry(cat: FiniteCategory) -> Symmetry:
+    """``cat``'s ``Symmetry``, computed on first read and kept in its slot
+    ``_symmetry``; the one place representatives are chosen and orbits are
+    walked."""
+    found = getattr(cat, "_symmetry", None)
     if found is None:
-        found = cat._iso_classes = _iso_classes(cat)
+        found = cat._symmetry = _symmetry(cat)
     return found
 
 
-def _iso_classes(cat: FiniteCategory) -> IsoClasses:
+def _symmetry(cat: FiniteCategory) -> Symmetry:
     n = cat.n_objects
     dom, cod, graphs = cat.mor_dom, cat.mor_cod, cat.graphs
     isos = cat.isomorphisms()
@@ -316,91 +339,50 @@ def _iso_classes(cat: FiniteCategory) -> IsoClasses:
     for u in sorted(isos):
         if dom[u] < rep[cod[u]]:
             rep[cod[u]], iota[cod[u]] = dom[u], u
-    singletons = IsoClasses(isos, tuple(range(n)), cat.identities, tuple(range(len(dom))), len(dom))
-    if any(rep[dom[u]] != rep[cod[u]] for u in isos):
-        return singletons
-    # f~'s graph: ι_X's graph, then f's, then ι_Y's inverse graph
-    labels = [graphs[u] for u in iota]
-    unlabel = [tuple(sorted(range(len(label)), key=label.__getitem__)) for label in labels]
-    moved, by_graph, between = [], cat._by_graph.get, 0
-    for f, (x, y, graph) in enumerate(zip(dom, cod, graphs)):
-        rx, ry = rep[x], rep[y]
-        if rx == x and ry == y:
-            between += 1
-        else:
-            f = by_graph((rx, ry, tuple(map(unlabel[y].__getitem__, map(graph.__getitem__, labels[x])))))
-            if f is None:
-                return singletons
-        moved.append(f)
-    return IsoClasses(isos, tuple(rep), tuple(iota), tuple(moved), between)
-
-
-@dataclass(frozen=True, slots=True)
-class AutomorphismOrbits:
-    """Each map between representatives up to the automorphisms of its ends
-    (``automorphism_orbits``).
-
-    - ``letters``: per representative, the automorphisms whose graphs are
-      its letters (``_permutation_letters``), in index order; () elsewhere;
-    - ``precomposed`` and ``postcomposed``: the orbit walk's moves, one per
-      hom-set between representatives and letter, as (letter, the maps of
-      the hom-set in index order, their composites with the letter): m∘a
-      for a letter a of the domain, b∘m for a letter b of the codomain;
-    - ``head``: per map f, the least map of the orbit of f~ (``iso_classes``)
-      under Aut(rep X) × Aut(rep Y);
-    - ``size``: per map f, the number of maps in that orbit;
-    - ``heads``: the number of orbits.
-
-    Where some composite of a move is not a morphism, every orbit is a
-    singleton, head f = f~, and ``letters`` and the moves are None.
-    """
-
-    letters: Optional[tuple[tuple[int, ...], ...]]
-    precomposed: Optional[tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]]
-    postcomposed: Optional[tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]]
-    head: tuple[int, ...]
-    size: tuple[int, ...]
-    heads: int
-
-
-def automorphism_orbits(cat: FiniteCategory) -> AutomorphismOrbits:
-    """``cat``'s ``AutomorphismOrbits``, computed on first read and kept in
-    its slot ``_orbits``; the one place orbits are walked."""
-    found = getattr(cat, "_orbits", None)
-    if found is None:
-        found = cat._orbits = _automorphism_orbits(cat)
-    return found
-
-
-def _automorphism_orbits(cat: FiniteCategory) -> AutomorphismOrbits:
-    classes = iso_classes(cat)
-    moved, rep = classes.moved, classes.rep
-    dom, cod, graphs, by_graph = cat.mor_dom, cat.mor_cod, cat.graphs, cat._by_graph
-    singletons = AutomorphismOrbits(
-        None, None, None, moved, (1,) * len(moved), classes.representative_maps)
+    moved = None
+    if all(rep[dom[u]] == rep[cod[u]] for u in isos):
+        # f~'s graph: ι_X's graph, then f's, then ι_Y's inverse graph
+        labels = [graphs[u] for u in iota]
+        unlabel = [tuple(sorted(range(len(label)), key=label.__getitem__)) for label in labels]
+        by_graph = cat._by_graph.get
+        moved = [
+            f if rep[x] == x and rep[y] == y else by_graph((rep[x], rep[y], tuple(
+                map(unlabel[y].__getitem__, map(graph.__getitem__, labels[x])))))
+            for f, (x, y, graph) in enumerate(zip(dom, cod, graphs))]
+    if moved is None or None in moved:
+        rep, iota, moved = range(n), cat.identities, range(len(dom))
+    moved = tuple(moved)
     letters = tuple(
-        tuple(by_graph[x, x, graph] for graph in _permutation_letters(cat, x)) if r == x else ()
+        tuple(cat._by_graph[x, x, graph] for graph in _permutation_letters(cat, x)) if r == x else ()
         for x, r in enumerate(rep))
+    orbits = _orbits(cat, letters, moved)
+    if orbits is None:
+        letters, orbits = ((),) * n, ((), moved, (1,) * len(moved))
+    return Symmetry(isos, tuple(rep), tuple(iota), moved, letters, *orbits)
+
+
+def _orbits(cat: FiniteCategory, letters, moved: tuple[int, ...]):
+    """(moves, head, size) of ``Symmetry`` for the maps ``moved`` between
+    representatives and the ``letters`` of each, or None where some
+    composite of a move is not a morphism."""
+    dom, cod, graphs = cat.mor_dom, cat.mor_cod, cat.graphs
     homs: dict[tuple[int, int], list[int]] = {}
     for f in sorted(set(moved)):
         homs.setdefault((dom[f], cod[f]), []).append(f)
-    head, size = {}, {}
-    precomposed, postcomposed = [], []
+    head, size, moves = {}, {}, []
     for (x, y), maps in homs.items():
         # each letter as a move of positions in the hom-set x -> y
         hom_graphs = list(map(graphs.__getitem__, maps))
         position = dict(zip(hom_graphs, range(len(maps)))).get
-        moves = [
-            (precomposed, a, list(map(position, map(_picker(graphs[a]), hom_graphs))))
-            for a in letters[x]]
+        steps = [
+            (a, False, list(map(position, map(_picker(graphs[a]), hom_graphs)))) for a in letters[x]]
         reads = list(map(_picker, hom_graphs)) if letters[y] else ()
-        moves += [
-            (postcomposed, b, [position(read(graphs[b])) for read in reads]) for b in letters[y]]
+        steps += [(b, True, [position(read(graphs[b])) for read in reads]) for b in letters[y]]
         maps = tuple(maps)
-        for walk, letter, targets in moves:
+        for letter, after, targets in steps:
             if None in targets:
-                return singletons
-            walk.append((letter, maps, tuple(map(maps.__getitem__, targets))))
+                return None
+            moves.append((letter, after, maps, tuple(map(maps.__getitem__, targets))))
         # in index order, a map not yet reached is the least of its orbit
         reached = [False] * len(maps)
         for start, first in enumerate(maps):
@@ -408,7 +390,7 @@ def _automorphism_orbits(cat: FiniteCategory) -> AutomorphismOrbits:
                 continue
             reached[start], orbit = True, [start]
             for k in orbit:
-                for _, _, targets in moves:
+                for _, _, targets in steps:
                     j = targets[k]
                     if not reached[j]:
                         reached[j] = True
@@ -416,9 +398,21 @@ def _automorphism_orbits(cat: FiniteCategory) -> AutomorphismOrbits:
             head.update(dict.fromkeys(map(maps.__getitem__, orbit), first))
             size[first] = len(orbit)
     heads = tuple(map(head.__getitem__, moved))
-    return AutomorphismOrbits(
-        letters, tuple(precomposed), tuple(postcomposed), heads,
-        tuple(map(size.__getitem__, heads)), len(size))
+    return tuple(moves), heads, tuple(map(size.__getitem__, heads))
+
+
+def stand_ins(cat: FiniteCategory, carries: Callable[[int, int, int], bool]) -> Sequence[int]:
+    """Per map f, the map whose verdict is f's, for a verdict that
+    ``carries(u, source, target)`` says is carried along the generator
+    u: source -> target of ``cat``'s ``symmetry``: the head of f's orbit
+    when every generator carries, f itself otherwise.  A verdict carried
+    along every ι_A and every letter is carried along every word in them,
+    so along f -> f~ and along the orbit of f~; the one place the choice
+    is made."""
+    sym = symmetry(cat)
+    if all(carries(*generator) for generator in sym.generators()):
+        return sym.head
+    return tuple(range(cat.n_morphisms))
 
 
 def validate_category(cat: FiniteCategory) -> Report:
@@ -462,14 +456,13 @@ class SubobjectFibration:
     ``subset_fibration`` returns an untabulated twin, which computes the
     morphism fields on their first read (``_TabulatedOnFirstRead``); the
     slots ``_tabulate`` and ``_fstar_formula`` serve only the twin and are
-    unset here.  The slots ``_transport`` and ``_orbits_carried`` hold
-    ``lattice_transport``'s and ``orbit_transport``'s verdicts once read.
+    unset here.  The slot ``_carried`` holds ``carried``'s verdict once read.
     """
 
     __slots__ = (
         "category", "sub", "img", "pre", "eclass", "mclass", "e_pullback_stable",
-        "backend", "name", "subsets", "fstar", "_tabulate", "_fstar_formula", "_transport",
-        "_orbits_carried", "__weakref__",
+        "backend", "name", "subsets", "fstar", "_tabulate", "_fstar_formula", "_carried",
+        "__weakref__",
     )
 
     def __init__(
@@ -557,130 +550,67 @@ def carry_rows(rows: Sequence[int], table: Sequence[int]) -> tuple[int, ...]:
     return tuple(carried)
 
 
-_UNREAD = object()
+def carried(fib: SubobjectFibration) -> bool:
+    """Whether the fibration is carried along the generators of its
+    category's ``symmetry``, each ι_A: rep A -> A off a representative and
+    each letter:
 
-
-def lattice_transport(fib: SubobjectFibration) -> Optional[tuple[tuple[int, ...], ...]]:
-    """Per object A, the table of U_A = img ι_A (``iso_classes``), the
-    identity at a representative, when the fibration is carried along them:
-
-    - each U_A is a lattice isomorphism sub(rep A) -> sub A, a bijection
-      carrying the order of sub(rep A) onto that of sub A;
-    - every map f: X -> Y has the tables of f~ carried along them:
-      img f~ = U_Y^-1 ∘ img f ∘ U_X, pre f~ = U_X^-1 ∘ pre f ∘ U_Y, and
-      f~_* = U_Y^-1 ∘ f_* ∘ U_X, or both are None.
-
-    None otherwise.  Then whatever is read off the lattices and the tables
-    of f is what is read at f~, carried along the U.  Computed once per
-    fibration and kept in its slot ``_transport``; the tables of f and f~
-    are compared once per (their table objects, U_X, U_Y).  When every
-    object is its own representative, every f~ is f and every U_A the
-    identity, so nothing is compared.
-    """
-    found = getattr(fib, "_transport", _UNREAD)
-    if found is _UNREAD:
-        found = fib._transport = _lattice_transport(fib)
-    return found
-
-
-def _lattice_transport(fib: SubobjectFibration) -> Optional[tuple[tuple[int, ...], ...]]:
-    classes = iso_classes(fib.category)
-    img, pre, fstar, sub = fib.img, fib.pre, fib.fstar, fib.sub
-    if classes.rep == tuple(range(len(sub))):
-        # every f~ is f, and a table carried along identities is itself
-        return tuple(tuple(range(lat.size)) for lat in sub)
-    units, inverses = [], []
-    for a, (r, i) in enumerate(zip(classes.rep, classes.iota)):
-        unit = inverse = tuple(range(sub[a].size))
-        if r != a:
-            unit = img[i]
-            inverse = inverse_table(unit, sub[a].size)
-            if inverse is None or sub[r].size != sub[a].size or carry_rows(sub[r].up, unit) != sub[a].up:
-                return None
-        units.append(unit)
-        inverses.append(inverse)
-    unit_id, _ = intern(units)
-
-    def carried(table, x, y):
-        """table: sub X -> sub Y as a table sub(rep X) -> sub(rep Y)."""
-        return tuple(map(inverses[y].__getitem__, map(table.__getitem__, units[x])))
-
-    # one map per distinct (table objects of f and f~, U_X, U_Y)
-    ids = [list(map(id, column)) for column in (img, pre, fstar)]
-    keys = zip(
-        *ids, *(map(column.__getitem__, classes.moved) for column in ids),
-        map(unit_id.__getitem__, fib.category.mor_dom), map(unit_id.__getitem__, fib.category.mor_cod))
-    for f in dict(zip(keys, range(len(classes.moved)))).values():
-        g, x, y = classes.moved[f], fib.category.mor_dom[f], fib.category.mor_cod[f]
-        if not (
-            img[g] == carried(img[f], x, y) and pre[g] == carried(pre[f], y, x)
-            and (fstar[f] is None) == (fstar[g] is None)
-            and (fstar[f] is None or fstar[g] == carried(fstar[f], x, y))
-        ):
-            return None
-    return tuple(units)
-
-
-def orbit_transport(fib: SubobjectFibration) -> bool:
-    """Whether the fibration is carried along the letters of
-    ``automorphism_orbits``:
-
-    - at each representative X with letters, img id_X is the identity
-      table and each letter's V = img a is a lattice automorphism of sub X,
-      a bijection carrying its order onto itself;
     - every image and preimage table is the set-level one along its graph
       (``_set_level_keys``), none with a -1 entry;
-    - every step of the orbit walk carries f_* along V: m'_* = m_* ∘ V for
-      m' = m∘a, and m'_* = W ∘ m_* for m' = b∘m with W = img b, or both
-      are None.
+    - the image table U = img u of every generator u is a lattice
+      isomorphism, a bijection carrying the order of its source's lattice
+      onto that of its target's;
+    - f_* is carried along every step f -> f~ and every move, or both are
+      None: f_* ∘ U_X = U_Y ∘ f~_*, (m∘a)_* = m_* ∘ V and
+      (b∘m)_* = W ∘ m_*, with U_A = img ι_A, V = img a and W = img b.
 
-    Then the set-level tables are carried too: a letter permutes the points
-    of X and, V being a bijection, the listed subsets, so img(m∘a) =
-    img m ∘ V and pre(m∘a) = V^-1 ∘ pre m, and img(b∘m) = W ∘ img m and
-    pre(b∘m) = pre m ∘ W^-1.  So every map of an orbit has its head's
-    tables carried along lattice automorphisms, and img is a homomorphism
-    from each Aut X onto them, img w being the product of its letters'
-    V.  False where the orbits are singletons for a missing composite.
-    Computed once per fibration and kept in its slot ``_orbits_carried``;
-    each step's f_* is compared once per (table objects, V).
+    Set-level tables without a -1 entry compose, img(g∘f) = img g ∘ img f
+    and pre(g∘f) = pre f ∘ pre g, and the image table of an isomorphism
+    that is a bijection inverts its preimage table.  So img f =
+    U_Y ∘ img f~ ∘ U_X^-1 and pre f = U_X ∘ pre f~ ∘ U_Y^-1, and likewise
+    along each move: every map has the tables of its ``symmetry`` head
+    carried along lattice isomorphisms, and whatever is read off the
+    lattices and the tables at f is what is read at its head.  False for a
+    fibration without subsets.  Computed once per fibration and kept in its
+    slot ``_carried``; each step compares f_* once per (table objects,
+    U or V or W).
     """
-    found = getattr(fib, "_orbits_carried", None)
+    found = getattr(fib, "_carried", None)
     if found is None:
-        found = fib._orbits_carried = _orbit_transport(fib)
+        found = fib._carried = _carried(fib)
     return found
 
 
-def _orbit_transport(fib: SubobjectFibration) -> bool:
-    cat = fib.category
-    orbits = automorphism_orbits(cat)
+def _carried(fib: SubobjectFibration) -> bool:
     set_level = _set_level_keys(fib)
-    if orbits.letters is None or set_level is None or any(
-            -1 in table for column in set_level[1][:2] for table in column):
+    if set_level is None or any(-1 in table for column in set_level[1][:2] for table in column):
         return False
-    img, fstar, sub = fib.img, fib.fstar, fib.sub
-    for x, letters in enumerate(orbits.letters):
-        if letters and img[cat.identities[x]] != tuple(range(sub[x].size)):
+    cat, img, fstar, sub = fib.category, fib.img, fib.fstar, fib.sub
+    sym = symmetry(cat)
+    for u, x, y in sym.generators():
+        if inverse_table(img[u], sub[y].size) is None or carry_rows(sub[x].up, img[u]) != sub[y].up:
             return False
-        for v in map(img.__getitem__, letters):
-            if inverse_table(v, sub[x].size) is None or carry_rows(sub[x].up, v) != sub[x].up:
+    # each step s -> t along (P, Q), s_* ∘ P = Q ∘ t_* with None for the
+    # identity table: f -> f~ along (U_X, U_Y), m -> m∘a along (V, -) and
+    # b∘m -> m along (-, W); one step per (table objects of s_*, t_*, P, Q)
+    units = [None if r == a else img[u] for a, (r, u) in enumerate(zip(sym.rep, sym.iota))]
+    ids, unit_ids = list(map(id, fstar)), list(map(id, units))
+    tables = {**dict(zip(ids, fstar)), **dict(zip(unit_ids, units))}
+    steps = set(zip(
+        ids, map(ids.__getitem__, sym.moved),
+        map(unit_ids.__getitem__, cat.mor_dom), map(unit_ids.__getitem__, cat.mor_cod)))
+    same = repeat(id(None))
+    for a, after, maps, composites in sym.moves:
+        tables[id(img[a])] = img[a]
+        s, t, v = map(ids.__getitem__, maps), map(ids.__getitem__, composites), repeat(id(img[a]))
+        steps.update(zip(t, s, same, v) if after else zip(s, t, v, same))
+    for source, target, before, after in map(partial(map, tables.__getitem__), steps):
+        if source is None or target is None:
+            if source is not target:
                 return False
-    for moves, after in ((orbits.precomposed, False), (orbits.postcomposed, True)):
-        seen = set()
-        for a, maps, composites in moves:
-            known = list(map(fstar.__getitem__, maps))
-            moved = list(map(fstar.__getitem__, composites))
-            if not (any(known) or any(moved)):
-                continue
-            v = img[a]
-            # each distinct pair of f_* table objects along the move, once per V
-            keys = zip(map(id, known), map(id, moved), repeat(id(v)))
-            for key, (s, t) in dict(zip(keys, zip(known, moved))).items():
-                if s is None is t or key in seen:
-                    continue
-                if s is None or t is None or t != tuple(
-                        map(v.__getitem__, s) if after else map(s.__getitem__, v)):
-                    return False
-                seen.add(key)
+        elif (source if before is None else tuple(map(source.__getitem__, before))) != (
+                target if after is None else tuple(map(after.__getitem__, target))):
+            return False
     return True
 
 

@@ -59,7 +59,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import PreconditionError
 from .lattice import MAX_ELEMENTS, mask_iter
 from .reporting import Report, Violation
-from .site import SubobjectFibration, carry_rows, iso_classes, lattice_transport
+from .site import SubobjectFibration, carried, carry_rows, symmetry
 
 
 class LawAlong:
@@ -489,11 +489,11 @@ class _Plan:
     def skeleton(self, fib: SubobjectFibration):
         """(rep A and U_A = img ι_A per object, the hom-sets of ``homs``
         between representatives) of ``fib``, this plan's fibration, when it
-        is carried along the U_A (``site.lattice_transport``) and some
-        object is not its class's representative (``site.iso_classes``);
-        else None.  Isomorphic objects have as many points and as many maps
-        in and out, so where no two objects do, the classes are not
-        computed."""
+        is carried along the generators of its category's symmetry
+        (``site.carried``) and some object is not its class's representative
+        (``site.symmetry``); else None.  Isomorphic objects have as many
+        points and as many maps in and out, so where no two objects do, the
+        symmetry is not computed."""
         if self._skeleton is _UNREAD:
             cat = fib.category
             shapes = list(zip(
@@ -501,9 +501,10 @@ class _Plan:
                 map(len, cat.morphisms_from), map(len, cat.morphisms_to)))
             self._skeleton = None
             if len(set(shapes)) < len(shapes):
-                rep, units = iso_classes(cat).rep, lattice_transport(fib)
-                if units is not None and rep != tuple(range(len(rep))):
-                    self._skeleton = tuple(zip(rep, units)), tuple(
+                sym = symmetry(cat)
+                rep = sym.rep
+                if rep != tuple(range(len(rep))) and carried(fib):
+                    self._skeleton = tuple(zip(rep, map(fib.img.__getitem__, sym.iota))), tuple(
                         hom for hom in self.homs if rep[hom[0]] == hom[0] and rep[hom[1]] == hom[1])
         return self._skeleton
 
@@ -537,13 +538,14 @@ def validate_structure(s) -> Report:
     morphism, each decided once per distinct table by the fibration's plan.
 
     The law is categorical: along f it holds exactly when it holds along
-    f~ = ι_Y^-1 ∘ f ∘ ι_X (``site.iso_classes``) where the fibration is
-    carried along the U_A = img ι_A and so are s's tables, table A being
-    table rep A carried along U_A (the kind's ``carried``): every pair the
-    law compares at f is the pair at f~, carried.  Then the hom-sets between
-    representatives (``_Plan.skeleton``) are decided alone, and where none
-    of their maps fails, none does.  Where one fails, or the hypothesis
-    does not hold, every hom-set is decided, so each violation is named."""
+    f~ = ι_Y^-1 ∘ f ∘ ι_X (``site.symmetry``) where the fibration is
+    carried along the generators of that symmetry (``site.carried``) and
+    s's tables along the U_A = img ι_A, table A being table rep A carried
+    along U_A (the kind's ``carried``): every pair the law compares at f is
+    the pair at f~, carried.  Then the hom-sets between representatives
+    (``_Plan.skeleton``) are decided alone, and where none of their maps
+    fails, none does.  Where one fails, or the hypothesis does not hold,
+    every hom-set is decided, so each violation is named."""
     if not isinstance(s, _Structure):
         raise PreconditionError(f"not a known structure: {type(s).__name__}")
     fib, table = s.fib, s.table

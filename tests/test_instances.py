@@ -563,11 +563,11 @@ def test_map_predicates_match_the_per_call_reference(fintop2, fintop3, tmp_path)
 
 def test_transported_map_predicates_equal_every_maps_own(fintop2, fintop3):
     from topogen.instances.topology import predicate_transport
-    from topogen.site import automorphism_orbits
+    from topogen.site import symmetry
 
     for fib in (fintop2, fintop3):
         moved = predicate_transport(fib)
-        assert moved is automorphism_orbits(fib.category).head
+        assert moved is symmetry(fib.category).head
         direct = [map_predicates(fib, f) for f in range(fib.category.n_morphisms)]
         assert [map_predicates(fib, g) for g in moved] == direct, fib.name
 
@@ -577,7 +577,7 @@ def test_predicates_off_a_homeomorphism_are_read_map_by_map(fintop2):
     # the discrete one under the same category: its least iso from
     # sierpinski_op no longer carries opens onto opens
     from topogen.instances.topology import _FinTopBackend, predicate_transport
-    from topogen.site import SubobjectFibration, iso_classes
+    from topogen.site import SubobjectFibration, symmetry
 
     cat = fintop2.category
     a = cat.object_index("sierpinski")
@@ -588,28 +588,31 @@ def test_predicates_off_a_homeomorphism_are_read_map_by_map(fintop2):
         fstar=fintop2.fstar, backend=_FinTopBackend(tuple(spaces), 2), name="forged")
     assert predicate_transport(forged) == tuple(range(cat.n_morphisms))
     direct = [map_predicates(forged, f) for f in range(cat.n_morphisms)]
-    assert [direct[g] for g in iso_classes(cat).moved] != direct
+    assert [direct[g] for g in symmetry(cat).moved] != direct
 
 
 def test_predicates_off_a_homeomorphic_letter_are_read_through_f_tilde(fintop2):
     # the space of discrete2, its own class, swapped for the Sierpinski
     # space under the same category: the swap of discrete2, its letter, no
-    # longer carries opens onto opens
+    # longer carries opens onto opens, so every map is read on its own,
+    # though the isos between classes still carry them
     from topogen.instances.topology import _FinTopBackend, predicate_transport
-    from topogen.site import SubobjectFibration, automorphism_orbits, iso_classes
+    from topogen.site import SubobjectFibration, symmetry
 
     cat = fintop2.category
     a = cat.object_index("discrete2")
-    assert automorphism_orbits(cat).letters[a]
+    assert symmetry(cat).letters[a]
     spaces = list(spaces_of(fintop2))
     spaces[a] = SIERPINSKI
     forged = SubobjectFibration(
         cat, fintop2.sub, fintop2.img, fintop2.pre, fintop2.eclass, fintop2.mclass,
         fstar=fintop2.fstar, backend=_FinTopBackend(tuple(spaces), 2), name="forged")
-    assert predicate_transport(forged) is iso_classes(cat).moved
+    moved = predicate_transport(forged)
+    assert moved == tuple(range(cat.n_morphisms))
     direct = [map_predicates(forged, f) for f in range(cat.n_morphisms)]
-    assert [direct[g] for g in iso_classes(cat).moved] == direct
-    assert [direct[g] for g in automorphism_orbits(cat).head] != direct
+    assert [map_predicates(forged, g) for g in moved] == direct
+    assert [direct[g] for g in symmetry(cat).moved] == direct
+    assert [direct[g] for g in symmetry(cat).head] != direct
 
 
 def test_mask_tables_match_image_and_preimage_masks(fintop2, fintop3, tmp_path):

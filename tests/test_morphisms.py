@@ -29,13 +29,16 @@ from topogen.morphisms import (
 )
 from topogen.lattice import mask_iter
 from topogen.reporting import Report, Violation
-from topogen.site import PullbackSquare, SubobjectFibration, check_bcp, pullback
+from topogen.site import (
+    PullbackSquare, SubobjectFibration, carried, check_bcp, pullback, symmetry,
+)
 from topogen.structures import (
     TopogenousOrder, closure_from_topogenous, plan_of, validate_structure,
 )
 from topogen.instances.topology import closure_order, interior_order, map_predicates
 from topogen.instances.registry import builtin_fibration, builtin_order
-from test_site import composable_pairs
+from test_site import _forgeries, _without, composable_pairs
+from test_structures import _reference_report
 
 
 def test_identity_is_in_every_class(fintop2):
@@ -1285,7 +1288,7 @@ def test_representative_sweep_on_a_relabelling_closed_catalog_in_any_order(monke
     )
 
 
-def test_inputs_off_the_hypothesis_take_singleton_classes(fintop2, fintop3):
+def test_inputs_off_the_hypothesis_take_singleton_classes(fintop2, fintop3, monkeypatch):
     cat = fintop2.category
     real = _both_classifications(fintop2)
     # flags that composing with isos changes: every fifth map in no class
@@ -1309,20 +1312,37 @@ def test_inputs_off_the_hypothesis_take_singleton_classes(fintop2, fintop3):
     # the Sierpinski class has both its members
     partial = _space_fibration("sierpinski discrete2 discrete3")
     unclosed = _space_fibration("sierpinski sierpinski_op t3_01")
+    # fibrations off site.carried, each classified under its own orders
+    forged = [(fib, _forged_classifications(fib)) for fib in _forgeries(fintop2)]
+    swept = []
     for fib, classes in (
         (fintop2, fifth), (fintop2, one_map), (broken, real),
         (sliced, _closure_classifications(fintop3)),
         (partial, _both_classifications(partial)), (unclosed, _both_classifications(unclosed)),
+        *forged,
     ):
         report = check_pullback_transfer(fib, classes)
         assert report.counts["classes"] == fib.category.n_objects, fib.name
         if fib.category.n_objects == 3:
             assert (report.checked, report.violations, report.skipped) == _per_square_sweep(
                 fib, classes)
+        swept.append((fib, classes, report))
     assert check_pullback_transfer(unclosed, _both_classifications(unclosed)).skipped == (
         "fintop: 56 squares beyond point budget",
         "fintop: 22 squares whose pullback corner is not an object",
     )
+    # without discrete2>indiscrete2:10 the orbits are singletons, and the
+    # sweep counts the cospans by the classes of their corners alone
+    cut = _without(fintop2, cat.morphism_index("discrete2>indiscrete2:10"))
+    cut_classes = _both_classifications(cut)
+    report = check_pullback_transfer(cut, cut_classes)
+    assert report.counts["classes"] < cut.category.n_objects
+    swept.append((cut, cut_classes, report))
+    _singleton_classes(monkeypatch)
+    for fib, classes, report in swept:
+        exhaustive = check_pullback_transfer(fib, classes)
+        assert (report.checked, report.violations, report.skipped) == (
+            exhaustive.checked, exhaustive.violations, exhaustive.skipped), fib.name
 
 
 # ---------------------------------------------------------------------------
@@ -1352,11 +1372,10 @@ def _transported_orders(name):
 ])
 def test_transported_classifications_equal_the_per_map_classifier(name, n_orders):
     from topogen.morphisms import class_transport
-    from topogen.site import automorphism_orbits
 
     orders = _transported_orders(name)
     assert len(orders) == n_orders
-    head = automorphism_orbits(orders[0].fib.category).head
+    head = symmetry(orders[0].fib.category).head
     for t in orders:
         assert classifications(t) == _per_map_classifications(t), name
         # the fibration and every order are carried along the isos and the
@@ -1370,21 +1389,18 @@ def test_transported_classifications_equal_the_per_map_classifier(name, n_orders
     ("grp_le8", 1_852, 1_852),
 ])
 def test_the_record_counts_the_maps_between_representatives(name, between, maps):
-    from topogen.site import iso_classes
-
     cat = builtin_fibration(name).category
-    classes = iso_classes(cat)
-    assert (classes.representative_maps, cat.n_morphisms) == (between, maps)
-    assert classes.representative_maps == len(set(classes.moved))
-    assert iso_classes(cat) is classes
+    sym = symmetry(cat)
+    assert (len(set(sym.moved)), cat.n_morphisms) == (between, maps)
+    assert all(sym.rep[x] == x and sym.rep[y] == y for x, y in zip(
+        map(cat.mor_dom.__getitem__, sym.moved), map(cat.mor_cod.__getitem__, sym.moved)))
+    assert symmetry(cat) is sym
 
 
 @pytest.mark.parametrize("name", ["fintop2", "fintop3", "topgrp_le4"])
 def test_the_record_moves_each_map_along_the_least_isos(name):
-    from topogen.site import iso_classes
-
     cat = builtin_fibration(name).category
-    classes = iso_classes(cat)
+    classes = symmetry(cat)
     isos = classes.isomorphisms
     assert isos == cat.isomorphisms()
     inverse = {u: v for u in isos for v in isos if cat.mor_dom[v] == cat.mor_cod[u]
@@ -1410,10 +1426,8 @@ def _fallback(t):
 
 
 def test_an_order_off_transport_is_classified_map_by_map(fintop2):
-    from topogen.site import iso_classes
-
     cat = fintop2.category
-    classes = iso_classes(cat)
+    classes = symmetry(cat)
     t = closure_order(fintop2)
     a = cat.object_index("sierpinski")
     assert classes.rep[a] != a
@@ -1427,12 +1441,25 @@ def test_an_order_off_transport_is_classified_map_by_map(fintop2):
     assert tuple(map(expected.__getitem__, classes.moved)) != expected
 
 
-def test_a_fibration_off_transport_is_classified_map_by_map(fintop2):
-    from topogen.site import iso_classes, lattice_transport
+def _forged_orders(fib):
+    """The orders of a forged fibration by name: fintop2's closure and
+    interior orders, or every order on a catalog of its own."""
+    if fib.category.n_objects == 2:
+        tables = plan_of(fib, TopogenousOrder).orders.tables()
+        return {f"t{i}": TopogenousOrder(fib, rel) for i, rel in enumerate(tables)}
+    fintop2 = builtin_fibration("fintop2")
+    return {kind: TopogenousOrder(fib, order(fintop2).rel)
+            for kind, order in (("closure", closure_order), ("interior", interior_order))}
 
+
+def _forged_classifications(fib):
+    return {kind: classifications(t) for kind, t in _forged_orders(fib).items()}
+
+
+def test_a_fibration_off_transport_is_classified_map_by_map(fintop2):
     cat = fintop2.category
-    classes = iso_classes(cat)
-    assert lattice_transport(fintop2) is not None
+    classes = symmetry(cat)
+    assert carried(fintop2)
     # one preimage table moved on a map out of sierpinski, which is not its
     # class's representative
     broken = _moved_preimage(fintop2, "sierpinski>indiscrete2:00", (0, 0, 0, 3))
@@ -1444,44 +1471,47 @@ def test_a_fibration_off_transport_is_classified_map_by_map(fintop2):
         fstar=[None if g == f else table for g, table in enumerate(fintop2.fstar)],
         backend=fintop2.backend, name="no-adjoint")
     for fib in (broken, no_adjoint):
-        assert lattice_transport(fib) is None, fib.name
+        assert not carried(fib), fib.name
         for order in (closure_order, interior_order):
             t = TopogenousOrder(fib, order(fintop2).rel)
             _fallback(t)
             expected = _per_map_classifications(t)
             assert tuple(map(expected.__getitem__, classes.moved)) != expected, fib.name
+    # each clause of site.carried broken alone: every map is classified, and
+    # every structure validated, on its own
+    for fib in _forgeries(fintop2):
+        assert not carried(fib), fib.name
+        for kind, t in _forged_orders(fib).items():
+            _fallback(t)
+            structures = [t, closure_from_topogenous(t)] if kind == "closure" else [t]
+            for s in structures:
+                assert validate_structure(s) == _reference_report(s), (fib.name, s.kind)
 
 
-def _reads_f_tilde(t):
-    """Assert that t's classifications are the per-map classifier's, read
-    through f~ and not through the heads of the orbits, which would give
-    some map classes that are not its own."""
-    from topogen.morphisms import class_transport
-    from topogen.site import automorphism_orbits, iso_classes
-
-    cat = t.fib.category
-    assert class_transport(t) is iso_classes(cat).moved
+def _off_the_letters(t):
+    """Assert that t's classifications are the per-map classifier's, each
+    map read on its own: the heads of the orbits would give some map
+    classes that are not its own, though the isos between classes carry
+    t and its fibration."""
+    _fallback(t)
     expected = _per_map_classifications(t)
-    assert classifications(t) == expected
-    assert tuple(map(expected.__getitem__, automorphism_orbits(cat).head)) != expected
+    cat = t.fib.category
+    assert tuple(map(expected.__getitem__, symmetry(cat).head)) != expected
+    assert tuple(map(expected.__getitem__, symmetry(cat).moved)) == expected
 
 
 def test_an_order_off_the_letters_reads_f_tilde(fintop2):
-    from topogen.site import iso_classes
-
     cat = fintop2.category
     a = cat.object_index("discrete2")
-    assert iso_classes(cat).rep[a] == a
+    assert symmetry(cat).rep[a] == a
     # {0} ⊏ {0} dropped at discrete2, and not {1} ⊏ {1}: its swap moves it
     t = closure_order(fintop2)
     rel = list(t.rel)
     rel[a] = (rel[a][0], rel[a][1] & ~0b10, *rel[a][2:])
-    _reads_f_tilde(TopogenousOrder(fintop2, tuple(rel)))
+    _off_the_letters(TopogenousOrder(fintop2, tuple(rel)))
 
 
 def test_a_fibration_off_the_letters_reads_f_tilde(fintop2):
-    from topogen.site import lattice_transport, orbit_transport
-
     # f_* dropped on one map between representatives, and not on its twin
     # under the swap of discrete2
     cat = fintop2.category
@@ -1490,22 +1520,20 @@ def test_a_fibration_off_the_letters_reads_f_tilde(fintop2):
         cat, fintop2.sub, fintop2.img, fintop2.pre, fintop2.eclass, fintop2.mclass,
         fstar=[None if g == f else table for g, table in enumerate(fintop2.fstar)],
         backend=fintop2.backend, name="forged-fstar", subsets=fintop2.subsets)
-    assert lattice_transport(forged) is not None and not orbit_transport(forged)
-    _reads_f_tilde(TopogenousOrder(forged, closure_order(fintop2).rel))
+    assert not carried(forged)
+    _off_the_letters(TopogenousOrder(forged, closure_order(fintop2).rel))
 
 
 def test_a_catalog_without_every_relabelling_is_classified_per_automorphism_orbit():
     from topogen.morphisms import class_transport
-    from topogen.site import automorphism_orbits, iso_classes
 
     # every object is its own class, but discrete2 and discrete3 have
     # automorphisms: each map reads the head of its orbit under them
     fib = _space_fibration("sierpinski discrete2 discrete3")
-    classes = iso_classes(fib.category)
-    assert classes.representative_maps == fib.category.n_morphisms
-    orbits = automorphism_orbits(fib.category)
+    orbits = symmetry(fib.category)
+    assert orbits.moved == tuple(range(fib.category.n_morphisms))
     assert any(orbits.letters)
-    assert orbits.heads < fib.category.n_morphisms
+    assert len(set(orbits.head)) < fib.category.n_morphisms
     for order in (closure_order, interior_order):
         t = order(fib)
         assert class_transport(t) is orbits.head
@@ -1521,4 +1549,4 @@ def test_one_map_classification_builds_no_record():
     fib = _space_fibration("sierpinski discrete2 pt")
     classify(fib.category.n_morphisms - 1, closure_order(fib))
     for cat in (twin.category, fib.category):
-        assert getattr(cat, "_iso_classes", None) is None
+        assert getattr(cat, "_symmetry", None) is None

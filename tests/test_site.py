@@ -716,7 +716,7 @@ def _without(fib, drop, keep_subsets=True):
         cut, fib.sub, [fib.img[m] for m in keep], [fib.pre[m] for m in keep],
         eclass=frozenset(new[m] for m in fib.eclass if m != drop),
         mclass=frozenset(new[m] for m in fib.mclass if m != drop),
-        fstar=[fib.fstar[m] for m in keep], name="cut",
+        fstar=[fib.fstar[m] for m in keep], backend=fib.backend, name="cut",
         subsets=fib.subsets if keep_subsets else None,
     )
 
@@ -1593,59 +1593,106 @@ def test_orbit_heads_are_the_least_maps_of_every_automorphism_orbit(name, heads,
     # the counts do not depend on which letters generate each Aut A
     fib = _topgrp_total() if name == "topgrp_le4" else builtin_fibration(name)
     cat = fib.category
-    classes, orbits = site.iso_classes(cat), site.automorphism_orbits(cat)
-    assert (orbits.heads, classes.representative_maps) == (heads, between)
-    assert site.automorphism_orbits(cat) is orbits and len(set(orbits.head)) == heads
-    assert site.orbit_transport(fib)
+    sym = site.symmetry(cat)
+    assert (len(set(sym.head)), len(set(sym.moved))) == (heads, between)
+    assert site.symmetry(cat) is sym
+    assert site.carried(fib)
     found, automorphisms = {}, _automorphisms(cat)
-    for g in sorted(set(classes.moved)):
+    for g in sorted(set(sym.moved)):
         if g not in found:
             orbit = _orbit_by_every_automorphism(cat, automorphisms, g)
             found.update(dict.fromkeys(orbit, (min(orbit), len(orbit))))
-    for f, g in enumerate(classes.moved):
-        assert (orbits.head[f], orbits.size[f]) == found[g], (name, cat.mor_names[f])
+    for f, g in enumerate(sym.moved):
+        assert (sym.head[f], sym.size[f]) == found[g], (name, cat.mor_names[f])
     # the moves are the letters' steps: m∘a and b∘m, each a morphism
-    for moves, before in ((orbits.precomposed, True), (orbits.postcomposed, False)):
-        for a, maps, composites in moves:
-            assert a in orbits.letters[cat.mor_dom[maps[0]] if before else cat.mor_cod[maps[0]]]
-            for m, h in zip(maps, composites):
-                assert h == (cat.compose(m, a) if before else cat.compose(a, m))
+    for a, after, maps, composites in sym.moves:
+        assert a in sym.letters[cat.mor_cod[maps[0]] if after else cat.mor_dom[maps[0]]]
+        for m, h in zip(maps, composites):
+            assert h == (cat.compose(a, m) if after else cat.compose(m, a))
 
 
 def test_a_missing_composite_leaves_singleton_orbits(fintop2):
     # without discrete2>indiscrete2:10, the swap of discrete2 moves
-    # discrete2>indiscrete2:01 to no morphism
+    # discrete2>indiscrete2:01 to no morphism: no object keeps its letters,
+    # and each map's head is its f~
     cat = fintop2.category
     cut = _without(fintop2, cat.morphism_index("discrete2>indiscrete2:10"))
-    classes, orbits = site.iso_classes(cut.category), site.automorphism_orbits(cut.category)
-    assert any(site.automorphism_orbits(fintop2.category).letters)
-    assert orbits.letters is orbits.precomposed is orbits.postcomposed is None
-    assert orbits.head is classes.moved and set(orbits.size) == {1}
-    assert orbits.heads == classes.representative_maps
-    assert not site.orbit_transport(cut)
-    assert site.orbit_transport(fintop2)
+    sym = site.symmetry(cut.category)
+    assert any(site.symmetry(fintop2.category).letters)
+    assert sym.letters == ((),) * cut.category.n_objects and sym.moves == ()
+    assert sym.head is sym.moved and set(sym.size) == {1}
+    assert sym.moved != tuple(range(cut.category.n_morphisms))
+    # the isos between classes still carry the tables, and there is no
+    # letter to carry them along
+    assert list(sym.generators()) == [
+        (u, r, a) for a, (r, u) in enumerate(zip(sym.rep, sym.iota)) if r != a]
+    assert site.carried(cut) and site.carried(fintop2)
+
+
+def _forged(fib, name, **fields):
+    """``fib`` with the given fields replaced, its backend kept, so that
+    orders and pullbacks read it."""
+    kept = dict(
+        category=fib.category, sub=fib.sub, img=fib.img, pre=fib.pre, eclass=fib.eclass,
+        mclass=fib.mclass, fstar=fib.fstar, backend=fib.backend, subsets=fib.subsets)
+    return SubobjectFibration(**{**kept, **fields}, name=name)
+
+
+def _unlisted_subsets():
+    """discrete2 and indiscrete2 with the subsets {} and {0, 1} of the
+    latter alone: set-level images of a singleton into it are -1."""
+    from topogen.instances.topology import discrete, fintop_fibration, indiscrete
+
+    fib = fintop_fibration([discrete(2), indiscrete(2)])
+    return site.subset_fibration(
+        fib.category, (fib.sub[0], FiniteLattice.powerset(1)), ((0, 1, 2, 3), (0, 3)),
+        fib.mclass, backend=fib.backend, name="unlisted")
+
+
+def _forgeries(fintop2):
+    """Fibrations off ``site.carried``, one clause each, with the backend
+    of fintop2 (or of their own catalog) kept."""
+    cat = fintop2.category
+    swap = cat.morphism_index("discrete2>discrete2:10")
+    a = cat.object_index("sierpinski")
+    assert site.symmetry(cat).rep[a] != a
+    # the lattice of sierpinski made a chain: the image table of its ι is
+    # still a bijection, but not a lattice isomorphism
+    sub = list(fintop2.sub)
+    sub[a] = FiniteLattice.from_order(sub[a].labels, (0b1111, 0b1110, 0b1100, 0b1000))
+    # one letter's image table made the identity: a lattice automorphism,
+    # but not the set-level table
+    img = list(fintop2.img)
+    img[swap] = tuple(range(len(img[swap])))
+
+    def fstar_moved(name):
+        fstar = list(fintop2.fstar)
+        f = cat.morphism_index(name)
+        fstar[f] = tuple(reversed(fstar[f]))
+        return fstar
+
+    return [
+        _forged(fintop2, "unit-not-a-lattice-isomorphism", sub=sub),
+        _forged(fintop2, "letter-identity", img=img),
+        # f_* moved on one map into sierpinski, whose f~ keeps its table
+        _forged(fintop2, "fstar-off-an-iso", fstar=fstar_moved("discrete2>sierpinski:01")),
+        # f_* moved on one map between representatives, off its twin under
+        # the swap of discrete2; the isos between classes do not see it
+        _forged(fintop2, "fstar-off-a-move", fstar=fstar_moved("discrete2>indiscrete2:01")),
+        _forged(fintop2, "no-subsets", subsets=None),
+        _unlisted_subsets(),
+    ]
 
 
 def test_orbit_transport_needs_set_level_tables_and_lattice_automorphisms(fintop2):
+    # site.carried needs set-level tables without a -1 entry, lattice
+    # isomorphisms along the generators and f_* carried along each f -> f~
+    # and each move
     cat = fintop2.category
     swap = cat.morphism_index("discrete2>discrete2:10")
-    assert swap in site.automorphism_orbits(cat).letters[cat.mor_dom[swap]]
-    # the same tables without their subsets, and one letter's image table
-    # made the identity: neither certifies the letters
-    plain = _with_tables(fintop2, keep_subsets=False)
-    img = list(fintop2.img)
-    img[swap] = tuple(range(len(img[swap])))
-    moved = _with_tables(fintop2, img=img, keep_subsets=False)
-    for fib in (plain, moved):
-        assert site.lattice_transport(fib) is not None
-        assert not site.orbit_transport(fib), fib.name
-    # f_* moved on one map between representatives, off its twin under
-    # the swap of discrete2; the isos between classes do not see it
-    f = cat.morphism_index("discrete2>indiscrete2:01")
-    fstar = list(fintop2.fstar)
-    fstar[f] = tuple(reversed(fstar[f]))
-    forged = SubobjectFibration(
-        cat, fintop2.sub, fintop2.img, fintop2.pre, fintop2.eclass, fintop2.mclass,
-        fstar=fstar, name="forged-fstar", subsets=fintop2.subsets)
-    assert site.lattice_transport(forged) is not None
-    assert not site.orbit_transport(forged)
+    assert swap in site.symmetry(cat).letters[cat.mor_dom[swap]]
+    assert site.carried(fintop2)
+    forgeries = _forgeries(fintop2)
+    assert any(-1 in table for table in forgeries[-1].img)
+    for fib in forgeries:
+        assert not site.carried(fib), fib.name

@@ -970,9 +970,9 @@ def _decided_homs(s):
 
 
 def _representative(fib):
-    from topogen.site import iso_classes
+    from topogen.site import symmetry
 
-    rep = iso_classes(fib.category).rep
+    rep = symmetry(fib.category).rep
     return lambda x: rep[x] == x
 
 

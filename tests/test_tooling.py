@@ -213,16 +213,17 @@ def _chooses_representatives(node):
 
 
 def test_one_routine_chooses_the_class_representatives():
-    # site.iso_classes is the one record of the isos, the representatives,
-    # the isos ι_A and each map's f~; the pullback sweep, the class calculus
-    # and both transports read it, and a second scan would fork from it
+    # site.symmetry is the one record of the isos, the representatives, the
+    # isos ι_A and each map's f~; the pullback sweep, the class calculus,
+    # the skeleton and the stand-ins read it, and a second scan would fork
+    # from it
     choosers = {
         f"{module}.{node.name}"
         for module, tree in _src_modules()
         for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
         if any(map(_chooses_representatives, ast.walk(node)))
     }
-    assert choosers == {"site._iso_classes"}
+    assert choosers == {"site._symmetry"}
 
 
 def _calls(node, name):
@@ -233,20 +234,37 @@ def _calls(node, name):
         for call in ast.walk(node))
 
 
-def test_one_routine_builds_the_automorphism_orbits():
-    # site.automorphism_orbits is the one record of each map's orbit under
-    # the automorphisms of its ends; the class and predicate transports and
-    # the pullback sweep read it, and a second walk would fork from it.  Its
-    # letters are the closure certificate's, from one routine
-    functions = [
+def _src_functions():
+    """``(module.name, node)`` of each function under ``src/topogen``."""
+    return [
         (f"{module}.{node.name}", node)
         for module, tree in _src_modules()
         for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
     ]
-    builders = {name for name, node in functions if _calls(node, "AutomorphismOrbits")}
-    assert builders == {"site._automorphism_orbits"}
+
+
+def test_one_routine_builds_the_automorphism_orbits():
+    # site.symmetry is also the one record of each map's orbit under the
+    # automorphisms of its ends; the stand-ins, the carry check and the
+    # pullback sweep read it, and a second walk would fork from it.  Its
+    # letters are the closure certificate's, from one routine
+    functions = _src_functions()
+    builders = {name for name, node in functions if _calls(node, "Symmetry")}
+    assert builders == {"site._symmetry"}
     readers = {name for name, node in functions if _calls(node, "_permutation_letters")}
-    assert readers == {"site._automorphism_orbits", "site._closure_certificate"}
+    assert readers == {"site._symmetry", "site._closure_certificate"}
+
+
+def test_one_routine_chooses_the_stand_ins():
+    # site.stand_ins decides whether a verdict reads the head of each map's
+    # orbit or the map itself; outside site, only the pullback sweep's
+    # weights read the heads, to weigh each orbit by its size
+    readers = {
+        name for name, node in _src_functions() if not name.startswith("site.")
+        for attribute in ast.walk(node)
+        if isinstance(attribute, ast.Attribute) and attribute.attr == "head"
+    }
+    assert readers == {"morphisms._class_weights"}
 
 
 def test_one_fold_finds_every_unclosed_family():
